@@ -131,4 +131,11 @@ go build -o /tmp/vexp_ci ./cmd/experiments
 cmp /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
 rm -f /tmp/vexp_ci /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
 
+# vbench smoke: bench/ is a module of its own, so the root `go test ./...`
+# never enters it. Its smoke test runs all four benchmark workloads at smoke
+# size and checks every op against bench/testdata/golden.json — the macro
+# tier's snapshot digests included.
+echo "== vbench smoke (golden-checked)"
+bench/check.sh smoke
+
 echo "CI OK"

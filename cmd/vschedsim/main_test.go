@@ -193,9 +193,12 @@ func TestUnknownFlagFails(t *testing.T) {
 func TestTelemetryFlag(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
+	// The wall-clock source emits only once WallSource's minimum wall delta
+	// (5 ms) has passed since its first sample, so the run must last well
+	// past that on a fast machine: a 3 s scenario could finish in under 5 ms.
 	args := []string{
 		"-workload", "nginx", "-vcpus", "2", "-share", "0.5", "-vsched",
-		"-duration", "2s", "-warmup", "1s", "-seed", "7",
+		"-duration", "10s", "-warmup", "1s", "-seed", "7",
 		"-telemetry", "-trace", trace,
 	}
 	var out1, out2, errb bytes.Buffer

@@ -24,8 +24,11 @@ import (
 //     capacity correlate (see DESIGN.md and BENCH_fleet.json).
 //
 // Updates (occupancy or score changes on one host) rewrite one leaf and its
-// root path: O(log n). The index holds per-host capacity, so heterogeneous
-// fleets work without the policies knowing.
+// root path: O(log n). A caller that rewrites every leaf at once (the macro
+// tier's epoch-boundary rescore) writes the leaves with SetLeaf and then
+// calls Rebuild once: n-1 pulls instead of n root paths, and the same tree.
+// The index holds per-host capacity, so heterogeneous fleets work without
+// the policies knowing.
 //
 // Determinism: queries read only the tree, tie-break by construction toward
 // lower host IDs (left-first descent, strict-inequality pruning), and the
@@ -74,9 +77,7 @@ func NewHostIndex(caps []int) *HostIndex {
 		ix.free[size+i] = int32(c)
 		ix.score[size+i] = 0
 	}
-	for i := size - 1; i >= 1; i-- {
-		ix.pull(i)
-	}
+	ix.Rebuild()
 	return ix
 }
 
@@ -111,6 +112,23 @@ func (ix *HostIndex) Update(i, committed int, score float64) {
 	ix.score[leaf] = score
 	for leaf /= 2; leaf >= 1; leaf /= 2 {
 		ix.pull(leaf)
+	}
+}
+
+// SetLeaf sets host i's committed occupancy and policy score in its leaf
+// only. Queries read stale aggregates until the next Rebuild.
+func (ix *HostIndex) SetLeaf(i, committed int, score float64) {
+	leaf := ix.size + i
+	ix.free[leaf] = ix.capacity[i] - int32(committed)
+	ix.score[leaf] = score
+}
+
+// Rebuild recomputes every internal node from the leaves, bottom-up. After
+// SetLeaf on any set of hosts it leaves the tree exactly as one Update per
+// written leaf would.
+func (ix *HostIndex) Rebuild() {
+	for i := ix.size - 1; i >= 1; i-- {
+		ix.pull(i)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,6 +75,59 @@ func TestHostIndexBestScoreTieBreak(t *testing.T) {
 	ix.Update(1, 0, 1.0)
 	if got := ix.BestScore(12); got != 1 {
 		t.Fatalf("BestScore(12) = %d, want 1 (equal scores tie to lower ID)", got)
+	}
+}
+
+// TestHostIndexRebuildMatchesUpdate applies random batches of leaf writes to
+// two indexes, one through SetLeaf plus a single Rebuild and one through an
+// Update per write. Scores include -Inf, +Inf and ties; committed may exceed
+// capacity, leaving negative free the way the macro tier's degraded hosts do.
+// After every batch the trees must match node for node and answer every
+// FirstFit and BestScore query alike.
+func TestHostIndexRebuildMatchesUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float64{math.Inf(-1), math.Inf(1), 0, 0.5, 0.5, 1}
+	for _, hosts := range []int{1, 2, 37, 64} {
+		caps := make([]int, hosts)
+		for i := range caps {
+			caps[i] = 4 * (1 + rng.Intn(4)) // 4..16: heterogeneous
+		}
+		bulk, path := NewHostIndex(caps), NewHostIndex(caps)
+		for batch := 0; batch < 300; batch++ {
+			writes := 1 + rng.Intn(hosts)
+			if batch%4 == 0 {
+				writes = hosts // a full rescore, like a macro boundary
+			}
+			for w := 0; w < writes; w++ {
+				i := rng.Intn(hosts)
+				if writes == hosts {
+					i = w
+				}
+				committed := rng.Intn(caps[i] + 9) // up to 8 over capacity
+				score := rng.Float64()
+				if rng.Intn(2) == 0 {
+					score = special[rng.Intn(len(special))]
+				}
+				bulk.SetLeaf(i, committed, score)
+				path.Update(i, committed, score)
+			}
+			bulk.Rebuild()
+			for node := range path.free {
+				if bulk.free[node] != path.free[node] ||
+					math.Float64bits(bulk.score[node]) != math.Float64bits(path.score[node]) {
+					t.Fatalf("hosts=%d batch %d node %d: rebuild (free %d, score %v) != updates (free %d, score %v)",
+						hosts, batch, node, bulk.free[node], bulk.score[node], path.free[node], path.score[node])
+				}
+			}
+			for v := 0; v <= 17; v++ {
+				if a, b := bulk.FirstFit(v), path.FirstFit(v); a != b {
+					t.Fatalf("hosts=%d batch %d: FirstFit(%d) rebuild %d, updates %d", hosts, batch, v, a, b)
+				}
+				if a, b := bulk.BestScore(v), path.BestScore(v); a != b {
+					t.Fatalf("hosts=%d batch %d: BestScore(%d) rebuild %d, updates %d", hosts, batch, v, a, b)
+				}
+			}
+		}
 	}
 }
 

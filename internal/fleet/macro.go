@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -268,10 +269,14 @@ type macroSim struct {
 	ttrSum, ttrMax             float64
 	ttrCount                   int
 
-	// departQ holds live VM ids ordered by departure time then id; a plain
-	// sorted-slice sweep, rebuilt incrementally (batch completions join at
-	// the epoch boundary after their budget drains).
-	departQ []int32
+	// cal is the departure calendar: cal[k] lists the VMs due to leave at
+	// boundary k (time k*Epoch; the last bucket is the horizon). A VM is
+	// filed under the first boundary at or after its depart instant when it
+	// is admitted, restarted, or its batch budget drains. Entries go stale
+	// when a VM dies or its depart moves, and the sweep skips them. swept is
+	// the first bucket not yet swept; swept buckets are released.
+	cal   [][]int32
+	swept int
 
 	// per-shard scratch, reused every epoch
 	completions [][]int32
@@ -319,6 +324,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 		caps[i] = c
 	}
 	m.vms = make([]macroVM, len(cfg.Trace.VMs))
+	m.cal = make([][]int32, m.bucket(m.horizon)+1)
 	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
 		m.ix = NewHostIndex(caps)
 		m.ipol = ipol
@@ -432,28 +438,19 @@ func (m *macroSim) publishMirror() {
 // evacuation of degraded hosts, then arrivals with At < t+E in trace order.
 func (m *macroSim) boundary(t sim.Time) {
 	m.now = t
-	// Departures: the queue is sorted by (depart, id); batch VMs whose
-	// budget drained last epoch were re-sorted in with their quantized
-	// boundary departure time. Killed VMs leave stale entries behind —
-	// they are skipped here (dead) or, after a restart re-appended the id,
-	// shadowed by the fresh entry (both sort on the same current depart).
-	dq := m.departQ
-	cut := 0
-	for cut < len(dq) {
-		vm := &m.vms[dq[cut]]
-		if vm.alive && vm.depart > t {
-			break
+	// Departures: sweep the calendar through this boundary's bucket. Every
+	// live VM due by t is filed in one of those buckets; ids of dead VMs and
+	// of VMs whose depart moved later are stale and skipped, and a restarted
+	// VM filed twice leaves on its first entry. Departure order within a
+	// boundary does not affect state (depart only removes and decrements).
+	for k := m.bucket(t); m.swept <= k; m.swept++ {
+		for _, id := range m.cal[m.swept] {
+			if vm := &m.vms[id]; vm.alive && vm.depart <= t {
+				m.depart(id)
+			}
 		}
-		cut++
+		m.cal[m.swept] = nil
 	}
-	for _, id := range dq[:cut] {
-		vm := &m.vms[id]
-		if !vm.alive {
-			continue
-		}
-		m.depart(id)
-	}
-	m.departQ = dq[cut:]
 
 	// Fault events landing in this epoch: crashes kill, brownouts degrade,
 	// stalls freeze.
@@ -461,16 +458,19 @@ func (m *macroSim) boundary(t sim.Time) {
 
 	// Rescore every host before any placement work: committed changed
 	// above, stealEMA during the last integration, and effective capacity
-	// whenever a fault window opened or expired.
+	// whenever a fault window opened or expired. Every leaf changes, so
+	// write them all and rebuild the tree once.
 	if m.ix != nil {
 		for i := range m.hosts {
-			m.reindexHost(i)
+			committed, score := m.leaf(i)
+			m.ix.SetLeaf(i, committed, score)
 		}
+		m.ix.Rebuild()
 	}
 
 	// Pending retries due now: crash restarts and admission re-attempts,
 	// oldest (readyAt, id) first.
-	dirty := m.retries(t)
+	m.retries(t)
 
 	// Evacuate degraded hosts through the placement policy — the macro
 	// tier's migration mechanism (recovery-gated).
@@ -485,16 +485,28 @@ func (m *macroSim) boundary(t sim.Time) {
 		}
 		m.place(m.next, t)
 		m.next++
-		dirty = true
 	}
-	if dirty {
-		sort.SliceStable(m.departQ, func(a, b int) bool {
-			va, vb := &m.vms[m.departQ[a]], &m.vms[m.departQ[b]]
-			if va.depart != vb.depart {
-				return va.depart < vb.depart
-			}
-			return m.departQ[a] < m.departQ[b]
-		})
+}
+
+// bucket returns the calendar bucket of instant d <= horizon: the index of
+// the first boundary at or after d.
+func (m *macroSim) bucket(d sim.Time) int {
+	e := sim.Time(m.cfg.Epoch)
+	return int((d + e - 1) / e)
+}
+
+// file enters VM id in the calendar under its current depart instant. A VM
+// due by a boundary already swept leaves at the next one; a VM due after the
+// horizon, or restarted at the horizon boundary itself, never leaves and is
+// not filed.
+func (m *macroSim) file(id int32) {
+	d := m.vms[id].depart
+	if d > m.horizon {
+		return
+	}
+	k := max(m.bucket(d), m.swept)
+	if k < len(m.cal) {
+		m.cal[k] = append(m.cal[k], id)
 	}
 }
 
@@ -510,21 +522,27 @@ func (m *macroSim) effCap(h *macroHost) int32 {
 	return h.capacity
 }
 
-// reindexHost refreshes host i's leaf. The index tracks free = capacity -
-// committed against the *configured* leaf capacity, so degraded capacity is
-// folded in by inflating committed with the lost headroom; a fully-down host
-// scores +Inf (never NaN — NaN would poison BestScore pruning).
+// reindexHost refreshes host i's leaf and its root path.
 func (m *macroSim) reindexHost(i int) {
 	if m.ix == nil {
 		return
 	}
+	committed, score := m.leaf(i)
+	m.ix.Update(i, committed, score)
+}
+
+// leaf computes host i's index leaf. The index tracks free = capacity -
+// committed against the *configured* leaf capacity, so degraded capacity is
+// folded in by inflating committed with the lost headroom; a fully-down host
+// scores +Inf (never NaN — NaN would poison BestScore pruning).
+func (m *macroSim) leaf(i int) (committed int, score float64) {
 	h := &m.hosts[i]
 	eff := m.effCap(h)
-	score := math.Inf(1)
+	score = math.Inf(1)
 	if eff > 0 {
 		score = m.ipol.Score(m.macroInfo(i))
 	}
-	m.ix.Update(i, int(h.committed)+int(h.capacity-eff), score)
+	return int(h.committed) + int(h.capacity-eff), score
 }
 
 // applyFaults applies schedule events landing in epoch [t, t+E).
@@ -613,13 +631,18 @@ func (m *macroSim) kill(id int32, t sim.Time) {
 }
 
 // enqueue admits an entry to the bounded retry queue; overflow is
-// immediately terminal (bounded restart debt is the point).
+// immediately terminal (bounded restart debt is the point). The queue stays
+// in (readyAt, id) order, a total order since a VM is queued at most once.
 func (m *macroSim) enqueue(e retryEntry, t sim.Time) {
 	if len(m.retryQ) >= m.rcv.QueueCap {
 		m.terminal(e, t)
 		return
 	}
-	m.retryQ = append(m.retryQ, e)
+	q := m.retryQ
+	i := sort.Search(len(q), func(k int) bool {
+		return q[k].readyAt > e.readyAt || q[k].readyAt == e.readyAt && q[k].id > e.id
+	})
+	m.retryQ = slices.Insert(q, i, e)
 	m.reg.Counter("fleet.macro.retry_queued").Inc()
 }
 
@@ -639,29 +662,16 @@ func (m *macroSim) terminal(e retryEntry, t sim.Time) {
 	m.reg.Counter("fleet.macro.lost").Inc()
 }
 
-// retries runs every queue entry due at t in (readyAt, id) order. Returns
-// whether any VM re-entered the departure queue.
-func (m *macroSim) retries(t sim.Time) bool {
-	if len(m.retryQ) == 0 {
-		return false
-	}
-	sort.SliceStable(m.retryQ, func(a, b int) bool {
-		ea, eb := m.retryQ[a], m.retryQ[b]
-		if ea.readyAt != eb.readyAt {
-			return ea.readyAt < eb.readyAt
-		}
-		return ea.id < eb.id
-	})
+// retries runs every queue entry due at t in (readyAt, id) order. The due
+// prefix is cut off the queue first; entries re-queued while it runs are
+// inserted behind the cut, so the prefix is never overwritten.
+func (m *macroSim) retries(t sim.Time) {
 	cut := 0
 	for cut < len(m.retryQ) && m.retryQ[cut].readyAt <= t {
 		cut++
 	}
-	if cut == 0 {
-		return false
-	}
-	due := append([]retryEntry(nil), m.retryQ[:cut]...)
-	m.retryQ = append(m.retryQ[:0], m.retryQ[cut:]...)
-	readmitted := false
+	due := m.retryQ[:cut]
+	m.retryQ = m.retryQ[cut:]
 	for _, e := range due {
 		vm := &m.vms[e.id]
 		vcpus := int(vm.vcpus)
@@ -685,9 +695,7 @@ func (m *macroSim) retries(t sim.Time) bool {
 		} else {
 			m.restart(e, hi, t)
 		}
-		readmitted = true
 	}
-	return readmitted
 }
 
 // restart re-places a crash victim on host hi: service VMs resume their
@@ -708,7 +716,7 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 		vm.depart = t.Add(e.remaining)
 	}
 	h.vms = append(h.vms, e.id)
-	m.departQ = append(m.departQ, e.id)
+	m.file(e.id)
 	m.restarts++
 	m.events++
 	m.reg.Counter("fleet.macro.restarts").Inc()
@@ -847,7 +855,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 		vm.depart = t.Add(tv.Lifetime)
 	}
 	h.vms = append(h.vms, int32(idx))
-	m.departQ = append(m.departQ, int32(idx))
+	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
 	m.reindexHost(hi)
@@ -904,8 +912,8 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		wg.Wait()
 	}
 
-	// Serial merge, shard order == host order: batch completions re-enter
-	// the departure queue with their boundary departure time.
+	// Serial merge, shard order == host order: batch completions are filed
+	// in the calendar under the boundary that ends this epoch.
 	var events uint64
 	for i := range m.hosts {
 		events += uint64(len(m.hosts[i].vms)) + 1
@@ -921,16 +929,8 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 				m.makespan = vm.depart
 			}
 			vm.depart = t1
+			m.file(id)
 		}
-	}
-	if len(m.departQ) > 1 {
-		sort.SliceStable(m.departQ, func(a, b int) bool {
-			va, vb := &m.vms[m.departQ[a]], &m.vms[m.departQ[b]]
-			if va.depart != vb.depart {
-				return va.depart < vb.depart
-			}
-			return m.departQ[a] < m.departQ[b]
-		})
 	}
 
 	// Degree of imbalance over hosts with any capacity, serial in host order.
@@ -1190,7 +1190,9 @@ func (m *macroSim) result() *MacroResult {
 // outcome counters. Two runs that diverge anywhere — one float op, one
 // placement, one departure order — produce different bytes.
 func (m *macroSim) snapshot() []byte {
-	buf := make([]byte, 0, 8*(3*len(m.hosts)+4*len(m.vms)+8))
+	// Exact size: 7 words per host, 5 per VM, 24 scalars. At full scale the
+	// buffer is ~9 MB, and growing it by append would copy it several times.
+	buf := make([]byte, 0, 8*(7*len(m.hosts)+5*len(m.vms)+24))
 	u64 := func(v uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)

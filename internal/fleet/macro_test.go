@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
@@ -50,6 +52,9 @@ func TestMacroDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Snapshot, b.Snapshot) {
 		t.Fatalf("two identical runs diverged: %s vs %s",
 			SnapshotDigest(a.Snapshot), SnapshotDigest(b.Snapshot))
+	}
+	if len(a.Snapshot) != cap(a.Snapshot) {
+		t.Fatalf("snapshot is %d bytes but was sized for %d", len(a.Snapshot), cap(a.Snapshot))
 	}
 }
 
@@ -153,6 +158,24 @@ func TestMacroRejection(t *testing.T) {
 	// An uncontended service VM accrues zero steal.
 	if res.P95Steal != 0 {
 		t.Fatalf("p95 steal %f, want 0", res.P95Steal)
+	}
+}
+
+// TestMacroZeroLifetime: a service VM due at the very boundary that admits it
+// leaves at the next boundary, not never.
+func TestMacroZeroLifetime(t *testing.T) {
+	trace := cloudgen.Trace{
+		Seed:    1,
+		Horizon: 300 * sim.Second,
+		Hosts:   []cloudgen.HostSpec{{Class: "h", Threads: 4, SpeedFactor: 1.0}},
+		VMs: []cloudgen.VM{
+			{ID: 0, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.5},
+			{ID: 1, At: sim.Time(0).Add(70 * sim.Second), VCPUs: 2, Class: cloudgen.Service, Demand: 0.5},
+		},
+	}
+	res := RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
+	if res.Lifetimes != 2 || res.RunningAtEnd != 0 {
+		t.Fatalf("lifetimes=%d running=%d, want 2/0", res.Lifetimes, res.RunningAtEnd)
 	}
 }
 
@@ -437,6 +460,104 @@ func TestMacroRetryExhaustion(t *testing.T) {
 	if res.Lifetimes != 1 {
 		t.Fatalf("lifetimes %d, want 1", res.Lifetimes)
 	}
+}
+
+// macroPinned holds snapshot digests recorded before the macro tier's
+// departure queue became an epoch-bucketed calendar and the boundary rescore
+// a bulk index rebuild. Both are pure performance changes; any digest moving
+// means simulated output changed.
+var macroPinned = map[string]string{
+	"first-fit/clean/6h0m0s":                "477a22d8ebe6c0ab",
+	"first-fit/clean/6h0m17s":               "620838f5974dd0f3",
+	"first-fit/storm-recovery/6h0m0s":       "203986c733efc0cb",
+	"first-fit/storm-recovery/6h0m17s":      "e49a18c73b058126",
+	"first-fit/storm-tightqueue/6h0m0s":     "8506f7d8e32e828c",
+	"first-fit/storm-tightqueue/6h0m17s":    "568b351f2977e091",
+	"first-fit/crash-norecovery/6h0m0s":     "a06aa40ca746d1db",
+	"first-fit/crash-norecovery/6h0m17s":    "7d97c49138c3c9b3",
+	"least-loaded/clean/6h0m0s":             "66e947cacd3bb061",
+	"least-loaded/clean/6h0m17s":            "a7b6481a68d7e17b",
+	"least-loaded/storm-recovery/6h0m0s":    "85f8acb6965227cd",
+	"least-loaded/storm-recovery/6h0m17s":   "5512c6ae34ea518b",
+	"least-loaded/storm-tightqueue/6h0m0s":  "b8d958b0ecda1142",
+	"least-loaded/storm-tightqueue/6h0m17s": "fc78ac17f50ba148",
+	"least-loaded/crash-norecovery/6h0m0s":  "1375b058ec993b3c",
+	"least-loaded/crash-norecovery/6h0m17s": "d09be704ad2e634f",
+	"steal-aware/clean/6h0m0s":              "c930f681f495a7da",
+	"steal-aware/clean/6h0m17s":             "6991b02876a7171e",
+	"steal-aware/storm-recovery/6h0m0s":     "9b774ed9274298d0",
+	"steal-aware/storm-recovery/6h0m17s":    "5f995f5dcf6469ff",
+	"steal-aware/storm-tightqueue/6h0m0s":   "baef373ff986dc6f",
+	"steal-aware/storm-tightqueue/6h0m17s":  "2253719aa8bc1ed9",
+	"steal-aware/crash-norecovery/6h0m0s":   "fde6a96f35fa0e38",
+	"steal-aware/crash-norecovery/6h0m17s":  "5401910c9dde1d7c",
+	"batch-restart-at-horizon":              "e8b3729bd275a330",
+}
+
+// TestMacroDigestsPinned runs macroTestTrace under every policy, serial and
+// sharded, clean and under three fault regimes, at the trace horizon and at a
+// horizon that is not a multiple of the epoch (the calendar's short final
+// bucket), and compares each snapshot digest with the pinned value. A
+// hand-built row kills and restarts a batch VM that is still running at the
+// odd horizon, so its id sits twice in the final bucket and must depart once.
+func TestMacroDigestsPinned(t *testing.T) {
+	trace := macroTestTrace(42)
+	odd := trace.Horizon + 17*sim.Second
+	storm := faults.Generate(42, len(trace.Hosts), odd, faults.Config{
+		CrashMTBF:    20 * cloudgen.Hour,
+		BrownoutMTBF: 10 * cloudgen.Hour,
+		StallMTBF:    5 * cloudgen.Hour,
+		MigFailProb:  0.2,
+	})
+	crashes := faults.Generate(42, len(trace.Hosts), odd, faults.Config{CrashMTBF: 10 * cloudgen.Hour})
+	modes := []struct {
+		name   string
+		faults *faults.Schedule
+		rcv    faults.RecoveryConfig
+	}{
+		{"clean", nil, faults.RecoveryConfig{}},
+		{"storm-recovery", &storm, faults.RecoveryConfig{Enabled: true}},
+		{"storm-tightqueue", &storm, faults.RecoveryConfig{Enabled: true, QueueCap: 4, MaxRetries: 3}},
+		{"crash-norecovery", &crashes, faults.RecoveryConfig{}},
+	}
+	check := func(t *testing.T, key string, res *MacroResult) {
+		t.Helper()
+		got := SnapshotDigest(res.Snapshot)
+		want, ok := macroPinned[key]
+		if !ok {
+			t.Errorf("%q: %q, // unpinned", key, got)
+			return
+		}
+		if got != want {
+			t.Errorf("%s: digest %s, pinned %s", key, got, want)
+		}
+	}
+	for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
+		for _, mode := range modes {
+			for _, h := range []sim.Duration{trace.Horizon, odd} {
+				key := fmt.Sprintf("%s/%s/%s", pol.Name(), mode.name, time.Duration(h))
+				for _, shards := range []int{1, 3} {
+					check(t, key, RunMacro(MacroConfig{
+						Trace: trace, Policy: pol, Shards: shards, Horizon: h,
+						Faults: mode.faults, Recovery: mode.rcv,
+					}))
+				}
+			}
+		}
+	}
+
+	// Batch VM 1 is killed at t=60, restarts at t=120 with its full 300s
+	// budget and is still running at the 417s horizon: it departs there once.
+	// Service VM 0 restarts with 540s left and outlives the horizon.
+	res := RunMacro(MacroConfig{
+		Trace: faultTrace2(417 * sim.Second), Policy: FirstFit{}, Faults: crashAt90(),
+		Recovery: faults.RecoveryConfig{Enabled: true},
+	})
+	if res.Killed != 2 || res.Restarts != 2 || res.Lifetimes != 1 || res.RunningAtEnd != 1 {
+		t.Fatalf("killed=%d restarts=%d lifetimes=%d running=%d, want 2/2/1/1",
+			res.Killed, res.Restarts, res.Lifetimes, res.RunningAtEnd)
+	}
+	check(t, "batch-restart-at-horizon", res)
 }
 
 // TestMacroFaultShardedMatchesSerial: the whole fault plane — kills, retries,
