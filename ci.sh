@@ -14,6 +14,11 @@ if [ "${1:-}" = "quick" ]; then
     short="-short"
 fi
 
+# Build outputs and report copies go to a private directory (under $TMPDIR
+# when set), removed on exit.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== gofmt -l"
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
@@ -34,6 +39,11 @@ go test $short ./...
 echo "== go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/..."
 go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/...
 
+# The progress bus's seqlock race is intermittent, so one pass can hide it:
+# its concurrency test runs twenty times under the race detector.
+echo "== progress bus concurrency (-race -count=20)"
+go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
+
 # Engine differential suite under the race detector, explicitly and never
 # -short: the timing-wheel engine must match the retained heap engine
 # (internal/sim/heapengine) event for event on randomized scripts. This is
@@ -46,11 +56,10 @@ go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/
 # fold over the trace stream, and this catches any hidden-state leak the
 # in-package tests might scope too narrowly to see.
 echo "== attrib determinism smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run attrib -scale 0.1 -seed 7 > /tmp/vexp_attrib_a.txt
-/tmp/vexp_ci -run attrib -scale 0.1 -seed 7 > /tmp/vexp_attrib_b.txt
-cmp /tmp/vexp_attrib_a.txt /tmp/vexp_attrib_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_attrib_a.txt /tmp/vexp_attrib_b.txt
+go build -o "$tmp"/vexp_ci ./cmd/experiments
+"$tmp"/vexp_ci -run attrib -scale 0.1 -seed 7 > "$tmp"/vexp_attrib_a.txt
+"$tmp"/vexp_ci -run attrib -scale 0.1 -seed 7 > "$tmp"/vexp_attrib_b.txt
+cmp "$tmp"/vexp_attrib_a.txt "$tmp"/vexp_attrib_b.txt
 
 # Examples smoke: every program under examples/ must not just compile but
 # run to completion — they are the documented entry points.
@@ -72,10 +81,8 @@ go test -run '^$' -bench 'BenchmarkEmit' -benchtime 1000x ./internal/vtrace/
 # BENCH_core.json at the repo root. The self-diff of that artifact must then
 # report zero regressions and exit 0, which exercises the -bench diff gate.
 echo "== simbench pipeline + diff smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -bench core -smoke -out /tmp/vexp_bench_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff /tmp/vexp_bench_smoke.json /tmp/vexp_bench_smoke.json > /dev/null
-rm -f /tmp/vexp_bench_smoke.json
+"$tmp"/vexp_ci -bench core -smoke -out "$tmp"/vexp_bench_smoke.json > /dev/null
+"$tmp"/vexp_ci -bench diff "$tmp"/vexp_bench_smoke.json "$tmp"/vexp_bench_smoke.json > /dev/null
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48
@@ -83,28 +90,25 @@ rm -f /tmp/vexp_bench_smoke.json
 # simulator does the whole thing in seconds) and pass its internal
 # serial==sharded snapshot byte-identity gate, which panics on divergence.
 echo "== fleetscale determinism smoke (full scale)"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run fleetscale -seed 42 > /dev/null
+"$tmp"/vexp_ci -run fleetscale -seed 42 > /dev/null
 
 # Fleet benchmark pipeline: the -bench fleet smoke must emit a schema-valid
 # artifact and self-diff clean (exercising the lifetimes_per_sec metric in
 # the diff gate). The committed BENCH_fleet.json baseline must also still
 # parse and self-diff clean, so the recorded artifact can't rot silently.
 echo "== fleet bench pipeline + diff smoke"
-/tmp/vexp_ci -bench fleet -smoke -out /tmp/vexp_fleet_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff /tmp/vexp_fleet_smoke.json /tmp/vexp_fleet_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff BENCH_fleet.json BENCH_fleet.json > /dev/null
-rm -f /tmp/vexp_fleet_smoke.json
+"$tmp"/vexp_ci -bench fleet -smoke -out "$tmp"/vexp_fleet_smoke.json > /dev/null
+"$tmp"/vexp_ci -bench diff "$tmp"/vexp_fleet_smoke.json "$tmp"/vexp_fleet_smoke.json > /dev/null
+"$tmp"/vexp_ci -bench diff BENCH_fleet.json BENCH_fleet.json > /dev/null
 
 # Telemetry byte-identity smoke: the fleetobs experiment panics internally if
 # its serial and parallel flight-recorder snapshots diverge; on top of that,
 # two full runs of the same seed (with -telemetry sparklines on stdout) must
 # be byte-identical.
 echo "== fleetobs telemetry determinism smoke"
-/tmp/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > /tmp/vexp_fleetobs_a.txt
-/tmp/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > /tmp/vexp_fleetobs_b.txt
-cmp /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
+"$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_a.txt
+"$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_b.txt
+cmp "$tmp"/vexp_fleetobs_a.txt "$tmp"/vexp_fleetobs_b.txt
 
 # Fault-tolerance smoke: the faulttol experiment embeds three panic gates
 # (serial==sharded snapshot bytes with faults active, recovery strictly
@@ -112,11 +116,9 @@ rm -f /tmp/vexp_ci /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
 # of finishing at full scale — 1024 hosts, 48 h, the whole crash/brownout/
 # stall schedule — two same-seed runs must be byte-identical.
 echo "== faulttol byte-identity smoke (full scale)"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run faulttol -seed 42 > /tmp/vexp_faulttol_a.txt
-/tmp/vexp_ci -run faulttol -seed 42 > /tmp/vexp_faulttol_b.txt
-cmp /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
+"$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_a.txt
+"$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_b.txt
+cmp "$tmp"/vexp_faulttol_a.txt "$tmp"/vexp_faulttol_b.txt
 
 # Obsplane smoke: the obsplane experiment boots the embedded observability
 # server on an ephemeral port, streams the run's progress events over real
@@ -125,11 +127,9 @@ rm -f /tmp/vexp_ci /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
 # conservation on the stream, final-scrape exactness). On top of that, two
 # serial runs must be byte-identical: observation is inert by construction.
 echo "== obsplane observability determinism smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run obsplane -scale 0.05 -seed 7 > /tmp/vexp_obsplane_a.txt
-/tmp/vexp_ci -run obsplane -scale 0.05 -seed 7 > /tmp/vexp_obsplane_b.txt
-cmp /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
+"$tmp"/vexp_ci -run obsplane -scale 0.05 -seed 7 > "$tmp"/vexp_obsplane_a.txt
+"$tmp"/vexp_ci -run obsplane -scale 0.05 -seed 7 > "$tmp"/vexp_obsplane_b.txt
+cmp "$tmp"/vexp_obsplane_a.txt "$tmp"/vexp_obsplane_b.txt
 
 # vbench smoke: bench/ is a module of its own, so the root `go test ./...`
 # never enters it. Its smoke test runs all four benchmark workloads at smoke

@@ -35,8 +35,8 @@ type accSampler struct {
 	intSum     sim.Duration
 	intN       int
 
-	capEst, capTrue, capErr metrics.Welford
-	latEst, latTrue, latErr metrics.Welford
+	capEst, capTrue, capErr metrics.Summary
+	latEst, latTrue, latErr metrics.Summary
 }
 
 func newAccSampler(v *guest.VCPU) *accSampler {

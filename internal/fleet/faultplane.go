@@ -46,9 +46,7 @@ func (f *Fleet) scheduleFaults() {
 	}
 	for i := range sched.Events {
 		ev := sched.Events[i]
-		if ev.Host < 0 || ev.Host >= len(f.hosts) {
-			panic(fmt.Sprintf("fleet: fault event host %d outside fleet of %d", ev.Host, len(f.hosts)))
-		}
+		faultHost(ev, len(f.hosts))
 		f.eng.At(ev.At, func() { f.applyFault(ev) })
 		f.eng.At(ev.Until(), func() { f.recoverFault(ev) })
 	}
@@ -57,48 +55,24 @@ func (f *Fleet) scheduleFaults() {
 // hostName renders the stable per-host subject used by fault trace events.
 func hostName(i int) string { return fmt.Sprintf("host%02d", i) }
 
-// effCap is hs's effective admission capacity right now: zero while crashed,
-// degradeFactor x capacity while browned out. With no fault schedule the
-// windows are never set and this is exactly capacity().
-func (f *Fleet) effCap(hs *hostState) int {
-	now := f.eng.Now()
-	if hs.downUntil > now {
-		return 0
-	}
-	if hs.degradedUntil > now {
-		return int(hs.degradeFactor * float64(f.capacity()))
-	}
-	return f.capacity()
-}
-
 // applyFault executes one fault event at its scheduled instant.
 func (f *Fleet) applyFault(ev faults.Event) {
 	hs := f.hosts[ev.Host]
 	now := f.eng.Now()
-	until := ev.Until()
 	f.cfg.Tracer.Emit(now, vtrace.KindHostFault, hostName(ev.Host),
 		int64(ev.Kind), int64(ev.Duration), int64(ev.Factor*1e6))
+	f.ledger.fault(ev.Kind)
+	hs.open(ev)
 	switch ev.Kind {
 	case faults.Crash:
-		f.crashes++
-		f.reg.Counter("fleet.crashes").Inc()
-		if until > hs.downUntil {
-			hs.downUntil = until
-		}
 		victims := append([]*fleetVM(nil), hs.vms...)
 		for _, vm := range victims {
 			f.kill(vm, now)
 		}
 	case faults.Brownout:
-		f.brownouts++
-		f.reg.Counter("fleet.brownouts").Inc()
-		hs.degradedUntil = until
-		hs.degradeFactor = ev.Factor
 		f.reindex(hs)
 		f.evacuate(hs)
 	case faults.Stall:
-		f.stalls++
-		f.reg.Counter("fleet.stalls").Inc()
 		var blocked []*fleetVM
 		for _, vm := range hs.vms {
 			if vm.migrating {
@@ -109,7 +83,7 @@ func (f *Fleet) applyFault(ev faults.Event) {
 			}
 			blocked = append(blocked, vm)
 		}
-		f.eng.At(until, func() {
+		f.eng.At(ev.Until(), func() {
 			for _, vm := range blocked {
 				// Killed since (kill blocks entities for good) or mid-
 				// migration (its own wake pending): leave it alone. Wake is
@@ -147,22 +121,16 @@ func (f *Fleet) kill(vm *fleetVM, now sim.Time) {
 	for _, v := range vm.gvm.VCPUs() {
 		v.Entity().Block()
 	}
-	hs := f.hosts[vm.hostIdx]
-	f.accrueUp(now)
-	f.totCommitted -= vm.typ.VCPUs
-	hs.release(vm.threads)
-	hs.removeVM(vm)
-	f.reindex(hs)
-	f.killed++
-	f.reg.Counter("fleet.killed").Inc()
+	f.unplace(vm)
+	f.ledger.count(&f.ledger.Killed, "killed")
 	f.cfg.Tracer.Emit(now, vtrace.KindVMCrash, vm.name,
 		int64(vm.hostIdx), int64(vm.typ.VCPUs), 0)
 	if !f.rcv.Enabled {
-		f.lose(vm.name, 2, vm.typ.VCPUs)
+		f.lose(vm.name, 2, vm.typ.VCPUs, 0)
 		return
 	}
 	if len(f.pending) >= f.rcv.QueueCap {
-		f.lose(vm.name, 1, vm.typ.VCPUs)
+		f.lose(vm.name, 1, vm.typ.VCPUs, 0)
 		return
 	}
 	e := &microRetry{
@@ -178,11 +146,10 @@ func (f *Fleet) kill(vm *fleetVM, now sim.Time) {
 	f.eng.At(now.Add(f.rcv.Backoff(1)), func() { f.retry(e) })
 }
 
-// lose records a terminal VM loss (reason 0 = retry budget, 1 = queue
-// overflow, 2 = recovery disabled).
-func (f *Fleet) lose(name string, reason int, vcpus int) {
-	f.lost++
-	f.reg.Counter("fleet.lost").Inc()
+// lose records the terminal loss of a VM down for downtime seconds (reason
+// 0 = retry budget, 1 = queue overflow, 2 = recovery disabled).
+func (f *Fleet) lose(name string, reason int, vcpus int, downtime float64) {
+	f.ledger.lostAfter(downtime, vcpus)
 	f.cfg.Tracer.Emit(f.eng.Now(), vtrace.KindVMLost, name, int64(reason), int64(vcpus), 0)
 }
 
@@ -199,28 +166,24 @@ func (f *Fleet) unpend(e *microRetry) {
 // retry attempts one restart of a crash victim.
 func (f *Fleet) retry(e *microRetry) {
 	now := f.eng.Now()
-	name := fmt.Sprintf("vm%03d-%s-r", e.id, e.typ.Name)
-	if e.deadline != 0 && e.deadline <= now {
-		// Its service lifetime expired while it waited: nothing left to
-		// restart. The downtime it accrued stands; the VM is lost work.
-		f.unpend(e)
-		f.downVCPUSeconds += now.Sub(e.downSince).Seconds() * float64(e.vcpus)
-		f.lose(name, 0, e.vcpus)
-		return
+	// A VM whose service lifetime expired while it waited has nothing left
+	// to restart; like one out of retries, it is lost with the downtime it
+	// accrued.
+	expired := e.deadline != 0 && e.deadline <= now
+	hi := -1
+	if !expired {
+		hi = f.chooseHost(e.vcpus)
 	}
-	hi := f.chooseHost(e.vcpus)
-	if hi < 0 {
-		if e.attempt >= f.rcv.MaxRetries {
-			f.unpend(e)
-			f.downVCPUSeconds += now.Sub(e.downSince).Seconds() * float64(e.vcpus)
-			f.lose(name, 0, e.vcpus)
-			return
-		}
+	if hi < 0 && !expired && e.attempt < f.rcv.MaxRetries {
 		e.attempt++
 		f.eng.At(now.Add(f.rcv.Backoff(e.attempt)), func() { f.retry(e) })
 		return
 	}
 	f.unpend(e)
+	if hi < 0 {
+		f.lose(fmt.Sprintf("vm%03d-%s-r", e.id, e.typ.Name), 0, e.vcpus, now.Sub(e.downSince).Seconds())
+		return
+	}
 	f.restart(e, hi, now)
 }
 
@@ -233,7 +196,7 @@ func (f *Fleet) chooseHost(vcpus int) int {
 	} else {
 		hi = f.cfg.Policy.Place(f.view(), vcpus)
 	}
-	if hi < 0 || hi >= len(f.hosts) || f.hosts[hi].committed+vcpus > f.effCap(f.hosts[hi]) {
+	if hi < 0 || hi >= len(f.hosts) || vcpus > f.free(f.hosts[hi]) {
 		return -1
 	}
 	return hi
@@ -252,15 +215,7 @@ func (f *Fleet) restart(e *microRetry, hi int, now sim.Time) {
 	if e.deadline != 0 {
 		f.eng.At(e.deadline, func() { f.depart(vm) })
 	}
-	f.restarts++
-	f.reg.Counter("fleet.restarts").Inc()
-	ttr := now.Sub(e.downSince).Seconds()
-	f.ttrSum += ttr
-	f.ttrCount++
-	if ttr > f.ttrMax {
-		f.ttrMax = ttr
-	}
-	f.downVCPUSeconds += ttr * float64(e.vcpus)
+	f.ledger.restored(now.Sub(e.downSince).Seconds(), e.vcpus)
 	f.cfg.Tracer.Emit(now, vtrace.KindVMRestart, name,
 		int64(hi), int64(e.attempt), int64(now.Sub(e.downSince)))
 }
@@ -274,7 +229,7 @@ func (f *Fleet) evacuate(hs *hostState) {
 	if !f.rcv.Enabled || f.cfg.Faults == nil {
 		return
 	}
-	for hs.committed > f.effCap(hs) {
+	for f.free(hs) < 0 {
 		var vm *fleetVM
 		for i := len(hs.vms) - 1; i >= 0; i-- {
 			if !hs.vms[i].migrating {
@@ -285,15 +240,12 @@ func (f *Fleet) evacuate(hs *hostState) {
 		if vm == nil {
 			return
 		}
-		f.migAttempts++
-		if f.cfg.Faults.MigrationFails(f.migAttempts) {
-			f.evacFailures++
-			f.reg.Counter("fleet.evac_failures").Inc()
+		if f.ledger.evacFails(f.cfg.Faults) {
 			return
 		}
 		dst := -1
 		for i, cand := range f.hosts {
-			if i == hs.index || cand.committed+vm.typ.VCPUs > f.effCap(cand) {
+			if i == hs.index || vm.typ.VCPUs > f.free(cand) {
 				continue
 			}
 			if dst < 0 || cand.stealEMA < f.hosts[dst].stealEMA ||
@@ -305,8 +257,7 @@ func (f *Fleet) evacuate(hs *hostState) {
 			return // nowhere to go: stay overcommitted, steal rises
 		}
 		f.moveVM(vm, dst)
-		f.evacuations++
-		f.reg.Counter("fleet.evacuations").Inc()
+		f.ledger.count(&f.ledger.Evacuations, "evacuations")
 	}
 }
 
@@ -314,7 +265,7 @@ func (f *Fleet) evacuate(hs *hostState) {
 // into the availability ledger. Call before any change to totCommitted.
 func (f *Fleet) accrueUp(now sim.Time) {
 	if now > f.lastCommChange {
-		f.upVCPUSeconds += float64(f.totCommitted) * now.Sub(f.lastCommChange).Seconds()
+		f.ledger.up(float64(f.totCommitted), now.Sub(f.lastCommChange).Seconds())
 		f.lastCommChange = now
 	}
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"vsched/internal/faults"
@@ -258,6 +260,84 @@ func TestFleetFaultShardedMatchesSerial(t *testing.T) {
 		}
 		if s.Killed == 0 {
 			t.Fatalf("cell %d: crash killed nothing; rig too quiet", i)
+		}
+	}
+}
+
+// microPinned holds digests of micro-tier fault outcomes, recorded before the
+// two fleet tiers' fault and recovery bookkeeping moved into one shared core.
+// Any digest moving means simulated output changed.
+var microPinned = map[string]string{
+	"seed1/first-fit/norecovery":    "e719c9bd805f4340",
+	"seed1/first-fit/recovery":      "8f2b8e7c9a86ed49",
+	"seed1/first-fit/tight":         "0747f76fc746fe34",
+	"seed1/steal-aware/norecovery":  "607d36265a492f46",
+	"seed1/steal-aware/recovery":    "de6794f6ec1b59a3",
+	"seed1/steal-aware/tight":       "b3b9f247004f6289",
+	"seed7/first-fit/norecovery":    "1f70917a615b221f",
+	"seed7/first-fit/recovery":      "b3101f5af4604c2f",
+	"seed7/first-fit/tight":         "3b1fd901e7044e75",
+	"seed7/steal-aware/norecovery":  "560d124ce95c8b4d",
+	"seed7/steal-aware/recovery":    "a9adf07eedbbffc6",
+	"seed7/steal-aware/tight":       "335090354934c844",
+	"seed42/first-fit/norecovery":   "9443d70b4fb9f143",
+	"seed42/first-fit/recovery":     "a807ace586c42f4d",
+	"seed42/first-fit/tight":        "554d3459cb983d93",
+	"seed42/steal-aware/norecovery": "bfb2b68b5f512227",
+	"seed42/steal-aware/recovery":   "8cb6a13def19539e",
+	"seed42/steal-aware/tight":      "2ffb7ceecd3fee99",
+}
+
+// TestMicroFaultOutcomesPinned runs small micro cells through crashes,
+// brownouts (with failing evacuations) and a stall, with recovery off, on,
+// and on with a one-slot queue and a single retry, and compares a digest of
+// every outcome field, the Availability and MTTR float bits included, with
+// the pinned value.
+func TestMicroFaultOutcomesPinned(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(0).Add(sim.Duration(ms) * sim.Millisecond) }
+	dur := func(ms int) sim.Duration { return sim.Duration(ms) * sim.Millisecond }
+	sched := &faults.Schedule{Seed: 3, MigFailProb: 0.5, Events: []faults.Event{
+		{At: at(400), Host: 0, Kind: faults.Crash, Duration: dur(800)},
+		{At: at(700), Host: 1, Kind: faults.Brownout, Duration: dur(600), Factor: 0.5},
+		{At: at(900), Host: 2, Kind: faults.Stall, Duration: dur(300)},
+		{At: at(1300), Host: 3, Kind: faults.Crash, Duration: dur(1500)},
+		{At: at(1600), Host: 2, Kind: faults.Brownout, Duration: dur(400), Factor: 0.25},
+		{At: at(2480), Host: 1, Kind: faults.Crash, Duration: dur(300)},
+	}}
+	tight := fastRecovery()
+	tight.QueueCap, tight.MaxRetries = 1, 1
+	modes := []struct {
+		name string
+		rcv  faults.RecoveryConfig
+	}{
+		{"norecovery", faults.RecoveryConfig{}},
+		{"recovery", fastRecovery()},
+		{"tight", tight},
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		for _, pol := range []Policy{FirstFit{}, StealAware{}} {
+			for _, mode := range modes {
+				cfg := testConfig(seed, pol, false)
+				cfg.Faults, cfg.Recovery = sched, mode.rcv
+				r := New(cfg).Run()
+				out := fmt.Sprintf("placed=%d rejected=%d departed=%d migrations=%d ops=%d steal=%d "+
+					"events=%d p50=%d p95=%d crashes=%d brownouts=%d stalls=%d killed=%d restarts=%d "+
+					"lost=%d evacuations=%d evacfailures=%d pending=%d availability=%x mttr=%x/%x",
+					r.Placed, r.Rejected, r.Departed, r.Migrations, r.Ops, r.Steal,
+					r.Events, r.E2E.P50(), r.E2E.P95(), r.Crashes, r.Brownouts, r.Stalls, r.Killed, r.Restarts,
+					r.Lost, r.Evacuations, r.EvacFailures, r.PendingAtEnd,
+					math.Float64bits(r.Availability), math.Float64bits(r.MTTRMean), math.Float64bits(r.MTTRMax))
+				key := fmt.Sprintf("seed%d/%s/%s", seed, pol.Name(), mode.name)
+				got := SnapshotDigest([]byte(out))
+				want, ok := microPinned[key]
+				if !ok {
+					t.Errorf("%q: %q, // unpinned: %s", key, got, out)
+					continue
+				}
+				if got != want {
+					t.Errorf("%s: digest %s, pinned %s (%s)", key, got, want, out)
+				}
+			}
 		}
 	}
 }

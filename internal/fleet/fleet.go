@@ -19,7 +19,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vsched/internal/cachemodel"
@@ -139,22 +138,10 @@ type Result struct {
 	// Telemetry is the cell's flight recorder when Config.Telemetry was set;
 	// nil otherwise.
 	Telemetry *telemetry.Recorder
-	// Fault-plane outcome (all zero without Config.Faults). Killed counts VM
-	// kills by host crashes, Restarts successful re-placements, Lost terminal
-	// losses, Evacuations brownout-driven moves (also counted in Migrations),
-	// EvacFailures attempts the migration-failure law aborted, PendingAtEnd
-	// victims still awaiting restart at the horizon. Conservation holds
-	// exactly: Placed == Departed + Lost + PendingAtEnd + VMs alive at the
-	// horizon (collect panics otherwise).
-	Crashes, Brownouts, Stalls int
-	Killed, Restarts, Lost     int
-	Evacuations, EvacFailures  int
-	PendingAtEnd               int
-	// Availability is committed vCPU-seconds over committed plus crash-outage
-	// vCPU-seconds (1.0 when nothing crashed); MTTRMean/MTTRMax summarize
-	// restart time-to-recover in seconds.
-	Availability      float64
-	MTTRMean, MTTRMax float64
+	// FaultOutcome is the fault plane's outcome. Evacuations are also
+	// counted in Migrations, and conservation reads Placed == Departed +
+	// Lost + PendingAtEnd + RunningAtEnd.
+	FaultOutcome
 }
 
 // hostState is one host plus the fleet's bookkeeping about it. Occupancy is
@@ -167,12 +154,7 @@ type hostState struct {
 	committed int
 	vms       []*fleetVM
 	stealEMA  float64
-	// Fault windows (faultplane.go): the host is out of admission while
-	// downUntil > now and shrunk to degradeFactor x capacity while
-	// degradedUntil > now. Never set without Config.Faults.
-	downUntil     sim.Time
-	degradedUntil sim.Time
-	degradeFactor float64
+	faultWindows
 	// attribVMs are the VMs *created* on this host, when attribution is on.
 	// Entity state-change notifications always fire on the creation host's
 	// observer list (host.Entity keeps its birth host even across live
@@ -235,25 +217,13 @@ type Fleet struct {
 	rec                                    *telemetry.Recorder
 
 	// Fault plane (faultplane.go). rcv is the resolved recovery policy,
-	// pending the bounded restart queue, migAttempts the deterministic
-	// counter feeding the migration-failure law.
-	rcv         faults.RecoveryConfig
-	pending     []*microRetry
-	migAttempts uint64
-
-	crashes, brownouts, stalls int
-	killed, restarts, lost     int
-	evacuations, evacFailures  int
-
-	// Availability ledger: the committed-vCPU integral (up) accrues at every
-	// commitment change; the outage side (down) accrues per crash victim at
-	// restart, loss or the horizon.
-	totCommitted    int
-	lastCommChange  sim.Time
-	upVCPUSeconds   float64
-	downVCPUSeconds float64
-	ttrSum, ttrMax  float64
-	ttrCount        int
+	// pending the bounded restart queue. The ledger's up integral accrues
+	// the fleet-wide committed vCPUs, totCommitted, at every change to it.
+	rcv            faults.RecoveryConfig
+	pending        []*microRetry
+	ledger         recoveryLedger
+	totCommitted   int
+	lastCommChange sim.Time
 }
 
 // New builds the cluster. The engine is exposed before Run so callers
@@ -272,6 +242,7 @@ func New(cfg Config) *Fleet {
 		cfg.TelemetryEvery = 50 * sim.Millisecond
 	}
 	f := &Fleet{cfg: cfg, eng: sim.NewEngine(cfg.Seed), reg: metrics.NewRegistry()}
+	f.ledger = recoveryLedger{reg: f.reg, prefix: "fleet."}
 	if cfg.Recovery.Enabled {
 		f.rcv = cfg.Recovery.WithDefaults()
 	}
@@ -316,27 +287,26 @@ func (f *Fleet) info(hs *hostState) HostInfo {
 	return HostInfo{
 		Index:     hs.index,
 		Committed: hs.committed,
-		Capacity:  f.effCap(hs),
+		Capacity:  hs.effCap(f.capacity(), f.eng.Now()),
 		VMs:       len(hs.vms),
 		StealRate: hs.stealEMA,
 	}
 }
 
+// free is hs's unused effective capacity right now; negative while a
+// brownout leaves the host overcommitted.
+func (f *Fleet) free(hs *hostState) int {
+	return hs.effCap(f.capacity(), f.eng.Now()) - hs.committed
+}
+
 // reindex refreshes one host's leaf in the placement index after its
-// commitments, telemetry or fault windows changed. The index tracks free
-// space against the configured leaf capacity, so degraded capacity is folded
-// in by inflating committed with the lost headroom; a down host scores +Inf
-// (never NaN — NaN would poison BestScore pruning). No-op on the linear path.
+// commitments, telemetry or fault windows changed. No-op on the linear path.
 func (f *Fleet) reindex(hs *hostState) {
 	if f.ix == nil {
 		return
 	}
-	eff := f.effCap(hs)
-	score := math.Inf(1)
-	if eff > 0 {
-		score = f.ipol.Score(f.info(hs))
-	}
-	f.ix.Update(hs.index, hs.committed+(f.capacity()-eff), score)
+	committed, score := indexLeaf(f.ipol, f.info(hs), f.capacity())
+	f.ix.Update(hs.index, committed, score)
 }
 
 // Engine returns the cell's private engine.
@@ -522,16 +492,22 @@ func (f *Fleet) depart(vm *fleetVM) {
 	}
 	vm.alive = false
 	vm.inst.(stopper).Stop()
+	f.unplace(vm)
+	f.departed++
+	f.reg.Counter("fleet.departed").Inc()
+	f.cfg.Tracer.Emit(f.eng.Now(), vtrace.KindVMExit, vm.name,
+		int64(vm.hostIdx), int64(vm.typ.VCPUs), 0)
+}
+
+// unplace frees a dead VM's slots on its host and its share of the
+// fleet-wide commitment.
+func (f *Fleet) unplace(vm *fleetVM) {
 	hs := f.hosts[vm.hostIdx]
 	f.accrueUp(f.eng.Now())
 	f.totCommitted -= vm.typ.VCPUs
 	hs.release(vm.threads)
 	hs.removeVM(vm)
 	f.reindex(hs)
-	f.departed++
-	f.reg.Counter("fleet.departed").Inc()
-	f.cfg.Tracer.Emit(f.eng.Now(), vtrace.KindVMExit, vm.name,
-		int64(vm.hostIdx), int64(vm.typ.VCPUs), 0)
 }
 
 // stopper is the subset of workload instances the fleet can tear down; both
@@ -575,57 +551,34 @@ func (f *Fleet) collect(arr []Arrival) *Result {
 		guestName = "vSched"
 	}
 	// Close the availability ledger: the committed integral runs to the
-	// horizon, and victims still pending accrue their outage tail.
+	// horizon, and victims still pending accrue their outage tail. Every
+	// placement chain then ends departed, lost, pending or alive.
 	now := f.eng.Now()
 	f.accrueUp(now)
 	for _, e := range f.pending {
-		f.downVCPUSeconds += now.Sub(e.downSince).Seconds() * float64(e.vcpus)
+		f.ledger.outage(now.Sub(e.downSince).Seconds(), e.vcpus)
 	}
-	// Conservation: every placement chain ends in exactly one of departed,
-	// lost, pending or alive-at-horizon.
-	aliveEnd := 0
+	running := 0
 	for _, vm := range f.vms {
 		if vm.alive {
-			aliveEnd++
+			running++
 		}
 	}
-	if f.placed != f.departed+f.lost+len(f.pending)+aliveEnd {
-		panic(fmt.Sprintf(
-			"fleet: VM conservation violated: placed=%d departed=%d lost=%d pending=%d alive=%d",
-			f.placed, f.departed, f.lost, len(f.pending), aliveEnd))
-	}
-	availability := 1.0
-	if f.upVCPUSeconds+f.downVCPUSeconds > 0 {
-		availability = f.upVCPUSeconds / (f.upVCPUSeconds + f.downVCPUSeconds)
-	}
-	mttrMean := 0.0
-	if f.ttrCount > 0 {
-		mttrMean = f.ttrSum / float64(f.ttrCount)
-	}
 	r := &Result{
-		Policy:       f.cfg.Policy.Name(),
-		Guest:        guestName,
-		Arrivals:     len(arr),
-		Placed:       f.placed,
-		Rejected:     f.rejected,
-		Departed:     f.departed,
-		Migrations:   f.migrations,
-		E2E:          f.reg.Histogram("fleet.e2e"),
-		Events:       f.eng.Fired(),
-		Registry:     f.reg,
-		Telemetry:    f.rec,
-		Crashes:      f.crashes,
-		Brownouts:    f.brownouts,
-		Stalls:       f.stalls,
-		Killed:       f.killed,
-		Restarts:     f.restarts,
-		Lost:         f.lost,
-		Evacuations:  f.evacuations,
-		EvacFailures: f.evacFailures,
-		PendingAtEnd: len(f.pending),
-		Availability: availability,
-		MTTRMean:     mttrMean,
-		MTTRMax:      f.ttrMax,
+		Policy:     f.cfg.Policy.Name(),
+		Guest:      guestName,
+		Arrivals:   len(arr),
+		Placed:     f.placed,
+		Rejected:   f.rejected,
+		Departed:   f.departed,
+		Migrations: f.migrations,
+		E2E:        f.reg.Histogram("fleet.e2e"),
+		Events:     f.eng.Fired(),
+		Registry:   f.reg,
+		Telemetry:  f.rec,
+		FaultOutcome: f.ledger.outcome("micro", census{
+			entered: f.placed, departed: f.departed, pending: len(f.pending), running: running,
+		}),
 	}
 	for _, vm := range f.vms {
 		r.Ops += vm.inst.Ops()

@@ -113,29 +113,12 @@ type MacroResult struct {
 	P95Steal float64
 	// TotalStealHours is fleet-wide accumulated steal in vCPU-hours.
 	TotalStealHours float64
-	// Fault-plane outcome. Crashes/Brownouts/Stalls count applied host
-	// fault events; Killed counts VM kills by crashes (a VM crashing twice
-	// counts twice); Restarts successful re-placements; Evacuations VM
-	// moves off degraded hosts; EvacFailures aborted evacuation attempts
-	// (the migration-failure law); Lost terminal losses (retry budget or
-	// queue overflow — or every crash victim when recovery is off);
-	// PendingAtEnd VMs still waiting in the retry queue at the horizon;
-	// RunningAtEnd VMs alive at the horizon. Conservation holds exactly:
-	// Arrivals processed == Lifetimes + Lost + Rejected + RunningAtEnd +
-	// PendingAtEnd (RunMacro panics otherwise).
-	Crashes, Brownouts, Stalls int
-	Killed, Restarts, Lost     int
-	Evacuations, EvacFailures  int
-	PendingAtEnd, RunningAtEnd int
-	// Availability is committed vCPU-seconds over committed plus crash-
-	// outage vCPU-seconds (1.0 when nothing ever crashed). MTTRMean/MTTRMax
-	// summarize restart time-to-recover in seconds; LostVCPUHours is batch
-	// progress destroyed by crashes; DownVCPUHours the capacity-weighted
-	// outage time of crash victims.
-	Availability      float64
-	MTTRMean, MTTRMax float64
-	LostVCPUHours     float64
-	DownVCPUHours     float64
+	// FaultOutcome is the fault plane's outcome; conservation reads
+	// arrivals processed == Lifetimes + Lost + Rejected + PendingAtEnd +
+	// RunningAtEnd.
+	FaultOutcome
+	// LostVCPUHours is batch progress destroyed by crashes.
+	LostVCPUHours float64
 	// Snapshot is the canonical byte encoding of final simulation state;
 	// serial and sharded runs of the same config must produce identical
 	// bytes.
@@ -187,13 +170,9 @@ type macroHost struct {
 	stealEMA  float64
 	util      float64 // last epoch's min(1, D/threads)
 	vms       []int32 // live VM ids in placement order
-	// Fault windows, set serially at epoch boundaries. The host is down
-	// (crashed) while downUntil > t, degraded to degradeFactor x capacity
-	// while degradedUntil > t, and frozen (rho = 0) while stallUntil > t.
-	downUntil     sim.Time
-	degradedUntil sim.Time
-	stallUntil    sim.Time
-	degradeFactor float64
+	// Fault windows, opened serially at epoch boundaries; a stalled host
+	// integrates with rho = 0.
+	faultWindows
 }
 
 // macroAgg is the fleet-wide aggregate block the telemetry source samples.
@@ -242,15 +221,16 @@ type macroSim struct {
 	makespan                   sim.Time
 	agg                        macroAgg
 
-	// Fault plane. sched is the injected schedule (nil = no faults), rec
+	// Fault plane. sched is the injected schedule (nil = no faults), rcv
 	// the recovery policy (zero = disabled), nextFault the cursor into
-	// sched.Events, retryQ the bounded pending queue, migAttempts the
-	// deterministic counter feeding the migration-failure law.
-	sched       *faults.Schedule
-	rcv         faults.RecoveryConfig
-	nextFault   int
-	retryQ      []retryEntry
-	migAttempts uint64
+	// sched.Events, retryQ the bounded pending queue, lostVCPUSeconds the
+	// batch progress crashes destroyed.
+	sched           *faults.Schedule
+	rcv             faults.RecoveryConfig
+	nextFault       int
+	retryQ          []retryEntry
+	ledger          recoveryLedger
+	lostVCPUSeconds float64
 
 	// Live progress publishing (nil obs = detached). obsLabel and the
 	// per-fault-kind detail labels are interned once at setup so the
@@ -259,15 +239,6 @@ type macroSim struct {
 	obsLabel   int32
 	faultLabel [3]int32
 	epochIdx   int64
-
-	crashes, brownouts, stalls int
-	killed, restarts, lost     int
-	evacuations, evacFailures  int
-	upVCPUSeconds              float64
-	downVCPUSeconds            float64
-	lostVCPUSeconds            float64
-	ttrSum, ttrMax             float64
-	ttrCount                   int
 
 	// cal is the departure calendar: cal[k] lists the VMs due to leave at
 	// boundary k (time k*Epoch; the last bucket is the horizon). A VM is
@@ -302,12 +273,14 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	if cfg.Policy == nil {
 		cfg.Policy = FirstFit{}
 	}
+	reg := metrics.NewRegistry()
 	m := &macroSim{
 		cfg:     cfg,
 		eng:     sim.NewEngine(cfg.Trace.Seed),
-		reg:     metrics.NewRegistry(),
+		reg:     reg,
 		horizon: sim.Time(0).Add(cfg.Horizon),
 		sched:   cfg.Faults,
+		ledger:  recoveryLedger{reg: reg, prefix: "fleet.macro."},
 	}
 	if cfg.Recovery.Enabled {
 		m.rcv = cfg.Recovery.WithDefaults()
@@ -399,7 +372,7 @@ func (m *macroSim) publishEpoch(end sim.Time) {
 		Epoch:     m.epochIdx,
 		Admitted:  int64(m.next),
 		Completed: int64(m.departed),
-		Lost:      int64(m.lost),
+		Lost:      int64(m.ledger.Lost),
 		Rejected:  int64(m.rejected),
 		Running:   int64(m.agg.alive),
 		Pending:   int64(len(m.retryQ)),
@@ -462,7 +435,7 @@ func (m *macroSim) boundary(t sim.Time) {
 	// write them all and rebuild the tree once.
 	if m.ix != nil {
 		for i := range m.hosts {
-			committed, score := m.leaf(i)
+			committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
 			m.ix.SetLeaf(i, committed, score)
 		}
 		m.ix.Rebuild()
@@ -510,39 +483,13 @@ func (m *macroSim) file(id int32) {
 	}
 }
 
-// effCap is host h's effective admission capacity at the current boundary:
-// zero while crashed, degradeFactor x capacity while browned out.
-func (m *macroSim) effCap(h *macroHost) int32 {
-	if h.downUntil > m.now {
-		return 0
-	}
-	if h.degradedUntil > m.now {
-		return int32(h.degradeFactor * float64(h.capacity))
-	}
-	return h.capacity
-}
-
 // reindexHost refreshes host i's leaf and its root path.
 func (m *macroSim) reindexHost(i int) {
 	if m.ix == nil {
 		return
 	}
-	committed, score := m.leaf(i)
+	committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
 	m.ix.Update(i, committed, score)
-}
-
-// leaf computes host i's index leaf. The index tracks free = capacity -
-// committed against the *configured* leaf capacity, so degraded capacity is
-// folded in by inflating committed with the lost headroom; a fully-down host
-// scores +Inf (never NaN — NaN would poison BestScore pruning).
-func (m *macroSim) leaf(i int) (committed int, score float64) {
-	h := &m.hosts[i]
-	eff := m.effCap(h)
-	score = math.Inf(1)
-	if eff > 0 {
-		score = m.ipol.Score(m.macroInfo(i))
-	}
-	return int(h.committed) + int(h.capacity-eff), score
 }
 
 // applyFaults applies schedule events landing in epoch [t, t+E).
@@ -557,11 +504,7 @@ func (m *macroSim) applyFaults(t sim.Time) {
 			break
 		}
 		m.nextFault++
-		if ev.Host < 0 || ev.Host >= len(m.hosts) {
-			panic(fmt.Sprintf("fleet: fault event host %d outside fleet of %d", ev.Host, len(m.hosts)))
-		}
-		h := &m.hosts[ev.Host]
-		until := ev.Until()
+		h := &m.hosts[faultHost(ev, len(m.hosts))]
 		m.events++
 		if m.obs != nil {
 			m.obs.Publish(progress.Event{
@@ -572,27 +515,14 @@ func (m *macroSim) applyFaults(t sim.Time) {
 				Host:   int64(ev.Host),
 			})
 		}
-		switch ev.Kind {
-		case faults.Crash:
-			m.crashes++
-			m.reg.Counter("fleet.macro.crashes").Inc()
-			if until > h.downUntil {
-				h.downUntil = until
-			}
+		m.ledger.fault(ev.Kind)
+		h.open(ev)
+		if ev.Kind == faults.Crash {
 			for _, id := range h.vms {
 				m.kill(id, t)
 			}
 			h.vms = h.vms[:0]
 			h.committed = 0
-		case faults.Brownout:
-			m.brownouts++
-			m.reg.Counter("fleet.macro.brownouts").Inc()
-			h.degradedUntil = until
-			h.degradeFactor = ev.Factor
-		case faults.Stall:
-			m.stalls++
-			m.reg.Counter("fleet.macro.stalls").Inc()
-			h.stallUntil = until
 		}
 	}
 }
@@ -605,16 +535,14 @@ func (m *macroSim) kill(id int32, t sim.Time) {
 	vm.alive = false
 	vm.done = false
 	vm.downSince = t
-	m.killed++
 	m.events++
-	m.reg.Counter("fleet.macro.killed").Inc()
+	m.ledger.count(&m.ledger.Killed, "killed")
 	if vm.batch {
 		m.lostVCPUSeconds += (vm.origWork - vm.work) * float64(vm.vcpus)
 	}
 	if !m.rcv.Enabled {
 		vm.state = vmLost
-		m.lost++
-		m.reg.Counter("fleet.macro.lost").Inc()
+		m.ledger.lostAfter(0, int(vm.vcpus))
 		return
 	}
 	vm.state = vmPending
@@ -657,9 +585,7 @@ func (m *macroSim) terminal(e retryEntry, t sim.Time) {
 		return
 	}
 	vm.state = vmLost
-	m.lost++
-	m.downVCPUSeconds += t.Sub(vm.downSince).Seconds() * float64(vm.vcpus)
-	m.reg.Counter("fleet.macro.lost").Inc()
+	m.ledger.lostAfter(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
 }
 
 // retries runs every queue entry due at t in (readyAt, id) order. The due
@@ -717,16 +643,8 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	}
 	h.vms = append(h.vms, e.id)
 	m.file(e.id)
-	m.restarts++
 	m.events++
-	m.reg.Counter("fleet.macro.restarts").Inc()
-	ttr := t.Sub(vm.downSince).Seconds()
-	m.ttrSum += ttr
-	m.ttrCount++
-	if ttr > m.ttrMax {
-		m.ttrMax = ttr
-	}
-	m.downVCPUSeconds += ttr * float64(vm.vcpus)
+	m.ledger.restored(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
 	m.reindexHost(hi)
 	if m.obs != nil {
 		m.obs.Publish(progress.Event{
@@ -750,14 +668,11 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 	for i := range m.hosts {
 		h := &m.hosts[i]
-		for h.committed > m.effCap(h) && len(h.vms) > 0 {
+		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.vms) > 0 {
 			id := h.vms[len(h.vms)-1]
 			vm := &m.vms[id]
-			m.migAttempts++
 			m.events++
-			if m.sched.MigrationFails(m.migAttempts) {
-				m.evacFailures++
-				m.reg.Counter("fleet.macro.evac_failures").Inc()
+			if m.ledger.evacFails(m.sched) {
 				break
 			}
 			hi := m.choose(int(vm.vcpus))
@@ -770,8 +685,7 @@ func (m *macroSim) evacuate(t sim.Time) {
 			d.committed += int32(vm.vcpus)
 			d.vms = append(d.vms, id)
 			vm.host = int32(hi)
-			m.evacuations++
-			m.reg.Counter("fleet.macro.evacuations").Inc()
+			m.ledger.count(&m.ledger.Evacuations, "evacuations")
 			m.reindexHost(i)
 			m.reindexHost(hi)
 		}
@@ -786,7 +700,7 @@ func (m *macroSim) macroInfo(i int) HostInfo {
 	return HostInfo{
 		Index:     i,
 		Committed: int(h.committed),
-		Capacity:  int(m.effCap(h)),
+		Capacity:  h.effCap(int(h.capacity), m.now),
 		VMs:       len(h.vms),
 		StealRate: h.stealEMA,
 	}
@@ -961,7 +875,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	}
 	// Availability ledger: committed vCPU-seconds delivered-or-placed this
 	// epoch. The down side accrues per crash victim at restart/loss time.
-	m.upVCPUSeconds += sumCommitted * t1.Sub(t0).Seconds()
+	m.ledger.up(sumCommitted, t1.Sub(t0).Seconds())
 	n := float64(len(m.hosts))
 	di := 0.0
 	if sumU > 0 {
@@ -983,10 +897,10 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		hostsDegraded: degraded,
 		hostsStalled:  stalled,
 		pendingRetry:  float64(len(m.retryQ)),
-		restarts:      float64(m.restarts),
-		lost:          float64(m.lost),
-		evacuations:   float64(m.evacuations),
-		killed:        float64(m.killed),
+		restarts:      float64(m.ledger.Restarts),
+		lost:          float64(m.ledger.Lost),
+		evacuations:   float64(m.ledger.Evacuations),
+		killed:        float64(m.ledger.Killed),
 	}
 	m.reg.Counter("fleet.macro.epochs").Inc()
 }
@@ -1092,11 +1006,9 @@ func (m *macroSim) result() *MacroResult {
 		diMean = m.diSum / float64(m.diEpochs)
 	}
 
-	// Conservation: arrived == running + pending + completed + lost +
-	// rejected, with the per-state tallies matching the incremental
-	// counters. Crash victims still pending at the horizon accrue their
-	// outage tail here.
-	var running, pending, completed, lost, rejected int
+	// Walk the arrived VMs for the live states; crash victims still pending
+	// at the horizon accrue their outage tail here.
+	var running, pending int
 	for i := 0; i < m.next; i++ {
 		vm := &m.vms[i]
 		switch vm.state {
@@ -1105,24 +1017,13 @@ func (m *macroSim) result() *MacroResult {
 		case vmPending:
 			pending++
 			if vm.vcpus > 0 { // crash victim (admission retries never ran)
-				m.downVCPUSeconds += m.horizon.Sub(vm.downSince).Seconds() * float64(vm.vcpus)
+				m.ledger.outage(m.horizon.Sub(vm.downSince).Seconds(), int(vm.vcpus))
 			}
-		case vmCompleted:
-			completed++
-		case vmLost:
-			lost++
-		case vmRejected:
-			rejected++
-		default:
-			panic(fmt.Sprintf("fleet: macro VM %d arrived but has no state", i))
 		}
 	}
-	if running+pending+completed+lost+rejected != m.next ||
-		completed != m.departed || lost != m.lost || rejected != m.rejected {
-		panic(fmt.Sprintf(
-			"fleet: macro VM conservation violated: arrived=%d running=%d pending=%d completed=%d (departed=%d) lost=%d (%d) rejected=%d (%d)",
-			m.next, running, pending, completed, m.departed, lost, m.lost, rejected, m.rejected))
-	}
+	out := m.ledger.outcome("macro", census{
+		entered: m.next, departed: m.departed, rejected: m.rejected, pending: pending, running: running,
+	})
 
 	if m.obs != nil {
 		// Final ledger, after the horizon boundary's departures: the stream's
@@ -1134,23 +1035,15 @@ func (m *macroSim) result() *MacroResult {
 			At:        int64(m.horizon),
 			Epoch:     m.epochIdx,
 			Admitted:  int64(m.next),
-			Completed: int64(completed),
-			Lost:      int64(lost),
-			Rejected:  int64(rejected),
+			Completed: int64(m.departed),
+			Lost:      int64(out.Lost),
+			Rejected:  int64(m.rejected),
 			Running:   int64(running),
 			Pending:   int64(pending),
 		})
 		m.publishMirror()
 	}
 
-	availability := 1.0
-	if m.upVCPUSeconds+m.downVCPUSeconds > 0 {
-		availability = m.upVCPUSeconds / (m.upVCPUSeconds + m.downVCPUSeconds)
-	}
-	mttrMean := 0.0
-	if m.ttrCount > 0 {
-		mttrMean = m.ttrSum / float64(m.ttrCount)
-	}
 	return &MacroResult{
 		Policy:          m.cfg.Policy.Name(),
 		Hosts:           len(m.hosts),
@@ -1164,21 +1057,8 @@ func (m *macroSim) result() *MacroResult {
 		Makespan:        m.makespan,
 		P95Steal:        p95,
 		TotalStealHours: totalSteal / 3600,
-		Crashes:         m.crashes,
-		Brownouts:       m.brownouts,
-		Stalls:          m.stalls,
-		Killed:          m.killed,
-		Restarts:        m.restarts,
-		Lost:            m.lost,
-		Evacuations:     m.evacuations,
-		EvacFailures:    m.evacFailures,
-		PendingAtEnd:    pending,
-		RunningAtEnd:    running,
-		Availability:    availability,
-		MTTRMean:        mttrMean,
-		MTTRMax:         m.ttrMax,
+		FaultOutcome:    out,
 		LostVCPUHours:   m.lostVCPUSeconds / 3600,
-		DownVCPUHours:   m.downVCPUSeconds / 3600,
 		Snapshot:        m.snapshot(),
 		Registry:        m.reg,
 		Telemetry:       m.rec,
@@ -1234,22 +1114,23 @@ func (m *macroSim) snapshot() []byte {
 	u64(m.events)
 	// Fault plane: terminal rejections above plus the full recovery ledger,
 	// so a single diverging kill, restart or evacuation flips the digest.
-	u64(uint64(m.crashes))
-	u64(uint64(m.brownouts))
-	u64(uint64(m.stalls))
-	u64(uint64(m.killed))
-	u64(uint64(m.restarts))
-	u64(uint64(m.lost))
-	u64(uint64(m.evacuations))
-	u64(uint64(m.evacFailures))
-	u64(m.migAttempts)
+	l := &m.ledger
+	u64(uint64(l.Crashes))
+	u64(uint64(l.Brownouts))
+	u64(uint64(l.Stalls))
+	u64(uint64(l.Killed))
+	u64(uint64(l.Restarts))
+	u64(uint64(l.Lost))
+	u64(uint64(l.Evacuations))
+	u64(uint64(l.EvacFailures))
+	u64(l.migAttempts)
 	u64(uint64(len(m.retryQ)))
-	f64(m.upVCPUSeconds)
-	f64(m.downVCPUSeconds)
+	f64(l.upVCPUSeconds)
+	f64(l.downVCPUSeconds)
 	f64(m.lostVCPUSeconds)
-	f64(m.ttrSum)
-	f64(m.ttrMax)
-	u64(uint64(m.ttrCount))
+	f64(l.ttrSum)
+	f64(l.MTTRMax)
+	u64(uint64(l.ttrCount))
 	return buf
 }
 

@@ -46,7 +46,7 @@ func (f *Fleet) migrateOnce() {
 	}
 	dst := -1
 	for i, hs := range f.hosts {
-		if i == src || hs.committed+vm.typ.VCPUs > f.effCap(hs) {
+		if i == src || vm.typ.VCPUs > f.free(hs) {
 			continue
 		}
 		if hs.stealEMA > f.hosts[src].stealEMA-cfg.Margin {

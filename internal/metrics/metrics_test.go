@@ -199,26 +199,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Stddev() != 0 {
-		t.Fatal("empty welford must be zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if math.Abs(w.Mean()-5) > 1e-9 {
-		t.Fatalf("mean=%v", w.Mean())
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(w.Stddev()-2.13809) > 1e-3 {
-		t.Fatalf("stddev=%v", w.Stddev())
-	}
-	if w.N() != 8 {
-		t.Fatalf("n=%d", w.N())
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := &TimeSeries{Name: "tput"}
 	for i := 0; i < 10; i++ {
@@ -235,28 +215,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if ts.String() == "" {
 		t.Fatal("String must render")
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	d := NewDistribution()
-	for i := 0; i < 6; i++ {
-		d.Observe(12)
-	}
-	for i := 0; i < 4; i++ {
-		d.Observe(15)
-	}
-	if p := d.Probability(12); math.Abs(p-0.6) > 1e-9 {
-		t.Fatalf("p=%v", p)
-	}
-	if v, c := d.Mode(); v != 12 || c != 6 {
-		t.Fatalf("mode=%d/%d", v, c)
-	}
-	if d.Total() != 10 {
-		t.Fatalf("total=%d", d.Total())
-	}
-	if d.Probability(99) != 0 {
-		t.Fatal("unseen value must have probability 0")
 	}
 }
 

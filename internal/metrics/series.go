@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -33,35 +32,6 @@ func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
-
-// Welford accumulates mean and variance online (Welford's algorithm).
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Stddev returns the sample standard deviation (0 for n < 2).
-func (w *Welford) Stddev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
 
 // Point is one (time, value) sample of a time series. Time is in seconds of
 // virtual time.
@@ -118,45 +88,3 @@ func (ts *TimeSeries) String() string {
 	}
 	return b.String()
 }
-
-// Distribution counts occurrences of small integer values (e.g. "number of
-// active cores"), used for Fig. 12(a)-style probability plots.
-type Distribution struct {
-	counts map[int]uint64
-	total  uint64
-}
-
-// NewDistribution returns an empty distribution.
-func NewDistribution() *Distribution {
-	return &Distribution{counts: make(map[int]uint64)}
-}
-
-// Observe records one occurrence of value v.
-func (d *Distribution) Observe(v int) {
-	d.counts[v]++
-	d.total++
-}
-
-// Probability returns the fraction of observations equal to v.
-func (d *Distribution) Probability(v int) float64 {
-	if d.total == 0 {
-		return 0
-	}
-	return float64(d.counts[v]) / float64(d.total)
-}
-
-// Mode returns the most frequent value (smallest wins ties) and its count.
-func (d *Distribution) Mode() (int, uint64) {
-	bestV, bestC := 0, uint64(0)
-	first := true
-	for v, c := range d.counts {
-		if c > bestC || (c == bestC && (first || v < bestV)) {
-			bestV, bestC = v, c
-			first = false
-		}
-	}
-	return bestV, bestC
-}
-
-// Total returns the number of observations.
-func (d *Distribution) Total() uint64 { return d.total }

@@ -20,16 +20,18 @@
 //     pointer swap. Scrapers always see a complete, internally-consistent
 //     snapshot; publishers never wait for them.
 //
-// Event is strictly POD — no pointers, no strings — so a torn seqlock read
-// is harmless garbage that validation discards, rather than a corrupt
-// pointer the garbage collector could trip over. Run/experiment names travel
-// as indices into the bus's append-only label table.
+// Event is strictly POD — no pointers, no strings — so a slot can hold it as
+// atomic 64-bit words, and a torn seqlock read is harmless garbage that
+// validation discards, rather than a corrupt pointer the garbage collector
+// could trip over. Run/experiment names travel as indices into the bus's
+// append-only label table.
 package progress
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind classifies a progress event.
@@ -134,11 +136,20 @@ type WireEvent struct {
 	DI        float64 `json:"di,omitempty"`
 }
 
+// eventWords is Event's size in 64-bit words.
+const eventWords = unsafe.Sizeof(Event{}) / 8
+
+// Event must be a whole number of words to travel as them.
+var _ [0]struct{} = [unsafe.Sizeof(Event{}) % 8]struct{}{}
+
 // slot is one ring cell. ver is the seqlock: 0 empty, 2s+1 while the writer
-// of sequence s is copying, 2s+2 once sequence s is published.
+// of sequence s is copying, 2s+2 once sequence s is published. The payload
+// is stored as atomic words, so a reader copying a slot while a writer
+// reclaims it reads torn numbers that the version check discards, not a
+// data race.
 type slot struct {
 	ver atomic.Uint64
-	ev  Event
+	ev  [eventWords]atomic.Uint64
 }
 
 // Bus is the bounded multi-producer broadcast ring. Publishing is lock-free
@@ -248,7 +259,10 @@ func (b *Bus) Publish(ev Event) uint64 {
 		runtime.Gosched()
 	}
 	ev.Seq = seq
-	s.ev = ev
+	w := (*[eventWords]uint64)(unsafe.Pointer(&ev))
+	for i := range s.ev {
+		s.ev[i].Store(w[i])
+	}
 	s.ver.Store(2*seq + 2)
 	return seq
 }
@@ -343,12 +357,15 @@ func (r *Reader) Poll(buf []Event) int {
 			r.cursor++
 			continue
 		}
-		ev := s.ev
+		var w [eventWords]uint64
+		for i := range w {
+			w[i] = s.ev[i].Load()
+		}
 		if s.ver.Load() != v1 {
 			// Torn read: the slot was reclaimed mid-copy. Re-examine it.
 			continue
 		}
-		buf[n] = ev
+		buf[n] = *(*Event)(unsafe.Pointer(&w))
 		n++
 		r.cursor++
 	}
