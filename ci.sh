@@ -7,6 +7,10 @@
 # The race pass covers the packages that actually run goroutines: the
 # parallel harness and, through it, the experiment/simulator substrate it
 # drives concurrently (every package in the test binary is instrumented).
+# The micro tier's own packages (guest, host, core, workload) are listed
+# too: their hot paths keep per-VM and per-owner state — bound callbacks,
+# the PELT decay memo, scratch buffers — that parallel workers must never
+# share.
 set -eu
 
 short=""
@@ -36,8 +40,10 @@ go build ./...
 echo "== go test $short ./..."
 go test $short ./...
 
-echo "== go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/..."
-go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/...
+race_pkgs="./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/... ./internal/guest/... ./internal/host/... ./internal/core/... ./internal/workload/..."
+echo "== go test -race -short $race_pkgs"
+# shellcheck disable=SC2086 # word splitting of the package list is intended
+go test -race -short $race_pkgs
 
 # The progress bus's seqlock race is intermittent, so one pass can hide it:
 # its concurrency test runs twenty times under the race detector.
@@ -48,8 +54,10 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # -short: the timing-wheel engine must match the retained heap engine
 # (internal/sim/heapengine) event for event on randomized scripts. This is
 # the gate that lets the engine be optimized without re-recording goldens.
-echo "== engine differential suite (-race)"
-go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/
+# The allocation budgets ride along: the engine's schedule→fire path and the
+# guest's steady-state window are both pinned at zero allocations.
+echo "== engine differential suite + alloc budgets (-race)"
+go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/
 
 # Attribution smoke: the attrib experiment must produce byte-identical
 # reports across two runs of the same seed — the profiler is a deterministic

@@ -11,7 +11,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"vsched/internal/cachemodel"
 	"vsched/internal/guest"
@@ -129,6 +129,9 @@ type VSched struct {
 	userGroup   *guest.CGroup // normal-policy user workloads
 	beGroup     *guest.CGroup // best-effort (SCHED_IDLE) user workloads
 	proberGroup *guest.CGroup // vcap/vact probers
+
+	// capBuf is medianCapacity's scratch buffer, reused across calls.
+	capBuf []int64
 
 	started bool
 }
@@ -283,11 +286,12 @@ func (s *VSched) QueryState(v *guest.VCPU) (VCPUState, sim.Time) {
 
 // medianCapacity returns the median published capacity across vCPUs.
 func (s *VSched) medianCapacity() int64 {
-	caps := make([]int64, 0, s.vm.NumVCPUs())
+	caps := s.capBuf[:0]
 	for _, v := range s.vm.VCPUs() {
 		caps = append(caps, v.Capacity())
 	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
+	slices.Sort(caps)
+	s.capBuf = caps
 	return caps[(len(caps)-1)/2]
 }
 
@@ -309,7 +313,7 @@ func (s *VSched) lowLatencyThreshold() sim.Duration {
 		for _, v := range s.vm.VCPUs() {
 			ls = append(ls, v.Latency())
 		}
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		return ls[(len(ls)-1)/2]
 	}
 	min := sim.Duration(-1)

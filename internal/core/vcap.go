@@ -24,6 +24,8 @@ type vcap struct {
 	sampling bool
 	heavy    bool
 	banned   []bool // rwc-banned stacked vCPUs: no sampling there
+	// beginFn and endFn are beginWindow and endWindow, bound once.
+	beginFn, endFn func()
 }
 
 type vcapVCPU struct {
@@ -45,7 +47,9 @@ type vcapVCPU struct {
 }
 
 func newVcap(s *VSched) *vcap {
-	return &vcap{s: s, banned: make([]bool, s.vm.NumVCPUs())}
+	c := &vcap{s: s, banned: make([]bool, s.vm.NumVCPUs())}
+	c.beginFn, c.endFn = c.beginWindow, c.endWindow
+	return c
 }
 
 // setBanned tells vcap which vCPUs rwc fully hid (stacked duplicates);
@@ -71,7 +75,7 @@ func (c *vcap) start() {
 		)
 		c.per = append(c.per, pv)
 	}
-	c.s.eng.After(c.s.params.LightEvery, c.beginWindow)
+	c.s.eng.After(c.s.params.LightEvery, c.beginFn)
 }
 
 // proberBehavior: park until a window opens, then compute in chunks,
@@ -127,7 +131,7 @@ func (c *vcap) beginWindow() {
 		}
 		c.s.vm.BroadcastCond(pv.park)
 	}
-	c.s.eng.After(c.s.params.SamplePeriod, c.endWindow)
+	c.s.eng.After(c.s.params.SamplePeriod, c.endFn)
 }
 
 func (c *vcap) endWindow() {
@@ -182,5 +186,5 @@ func (c *vcap) endWindow() {
 	if c.s.features.RWC {
 		c.s.rwc.onCapacityUpdate()
 	}
-	c.s.eng.After(c.s.params.LightEvery-c.s.params.SamplePeriod, c.beginWindow)
+	c.s.eng.After(c.s.params.LightEvery-c.s.params.SamplePeriod, c.beginFn)
 }

@@ -128,6 +128,8 @@ type session struct {
 	deadline  sim.Time
 	finished  bool
 	done      func(sessionResult)
+	// pollFn is poll, bound once per session: a session polls every 20 µs.
+	pollFn func()
 }
 
 // probePair measures the distance between vCPUs ai and bi. extended
@@ -144,6 +146,7 @@ func (t *Vtop) probePair(ai, bi int, extended bool, done func(sessionResult)) {
 		minBase: cachemodel.Infinite,
 		done:    done,
 	}
+	sess.pollFn = sess.poll
 	if extended {
 		// The extended timeout must outlast plausible inactive periods
 		// (tens of ms) so rarely-overlapping vCPUs are not misjudged as
@@ -174,7 +177,7 @@ func (t *Vtop) probePair(ai, bi int, extended bool, done func(sessionResult)) {
 		now := s.eng.Now()
 		sess.lastPoll = now
 		sess.deadline = now.Add(500 * sim.Millisecond)
-		s.eng.After(t.pollEvery, sess.poll)
+		s.eng.After(t.pollEvery, sess.pollFn)
 	})
 }
 
@@ -225,7 +228,7 @@ func (sess *session) poll() {
 	case now >= sess.deadline:
 		sess.finish(sessionResult{ok: false})
 	default:
-		s.eng.After(sess.vt.pollEvery, sess.poll)
+		s.eng.After(sess.vt.pollEvery, sess.pollFn)
 	}
 }
 
@@ -313,7 +316,7 @@ func (t *Vtop) FullProbe(done func()) {
 	finishAll := func() {
 		t.inferMatrix(guest.Belief{CoreOf: coreOf, SocketOf: socketOf, StackOf: stackOf})
 		t.belief = guest.Belief{CoreOf: coreOf, SocketOf: socketOf, StackOf: stackOf}
-		t.s.vm.SetTopology(t.belief.Clone())
+		t.s.vm.SetTopology(t.belief)
 		if t.s.features.RWC {
 			t.s.rwc.onTopologyUpdate()
 		}

@@ -72,7 +72,7 @@ func (vm *VM) findPullable(v *VCPU, sameDomain bool) *Task {
 // within each believed LLC domain, then across domains with a higher bar,
 // then handle misfit tasks and cgroup evictions.
 func (vm *VM) periodicBalance() {
-	for _, socket := range vm.topo.Sockets() {
+	for _, socket := range vm.sockets {
 		vm.balanceWithin(socket)
 	}
 	vm.balanceAcross()
@@ -90,27 +90,13 @@ func (vm *VM) periodicBalance() {
 // balancing that needs accurate core topology. With the default belief
 // every vCPU is its own core, so this never fires under stock abstraction.
 func (vm *VM) smtBalancePass() {
-	now := vm.eng.Now()
-	// Collect believed core groups with more than one member. coreOrder
-	// remembers first-appearance order: iterating the map directly would
-	// randomise which overloaded core unstacks first and which idle core
-	// receives, breaking run-to-run determinism.
-	byCore := map[int][]*VCPU{}
-	var coreOrder []int
-	multi := false
-	for i, v := range vm.vcpus {
-		g := vm.topo.CoreOf[i]
-		if len(byCore[g]) == 0 {
-			coreOrder = append(coreOrder, g)
-		}
-		byCore[g] = append(byCore[g], v)
-		if len(byCore[g]) > 1 {
-			multi = true
-		}
-	}
-	if !multi {
+	// Core groups walk in first-appearance order, which fixes which
+	// overloaded core unstacks first and which idle core receives. With as
+	// many groups as vCPUs, no believed core has two members.
+	if len(vm.coreGroups) == len(vm.vcpus) {
 		return
 	}
+	now := vm.eng.Now()
 	heavy := func(v *VCPU) bool {
 		t := v.curr
 		return t != nil && !t.idlePolicy && t.affinity < 0 && t.Util() >= 350
@@ -124,8 +110,7 @@ func (vm *VM) smtBalancePass() {
 		}
 		return n
 	}
-	for _, g := range coreOrder {
-		members := byCore[g]
+	for _, members := range vm.coreGroups {
 		if len(members) < 2 || groupHeavy(members) < 2 {
 			continue
 		}
@@ -133,8 +118,7 @@ func (vm *VM) smtBalancePass() {
 		// Requiring every member idle keeps this from thrashing on the
 		// transient idleness at the tail of barrier phases.
 		var dst *VCPU
-		for _, cg := range coreOrder {
-			cand := byCore[cg]
+		for _, cand := range vm.coreGroups {
 			allIdle := true
 			for _, u := range cand {
 				if !u.GuestIdle() {
@@ -142,7 +126,7 @@ func (vm *VM) smtBalancePass() {
 					break
 				}
 			}
-			if allIdle && len(cand) > 0 {
+			if allIdle {
 				dst = cand[0]
 				break
 			}
@@ -224,7 +208,7 @@ func (vm *VM) balanceWithin(ids []int) {
 // balanceAcross moves one queued task between believed sockets when the
 // inter-domain imbalance is large.
 func (vm *VM) balanceAcross() {
-	sockets := vm.topo.Sockets()
+	sockets := vm.sockets
 	if len(sockets) < 2 {
 		return
 	}

@@ -99,6 +99,14 @@ type VM struct {
 	balanceSlack sim.Duration
 	started      bool
 
+	// sockets and coreGroups are topo's socket and core groups in
+	// first-appearance order, derived once per published belief.
+	sockets    [][]int
+	coreGroups [][]*VCPU
+
+	// decay memoises the PELT decay factor for this VM's tasks and ticks.
+	decay decayMemo
+
 	// llcLoad[s] is the summed footprint (MB) of tasks installed on vCPUs
 	// hosted in physical socket s.
 	llcLoad []float64
@@ -115,9 +123,9 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 		h:       h,
 		name:    name,
 		params:  params,
-		topo:    DefaultBelief(len(threads)),
 		llcLoad: make([]float64, h.Config().Sockets),
 	}
+	vm.decay.reset()
 	vm.reg = metrics.NewRegistry()
 	vm.ctr = guestCounters{
 		wakeups:          vm.reg.Counter("guest.wakeups"),
@@ -131,9 +139,11 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 	vm.root = &CGroup{name: "root", allowed: fullMask(len(threads))}
 	for i, th := range threads {
 		v := &VCPU{vm: vm, id: i, cfsCapacity: 1024}
+		v.completeFn, v.tickFn, v.resumeFn, v.reschedFn = v.onComplete, v.tickFire, v.onResumeWork, v.onResched
 		v.ent = h.NewEntity(fmt.Sprintf("%s/vcpu%d", name, i), th, host.DefaultWeight, v)
 		vm.vcpus = append(vm.vcpus, v)
 	}
+	vm.setTopology(DefaultBelief(len(threads)))
 	return vm
 }
 
@@ -200,15 +210,32 @@ func (vm *VM) RootGroup() *CGroup { return vm.root }
 func (vm *VM) InstallHooks(h Hooks) { vm.hooks = h }
 
 // SetTopology publishes a new believed topology and rebuilds scheduling
-// domains (the paper's rebuild_sched_domains path).
+// domains (the paper's rebuild_sched_domains path). The VM keeps a copy, so
+// the caller may go on mutating b.
 func (vm *VM) SetTopology(b Belief) {
 	if len(b.CoreOf) != len(vm.vcpus) || len(b.SocketOf) != len(vm.vcpus) {
 		panic("guest: belief size mismatch")
 	}
-	vm.topo = b
+	vm.setTopology(b.Clone())
 }
 
-// Topology returns the currently believed topology.
+// setTopology installs b, which the VM owns from here on, and derives the
+// domains balancing and placement walk.
+func (vm *VM) setTopology(b Belief) {
+	vm.topo = b
+	vm.sockets = b.Sockets()
+	vm.coreGroups = vm.coreGroups[:0]
+	for _, ids := range groups(b.CoreOf) {
+		members := make([]*VCPU, len(ids))
+		for k, id := range ids {
+			members[k] = vm.vcpus[id]
+		}
+		vm.coreGroups = append(vm.coreGroups, members)
+	}
+}
+
+// Topology returns the currently believed topology. It shares the VM's
+// slices: treat it as read-only, or Clone it.
 func (vm *VM) Topology() Belief { return vm.topo }
 
 // Start launches ticks and periodic load balancing. Idempotent.
@@ -283,6 +310,7 @@ func (vm *VM) Spawn(name string, b Behavior, opts ...TaskOpt) *Task {
 		startOn:  -1,
 		lastPELT: vm.eng.Now(),
 	}
+	t.sleepFn, t.wakeFn = t.onSleepTimer, t.onWakeIRQ
 	for _, o := range opts {
 		o(t)
 	}
@@ -392,14 +420,7 @@ func (vm *VM) enqueue(v *VCPU, t *Task, waker *VCPU) {
 				vm.countIPI(waker, v)
 			}
 			v.needResched = true
-			vm.eng.After(0, func() {
-				if v.needResched {
-					v.needResched = false
-					if v.hostActive {
-						v.reschedule()
-					}
-				}
-			})
+			vm.eng.After(0, v.reschedFn)
 		} else {
 			v.needResched = true
 		}
@@ -463,20 +484,27 @@ func (vm *VM) chargeMigrationCost(t *Task, src, dst *VCPU) {
 // Equivalent to a task running SemPost, but callable from timers.
 func (vm *VM) Post(s *Semaphore) {
 	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		vm.wakeTask(w, nil)
+		vm.wakeTask(popFront(&s.waiters), nil)
 		return
 	}
 	s.count++
 }
 
 // BroadcastCond wakes all waiters of c from daemon/interrupt context.
-func (vm *VM) BroadcastCond(c *Cond) {
+func (vm *VM) BroadcastCond(c *Cond) { vm.broadcast(c, nil) }
+
+// broadcast wakes every waiter of c as fan-out wakeups from waker (nil for
+// interrupt context). The drained queue's array is kept for the next
+// waiters unless a wakeup queued a new waiter meanwhile.
+func (vm *VM) broadcast(c *Cond, waker *VCPU) {
 	ws := c.waiters
 	c.waiters = nil
 	for _, w := range ws {
-		vm.wakeTaskWide(w, nil, true)
+		vm.wakeTaskWide(w, waker, true)
+	}
+	if c.waiters == nil {
+		clear(ws)
+		c.waiters = ws[:0]
 	}
 }
 
@@ -504,12 +532,7 @@ func (vm *VM) advance(t *Task) {
 
 		case SegSleep:
 			vm.blockCurr(t)
-			d := seg.Dur
-			vm.eng.After(d, func() {
-				// Timer fires on the task's last vCPU; delivery waits for
-				// that vCPU to really run.
-				vm.DeliverIRQ(t.cpu, func() { vm.wakeTask(t, nil) })
-			})
+			vm.eng.After(seg.Dur, t.sleepFn)
 			return
 
 		case SegAcquire:
@@ -545,21 +568,13 @@ func (vm *VM) advance(t *Task) {
 			return
 
 		case SegCondSignal:
-			c := seg.Cond
-			if len(c.waiters) > 0 {
-				w := c.waiters[0]
-				c.waiters = c.waiters[1:]
-				vm.wakeTask(w, v)
+			if c := seg.Cond; len(c.waiters) > 0 {
+				vm.wakeTask(popFront(&c.waiters), v)
 			}
 			continue
 
 		case SegCondBroadcast:
-			c := seg.Cond
-			ws := c.waiters
-			c.waiters = nil
-			for _, w := range ws {
-				vm.wakeTaskWide(w, v, true)
-			}
+			vm.broadcast(seg.Cond, v)
 			continue
 
 		case SegSemWait:
@@ -575,9 +590,7 @@ func (vm *VM) advance(t *Task) {
 		case SegSemPost:
 			s := seg.Sem
 			if len(s.waiters) > 0 {
-				w := s.waiters[0]
-				s.waiters = s.waiters[1:]
-				vm.wakeTask(w, v)
+				vm.wakeTask(popFront(&s.waiters), v)
 			} else {
 				s.count++
 			}
@@ -587,14 +600,19 @@ func (vm *VM) advance(t *Task) {
 			b := seg.Barrier
 			b.arrived = append(b.arrived, t)
 			if len(b.arrived) == b.parties {
-				others := b.arrived[:len(b.arrived)-1]
+				arrived := b.arrived
 				b.arrived = nil
-				for _, o := range others {
+				for _, o := range arrived[:len(arrived)-1] {
 					if o.spinBarrier == b {
 						vm.abortSpin(o)
 					} else {
 						vm.wakeTaskWide(o, v, true)
 					}
+				}
+				// The next generation reuses the array, as in broadcast.
+				if b.arrived == nil {
+					clear(arrived)
+					b.arrived = arrived[:0]
 				}
 				continue // last arriver proceeds
 			}
@@ -660,15 +678,13 @@ func (vm *VM) advance(t *Task) {
 // (they grab it the instant it frees), then blocked waiters FIFO.
 func (vm *VM) releaseMutex(m *Mutex, waker *VCPU) {
 	if len(m.spinners) > 0 {
-		next := m.spinners[0]
-		m.spinners = m.spinners[1:]
+		next := popFront(&m.spinners)
 		m.owner = next
 		vm.abortSpin(next)
 		return
 	}
 	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		next := popFront(&m.waiters)
 		m.owner = next
 		vm.wakeTask(next, waker)
 		return

@@ -165,7 +165,7 @@ func (vm *VM) selectCPUFork(t *Task) *VCPU {
 	var bestIDs []int
 	bestLoad := 0.0
 	bestCap := int64(0)
-	for _, ids := range vm.topo.Sockets() {
+	for _, ids := range vm.sockets {
 		var load float64
 		var cap int64
 		allowed := false

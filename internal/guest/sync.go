@@ -42,6 +42,18 @@ func (s *Semaphore) Count() int { return s.count }
 // Waiters returns the number of blocked waiters.
 func (s *Semaphore) Waiters() int { return len(s.waiters) }
 
+// popFront removes and returns the head of a FIFO task queue. It shifts the
+// rest down rather than reslicing past the head, so the queue keeps its
+// backing array instead of leaking capacity at the front.
+func popFront(q *[]*Task) *Task {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return head
+}
+
 // Barrier blocks parties until all have arrived, then releases the
 // generation together. Spin controls whether waiting tasks burn CPU
 // (user-level spin barrier — the pattern behind the paper's streamcluster

@@ -180,6 +180,10 @@ type Task struct {
 	// next time the task gets on CPU.
 	commDebt float64
 
+	// sleepFn (the SegSleep timer) and wakeFn (the wakeup IRQ it raises)
+	// are bound once in Spawn.
+	sleepFn, wakeFn func()
+
 	exited bool
 	OnExit func(now sim.Time)
 	// OnScheduled, if set, observes every runnable->running transition with
@@ -238,7 +242,11 @@ func (t *Task) IsIdlePolicy() bool { return t.idlePolicy }
 // Util returns the task's PELT utilisation estimate (0..1024), decayed to
 // the current instant.
 func (t *Task) Util() float64 {
-	return decayedUtil(t.util, t.vm.eng.Now().Sub(t.lastPELT))
+	elapsed := t.vm.eng.Now().Sub(t.lastPELT)
+	if elapsed <= 0 {
+		return t.util
+	}
+	return t.util * t.vm.decay.factor(elapsed)
 }
 
 // TotalRun returns cumulative time the task spent executing while its vCPU
@@ -261,12 +269,48 @@ func (t *Task) Exited() bool { return t.exited }
 // pelt constants: Linux's util halves every 32ms of decay.
 const peltTau = 32 * sim.Millisecond
 
-func decayedUtil(u float64, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return u
-	}
-	return u * math.Exp2(-float64(elapsed)/float64(peltTau))
+// decayBits sizes the decay memo at 2^decayBits slots.
+const decayBits = 6
+
+// decayMemo is a direct-mapped cache of the PELT decay factor
+// 2^(−elapsed/peltTau), keyed by the exact elapsed duration. A miss calls
+// math.Exp2, so every factor is bit-identical to computing it afresh; the
+// hits come from the few intervals that recur (the 1 ms tick above all).
+// Each VM owns one: VMs run on parallel goroutines.
+type decayMemo [1 << decayBits]struct {
+	elapsed sim.Duration
+	factor  float64
 }
+
+// reset fills every slot with the true pair for elapsed 0, so an empty slot
+// can never answer a lookup wrongly.
+func (m *decayMemo) reset() {
+	for i := range m {
+		m[i].elapsed, m[i].factor = 0, 1
+	}
+}
+
+// decaySlot maps elapsed to its memo slot. Fibonacci hashing spreads nearby
+// and round durations over the slots.
+func decaySlot(elapsed sim.Duration) int {
+	return int(uint64(elapsed) * 0x9E3779B97F4A7C15 >> (64 - decayBits))
+}
+
+// factor returns 2^(−elapsed/peltTau).
+func (m *decayMemo) factor(elapsed sim.Duration) float64 {
+	e := &m[decaySlot(elapsed)]
+	if e.elapsed != elapsed {
+		e.elapsed, e.factor = elapsed, math.Exp2(-float64(elapsed)/float64(peltTau))
+	}
+	return e.factor
+}
+
+// onSleepTimer fires when a SegSleep ends: the wakeup is an interrupt on
+// the task's last vCPU, delivered once that vCPU really runs.
+func (t *Task) onSleepTimer() { t.vm.DeliverIRQ(t.cpu, t.wakeFn) }
+
+// onWakeIRQ is the sleep timer's interrupt handler.
+func (t *Task) onWakeIRQ() { t.vm.wakeTask(t, nil) }
 
 // consumeCommDebt folds accumulated communication cost into the task's
 // in-progress compute segment.
@@ -284,7 +328,7 @@ func (t *Task) updatePELT(now sim.Time, ranDelta sim.Duration) {
 	if elapsed <= 0 {
 		return
 	}
-	d := math.Exp2(-float64(elapsed) / float64(peltTau))
+	d := t.vm.decay.factor(elapsed)
 	frac := float64(ranDelta) / float64(elapsed)
 	if frac > 1 {
 		frac = 1

@@ -58,15 +58,9 @@ func (b Belief) SMTSiblings(i int) []int {
 
 // StackGroups returns the stacking groups with more than one member.
 func (b Belief) StackGroups() [][]int {
-	byID := map[int][]int{}
-	for i, g := range b.StackOf {
-		byID[g] = append(byID[g], i)
-	}
 	var out [][]int
-	for i := range b.StackOf {
-		g := b.StackOf[i]
-		members := byID[g]
-		if len(members) > 1 && members[0] == i {
+	for _, members := range groups(b.StackOf) {
+		if len(members) > 1 {
 			out = append(out, members)
 		}
 	}
@@ -74,19 +68,21 @@ func (b Belief) StackGroups() [][]int {
 }
 
 // Sockets returns the vCPU ids grouped by socket, ordered by first member.
-func (b Belief) Sockets() [][]int {
-	byID := map[int][]int{}
-	for i, g := range b.SocketOf {
-		byID[g] = append(byID[g], i)
-	}
+func (b Belief) Sockets() [][]int { return groups(b.SocketOf) }
+
+// groups partitions the vCPU ids 0..len(of)-1 by their group id of[i],
+// each group in ascending id order and the groups ordered by first member.
+func groups(of []int) [][]int {
+	index := map[int]int{}
 	var out [][]int
-	seen := map[int]bool{}
-	for i := range b.SocketOf {
-		g := b.SocketOf[i]
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, byID[g])
+	for i, g := range of {
+		k, ok := index[g]
+		if !ok {
+			k = len(out)
+			index[g] = k
+			out = append(out, nil)
 		}
+		out[k] = append(out[k], i)
 	}
 	return out
 }

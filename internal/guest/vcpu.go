@@ -55,8 +55,14 @@ type VCPU struct {
 	pubAvgInactive sim.Duration
 
 	// pendingIRQ holds interrupt work (timer expiries, external arrivals)
-	// that must wait until the vCPU is next really running.
+	// that must wait until the vCPU is next really running. spareIRQ is the
+	// drained backing array, swapped back in on the next drain.
 	pendingIRQ []func()
+	spareIRQ   []func()
+
+	// Engine callbacks, bound once in NewVM: a method value passed to After
+	// allocates a fresh closure every time it is evaluated.
+	completeFn, tickFn, resumeFn, reschedFn func()
 
 	// idleSince records when the vCPU last entered the guest idle loop;
 	// valid only while GuestIdle() holds.
@@ -239,7 +245,7 @@ func (v *VCPU) Resumed(now sim.Time, speed float64) {
 	// Interrupt delivery, deferred ticks and rescheduling happen "on the
 	// vCPU" as soon as it runs again; the zero-delay event keeps us out of
 	// the host scheduler's critical section.
-	v.vm.eng.After(0, v.onResumeWork)
+	v.vm.eng.After(0, v.resumeFn)
 }
 
 // Stopped implements host.Client.
@@ -281,11 +287,15 @@ func (v *VCPU) onResumeWork() {
 		return // lost the CPU again before the event fired
 	}
 	if len(v.pendingIRQ) > 0 {
+		// Interrupts raised while draining queue on the other array and
+		// wait for the next resume.
 		irqs := v.pendingIRQ
-		v.pendingIRQ = nil
+		v.pendingIRQ = v.spareIRQ
 		for _, fn := range irqs {
 			fn()
 		}
+		clear(irqs)
+		v.spareIRQ = irqs[:0]
 	}
 	if v.pendingTick {
 		v.pendingTick = false
@@ -333,7 +343,7 @@ func (v *VCPU) scheduleCompletion() {
 	if t.remaining > 0 {
 		d = sim.Duration(math.Ceil(t.remaining / (v.speed * v.llcFactor())))
 	}
-	v.compEv = v.vm.eng.After(d, v.onComplete)
+	v.compEv = v.vm.eng.After(d, v.completeFn)
 }
 
 func (v *VCPU) onComplete() {
@@ -355,7 +365,7 @@ func (v *VCPU) onComplete() {
 // --- ticks ---
 
 func (v *VCPU) startTicking(offset sim.Duration) {
-	v.tickEv = v.vm.eng.After(offset, v.tickFire)
+	v.tickEv = v.vm.eng.After(offset, v.tickFn)
 }
 
 func (v *VCPU) tickFire() {
@@ -387,9 +397,9 @@ func (v *VCPU) tick() {
 	}
 
 	// Vanilla CFS capacity estimate: fraction of recent wall time not
-	// stolen, EMA-smoothed with time-based decay so long inactive windows
-	// (which arrive as one late tick) carry their full weight. Only
-	// computable while busy.
+	// stolen, EMA-smoothed with time-based decay (PELT's 32 ms half-life)
+	// so long inactive windows (which arrive as one late tick) carry their
+	// full weight. Only computable while busy.
 	if v.curr != nil {
 		window := now.Sub(prevStamp)
 		if window > 0 {
@@ -397,8 +407,7 @@ func (v *VCPU) tick() {
 			if frac < 0 {
 				frac = 0
 			}
-			const tau = float64(32 * sim.Millisecond)
-			d := math.Exp2(-float64(window) / tau)
+			d := v.vm.decay.factor(window)
 			v.cfsCapacity = v.cfsCapacity*d + 1024*frac*(1-d)
 		}
 	}
@@ -436,7 +445,7 @@ func (v *VCPU) tick() {
 		v.vm.periodicBalance()
 	}
 
-	v.tickEv = v.vm.eng.After(v.vm.params.TickPeriod, v.tickFire)
+	v.tickEv = v.vm.eng.After(v.vm.params.TickPeriod, v.tickFn)
 }
 
 // tickShouldPreempt decides at tick time whether best should replace curr.
@@ -558,6 +567,17 @@ func (v *VCPU) dispatch() {
 	}
 	v.removeFromRQ(best)
 	v.install(best)
+}
+
+// onResched is the resched IPI a wakeup sends to a running vCPU: it runs
+// the pending preemption check unless something already consumed it.
+func (v *VCPU) onResched() {
+	if v.needResched {
+		v.needResched = false
+		if v.hostActive {
+			v.reschedule()
+		}
+	}
 }
 
 // reschedule re-evaluates preemption after a remote wakeup set needResched.

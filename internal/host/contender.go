@@ -31,6 +31,8 @@ type PatternContender struct {
 	sleeping  bool
 	stopped   bool
 	stopEv    sim.Event
+	// burstFn and endBurstFn are burst and endBurst, bound once.
+	burstFn, endBurstFn func()
 }
 
 // NewPatternContender creates and starts a pattern contender on thread t.
@@ -41,9 +43,10 @@ func NewPatternContender(h *Host, name string, t *Thread, on, off, phase sim.Dur
 		panic("host: pattern contender needs on > 0 and off >= 0")
 	}
 	p := &PatternContender{eng: h.Engine(), on: on, off: off}
+	p.burstFn, p.endBurstFn = p.burst, p.endBurst
 	p.entity = h.NewEntity(name, t, DefaultWeight, p)
 	p.entity.SetRT(true)
-	h.Engine().After(phase, p.burst)
+	h.Engine().After(phase, p.burstFn)
 	return p
 }
 
@@ -74,7 +77,7 @@ func (p *PatternContender) burst() {
 // this burst's CPU budget.
 func (p *PatternContender) Resumed(now sim.Time, _ float64) {
 	p.since = now
-	p.stopEv = p.eng.After(p.remaining, p.endBurst)
+	p.stopEv = p.eng.After(p.remaining, p.endBurstFn)
 }
 
 // Stopped implements Client.
@@ -103,9 +106,5 @@ func (p *PatternContender) endBurst() {
 	if p.stopped {
 		return
 	}
-	if p.off == 0 {
-		p.eng.After(0, p.burst)
-		return
-	}
-	p.eng.After(p.off, p.burst)
+	p.eng.After(p.off, p.burstFn)
 }

@@ -116,7 +116,7 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	for s := 0; s < cfg.Sockets; s++ {
 		for c := 0; c < cfg.CoresPerSocket; c++ {
 			for t := 0; t < cfg.ThreadsPerCore; t++ {
-				h.threads[id] = &Thread{
+				th := &Thread{
 					host:        h,
 					id:          ThreadID(id),
 					socket:      s,
@@ -124,6 +124,8 @@ func New(eng *sim.Engine, cfg Config) *Host {
 					slot:        t,
 					speedFactor: 1.0,
 				}
+				th.sliceFn = th.onSlice
+				h.threads[id] = th
 				id++
 			}
 		}

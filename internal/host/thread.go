@@ -36,6 +36,9 @@ type Thread struct {
 	lastSync    sim.Time
 	curSpeed    float64
 	sliceEv     sim.Event
+	// sliceFn is onSlice, bound once in New so arming a slice allocates
+	// nothing.
+	sliceFn func()
 }
 
 // ID returns the thread's host-wide identifier.
@@ -361,7 +364,7 @@ func (t *Thread) setSlice() {
 	if end < 0 {
 		return
 	}
-	t.sliceEv = t.host.eng.After(end, func() { t.onSlice() })
+	t.sliceEv = t.host.eng.After(end, t.sliceFn)
 }
 
 func (t *Thread) onSlice() {

@@ -256,6 +256,7 @@ func (s *Server) workerBehavior(w int) guest.Behavior {
 		}
 		return &s.arrivals
 	}
+	reinject := func() { s.injectTo(w) }
 	return func(now sim.Time) guest.Segment {
 		switch state {
 		case 1:
@@ -266,7 +267,7 @@ func (s *Server) workerBehavior(w int) guest.Behavior {
 			state = 0
 			if s.connections > 0 && !s.stopped {
 				// Closed loop: the connection issues its next request.
-				eng.After(s.think, func() { s.injectTo(w) })
+				eng.After(s.think, reinject)
 			}
 			return guest.SemWait(sem())
 		default:
