@@ -376,14 +376,16 @@ func benchRegistry(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkRegistrySerial is the reference path: the whole registry on one
-// worker, exactly the trial order and seeds of the classic serial loop.
+// BenchmarkRegistrySerial runs the whole registry on one harness worker:
+// one trial at a time, exactly the trial order and seeds of the classic
+// serial loop. Each experiment's cells still fan out over GOMAXPROCS; -cpu 1
+// gives the fully serial reference path.
 func BenchmarkRegistrySerial(b *testing.B) { benchRegistry(b, 1) }
 
 // BenchmarkRegistryParallel fans the registry out over the worker pool. The
 // output is byte-identical to the serial run (see internal/harness's
-// determinism suite); the wall-clock ratio of these two benchmarks is the
-// harness speedup, bounded by min(cores, total/longest-experiment).
+// determinism suite); the wall-clock ratio of these two benchmarks is what
+// running trials side by side adds on top of the cells' own parallelism.
 func BenchmarkRegistryParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {

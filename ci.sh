@@ -40,7 +40,7 @@ go build ./...
 echo "== go test $short ./..."
 go test $short ./...
 
-race_pkgs="./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/... ./internal/guest/... ./internal/host/... ./internal/core/... ./internal/workload/..."
+race_pkgs="./internal/harness/... ./internal/par/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/... ./internal/guest/... ./internal/host/... ./internal/core/... ./internal/workload/..."
 echo "== go test -race -short $race_pkgs"
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
@@ -58,6 +58,13 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # guest's steady-state window are both pinned at zero allocations.
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/
+
+# Cell-parallel paper experiments under the race detector: a cell shares no
+# mutable state with its siblings, child Stats merge in cell order, and a
+# panicking cell reaches the caller. -short keeps to cheap experiments (fig3,
+# fig11, table3, ...): fig12+fig13 alone take over a minute under -race.
+echo "== cell-parallel experiments (-race)"
+go test -race -short -run Cells ./internal/experiments/
 
 # Attribution smoke: the attrib experiment must produce byte-identical
 # reports across two runs of the same seed — the profiler is a deterministic

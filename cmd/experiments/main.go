@@ -7,7 +7,7 @@
 //	experiments -run all                    # everything, in paper order
 //	experiments -run fig18 -scale 0.3       # shorter measurement windows
 //	experiments -run all -json              # machine-readable reports
-//	experiments -run all -parallel 8        # fan out over 8 workers
+//	experiments -run all -parallel 8        # run 8 trials at once
 //	experiments -run all -reps 5            # 5 replicate seeds, mean±stddev cells
 //	experiments -run all -timeout 10m       # per-trial wall-clock budget
 //	experiments -run all -retries 2         # re-attempt timed-out/panicked trials
@@ -22,7 +22,9 @@
 //
 // Reports go to stdout; timing and progress go to stderr, so stdout is a
 // pure function of (-run, -seed, -reps, -scale): a -parallel N run is
-// byte-identical to the serial one.
+// byte-identical to a -parallel 1 run, and both are byte-identical to the
+// fully serial GOMAXPROCS=1 run, in which an experiment's independent
+// simulations (its cells) also run one after another.
 package main
 
 import (
@@ -58,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale     = fs.Float64("scale", 1.0, "measurement window scale factor")
 		verbose   = fs.Bool("v", false, "verbose notes")
 		asJSON    = fs.Bool("json", false, "emit reports as JSON lines")
-		parallel  = fs.Int("parallel", 1, "worker pool size (1 = serial reference path)")
+		parallel  = fs.Int("parallel", 1, "trials run at once (1 = one at a time; each trial's cells still fan out over GOMAXPROCS, and GOMAXPROCS=1 is the fully serial path)")
 		reps      = fs.Int("reps", 1, "replicate seeds per experiment; >1 adds mean±stddev [min,max] cells")
 		timeout   = fs.Duration("timeout", 0, "per-trial wall-clock budget (0 = none)")
 		retries   = fs.Int("retries", 0, "extra attempts per trial after a panic or timeout (0 = fail fast)")

@@ -42,30 +42,30 @@ func Fig14(opt Options) *Report {
 	warm := opt.warm(6 * sim.Second) // probers must learn latencies
 	window := opt.scaled(15 * sim.Second)
 
-	run := func(bench string, withBVS, withBE bool) int64 {
+	// Per (best-effort, bench), a cell without bvs then one with it.
+	bes := []bool{false, true}
+	p95 := cells(opt, 2*len(bes)*len(benches), func(i int, o Options) int64 {
 		feats := probersOnly()
-		if withBVS {
-			feats.BVS = true
-		}
-		c, d := bvsRig(opt, feats)
-		if withBE {
+		feats.BVS = i%2 == 1
+		c, d := bvsRig(o, feats)
+		if bes[i/(2*len(benches))] {
 			spawnBestEffort(d)
 		}
-		spec, _ := workload.ByName(bench)
+		spec, _ := workload.ByName(benches[i/2%len(benches)])
 		srv := spec.New(d.env(0)).(*workload.Server)
 		srv.Start()
 		c.eng.RunFor(warm)
 		srv.ResetStats()
 		c.eng.RunFor(window)
 		return srv.E2E().P95()
-	}
+	})
 
 	var sumNorm float64
 	var n int
-	for _, withBE := range []bool{false, true} {
-		for _, bench := range benches {
-			off := run(bench, false, withBE)
-			on := run(bench, true, withBE)
+	for b, withBE := range bes {
+		for j, bench := range benches {
+			k := 2 * (b*len(benches) + j)
+			off, on := p95[k], p95[k+1]
 			norm := float64(on) / float64(off)
 			sumNorm += norm
 			n++
@@ -91,16 +91,23 @@ func Table3(opt Options) *Report {
 	warm := opt.warm(6 * sim.Second)
 	window := opt.scaled(15 * sim.Second)
 
-	run := func(mode string, withBE bool) (q, s, e int64) {
+	type cell struct {
+		withBE bool
+		mode   string
+	}
+	specs := []cell{
+		{false, "no-bvs"}, {false, "bvs"},
+		{true, "no-bvs"}, {true, "bvs-no-state"}, {true, "bvs"},
+	}
+	p95 := cells(opt, len(specs), func(i int, o Options) [3]int64 {
+		s := specs[i]
 		feats := probersOnly()
-		if mode != "no-bvs" {
-			feats.BVS = true
-		}
-		c, d := bvsRig(opt, feats)
-		if mode == "bvs-no-state" {
+		feats.BVS = s.mode != "no-bvs"
+		c, d := bvsRig(o, feats)
+		if s.mode == "bvs-no-state" {
 			d.vs.SetBVSStateCheck(false)
 		}
-		if withBE {
+		if s.withBE {
 			spawnBestEffort(d)
 		}
 		srv := workload.NewTailbench(d.env(0), "masstree", 350*sim.Microsecond)
@@ -108,20 +115,15 @@ func Table3(opt Options) *Report {
 		c.eng.RunFor(warm)
 		srv.ResetStats()
 		c.eng.RunFor(window)
-		return srv.Queue().P95(), srv.Service().P95(), srv.E2E().P95()
-	}
+		return [3]int64{srv.Queue().P95(), srv.Service().P95(), srv.E2E().P95()}
+	})
 
-	for _, withBE := range []bool{false, true} {
+	for i, s := range specs {
 		beTag := "without"
-		modes := []string{"no-bvs", "bvs"}
-		if withBE {
+		if s.withBE {
 			beTag = "with"
-			modes = []string{"no-bvs", "bvs-no-state", "bvs"}
 		}
-		for _, mode := range modes {
-			q, s, e := run(mode, withBE)
-			rep.Add(beTag, mode, msStr(q), msStr(s), msStr(e))
-		}
+		rep.Add(beTag, s.mode, msStr(p95[i][0]), msStr(p95[i][1]), msStr(p95[i][2]))
 	}
 	rep.Notef("paper: bvs cuts queue time 70%%/44%% (without/with best-effort); state check matters on sched_idle vCPUs")
 	return rep
@@ -159,21 +161,18 @@ func Fig15(opt Options) *Report {
 	warm := opt.warm(4 * sim.Second)
 	window := opt.scaled(12 * sim.Second)
 
-	run := func(bench string, threads int, withIVH bool) uint64 {
-		feats := core.Features{Vcap: true, Vact: true}
-		if withIVH {
-			feats.IVH = true
-		}
-		c, d := ivhRig(opt, feats)
-		spec, _ := workload.ByName(bench)
-		return measureOps(c, spec.New(d.env(threads)), warm, window)
-	}
+	// Per (bench, thread count), a cell without ivh then one with it.
+	ops := cells(opt, 2*len(benches)*len(threadCounts), func(i int, o Options) uint64 {
+		c, d := ivhRig(o, core.Features{Vcap: true, Vact: true, IVH: i%2 == 1})
+		spec, _ := workload.ByName(benches[i/(2*len(threadCounts))])
+		return measureOps(c, spec.New(d.env(threadCounts[i/2%len(threadCounts)])), warm, window)
+	})
 
-	for _, bench := range benches {
+	for b, bench := range benches {
 		row := []string{bench}
-		for _, th := range threadCounts {
-			off := run(bench, th, false)
-			on := run(bench, th, true)
+		for t := range threadCounts {
+			k := 2 * (b*len(threadCounts) + t)
+			off, on := ops[k], ops[k+1]
 			imp := 100 * (float64(on)/float64(off) - 1)
 			row = append(row, fmt.Sprintf("%+.0f%%", imp))
 		}
@@ -199,9 +198,13 @@ func Table4(opt Options) *Report {
 		}
 	}
 
-	run := func(threads int, aware, slowWake bool) (float64, sim.Duration) {
+	type result struct {
+		secs  float64
+		stall sim.Duration
+	}
+	run := func(o Options, threads int, aware, slowWake bool) result {
 		feats := core.Features{Vcap: true, Vact: true, IVH: true}
-		c, d := ivhRig(opt, feats)
+		c, d := ivhRig(o, feats)
 		if slowWake {
 			// High-wake-latency host (granularities cranked like the
 			// latency experiments): a mis-targeted migration parks the task
@@ -229,19 +232,26 @@ func Table4(opt Options) *Report {
 		for _, tk := range p.Tasks() {
 			stall += tk.TotalQueueLatency()
 		}
-		return p.FinishedAt.Sub(start).Seconds(), stall
+		return result{p.FinishedAt.Sub(start).Seconds(), stall}
 	}
 
-	for _, slowWake := range []bool{false, true} {
+	// Per (host, thread count), an activity-unaware cell then an aware one.
+	slowWakes := []bool{false, true}
+	threadCounts := []int{1, 2, 4, 8, 16}
+	res := cells(opt, 2*len(slowWakes)*len(threadCounts), func(i int, o Options) result {
+		return run(o, threadCounts[i/2%len(threadCounts)], i%2 == 1, slowWakes[i/(2*len(threadCounts))])
+	})
+
+	for w, slowWake := range slowWakes {
 		tag := "fast-wake host"
 		if slowWake {
 			tag = "slow-wake host"
 		}
-		for _, th := range []int{1, 2, 4, 8, 16} {
-			un, stallUn := run(th, false, slowWake)
-			aw, stallAw := run(th, true, slowWake)
-			rep.Add(fmt.Sprintf("%s/%d", tag, th), f2(un), f2(aw), fmt.Sprintf("%.2fx", un/aw),
-				stallUn.String(), stallAw.String())
+		for t, th := range threadCounts {
+			k := 2 * (w*len(threadCounts) + t)
+			un, aw := res[k], res[k+1]
+			rep.Add(fmt.Sprintf("%s/%d", tag, th), f2(un.secs), f2(aw.secs), fmt.Sprintf("%.2fx", un.secs/aw.secs),
+				un.stall.String(), aw.stall.String())
 		}
 	}
 	rep.Notef("paper: activity-aware ivh beats unaware at every thread count (408s vs 348s at 1 thread).")

@@ -38,37 +38,73 @@ type Options struct {
 }
 
 // Stats collects the engines and metrics registries one experiment run
-// builds. The run itself registers from its own goroutine; Interrupt and the
-// read accessors may be called from another goroutine, hence the lock.
+// builds. The run registers from its own goroutine and from its cells' (see
+// cells); Interrupt and the read accessors may be called from another
+// goroutine, hence the lock.
+//
+// A cell gets a child Stats: Track goes straight to the root, so Interrupt
+// reaches every engine at once, while registries, attribution profiles and
+// recorders stay with the child until the cells finish and are merged into
+// the parent in cell order — the order a serial run tracks them in.
 type Stats struct {
 	mu          sync.Mutex
+	root        *Stats // set on a cell's child: where its engines are tracked
 	engines     []*sim.Engine
 	interrupted bool
-	regs        []labeledRegistry
-	regSeen     map[string]int
-	attrib      []labeledAttribution
-	attribSeen  map[string]int
-	telem       []labeledTelemetry
-	telemSeen   map[string]int
+	regs        []labeled[*metrics.Registry]
+	attrib      []labeled[map[string]float64]
+	telem       []labeled[*telemetry.Recorder]
 }
 
-// labeledTelemetry is one flight recorder under a run-unique label.
-type labeledTelemetry struct {
+// labeled is one tracked item under the label the experiment gave it.
+// Labels repeat across the VMs an experiment deploys; the snapshots make
+// them run-unique with a #n suffix on the n-th repeat, counted in tracking
+// order.
+type labeled[T any] struct {
 	label string
-	rec   *telemetry.Recorder
+	v     T
 }
 
-// labeledAttribution is one flattened latency-attribution report under a
-// run-unique label.
-type labeledAttribution struct {
-	label string
-	flat  map[string]float64
+// uniqueLabels returns each item's run-unique snapshot label.
+func uniqueLabels[T any](items []labeled[T]) []string {
+	seen := make(map[string]int, len(items))
+	out := make([]string, len(items))
+	for i, it := range items {
+		n := seen[it.label]
+		seen[it.label] = n + 1
+		out[i] = it.label
+		if n > 0 {
+			out[i] = fmt.Sprintf("%s#%d", it.label, n+1)
+		}
+	}
+	return out
 }
 
-// labeledRegistry is one VM's metrics registry under a run-unique label.
-type labeledRegistry struct {
-	label string
-	reg   *metrics.Registry
+// child returns the Stats one cell of s's run reports to (nil for nil s).
+func (s *Stats) child() *Stats {
+	if s == nil {
+		return nil
+	}
+	if s.root != nil {
+		return &Stats{root: s.root}
+	}
+	return &Stats{root: s}
+}
+
+// merge appends the children's registries, attribution profiles and
+// recorders to s in the order given. Only call once the children's cells
+// have finished.
+func (s *Stats) merge(kids []*Stats) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range kids {
+		s.regs = append(s.regs, k.regs...)
+		s.attrib = append(s.attrib, k.attrib...)
+		s.telem = append(s.telem, k.telem...)
+	}
 }
 
 // Track registers an engine. A nil receiver is a no-op, so call sites do not
@@ -77,6 +113,10 @@ type labeledRegistry struct {
 // engines.
 func (s *Stats) Track(e *sim.Engine) {
 	if s == nil {
+		return
+	}
+	if s.root != nil {
+		s.root.Track(e)
 		return
 	}
 	s.mu.Lock()
@@ -100,23 +140,15 @@ func (s *Stats) Interrupt() {
 
 // TrackRegistry registers a VM's metrics registry under label. Labels repeat
 // across the VMs an experiment deploys; repeats get a deterministic #n suffix
-// (registration order is fixed because each trial runs one goroutine). A nil
-// receiver is a no-op.
+// in tracking order, which is fixed because a cell registers from one
+// goroutine and cells are merged in cell order. A nil receiver is a no-op.
 func (s *Stats) TrackRegistry(label string, reg *metrics.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.regSeen == nil {
-		s.regSeen = make(map[string]int)
-	}
-	n := s.regSeen[label]
-	s.regSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.regs = append(s.regs, labeledRegistry{label: label, reg: reg})
+	s.regs = append(s.regs, labeled[*metrics.Registry]{label, reg})
 }
 
 // TrackAttribution records one flattened latency-attribution profile (see
@@ -129,15 +161,7 @@ func (s *Stats) TrackAttribution(label string, flat map[string]float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.attribSeen == nil {
-		s.attribSeen = make(map[string]int)
-	}
-	n := s.attribSeen[label]
-	s.attribSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.attrib = append(s.attrib, labeledAttribution{label: label, flat: flat})
+	s.attrib = append(s.attrib, labeled[map[string]float64]{label, flat})
 }
 
 // TrackTelemetry records one flight recorder (see internal/telemetry) under
@@ -150,21 +174,13 @@ func (s *Stats) TrackTelemetry(label string, rec *telemetry.Recorder) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.telemSeen == nil {
-		s.telemSeen = make(map[string]int)
-	}
-	n := s.telemSeen[label]
-	s.telemSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.telem = append(s.telem, labeledTelemetry{label: label, rec: rec})
+	s.telem = append(s.telem, labeled[*telemetry.Recorder]{label, rec})
 }
 
 // TelemetrySnapshot exports every tracked recorder's deterministic snapshot
 // keyed by label (nil when nothing was tracked). Volatile series are
 // excluded so the result embeds in determinism-checked artifacts. Only call
-// after the run's goroutine has finished.
+// after the run has returned.
 func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
 	if s == nil {
 		return nil
@@ -172,18 +188,18 @@ func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]*telemetry.Snapshot
-	for _, lt := range s.telem {
+	for i, label := range uniqueLabels(s.telem) {
 		if out == nil {
 			out = make(map[string]*telemetry.Snapshot, len(s.telem))
 		}
-		out[lt.label] = lt.rec.Snapshot(false)
+		out[label] = s.telem[i].v.Snapshot(false)
 	}
 	return out
 }
 
 // AttributionSnapshot merges every tracked attribution report into one
 // label-prefixed map (nil when nothing was tracked). Only call after the
-// run's goroutine has finished.
+// run has returned.
 func (s *Stats) AttributionSnapshot() map[string]float64 {
 	if s == nil {
 		return nil
@@ -191,20 +207,21 @@ func (s *Stats) AttributionSnapshot() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]float64
-	for _, la := range s.attrib {
+	for i, label := range uniqueLabels(s.attrib) {
+		flat := s.attrib[i].v
 		if out == nil {
-			out = make(map[string]float64, len(la.flat)*len(s.attrib))
+			out = make(map[string]float64, len(flat)*len(s.attrib))
 		}
-		for k, v := range la.flat {
-			out[la.label+"."+k] = v
+		for k, v := range flat {
+			out[label+"."+k] = v
 		}
 	}
 	return out
 }
 
 // MetricsSnapshot flattens every tracked registry into one label-prefixed
-// map (nil when nothing was tracked). Only call after the run's goroutine
-// has finished: the instruments themselves are not synchronised.
+// map (nil when nothing was tracked). Only call after the run has returned:
+// the instruments themselves are not synchronised.
 func (s *Stats) MetricsSnapshot() map[string]float64 {
 	if s == nil {
 		return nil
@@ -212,13 +229,13 @@ func (s *Stats) MetricsSnapshot() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]float64
-	for _, lr := range s.regs {
-		flat := lr.reg.Snapshot().Flatten()
+	for i, label := range uniqueLabels(s.regs) {
+		flat := s.regs[i].v.Snapshot().Flatten()
 		if len(flat) > 0 && out == nil {
 			out = make(map[string]float64, len(flat)*len(s.regs))
 		}
 		for k, v := range flat {
-			out[lr.label+"."+k] = v
+			out[label+"."+k] = v
 		}
 	}
 	return out
@@ -235,8 +252,8 @@ func (s *Stats) Engines() int {
 }
 
 // EventsFired sums events executed across all tracked engines. Only call
-// after the run's goroutine has finished (or been interrupted and unwound):
-// the per-engine counters themselves are not synchronised.
+// after the run has returned (or been interrupted and unwound): the
+// per-engine counters themselves are not synchronised.
 func (s *Stats) EventsFired() uint64 {
 	if s == nil {
 		return 0

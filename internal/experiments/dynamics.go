@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"vsched/internal/host"
 	"vsched/internal/metrics"
@@ -22,8 +23,10 @@ func Fig16(opt Options) *Report {
 	phase := opt.scaled(25 * sim.Second)
 	phaseNames := []string{"dedicated", "overcommitted", "asymmetric", "constrained"}
 
-	run := func(cfg Config) *metrics.TimeSeries {
-		c := newFlatCluster(opt, 1, 16, 1)
+	cfgs := []Config{CFS, VSched}
+	series := cells(opt, len(cfgs), func(i int, o Options) *metrics.TimeSeries {
+		cfg := cfgs[i]
+		c := newFlatCluster(o, 1, 16, 1)
 		d := deploy(c, "vm", c.firstThreads(16), cfg)
 		// Moderate closed-loop concurrency: roughly half the vCPUs busy at
 		// a time, so unused vCPU shares exist for ivh to harvest when the
@@ -82,7 +85,7 @@ func Fig16(opt Options) *Report {
 
 		ts := &metrics.TimeSeries{Name: cfg.String()}
 		last := uint64(0)
-		bucket := opt.scaled(1 * sim.Second)
+		bucket := o.scaled(1 * sim.Second)
 		var sample func()
 		sample = func() {
 			ops := srv.Ops()
@@ -93,10 +96,9 @@ func Fig16(opt Options) *Report {
 		c.eng.After(bucket, sample)
 		c.eng.RunFor(4 * phase)
 		return ts
-	}
+	})
 
-	cfs := run(CFS)
-	vs := run(VSched)
+	cfs, vs := series[0], series[1]
 	for i, name := range phaseNames {
 		t0 := float64(i) * phase.Seconds()
 		t1 := t0 + phase.Seconds()
@@ -122,12 +124,16 @@ func Fig17(opt Options) *Report {
 	phase := opt.scaled(40 * sim.Second)
 	warmFrac := 0.25
 
-	type neighbours struct {
-		ops map[string]uint64
+	// A cell's result: nginx's throughput series and each co-located
+	// workload's ops over its phase.
+	type result struct {
+		ts    *metrics.TimeSeries
+		nbOps map[string]uint64
 	}
-
-	run := func(cfg Config) (*metrics.TimeSeries, neighbours) {
-		c := newFlatCluster(opt, 1, 16, 1)
+	cfgs := []Config{CFS, VSched}
+	res := cells(opt, len(cfgs), func(i int, o Options) result {
+		cfg := cfgs[i]
+		c := newFlatCluster(o, 1, 16, 1)
 		// The nginx VM and every co-located VM pin vCPU i on core i: cores
 		// are time-shared between tenants, the multi-tenant norm.
 		nginxD := deploy(c, "nginx-vm", c.firstThreads(16), cfg)
@@ -139,12 +145,12 @@ func Fig17(opt Options) *Report {
 		})
 		srv.Start()
 
-		nb := neighbours{ops: map[string]uint64{}}
+		nbOps := map[string]uint64{}
 		mkVM := func(name string) *deployment {
 			return deploy(c, name, c.firstThreads(16), CFS)
 		}
 		countOps := func(name string, inst workload.Instance, until sim.Time) {
-			c.eng.At(until, func() { nb.ops[name] += inst.Ops() })
+			c.eng.At(until, func() { nbOps[name] += inst.Ops() })
 		}
 
 		// Phase 1: facesim + ferret (intermittent).
@@ -192,7 +198,7 @@ func Fig17(opt Options) *Report {
 
 		ts := &metrics.TimeSeries{Name: cfg.String()}
 		last := uint64(0)
-		bucket := opt.scaled(1 * sim.Second)
+		bucket := o.scaled(1 * sim.Second)
 		var sample func()
 		sample = func() {
 			ops := srv.Ops()
@@ -202,11 +208,18 @@ func Fig17(opt Options) *Report {
 		}
 		c.eng.After(bucket, sample)
 		c.eng.RunFor(3 * phase)
-		return ts, nb
-	}
+		return result{ts, nbOps}
+	})
 
-	cfsTS, cfsNB := run(CFS)
-	vsTS, vsNB := run(VSched)
+	cfsTS, cfsNB := res[0].ts, res[0].nbOps
+	vsTS, vsNB := res[1].ts, res[1].nbOps
+	// Neighbours are summed in name order: float addition is not
+	// associative, so map order would leak into the low bits.
+	nbNames := make([]string, 0, len(cfsNB))
+	for name := range cfsNB {
+		nbNames = append(nbNames, name)
+	}
+	sort.Strings(nbNames)
 	phaseNames := []string{"intermittent", "consistent", "transient"}
 	for i, name := range phaseNames {
 		t0 := float64(i)*phase.Seconds() + warmFrac*phase.Seconds()
@@ -216,8 +229,9 @@ func Fig17(opt Options) *Report {
 		// done while nginx ran vSched instead of CFS.
 		var deg float64
 		var nn int
-		for name2, opsCFS := range cfsNB.ops {
-			if opsVS, ok := vsNB.ops[name2]; ok && opsCFS > 0 {
+		for _, name2 := range nbNames {
+			opsCFS := cfsNB[name2]
+			if opsVS, ok := vsNB[name2]; ok && opsCFS > 0 {
 				if phaseOf(name2) == i {
 					deg += 1 - float64(opsVS)/float64(opsCFS)
 					nn++

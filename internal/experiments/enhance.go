@@ -29,8 +29,12 @@ func Fig11(opt Options) *Report {
 	warm := opt.warm(4 * sim.Second)
 	window := opt.scaled(20 * sim.Second)
 
-	run := func(asymmetric, withVcap bool) (fastFrac float64, ops uint64, migrations uint64) {
-		c := newFlatCluster(opt, 1, 16, 1)
+	type result struct {
+		fastFrac        float64
+		ops, migrations uint64
+	}
+	run := func(o Options, asymmetric, withVcap bool) result {
+		c := newFlatCluster(o, 1, 16, 1)
 		feats := core.Features{}
 		if withVcap {
 			feats = vcapOnly()
@@ -76,23 +80,28 @@ func Fig11(opt Options) *Report {
 		if totalSamples > 0 {
 			frac = float64(fastSamples) / float64(totalSamples)
 		}
-		return frac, sb.Ops() - opsBefore, d.vm.Stats().Migrations - migBefore
+		return result{frac, sb.Ops() - opsBefore, d.vm.Stats().Migrations - migBefore}
 	}
 
-	for _, scen := range []struct {
+	// Per scenario, a CFS cell then a CFS+vcap cell.
+	scenarios := []struct {
 		name string
 		asym bool
-	}{{"asymmetric", true}, {"symmetric", false}} {
-		fracCFS, opsCFS, migCFS := run(scen.asym, false)
-		fracV, opsV, migV := run(scen.asym, true)
-		rep.Add(scen.name, "CFS", pct(fracCFS), fmt.Sprintf("%d", opsCFS), fmt.Sprintf("%d", migCFS))
-		rep.Add(scen.name, "CFS+vcap", pct(fracV), fmt.Sprintf("%d", opsV), fmt.Sprintf("%d", migV))
+	}{{"asymmetric", true}, {"symmetric", false}}
+	res := cells(opt, 2*len(scenarios), func(i int, o Options) result {
+		return run(o, scenarios[i/2].asym, i%2 == 1)
+	})
+
+	for s, scen := range scenarios {
+		cfs, v := res[2*s], res[2*s+1]
+		rep.Add(scen.name, "CFS", pct(cfs.fastFrac), fmt.Sprintf("%d", cfs.ops), fmt.Sprintf("%d", cfs.migrations))
+		rep.Add(scen.name, "CFS+vcap", pct(v.fastFrac), fmt.Sprintf("%d", v.ops), fmt.Sprintf("%d", v.migrations))
 		if scen.asym {
 			rep.Notef("asymmetric: throughput +%.0f%% with vcap (paper: +32%%); fast-vCPU share %s -> %s (paper: 44%% -> 81%%)",
-				100*(float64(opsV)/float64(opsCFS)-1), pct(fracCFS), pct(fracV))
+				100*(float64(v.ops)/float64(cfs.ops)-1), pct(cfs.fastFrac), pct(v.fastFrac))
 		} else {
 			rep.Notef("symmetric: migrations reduced %.0f%% with vcap (paper: 74%%); throughput +%.0f%% (paper: +4%%)",
-				100*(1-float64(migV)/float64(migCFS)), 100*(float64(opsV)/float64(opsCFS)-1))
+				100*(1-float64(v.migrations)/float64(cfs.migrations)), 100*(float64(v.ops)/float64(cfs.ops)-1))
 		}
 	}
 	return rep
@@ -113,8 +122,8 @@ func Fig12(opt Options) *Report {
 
 	// (a) Underloaded: 16 hogs on 32 vCPUs over 16 SMT pairs; count busy
 	// cores.
-	activeCores := func(withVtop bool) float64 {
-		c := newCluster(opt, 1, 16, 2)
+	activeCores := func(o Options, withVtop bool) float64 {
+		c := newCluster(o, 1, 16, 2)
 		feats := core.Features{}
 		if withVtop {
 			feats = vtopOnly()
@@ -143,15 +152,10 @@ func Fig12(opt Options) *Report {
 		c.eng.RunFor(window)
 		return float64(sum) / float64(n)
 	}
-	coresCFS := activeCores(false)
-	coresVtop := activeCores(true)
-	rep.Add("underloaded", "CFS", "avg active cores", f1(coresCFS))
-	rep.Add("underloaded", "CFS+vtop", "avg active cores", f1(coresVtop))
-	rep.Notef("paper: 11-12 cores under CFS vs 15-16 with vtop")
 
 	// (b) Mixed workloads: matmul + {nginx, fio}, 16 threads each.
-	mixed := func(other string, withVtop bool) (uint64, uint64) {
-		c := newCluster(opt, 1, 16, 2)
+	mixed := func(o Options, other string, withVtop bool) (uint64, uint64) {
+		c := newCluster(o, 1, 16, 2)
 		feats := core.Features{}
 		if withVtop {
 			feats = vtopOnly()
@@ -168,9 +172,28 @@ func Fig12(opt Options) *Report {
 		c.eng.RunFor(window)
 		return mm.Ops() - m0, oth.Ops() - o0
 	}
-	for _, other := range []string{"nginx", "fio"} {
-		mCFS, oCFS := mixed(other, false)
-		mV, oV := mixed(other, true)
+
+	// Cells 0 and 1 are (a) without and with vtop; then per other workload
+	// of (b), a CFS cell and a CFS+vtop cell.
+	others := []string{"nginx", "fio"}
+	type result struct {
+		cores       float64
+		matmul, oth uint64
+	}
+	res := cells(opt, 2+2*len(others), func(i int, o Options) result {
+		if i < 2 {
+			return result{cores: activeCores(o, i == 1)}
+		}
+		m, oth := mixed(o, others[(i-2)/2], i%2 == 1)
+		return result{matmul: m, oth: oth}
+	})
+
+	rep.Add("underloaded", "CFS", "avg active cores", f1(res[0].cores))
+	rep.Add("underloaded", "CFS+vtop", "avg active cores", f1(res[1].cores))
+	rep.Notef("paper: 11-12 cores under CFS vs 15-16 with vtop")
+	for j, other := range others {
+		cfs, v := res[2+2*j], res[3+2*j]
+		mCFS, oCFS, mV, oV := cfs.matmul, cfs.oth, v.matmul, v.oth
 		rep.Add("mixed/"+other, "CFS", "matmul/other ops", fmt.Sprintf("%d / %d", mCFS, oCFS))
 		rep.Add("mixed/"+other, "CFS+vtop", "matmul/other ops", fmt.Sprintf("%d / %d", mV, oV))
 		rep.Notef("mixed %s: matmul %+.0f%%, %s %+.0f%% with vtop (paper: matmul +<=18%%, nginx +5%%, fio ~0%%)",
@@ -192,8 +215,13 @@ func Fig13(opt Options) *Report {
 	warm := opt.warm(4 * sim.Second)
 	window := opt.scaled(15 * sim.Second)
 
-	run := func(bench string, withVtop bool) (ops uint64, opsPerMcycle float64, ipis uint64) {
-		c := newCluster(opt, 2, 8, 2)
+	type result struct {
+		ops          uint64
+		opsPerMcycle float64
+		ipis         uint64
+	}
+	run := func(o Options, bench string, withVtop bool) (r result) {
+		c := newCluster(o, 2, 8, 2)
 		feats := core.Features{}
 		if withVtop {
 			feats = vtopOnly()
@@ -220,17 +248,23 @@ func Fig13(opt Options) *Report {
 		cy0 := d.vm.TotalCycles()
 		ipi0 := d.vm.Stats().CrossIPIs
 		c.eng.RunFor(window)
-		ops = instA.Ops() + instB.Ops() - o0
-		cycles := d.vm.TotalCycles() - cy0
-		if cycles > 0 {
-			opsPerMcycle = float64(ops) / (cycles / 1e6)
+		r.ops = instA.Ops() + instB.Ops() - o0
+		if cycles := d.vm.TotalCycles() - cy0; cycles > 0 {
+			r.opsPerMcycle = float64(r.ops) / (cycles / 1e6)
 		}
-		return ops, opsPerMcycle, d.vm.Stats().CrossIPIs - ipi0
+		r.ipis = d.vm.Stats().CrossIPIs - ipi0
+		return r
 	}
 
-	for _, bench := range []string{"dedup", "nginx", "hackbench"} {
-		oC, ipcC, ipiC := run(bench, false)
-		oV, ipcV, ipiV := run(bench, true)
+	// Per bench, a CFS cell then a CFS+vtop cell.
+	benches := []string{"dedup", "nginx", "hackbench"}
+	res := cells(opt, 2*len(benches), func(i int, o Options) result {
+		return run(o, benches[i/2], i%2 == 1)
+	})
+
+	for j, bench := range benches {
+		oC, ipcC, ipiC := res[2*j].ops, res[2*j].opsPerMcycle, res[2*j].ipis
+		oV, ipcV, ipiV := res[2*j+1].ops, res[2*j+1].opsPerMcycle, res[2*j+1].ipis
 		rep.Add(bench, "CFS", fmt.Sprintf("%d", oC), f2(ipcC), fmt.Sprintf("%d", ipiC))
 		rep.Add(bench, "CFS+vtop", fmt.Sprintf("%d", oV), f2(ipcV), fmt.Sprintf("%d", ipiV))
 		ipiNote := "n/a (none under CFS)"

@@ -93,7 +93,7 @@ func TestVMTypeShapes(t *testing.T) {
 
 func TestCategoryApply(t *testing.T) {
 	c := newFlatCluster(Options{Seed: 1}, 1, 2, 1)
-	catHCLL.apply(c, c.h.Thread(0), 0)
+	catHCLL.apply(c, c.h.Thread(0))
 	// A vCPU entity sharing thread 0 should now get ~70%.
 	e := c.h.NewEntity("probe", c.h.Thread(0), host.DefaultWeight, host.NopClient{})
 	e.Wake()
@@ -104,7 +104,7 @@ func TestCategoryApply(t *testing.T) {
 	}
 	// Dedicated category installs nothing.
 	before := len(c.h.Entities())
-	category{"dedicated", 1.0, 0}.apply(c, c.h.Thread(1), 0)
+	category{"dedicated", 1.0, 0}.apply(c, c.h.Thread(1))
 	if len(c.h.Entities()) != before {
 		t.Fatal("dedicated category must not add contenders")
 	}

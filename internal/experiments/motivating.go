@@ -20,45 +20,57 @@ func Fig2(opt Options) *Report {
 		Header: []string{"bench", "best-effort", "vCPU-lat", "p95(ms)", "normalized"},
 	}
 	benches := []string{"img-dnn", "silo", "specjbb"}
+	// The last latency, 16ms, is the normalization reference.
 	lats := []sim.Duration{2 * sim.Millisecond, 4 * sim.Millisecond, 8 * sim.Millisecond, 16 * sim.Millisecond}
 	warm := opt.scaled(2 * sim.Second)
 	window := opt.scaled(10 * sim.Second)
 
+	type cell struct {
+		withBE bool
+		bench  string
+		L      sim.Duration
+	}
+	var specs []cell
 	for _, withBE := range []bool{false, true} {
 		for _, bench := range benches {
-			p95 := map[sim.Duration]int64{}
 			for _, L := range lats {
-				c := newFlatCluster(opt, 2, 16, 1)
-				d := deploy(c, "vm", c.firstThreads(32), CFS)
-				// Per the paper's method: a CFS co-tenant stresses every
-				// core while the host scheduling granularities are tuned to
-				// L, so each vCPU keeps its 50% share but waits up to L to
-				// get (back) on CPU.
-				for i := 0; i < 32; i++ {
-					th := c.h.Thread(i)
-					th.SetGranularities(L, 2*L)
-					host.NewStressor(c.h, "tenant", th, host.DefaultWeight)
-				}
-				if withBE {
-					spawnBestEffort(d)
-				}
-				spec, _ := workload.ByName(bench)
-				srv := spec.New(d.env(0)).(*workload.Server)
-				srv.Start()
-				c.eng.RunFor(warm)
-				srv.ResetStats()
-				c.eng.RunFor(window)
-				p95[L] = srv.E2E().P95()
+				specs = append(specs, cell{withBE, bench, L})
 			}
-			ref := p95[16*sim.Millisecond]
-			for _, L := range lats {
-				norm := float64(p95[L]) / float64(ref)
-				beTag := "without"
-				if withBE {
-					beTag = "with"
-				}
-				rep.Add(bench, beTag, L.String(), msStr(p95[L]), pct(norm))
+		}
+	}
+	p95 := cells(opt, len(specs), func(i int, o Options) int64 {
+		s := specs[i]
+		c := newFlatCluster(o, 2, 16, 1)
+		d := deploy(c, "vm", c.firstThreads(32), CFS)
+		// Per the paper's method: a CFS co-tenant stresses every core while
+		// the host scheduling granularities are tuned to L, so each vCPU
+		// keeps its 50% share but waits up to L to get (back) on CPU.
+		for i := 0; i < 32; i++ {
+			th := c.h.Thread(i)
+			th.SetGranularities(s.L, 2*s.L)
+			host.NewStressor(c.h, "tenant", th, host.DefaultWeight)
+		}
+		if s.withBE {
+			spawnBestEffort(d)
+		}
+		spec, _ := workload.ByName(s.bench)
+		srv := spec.New(d.env(0)).(*workload.Server)
+		srv.Start()
+		c.eng.RunFor(warm)
+		srv.ResetStats()
+		c.eng.RunFor(window)
+		return srv.E2E().P95()
+	})
+
+	for k := 0; k < len(specs); k += len(lats) {
+		ref := p95[k+len(lats)-1]
+		for j, L := range lats {
+			s := specs[k+j]
+			beTag := "without"
+			if s.withBE {
+				beTag = "with"
 			}
+			rep.Add(s.bench, beTag, L.String(), msStr(p95[k+j]), pct(float64(p95[k+j])/float64(ref)))
 		}
 	}
 	return rep
@@ -76,8 +88,13 @@ func Fig3(opt Options) *Report {
 	}
 	window := opt.scaled(2 * sim.Second)
 
-	run := func(migrate bool) (float64, string) {
-		c := newFlatCluster(opt, 1, 4, 1)
+	type result struct {
+		frac  float64
+		strip string
+	}
+	res := cells(opt, 2, func(i int, o Options) result {
+		migrate := i == 1
+		c := newFlatCluster(o, 1, 4, 1)
 		d := deploy(c, "vm", c.firstThreads(4), CFS)
 		for i := 0; i < 4; i++ {
 			halfDuty(c, c.h.Thread(i), 5*sim.Millisecond, i)
@@ -141,15 +158,13 @@ func Fig3(opt Options) *Report {
 		}
 		c.eng.After(0, sample)
 		c.eng.RunFor(window)
-		frac := float64(tk.TotalRun()) / float64(window)
-		return frac, string(strip)
-	}
+		return result{float64(tk.TotalRun()) / float64(window), string(strip)}
+	})
 
-	fracDef, stripDef := run(false)
-	fracMig, stripMig := run(true)
-	rep.Add("default", pct(fracDef), pct(fracDef), stripDef)
-	rep.Add("migration", pct(fracMig), pct(fracMig), stripMig)
-	rep.Notef("utilization ratio migration/default = %.2fx (paper: ~2x)", fracMig/fracDef)
+	def, mig := res[0], res[1]
+	rep.Add("default", pct(def.frac), pct(def.frac), def.strip)
+	rep.Add("migration", pct(mig.frac), pct(mig.frac), mig.strip)
+	rep.Notef("utilization ratio migration/default = %.2fx (paper: ~2x)", mig.frac/def.frac)
 	return rep
 }
 
@@ -167,11 +182,11 @@ func Fig4(opt Options) *Report {
 	warm := opt.scaled(1 * sim.Second)
 	window := opt.scaled(8 * sim.Second)
 
-	runStraggler := func(bench string, nwc bool) uint64 {
-		c := newFlatCluster(opt, 1, 16, 1)
+	runStraggler := func(o Options, bench string, nwc bool) uint64 {
+		c := newFlatCluster(o, 1, 16, 1)
 		d := deploy(c, "vm", c.firstThreads(16), CFS)
 		// One vCPU with ~5% capacity: a high-priority host task hogs core 15.
-		catStraggler.apply(c, c.h.Thread(15), 0)
+		catStraggler.apply(c, c.h.Thread(15))
 		g := d.vm.NewGroup("bench")
 		if nwc {
 			mask := make([]bool, 16)
@@ -196,8 +211,8 @@ func Fig4(opt Options) *Report {
 		return deploy(c, "vm", threads, CFS)
 	}
 
-	runStacked := func(bench string, nwc bool) uint64 {
-		c := newFlatCluster(opt, 1, 8, 1)
+	runStacked := func(o Options, bench string, nwc bool) uint64 {
+		c := newFlatCluster(o, 1, 8, 1)
 		d := stackedDeploy(c)
 		g := d.vm.NewGroup("bench")
 		if nwc {
@@ -214,8 +229,8 @@ func Fig4(opt Options) *Report {
 		return measureOps(c, spec.New(env), warm, window)
 	}
 
-	runPrioInv := func(bench string, nwc bool) uint64 {
-		c := newFlatCluster(opt, 1, 8, 1)
+	runPrioInv := func(o Options, bench string, nwc bool) uint64 {
+		c := newFlatCluster(o, 1, 8, 1)
 		d := stackedDeploy(c)
 		// A best-effort workload occupies one vCPU of each stacking pair
 		// (the odd ones).
@@ -242,22 +257,24 @@ func Fig4(opt Options) *Report {
 		return measureOps(c, spec.New(env), warm, window)
 	}
 
-	for _, b := range benches {
-		wc := runStraggler(b, false)
-		nwcOps := runStraggler(b, true)
-		rep.Add("straggler", b, pct(float64(wc)/float64(nwcOps)), "100%")
-	}
-	for _, b := range benches {
-		wc := runStacked(b, false)
-		nwcOps := runStacked(b, true)
-		rep.Add("stacking", b, pct(float64(wc)/float64(nwcOps)), "100%")
-	}
-	for _, b := range benches {
-		wc := runPrioInv(b, false)
-		nwcOps := runPrioInv(b, true)
-		rep.Add("stacking+prio-inv", b, pct(float64(wc)/float64(nwcOps)), "100%")
-		if ratio := float64(nwcOps) / math.Max(1, float64(wc)); opt.Verbose {
-			rep.Notef("%s priority-inversion NWC/WC = %.1fx", b, ratio)
+	// Per scenario and bench, a WC cell then an NWC cell.
+	scenarios := []struct {
+		name string
+		run  func(Options, string, bool) uint64
+	}{{"straggler", runStraggler}, {"stacking", runStacked}, {"stacking+prio-inv", runPrioInv}}
+	ops := cells(opt, 2*len(scenarios)*len(benches), func(i int, o Options) uint64 {
+		sc := scenarios[i/(2*len(benches))]
+		return sc.run(o, benches[i/2%len(benches)], i%2 == 1)
+	})
+
+	for s, sc := range scenarios {
+		for j, b := range benches {
+			k := 2 * (s*len(benches) + j)
+			wc, nwcOps := ops[k], ops[k+1]
+			rep.Add(sc.name, b, pct(float64(wc)/float64(nwcOps)), "100%")
+			if sc.name == "stacking+prio-inv" && opt.Verbose {
+				rep.Notef("%s priority-inversion NWC/WC = %.1fx", b, float64(nwcOps)/math.Max(1, float64(wc)))
+			}
 		}
 	}
 	return rep

@@ -7,11 +7,16 @@ import (
 	"vsched/internal/workload"
 )
 
-// runOverallOne measures one (workload, config) cell of the overall
-// evaluation: throughput workloads report ops in the window, latency
-// workloads p95 end-to-end latency.
+// overallCell is one (workload, config) cell of the overall evaluation:
+// ops in the window, and for latency workloads p95 end-to-end latency.
+type overallCell struct {
+	ops uint64
+	p95 int64
+}
+
+// runOverallOne measures one overallCell.
 func runOverallOne(opt Options, build func(Options, Config) (*cluster, *deployment),
-	spec workload.Spec, cfg Config, warm, window sim.Duration) (ops uint64, p95 int64) {
+	spec workload.Spec, cfg Config, warm, window sim.Duration) overallCell {
 	c, d := build(opt, cfg)
 	inst := spec.New(d.env(d.vm.NumVCPUs()))
 	inst.Start()
@@ -19,11 +24,11 @@ func runOverallOne(opt Options, build func(Options, Config) (*cluster, *deployme
 	if srv, ok := inst.(*workload.Server); ok {
 		srv.ResetStats()
 		c.eng.RunFor(window)
-		return srv.Ops(), srv.E2E().P95()
+		return overallCell{srv.Ops(), srv.E2E().P95()}
 	}
 	before := inst.Ops()
 	c.eng.RunFor(window)
-	return inst.Ops() - before, 0
+	return overallCell{ops: inst.Ops() - before}
 }
 
 // overall runs the full 31-workload × 3-configuration matrix of Figs. 18/19.
@@ -36,25 +41,28 @@ func overall(opt Options, id, title string, build func(Options, Config) (*cluste
 	warm := opt.warm(6 * sim.Second)
 	window := opt.scaled(15 * sim.Second)
 
+	// Per workload, throughput ones first, a cell for each configuration.
+	tputNames := workload.Fig18ThroughputNames()
+	names := append(append([]string(nil), tputNames...), workload.Fig18LatencyNames()...)
+	cfgs := []Config{CFS, Enhanced, VSched}
+	res := cells(opt, len(names)*len(cfgs), func(i int, o Options) overallCell {
+		spec, _ := workload.ByName(names[i/len(cfgs)])
+		return runOverallOne(o, build, spec, cfgs[i%len(cfgs)], warm, window)
+	})
+
 	var tputE, tputV, latE, latV []float64
-	for _, name := range workload.Fig18ThroughputNames() {
-		spec, _ := workload.ByName(name)
-		opsC, _ := runOverallOne(opt, build, spec, CFS, warm, window)
-		opsE, _ := runOverallOne(opt, build, spec, Enhanced, warm, window)
-		opsV, _ := runOverallOne(opt, build, spec, VSched, warm, window)
-		nE := float64(opsE) / float64(opsC)
-		nV := float64(opsV) / float64(opsC)
-		tputE = append(tputE, nE)
-		tputV = append(tputV, nV)
-		rep.Add(name, "tput", "100%", pct(nE), pct(nV))
-	}
-	for _, name := range workload.Fig18LatencyNames() {
-		spec, _ := workload.ByName(name)
-		_, pC := runOverallOne(opt, build, spec, CFS, warm, window)
-		_, pE := runOverallOne(opt, build, spec, Enhanced, warm, window)
-		_, pV := runOverallOne(opt, build, spec, VSched, warm, window)
-		nE := float64(pE) / float64(pC)
-		nV := float64(pV) / float64(pC)
+	for j, name := range names {
+		c, e, v := res[j*len(cfgs)], res[j*len(cfgs)+1], res[j*len(cfgs)+2]
+		if j < len(tputNames) {
+			nE := float64(e.ops) / float64(c.ops)
+			nV := float64(v.ops) / float64(c.ops)
+			tputE = append(tputE, nE)
+			tputV = append(tputV, nV)
+			rep.Add(name, "tput", "100%", pct(nE), pct(nV))
+			continue
+		}
+		nE := float64(e.p95) / float64(c.p95)
+		nV := float64(v.p95) / float64(c.p95)
 		latE = append(latE, nE)
 		latV = append(latV, nV)
 		rep.Add(name, "p95", "100%", pct(nE), pct(nV))
@@ -110,65 +118,68 @@ func Fig20(opt Options) *Report {
 		tputIters = 64
 	}
 
-	type key struct{ vm, bench, cfg string }
-	vals := map[key][2]float64{}
-	for _, vmName := range []string{"hpvm", "rcvm"} {
+	isLatency := func(bench string) bool { return bench == "img-dnn" || bench == "specjbb" || bench == "sphinx" }
+
+	// Per (VM, bench), a CFS cell then a vSched cell; each returns
+	// {Gcycles, CPS in G/s}.
+	vmNames := []string{"hpvm", "rcvm"}
+	cfgs := []Config{CFS, VSched}
+	vals := cells(opt, len(vmNames)*len(benches)*len(cfgs), func(i int, o Options) [2]float64 {
 		build := BuildHPVM
-		if vmName == "rcvm" {
+		if vmNames[i/(len(benches)*len(cfgs))] == "rcvm" {
 			build = BuildRCVM
 		}
-		for _, bench := range benches {
-			for _, cfg := range []Config{CFS, VSched} {
-				c, d := build(opt, cfg)
-				c.eng.RunFor(warm)
-				start := c.eng.Now()
-				cy0 := d.vm.TotalCycles()
-				var finished sim.Time
-				if bench == "img-dnn" || bench == "specjbb" || bench == "sphinx" {
-					// Fixed request stream, then drain.
-					spec, _ := workload.ByName(bench)
-					srv := spec.New(d.env(d.vm.NumVCPUs())).(*workload.Server)
-					srv.Start()
-					c.eng.RunFor(sendWindow)
-					srv.Stop()
-					c.eng.RunFor(opt.scaled(2 * sim.Second)) // drain in-flight
-					finished = c.eng.Now()
-				} else {
-					// Fixed iteration budget per thread.
-					threads := d.vm.NumVCPUs()
-					var spec workload.ParallelSpec
-					for _, ps := range parallelSpecFor(bench) {
-						spec = ps
-					}
-					spec.Iterations = tputIters / 4
-					p := workload.NewParallel(d.env(threads), spec)
-					p.Start()
-					for i := 0; i < 100000 && !p.Done(); i++ {
-						c.eng.RunFor(50 * sim.Millisecond)
-					}
-					finished = p.FinishedAt
-				}
-				cycles := d.vm.TotalCycles() - cy0
-				elapsed := finished.Sub(start).Seconds()
-				if elapsed <= 0 {
-					elapsed = 1e-9
-				}
-				cps := cycles / elapsed
-				vals[key{vmName, bench, cfg.String()}] = [2]float64{cycles / 1e9, cps / 1e9}
-				rep.Add(vmName, bench, cfg.String(),
-					f2(cycles/1e9), f2(cps/1e9))
+		bench := benches[i/len(cfgs)%len(benches)]
+		c, d := build(o, cfgs[i%len(cfgs)])
+		c.eng.RunFor(warm)
+		start := c.eng.Now()
+		cy0 := d.vm.TotalCycles()
+		var finished sim.Time
+		if isLatency(bench) {
+			// Fixed request stream, then drain.
+			spec, _ := workload.ByName(bench)
+			srv := spec.New(d.env(d.vm.NumVCPUs())).(*workload.Server)
+			srv.Start()
+			c.eng.RunFor(sendWindow)
+			srv.Stop()
+			c.eng.RunFor(o.scaled(2 * sim.Second)) // drain in-flight
+			finished = c.eng.Now()
+		} else {
+			// Fixed iteration budget per thread.
+			threads := d.vm.NumVCPUs()
+			var spec workload.ParallelSpec
+			for _, ps := range parallelSpecFor(bench) {
+				spec = ps
 			}
+			spec.Iterations = tputIters / 4
+			p := workload.NewParallel(d.env(threads), spec)
+			p.Start()
+			for step := 0; step < 100000 && !p.Done(); step++ {
+				c.eng.RunFor(50 * sim.Millisecond)
+			}
+			finished = p.FinishedAt
 		}
-	}
-	// Aggregate notes in the paper's terms.
+		cycles := d.vm.TotalCycles() - cy0
+		elapsed := finished.Sub(start).Seconds()
+		if elapsed <= 0 {
+			elapsed = 1e-9
+		}
+		cps := cycles / elapsed
+		return [2]float64{cycles / 1e9, cps / 1e9}
+	})
+
+	// Rows, then aggregate notes in the paper's terms.
 	var tCyc, tCPS, lCyc, lCPS []float64
-	for _, vmName := range []string{"hpvm", "rcvm"} {
-		for _, bench := range benches {
-			c := vals[key{vmName, bench, "CFS"}]
-			v := vals[key{vmName, bench, "vSched"}]
+	for m, vmName := range vmNames {
+		for b, bench := range benches {
+			k := len(cfgs) * (m*len(benches) + b)
+			for j, cfg := range cfgs {
+				rep.Add(vmName, bench, cfg.String(), f2(vals[k+j][0]), f2(vals[k+j][1]))
+			}
+			c, v := vals[k], vals[k+1]
 			dc := v[0]/c[0] - 1
 			dp := v[1]/c[1] - 1
-			if bench == "img-dnn" || bench == "specjbb" || bench == "sphinx" {
+			if isLatency(bench) {
 				lCyc = append(lCyc, dc)
 				lCPS = append(lCPS, dp)
 			} else {
@@ -216,23 +227,27 @@ func Fig21(opt Options) *Report {
 		return c, deploy(c, "vm", c.firstThreads(16), cfg)
 	}
 
+	// Per workload, throughput ones first, a CFS cell then a vSched cell.
+	names := append(append([]string(nil), tputBenches...), latBenches...)
+	cfgs := []Config{CFS, VSched}
+	res := cells(opt, len(names)*len(cfgs), func(i int, o Options) overallCell {
+		spec, _ := workload.ByName(names[i/len(cfgs)])
+		return runOverallOne(o, build, spec, cfgs[i%len(cfgs)], warm, window)
+	})
+
 	var degs []float64
-	for _, bench := range tputBenches {
-		spec, _ := workload.ByName(bench)
-		opsC, _ := runOverallOne(opt, build, spec, CFS, warm, window)
-		opsV, _ := runOverallOne(opt, build, spec, VSched, warm, window)
-		deg := 1 - float64(opsV)/float64(opsC)
+	for j, bench := range names {
+		c, v := res[2*j], res[2*j+1]
+		if j < len(tputBenches) {
+			deg := 1 - float64(v.ops)/float64(c.ops)
+			degs = append(degs, deg)
+			rep.Add(bench, "tput", fmt.Sprintf("%d", c.ops), fmt.Sprintf("%d", v.ops),
+				fmt.Sprintf("%+.1f%%", 100*deg))
+			continue
+		}
+		deg := float64(v.p95)/float64(c.p95) - 1
 		degs = append(degs, deg)
-		rep.Add(bench, "tput", fmt.Sprintf("%d", opsC), fmt.Sprintf("%d", opsV),
-			fmt.Sprintf("%+.1f%%", 100*deg))
-	}
-	for _, bench := range latBenches {
-		spec, _ := workload.ByName(bench)
-		_, pC := runOverallOne(opt, build, spec, CFS, warm, window)
-		_, pV := runOverallOne(opt, build, spec, VSched, warm, window)
-		deg := float64(pV)/float64(pC) - 1
-		degs = append(degs, deg)
-		rep.Add(bench, "p95", msStr(pC), msStr(pV), fmt.Sprintf("%+.1f%%", 100*deg))
+		rep.Add(bench, "p95", msStr(c.p95), msStr(v.p95), fmt.Sprintf("%+.1f%%", 100*deg))
 	}
 	rep.Notef("average degradation %.1f%% (paper: 0.7%%)", 100*meanDelta(degs))
 	return rep

@@ -143,18 +143,23 @@ func Table2(opt Options) *Report {
 		Title:  "vtop probing time (ms)",
 		Header: []string{"config", "full", "validate"},
 	}
-	measure := func(name string, mk func(Options) (*cluster, []*host.Thread)) {
-		c, threads := mk(opt)
-		d := deployFeatures(c, name, threads, core.Features{Vtop: true})
+	vms := []struct {
+		name string
+		mk   func(Options) (*cluster, []*host.Thread)
+	}{{"rcvm", rcvmCluster}, {"hpvm", hpvmCluster}}
+	rows := cells(opt, len(vms), func(i int, o Options) []string {
+		c, threads := vms[i].mk(o)
+		d := deployFeatures(c, vms[i].name, threads, core.Features{Vtop: true})
 		vt := d.vs.Vtop()
 		// Let the bootstrap full probe and at least one validation pass run.
 		c.eng.RunFor(30 * sim.Second)
-		rep.Add(name,
+		return []string{vms[i].name,
 			fmt.Sprintf("%.0f", vt.LastFullTime().Milliseconds()),
-			fmt.Sprintf("%.0f", vt.LastValidateTime().Milliseconds()))
+			fmt.Sprintf("%.0f", vt.LastValidateTime().Milliseconds())}
+	})
+	for _, row := range rows {
+		rep.Add(row...)
 	}
-	measure("rcvm", rcvmCluster)
-	measure("hpvm", hpvmCluster)
 	rep.Notef("paper: rcvm 547/388, hpvm 665/160 — shapes to preserve: sub-second; validate < full; stacking confirmation dominates rcvm validation")
 	return rep
 }

@@ -32,11 +32,10 @@ var (
 // weight sets the vCPU's fair share (capacity), with the host scheduling
 // granularities tuned to the category's inactive-burst length (latency) —
 // the same bandwidth-and-granularity control the paper uses.
-func (cat category) apply(c *cluster, t *host.Thread, phase sim.Duration) {
+func (cat category) apply(c *cluster, t *host.Thread) {
 	if cat.share >= 0.999 {
 		return // dedicated
 	}
-	_ = phase
 	weight := int64(float64(host.DefaultWeight) * (1 - cat.share) / cat.share)
 	if weight < 1 {
 		weight = 1
@@ -58,8 +57,7 @@ func rcvmCluster(o Options) (*cluster, []*host.Thread) {
 
 	cats := []category{catHCHL, catHCHL, catHCLL, catHCLL, catLCHL, catLCHL, catLCLL, catLCLL, catStraggler, catStraggler}
 	for i, cat := range cats {
-		phase := sim.Duration(i*1700) * sim.Microsecond
-		cat.apply(c, c.h.Thread(i), phase)
+		cat.apply(c, c.h.Thread(i))
 	}
 	return c, threads
 }
@@ -76,8 +74,7 @@ func hpvmCluster(o Options) (*cluster, []*host.Thread) {
 				th := c.h.ThreadAt(s, core, slot)
 				threads = append(threads, th)
 				if s < 3 {
-					phase := sim.Duration((s*8+core*2+slot)*1300) * sim.Microsecond
-					cats[core].apply(c, th, phase)
+					cats[core].apply(c, th)
 				}
 			}
 		}

@@ -175,6 +175,32 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunAllPanicReachesCaller: a cell that panics mid-run on a worker
+// goroutine must not kill the process. The panic comes back on the caller's
+// goroutine with its original value, whatever the worker count.
+func TestRunAllPanicReachesCaller(t *testing.T) {
+	type ledgerBroken struct{ cell int }
+	cfgs := []Config{
+		testConfig(42, FirstFit{}, false),
+		testConfig(42, FirstFit{}, true),
+		testConfig(42, StealAware{}, false),
+	}
+	for _, workers := range []int{1, 4} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			RunAll(cfgs, workers, func(i int, f *Fleet) {
+				if i == 1 {
+					f.Engine().After(100*sim.Millisecond, func() { panic(ledgerBroken{i}) })
+				}
+			})
+			return nil
+		}()
+		if got != (ledgerBroken{1}) {
+			t.Fatalf("workers=%d: recovered %v (%T), want ledgerBroken{1}", workers, got, got)
+		}
+	}
+}
+
 // TestFleetAttribution covers the cloud-layer integration of the latency
 // profiler: one profile per placed VM, conservation fleet-wide (organic
 // contention, live migration and all), fleet.attrib.* gauges, byte-identical

@@ -1,6 +1,6 @@
 package fleet
 
-import "sync"
+import "vsched/internal/par"
 
 // RunAll executes independent fleet cells over a worker pool and returns
 // results[i] for cfgs[i]. Cells never share mutable state — each Run builds
@@ -8,44 +8,21 @@ import "sync"
 // of cfgs: workers only changes wall-clock time, never a byte of any
 // Result. workers <= 1 is the serial reference path.
 //
+// A panic in a cell (a broken conservation ledger, say) stops the pool from
+// starting further cells and is re-raised on the caller's goroutine, lowest
+// cell index first, so the caller's recover sees it as it would in a serial
+// run instead of the process dying in a worker.
+//
 // onStart, when non-nil, is called from the worker goroutine with the cell
 // index and the freshly built Fleet before it runs — the hook the
 // experiment harness uses to register engines for interruption. It must be
 // safe for concurrent calls.
 func RunAll(cfgs []Config, workers int, onStart func(int, *Fleet)) []*Result {
-	results := make([]*Result, len(cfgs))
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			f := New(cfg)
-			if onStart != nil {
-				onStart(i, f)
-			}
-			results[i] = f.Run()
+	return par.Map(len(cfgs), workers, func(i int) *Result {
+		f := New(cfgs[i])
+		if onStart != nil {
+			onStart(i, f)
 		}
-		return results
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f := New(cfgs[i])
-				if onStart != nil {
-					onStart(i, f)
-				}
-				results[i] = f.Run()
-			}
-		}()
-	}
-	for i := range cfgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
+		return f.Run()
+	})
 }

@@ -41,7 +41,10 @@ type Config struct {
 	Scale float64
 	// Verbose is forwarded to experiments.Options.
 	Verbose bool
-	// Workers bounds the worker pool; <1 means GOMAXPROCS.
+	// Workers bounds the worker pool, the number of trials run at once; <1
+	// means GOMAXPROCS. Within a trial, an experiment's independent
+	// simulations (its cells) fan out over GOMAXPROCS on their own, so
+	// Workers 1 is one trial at a time and GOMAXPROCS=1 the fully serial run.
 	Workers int
 	// Timeout is the per-trial wall-clock budget; 0 disables it. A trial
 	// that overruns has its engines interrupted and is recorded as failed

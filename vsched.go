@@ -308,7 +308,7 @@ type HarnessResult = harness.Result
 type TrialResult = harness.TrialResult
 
 // RunExperiments fans the experiment registry (or cfg.Runners) out over a
-// bounded worker pool, one private engine per (experiment, replicate) trial.
+// bounded worker pool, with private engines per (experiment, replicate) trial.
 // Results are independent of scheduling: parallel output is byte-identical
 // to serial output for the same seed set.
 func RunExperiments(cfg HarnessConfig) *HarnessResult { return harness.Run(cfg) }
