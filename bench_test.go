@@ -1,183 +1,22 @@
 package vsched_test
 
-// One benchmark per table and figure of the paper's evaluation: each runs
-// the corresponding experiment end to end (at a reduced measurement scale so
-// the whole suite stays fast) and reports the experiment's headline number
-// as a custom metric alongside the usual wall-time cost of regenerating it.
-// Ablation benchmarks for the design decisions called out in DESIGN.md
-// follow at the end.
+// Ablation benchmarks for the design decisions called out in DESIGN.md §4,
+// plus the whole registry through the harness. Each reports the quantity the
+// design decision is about as a custom metric. The per-experiment wall time
+// and per-layer costs are vbench's job (bench/, see BENCHMARK.json).
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
 // Full-length reproductions: go run ./cmd/experiments -run all
 
 import (
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"vsched"
 )
-
-// benchScale keeps each experiment affordable inside `go test -bench`.
-const benchScale = 0.1
-
-func runExperiment(b *testing.B, id string) *vsched.ExperimentReport {
-	b.Helper()
-	var rep *vsched.ExperimentReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = vsched.RunExperiment(id, vsched.ExperimentOptions{
-			Seed:  42,
-			Scale: benchScale,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
-	}
-	return rep
-}
-
-// pctCell parses a "85%"-style cell into a float (85).
-func pctCell(b *testing.B, cell string) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(cell, "+"), "%"), 64)
-	if err != nil {
-		b.Fatalf("cell %q: %v", cell, err)
-	}
-	return v
-}
-
-func BenchmarkFig2ExtendedRunqueueLatency(b *testing.B) {
-	rep := runExperiment(b, "fig2")
-	// Headline: normalized p95 at 2ms vCPU latency for the first benchmark
-	// (lower = stronger scaling with vCPU latency).
-	b.ReportMetric(pctCell(b, rep.Cell(0, 4)), "norm-p95-at-2ms-%")
-}
-
-func BenchmarkFig3StalledRunningTask(b *testing.B) {
-	rep := runExperiment(b, "fig3")
-	def := pctCell(b, rep.Cell(0, 1))
-	mig := pctCell(b, rep.Cell(1, 1))
-	b.ReportMetric(mig/def, "migration/default-util")
-}
-
-func BenchmarkFig4WorkConservation(b *testing.B) {
-	rep := runExperiment(b, "fig4")
-	// Headline: the worst work-conserving cell (lowest % of NWC).
-	worst := 100.0
-	for _, row := range rep.Rows {
-		if v := pctCell(b, row[2]); v < worst {
-			worst = v
-		}
-	}
-	b.ReportMetric(worst, "worst-WC-vs-NWC-%")
-}
-
-func BenchmarkFig10aEMACapacity(b *testing.B) {
-	rep := runExperiment(b, "fig10a")
-	b.ReportMetric(float64(len(rep.Rows)), "samples")
-}
-
-func BenchmarkFig10bLatencyMatrix(b *testing.B) {
-	rep := runExperiment(b, "fig10b")
-	b.ReportMetric(float64(len(rep.Rows)), "matrix-rows")
-}
-
-func BenchmarkTable2VtopProbeTime(b *testing.B) {
-	rep := runExperiment(b, "table2")
-	full, err := strconv.ParseFloat(rep.Cell(0, 1), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(full, "rcvm-full-probe-ms")
-}
-
-func BenchmarkFig11VcapCapacity(b *testing.B) {
-	rep := runExperiment(b, "fig11")
-	b.ReportMetric(pctCell(b, rep.Cell(1, 2)), "vcap-fast-share-%")
-}
-
-func BenchmarkFig12SMTAware(b *testing.B) {
-	rep := runExperiment(b, "fig12")
-	cores, err := strconv.ParseFloat(rep.Cell(1, 3), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(cores, "vtop-active-cores")
-}
-
-func BenchmarkFig13LLCAware(b *testing.B) {
-	rep := runExperiment(b, "fig13")
-	b.ReportMetric(float64(len(rep.Rows)), "rows")
-}
-
-func BenchmarkFig14BVS(b *testing.B) {
-	rep := runExperiment(b, "fig14")
-	var sum float64
-	for _, row := range rep.Rows {
-		sum += pctCell(b, row[4])
-	}
-	b.ReportMetric(sum/float64(len(rep.Rows)), "avg-norm-p95-%")
-}
-
-func BenchmarkTable3MasstreeBreakdown(b *testing.B) {
-	rep := runExperiment(b, "table3")
-	b.ReportMetric(float64(len(rep.Rows)), "rows")
-}
-
-func BenchmarkFig15IVH(b *testing.B) {
-	rep := runExperiment(b, "fig15")
-	// Headline: single-thread improvement of the first workload.
-	b.ReportMetric(pctCell(b, rep.Cell(0, 1)), "1thr-improvement-%")
-}
-
-func BenchmarkTable4IVHActivityAware(b *testing.B) {
-	rep := runExperiment(b, "table4")
-	b.ReportMetric(float64(len(rep.Rows)), "rows")
-}
-
-func BenchmarkFig16Adaptability(b *testing.B) {
-	rep := runExperiment(b, "fig16")
-	ratio, err := strconv.ParseFloat(rep.Cell(1, 3), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(ratio, "overcommitted-vsched/cfs")
-}
-
-func BenchmarkFig17MultiTenant(b *testing.B) {
-	rep := runExperiment(b, "fig17")
-	b.ReportMetric(float64(len(rep.Rows)), "phases")
-}
-
-func BenchmarkFig18RCVMOverall(b *testing.B) {
-	rep := runExperiment(b, "fig18")
-	b.ReportMetric(float64(len(rep.Rows)), "workloads")
-}
-
-func BenchmarkFig19HPVMOverall(b *testing.B) {
-	rep := runExperiment(b, "fig19")
-	b.ReportMetric(float64(len(rep.Rows)), "workloads")
-}
-
-func BenchmarkFig20Cost(b *testing.B) {
-	rep := runExperiment(b, "fig20")
-	b.ReportMetric(float64(len(rep.Rows)), "rows")
-}
-
-func BenchmarkFig21Overhead(b *testing.B) {
-	rep := runExperiment(b, "fig21")
-	b.ReportMetric(float64(len(rep.Rows)), "workloads")
-}
-
-// --- ablations (design decisions from DESIGN.md §4) ---
 
 // contendedRig builds a 16-vCPU VM with 50% fair-share contention and
 // asymmetric per-thread latency, the common substrate for the ablations.
@@ -214,7 +53,7 @@ func BenchmarkAblationProbeCost(b *testing.B) {
 		if enable {
 			sched = cl.EnableVSched(vm, vsched.AllFeatures())
 		}
-		inst := cl.Workload(vm, sched, "sysbench", 8)
+		inst := mustWorkload(b, cl, vm, sched, "sysbench", 8)
 		inst.Start()
 		cl.RunFor(2 * vsched.Second)
 		before := inst.Ops()
@@ -279,7 +118,7 @@ func BenchmarkAblationBVSFirstFit(b *testing.B) {
 		feats := vsched.Features{Vcap: true, Vact: true, Vtop: true, BVS: true}
 		cl, vm, sched := contendedRig(feats)
 		sched.SetBVSBestFit(bestFit)
-		srv := cl.Workload(vm, sched, "masstree", 0).(*vsched.Server)
+		srv := mustWorkload(b, cl, vm, sched, "masstree", 0).(*vsched.Server)
 		srv.Start()
 		cl.RunFor(6 * vsched.Second)
 		srv.ResetStats()
@@ -322,7 +161,7 @@ func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 		feats := vsched.Features{Vcap: true, Vact: true, Vtop: true, BVS: true}
 		sched := cl.EnableVSched(vm, feats)
 		sched.SetBVSMedianGate(median)
-		srv := cl.Workload(vm, sched, "masstree", 0).(*vsched.Server)
+		srv := mustWorkload(b, cl, vm, sched, "masstree", 0).(*vsched.Server)
 		srv.Start()
 		cl.RunFor(6 * vsched.Second)
 		srv.ResetStats()
@@ -360,13 +199,13 @@ func BenchmarkAblationHeartbeatGranularity(b *testing.B) {
 }
 
 // benchRegistry runs the complete experiment registry through the harness
-// at a reduced scale with the given worker-pool size.
+// at 5% scale with the given worker-pool size.
 func benchRegistry(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res := vsched.RunExperiments(vsched.HarnessConfig{
 			BaseSeed: 42,
-			Scale:    benchScale / 2,
+			Scale:    0.05,
 			Workers:  workers,
 		})
 		if res.Failed() > 0 {
@@ -392,17 +231,4 @@ func BenchmarkRegistryParallel(b *testing.B) {
 		workers = 4
 	}
 	benchRegistry(b, workers)
-}
-
-// BenchmarkEngineThroughput measures raw simulator speed: events per second
-// on a busy 16-vCPU scenario — the cost floor under every experiment.
-func BenchmarkEngineThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cl, vm, sched := contendedRig(vsched.AllFeatures())
-		inst := cl.Workload(vm, sched, "nginx", 0)
-		inst.Start()
-		cl.RunFor(3 * vsched.Second)
-		b.ReportMetric(float64(cl.Engine().Fired())/3, "events/simsec")
-		_ = vm
-	}
 }

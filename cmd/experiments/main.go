@@ -12,10 +12,6 @@
 //	experiments -run all -timeout 10m       # per-trial wall-clock budget
 //	experiments -run all -retries 2         # re-attempt timed-out/panicked trials
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
-//	experiments -bench core -reps 5         # engine benchmark -> BENCH_core.json
-//	experiments -bench fleet -reps 3        # fleet/placement benchmark -> BENCH_fleet.json
-//	experiments -bench core -smoke          # CI pipeline check, seconds not minutes
-//	experiments -bench diff old.json new.json  # compare artifacts, exit 1 on regression
 //	experiments -run fleetobs -telemetry    # append flight-recorder sparklines
 //	experiments -run all -progress          # rate-limited done/total + ETA heartbeat on stderr
 //	experiments -run all -serve :9137       # live /metrics + /runs/experiments/events while running
@@ -41,7 +37,6 @@ import (
 	"vsched/internal/harness"
 	"vsched/internal/obshttp"
 	"vsched/internal/profiling"
-	"vsched/internal/simbench"
 )
 
 func main() {
@@ -54,25 +49,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runIDs    = fs.String("run", "", "experiment id (fig2..fig21, table2..table4), comma list, or 'all'")
-		list      = fs.Bool("list", false, "list experiment ids")
-		seed      = fs.Int64("seed", 42, "base simulation seed")
-		scale     = fs.Float64("scale", 1.0, "measurement window scale factor")
-		verbose   = fs.Bool("v", false, "verbose notes")
-		asJSON    = fs.Bool("json", false, "emit reports as JSON lines")
-		parallel  = fs.Int("parallel", 1, "trials run at once (1 = one at a time; each trial's cells still fan out over GOMAXPROCS, and GOMAXPROCS=1 is the fully serial path)")
-		reps      = fs.Int("reps", 1, "replicate seeds per experiment; >1 adds mean±stddev [min,max] cells")
-		timeout   = fs.Duration("timeout", 0, "per-trial wall-clock budget (0 = none)")
-		retries   = fs.Int("retries", 0, "extra attempts per trial after a panic or timeout (0 = fail fast)")
-		out       = fs.String("out", "", "write a JSON-lines run artifact (seeds, wall time, events, reports)")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		bench     = fs.String("bench", "", "run a benchmark family ('core', 'fleet'), or 'diff <old.json> <new.json>'")
-		smoke     = fs.Bool("smoke", false, "with -bench: shrink scenarios to a CI-sized pipeline check")
-		threshold = fs.Float64("threshold", 0.10, "with -bench diff: regression threshold as a fraction (0.10 = 10% slower fails)")
-		telem     = fs.Bool("telemetry", false, "print flight-recorder sparkline summaries for experiments that record telemetry")
-		serve     = fs.String("serve", "", "serve live observability on this address for the duration of the run: Prometheus /metrics, /runs, /runs/experiments/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
-		progress  = fs.Bool("progress", false, "print a rate-limited progress heartbeat (done/total trials, mean trial time, ETA) to stderr")
+		runIDs   = fs.String("run", "", "experiment id (fig2..fig21, table2..table4), comma list, or 'all'")
+		list     = fs.Bool("list", false, "list experiment ids")
+		seed     = fs.Int64("seed", 42, "base simulation seed")
+		scale    = fs.Float64("scale", 1.0, "measurement window scale factor")
+		verbose  = fs.Bool("v", false, "verbose notes")
+		asJSON   = fs.Bool("json", false, "emit reports as JSON lines")
+		parallel = fs.Int("parallel", 1, "trials run at once (1 = one at a time; each trial's cells still fan out over GOMAXPROCS, and GOMAXPROCS=1 is the fully serial path)")
+		reps     = fs.Int("reps", 1, "replicate seeds per experiment; >1 adds mean±stddev [min,max] cells")
+		timeout  = fs.Duration("timeout", 0, "per-trial wall-clock budget (0 = none)")
+		retries  = fs.Int("retries", 0, "extra attempts per trial after a panic or timeout (0 = fail fast)")
+		out      = fs.String("out", "", "write a JSON-lines run artifact (seeds, wall time, events, reports)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		telem    = fs.Bool("telemetry", false, "print flight-recorder sparkline summaries for experiments that record telemetry")
+		serve    = fs.String("serve", "", "serve live observability on this address for the duration of the run: Prometheus /metrics, /runs, /runs/experiments/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
+		progress = fs.Bool("progress", false, "print a rate-limited progress heartbeat (done/total trials, mean trial time, ETA) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,13 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "profiling:", err)
 		}
 	}()
-
-	if *bench == "diff" {
-		return runBenchDiff(fs.Args(), *threshold, stdout, stderr)
-	}
-	if *bench != "" {
-		return runBench(*bench, *out, *seed, *reps, *smoke, stdout, stderr)
-	}
 
 	if *list || *runIDs == "" {
 		fmt.Fprintln(stdout, "available experiments:")
@@ -226,103 +211,4 @@ func printTelemetry(stdout io.Writer, res *harness.Result) {
 			}
 		}
 	}
-}
-
-// runBenchDiff compares two benchmark artifacts (e.g. a committed
-// BENCH_core.json baseline vs a fresh run) and exits non-zero when any cell's
-// mean slowed past the threshold, so CI can gate on engine regressions.
-func runBenchDiff(paths []string, threshold float64, stdout, stderr io.Writer) int {
-	if len(paths) != 2 {
-		fmt.Fprintln(stderr, "usage: experiments -bench diff [-threshold 0.10] <old.json> <new.json>")
-		return 2
-	}
-	load := func(p string) (simbench.Result, error) {
-		f, err := os.Open(p)
-		if err != nil {
-			return simbench.Result{}, err
-		}
-		defer f.Close()
-		return simbench.Read(f)
-	}
-	old, err := load(paths[0])
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	cur, err := load(paths[1])
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	d, err := simbench.Diff(old, cur, threshold)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	d.WriteText(stdout)
-	if d.Regressions() > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runBench executes a benchmark family ('core' or 'fleet') and writes the
-// schema-versioned artifact (default BENCH_<family>.json). The artifact is
-// read back after writing, so a run that exits 0 has produced a valid file.
-func runBench(family, outPath string, seed int64, reps int, smoke bool, stdout, stderr io.Writer) int {
-	start := time.Now()
-	var res simbench.Result
-	var err error
-	switch family {
-	case "core":
-		if outPath == "" {
-			outPath = "BENCH_core.json"
-		}
-		res, err = simbench.RunCore(simbench.CoreConfig{BaseSeed: seed, Reps: reps, Smoke: smoke}, stderr)
-	case "fleet":
-		if outPath == "" {
-			outPath = "BENCH_fleet.json"
-		}
-		res, err = simbench.RunFleet(simbench.FleetConfig{BaseSeed: seed, Reps: reps, Smoke: smoke}, stderr)
-	default:
-		fmt.Fprintf(stderr, "unknown benchmark family %q (want 'core' or 'fleet')\n", family)
-		return 1
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if err := simbench.Write(f, res); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// Schema check: the artifact on disk must round-trip.
-	rf, err := os.Open(outPath)
-	if err == nil {
-		_, err = simbench.Read(rf)
-		rf.Close()
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "artifact failed schema check: %v\n", err)
-		return 1
-	}
-	if s, ok := res.Speedup("hold/pending=100000"); ok {
-		fmt.Fprintf(stdout, "wheel/heap speedup at 1e5 pending: %.2fx\n", s)
-	}
-	if s, ok := res.IndexSpeedup(); ok {
-		fmt.Fprintf(stdout, "index/scan placement speedup: %.2fx\n", s)
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d scenarios, %d reps)\n", outPath, len(res.Scenarios), res.Reps)
-	fmt.Fprintf(stderr, "(benchmark wall time %v)\n", time.Since(start).Round(time.Millisecond))
-	return 0
 }

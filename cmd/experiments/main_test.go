@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vsched/internal/experiments"
-	"vsched/internal/simbench"
 )
 
 // TestListPrintsEveryExperiment pins the catalog contract: -list names
@@ -56,10 +55,14 @@ func TestUnknownExperimentFails(t *testing.T) {
 	}
 }
 
+// TestUnknownFlagFails also covers the retired benchmark flags: timing lives
+// in the Go benchmarks and vbench, so -bench is a usage error like any other.
 func TestUnknownFlagFails(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
-		t.Fatalf("bad flag exited %d, want 2", code)
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-bench", "core"}} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v exited %d, want 2", args, code)
+		}
 	}
 }
 
@@ -100,107 +103,6 @@ func TestProfilingFlags(t *testing.T) {
 	bad := append([]string{"-cpuprofile", filepath.Join(dir, "no", "dir", "x")}, base...)
 	if code := run(bad, &out, &errb); code != 1 {
 		t.Fatalf("unwritable -cpuprofile exited %d, want 1", code)
-	}
-}
-
-// TestBenchSmoke runs the -bench core pipeline at smoke scale and checks
-// that the artifact lands on disk and passes the schema gate.
-func TestBenchSmoke(t *testing.T) {
-	dir := t.TempDir()
-	art := filepath.Join(dir, "bench.json")
-	var out, errb strings.Builder
-	if code := run([]string{"-bench", "core", "-smoke", "-out", art}, &out, &errb); code != 0 {
-		t.Fatalf("-bench core -smoke exited %d: %s", code, errb.String())
-	}
-	f, err := os.Open(art)
-	if err != nil {
-		t.Fatalf("artifact missing: %v", err)
-	}
-	defer f.Close()
-	res, err := simbench.Read(f)
-	if err != nil {
-		t.Fatalf("artifact failed schema check: %v", err)
-	}
-	if !res.Smoke || len(res.Scenarios) != 4 {
-		t.Fatalf("unexpected smoke artifact: smoke=%v scenarios=%d", res.Smoke, len(res.Scenarios))
-	}
-	if !strings.Contains(out.String(), "wrote "+art) {
-		t.Fatalf("missing confirmation line: %q", out.String())
-	}
-}
-
-func TestBenchUnknownFamilyFails(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-bench", "nonsense"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown bench family exited %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "unknown benchmark family") {
-		t.Fatalf("missing diagnostic: %s", errb.String())
-	}
-}
-
-// TestBenchDiff drives -bench diff end to end: a self-diff exits 0, a doctored
-// regression exits 1, and bad usage exits 2.
-func TestBenchDiff(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	var out, errb strings.Builder
-	if code := run([]string{"-bench", "core", "-smoke", "-out", base}, &out, &errb); code != 0 {
-		t.Fatalf("bench smoke failed: %s", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-bench", "diff", base, base}, &out, &errb); code != 0 {
-		t.Fatalf("self-diff exited %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "no regression") {
-		t.Fatalf("self-diff output: %q", out.String())
-	}
-
-	// Doctor a 50% slowdown into a copy and require a non-zero exit.
-	f, err := os.Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := simbench.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Scenarios {
-		res.Scenarios[i].EventsPerSec.Mean *= 0.5
-	}
-	slow := filepath.Join(dir, "slow.json")
-	sf, err := os.Create(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := simbench.Write(sf, res); err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-bench", "diff", base, slow}, &out, &errb); code != 1 {
-		t.Fatalf("regressed diff exited %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSED") {
-		t.Fatalf("regression not marked: %q", out.String())
-	}
-
-	// Reversed order is an improvement and passes.
-	out.Reset()
-	if code := run([]string{"-bench", "diff", slow, base}, &out, &errb); code != 0 {
-		t.Fatalf("improvement flagged as regression:\n%s", out.String())
-	}
-
-	if code := run([]string{"-bench", "diff", base}, &out, &errb); code != 2 {
-		t.Fatal("missing operand must exit 2")
-	}
-	if code := run([]string{"-bench", "diff", base, filepath.Join(dir, "nope.json")}, &out, &errb); code != 1 {
-		t.Fatal("unreadable artifact must exit 1")
 	}
 }
 

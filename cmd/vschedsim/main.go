@@ -104,6 +104,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cloudvm draw (seed %d): %s, %d vCPUs, per-vCPU demand %.2f\n",
 			*seed, v.Class, v.VCPUs, v.Demand)
 	}
+	if *vcpus < 1 {
+		fmt.Fprintf(stderr, "bad -vcpus %d (want at least 1)\n", *vcpus)
+		return 1
+	}
+	// The stressor weight below is DefaultWeight·(1-share)/share: a share of
+	// 0 (or NaN) has no finite weight.
+	if !(*share > 0 && *share <= 1) {
+		fmt.Fprintf(stderr, "bad -share %v (want a fair share in (0, 1])\n", *share)
+		return 1
+	}
 
 	nCores := *cores
 	if nCores == 0 {
@@ -112,6 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cl := vsched.NewCluster(vsched.ClusterConfig{
 		Seed: *seed, Sockets: *sockets, CoresPerSocket: nCores, SMT: *smt,
 	})
+	if n := cl.Host().NumThreads(); *vcpus > n {
+		fmt.Fprintf(stderr, "bad -vcpus %d (the host has %d hardware threads)\n", *vcpus, n)
+		return 1
+	}
 	ids := make([]int, *vcpus)
 	for i := range ids {
 		ids[i] = i
@@ -197,7 +211,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec.Start()
 	}
 
-	inst := cl.Workload(vm, sched, *workloadName, *threads)
+	inst, err := cl.Workload(vm, sched, *workloadName, *threads)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	inst.Start()
 
 	warm := vsched.Duration(warmup.Nanoseconds())

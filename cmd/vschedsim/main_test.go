@@ -187,6 +187,34 @@ func TestUnknownFlagFails(t *testing.T) {
 	}
 }
 
+// TestBadInputFails: a configuration error exits 1 with a one-line
+// diagnostic naming the bad value, and never panics or touches stdout.
+func TestBadInputFails(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "nope"}, `unknown workload "nope"`},
+		{[]string{"-share", "0"}, "bad -share 0"},
+		{[]string{"-share", "1.5"}, "bad -share 1.5"},
+		{[]string{"-vcpus", "0"}, "bad -vcpus 0"},
+		{[]string{"-vcpus", "8", "-cores", "4"}, "bad -vcpus 8"},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(c.args, "-duration", "1ms", "-warmup", "0s"), &stdout, &stderr); code != 1 {
+			t.Errorf("%v exited %d, want 1 (stderr: %s)", c.args, code, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line containing %q", c.args, msg, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout: %s", c.args, stdout.String())
+		}
+	}
+}
+
 // TestTelemetryFlag: -telemetry must print a deterministic sparkline summary
 // on stdout (byte-identical across reruns), keep wall-clock series off
 // stdout, and add counter tracks to the -trace file without breaking it.

@@ -44,7 +44,10 @@ func ExampleRunExperiment() {
 func ExampleCluster_Workload() {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 2})
 	vm := cl.NewVM("vm", []int{0, 1})
-	inst := cl.Workload(vm, nil, "fio", 2)
+	inst, err := cl.Workload(vm, nil, "fio", 2)
+	if err != nil {
+		panic(err)
+	}
 	inst.Start()
 	cl.RunFor(1 * vsched.Second)
 	fmt.Println("fio made progress:", inst.Ops() > 1000)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vsched"
 )
@@ -24,7 +25,10 @@ func run(withIVH bool) float64 {
 	feats := vsched.Features{Vcap: true, Vact: true, IVH: withIVH}
 	sched := cl.EnableVSched(vm, feats)
 
-	job := cl.Workload(vm, sched, "blackscholes", 1)
+	job, err := cl.Workload(vm, sched, "blackscholes", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	job.Start()
 
 	cl.RunFor(5 * vsched.Second)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vsched"
 )
@@ -28,7 +29,11 @@ func run(feats vsched.Features) (p95, queue95 float64) {
 	}
 
 	sched := cl.EnableVSched(vm, feats)
-	srv := cl.Workload(vm, sched, "masstree", 0).(*vsched.Server)
+	inst, err := cl.Workload(vm, sched, "masstree", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := inst.(*vsched.Server)
 	srv.Start()
 
 	cl.RunFor(8 * vsched.Second)

@@ -83,7 +83,7 @@ func Fig16(opt Options) *Report {
 			}
 		})
 
-		ts := &metrics.TimeSeries{Name: cfg.String()}
+		ts := &metrics.TimeSeries{}
 		last := uint64(0)
 		bucket := o.scaled(1 * sim.Second)
 		var sample func()
@@ -196,7 +196,7 @@ func Fig17(opt Options) *Report {
 			}
 		})
 
-		ts := &metrics.TimeSeries{Name: cfg.String()}
+		ts := &metrics.TimeSeries{}
 		last := uint64(0)
 		bucket := o.scaled(1 * sim.Second)
 		var sample func()

@@ -21,7 +21,7 @@ import (
 //     is visited only if something there fits AND its best score beats the
 //     best found so far. Worst case O(n) on adversarial score layouts, but
 //     measured on fleet churn it stays near O(log n) because score and free
-//     capacity correlate (see DESIGN.md and BENCH_fleet.json).
+//     capacity correlate (see DESIGN.md and BenchmarkPlacement).
 //
 // Updates (occupancy or score changes on one host) rewrite one leaf and its
 // root path: O(log n). A caller that rewrites every leaf at once (the macro

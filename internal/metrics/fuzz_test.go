@@ -1,58 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
-
-// FuzzSummaryMerge checks that merging two summaries built from the halves
-// of a sample stream is equivalent (up to fp noise) to a single-pass summary
-// over the whole stream — the property the multi-seed aggregation relies on.
-func FuzzSummaryMerge(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6}, 3)
-	f.Add([]byte{255, 0, 128}, 1)
-	f.Add([]byte{7}, 0)
-	f.Add([]byte{}, 5)
-	f.Fuzz(func(t *testing.T, data []byte, split int) {
-		var samples []float64
-		for i := 0; i+1 < len(data); i += 2 {
-			v := float64(int64(data[i])<<8|int64(data[i+1])) - 32768
-			samples = append(samples, v/16)
-		}
-		if split < 0 {
-			split = -split
-		}
-		if len(samples) > 0 {
-			split %= len(samples) + 1
-		} else {
-			split = 0
-		}
-		var a, b, whole Summary
-		for i, v := range samples {
-			if i < split {
-				a.Add(v)
-			} else {
-				b.Add(v)
-			}
-			whole.Add(v)
-		}
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("merged n=%d want %d", a.N(), whole.N())
-		}
-		if a.Min() != whole.Min() || a.Max() != whole.Max() {
-			t.Fatalf("merged min/max %v/%v want %v/%v", a.Min(), a.Max(), whole.Min(), whole.Max())
-		}
-		tol := 1e-9 * (1 + math.Abs(whole.Mean()))
-		if math.Abs(a.Mean()-whole.Mean()) > tol {
-			t.Fatalf("merged mean %v want %v", a.Mean(), whole.Mean())
-		}
-		tol = 1e-9 * (1 + whole.Stddev())
-		if math.Abs(a.Stddev()-whole.Stddev()) > tol {
-			t.Fatalf("merged stddev %v want %v", a.Stddev(), whole.Stddev())
-		}
-	})
-}
+import "testing"
 
 // FuzzHistogramQuantile drives the bucketed histogram with arbitrary sample
 // streams, checking structural invariants against the exact quantile.

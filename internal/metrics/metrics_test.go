@@ -200,21 +200,15 @@ func TestCounter(t *testing.T) {
 }
 
 func TestTimeSeries(t *testing.T) {
-	ts := &TimeSeries{Name: "tput"}
+	ts := &TimeSeries{}
 	for i := 0; i < 10; i++ {
 		ts.Append(float64(i), float64(i*10))
-	}
-	if m := ts.Mean(); math.Abs(m-45) > 1e-9 {
-		t.Fatalf("mean=%v", m)
 	}
 	if m := ts.MeanBetween(2, 4); math.Abs(m-25) > 1e-9 {
 		t.Fatalf("meanBetween=%v", m)
 	}
 	if ts.MeanBetween(100, 200) != 0 {
 		t.Fatal("empty window must be 0")
-	}
-	if ts.String() == "" {
-		t.Fatal("String must render")
 	}
 }
 

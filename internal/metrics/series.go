@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Counter is a monotonically increasing event count.
 type Counter struct{ n uint64 }
 
@@ -41,27 +36,14 @@ type Point struct {
 }
 
 // TimeSeries is an append-only sequence of timestamped values, used for the
-// "live throughput" figures (16, 17) and capacity traces (10a).
+// "live throughput" figures (16, 17).
 type TimeSeries struct {
-	Name   string
 	Points []Point
 }
 
 // Append adds a point; timestamps are expected to be non-decreasing.
 func (ts *TimeSeries) Append(t, v float64) {
 	ts.Points = append(ts.Points, Point{T: t, V: v})
-}
-
-// Mean returns the mean of the series' values.
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range ts.Points {
-		s += p.V
-	}
-	return s / float64(len(ts.Points))
 }
 
 // MeanBetween returns the mean value of points with t0 <= T < t1.
@@ -78,13 +60,4 @@ func (ts *TimeSeries) MeanBetween(t0, t1 float64) float64 {
 		return 0
 	}
 	return s / float64(n)
-}
-
-func (ts *TimeSeries) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", ts.Name)
-	for _, p := range ts.Points {
-		fmt.Fprintf(&b, " (%.1f,%.1f)", p.T, p.V)
-	}
-	return b.String()
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // Summary accumulates mean, variance (Welford), min, and max of a sample
-// stream, and supports exact merging of two summaries (Chan et al.'s
-// parallel variance update). The experiment harness uses it to fold the same
-// report cell across replicate seeds into mean±stddev [min,max] columns.
+// stream. The experiment harness uses it to fold the same report cell across
+// replicate seeds into mean±stddev [min,max] columns.
 type Summary struct {
 	n        uint64
 	mean, m2 float64
@@ -32,29 +31,6 @@ func (s *Summary) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-}
-
-// Merge folds another summary into s, as if every observation behind o had
-// been Added to s directly.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.n = n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 // N returns the number of observations.

@@ -24,19 +24,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var a, b Summary
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatalf("merge(empty) changed summary: %+v", a)
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 3 || b.Min() != 3 || b.Max() != 3 {
-		t.Fatalf("empty.Merge broken: %+v", b)
-	}
-}
-
 func TestParseCell(t *testing.T) {
 	cases := []struct {
 		in     string

@@ -5,9 +5,8 @@
 //   - the differential test suite runs it side by side with the wheel over
 //     randomized schedule/cancel/run scripts and requires identical fire
 //     order, clocks, and pending counts at every step;
-//   - the simbench baselines and the schedule/fire/cancel benchmarks report
-//     heap-vs-wheel throughput, so the speedup stays measured instead of
-//     assumed.
+//   - the schedule/fire/cancel benchmarks in internal/sim report heap-vs-wheel
+//     cost per operation, so the speedup stays measured instead of assumed.
 //
 // The implementation is a verbatim copy of the pre-wheel engine (binary heap
 // ordered by (time, seq), eager per-event allocation, threshold-triggered

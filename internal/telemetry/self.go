@@ -53,10 +53,10 @@ func (s *SelfSource) Collect(now sim.Time, emit func(string, float64)) {
 
 // WallSource samples the simulator's wall-clock throughput — the volatile
 // part of self-observability, registered via AddVolatileSource because its
-// values depend on the machine, not the scenario. It closes the loop with
-// internal/simbench: the same headline metrics simbench measures offline
-// (events fired per wall second, simulated seconds per wall second) become
-// live series on any long run, plus the Go allocator's pace.
+// values depend on the machine, not the scenario. The throughput metrics a
+// benchmark measures offline (events fired per wall second, simulated
+// seconds per wall second) become live series on any long run, plus the Go
+// allocator's pace.
 //
 // Series (under the registration prefix):
 //

@@ -14,7 +14,10 @@
 //	vm := cl.NewVM("guest", []int{0, 1, 2, 3})
 //	sched := cl.EnableVSched(vm, vsched.AllFeatures())
 //	cl.AddStressor(1, vsched.DefaultWeight) // a noisy co-tenant on core 1
-//	srv := cl.Workload(vm, sched, "nginx", 4)
+//	srv, err := cl.Workload(vm, sched, "nginx", 4)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	srv.Start()
 //	cl.RunFor(10 * vsched.Second)
 //	fmt.Println(srv.Ops())
@@ -242,18 +245,19 @@ func (c *Cluster) SetVCPULatency(threadID int, lat Duration) {
 }
 
 // Workload instantiates a catalogued benchmark (see WorkloadNames) on a VM.
-// sched may be nil (stock CFS); threads 0 uses the benchmark default.
-func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) WorkloadInstance {
+// sched may be nil (stock CFS); threads 0 uses the benchmark default. An
+// unknown name is an error, like an unknown ID in RunExperiment.
+func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) (WorkloadInstance, error) {
 	spec, ok := workload.ByName(name)
 	if !ok {
-		panic(fmt.Sprintf("vsched: unknown workload %q (see vsched.WorkloadNames)", name))
+		return nil, fmt.Errorf("vsched: unknown workload %q (see vsched.WorkloadNames)", name)
 	}
 	env := workload.Env{VM: vm, Threads: threads, Nominal: c.h.Config().BaseSpeed}
 	if sched != nil {
 		env.Group = sched.UserGroup()
 		env.BEGroup = sched.BEGroup()
 	}
-	return spec.New(env)
+	return spec.New(env), nil
 }
 
 // NewServer builds a custom request/response workload on a VM (for loads

@@ -7,6 +7,16 @@ import (
 	"vsched"
 )
 
+// mustWorkload instantiates a catalogued benchmark, failing tb on a bad name.
+func mustWorkload(tb testing.TB, cl *vsched.Cluster, vm *vsched.VM, sched *vsched.VSched, name string, threads int) vsched.WorkloadInstance {
+	tb.Helper()
+	inst, err := cl.Workload(vm, sched, name, threads)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inst
+}
+
 func TestClusterDefaults(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
 	if cl.Host().NumThreads() != 8 {
@@ -28,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cl.AddStressor(i, vsched.DefaultWeight)
 	}
-	inst := cl.Workload(vm, sched, "sysbench", 4)
+	inst := mustWorkload(t, cl, vm, sched, "sysbench", 4)
 	inst.Start()
 	cl.RunFor(5 * vsched.Second)
 	if inst.Ops() == 0 {
@@ -41,15 +51,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeUnknownWorkloadPanics(t *testing.T) {
+func TestFacadeUnknownWorkloadErrors(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
 	vm := cl.NewVM("vm", []int{0})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown workload must panic")
-		}
-	}()
-	cl.Workload(vm, nil, "no-such-benchmark", 1)
+	inst, err := cl.Workload(vm, nil, "no-such-benchmark", 1)
+	if err == nil || inst != nil {
+		t.Fatalf("unknown workload = (%v, %v), want (nil, error)", inst, err)
+	}
+	if !strings.Contains(err.Error(), `"no-such-benchmark"`) {
+		t.Fatalf("error does not name the workload: %v", err)
+	}
 }
 
 func TestWorkloadNamesAndExperimentIDs(t *testing.T) {
@@ -122,7 +133,7 @@ func TestDeterminismAcrossFacade(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			cl.AddStressor(i, vsched.DefaultWeight)
 		}
-		inst := cl.Workload(vm, sched, "nginx", 0)
+		inst := mustWorkload(t, cl, vm, sched, "nginx", 0)
 		inst.Start()
 		cl.RunFor(5 * vsched.Second)
 		return inst.Ops()
@@ -138,7 +149,7 @@ func TestEEVDFVMThroughFacade(t *testing.T) {
 	p.Policy = vsched.PolicyEEVDF
 	vm := cl.NewVMWithParams("vm", []int{0, 1, 2, 3}, p)
 	sched := cl.EnableVSched(vm, vsched.AllFeatures())
-	inst := cl.Workload(vm, sched, "sysbench", 4)
+	inst := mustWorkload(t, cl, vm, sched, "sysbench", 4)
 	inst.Start()
 	cl.RunFor(3 * vsched.Second)
 	if inst.Ops() == 0 {
