@@ -5,13 +5,13 @@
 #                   #   + Go benchmarks once + vbench smoke
 #   ./ci.sh quick   # same, but -short tests (skips the full-registry suites)
 #
-# The race pass covers the packages that actually run goroutines: the
-# parallel harness and, through it, the experiment/simulator substrate it
-# drives concurrently (every package in the test binary is instrumented).
-# The micro tier's own packages (guest, host, core, workload) are listed
-# too: their hot paths keep per-VM and per-owner state — bound callbacks,
-# the PELT decay memo, scratch buffers — that parallel workers must never
-# share.
+# The race pass covers every package under internal/, listed by `go list`
+# so a new package is race-tested without editing this file. The one
+# exception is internal/experiments: its full-registry suites take minutes
+# under -race, so its cell-parallel tests get a stage of their own below.
+# The micro tier's packages (guest, host, core, workload) matter here too:
+# their hot paths keep per-VM and per-owner state — bound callbacks, the
+# PELT decay memo, scratch buffers — that parallel workers must never share.
 set -eu
 
 short=""
@@ -41,7 +41,7 @@ go build ./...
 echo "== go test $short ./..."
 go test $short ./...
 
-race_pkgs="./internal/harness/... ./internal/par/... ./internal/sim/... ./internal/metrics/... ./internal/vtrace/... ./internal/fleet/... ./internal/faults/... ./internal/cloudgen/... ./internal/latprof/... ./internal/telemetry/... ./internal/progress/... ./internal/obshttp/... ./internal/guest/... ./internal/host/... ./internal/core/... ./internal/workload/..."
+race_pkgs=$(go list ./internal/... | grep -vx 'vsched/internal/experiments' | tr '\n' ' ')
 echo "== go test -race -short $race_pkgs"
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -103,6 +104,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			runners = append(runners, r)
 		}
+	}
+
+	// Every measurement window is multiplied by -scale.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(stderr, "bad -scale %v (want a finite factor > 0)\n", *scale)
+		return 1
 	}
 
 	hcfg := harness.Config{

@@ -55,6 +55,24 @@ func TestUnknownExperimentFails(t *testing.T) {
 	}
 }
 
+// TestBadInputFails: a bad numeric flag exits 1 with a one-line diagnostic
+// and runs nothing.
+func TestBadInputFails(t *testing.T) {
+	for _, scale := range []string{"NaN", "0", "-1", "+Inf"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-run", "fig3", "-scale", scale}, &out, &errb); code != 1 {
+			t.Errorf("-scale %s exited %d, want 1", scale, code)
+			continue
+		}
+		if msg := errb.String(); !strings.Contains(msg, "bad -scale") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-scale %s: stderr %q, want one line naming -scale", scale, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s wrote to stdout: %s", scale, out.String())
+		}
+	}
+}
+
 // TestUnknownFlagFails also covers the retired benchmark flags: timing lives
 // in the Go benchmarks and vbench, so -bench is a usage error like any other.
 func TestUnknownFlagFails(t *testing.T) {

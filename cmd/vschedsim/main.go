@@ -114,6 +114,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bad -share %v (want a fair share in (0, 1])\n", *share)
 		return 1
 	}
+	// The reported rates divide by the measurement window.
+	if *duration <= 0 {
+		fmt.Fprintf(stderr, "bad -duration %v (want > 0)\n", *duration)
+		return 1
+	}
+	if *warmup < 0 {
+		fmt.Fprintf(stderr, "bad -warmup %v (want >= 0)\n", *warmup)
+		return 1
+	}
 
 	nCores := *cores
 	if nCores == 0 {
@@ -245,21 +254,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eng := cl.Engine()
 		total := warm + window
 		obsReg := metrics.NewRegistry()
+		self := &telemetry.SelfSource{Eng: eng, Tracer: tracer}
 		mirror := func() {
-			pub.PublishMirror(func(add func(fam progress.Family, name string, v float64)) {
-				vm.Metrics().VisitNumeric(func(name string, v float64) { add(progress.FamMetric, name, v) })
-				if rec != nil {
-					rec.UpdateCensus(obsReg)
-					for _, s := range rec.Series(false) {
-						add(progress.FamTelemetry, s.Name, s.Last().V)
-					}
-				}
-				tracer.UpdateCensus(obsReg)
-				obsReg.VisitNumeric(func(name string, v float64) { add(progress.FamSelf, name, v) })
-				ws := eng.WheelStats()
-				add(progress.FamSelf, "sim.fired", float64(eng.Fired()))
-				add(progress.FamSelf, "sim.pending", float64(ws.Pending))
-				add(progress.FamSelf, "sim.wheel.resident", float64(ws.WheelResident))
+			pub.PublishMirror(func(emit func(string, float64)) {
+				vm.Metrics().VisitNumeric(emit)
+				rec.UpdateCensus(obsReg)
+				obsReg.VisitNumeric(emit)
+				self.Collect(eng.Now(), emit)
 			})
 		}
 		pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: label, Total: int64(total)})

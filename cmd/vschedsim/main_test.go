@@ -199,10 +199,15 @@ func TestBadInputFails(t *testing.T) {
 		{[]string{"-share", "1.5"}, "bad -share 1.5"},
 		{[]string{"-vcpus", "0"}, "bad -vcpus 0"},
 		{[]string{"-vcpus", "8", "-cores", "4"}, "bad -vcpus 8"},
+		{[]string{"-duration", "0"}, "bad -duration 0s"},
+		{[]string{"-duration", "-1s"}, "bad -duration -1s"},
+		{[]string{"-warmup", "-1s"}, "bad -warmup -1s"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(append(c.args, "-duration", "1ms", "-warmup", "0s"), &stdout, &stderr); code != 1 {
+		// The case's flags come last, so they override the short defaults.
+		args := append([]string{"-duration", "1ms", "-warmup", "0s"}, c.args...)
+		if code := run(args, &stdout, &stderr); code != 1 {
 			t.Errorf("%v exited %d, want 1 (stderr: %s)", c.args, code, stderr.String())
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"vsched/internal/host"
-	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/workload"
 )
@@ -21,10 +20,11 @@ func Fig16(opt Options) *Report {
 		Header: []string{"phase", "CFS", "vSched", "vSched/CFS"},
 	}
 	phase := opt.scaled(25 * sim.Second)
+	bucket := opt.scaled(1 * sim.Second)
 	phaseNames := []string{"dedicated", "overcommitted", "asymmetric", "constrained"}
 
 	cfgs := []Config{CFS, VSched}
-	series := cells(opt, len(cfgs), func(i int, o Options) *metrics.TimeSeries {
+	series := cells(opt, len(cfgs), func(i int, o Options) []float64 {
 		cfg := cfgs[i]
 		c := newFlatCluster(o, 1, 16, 1)
 		d := deploy(c, "vm", c.firstThreads(16), cfg)
@@ -83,19 +83,7 @@ func Fig16(opt Options) *Report {
 			}
 		})
 
-		ts := &metrics.TimeSeries{}
-		last := uint64(0)
-		bucket := o.scaled(1 * sim.Second)
-		var sample func()
-		sample = func() {
-			ops := srv.Ops()
-			ts.Append(c.eng.Now().Seconds(), float64(ops-last)/bucket.Seconds())
-			last = ops
-			c.eng.After(bucket, sample)
-		}
-		c.eng.After(bucket, sample)
-		c.eng.RunFor(4 * phase)
-		return ts
+		return runRates(c.eng, srv, bucket, 4*phase)
 	})
 
 	cfs, vs := series[0], series[1]
@@ -104,7 +92,7 @@ func Fig16(opt Options) *Report {
 		t1 := t0 + phase.Seconds()
 		// Skip the first fifth of each phase (transition).
 		t0 += phase.Seconds() / 5
-		a, b := cfs.MeanBetween(t0, t1), vs.MeanBetween(t0, t1)
+		a, b := meanRate(cfs, bucket, t0, t1), meanRate(vs, bucket, t0, t1)
 		rep.Add(name, f1(a), f1(b), f2(b/a))
 	}
 	rep.Notef("paper: equal when dedicated; vSched holds throughput when overcommitted (ivh) and constrained (rwc)")
@@ -122,12 +110,13 @@ func Fig17(opt Options) *Report {
 		Header: []string{"phase", "nginx CFS", "nginx vSched", "gain", "neighbour degradation"},
 	}
 	phase := opt.scaled(40 * sim.Second)
+	bucket := opt.scaled(1 * sim.Second)
 	warmFrac := 0.25
 
-	// A cell's result: nginx's throughput series and each co-located
+	// A cell's result: nginx's per-bucket throughput and each co-located
 	// workload's ops over its phase.
 	type result struct {
-		ts    *metrics.TimeSeries
+		rates []float64
 		nbOps map[string]uint64
 	}
 	cfgs := []Config{CFS, VSched}
@@ -196,23 +185,11 @@ func Fig17(opt Options) *Report {
 			}
 		})
 
-		ts := &metrics.TimeSeries{}
-		last := uint64(0)
-		bucket := o.scaled(1 * sim.Second)
-		var sample func()
-		sample = func() {
-			ops := srv.Ops()
-			ts.Append(c.eng.Now().Seconds(), float64(ops-last)/bucket.Seconds())
-			last = ops
-			c.eng.After(bucket, sample)
-		}
-		c.eng.After(bucket, sample)
-		c.eng.RunFor(3 * phase)
-		return result{ts, nbOps}
+		return result{runRates(c.eng, srv, bucket, 3*phase), nbOps}
 	})
 
-	cfsTS, cfsNB := res[0].ts, res[0].nbOps
-	vsTS, vsNB := res[1].ts, res[1].nbOps
+	cfsRates, cfsNB := res[0].rates, res[0].nbOps
+	vsRates, vsNB := res[1].rates, res[1].nbOps
 	// Neighbours are summed in name order: float addition is not
 	// associative, so map order would leak into the low bits.
 	nbNames := make([]string, 0, len(cfsNB))
@@ -224,7 +201,7 @@ func Fig17(opt Options) *Report {
 	for i, name := range phaseNames {
 		t0 := float64(i)*phase.Seconds() + warmFrac*phase.Seconds()
 		t1 := float64(i+1) * phase.Seconds()
-		a, b := cfsTS.MeanBetween(t0, t1), vsTS.MeanBetween(t0, t1)
+		a, b := meanRate(cfsRates, bucket, t0, t1), meanRate(vsRates, bucket, t0, t1)
 		// Neighbour degradation: how much less the co-located workloads got
 		// done while nginx ran vSched instead of CFS.
 		var deg float64
@@ -246,6 +223,40 @@ func Fig17(opt Options) *Report {
 	}
 	rep.Notef("paper: +15%% (intermittent), +24%% (consistent), parity (transient); neighbour cost <=2.1%%")
 	return rep
+}
+
+// runRates runs eng for d from time zero, sampling srv's throughput at the
+// end of every bucket: rates[k] is the ops/s over (k·bucket, (k+1)·bucket].
+func runRates(eng *sim.Engine, srv *workload.Server, bucket, d sim.Duration) []float64 {
+	var rates []float64
+	last := uint64(0)
+	var sample func()
+	sample = func() {
+		ops := srv.Ops()
+		rates = append(rates, float64(ops-last)/bucket.Seconds())
+		last = ops
+		eng.After(bucket, sample)
+	}
+	eng.After(bucket, sample)
+	eng.RunFor(d)
+	return rates
+}
+
+// meanRate is the mean of the rates whose bucket ends at a time T (seconds)
+// with t0 <= T < t1, or 0 when there is none.
+func meanRate(rates []float64, bucket sim.Duration, t0, t1 float64) float64 {
+	var s float64
+	var n int
+	for k, r := range rates {
+		if t := sim.Time(sim.Duration(k+1) * bucket).Seconds(); t >= t0 && t < t1 {
+			s += r
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return s / float64(n)
 }
 
 func phaseOf(bench string) int {

@@ -79,7 +79,7 @@ type MacroConfig struct {
 	Recovery faults.RecoveryConfig
 	// Obs, when non-nil, receives structured run progress (run start/done,
 	// per-epoch conservation ledgers, fault and recovery events) and mirror
-	// snapshots of the cell registry, telemetry tails and engine self-census
+	// snapshots of the cell registry, fleet aggregates and engine self-census
 	// for live HTTP observation. Publishing is inert by construction: every
 	// publish happens at a serial safepoint (epoch boundaries) through the
 	// lock-free bus/mirror handoff, writes only fixed-size snapshots, and
@@ -382,26 +382,15 @@ func (m *macroSim) publishEpoch(end sim.Time) {
 	m.publishMirror()
 }
 
-// publishMirror swaps in a fresh snapshot of the cell registry, the
-// telemetry series tails, and the engine/recorder self-census for /metrics
-// scrapers. Reads only simulation state, from the simulation goroutine.
+// publishMirror swaps in a fresh snapshot of the cell registry (recorder
+// census included), the fleet aggregates and the engine self-census for
+// /metrics scrapers. Reads only simulation state, from the simulation
+// goroutine.
 func (m *macroSim) publishMirror() {
-	m.obs.PublishMirror(func(add func(progress.Family, string, float64)) {
-		m.reg.VisitNumeric(func(name string, v float64) { add(progress.FamMetric, name, v) })
-		if m.rec != nil {
-			for _, s := range m.rec.Series(false) {
-				add(progress.FamTelemetry, s.Name, s.Last().V)
-			}
-			add(progress.FamSelf, "telemetry.bytes", float64(m.rec.Bytes()))
-			add(progress.FamSelf, "telemetry.max_bytes", float64(m.rec.MaxBytes()))
-		}
-		ws := m.eng.WheelStats()
-		add(progress.FamSelf, "sim.fired", float64(m.eng.Fired()))
-		add(progress.FamSelf, "sim.pending", float64(ws.Pending))
-		add(progress.FamSelf, "sim.wheel.resident", float64(ws.WheelResident))
-		add(progress.FamSelf, "sim.wheel.slots", float64(ws.OccupiedSlots))
-		add(progress.FamSelf, "sim.wheel.overflow", float64(ws.Overflow))
-		add(progress.FamSelf, "sim.wheel.ready", float64(ws.Ready))
+	m.obs.PublishMirror(func(emit func(string, float64)) {
+		m.reg.VisitNumeric(emit)
+		macroSource{m}.Collect(m.now, emit)
+		(&telemetry.SelfSource{Eng: m.eng}).Collect(m.now, emit)
 	})
 }
 

@@ -13,7 +13,8 @@ import (
 // TestMacroObsInert is the fleet-tier half of the determinism gate:
 // attaching the progress publisher (bus + mirror) must leave the canonical
 // snapshot and the telemetry snapshot byte-identical, faults and recovery
-// included.
+// included. The observed run's final mirror is the /metrics spine: every
+// name once, registry, fleet aggregates and engine census side by side.
 func TestMacroObsInert(t *testing.T) {
 	trace := macroTestTrace(19)
 	schedv := faults.Generate(19, len(trace.Hosts), trace.Horizon, faults.Config{
@@ -45,6 +46,22 @@ func TestMacroObsInert(t *testing.T) {
 	}
 	if !bytes.Equal(dj.Bytes(), oj.Bytes()) {
 		t.Fatal("attaching obs changed the telemetry snapshot bytes")
+	}
+
+	mirrored := map[string]float64{}
+	for _, sm := range attached.Obs.Mirror.Load() {
+		if _, dup := mirrored[sm.Name]; dup {
+			t.Fatalf("mirror serves %q twice", sm.Name)
+		}
+		mirrored[sm.Name] = sm.Value
+	}
+	for _, name := range []string{"sim.fired", "telemetry.bytes", "fleet.macro.util_mean"} {
+		if _, ok := mirrored[name]; !ok {
+			t.Fatalf("mirror lacks %q", name)
+		}
+	}
+	if got := mirrored["fleet.macro.placed"]; got != float64(observed.Placed) {
+		t.Fatalf("mirror fleet.macro.placed = %v, want %d", got, observed.Placed)
 	}
 }
 
@@ -129,7 +146,7 @@ func TestMacroObsStream(t *testing.T) {
 	// The mirror carries the final registry state.
 	var placed float64 = -1
 	for _, sm := range pub.Mirror.Load() {
-		if sm.Fam == progress.FamMetric && sm.Name == "fleet.macro.placed" {
+		if sm.Name == "fleet.macro.placed" {
 			placed = sm.Value
 		}
 	}

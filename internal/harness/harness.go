@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"vsched/internal/experiments"
+	"vsched/internal/par"
 	"vsched/internal/progress"
 	"vsched/internal/telemetry"
 )
@@ -244,26 +245,16 @@ func Run(cfg Config) *Result {
 	track := newRunTracker(cfg, len(specs))
 	track.start()
 
-	// Each worker owns the result slots of the trials it draws, so no
-	// locking is needed around them; the WaitGroup publishes the writes.
-	jobs := make(chan trialSpec)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for spec := range jobs {
-				track.trialStart(spec.slot)
-				runTrial(spec.slot, spec.runner, cfg)
-				track.trialDone(spec.slot)
-			}
-		}()
-	}
-	for _, s := range specs {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
+	// Each job owns its trial's result slot, so no locking is needed around
+	// the slots; par.Map's join publishes the writes. runTrial recovers a
+	// trial's panic into its slot, so no job panics.
+	par.Map(len(specs), cfg.Workers, func(i int) struct{} {
+		spec := specs[i]
+		track.trialStart(spec.slot)
+		runTrial(spec.slot, spec.runner, cfg)
+		track.trialDone(spec.slot)
+		return struct{}{}
+	})
 
 	for i := range res.Experiments {
 		ex := &res.Experiments[i]

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement toolkit used by experiments:
-// latency histograms with percentile estimation, counters, mean/stddev
-// accumulators and time series. It has no dependency on the simulator so it
+// latency histograms with percentile estimation, counters, gauges and
+// mean/stddev accumulators. It has no dependency on the simulator so it
 // can be unit-tested in isolation and reused by the benchmark harness.
 package metrics
 

@@ -199,19 +199,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := &TimeSeries{}
-	for i := 0; i < 10; i++ {
-		ts.Append(float64(i), float64(i*10))
-	}
-	if m := ts.MeanBetween(2, 4); math.Abs(m-25) > 1e-9 {
-		t.Fatalf("meanBetween=%v", m)
-	}
-	if ts.MeanBetween(100, 200) != 0 {
-		t.Fatal("empty window must be 0")
-	}
-}
-
 func TestExactQuantile(t *testing.T) {
 	if ExactQuantile(nil, 0.5) != 0 {
 		t.Fatal("empty exact quantile must be 0")

@@ -68,7 +68,7 @@ func FuzzAppendEscaped(f *testing.F) {
 			t.Fatalf("round-trip lost data: %q -> %q -> %q", s, esc, back)
 		}
 		// A full sample line built from this name must stay one line.
-		line := appendSample(nil, s, progress.Sample{Fam: progress.FamMetric, Name: s, Value: 1})
+		line := appendSample(nil, s, progress.Sample{Name: s, Value: 1})
 		if n := bytes.Count(line, []byte{'\n'}); n != 1 {
 			t.Fatalf("sample line for %q has %d newlines: %q", s, n, line)
 		}

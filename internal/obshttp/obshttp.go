@@ -1,12 +1,14 @@
 // Package obshttp is the embedded live observability server: any
 // long-running simulation registers a run, publishes progress into its
 // bounded bus and metric mirror (internal/progress), and obshttp serves
-// that state over HTTP — Prometheus text exposition on /metrics, an
-// NDJSON/SSE structured progress stream on /runs/{id}/events, a /runs
-// listing, /healthz, and the standard pprof mux — without ever touching
-// live simulation state. Everything the handlers read arrived through a
-// lock-free handoff at a simulation safepoint, so attaching the server (and
-// scraping it concurrently) cannot perturb a determinism-gated run.
+// that state over HTTP — Prometheus text exposition on /metrics (one
+// vsched_metric{run,name} sample per name in each run's mirror snapshot,
+// plus the server's own vsched_obs_* counters), an NDJSON/SSE structured
+// progress stream on /runs/{id}/events, a /runs listing, /healthz, and the
+// standard pprof mux — without ever touching live simulation state.
+// Everything the handlers read arrived through a lock-free handoff at a
+// simulation safepoint, so attaching the server (and scraping it
+// concurrently) cannot perturb a determinism-gated run.
 package obshttp
 
 import (

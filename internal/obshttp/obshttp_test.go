@@ -45,8 +45,8 @@ func TestRunsListing(t *testing.T) {
 	r1 := s.Register("alpha")
 	s.Register("beta")
 	r1.Publisher().Publish(progress.Event{Kind: progress.KindRunStart})
-	r1.Publisher().PublishMirror(func(add func(progress.Family, string, float64)) {
-		add(progress.FamMetric, "x", 1)
+	r1.Publisher().PublishMirror(func(emit func(string, float64)) {
+		emit("x", 1)
 	})
 	r1.Finish()
 
@@ -70,9 +70,9 @@ func TestRunsListing(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s := testServer(t)
 	r := s.Register("obsplane")
-	r.Publisher().PublishMirror(func(add func(progress.Family, string, float64)) {
-		add(progress.FamMetric, "fleet.macro.placed", 115000)
-		add(progress.FamSelf, "sim.wheel.resident", 7)
+	r.Publisher().PublishMirror(func(emit func(string, float64)) {
+		emit("fleet.macro.placed", 115000)
+		emit("sim.wheel.resident", 7)
 	})
 	r.Publisher().Publish(progress.Event{Kind: progress.KindEpoch})
 
@@ -87,10 +87,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		"vsched_obs_scrapes_total 1\n",
 		`vsched_obs_events_published_total{run="obsplane"} 1` + "\n",
 		`vsched_metric{run="obsplane",name="fleet.macro.placed"} 115000` + "\n",
-		`vsched_self{run="obsplane",name="sim.wheel.resident"} 7` + "\n",
+		`vsched_metric{run="obsplane",name="sim.wheel.resident"} 7` + "\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("missing %q in:\n%s", want, body)
+		}
+	}
+	// Every mirrored sample goes into the one vsched_metric family.
+	for _, line := range strings.Split(body, "\n") {
+		if strings.Contains(line, `name="`) && !strings.HasPrefix(line, "vsched_metric{") {
+			t.Fatalf("sample outside vsched_metric: %q", line)
 		}
 	}
 	if s.Scrapes() != 1 {

@@ -8,9 +8,9 @@ import (
 
 // Prometheus text-format exposition (version 0.0.4). Simulator metric names
 // are dotted ("fleet.macro.placed"), which is not a legal Prometheus metric
-// name, so each mirror family becomes one fixed, legal family and the
-// simulator name travels as a label value — where arbitrary bytes are legal
-// once \, ", and newline are escaped.
+// name, so every mirrored sample goes into one fixed, legal family,
+// vsched_metric, and the simulator name travels as a label value — where
+// arbitrary bytes are legal once \, ", and newline are escaped.
 //
 // The steady-state path is allocation-free beyond the response buffer:
 // every writer below appends into a caller-owned []byte (strconv.Append*,
@@ -25,12 +25,8 @@ vsched_up 1
 
 const expoFamilies = `# HELP vsched_obs_events_published_total Progress events published to the run's bus.
 # TYPE vsched_obs_events_published_total counter
-# HELP vsched_metric Live metrics.Registry value (counter, gauge, or histogram key), published at simulation safepoints.
+# HELP vsched_metric Live simulator value (registry counter, gauge or histogram key, fleet aggregate, engine or recorder self-census), published at simulation safepoints.
 # TYPE vsched_metric gauge
-# HELP vsched_telemetry_last Last sample of a telemetry flight-recorder series.
-# TYPE vsched_telemetry_last gauge
-# HELP vsched_self Simulator self-census: timing-wheel stats, vtrace drop counts, recorder occupancy.
-# TYPE vsched_self gauge
 `
 
 // runExpo is one run's scrape-time state: the immutable mirror snapshot
@@ -39,18 +35,6 @@ type runExpo struct {
 	id        string
 	published uint64
 	samples   []progress.Sample
-}
-
-var familyName = [...]string{
-	progress.FamMetric:    "vsched_metric",
-	progress.FamTelemetry: "vsched_telemetry_last",
-	progress.FamSelf:      "vsched_self",
-}
-
-var familyLabel = [...]string{
-	progress.FamMetric:    "name",
-	progress.FamTelemetry: "series",
-	progress.FamSelf:      "name",
 }
 
 // appendExposition renders the full /metrics payload into buf.
@@ -73,17 +57,11 @@ func appendExposition(buf []byte, scrapes uint64, runs []runExpo) []byte {
 	return buf
 }
 
-// appendSample renders one `family{run="...",name="..."} value` line.
+// appendSample renders one `vsched_metric{run="...",name="..."} value` line.
 func appendSample(buf []byte, runID string, sm progress.Sample) []byte {
-	if int(sm.Fam) >= len(familyName) {
-		return buf
-	}
-	buf = append(buf, familyName[sm.Fam]...)
-	buf = append(buf, "{run=\""...)
+	buf = append(buf, "vsched_metric{run=\""...)
 	buf = appendEscaped(buf, runID)
-	buf = append(buf, "\","...)
-	buf = append(buf, familyLabel[sm.Fam]...)
-	buf = append(buf, "=\""...)
+	buf = append(buf, "\",name=\""...)
 	buf = appendEscaped(buf, sm.Name)
 	buf = append(buf, "\"} "...)
 	buf = appendFloat(buf, sm.Value)

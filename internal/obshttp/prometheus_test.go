@@ -17,16 +17,16 @@ func TestExpositionGolden(t *testing.T) {
 			id:        "obsplane",
 			published: 42,
 			samples: []progress.Sample{
-				{Fam: progress.FamMetric, Name: "fleet.macro.placed", Value: 115000},
-				{Fam: progress.FamMetric, Name: `weird"name`, Value: 1.5},
-				{Fam: progress.FamMetric, Name: "back\\slash", Value: -2},
-				{Fam: progress.FamMetric, Name: "new\nline", Value: 0.1},
-				{Fam: progress.FamMetric, Name: "unicode.héllo", Value: 3},
-				{Fam: progress.FamTelemetry, Name: "fleet.macro.util_mean", Value: 0.625},
-				{Fam: progress.FamTelemetry, Name: "nan.series", Value: math.NaN()},
-				{Fam: progress.FamSelf, Name: "sim.wheel.resident", Value: 1024},
-				{Fam: progress.FamSelf, Name: "inf.up", Value: math.Inf(1)},
-				{Fam: progress.FamSelf, Name: "inf.down", Value: math.Inf(-1)},
+				{Name: "fleet.macro.placed", Value: 115000},
+				{Name: `weird"name`, Value: 1.5},
+				{Name: "back\\slash", Value: -2},
+				{Name: "new\nline", Value: 0.1},
+				{Name: "unicode.héllo", Value: 3},
+				{Name: "fleet.macro.util_mean", Value: 0.625},
+				{Name: "nan.series", Value: math.NaN()},
+				{Name: "sim.wheel.resident", Value: 1024},
+				{Name: "inf.up", Value: math.Inf(1)},
+				{Name: "inf.down", Value: math.Inf(-1)},
 			},
 		},
 		{id: `run"2`, published: 0, samples: nil},
@@ -40,23 +40,19 @@ vsched_up 1
 vsched_obs_scrapes_total 7
 # HELP vsched_obs_events_published_total Progress events published to the run's bus.
 # TYPE vsched_obs_events_published_total counter
-# HELP vsched_metric Live metrics.Registry value (counter, gauge, or histogram key), published at simulation safepoints.
+# HELP vsched_metric Live simulator value (registry counter, gauge or histogram key, fleet aggregate, engine or recorder self-census), published at simulation safepoints.
 # TYPE vsched_metric gauge
-# HELP vsched_telemetry_last Last sample of a telemetry flight-recorder series.
-# TYPE vsched_telemetry_last gauge
-# HELP vsched_self Simulator self-census: timing-wheel stats, vtrace drop counts, recorder occupancy.
-# TYPE vsched_self gauge
 vsched_obs_events_published_total{run="obsplane"} 42
 vsched_metric{run="obsplane",name="fleet.macro.placed"} 115000
 vsched_metric{run="obsplane",name="weird\"name"} 1.5
 vsched_metric{run="obsplane",name="back\\slash"} -2
 vsched_metric{run="obsplane",name="new\nline"} 0.1
 vsched_metric{run="obsplane",name="unicode.héllo"} 3
-vsched_telemetry_last{run="obsplane",series="fleet.macro.util_mean"} 0.625
-vsched_telemetry_last{run="obsplane",series="nan.series"} NaN
-vsched_self{run="obsplane",name="sim.wheel.resident"} 1024
-vsched_self{run="obsplane",name="inf.up"} +Inf
-vsched_self{run="obsplane",name="inf.down"} -Inf
+vsched_metric{run="obsplane",name="fleet.macro.util_mean"} 0.625
+vsched_metric{run="obsplane",name="nan.series"} NaN
+vsched_metric{run="obsplane",name="sim.wheel.resident"} 1024
+vsched_metric{run="obsplane",name="inf.up"} +Inf
+vsched_metric{run="obsplane",name="inf.down"} -Inf
 vsched_obs_events_published_total{run="run\"2"} 0
 `
 	if got != want {
@@ -72,7 +68,7 @@ func TestExpositionValidTextFormat(t *testing.T) {
 		id:        "r\n1",
 		published: 1,
 		samples: []progress.Sample{
-			{Fam: progress.FamMetric, Name: "a\nb\"c\\d", Value: math.NaN()},
+			{Name: "a\nb\"c\\d", Value: math.NaN()},
 		},
 	}}
 	out := string(appendExposition(nil, 1, runs))
@@ -100,7 +96,7 @@ func TestExpositionValidTextFormat(t *testing.T) {
 // nothing once the response buffer has capacity.
 func TestAppendSampleAllocFree(t *testing.T) {
 	buf := make([]byte, 0, 4096)
-	sm := progress.Sample{Fam: progress.FamMetric, Name: "fleet.macro.placed", Value: 12345.678}
+	sm := progress.Sample{Name: "fleet.macro.placed", Value: 12345.678}
 	allocs := testing.AllocsPerRun(1000, func() {
 		buf = appendSample(buf[:0], "obsplane", sm)
 	})

@@ -5,26 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Family buckets mirrored samples into exposition families. The HTTP layer
-// maps each family to one Prometheus metric family with the simulator's
-// dotted name carried as a label value.
-type Family uint8
-
-const (
-	// FamMetric is a metrics.Registry counter/gauge/histogram key.
-	FamMetric Family = iota
-	// FamTelemetry is the last sample of a telemetry flight-recorder
-	// series.
-	FamTelemetry
-	// FamSelf is simulator self-census: wheel stats, vtrace drop counts,
-	// recorder occupancy.
-	FamSelf
-	numFamilies
-)
-
-// Sample is one mirrored (family, name, value) triple.
+// Sample is one mirrored (name, value) pair. Name is the simulator's dotted
+// metric name ("fleet.macro.placed"); a publisher emits each name at most
+// once per snapshot.
 type Sample struct {
-	Fam   Family
 	Name  string
 	Value float64
 }
@@ -42,26 +26,22 @@ type Mirror struct {
 	scratch []Sample
 }
 
-// Publish rebuilds the mirrored snapshot. fill is called with an add
-// function; every add(fam, name, value) contributes one sample. The
-// finished set is sorted by (family, name) for stable exposition order and
-// swapped in atomically. Publish must be called from one goroutine at a
-// time (the simulation safepoint), which every caller in this repo
-// satisfies.
-func (m *Mirror) Publish(fill func(add func(fam Family, name string, v float64))) {
+// Publish rebuilds the mirrored snapshot. fill is called with an emit
+// function of the shape telemetry.Source.Collect and
+// metrics.Registry.VisitNumeric take, so those readers plug in directly;
+// every emit(name, value) contributes one sample. The finished set is sorted by name for stable
+// exposition order and swapped in atomically. Publish must be called from
+// one goroutine at a time (the simulation safepoint), which every caller in
+// this repo satisfies.
+func (m *Mirror) Publish(fill func(emit func(name string, v float64))) {
 	if m == nil {
 		return
 	}
 	buf := m.scratch[:0]
-	fill(func(fam Family, name string, v float64) {
-		buf = append(buf, Sample{Fam: fam, Name: name, Value: v})
+	fill(func(name string, v float64) {
+		buf = append(buf, Sample{Name: name, Value: v})
 	})
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].Fam != buf[j].Fam {
-			return buf[i].Fam < buf[j].Fam
-		}
-		return buf[i].Name < buf[j].Name
-	})
+	sort.Slice(buf, func(i, j int) bool { return buf[i].Name < buf[j].Name })
 	out := make([]Sample, len(buf))
 	copy(out, buf)
 	m.scratch = buf
@@ -120,7 +100,7 @@ func (p *Publisher) Label(name string) int32 {
 }
 
 // PublishMirror forwards to the mirror; no-op on a nil publisher.
-func (p *Publisher) PublishMirror(fill func(add func(fam Family, name string, v float64))) {
+func (p *Publisher) PublishMirror(fill func(emit func(name string, v float64))) {
 	if p != nil {
 		p.Mirror.Publish(fill)
 	}

@@ -17,8 +17,12 @@
 //     how many events it lost. Slow consumers lose history, never slow the
 //     simulation.
 //   - Mirror hands whole metric snapshots to scrapers through one atomic
-//     pointer swap. Scrapers always see a complete, internally-consistent
-//     snapshot; publishers never wait for them.
+//     pointer swap. A snapshot is a flat, name-sorted list of (name, value)
+//     pairs, filled through the emit(name, value) callback that
+//     metrics.Registry.VisitNumeric and telemetry sources take, so a
+//     publisher passes those readers the callback and copies nothing.
+//     Scrapers always see a complete, internally-consistent snapshot;
+//     publishers never wait for them.
 //
 // Event is strictly POD — no pointers, no strings — so a slot can hold it as
 // atomic 64-bit words, and a torn seqlock read is harmless garbage that

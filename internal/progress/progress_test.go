@@ -222,24 +222,21 @@ func TestMirrorLastWins(t *testing.T) {
 	if m.Load() != nil || m.Published() != 0 {
 		t.Fatalf("empty mirror must load nil")
 	}
-	m.Publish(func(add func(Family, string, float64)) {
-		add(FamTelemetry, "z.series", 1)
-		add(FamMetric, "b.metric", 2)
-		add(FamMetric, "a.metric", 3)
+	m.Publish(func(emit func(string, float64)) {
+		emit("z.series", 1)
+		emit("b.metric", 2)
+		emit("a.metric", 3)
 	})
 	first := m.Load()
 	if len(first) != 3 {
 		t.Fatalf("len = %d", len(first))
 	}
-	// Sorted by (family, name).
+	// Sorted by name.
 	if first[0].Name != "a.metric" || first[1].Name != "b.metric" || first[2].Name != "z.series" {
 		t.Fatalf("order: %+v", first)
 	}
-	if first[2].Fam != FamTelemetry {
-		t.Fatalf("family order: %+v", first)
-	}
-	m.Publish(func(add func(Family, string, float64)) {
-		add(FamMetric, "a.metric", 99)
+	m.Publish(func(emit func(string, float64)) {
+		emit("a.metric", 99)
 	})
 	if got := m.Load(); len(got) != 1 || got[0].Value != 99 {
 		t.Fatalf("second publish not visible: %+v", got)
@@ -286,10 +283,10 @@ func TestMirrorConcurrentScrape(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		v := float64(i)
-		m.Publish(func(add func(Family, string, float64)) {
-			add(FamMetric, "a", v)
-			add(FamMetric, "b", v)
-			add(FamSelf, "c", v)
+		m.Publish(func(emit func(string, float64)) {
+			emit("a", v)
+			emit("b", v)
+			emit("c", v)
 		})
 	}
 	close(stop)
@@ -299,7 +296,7 @@ func TestMirrorConcurrentScrape(t *testing.T) {
 func TestNilPublisherSafe(t *testing.T) {
 	var p *Publisher
 	p.Publish(Event{Kind: KindEpoch})
-	p.PublishMirror(func(add func(Family, string, float64)) { add(FamMetric, "x", 1) })
+	p.PublishMirror(func(emit func(string, float64)) { emit("x", 1) })
 	p.MarkDone()
 	if p.Label("x") != 0 {
 		t.Fatalf("nil publisher Label != 0")
@@ -313,7 +310,7 @@ func TestNilPublisherSafe(t *testing.T) {
 	if m.Load() != nil || m.Published() != 0 {
 		t.Fatalf("nil mirror accessors not safe")
 	}
-	m.Publish(func(add func(Family, string, float64)) {})
+	m.Publish(func(emit func(string, float64)) {})
 }
 
 func TestMarkDone(t *testing.T) {

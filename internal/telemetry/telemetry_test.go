@@ -10,6 +10,7 @@ import (
 
 	"vsched/internal/metrics"
 	"vsched/internal/sim"
+	"vsched/internal/vtrace"
 )
 
 // roundTrip encodes points through one gorillaEnc and decodes them back.
@@ -268,6 +269,28 @@ func TestRecorderSampling(t *testing.T) {
 	if rec.Bytes() > rec.MaxBytes() {
 		t.Fatalf("Bytes=%d exceeds MaxBytes=%d", rec.Bytes(), rec.MaxBytes())
 	}
+}
+
+// TestSelfSourceTracerCensus: the tracer's lifetime emits and ring drops
+// reach every name→value surface through SelfSource, and a run without a
+// tracer has no vtrace names.
+func TestSelfSourceTracerCensus(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := vtrace.New(4)
+	for i := 0; i < 10; i++ {
+		tr.Emit(sim.Time(i), vtrace.KindEntityState, "vm0", 0, 1, 0)
+	}
+	got := map[string]float64{}
+	(&SelfSource{Eng: eng, Tracer: tr}).Collect(0, func(name string, v float64) { got[name] = v })
+	// Ring capacity 4, 10 emits: 6 overwritten.
+	if got["vtrace.emitted"] != 10 || got["vtrace.dropped"] != 6 {
+		t.Fatalf("tracer census: %v", got)
+	}
+	(&SelfSource{Eng: eng}).Collect(0, func(name string, _ float64) {
+		if strings.HasPrefix(name, "vtrace.") {
+			t.Fatalf("no tracer, but SelfSource emitted %q", name)
+		}
+	})
 }
 
 func TestRecorderDeterminism(t *testing.T) {

@@ -24,7 +24,6 @@ package vtrace
 
 import (
 	"vsched/internal/host"
-	"vsched/internal/metrics"
 	"vsched/internal/sim"
 )
 
@@ -293,18 +292,6 @@ func (tr *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return tr.total - uint64(len(tr.buf))
-}
-
-// UpdateCensus publishes the tracer's lifetime emit and ring-drop counts
-// into reg as first-class gauges, so trace-loss is visible on any metrics
-// surface (snapshots, telemetry sampling, /metrics scrapes) without holding
-// the tracer itself. Nil-safe: a disabled tracer reports zeros.
-func (tr *Tracer) UpdateCensus(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("vtrace.emitted").Set(float64(tr.Total()))
-	reg.Gauge("vtrace.dropped").Set(float64(tr.Dropped()))
 }
 
 // Events returns the buffered events in chronological order. The returned
