@@ -1,11 +1,16 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"vsched/internal/faults"
 	"vsched/internal/host"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
@@ -332,5 +337,70 @@ func TestTelemetryObservationInert(t *testing.T) {
 	}
 	if len(on.Telemetry.Series(false)) == 0 || on.Telemetry.Samples() == 0 {
 		t.Fatal("recorder attached but captured nothing")
+	}
+}
+
+// attributionPinned holds digests of every per-VM attribution profile of the
+// pinned rigs below, in VM-name order. Profiles are a deterministic fold of
+// the trace stream, so any digest moving means attribution output changed:
+// a cause split, a span boundary, or a steal-blame name.
+var attributionPinned = map[string]string{
+	"CFS":    "822da9667a55a9b5",
+	"vSched": "e6f27a8109510a03",
+}
+
+// TestFleetAttributionPinned runs a reduced micro fleet through a crash with
+// recovery (restarted "-rN" incarnations), a brownout evacuation and
+// controller migrations, under both guests, and compares a digest of every
+// Profile — spans, breakdowns, StealBy, WakerID, Migrations, Open, Truncated
+// — with the pinned value. TestFleetAttribution only compares two runs of the
+// same code; this pins the output itself.
+func TestFleetAttributionPinned(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(0).Add(sim.Duration(ms) * sim.Millisecond) }
+	dur := func(ms int) sim.Duration { return sim.Duration(ms) * sim.Millisecond }
+	sched := &faults.Schedule{Seed: 3, Events: []faults.Event{
+		{At: at(500), Host: 0, Kind: faults.Crash, Duration: dur(600)},
+		{At: at(800), Host: 1, Kind: faults.Brownout, Duration: dur(700), Factor: 0.5},
+	}}
+	for _, vs := range []bool{false, true} {
+		cfg := testConfig(42, StealAware{}, vs)
+		cfg.Arrivals = GenerateArrivals(42, 20, 1500*sim.Millisecond, testMix())
+		cfg.Faults, cfg.Recovery = sched, fastRecovery()
+		cfg.Attribution = true
+		r := New(cfg).Run()
+		key := r.Guest
+		if r.Evacuations == 0 || r.Migrations <= r.Evacuations || r.Restarts == 0 {
+			t.Fatalf("%s: evacuations=%d migrations=%d restarts=%d; the rig must evacuate, "+
+				"migrate and restart", key, r.Evacuations, r.Migrations, r.Restarts)
+		}
+		names := make([]string, 0, len(r.Attribution))
+		for name := range r.Attribution {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		h := sha256.New()
+		spans := 0
+		for _, name := range names {
+			p := r.Attribution[name]
+			fmt.Fprintf(h, "vm %s open=%d truncated=%d dropped=%d\n", p.VM, p.Open, p.Truncated, p.DroppedEvents)
+			for i := range p.Spans {
+				s := &p.Spans[i]
+				fmt.Fprintf(h, "%s %d %d %d %v %d %d", s.Task, s.TaskID, s.Start, s.End, s.NS, s.WakerID, s.Migrations)
+				for _, b := range s.StealBy {
+					fmt.Fprintf(h, " %s=%d", b.Entity, b.Wait)
+				}
+				fmt.Fprintln(h)
+			}
+			spans += len(p.Spans)
+		}
+		got := hex.EncodeToString(h.Sum(nil))[:16]
+		want, ok := attributionPinned[key]
+		if !ok {
+			t.Errorf("%q: %q, // unpinned (%d profiles, %d spans)", key, got, len(names), spans)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s: digest %s, pinned %s (%d profiles, %d spans)", key, got, want, len(names), spans)
+		}
 	}
 }
