@@ -86,11 +86,12 @@ for d in examples/*/; do
 done
 
 # Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
-# engine (internal/sim), placement index vs linear scan (internal/fleet) and
-# the tracer's disabled/enabled emit cost (internal/vtrace). One iteration
-# measures nothing; it only checks that every benchmark still runs.
+# engine (internal/sim), placement index vs linear scan (internal/fleet), the
+# tracer's disabled/enabled emit cost (internal/vtrace) and the attribution
+# host fold's per-event cost as profilers pile up (internal/latprof). One
+# iteration measures nothing; it only checks that every benchmark still runs.
 echo "== go benchmarks (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/
+go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48

@@ -133,7 +133,7 @@ type Result struct {
 	// Config.Attribution was set; nil otherwise. Cause classification is
 	// exact for every VM (it depends only on the VM's own entity and guest
 	// events); steal *blame* names are approximate for VMs that live-migrated
-	// (see the routing note on hostState.attribVMs).
+	// (see the routing note on hostState.fold).
 	Attribution map[string]*latprof.Profile
 	// Telemetry is the cell's flight recorder when Config.Telemetry was set;
 	// nil otherwise.
@@ -155,16 +155,18 @@ type hostState struct {
 	vms       []*fleetVM
 	stealEMA  float64
 	faultWindows
-	// attribVMs are the VMs *created* on this host, when attribution is on.
-	// Entity state-change notifications always fire on the creation host's
-	// observer list (host.Entity keeps its birth host even across live
-	// migration), so this — unlike vms — is the stable routing key for
-	// entity events, and is never mutated by migration or departure. The
-	// flip side: a migrated VM's profiler keeps listening here, where thread
-	// ids in events can numerically collide with the destination host's, so
-	// steal-blame names for migrated VMs are approximate (causes stay exact:
-	// they derive from the VM's own entity states, which follow the entity).
-	attribVMs []*fleetVM
+	// fold is the host view shared by the latency profilers of the VMs
+	// *created* on this host, when attribution is on. Entity state-change
+	// notifications always fire on the creation host's observer list
+	// (host.Entity keeps its birth host even across live migration), so the
+	// birth host — not the current one — is the stable routing key for a
+	// VM's entity events, and a profiler stays attached after its VM departs
+	// or crashes. The flip side: a migrated VM's profiler keeps reading this
+	// fold, where thread ids in events can numerically collide with the
+	// destination host's, so steal-blame names for migrated VMs are
+	// approximate (causes stay exact: they derive from the VM's own entity
+	// states, which follow the entity).
+	fold *latprof.HostFold
 }
 
 // fleetVM is one placed VM with its lifecycle state.
@@ -255,17 +257,12 @@ func New(cfg Config) *Fleet {
 			occ:   make([]int, h.NumThreads()),
 		}
 		if cfg.Attribution {
-			// Fan the host's entity events out to the profilers of the VMs
-			// created here (see the attribVMs routing note). AttachHost only
-			// feeds host-kind events into the tap, so fanning to several
-			// profilers is safe: each VM's guest events arrive solely through
-			// its own tracer tee in arrive().
-			tap := vtrace.NewObserver(func(ev vtrace.Event) {
-				for _, vm := range hs.attribVMs {
-					vm.prof.Observe(ev)
-				}
-			})
-			vtrace.AttachHost(tap, h)
+			// Fold the host's events once for the profilers of the VMs
+			// created here (see the fold routing note). AttachHost only feeds
+			// host-kind events into the tap; each VM's guest events arrive
+			// solely through its own tracer tee in spawn().
+			hs.fold = latprof.NewHostFold()
+			vtrace.AttachHost(vtrace.NewObserver(hs.fold.Observe), h)
 		}
 		f.hosts = append(f.hosts, hs)
 	}
@@ -455,7 +452,7 @@ func (f *Fleet) spawn(a Arrival, hi int, name string) *fleetVM {
 		hostIdx: hi, threads: threads, gvm: gvm, alive: true,
 	}
 	if cfg.Attribution {
-		prof := latprof.New(latprof.Config{VM: name, NominalSpeed: hs.h.Config().BaseSpeed})
+		prof := hs.fold.Attach(latprof.Config{VM: name, NominalSpeed: hs.h.Config().BaseSpeed})
 		vm.prof = prof
 		// Tee the VM's guest events into its profiler while preserving the
 		// shared tracer stream (Emit is nil-safe when no tracer is set).
@@ -463,7 +460,6 @@ func (f *Fleet) spawn(a Arrival, hi int, name string) *fleetVM {
 			prof.Observe(ev)
 			cfg.Tracer.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
 		}))
-		hs.attribVMs = append(hs.attribVMs, vm)
 	} else {
 		gvm.SetTracer(cfg.Tracer)
 	}

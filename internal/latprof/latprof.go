@@ -27,6 +27,17 @@
 // how the guest charges commDebt; wakeup communication cost (waker pulling
 // the wakee's working set) is deliberately counted as run, not migration.
 //
+// Host fold: host entity events are host-wide — every VM on a host needs
+// each thread's Running occupant for blame — so they are folded once per
+// host into a HostFold view that all profilers of VMs born there share, and
+// an event reaches only the profilers with a stake in it (the vCPU's owner,
+// and those with a vCPU homed on a thread it touches). Each view entry is
+// stamped with the sequence number of the host event that last wrote it,
+// and a profiler counts an entry as seen only if it was written after the
+// profiler attached; that rule makes a shared fold reconstruct exactly what
+// a private one fed from the attach point on would. New gives a profiler a
+// private fold, so standalone and fleet attribution take one code path.
+//
 // Determinism: the profiler is a pure fold over the event stream. Feeding
 // the same events yields byte-identical reports; all aggregation orders are
 // explicit (task id, name, or span order), never map order.
@@ -34,7 +45,6 @@ package latprof
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 
 	"vsched/internal/host"
@@ -155,13 +165,13 @@ type Span struct {
 // Wall returns the span's wall time.
 func (s *Span) Wall() sim.Duration { return s.End.Sub(s.Start) }
 
-// vcpuState caches the host-side view of one vCPU of the profiled VM.
+// vcpuState caches the host-side view of one vCPU of the profiled VM. The
+// zero value is a vCPU no event has described yet.
 type vcpuState struct {
 	state      host.EntityState
-	known      bool // saw at least one entity event
-	thread     int64
-	haveThread bool
-	speedMicro int64 // last traced effective speed; 0 = assume nominal
+	known      bool      // saw at least one entity event
+	thread     *hwThread // last traced home thread; nil before the first entity event
+	speedMicro int64     // last traced effective speed; 0 = assume nominal
 }
 
 // taskState is an open span under reconstruction.
@@ -179,49 +189,54 @@ type taskState struct {
 	// the tap or was dropped); it is reconstructed but excluded from
 	// aggregates.
 	truncated bool
+	// slot is the task's index in Profiler.open.
+	slot int
 }
 
 // Profiler folds a vtrace event stream into attribution spans. Feed events
 // with Observe (hook it to a tracer with vtrace.NewObserver or SetObserver),
-// then call Finish. The zero Profiler is not usable; call New.
+// then call Finish. The zero Profiler is not usable; call New, or Attach on
+// a HostFold shared with other VMs' profilers.
 type Profiler struct {
 	cfg      Config
 	vmPrefix string
 
+	// fold is the host view this profiler reads steal blame and entity homes
+	// from; attachSeq is the fold's sequence number when the profiler
+	// attached. A view entry counts as seen only if a later event wrote it.
+	fold      *HostFold
+	attachSeq uint64
+
 	tasks map[int64]*taskState
-	vcpus map[int]*vcpuState
-	// threadRunner names the entity currently Running on each hardware
-	// thread — the steal-blame source.
-	threadRunner map[int64]string
-	// entThread is the last-seen home thread of every host entity.
-	entThread map[string]int64
+	// open holds the same tasks densely (swap-delete), so settling a thread
+	// or vCPU scans a slice. Each flush touches only its own span, so the
+	// scan order cannot change a result.
+	open  []*taskState
+	vcpus []vcpuState
 
 	spans     []Span
 	truncated int
 	lastAt    sim.Time
 }
 
-// New returns a profiler for one VM.
+// New returns a profiler for one VM with a private host view: every host
+// entity event it observes is folded into that view first.
 func New(cfg Config) *Profiler {
-	return &Profiler{
-		cfg:          cfg,
-		vmPrefix:     cfg.VM + "/vcpu",
-		tasks:        map[int64]*taskState{},
-		vcpus:        map[int]*vcpuState{},
-		threadRunner: map[int64]string{},
-		entThread:    map[string]int64{},
-	}
+	return NewHostFold().Attach(cfg)
 }
 
 // Observe folds one event. Events must arrive in non-decreasing time order
-// (the order every tracer emits them in).
+// (the order every tracer emits them in). Host entity events go through the
+// profiler's fold; a profiler attached to a shared HostFold must receive
+// them from the fold alone, so feed such a profiler only its own VM's guest
+// events.
 func (p *Profiler) Observe(ev vtrace.Event) {
 	if ev.At > p.lastAt {
 		p.lastAt = ev.At
 	}
 	switch ev.Kind {
 	case vtrace.KindEntityState:
-		p.entityEvent(ev)
+		p.fold.Observe(ev)
 	case vtrace.KindVCPUSpeed:
 		if ev.Subject == p.cfg.VM {
 			p.speedEvent(ev)
@@ -239,65 +254,70 @@ func (p *Profiler) Observe(ev vtrace.Event) {
 	}
 }
 
-// vcpuIndex parses "<VM>/vcpuN" subjects; ok is false for entities of other
-// VMs and synthetic contenders.
+// maxVCPUs bounds the vCPU index parsed from an entity name or a speed
+// event, so a malformed trace cannot size the dense vCPU table.
+const maxVCPUs = 1 << 16
+
+// vcpuIndex parses "<VM>/vcpuN" subjects, N plain decimal digits; ok is
+// false for entities of other VMs and synthetic contenders.
 func (p *Profiler) vcpuIndex(subject string) (int, bool) {
 	if !strings.HasPrefix(subject, p.vmPrefix) {
 		return 0, false
 	}
-	n, err := strconv.Atoi(subject[len(p.vmPrefix):])
-	if err != nil {
+	digits := subject[len(p.vmPrefix):]
+	if digits == "" {
 		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n >= maxVCPUs {
+			return 0, false
+		}
 	}
 	return n, true
 }
 
+// vcpu returns vCPU i's state, growing the table as needed.
 func (p *Profiler) vcpu(i int) *vcpuState {
-	vs := p.vcpus[i]
-	if vs == nil {
-		vs = &vcpuState{}
-		p.vcpus[i] = vs
+	for len(p.vcpus) <= i {
+		p.vcpus = append(p.vcpus, vcpuState{})
 	}
-	return vs
+	return &p.vcpus[i]
 }
 
-// entityEvent tracks host entity transitions: vCPU states of the profiled
-// VM, and the Running occupant of every hardware thread (blame source).
-func (p *Profiler) entityEvent(ev vtrace.Event) {
-	subj := ev.Subject
-	to := host.EntityState(ev.A1)
-	newT := ev.A2
-	oldT, hadT := p.entThread[subj]
+// homeOf is the hardware thread vCPU i was last traced on; nil when unknown.
+func (p *Profiler) homeOf(i int) *hwThread {
+	if i < 0 || i >= len(p.vcpus) {
+		return nil
+	}
+	return p.vcpus[i].thread
+}
 
-	// Any transition can change a thread's runner, which changes blame for
-	// every task stalled behind that thread: settle their clocks first.
-	p.flushThread(ev.At, newT)
-	if hadT && oldT != newT {
-		p.flushThread(ev.At, oldT)
+// vcpuEntity applies one entity event of the profiler's own vCPU idx, homed
+// on t, after the fold settled every other stake in the event.
+func (p *Profiler) vcpuEntity(at sim.Time, idx int, to host.EntityState, t *hwThread) {
+	p.flushVCPU(at, idx)
+	vs := p.vcpu(idx)
+	vs.state = to
+	vs.known = true
+	if vs.thread != t {
+		if vs.thread != nil {
+			vs.thread.unhome(p)
+		}
+		t.home(p)
+		vs.thread = t
 	}
-
-	if idx, ok := p.vcpuIndex(subj); ok {
-		p.flushVCPU(ev.At, idx)
-		vs := p.vcpu(idx)
-		vs.state = to
-		vs.known = true
-		vs.thread = newT
-		vs.haveThread = true
-	}
-
-	if hadT && p.threadRunner[oldT] == subj {
-		delete(p.threadRunner, oldT)
-	}
-	if to == host.Running {
-		p.threadRunner[newT] = subj
-	} else if p.threadRunner[newT] == subj {
-		delete(p.threadRunner, newT)
-	}
-	p.entThread[subj] = newT
 }
 
 func (p *Profiler) speedEvent(ev vtrace.Event) {
 	idx := int(ev.A0)
+	if idx < 0 || idx >= maxVCPUs {
+		return
+	}
 	p.flushVCPU(ev.At, idx)
 	p.vcpu(idx).speedMicro = ev.A1
 }
@@ -310,9 +330,9 @@ func (p *Profiler) wakeup(ev vtrace.Event) {
 		// truncated and start clean.
 		p.flushTask(ts, ev.At)
 		p.truncated++
-		delete(p.tasks, id)
+		p.drop(ts)
 	}
-	p.tasks[id] = &taskState{
+	p.add(&taskState{
 		id:    id,
 		vcpu:  int(ev.A1),
 		since: ev.At,
@@ -322,7 +342,23 @@ func (p *Profiler) wakeup(ev vtrace.Event) {
 			Start:   ev.At,
 			WakerID: ev.A2,
 		},
-	}
+	})
+}
+
+// add opens ts; drop forgets it.
+func (p *Profiler) add(ts *taskState) {
+	ts.slot = len(p.open)
+	p.open = append(p.open, ts)
+	p.tasks[ts.id] = ts
+}
+
+func (p *Profiler) drop(ts *taskState) {
+	last := p.open[len(p.open)-1]
+	p.open[ts.slot] = last
+	last.slot = ts.slot
+	p.open[len(p.open)-1] = nil
+	p.open = p.open[:len(p.open)-1]
+	delete(p.tasks, ts.id)
 }
 
 func (p *Profiler) taskOn(ev vtrace.Event) {
@@ -336,7 +372,7 @@ func (p *Profiler) taskOn(ev vtrace.Event) {
 			span:      Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: -1},
 			truncated: true,
 		}
-		p.tasks[id] = ts
+		p.add(ts)
 	}
 	p.flushTask(ts, ev.At)
 	ts.running = true
@@ -377,7 +413,7 @@ func (p *Profiler) migCost(ev vtrace.Event) {
 }
 
 func (p *Profiler) closeSpan(ts *taskState, at sim.Time) {
-	delete(p.tasks, ts.id)
+	p.drop(ts)
 	if ts.truncated {
 		p.truncated++
 		return
@@ -405,9 +441,9 @@ func sortedBlame(m map[string]sim.Duration) []Blame {
 }
 
 // flushThread settles every open span whose vCPU sits on hardware thread t.
-func (p *Profiler) flushThread(at sim.Time, t int64) {
-	for _, ts := range p.tasks {
-		if vs := p.vcpus[ts.vcpu]; vs != nil && vs.haveThread && vs.thread == t {
+func (p *Profiler) flushThread(at sim.Time, t *hwThread) {
+	for _, ts := range p.open {
+		if p.homeOf(ts.vcpu) == t {
 			p.flushTask(ts, at)
 		}
 	}
@@ -415,7 +451,7 @@ func (p *Profiler) flushThread(at sim.Time, t int64) {
 
 // flushVCPU settles every open span currently homed on vCPU idx.
 func (p *Profiler) flushVCPU(at sim.Time, idx int) {
-	for _, ts := range p.tasks {
+	for _, ts := range p.open {
 		if ts.vcpu == idx {
 			p.flushTask(ts, at)
 		}
@@ -432,18 +468,15 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 	if el <= 0 {
 		return
 	}
-	vs := p.vcpus[ts.vcpu]
-	state := host.Running // optimistic default before any entity event
-	var speedMicro, thread int64
-	haveThread := false
-	if vs != nil {
-		if vs.known {
-			state = vs.state
-		}
-		speedMicro = vs.speedMicro
-		thread = vs.thread
-		haveThread = vs.haveThread
+	var vs vcpuState
+	if ts.vcpu >= 0 && ts.vcpu < len(p.vcpus) {
+		vs = p.vcpus[ts.vcpu]
 	}
+	state := host.Running // optimistic default before any entity event
+	if vs.known {
+		state = vs.state
+	}
+	speedMicro := vs.speedMicro
 
 	if ts.running {
 		switch state {
@@ -472,7 +505,7 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 			ts.span.NS[SMTSlowdown] += slow
 		case host.Runnable:
 			ts.span.NS[StealWait] += el
-			p.blame(ts, thread, haveThread, el)
+			p.blame(ts, vs.thread, el)
 		case host.Throttled:
 			ts.span.NS[ThrottleWait] += el
 		case host.Blocked:
@@ -488,7 +521,7 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 		// Queued behind a descheduled vCPU: the host, not the guest
 		// scheduler, is withholding progress.
 		ts.span.NS[StealWait] += el
-		p.blame(ts, thread, haveThread, el)
+		p.blame(ts, vs.thread, el)
 	case host.Throttled:
 		ts.span.NS[ThrottleWait] += el
 	default:
@@ -498,12 +531,13 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 	}
 }
 
-func (p *Profiler) blame(ts *taskState, thread int64, haveThread bool, el sim.Duration) {
+// blame charges el of steal-wait to the entity Running on thread t, as far
+// as this profiler has seen: a runner that last took the thread before the
+// profiler attached is "(unknown)", as is any runner of an unknown thread.
+func (p *Profiler) blame(ts *taskState, t *hwThread, el sim.Duration) {
 	name := "(unknown)"
-	if haveThread {
-		if r, ok := p.threadRunner[thread]; ok {
-			name = r
-		}
+	if t != nil && t.runner != nil && t.runnerSeq > p.attachSeq {
+		name = t.runner.name
 	}
 	p.blameName(ts, name, el)
 }
@@ -522,13 +556,14 @@ func (p *Profiler) Finish(now sim.Time) *Profile {
 	if now < p.lastAt {
 		now = p.lastAt
 	}
-	ids := make([]int64, 0, len(p.tasks))
-	for id := range p.tasks {
-		ids = append(ids, id)
+	// Host events reach a shared fold's profilers only where they have a
+	// stake, but each one still counts as observed. (Events before the
+	// attach are no later than any the profiler saw itself.)
+	if now < p.fold.lastAt {
+		now = p.fold.lastAt
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p.flushTask(p.tasks[id], now)
+	for _, ts := range p.open {
+		p.flushTask(ts, now)
 	}
 	spans := make([]Span, len(p.spans))
 	copy(spans, p.spans)

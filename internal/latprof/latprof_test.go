@@ -97,6 +97,33 @@ func TestRunAndStealClassification(t *testing.T) {
 	}
 }
 
+// TestStealBlameFollowsRunnerMove: when the entity running on a stalled
+// vCPU's thread moves to another thread, the stalled task is settled first,
+// so the time before the move is blamed on it and the time after on nobody
+// known.
+func TestStealBlameFollowsRunnerMove(t *testing.T) {
+	f := newFeed(2.0)
+	f.ent(0, "tenant", host.Runnable, host.Running, 0)
+	f.ent(0, "vm/vcpu0", host.Blocked, host.Runnable, 0)
+	f.wakeup(0, "a", 1, 0, -1)
+	f.ent(at(5), "tenant", host.Running, host.Runnable, 1)
+	f.ent(at(10), "vm/vcpu0", host.Runnable, host.Running, 0)
+	f.on(at(10), "a", 1, 0)
+	f.off(at(12), "a", 1, 0, 0)
+
+	prof := f.p.Finish(at(12))
+	if len(prof.Spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(prof.Spans))
+	}
+	s := &prof.Spans[0]
+	wantNS(t, s, StealWait, 10*ms)
+	wantNS(t, s, Run, 2*ms)
+	want := []Blame{{Entity: "(unknown)", Wait: 5 * ms}, {Entity: "tenant", Wait: 5 * ms}}
+	if !reflect.DeepEqual(s.StealBy, want) {
+		t.Fatalf("StealBy = %+v, want %+v", s.StealBy, want)
+	}
+}
+
 // TestRunnableWaitVsStealWait: a queued task waits on the guest scheduler
 // while its vCPU runs, and on the host while the vCPU is descheduled.
 func TestRunnableWaitVsStealWait(t *testing.T) {
