@@ -86,10 +86,11 @@ for d in examples/*/; do
 done
 
 # Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
-# engine (internal/sim), placement index vs linear scan (internal/fleet), the
-# tracer's disabled/enabled emit cost (internal/vtrace) and the attribution
-# host fold's per-event cost as profilers pile up (internal/latprof). One
-# iteration measures nothing; it only checks that every benchmark still runs.
+# engine (internal/sim), placement index vs linear scan and the macro tier's
+# per-host epoch integration (internal/fleet), the tracer's disabled/enabled
+# emit cost (internal/vtrace) and the attribution host fold's per-event cost
+# as profilers pile up (internal/latprof). One iteration measures nothing; it
+# only checks that every benchmark still runs.
 echo "== go benchmarks (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/
 

@@ -35,12 +35,13 @@ import (
 // makespan contribution) but frees its commitment at the next boundary.
 //
 // Scale: state is flat value-typed arrays (one macroVM, one macroHost per
-// entity — no pointers into the engine), and the epoch integration shards
-// across contiguous host ranges on real goroutines inside a single engine
-// callback. Each host's VMs live on exactly one shard, so the parallel phase
-// writes disjoint state; every cross-host reduction (DI, snapshot, placement)
-// runs serially in host order afterwards. Serial and sharded runs are
-// byte-identical — the fleetscale experiment panics if not.
+// entity — no pointers into the engine; each host packs its live VMs'
+// integration state into a dense slice of resident records), and the epoch
+// integration shards across contiguous host ranges on real goroutines inside
+// a single engine callback. Each host's VMs live on exactly one shard, so the
+// parallel phase writes disjoint state; every cross-host reduction (DI,
+// snapshot, placement) runs serially in host order afterwards. Serial and
+// sharded runs are byte-identical — the fleetscale experiment panics if not.
 type MacroConfig struct {
 	Trace cloudgen.Trace
 	// Policy places arriving VMs. IndexedPolicy implementations go through
@@ -168,11 +169,28 @@ type macroHost struct {
 	committed int32
 	speed     float64
 	stealEMA  float64
-	util      float64 // last epoch's min(1, D/threads)
-	vms       []int32 // live VM ids in placement order
+	util      float64    // last epoch's min(1, D/threads)
+	res       []resident // live VMs in placement order
 	// Fault windows, opened serially at epoch boundaries; a stalled host
 	// integrates with rho = 0.
 	faultWindows
+}
+
+// resident is the integration-hot state of one live VM, stored densely in
+// its host's placement order so an epoch streams the host's own records
+// instead of chasing ids across the arrival-indexed m.vms. While the VM is
+// live on the host, the record is the canonical copy of work, served, steal
+// and done: writeBack copies them to the macroVM when the VM departs or is
+// killed, and result() does so for every remaining resident before it reads
+// m.vms.
+type resident struct {
+	load   float64 // vcpus * per-vCPU demand weight
+	work   float64
+	served float64
+	steal  float64
+	id     int32
+	batch  bool
+	done   bool
 }
 
 // macroAgg is the fleet-wide aggregate block the telemetry source samples.
@@ -255,8 +273,25 @@ type macroSim struct {
 
 // RunMacro executes one macro cell to its horizon and returns the result.
 func RunMacro(cfg MacroConfig) *MacroResult {
+	m := newMacroSim(cfg)
+	m.eng.At(0, m.epoch)
+	m.eng.Run(m.horizon)
+	m.boundary(m.horizon) // final departures + arrivals bookkeeping at the edge
+	return m.result()
+}
+
+// newMacroSim validates cfg, fills its defaults and builds the cell's state
+// at time 0, with observers attached and no epoch scheduled yet.
+func newMacroSim(cfg MacroConfig) *macroSim {
 	if len(cfg.Trace.Hosts) == 0 {
 		panic("fleet: macro run needs a host population")
+	}
+	// vcpus is an int16 and 0 marks a never-placed VM, so a size outside
+	// [1, MaxInt16] would corrupt admission accounting or the result.
+	for i := range cfg.Trace.VMs {
+		if tv := &cfg.Trace.VMs[i]; tv.VCPUs < 1 || tv.VCPUs > math.MaxInt16 {
+			panic(fmt.Sprintf("fleet: macro trace VM %d has %d vCPUs, want 1..%d", tv.ID, tv.VCPUs, math.MaxInt16))
+		}
 	}
 	if cfg.Overcommit <= 0 {
 		cfg.Overcommit = 2.0
@@ -329,10 +364,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 		})
 		m.publishMirror()
 	}
-	m.eng.At(0, m.epoch)
-	m.eng.Run(m.horizon)
-	m.boundary(m.horizon) // final departures + arrivals bookkeeping at the edge
-	return m.result()
+	return m
 }
 
 // epoch advances one integration step: boundary work (departures, arrivals,
@@ -507,19 +539,21 @@ func (m *macroSim) applyFaults(t sim.Time) {
 		m.ledger.fault(ev.Kind)
 		h.open(ev)
 		if ev.Kind == faults.Crash {
-			for _, id := range h.vms {
-				m.kill(id, t)
+			for k := range h.res {
+				m.kill(&h.res[k], t)
 			}
-			h.vms = h.vms[:0]
+			h.res = h.res[:0]
 			h.committed = 0
 		}
 	}
 }
 
-// kill marks VM id dead after its host crashed: batch progress since the
-// last (re)start is destroyed, and the VM either enters the retry queue
-// (recovery) or is terminally lost.
-func (m *macroSim) kill(id int32, t sim.Time) {
+// kill marks resident r's VM dead after its host crashed: batch progress
+// since the last (re)start is destroyed, and the VM either enters the retry
+// queue (recovery) or is terminally lost. The caller drops r afterwards.
+func (m *macroSim) kill(r *resident, t sim.Time) {
+	id := r.id
+	m.writeBack(r)
 	vm := &m.vms[id]
 	vm.alive = false
 	vm.done = false
@@ -630,7 +664,7 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.vms = append(h.vms, e.id)
+	h.res = append(h.res, m.resident(e.id))
 	m.file(e.id)
 	m.events++
 	m.ledger.restored(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
@@ -657,9 +691,9 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 	for i := range m.hosts {
 		h := &m.hosts[i]
-		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.vms) > 0 {
-			id := h.vms[len(h.vms)-1]
-			vm := &m.vms[id]
+		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.res) > 0 {
+			r := h.res[len(h.res)-1]
+			vm := &m.vms[r.id]
 			m.events++
 			if m.ledger.evacFails(m.sched) {
 				break
@@ -668,11 +702,11 @@ func (m *macroSim) evacuate(t sim.Time) {
 			if hi < 0 || hi == i {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
-			h.vms = h.vms[:len(h.vms)-1]
+			h.res = h.res[:len(h.res)-1]
 			h.committed -= int32(vm.vcpus)
 			d := &m.hosts[hi]
 			d.committed += int32(vm.vcpus)
-			d.vms = append(d.vms, id)
+			d.res = append(d.res, r)
 			vm.host = int32(hi)
 			m.ledger.count(&m.ledger.Evacuations, "evacuations")
 			m.reindexHost(i)
@@ -690,7 +724,7 @@ func (m *macroSim) macroInfo(i int) HostInfo {
 		Index:     i,
 		Committed: int(h.committed),
 		Capacity:  h.effCap(int(h.capacity), m.now),
-		VMs:       len(h.vms),
+		VMs:       len(h.res),
 		StealRate: h.stealEMA,
 	}
 }
@@ -757,7 +791,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.vms = append(h.vms, int32(idx))
+	h.res = append(h.res, m.resident(int32(idx)))
 	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
@@ -771,15 +805,37 @@ func (m *macroSim) depart(id int32) {
 	vm.state = vmCompleted
 	h := &m.hosts[vm.host]
 	h.committed -= int32(vm.vcpus)
-	for k, v := range h.vms {
-		if v == id {
-			h.vms = append(h.vms[:k], h.vms[k+1:]...)
+	for k := range h.res {
+		if h.res[k].id == id {
+			m.writeBack(&h.res[k])
+			h.res = append(h.res[:k], h.res[k+1:]...)
 			break
 		}
 	}
 	m.departed++
 	m.events++
 	m.reg.Counter("fleet.macro.departed").Inc()
+}
+
+// resident builds VM id's record from its macroVM, whose fields admit or
+// restart has just set.
+func (m *macroSim) resident(id int32) resident {
+	vm := &m.vms[id]
+	return resident{
+		load:   float64(vm.vcpus) * vm.demand,
+		work:   vm.work,
+		served: vm.served,
+		steal:  vm.steal,
+		id:     id,
+		batch:  vm.batch,
+		done:   vm.done,
+	}
+}
+
+// writeBack copies resident r's canonical fields to its macroVM.
+func (m *macroSim) writeBack(r *resident) {
+	vm := &m.vms[r.id]
+	vm.work, vm.served, vm.steal, vm.done = r.work, r.served, r.steal, r.done
 }
 
 // integrate advances every host through [t0, t1). The per-host work is
@@ -819,7 +875,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	// in the calendar under the boundary that ends this epoch.
 	var events uint64
 	for i := range m.hosts {
-		events += uint64(len(m.hosts[i].vms)) + 1
+		events += uint64(len(m.hosts[i].res)) + 1
 	}
 	m.events += events
 	for s := 0; s < shards; s++ {
@@ -852,7 +908,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		sumU += u
 		sumSteal += h.stealEMA
 		sumCommitted += float64(h.committed)
-		alive += float64(len(h.vms))
+		alive += float64(len(h.res))
 		if h.downUntil > t0 {
 			down++
 		} else if h.degradedUntil > t0 {
@@ -911,10 +967,10 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 		} else if h.degradedUntil > t0 {
 			effT = h.degradeFactor * float64(h.threads)
 		}
+		res := h.res
 		demand := 0.0
-		for _, id := range h.vms {
-			vm := &m.vms[id]
-			demand += float64(vm.vcpus) * vm.demand
+		for k := range res {
+			demand += res[k].load
 		}
 		rho := 1.0
 		util := 0.0
@@ -938,28 +994,28 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 			target = 1 - rho
 		}
 		h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
-		for _, id := range h.vms {
-			vm := &m.vms[id]
+		for k := range res {
+			r := &res[k]
 			span := dt
-			if vm.batch && !vm.done {
+			if r.batch && !r.done {
 				rate := rho * h.speed // per-vCPU progress per second
-				if need := vm.work / rate; need < span {
+				if need := r.work / rate; need < span {
 					span = need
-					vm.work = 0
-					vm.done = true
+					r.work = 0
+					r.done = true
 					// Analytic completion instant; integrate() lifts it
 					// into the makespan then quantizes the departure.
-					vm.depart = t0.Add(sim.Duration(span * float64(sim.Second)))
-					done = append(done, id)
+					m.vms[r.id].depart = t0.Add(sim.Duration(span * float64(sim.Second)))
+					done = append(done, r.id)
 				} else {
-					vm.work -= rate * span
+					r.work -= rate * span
 				}
-			} else if vm.done {
+			} else if r.done {
 				span = 0 // budget drained in a prior epoch; idle until boundary
 			}
-			req := float64(vm.vcpus) * vm.demand * span
-			vm.served += req * rho
-			vm.steal += req * (1 - rho)
+			req := r.load * span
+			r.served += req * rho
+			r.steal += req * (1 - rho)
 		}
 	}
 	return done
@@ -969,6 +1025,11 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 // enforces the conservation law: every arrival is in exactly one terminal or
 // live state — nothing is lost unaccounted.
 func (m *macroSim) result() *MacroResult {
+	for i := range m.hosts {
+		for k := range m.hosts[i].res {
+			m.writeBack(&m.hosts[i].res[k])
+		}
+	}
 	fracs := make([]float64, 0, m.placed)
 	totalSteal := 0.0
 	for i := range m.vms {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -596,6 +597,84 @@ func TestMacroFaultShardedMatchesSerial(t *testing.T) {
 			if !bytes.Equal(sharded.Snapshot, again.Snapshot) {
 				t.Fatal("two identical faulted runs diverged")
 			}
+		})
+	}
+}
+
+// TestMacroRejectsBadVCPUs: a trace VM sized outside [1, MaxInt16] is a
+// broken trace, not a workload. Zero collides with the never-placed marker,
+// a negative size corrupts admission accounting and 32768 wraps the int16,
+// so RunMacro refuses each one by VM id before simulating anything.
+func TestMacroRejectsBadVCPUs(t *testing.T) {
+	for _, vcpus := range []int{-1, 0, 32768} {
+		t.Run(fmt.Sprint(vcpus), func(t *testing.T) {
+			trace := cloudgen.Trace{
+				Seed:    1,
+				Horizon: 120 * sim.Second,
+				Hosts:   []cloudgen.HostSpec{{Class: "h", Threads: 4, SpeedFactor: 1.0}},
+				VMs: []cloudgen.VM{
+					{ID: 0, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
+					{ID: 7, At: 0, VCPUs: vcpus, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
+				},
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "VM 7 ") || !strings.Contains(msg, fmt.Sprintf("%d vCPUs", vcpus)) {
+					t.Fatalf("panic %q does not name VM 7 and its %d vCPUs", msg, vcpus)
+				}
+			}()
+			RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
+		})
+	}
+}
+
+// warmMacro builds a macro cell and runs it through the epoch at mid, so the
+// hosts hold a mid-trace resident population.
+func warmMacro(cfg MacroConfig, mid sim.Time) *macroSim {
+	m := newMacroSim(cfg)
+	m.eng.At(0, m.epoch)
+	m.eng.Run(mid)
+	return m
+}
+
+// TestMacroEpochAllocFree pins the epoch integration at zero heap
+// allocations once a run is in steady state: the per-host records, the
+// completion scratch and the aggregate block are all reused.
+func TestMacroEpochAllocFree(t *testing.T) {
+	trace := macroTestTrace(42)
+	mid := sim.Time(0).Add(3 * cloudgen.Hour)
+	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: 1}, mid)
+	alive := 0
+	for i := range m.hosts {
+		alive += len(m.hosts[i].res)
+	}
+	if alive == 0 {
+		t.Fatal("degenerate warm-up: no live VMs")
+	}
+	t1 := mid.Add(m.cfg.Epoch)
+	if allocs := testing.AllocsPerRun(100, func() { m.integrate(mid, t1) }); allocs != 0 {
+		t.Fatalf("integrate allocates %v times per epoch, want 0", allocs)
+	}
+}
+
+// BenchmarkMacroEpoch times the epoch integration alone on the full
+// 1024-host cloudgen trace, advanced to its midpoint: ns/host-epoch is the
+// cost of one host's contention step (demand sum, rho, per-VM steal and
+// progress) including the serial reductions integrate runs after the shards
+// join.
+func BenchmarkMacroEpoch(b *testing.B) {
+	trace := cloudgen.Generate(42, cloudgen.DefaultConfig())
+	mid := sim.Time(0).Add(trace.Horizon / 2)
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: shards}, mid)
+			t1 := mid.Add(m.cfg.Epoch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.integrate(mid, t1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.hosts)), "ns/host-epoch")
 		})
 	}
 }

@@ -28,6 +28,7 @@ package vsched
 
 import (
 	"fmt"
+	"math"
 
 	"vsched/internal/cachemodel"
 	"vsched/internal/core"
@@ -291,11 +292,15 @@ type ExperimentOptions = experiments.Options
 type ExperimentReport = experiments.Report
 
 // RunExperiment regenerates one of the paper's tables or figures (fig2..21,
-// table2..4) and returns its report. Scale < 1 shrinks measurement windows.
+// table2..4) and returns its report. Scale < 1 shrinks measurement windows;
+// 0 means full length, and a negative, NaN or infinite Scale is an error.
 func RunExperiment(id string, opt ExperimentOptions) (*ExperimentReport, error) {
 	r, ok := experiments.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("vsched: unknown experiment %q", id)
+	}
+	if opt.Scale < 0 || math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
+		return nil, fmt.Errorf("vsched: bad experiment scale %v (want a finite factor >= 0)", opt.Scale)
 	}
 	return r.Run(opt), nil
 }

@@ -1,6 +1,7 @@
 package vsched_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -87,6 +88,25 @@ func TestWorkloadNamesAndExperimentIDs(t *testing.T) {
 func TestRunExperimentUnknown(t *testing.T) {
 	if _, err := vsched.RunExperiment("fig999", vsched.ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment must error")
+	}
+}
+
+// TestRunExperimentBadScale: a scale the measurement windows cannot be
+// multiplied by is an error, not a silently degenerate 1 ms report.
+func TestRunExperimentBadScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5} {
+		rep, err := vsched.RunExperiment("fig3", vsched.ExperimentOptions{Seed: 1, Scale: scale})
+		if err == nil || rep != nil {
+			t.Errorf("scale %v = (%v, %v), want (nil, error)", scale, rep, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: error does not name the scale: %v", scale, err)
+		}
+	}
+	// 0 stays the "full length" default.
+	if _, err := vsched.RunExperiment("fig3", vsched.ExperimentOptions{Seed: 1}); err != nil {
+		t.Fatalf("scale 0: %v", err)
 	}
 }
 
