@@ -203,11 +203,14 @@ func BenchmarkAblationHeartbeatGranularity(b *testing.B) {
 func benchRegistry(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res := vsched.RunExperiments(vsched.HarnessConfig{
+		res, err := vsched.RunExperiments(vsched.HarnessConfig{
 			BaseSeed: 42,
 			Scale:    0.05,
 			Workers:  workers,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Failed() > 0 {
 			b.Fatalf("%d trials failed", res.Failed())
 		}

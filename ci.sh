@@ -2,8 +2,10 @@
 # ci.sh — the checks a change must pass before merging.
 #
 #   ./ci.sh         # gofmt + vet + build + full tests + race pass + run smokes
-#                   #   + Go benchmarks once + vbench smoke
+#                   #   + experiments_full.txt byte-identity + Go benchmarks
+#                   #   once + vbench smoke
 #   ./ci.sh quick   # same, but -short tests (skips the full-registry suites)
+#                   #   and no experiments_full.txt check
 #
 # The race pass covers every package under internal/, listed by `go list`
 # so a new package is race-tested without editing this file. The one
@@ -77,6 +79,16 @@ go build -o "$tmp"/vexp_ci ./cmd/experiments
 "$tmp"/vexp_ci -run attrib -scale 0.1 -seed 7 > "$tmp"/vexp_attrib_b.txt
 cmp "$tmp"/vexp_attrib_a.txt "$tmp"/vexp_attrib_b.txt
 
+# Full-record gate: every change to the simulator promises byte-identical
+# paper output, so the whole registry at scale 1 and the default seed must
+# reproduce the committed experiments_full.txt byte for byte (~45 s on 2
+# vCPUs). quick skips it.
+if [ -z "$short" ]; then
+    echo "== experiments_full.txt byte-identity (-run all, scale 1)"
+    "$tmp"/vexp_ci -run all > "$tmp"/vexp_full.txt
+    cmp "$tmp"/vexp_full.txt experiments_full.txt
+fi
+
 # Examples smoke: every program under examples/ must not just compile but
 # run to completion — they are the documented entry points.
 echo "== examples smoke"
@@ -88,11 +100,13 @@ done
 # Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
 # engine (internal/sim), placement index vs linear scan and the macro tier's
 # per-host epoch integration (internal/fleet), the tracer's disabled/enabled
-# emit cost (internal/vtrace) and the attribution host fold's per-event cost
-# as profilers pile up (internal/latprof). One iteration measures nothing; it
-# only checks that every benchmark still runs.
+# emit cost (internal/vtrace), the attribution host fold's per-event cost
+# as profilers pile up (internal/latprof), the guest's mask-driven wakeup
+# selection at 16 and 64 vCPUs (internal/guest) and the host's core-level
+# busy change with and without a turbo flip (internal/host). One iteration
+# measures nothing; it only checks that every benchmark still runs.
 echo "== go benchmarks (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/
+go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48

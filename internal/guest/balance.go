@@ -27,12 +27,13 @@ func (vm *VM) newIdleBalance(v *VCPU) {
 func (vm *VM) findPullable(v *VCPU, sameDomain bool) *Task {
 	now := vm.eng.Now()
 	var busiest *VCPU
-	for _, s := range vm.vcpus {
-		// Only queues with real contention are donors: pulling the sole
-		// runnable task of another CPU gains nothing (and a lone task
-		// queued on an inactive vCPU looks exactly like a running one from
-		// here).
-		if s == v || len(s.rq) == 0 || s.nrRunning() < 2 {
+	// Only overloaded queues are donors: pulling the sole runnable task of
+	// another CPU gains nothing (and a lone task queued on an inactive vCPU
+	// looks exactly like a running one from here).
+	ov := vm.overloaded
+	for i := ov.next(0); i >= 0; i = ov.next(i + 1) {
+		s := vm.vcpus[i]
+		if s == v {
 			continue
 		}
 		same := vm.topo.SocketOf[s.id] == vm.topo.SocketOf[v.id]

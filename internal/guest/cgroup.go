@@ -6,31 +6,44 @@ package guest
 // cgroup cpusets.
 type CGroup struct {
 	name    string
-	allowed []bool
+	n       int
+	allowed cpumask
 }
 
-func fullMask(n int) []bool {
-	m := make([]bool, n)
-	for i := range m {
-		m[i] = true
+// newGroup returns a group of an n-vCPU VM allowing every vCPU.
+func newGroup(name string, n int) *CGroup {
+	g := &CGroup{name: name, n: n, allowed: newCPUMask(n)}
+	for i := 0; i < n; i++ {
+		g.allowed.set(i, true)
 	}
-	return m
+	return g
 }
 
 // NewGroup creates a cgroup allowing all vCPUs.
-func (vm *VM) NewGroup(name string) *CGroup {
-	return &CGroup{name: name, allowed: fullMask(len(vm.vcpus))}
-}
+func (vm *VM) NewGroup(name string) *CGroup { return newGroup(name, len(vm.vcpus)) }
 
 // Name returns the group name.
 func (g *CGroup) Name() string { return g.name }
 
 // Allowed reports whether the group may use vCPU i.
-func (g *CGroup) Allowed(i int) bool { return g.allowed[i] }
+func (g *CGroup) Allowed(i int) bool { return g.allowed.has(i) }
 
 // AllowedMask returns a copy of the mask.
 func (g *CGroup) AllowedMask() []bool {
-	return append([]bool(nil), g.allowed...)
+	m := make([]bool, g.n)
+	for i := range m {
+		m[i] = g.allowed.has(i)
+	}
+	return m
+}
+
+// allowedMask returns the vCPUs task t may use: its pin, or its group's
+// mask.
+func (vm *VM) allowedMask(t *Task) cpumask {
+	if t.affinity >= 0 {
+		return vm.only[t.affinity]
+	}
+	return t.group.allowed
 }
 
 // allowedFor reports whether task t may run on vCPU v, combining its cgroup
@@ -39,19 +52,14 @@ func (vm *VM) allowedFor(t *Task, v *VCPU) bool {
 	if t.affinity >= 0 {
 		return t.affinity == v.id
 	}
-	return t.group.allowed[v.id]
+	return t.group.allowed.has(v.id)
 }
 
 // firstAllowed returns some vCPU task t may use (its pin, or the first set
 // bit of its group mask); falls back to vCPU 0 on an empty mask.
 func (vm *VM) firstAllowed(t *Task) *VCPU {
-	if t.affinity >= 0 {
-		return vm.vcpus[t.affinity]
-	}
-	for i, ok := range t.group.allowed {
-		if ok {
-			return vm.vcpus[i]
-		}
+	if i := vm.allowedMask(t).next(0); i >= 0 {
+		return vm.vcpus[i]
 	}
 	return vm.vcpus[0]
 }
@@ -74,14 +82,16 @@ func (vm *VM) SetGroupMask(g *CGroup, mask []bool) {
 	if !any {
 		panic("guest: cgroup mask cannot be empty")
 	}
-	copy(g.allowed, mask)
+	for i, ok := range mask {
+		g.allowed.set(i, ok)
+	}
 	vm.evictBanned(g)
 }
 
 // evictBanned pushes a group's tasks off vCPUs the mask no longer allows.
 func (vm *VM) evictBanned(g *CGroup) {
 	for _, v := range vm.vcpus {
-		if g.allowed[v.id] {
+		if g.allowed.has(v.id) {
 			continue
 		}
 		// Queued tasks: re-place immediately.

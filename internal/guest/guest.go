@@ -103,6 +103,22 @@ type VM struct {
 	// first-appearance order, derived once per published belief.
 	sockets    [][]int
 	coreGroups [][]*VCPU
+	// sockMask[i] and coreMask[i] are vCPU i's believed socket and core
+	// groups as masks, derived with sockets and coreGroups. only[i] is {i}
+	// (a pinned task's allowed set) and all holds every vCPU.
+	sockMask, coreMask, only []cpumask
+	all                      cpumask
+
+	// idle and overloaded mirror each vCPU's runqueue as one bit: idle is
+	// GuestIdle (no curr, empty rq), overloaded marks a pull donor (a
+	// queued task and at least two runnable). syncMasks keeps both exact
+	// at every change of curr or rq, so wake and pull scans read them
+	// instead of walking the vCPUs.
+	idle, overloaded cpumask
+	// capCeil bounds the capacity any guest-idle vCPU can report: 1024 or
+	// the largest capacity ever published. A task that does not fit it
+	// fits no idle vCPU, so the wake scan skips the capacity walk.
+	capCeil int64
 
 	// decay memoises the PELT decay factor for this VM's tasks and ticks.
 	decay decayMemo
@@ -124,6 +140,7 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 		name:    name,
 		params:  params,
 		llcLoad: make([]float64, h.Config().Sockets),
+		capCeil: 1024,
 	}
 	vm.decay.reset()
 	vm.reg = metrics.NewRegistry()
@@ -136,7 +153,11 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 		contextSwitches:  vm.reg.Counter("guest.context_switches"),
 		ticks:            vm.reg.Counter("guest.ticks"),
 	}
-	vm.root = &CGroup{name: "root", allowed: fullMask(len(threads))}
+	n := len(threads)
+	vm.root = newGroup("root", n)
+	vm.all = vm.root.allowed.clone()
+	vm.idle, vm.overloaded = vm.all.clone(), newCPUMask(n)
+	vm.only = groupMasks(groups(DefaultBelief(n).CoreOf), n) // every vCPU its own group
 	for i, th := range threads {
 		v := &VCPU{vm: vm, id: i, cfsCapacity: 1024}
 		v.completeFn, v.tickFn, v.resumeFn, v.reschedFn = v.onComplete, v.tickFire, v.onResumeWork, v.onResched
@@ -224,8 +245,11 @@ func (vm *VM) SetTopology(b Belief) {
 func (vm *VM) setTopology(b Belief) {
 	vm.topo = b
 	vm.sockets = b.Sockets()
+	vm.sockMask = groupMasks(vm.sockets, len(vm.vcpus))
+	cores := groups(b.CoreOf)
+	vm.coreMask = groupMasks(cores, len(vm.vcpus))
 	vm.coreGroups = vm.coreGroups[:0]
-	for _, ids := range groups(b.CoreOf) {
+	for _, ids := range cores {
 		members := make([]*VCPU, len(ids))
 		for k, id := range ids {
 			members[k] = vm.vcpus[id]
@@ -397,6 +421,7 @@ func (vm *VM) enqueue(v *VCPU, t *Task, waker *VCPU) {
 		t.vruntime = v.minVruntime
 	}
 	v.rq = append(v.rq, t)
+	v.syncMasks()
 
 	if v.curr == nil {
 		if v.ent.State() == host.Blocked {
@@ -652,6 +677,7 @@ func (vm *VM) advance(t *Task) {
 			t.state = TaskRunnable
 			t.enqueuedAt = now
 			v.rq = append(v.rq, t)
+			v.syncMasks()
 			v.dispatch()
 			return
 

@@ -17,9 +17,11 @@ import (
 //  2. the curr of a vCPU is never simultaneously queued;
 //  3. runqueues contain only TaskRunnable tasks, curr is TaskRunning;
 //  4. affinity-pinned tasks sit on their pinned vCPU;
-//  5. socket footprint accounting matches the installed tasks.
+//  5. socket footprint accounting matches the installed tasks;
+//  6. the idle and overloaded masks equal a recount from curr and rq.
 func checkInvariants(t *testing.T, vm *VM, tasks []*Task) {
 	t.Helper()
+	checkMasks(t, vm)
 	where := map[*Task]string{}
 	note := func(tk *Task, place string) {
 		if prev, dup := where[tk]; dup {
@@ -73,6 +75,26 @@ func checkInvariants(t *testing.T, vm *VM, tasks []*Task) {
 		diff := llc[s] - vm.llcLoad[s]
 		if diff < -1e-9 || diff > 1e-9 {
 			t.Fatalf("socket %d footprint drift: tracked %.3f actual %.3f", s, vm.llcLoad[s], llc[s])
+		}
+	}
+}
+
+// checkMasks asserts that every vCPU's bits in the idle and overloaded masks
+// equal a recount from its curr and rq, and that no bit past the last vCPU
+// is set.
+func checkMasks(t *testing.T, vm *VM) {
+	t.Helper()
+	for i, v := range vm.vcpus {
+		idle := v.curr == nil && len(v.rq) == 0
+		over := len(v.rq) >= 1 && v.nrRunning() >= 2
+		if vm.idle.has(i) != idle || vm.overloaded.has(i) != over {
+			t.Fatalf("v%d masks idle=%v overloaded=%v, recount idle=%v overloaded=%v (curr %v, rq %d)",
+				i, vm.idle.has(i), vm.overloaded.has(i), idle, over, v.curr != nil, len(v.rq))
+		}
+	}
+	for i := len(vm.vcpus); i < 64*len(vm.idle); i++ {
+		if vm.idle.has(i) || vm.overloaded.has(i) {
+			t.Fatalf("mask bit %d set past the last vCPU", i)
 		}
 	}
 }
@@ -180,7 +202,7 @@ func TestSchedulerInvariantsUnderStress(t *testing.T) {
 					vm.SetGroupMask(g, mask)
 				}
 				if round%7 == 6 {
-					vm.SetGroupMask(g, fullMask(n))
+					vm.SetGroupMask(g, vm.NewGroup("full").AllowedMask())
 				}
 				// Occasional host-side vCPU repinning (topology change).
 				if round%11 == 5 {

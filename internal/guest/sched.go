@@ -45,15 +45,7 @@ func (v *VCPU) nrRunning() int {
 
 // coreGroupIdle reports whether every vCPU sharing i's believed core group
 // is guest-idle (an "idle core" in SMT-aware selection).
-func (vm *VM) coreGroupIdle(i int) bool {
-	g := vm.topo.CoreOf[i]
-	for j, v := range vm.vcpus {
-		if vm.topo.CoreOf[j] == g && !v.GuestIdle() {
-			return false
-		}
-	}
-	return true
-}
+func (vm *VM) coreGroupIdle(i int) bool { return vm.coreMask[i].subsetOf(vm.idle) }
 
 // selectCPU picks the vCPU for a waking task. The vSched hook (bvs) runs
 // first; the stock heuristic is the fallback.
@@ -90,71 +82,69 @@ func (vm *VM) selectCPUDefault(t *Task, prev *VCPU, waker *VCPU) *VCPU {
 		vm.coreGroupIdle(target.id) && fitsCapacity(util, target.Capacity()) {
 		return target
 	}
-	domain := vm.topo.SocketOf[target.id]
-	inDomain := func(v *VCPU) bool { return vm.topo.SocketOf[v.id] == domain }
+	domain := vm.sockMask[target.id]
 
 	// SMT-aware scan: a fully idle core beats a thread whose sibling is
-	// busy. Without SMT belief every vCPU is its own core and this pass is
-	// just an idle-vCPU scan with capacity fit.
-	if pick := vm.scanIdle(t, util, target.id, inDomain, true); pick != nil {
-		return pick
-	}
-	// Any idle vCPU in the domain with capacity fit.
-	if pick := vm.scanIdle(t, util, target.id, inDomain, false); pick != nil {
+	// busy, and either beats an idle vCPU without capacity fit. Without SMT
+	// belief every vCPU is its own core and this is just an idle-vCPU scan
+	// with capacity fit.
+	if pick := vm.scanIdle(t, util, target.id, domain); pick != nil {
 		return pick
 	}
 	// Any idle vCPU in the domain, ignoring fit.
-	for _, v := range vm.vcpus {
-		if inDomain(v) && vm.allowedFor(t, v) && v.GuestIdle() {
-			return v
-		}
+	if i := nextAnd(0, vm.idle, domain, vm.allowedMask(t)); i >= 0 {
+		return vm.vcpus[i]
 	}
 	// Overloaded domain: least loaded allowed vCPU, domain first then VM.
-	if pick := vm.leastLoaded(t, inDomain); pick != nil {
+	if pick := vm.leastLoaded(t, domain); pick != nil {
 		return pick
 	}
-	if pick := vm.leastLoaded(t, func(*VCPU) bool { return true }); pick != nil {
+	if pick := vm.leastLoaded(t, vm.all); pick != nil {
 		return pick
 	}
 	return vm.firstAllowed(t)
 }
 
-// scanIdle looks for an allowed guest-idle vCPU with capacity fit, scanning
-// from `start` and wrapping (like select_idle_sibling's target-relative
-// scan); wantIdleCore additionally requires its whole believed core to be
-// idle.
-func (vm *VM) scanIdle(t *Task, util float64, start int, in func(*VCPU) bool, wantIdleCore bool) *VCPU {
-	n := len(vm.vcpus)
-	for k := 0; k < n; k++ {
-		v := vm.vcpus[(start+k)%n]
-		if !in(v) || !vm.allowedFor(t, v) || !v.GuestIdle() {
-			continue
-		}
-		if !fitsCapacity(util, v.Capacity()) {
-			continue
-		}
-		if wantIdleCore && !vm.coreGroupIdle(v.id) {
-			continue
-		}
-		return v
+// scanIdle looks for an allowed guest-idle vCPU of domain with capacity
+// fit, scanning from `start` and wrapping (like select_idle_sibling's
+// target-relative scan). The first candidate whose whole believed core is
+// idle wins; failing that, the first candidate that fits. Candidates come
+// from idle ∧ domain ∧ allowed in the rotated order a walk over every vCPU
+// would visit them, so the pick is the same as that walk's.
+func (vm *VM) scanIdle(t *Task, util float64, start int, domain cpumask) *VCPU {
+	if !fitsCapacity(util, vm.capCeil) {
+		return nil
 	}
-	return nil
+	allowed := vm.allowedMask(t)
+	var fit *VCPU
+	for _, span := range [2][2]int{{start, len(vm.vcpus)}, {0, start}} {
+		for i := nextAnd(span[0], vm.idle, domain, allowed); i >= 0 && i < span[1]; i = nextAnd(i+1, vm.idle, domain, allowed) {
+			v := vm.vcpus[i]
+			if !fitsCapacity(util, v.Capacity()) {
+				continue
+			}
+			if vm.coreGroupIdle(i) {
+				return v
+			}
+			if fit == nil {
+				fit = v
+			}
+		}
+	}
+	return fit
 }
 
 // socketLoad returns the average load-to-capacity (scaled by 1024) of the
 // believed socket containing vCPU id.
 func (vm *VM) socketLoad(id int) int64 {
-	g := vm.topo.SocketOf[id]
+	// Recomputed in ascending id order on every call: a running float sum
+	// would add in a different order and round differently.
+	m := vm.sockMask[id]
 	var sum float64
 	var n int64
-	for j, v := range vm.vcpus {
-		if vm.topo.SocketOf[j] == g {
-			sum += v.loadPerCapacity()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
+	for j := m.next(0); j >= 0; j = m.next(j + 1) {
+		sum += vm.vcpus[j].loadPerCapacity()
+		n++
 	}
 	return int64(sum) / n
 }
@@ -191,28 +181,24 @@ func (vm *VM) selectCPUFork(t *Task) *VCPU {
 	if bestIDs == nil {
 		return vm.firstAllowed(t)
 	}
-	inSock := func(v *VCPU) bool { return vm.topo.SocketOf[v.id] == vm.topo.SocketOf[bestIDs[0]] }
-	if pick := vm.scanIdle(t, t.Util(), bestIDs[0], inSock, true); pick != nil {
+	sock := vm.sockMask[bestIDs[0]]
+	if pick := vm.scanIdle(t, t.Util(), bestIDs[0], sock); pick != nil {
 		return pick
 	}
-	if pick := vm.scanIdle(t, t.Util(), bestIDs[0], inSock, false); pick != nil {
-		return pick
-	}
-	if pick := vm.leastLoaded(t, inSock); pick != nil {
+	if pick := vm.leastLoaded(t, sock); pick != nil {
 		return pick
 	}
 	return vm.firstAllowed(t)
 }
 
-// leastLoaded returns the allowed vCPU with the lowest load-to-capacity
-// ratio among those selected by in, or nil if none allowed.
-func (vm *VM) leastLoaded(t *Task, in func(*VCPU) bool) *VCPU {
+// leastLoaded returns the allowed vCPU of domain with the lowest
+// load-to-capacity ratio, the lowest id on ties, or nil if none allowed.
+func (vm *VM) leastLoaded(t *Task, domain cpumask) *VCPU {
+	allowed := vm.allowedMask(t)
 	var best *VCPU
 	var bestLoad float64
-	for _, v := range vm.vcpus {
-		if !in(v) || !vm.allowedFor(t, v) {
-			continue
-		}
+	for i := nextAnd(0, domain, allowed, allowed); i >= 0; i = nextAnd(i+1, domain, allowed, allowed) {
+		v := vm.vcpus[i]
 		l := v.loadPerCapacity()
 		if best == nil || l < bestLoad {
 			best, bestLoad = v, l

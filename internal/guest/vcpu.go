@@ -125,6 +125,14 @@ func (v *VCPU) uninstallCurr() {
 	}
 	v.vm.tr.Emit(v.vm.eng.Now(), vtrace.KindTaskOff, t.name, int64(v.id), int64(t.id), still)
 	v.curr = nil
+	v.syncMasks()
+}
+
+// syncMasks re-derives v's bits in the VM's idle and overloaded masks from
+// curr and rq. Every site that changes either calls it at once.
+func (v *VCPU) syncMasks() {
+	v.vm.idle.set(v.id, v.GuestIdle())
+	v.vm.overloaded.set(v.id, len(v.rq) >= 1 && v.nrRunning() >= 2)
 }
 
 // CyclesExecuted returns total cycles executed on this vCPU.
@@ -199,7 +207,12 @@ func (v *VCPU) OnlyIdlePolicy() bool {
 
 // PublishCapacity installs a probed capacity value (vcap -> kernel module).
 // Pass 0 to revert to the vanilla estimate.
-func (v *VCPU) PublishCapacity(c int64) { v.pubCapacity = c }
+func (v *VCPU) PublishCapacity(c int64) {
+	v.pubCapacity = c
+	if c > v.vm.capCeil {
+		v.vm.capCeil = c
+	}
+}
 
 // PublishActivity installs probed activity metrics (vact -> kernel module):
 // the average inactive period (vCPU latency) and average active period.
@@ -497,6 +510,7 @@ func (v *VCPU) removeFromRQ(t *Task) {
 	for i, q := range v.rq {
 		if q == t {
 			v.rq = append(v.rq[:i], v.rq[i+1:]...)
+			v.syncMasks()
 			return
 		}
 	}
@@ -510,6 +524,7 @@ func (v *VCPU) contextSwitchTo(next *Task) {
 		prev.state = TaskRunnable
 		prev.enqueuedAt = v.vm.eng.Now()
 		v.rq = append(v.rq, prev)
+		v.syncMasks()
 	}
 	v.compEv.Cancel()
 	v.compEv = sim.Event{}
@@ -532,6 +547,7 @@ func (v *VCPU) install(t *Task) {
 	t.sliceStart = now
 	t.consumeCommDebt()
 	v.curr = t
+	v.syncMasks()
 	if t.footprint > 0 {
 		v.llcSocket = v.ent.Thread().Socket()
 		v.vm.llcLoad[v.llcSocket] += t.footprint

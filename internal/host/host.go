@@ -126,6 +126,9 @@ func New(eng *sim.Engine, cfg Config) *Host {
 				}
 				th.sliceFn = th.onSlice
 				h.threads[id] = th
+				if t == 1 {
+					th.sibling, h.threads[id-1].sibling = h.threads[id-1], th
+				}
 				id++
 			}
 		}
@@ -194,8 +197,8 @@ func (h *Host) AddObserver(fn func(e *Entity, now sim.Time, from, to EntityState
 func (h *Host) busyCores(s int) int { return h.busyCoreCount[s] }
 
 // refreshSocketSpeeds recomputes the effective speed of every running entity
-// in socket s and notifies clients whose speed changed. Called whenever any
-// thread in the socket changes busy state.
+// in socket s, in thread order, and notifies clients whose speed changed.
+// Called when the socket's turbo predicate flips.
 func (h *Host) refreshSocketSpeeds(s int) {
 	per := h.cfg.CoresPerSocket * h.cfg.ThreadsPerCore
 	base := s * per

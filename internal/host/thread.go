@@ -17,6 +17,9 @@ type Thread struct {
 	socket int
 	core   int
 	slot   int
+	// sibling is the SMT sibling thread (nil on single-thread cores), bound
+	// once in New.
+	sibling *Thread
 
 	// speedFactor models per-thread frequency heterogeneity (host-side
 	// frequency caps); experiments use it for asymmetric-capacity setups.
@@ -60,13 +63,7 @@ func (t *Thread) Current() *Entity { return t.current }
 func (t *Thread) QueueLen() int { return len(t.queue) }
 
 // Sibling returns the SMT sibling thread, or nil on single-thread cores.
-func (t *Thread) Sibling() *Thread {
-	if t.host.cfg.ThreadsPerCore < 2 {
-		return nil
-	}
-	other := t.slot ^ 1
-	return t.host.ThreadAt(t.socket, t.core, other)
-}
+func (t *Thread) Sibling() *Thread { return t.sibling }
 
 // SetSpeedFactor changes the thread's frequency factor (1.0 = nominal).
 // Running entities see the change immediately.
@@ -111,7 +108,7 @@ func (t *Thread) CurrentSpeed() float64 { return t.effectiveSpeed() }
 func (t *Thread) effectiveSpeed() float64 {
 	cfg := t.host.cfg
 	s := cfg.BaseSpeed * t.speedFactor
-	if sib := t.Sibling(); sib != nil && sib.current != nil {
+	if sib := t.sibling; sib != nil && sib.current != nil {
 		s *= cfg.SMTFactor
 	}
 	if cfg.TurboFactor > 1 && t.host.busyCores(t.socket) <= 1 {
@@ -270,11 +267,11 @@ func (t *Thread) start(e *Entity) {
 	e.setState(Running)
 	t.current = e
 	t.lastSync = now
-	coreLevel := t.busyTransition()
+	flip := t.busyTransition()
 	t.curSpeed = t.effectiveSpeed()
 	e.client.Resumed(now, t.curSpeed)
 	t.setSlice()
-	t.notifyBusy(coreLevel)
+	t.notifyBusy(flip)
 }
 
 // stopCurrent halts the running entity, moving it to state `to`. If `to` is
@@ -289,40 +286,47 @@ func (t *Thread) stopCurrent(to EntityState) {
 	t.sliceEv.Cancel()
 	t.sliceEv = sim.Event{}
 	t.current = nil
-	coreLevel := t.busyTransition()
+	flip := t.busyTransition()
 	e.setState(to)
 	if to == Runnable {
 		t.queue = append(t.queue, e)
 	}
 	e.client.Stopped(t.host.eng.Now())
-	t.notifyBusy(coreLevel)
+	t.notifyBusy(flip)
 }
 
 // busyTransition updates the socket's busy-core counter after t.current
-// changed and reports whether the change was core-level (i.e. the core as a
-// whole flipped between idle and busy, which affects turbo for the socket).
-func (t *Thread) busyTransition() (coreLevel bool) {
-	sib := t.Sibling()
-	if sib != nil && sib.current != nil {
-		return false // core stays busy via the sibling; only SMT changes
+// changed and reports whether the change flipped the socket's turbo
+// predicate (busyCores <= 1): a start that leaves two busy cores or a stop
+// that leaves one. Only such a flip changes the speed of threads on other
+// cores; a change that keeps the core busy via the sibling changes only
+// the sibling's contention factor.
+func (t *Thread) busyTransition() (turboFlip bool) {
+	if sib := t.sibling; sib != nil && sib.current != nil {
+		return false
 	}
+	n := &t.host.busyCoreCount[t.socket]
 	if t.current != nil {
-		t.host.busyCoreCount[t.socket]++
-	} else {
-		t.host.busyCoreCount[t.socket]--
+		*n++
+		return *n == 2
 	}
-	return true
+	*n--
+	return *n == 1
 }
 
-// notifyBusy pushes the speed consequences of a busy-state change: a
-// core-level change retunes the whole socket (turbo), otherwise only the SMT
-// sibling's contention factor changed.
-func (t *Thread) notifyBusy(coreLevel bool) {
-	if coreLevel {
-		t.host.refreshSocketSpeeds(t.socket)
+// notifyBusy pushes the speed consequences of a busy-state change. A turbo
+// flip retunes the whole socket (only when turbo is modelled at all). Any
+// other change reaches at most the SMT sibling: a core-level change leaves
+// the sibling idle by definition and every other core's speed untouched,
+// and the started thread's own speed is already set in start.
+func (t *Thread) notifyBusy(turboFlip bool) {
+	if turboFlip {
+		if t.host.cfg.TurboFactor > 1 {
+			t.host.refreshSocketSpeeds(t.socket)
+		}
 		return
 	}
-	if sib := t.Sibling(); sib != nil {
+	if sib := t.sibling; sib != nil {
 		sib.refreshSpeed()
 	}
 }

@@ -299,10 +299,19 @@ func RunExperiment(id string, opt ExperimentOptions) (*ExperimentReport, error) 
 	if !ok {
 		return nil, fmt.Errorf("vsched: unknown experiment %q", id)
 	}
-	if opt.Scale < 0 || math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
-		return nil, fmt.Errorf("vsched: bad experiment scale %v (want a finite factor >= 0)", opt.Scale)
+	if err := checkScale(opt.Scale); err != nil {
+		return nil, err
 	}
 	return r.Run(opt), nil
+}
+
+// checkScale rejects a scale the measurement windows cannot be multiplied
+// by: NaN, infinite or negative. 0 is the full-length default.
+func checkScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("vsched: bad experiment scale %v (want a finite factor >= 0)", scale)
+	}
+	return nil
 }
 
 // HarnessConfig parameterises RunExperiments: worker pool size, replicate
@@ -319,8 +328,14 @@ type TrialResult = harness.TrialResult
 // RunExperiments fans the experiment registry (or cfg.Runners) out over a
 // bounded worker pool, with private engines per (experiment, replicate) trial.
 // Results are independent of scheduling: parallel output is byte-identical
-// to serial output for the same seed set.
-func RunExperiments(cfg HarnessConfig) *HarnessResult { return harness.Run(cfg) }
+// to serial output for the same seed set. A NaN, infinite or negative
+// cfg.Scale is an error and runs nothing, as in RunExperiment.
+func RunExperiments(cfg HarnessConfig) (*HarnessResult, error) {
+	if err := checkScale(cfg.Scale); err != nil {
+		return nil, err
+	}
+	return harness.Run(cfg), nil
+}
 
 // DeriveSeed maps (baseSeed, experimentID, replicate) to the trial seed the
 // harness uses; replicate 0 keeps the base seed.

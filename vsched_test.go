@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vsched"
+	"vsched/internal/experiments"
 )
 
 // mustWorkload instantiates a catalogued benchmark, failing tb on a bad name.
@@ -107,6 +108,26 @@ func TestRunExperimentBadScale(t *testing.T) {
 	// 0 stays the "full length" default.
 	if _, err := vsched.RunExperiment("fig3", vsched.ExperimentOptions{Seed: 1}); err != nil {
 		t.Fatalf("scale 0: %v", err)
+	}
+}
+
+// TestRunExperimentsBadScale: the harness entry point rejects the scales
+// RunExperiment rejects, before running any trial.
+func TestRunExperimentsBadScale(t *testing.T) {
+	fig3, _ := experiments.ByID("fig3")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5} {
+		res, err := vsched.RunExperiments(vsched.HarnessConfig{Scale: scale, Runners: []experiments.Runner{fig3}})
+		if err == nil || res != nil {
+			t.Errorf("scale %v = (%v, %v), want (nil, error)", scale, res, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: error does not name the scale: %v", scale, err)
+		}
+	}
+	res, err := vsched.RunExperiments(vsched.HarnessConfig{BaseSeed: 1, Scale: 0.2, Runners: []experiments.Runner{fig3}})
+	if err != nil || res.Failed() > 0 || res.Trials() != 1 {
+		t.Fatalf("scale 0.2 = (%+v, %v), want one passing trial", res, err)
 	}
 }
 
