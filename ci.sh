@@ -57,10 +57,11 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # -short: the timing-wheel engine must match the retained heap engine
 # (internal/sim/heapengine) event for event on randomized scripts. This is
 # the gate that lets the engine be optimized without re-recording goldens.
-# The allocation budgets ride along: the engine's schedule→fire path and the
-# guest's steady-state window are both pinned at zero allocations.
+# The allocation budgets ride along: the engine's schedule→fire path, the
+# guest's steady-state window and the request servers' steady-state window
+# are all pinned at zero allocations.
 echo "== engine differential suite + alloc budgets (-race)"
-go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/
+go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/
 
 # Cell-parallel paper experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vsched"
 )
@@ -27,10 +28,13 @@ func run(enable bool) (ops uint64, p95ms float64) {
 	// Nginx-like event loops: 4 workers each multiplexing 2 connections —
 	// about half the vCPUs are busy at a time, so idle vCPUs (and their
 	// unused shares) exist for vSched to exploit.
-	srv := cl.NewServer(vm, sched, vsched.ServerConfig{
+	srv, err := cl.NewServer(vm, sched, vsched.ServerConfig{
 		Name: "web", Workers: 4, Connections: 8, Sticky: true,
 		ServiceMean: 1500 * vsched.Microsecond, ServiceJit: 0.25,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv.Start()
 
 	cl.RunFor(6 * vsched.Second) // warmup: probers learn the vCPU dynamics

@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vsched/internal/faults"
 	"vsched/internal/host"
 	"vsched/internal/sim"
+	"vsched/internal/telemetry"
 )
 
 // fastRecovery is a retry policy scaled to millisecond test horizons (the
@@ -339,5 +343,48 @@ func TestMicroFaultOutcomesPinned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// censusPinned is the digest of the sim.* series (the engine's event-queue
+// census: pending, wheel residency per level, occupied slots, overflow,
+// ready and free-pool depths) of the rig below, recorded before the engine
+// moved to an index arena. The census is part of fleetobs' telemetry bytes,
+// so any queue rewrite must leave every sample of it unchanged.
+const censusPinned = "ec1a000e93badc12623487664a5034ccb2dda2485567cb61cc0ad07dc4ae6b2a"
+
+// TestEngineCensusPinned runs a small vSched micro fleet through crashes,
+// a brownout and a stall with recovery and telemetry on, and compares a
+// sha256 of every sim.* series in the deterministic snapshot, raw samples
+// included, with the pinned value.
+func TestEngineCensusPinned(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(0).Add(sim.Duration(ms) * sim.Millisecond) }
+	dur := func(ms int) sim.Duration { return sim.Duration(ms) * sim.Millisecond }
+	cfg := testConfig(42, StealAware{}, true)
+	cfg.Faults = &faults.Schedule{Seed: 3, MigFailProb: 0.5, Events: []faults.Event{
+		{At: at(400), Host: 0, Kind: faults.Crash, Duration: dur(800)},
+		{At: at(700), Host: 1, Kind: faults.Brownout, Duration: dur(600), Factor: 0.5},
+		{At: at(900), Host: 2, Kind: faults.Stall, Duration: dur(300)},
+		{At: at(1300), Host: 3, Kind: faults.Crash, Duration: dur(1500)},
+	}}
+	cfg.Recovery = fastRecovery()
+	cfg.Telemetry = &telemetry.Config{Interval: 5 * sim.Millisecond}
+	r := New(cfg).Run()
+	h := sha256.New()
+	n := 0
+	for _, s := range r.Telemetry.Snapshot(false).Series {
+		if !strings.HasPrefix(s.Name, "sim.") {
+			continue
+		}
+		n++
+		fmt.Fprintf(h, "%s count=%d min=%x max=%x mean=%x last=%x raw_n=%d raw=%x\n",
+			s.Name, s.Count, math.Float64bits(s.Min), math.Float64bits(s.Max),
+			math.Float64bits(s.Mean), math.Float64bits(s.Last), s.RawN, s.Raw)
+	}
+	if n != 10 {
+		t.Fatalf("snapshot holds %d sim.* series, want 10", n)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != censusPinned {
+		t.Errorf("engine census digest %s, pinned %s", got, censusPinned)
 	}
 }

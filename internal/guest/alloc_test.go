@@ -15,10 +15,10 @@ import (
 // design target is zero: recurring engine callbacks are bound once per
 // owner, topology domains are derived once per belief, and scratch slices
 // and waiter queues reuse their arrays. What remains is high-water growth —
-// an engine wheel slot or a runqueue reaching a size it never had, a few
-// times a simulated second — which AllocsPerRun's truncating average
-// rounds away. Building callbacks per event, the same fixture allocated
-// ~1300 times per window. If this test fails, a per-event closure or slice
+// the engine's node arena or ready list or a runqueue reaching a size it
+// never had, a few times a simulated second — which AllocsPerRun's
+// truncating average rounds away. Building callbacks per event, the same
+// fixture allocated ~1300 times per window. If this test fails, a per-event closure or slice
 // crept back onto the hot path — fix it, don't raise the budget.
 const guestSteadyStateAllocBudget = 0
 

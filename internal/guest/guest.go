@@ -516,12 +516,12 @@ func (vm *VM) Post(s *Semaphore) {
 }
 
 // BroadcastCond wakes all waiters of c from daemon/interrupt context.
-func (vm *VM) BroadcastCond(c *Cond) { vm.broadcast(c, nil) }
+func (vm *VM) BroadcastCond(c *Cond) { vm.broadcast(&c.syncState, nil) }
 
 // broadcast wakes every waiter of c as fan-out wakeups from waker (nil for
 // interrupt context). The drained queue's array is kept for the next
 // waiters unless a wakeup queued a new waiter meanwhile.
-func (vm *VM) broadcast(c *Cond, waker *VCPU) {
+func (vm *VM) broadcast(c *syncState, waker *VCPU) {
 	ws := c.waiters
 	c.waiters = nil
 	for _, w := range ws {
@@ -557,11 +557,11 @@ func (vm *VM) advance(t *Task) {
 
 		case SegSleep:
 			vm.blockCurr(t)
-			vm.eng.After(seg.Dur, t.sleepFn)
+			vm.eng.After(sim.Duration(seg.arg), t.sleepFn)
 			return
 
 		case SegAcquire:
-			m := seg.Mutex
+			m := seg.sync
 			if m.owner == nil {
 				m.owner = t
 				continue
@@ -571,39 +571,40 @@ func (vm *VM) advance(t *Task) {
 			return
 
 		case SegAcquireSpin:
-			m := seg.Mutex
+			m := seg.sync
 			if m.owner == nil {
 				m.owner = t
 				continue
 			}
 			// Busy-wait: burn CPU until granted. The grant aborts the spin.
-			t.spinMutex = m
+			t.spinOn = m
 			m.spinners = append(m.spinners, t)
 			t.remaining = math.Inf(1)
 			v.scheduleCompletion()
 			return
 
 		case SegRelease:
-			vm.releaseMutex(seg.Mutex, v)
+			vm.releaseMutex(seg.sync, v)
 			continue
 
 		case SegCondWait:
-			seg.Cond.waiters = append(seg.Cond.waiters, t)
+			c := seg.sync
+			c.waiters = append(c.waiters, t)
 			vm.blockCurr(t)
 			return
 
 		case SegCondSignal:
-			if c := seg.Cond; len(c.waiters) > 0 {
+			if c := seg.sync; len(c.waiters) > 0 {
 				vm.wakeTask(popFront(&c.waiters), v)
 			}
 			continue
 
 		case SegCondBroadcast:
-			vm.broadcast(seg.Cond, v)
+			vm.broadcast(seg.sync, v)
 			continue
 
 		case SegSemWait:
-			s := seg.Sem
+			s := seg.sync
 			if s.count > 0 {
 				s.count--
 				continue
@@ -613,7 +614,7 @@ func (vm *VM) advance(t *Task) {
 			return
 
 		case SegSemPost:
-			s := seg.Sem
+			s := seg.sync
 			if len(s.waiters) > 0 {
 				vm.wakeTask(popFront(&s.waiters), v)
 			} else {
@@ -622,13 +623,13 @@ func (vm *VM) advance(t *Task) {
 			continue
 
 		case SegBarrier:
-			b := seg.Barrier
+			b := seg.sync
 			b.arrived = append(b.arrived, t)
 			if len(b.arrived) == b.parties {
 				arrived := b.arrived
 				b.arrived = nil
 				for _, o := range arrived[:len(arrived)-1] {
-					if o.spinBarrier == b {
+					if o.spinOn == b {
 						vm.abortSpin(o)
 					} else {
 						vm.wakeTaskWide(o, v, true)
@@ -642,7 +643,7 @@ func (vm *VM) advance(t *Task) {
 				continue // last arriver proceeds
 			}
 			if b.Spin {
-				t.spinBarrier = b
+				t.spinOn = b
 				t.remaining = math.Inf(1)
 				v.scheduleCompletion()
 				return
@@ -651,7 +652,7 @@ func (vm *VM) advance(t *Task) {
 			return
 
 		case SegMigrate:
-			dst := vm.vcpus[seg.CPU]
+			dst := vm.vcpus[seg.arg]
 			if dst == v {
 				continue
 			}
@@ -702,7 +703,7 @@ func (vm *VM) advance(t *Task) {
 
 // releaseMutex hands the lock to the next contender: active spinners first
 // (they grab it the instant it frees), then blocked waiters FIFO.
-func (vm *VM) releaseMutex(m *Mutex, waker *VCPU) {
+func (vm *VM) releaseMutex(m *syncState, waker *VCPU) {
 	if len(m.spinners) > 0 {
 		next := popFront(&m.spinners)
 		m.owner = next
@@ -723,8 +724,7 @@ func (vm *VM) releaseMutex(m *Mutex, waker *VCPU) {
 // on a preempted vCPU, is only when that vCPU becomes active again —
 // lock-holder/waiter preemption physics come out of this for free).
 func (vm *VM) abortSpin(t *Task) {
-	t.spinMutex = nil
-	t.spinBarrier = nil
+	t.spinOn = nil
 	t.remaining = 0
 	if t.state == TaskRunning {
 		t.cpu.scheduleCompletion()

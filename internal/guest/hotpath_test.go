@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"vsched/internal/sim"
 )
@@ -107,5 +108,21 @@ func TestPopFrontKeepsCapacity(t *testing.T) {
 		if &q[0] != base {
 			t.Fatalf("pop %d: queue moved to a new backing array", i)
 		}
+	}
+}
+
+// TestSegmentFitsRegisters: a Behavior returns its Segment on every task
+// step. The Go compiler keeps a struct of at most four fields and 32 bytes
+// in registers, from the return straight into advance's switch. At eight
+// words the result went through memory instead: the caller spilled it and
+// copied it back with 16-byte loads across two 8-byte stores, which stall
+// store forwarding — in fig13 that one copy was over half of advance's own
+// time. Keep the segment register-sized.
+func TestSegmentFitsRegisters(t *testing.T) {
+	if n := unsafe.Sizeof(Segment{}); n > 32 {
+		t.Fatalf("Segment is %d bytes, want <= 32 so it is returned in registers", n)
+	}
+	if n := reflect.TypeOf(Segment{}).NumField(); n > 4 {
+		t.Fatalf("Segment has %d fields, want <= 4 so it is returned in registers", n)
 	}
 }

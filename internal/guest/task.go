@@ -62,28 +62,28 @@ type SegmentKind int
 const (
 	// SegCompute burns Cycles of CPU work.
 	SegCompute SegmentKind = iota
-	// SegSleep blocks for Dur of virtual time (timer wakeup).
+	// SegSleep blocks for the segment's duration (timer wakeup).
 	SegSleep
-	// SegAcquire takes Mutex, blocking if held.
+	// SegAcquire takes the Mutex, blocking if held.
 	SegAcquire
-	// SegAcquireSpin takes Mutex, busy-spinning (consuming CPU) while held —
+	// SegAcquireSpin takes the Mutex, busy-spinning (consuming CPU) while held —
 	// user-level spinlock behaviour, the LHP-prone pattern.
 	SegAcquireSpin
-	// SegRelease releases Mutex and continues.
+	// SegRelease releases the Mutex and continues.
 	SegRelease
-	// SegCondWait blocks on Cond until signalled.
+	// SegCondWait blocks on the Cond until signalled.
 	SegCondWait
-	// SegCondSignal wakes one waiter of Cond and continues.
+	// SegCondSignal wakes one waiter of the Cond and continues.
 	SegCondSignal
-	// SegCondBroadcast wakes all waiters of Cond and continues.
+	// SegCondBroadcast wakes all waiters of the Cond and continues.
 	SegCondBroadcast
-	// SegSemWait decrements Sem, blocking at zero.
+	// SegSemWait decrements the Semaphore, blocking at zero.
 	SegSemWait
-	// SegSemPost increments Sem, waking one waiter, and continues.
+	// SegSemPost increments the Semaphore, waking one waiter, and continues.
 	SegSemPost
-	// SegBarrier blocks until all parties of Barrier arrive.
+	// SegBarrier blocks until all parties of the Barrier arrive.
 	SegBarrier
-	// SegMigrate moves the task itself to vCPU CPU and continues (the
+	// SegMigrate moves the task itself to the target vCPU and continues (the
 	// sched_setaffinity self-migration used by Fig. 3's migration mode).
 	SegMigrate
 	// SegYield requeues the task, letting equal-vruntime tasks run.
@@ -92,32 +92,29 @@ const (
 	SegExit
 )
 
-// Segment is one step of a task's program.
+// Segment is one step of a task's program. It is four words, so a
+// Behavior returns it in registers; build one with the constructors below.
 type Segment struct {
-	Kind    SegmentKind
-	Cycles  float64 // SegCompute; math.Inf(1) for run-forever tasks
-	Dur     sim.Duration
-	Mutex   *Mutex
-	Cond    *Cond
-	Sem     *Semaphore
-	Barrier *Barrier
-	CPU     int // SegMigrate target vCPU index
+	Kind   SegmentKind
+	Cycles float64    // SegCompute; math.Inf(1) for run-forever tasks
+	arg    int64      // SegSleep duration, SegMigrate target vCPU index
+	sync   *syncState // the primitive of a lock, condition, semaphore or barrier segment
 }
 
 // Convenience segment constructors keep workload code terse.
 func Compute(cycles float64) Segment { return Segment{Kind: SegCompute, Cycles: cycles} }
 func ComputeForever() Segment        { return Segment{Kind: SegCompute, Cycles: math.Inf(1)} }
-func Sleep(d sim.Duration) Segment   { return Segment{Kind: SegSleep, Dur: d} }
-func Acquire(m *Mutex) Segment       { return Segment{Kind: SegAcquire, Mutex: m} }
-func AcquireSpin(m *Mutex) Segment   { return Segment{Kind: SegAcquireSpin, Mutex: m} }
-func Release(m *Mutex) Segment       { return Segment{Kind: SegRelease, Mutex: m} }
-func Wait(c *Cond) Segment           { return Segment{Kind: SegCondWait, Cond: c} }
-func Signal(c *Cond) Segment         { return Segment{Kind: SegCondSignal, Cond: c} }
-func Broadcast(c *Cond) Segment      { return Segment{Kind: SegCondBroadcast, Cond: c} }
-func SemWait(s *Semaphore) Segment   { return Segment{Kind: SegSemWait, Sem: s} }
-func SemPost(s *Semaphore) Segment   { return Segment{Kind: SegSemPost, Sem: s} }
-func BarrierWait(b *Barrier) Segment { return Segment{Kind: SegBarrier, Barrier: b} }
-func MigrateTo(cpu int) Segment      { return Segment{Kind: SegMigrate, CPU: cpu} }
+func Sleep(d sim.Duration) Segment   { return Segment{Kind: SegSleep, arg: int64(d)} }
+func Acquire(m *Mutex) Segment       { return Segment{Kind: SegAcquire, sync: &m.syncState} }
+func AcquireSpin(m *Mutex) Segment   { return Segment{Kind: SegAcquireSpin, sync: &m.syncState} }
+func Release(m *Mutex) Segment       { return Segment{Kind: SegRelease, sync: &m.syncState} }
+func Wait(c *Cond) Segment           { return Segment{Kind: SegCondWait, sync: &c.syncState} }
+func Signal(c *Cond) Segment         { return Segment{Kind: SegCondSignal, sync: &c.syncState} }
+func Broadcast(c *Cond) Segment      { return Segment{Kind: SegCondBroadcast, sync: &c.syncState} }
+func SemWait(s *Semaphore) Segment   { return Segment{Kind: SegSemWait, sync: &s.syncState} }
+func SemPost(s *Semaphore) Segment   { return Segment{Kind: SegSemPost, sync: &s.syncState} }
+func BarrierWait(b *Barrier) Segment { return Segment{Kind: SegBarrier, sync: &b.syncState} }
+func MigrateTo(cpu int) Segment      { return Segment{Kind: SegMigrate, arg: int64(cpu)} }
 func Yield() Segment                 { return Segment{Kind: SegYield} }
 func Exit() Segment                  { return Segment{Kind: SegExit} }
 
@@ -156,10 +153,9 @@ type Task struct {
 	behavior Behavior
 	// remaining cycles in the in-progress compute segment
 	remaining float64
-	// spinning marks a task burning CPU while logically waiting (spinlock or
-	// spin-barrier); its compute is aborted when the resource is granted.
-	spinMutex   *Mutex
-	spinBarrier *Barrier
+	// spinOn marks a task burning CPU while logically waiting on a spinlock
+	// or spin-barrier; its compute is aborted when the resource is granted.
+	spinOn *syncState
 
 	// Execution accounting (guest-visible; a kernel tracks all of these).
 	enqueuedAt    sim.Time     // when it last became runnable

@@ -2,7 +2,7 @@ package sim_test
 
 // Benchmarks comparing the timing-wheel engine against the retained heap
 // engine on the schedule/fire/cancel primitives, across backlog sizes from
-// 1e3 to 1e6 pending events. Run with:
+// 64 to 1e6 pending events. Run with:
 //
 //	go test ./internal/sim/ -bench . -benchmem
 //
@@ -19,42 +19,30 @@ import (
 	"vsched/internal/sim/heapengine"
 )
 
-// engineUnderTest abstracts the two engines for the shared benchmark bodies.
-type engineUnderTest interface {
-	AfterFn(d sim.Duration, fn func()) func() // returns a cancel thunk
-	StepOnce() bool
-	RunUntil(t sim.Time)
-	CurNow() sim.Time
+// queue is what the shared benchmark bodies need of an engine. E is the
+// engine's handle type; the bodies are generic over the two concrete
+// engines, so neither schedule nor cancel goes through an interface or a
+// method value — either would box or allocate per operation and the
+// benchmark would measure that instead of the queue.
+type queue[E interface{ Cancel() }] interface {
+	After(d sim.Duration, fn func()) E
+	Step() bool
 }
 
-type wheelAdapter struct{ e *sim.Engine }
+var pendingSizes = []int{64, 512, 1_000, 10_000, 100_000, 1_000_000}
 
-func (a wheelAdapter) AfterFn(d sim.Duration, fn func()) func() {
-	ev := a.e.After(d, fn)
-	return ev.Cancel
-}
-func (a wheelAdapter) StepOnce() bool      { return a.e.Step() }
-func (a wheelAdapter) RunUntil(t sim.Time) { a.e.Run(t) }
-func (a wheelAdapter) CurNow() sim.Time    { return a.e.Now() }
-
-type heapAdapter struct{ e *heapengine.Engine }
-
-func (a heapAdapter) AfterFn(d sim.Duration, fn func()) func() {
-	ev := a.e.After(d, fn)
-	return ev.Cancel
-}
-func (a heapAdapter) StepOnce() bool      { return a.e.Step() }
-func (a heapAdapter) RunUntil(t sim.Time) { a.e.Run(t) }
-func (a heapAdapter) CurNow() sim.Time    { return a.e.Now() }
-
-func engines() map[string]func() engineUnderTest {
-	return map[string]func() engineUnderTest{
-		"wheel": func() engineUnderTest { return wheelAdapter{sim.NewEngine(1)} },
-		"heap":  func() engineUnderTest { return heapAdapter{heapengine.NewEngine(1)} },
+// benchEngines runs body once per engine and backlog size, as sub-benchmarks
+// named <engine>/pending=<n>.
+func benchEngines(b *testing.B, body func(b *testing.B, name string, pending int)) {
+	for _, name := range []string{"wheel", "heap"} {
+		for _, pending := range pendingSizes {
+			b.Run(fmt.Sprintf("%s/pending=%d", name, pending), func(b *testing.B) {
+				b.ReportAllocs()
+				body(b, name, pending)
+			})
+		}
 	}
 }
-
-var pendingSizes = []int{1_000, 10_000, 100_000, 1_000_000}
 
 // benchDelays pre-generates a deterministic delay sequence biased toward the
 // near future (the simulator's real workload: ticks, slices, probes), with a
@@ -72,50 +60,72 @@ func benchDelays(n int) []sim.Duration {
 	return out
 }
 
+// fill schedules one no-op event per delay.
+func fill[E interface{ Cancel() }, Q queue[E]](q Q, delays []sim.Duration, fn func()) {
+	for _, d := range delays {
+		q.After(d, fn)
+	}
+}
+
+func scheduleFire[E interface{ Cancel() }, Q queue[E]](b *testing.B, q Q, pending int) {
+	delays := benchDelays(pending)
+	fn := func() {}
+	fill[E](q, delays, fn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Step()
+		q.After(delays[i%pending], fn)
+	}
+}
+
 // BenchmarkScheduleFire: hold `pending` events in the queue, then repeatedly
 // fire the earliest and schedule a replacement — the steady-state mix every
-// simulation scenario produces.
+// simulation scenario produces. The paper suite runs at backlogs of 4–255
+// events and a micro fleet at 256–1023, hence pending=64 and 512.
 func BenchmarkScheduleFire(b *testing.B) {
-	for name, mk := range engines() {
-		for _, pending := range pendingSizes {
-			b.Run(fmt.Sprintf("%s/pending=%d", name, pending), func(b *testing.B) {
-				e := mk()
-				delays := benchDelays(pending)
-				for _, d := range delays {
-					e.AfterFn(d, func() {})
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.StepOnce()
-					e.AfterFn(delays[i%pending], func() {})
-				}
-			})
+	benchEngines(b, func(b *testing.B, name string, pending int) {
+		if name == "wheel" {
+			scheduleFire[sim.Event](b, sim.NewEngine(1), pending)
+		} else {
+			scheduleFire[*heapengine.Event](b, heapengine.NewEngine(1), pending)
 		}
+	})
+}
+
+func schedule[E interface{ Cancel() }, Q queue[E]](b *testing.B, q Q, pending int) {
+	delays := benchDelays(pending)
+	fn := func() {}
+	fill[E](q, delays, fn)
+	evs := make([]E, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evs = append(evs, q.After(delays[i%pending], fn))
+	}
+	// Cleanup outside the timer.
+	b.StopTimer()
+	for _, ev := range evs {
+		ev.Cancel()
 	}
 }
 
 // BenchmarkSchedule: pure insertion cost at a given backlog.
 func BenchmarkSchedule(b *testing.B) {
-	for name, mk := range engines() {
-		for _, pending := range pendingSizes {
-			b.Run(fmt.Sprintf("%s/pending=%d", name, pending), func(b *testing.B) {
-				e := mk()
-				delays := benchDelays(pending)
-				for _, d := range delays {
-					e.AfterFn(d, func() {})
-				}
-				cancels := make([]func(), 0, b.N)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cancels = append(cancels, e.AfterFn(delays[i%pending], func() {}))
-				}
-				// Cleanup outside the timer.
-				b.StopTimer()
-				for _, c := range cancels {
-					c()
-				}
-			})
+	benchEngines(b, func(b *testing.B, name string, pending int) {
+		if name == "wheel" {
+			schedule[sim.Event](b, sim.NewEngine(1), pending)
+		} else {
+			schedule[*heapengine.Event](b, heapengine.NewEngine(1), pending)
 		}
+	})
+}
+
+func cancel[E interface{ Cancel() }, Q queue[E]](b *testing.B, q Q, pending int) {
+	delays := benchDelays(pending)
+	fn := func() {}
+	fill[E](q, delays, fn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.After(delays[i%pending], fn).Cancel()
 	}
 }
 
@@ -123,28 +133,19 @@ func BenchmarkSchedule(b *testing.B) {
 // cancellation makes this O(1) for the wheel, while the heap engine pays
 // for compaction sweeps.
 func BenchmarkCancel(b *testing.B) {
-	for name, mk := range engines() {
-		for _, pending := range pendingSizes {
-			b.Run(fmt.Sprintf("%s/pending=%d", name, pending), func(b *testing.B) {
-				e := mk()
-				delays := benchDelays(pending)
-				for _, d := range delays {
-					e.AfterFn(d, func() {})
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c := e.AfterFn(delays[i%pending], func() {})
-					c()
-				}
-			})
+	benchEngines(b, func(b *testing.B, name string, pending int) {
+		if name == "wheel" {
+			cancel[sim.Event](b, sim.NewEngine(1), pending)
+		} else {
+			cancel[*heapengine.Event](b, heapengine.NewEngine(1), pending)
 		}
-	}
+	})
 }
 
 // scheduleFireAllocBudget is the pinned allocation budget for one
 // schedule→fire round trip on the wheel in steady state (node pool warm).
-// The engine's design target is zero: nodes are pooled, slots reuse their
-// backing arrays, and the ready heap reuses its slice. If this test fails,
+// The engine's design target is zero: nodes are pooled in the arena, slots
+// are threaded through it, and the ready list reuses its slice. If this test fails,
 // the pool regressed — fix the engine, don't raise the budget.
 const scheduleFireAllocBudget = 0
 

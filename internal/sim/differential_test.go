@@ -105,7 +105,7 @@ func runScript(t *testing.T, seed int64, ops int) {
 	delay := func() sim.Duration {
 		switch rng.Intn(6) {
 		case 0:
-			return 0 // same-instant: exercises the ready heap and FIFO ties
+			return 0 // same-instant: exercises the ready list and FIFO ties
 		case 1:
 			return sim.Duration(rng.Int63n(int64(sim.Millisecond))) // level 0
 		case 2:

@@ -18,12 +18,20 @@ import (
 // promoted into the wheel when it comes into range.
 //
 // Slots keep events in raw insertion order. When the cursor reaches a slot,
-// its contents are dumped into the "ready" heap, a small binary heap ordered
-// by (time, seq) that restores the exact global fire order — including the
-// FIFO tie-break for same-timestamp events — that the original heap engine
-// produced. The ready heap stays small (one slot's worth of events plus any
-// same-tick arrivals), so its log factor is over a handful of entries, not
-// the whole backlog.
+// its contents are moved into the "ready" list, kept sorted by (time, seq),
+// which restores the exact global fire order — including the FIFO tie-break
+// for same-timestamp events — that the original heap engine produced. The
+// ready list stays small (one slot's worth of events plus any same-tick
+// arrivals), and since one slot spans a single tick, almost every insert is
+// an append.
+//
+// The queue stores no pointers. Every scheduled event is a node in one
+// engine-owned arena, addressed by int32; wheel slots are intrusive FIFOs
+// threaded through node.next, and the ready list, the overflow heap and the
+// free list hold indices. Moving an event between them is a plain integer
+// store — no garbage-collector write barrier — and a new engine grows no
+// per-slot slices. The arena can grow on any schedule, so no code holds
+// &e.nodes[i] across a call that can schedule.
 const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits // 256 slots per ring
@@ -35,29 +43,37 @@ const (
 // maxTime is the limit that never binds; Step and Drain run against it.
 const maxTime = Time(1<<63 - 1)
 
+// nilNode terminates a slot FIFO and stands for "no event" in next.
+const nilNode = -1
+
 // node is the pooled representation of a scheduled event. Nodes are owned by
 // the engine: after an event fires or its cancellation is collected, the
-// node's generation is bumped and it returns to the free list for reuse, so
-// the steady-state schedule→fire path allocates nothing. Handles (Event)
-// carry the generation they were issued with; a stale handle — one whose
-// node has been recycled — compares unequal and becomes inert rather than
-// touching the event that now occupies the node.
+// node's generation is bumped and its index returns to the free list for
+// reuse, so the steady-state schedule→fire path allocates nothing. Handles
+// (Event) carry the generation they were issued with; a stale handle — one
+// whose node has been recycled — compares unequal and becomes inert rather
+// than touching the event that now occupies the node. The callback lives in
+// the parallel fns slice, so the node arena itself holds no pointers.
 type node struct {
 	at       Time
 	seq      uint64 // insertion order, breaks ties deterministically
-	fn       func()
-	eng      *Engine
+	next     int32  // next node of the same wheel slot, or nilNode
 	gen      uint32
 	canceled bool
 }
+
+// slotList is one wheel slot: a FIFO of nodes threaded through node.next.
+// The slot's bitmap bit, not head, says whether it is occupied.
+type slotList struct{ head, tail int32 }
 
 // Event is a cancellable handle to a scheduled callback, issued by Engine.At
 // and Engine.After. It is a small value, not a pointer: copies are fine, and
 // the zero Event is valid and inert (not Active, Cancel is a no-op) — it
 // replaces the nil *Event of the old heap engine.
 type Event struct {
-	n   *node
+	e   *Engine
 	at  Time
+	i   int32
 	gen uint32
 }
 
@@ -66,75 +82,116 @@ type Event struct {
 // lazy: the node stays parked in its wheel slot and is collected when the
 // cursor sweeps past, so Cancel never restructures the queue.
 func (ev Event) Cancel() {
-	n := ev.n
-	if n == nil || n.gen != ev.gen || n.canceled {
+	e := ev.e
+	if e == nil {
+		return
+	}
+	n := &e.nodes[ev.i]
+	if n.gen != ev.gen || n.canceled {
 		return
 	}
 	n.canceled = true
-	n.eng.live--
+	e.live--
 }
 
 // Active reports whether the event is still pending (not fired, not
 // cancelled).
 func (ev Event) Active() bool {
-	n := ev.n
-	return n != nil && n.gen == ev.gen && !n.canceled
+	if ev.e == nil {
+		return false
+	}
+	n := &ev.e.nodes[ev.i]
+	return n.gen == ev.gen && !n.canceled
 }
 
 // Time returns the virtual time at which the event is (or was) scheduled.
 func (ev Event) Time() Time { return ev.at }
 
-// nodeLess is the global fire order: time, then insertion sequence.
-func nodeLess(a, b *node) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// less is the global fire order: time, then insertion sequence.
+func (e *Engine) less(a, b int32) bool {
+	na, nb := &e.nodes[a], &e.nodes[b]
+	if na.at != nb.at {
+		return na.at < nb.at
 	}
-	return a.seq < b.seq
+	return na.seq < nb.seq
 }
 
-// nodeHeap is a hand-rolled binary min-heap of nodes. container/heap would
-// box every push and pop through interface{} method calls; this sits on the
-// hot path, so the sift loops are inlined here.
-type nodeHeap []*node
-
-func (h *nodeHeap) push(n *node) {
-	q := append(*h, n)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !nodeLess(q[i], q[p]) {
+// pushOverflow and popOverflow keep the overflow as a hand-rolled binary
+// min-heap of node indices. container/heap would box every push and pop
+// through interface{} method calls; the sift loops are inlined here.
+func (e *Engine) pushOverflow(i int32) {
+	q := append(e.overflow, i)
+	j := len(q) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !e.less(q[j], q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+		q[j], q[p] = q[p], q[j]
+		j = p
 	}
-	*h = q
+	e.overflow = q
 }
 
-func (h *nodeHeap) pop() *node {
-	q := *h
+func (e *Engine) popOverflow() int32 {
+	q := e.overflow
 	top := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
-	q[last] = nil
 	q = q[:last]
-	i := 0
+	j := 0
 	for {
-		c := 2*i + 1
+		c := 2*j + 1
 		if c >= len(q) {
 			break
 		}
-		if r := c + 1; r < len(q) && nodeLess(q[r], q[c]) {
+		if r := c + 1; r < len(q) && e.less(q[r], q[c]) {
 			c = r
 		}
-		if !nodeLess(q[c], q[i]) {
+		if !e.less(q[c], q[j]) {
 			break
 		}
-		q[i], q[c] = q[c], q[i]
-		i = c
+		q[j], q[c] = q[c], q[j]
+		j = c
 	}
-	*h = q
+	e.overflow = q
 	return top
+}
+
+// pushReady inserts node i into the ready list, keeping e.ready[e.rhead:]
+// sorted by fire order. The search runs from the tail, where nearly every
+// insert lands; a full backing array is compacted over the consumed head
+// before append would grow it.
+func (e *Engine) pushReady(i int32) {
+	if len(e.ready) == cap(e.ready) && e.rhead > 0 {
+		e.ready = e.ready[:copy(e.ready, e.ready[e.rhead:])]
+		e.rhead = 0
+	}
+	e.ready = append(e.ready, i)
+	r := e.ready
+	j := len(r) - 1
+	if j > e.rhead && e.less(i, r[j-1]) {
+		lo, hi := e.rhead, j-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if e.less(i, r[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		copy(r[lo+1:], r[lo:j])
+		r[lo] = i
+	}
+}
+
+// popReady consumes the head of the ready list. An emptied list rewinds to
+// the start of its backing array.
+func (e *Engine) popReady() {
+	e.rhead++
+	if e.rhead == len(e.ready) {
+		e.ready, e.rhead = e.ready[:0], 0
+	}
 }
 
 // Engine is a discrete-event simulator: a virtual clock plus an ordered
@@ -152,14 +209,18 @@ type Engine struct {
 	nfired uint64
 	live   int // scheduled and neither fired nor cancelled
 
+	nodes []node   // the arena: every node ever minted, addressed by index
+	fns   []func() // fns[i] is node i's callback
+	free  []int32  // recycled node indices
+
 	wheelCount int              // nodes resident in wheel slots, cancelled included
 	levelCount [wheelLevels]int // ditto, per level — lets the cursor skip dead rings
-	slots      [wheelLevels][wheelSlots][]*node
+	slots      [wheelLevels][wheelSlots]slotList
 	bitmap     [wheelLevels][wheelSlots / 64]uint64 // occupied-slot index per ring
 
-	ready    nodeHeap // events at ticks the cursor has reached, in fire order
-	overflow nodeHeap // events beyond the wheel horizon
-	free     []*node  // recycled nodes
+	ready    []int32 // ready[rhead:]: events at ticks the cursor has reached, in fire order
+	rhead    int
+	overflow []int32 // min-heap of events beyond the wheel horizon
 
 	stopped atomic.Bool
 }
@@ -191,7 +252,7 @@ func (e *Engine) Pending() int { return e.live }
 
 // WheelStats is a point-in-time census of the event queue, for
 // self-observability: where pending events sit (wheel levels, overflow heap,
-// ready heap), how many slots are occupied, and how deep the node pool runs.
+// ready list), how many slots are occupied, and how deep the node pool runs.
 // It is a pure function of simulation state, so sampling it is deterministic.
 type WheelStats struct {
 	// Pending mirrors Engine.Pending: scheduled, neither fired nor cancelled.
@@ -205,7 +266,7 @@ type WheelStats struct {
 	OccupiedSlots int
 	// Overflow is the depth of the beyond-horizon heap.
 	Overflow int
-	// Ready is the depth of the due-now ordering heap.
+	// Ready is the depth of the due-now ordering list.
 	Ready int
 	// FreeNodes is the size of the node recycling pool.
 	FreeNodes int
@@ -218,7 +279,7 @@ func (e *Engine) WheelStats() WheelStats {
 		WheelResident: e.wheelCount,
 		Levels:        e.levelCount,
 		Overflow:      len(e.overflow),
-		Ready:         len(e.ready),
+		Ready:         len(e.ready) - e.rhead,
 		FreeNodes:     len(e.free),
 	}
 	for l := 0; l < wheelLevels; l++ {
@@ -239,24 +300,26 @@ func (e *Engine) Interrupt() { e.stopped.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (e *Engine) Interrupted() bool { return e.stopped.Load() }
 
-// alloc takes a node from the free list, or mints one.
-func (e *Engine) alloc() *node {
+// alloc takes a node index from the free list, or mints one.
+func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
-		nd := e.free[n-1]
-		e.free[n-1] = nil
+		i := e.free[n-1]
 		e.free = e.free[:n-1]
-		return nd
+		return i
 	}
-	return &node{eng: e}
+	e.nodes = append(e.nodes, node{})
+	e.fns = append(e.fns, nil)
+	return int32(len(e.nodes) - 1)
 }
 
-// recycle invalidates every outstanding handle to n (by bumping the
+// recycle invalidates every outstanding handle to node i (by bumping the
 // generation) and returns it to the free list.
-func (e *Engine) recycle(n *node) {
+func (e *Engine) recycle(i int32) {
+	n := &e.nodes[i]
 	n.gen++
-	n.fn = nil
 	n.canceled = false
-	e.free = append(e.free, n)
+	e.fns[i] = nil
+	e.free = append(e.free, i)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -266,11 +329,14 @@ func (e *Engine) At(t Time, fn func()) Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	n := e.alloc()
-	n.at, n.seq, n.fn = t, e.seq, fn
+	i := e.alloc()
+	n := &e.nodes[i]
+	n.at, n.seq = t, e.seq
+	gen := n.gen
+	e.fns[i] = fn
 	e.live++
-	e.place(n)
-	return Event{n: n, at: t, gen: n.gen}
+	e.place(i)
+	return Event{e: e, at: t, i: i, gen: gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -281,33 +347,41 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	return e.At(e.now.Add(d), fn)
 }
 
-// place files a node into the ready heap, a wheel slot, or the overflow
+// place files node i into the ready list, a wheel slot, or the overflow
 // heap, depending on how far its tick is from the cursor. The level test is
 // on slot-index distance, not raw tick delta: an event must always land in a
 // slot the cursor has not yet passed at that level, or it would only be
 // reached after a full ring revolution.
-func (e *Engine) place(n *node) {
-	tick := int64(n.at) >> tickShift
+func (e *Engine) place(i int32) {
+	tick := int64(e.nodes[i].at) >> tickShift
 	if tick <= e.cur {
 		// The cursor has already reached (or passed) this tick — possible
 		// both for events scheduled at the current instant and after the
 		// cursor ran ahead of the clock chasing a far-future event. The
-		// ready heap keeps them in exact fire order either way.
-		e.ready.push(n)
+		// ready list keeps them in exact fire order either way.
+		e.pushReady(i)
 		return
 	}
 	for l := 0; l < wheelLevels; l++ {
 		shift := uint(wheelBits * l)
 		if (tick>>shift)-(e.cur>>shift) < wheelSlots {
 			slot := int((tick >> shift) & wheelMask)
-			e.slots[l][slot] = append(e.slots[l][slot], n)
-			e.bitmap[l][slot>>6] |= 1 << uint(slot&63)
+			e.nodes[i].next = nilNode
+			s := &e.slots[l][slot]
+			bit := uint64(1) << uint(slot&63)
+			if w := &e.bitmap[l][slot>>6]; *w&bit == 0 {
+				*w |= bit
+				s.head = i
+			} else {
+				e.nodes[s.tail].next = i
+			}
+			s.tail = i
 			e.wheelCount++
 			e.levelCount[l]++
 			return
 		}
 	}
-	e.overflow.push(n)
+	e.pushOverflow(i)
 }
 
 // nextSlot returns the first occupied slot index >= from in ring l, or -1 if
@@ -330,43 +404,43 @@ func (e *Engine) nextSlot(l, from int) int {
 	}
 }
 
-// dumpSlot0 moves a level-0 slot's contents into the ready heap, collecting
+// dumpSlot0 moves a level-0 slot's contents into the ready list, collecting
 // cancelled nodes on the way, and marks the slot empty.
 func (e *Engine) dumpSlot0(slot int) {
-	s := e.slots[0][slot]
 	e.bitmap[0][slot>>6] &^= 1 << uint(slot&63)
-	for i, n := range s {
-		s[i] = nil
+	for i := e.slots[0][slot].head; i != nilNode; {
+		n := &e.nodes[i]
+		next := n.next
 		e.wheelCount--
 		e.levelCount[0]--
 		if n.canceled {
-			e.recycle(n)
+			e.recycle(i)
 		} else {
-			e.ready.push(n)
+			e.pushReady(i)
 		}
+		i = next
 	}
-	e.slots[0][slot] = s[:0]
 }
 
 // cascade redistributes a level-l slot whose span the cursor has entered:
-// every node lands in a finer ring (or the ready heap, if its tick is the
+// every node lands in a finer ring (or the ready list, if its tick is the
 // cursor's own), and cancelled nodes are collected. Correctness does not
 // depend on when cascades happen — only that a slot is cascaded before the
 // cursor would pass an event inside it.
 func (e *Engine) cascade(l, slot int) {
-	s := e.slots[l][slot]
 	e.bitmap[l][slot>>6] &^= 1 << uint(slot&63)
-	for i, n := range s {
-		s[i] = nil
+	for i := e.slots[l][slot].head; i != nilNode; {
+		n := &e.nodes[i]
+		next := n.next
 		e.wheelCount--
 		e.levelCount[l]--
 		if n.canceled {
-			e.recycle(n)
-			continue
+			e.recycle(i)
+		} else {
+			e.place(i)
 		}
-		e.place(n)
+		i = next
 	}
-	e.slots[l][slot] = s[:0]
 }
 
 // promoteOverflow drains overflow-heap events whose ticks have come inside
@@ -376,15 +450,18 @@ func (e *Engine) cascade(l, slot int) {
 func (e *Engine) promoteOverflow() {
 	const topShift = uint(wheelBits * (wheelLevels - 1))
 	for len(e.overflow) > 0 {
-		n := e.overflow[0]
+		i := e.overflow[0]
+		n := &e.nodes[i]
 		if n.canceled {
-			e.recycle(e.overflow.pop())
+			e.popOverflow()
+			e.recycle(i)
 			continue
 		}
 		if (int64(n.at)>>tickShift>>topShift)-(e.cur>>topShift) >= wheelSlots {
 			return
 		}
-		e.place(e.overflow.pop())
+		e.popOverflow()
+		e.place(i)
 	}
 }
 
@@ -494,52 +571,55 @@ func (e *Engine) stepWindow(limitTick int64) bool {
 }
 
 // next pops the globally earliest pending event, provided it fires at or
-// before limit; it returns nil otherwise. The cursor advances only as far as
-// the earlier of that event and the limit, so a Run that stops short leaves
-// the wheel positioned for cheap rescheduling.
-func (e *Engine) next(limit Time) *node {
+// before limit; it returns nilNode otherwise. The cursor advances only as
+// far as the earlier of that event and the limit, so a Run that stops short
+// leaves the wheel positioned for cheap rescheduling.
+func (e *Engine) next(limit Time) int32 {
 	limitTick := int64(limit) >> tickShift
 	for {
-		for len(e.ready) > 0 {
-			n := e.ready[0]
+		for e.rhead < len(e.ready) {
+			i := e.ready[e.rhead]
+			n := &e.nodes[i]
 			if n.canceled {
-				e.recycle(e.ready.pop())
+				e.popReady()
+				e.recycle(i)
 				continue
 			}
 			if n.at > limit {
-				return nil
+				return nilNode
 			}
-			return e.ready.pop()
+			e.popReady()
+			return i
 		}
 		if e.wheelCount == 0 {
-			for len(e.overflow) > 0 && e.overflow[0].canceled {
-				e.recycle(e.overflow.pop())
+			for len(e.overflow) > 0 && e.nodes[e.overflow[0]].canceled {
+				e.recycle(e.popOverflow())
 			}
-			if len(e.overflow) == 0 || e.overflow[0].at > limit {
-				return nil
+			if len(e.overflow) == 0 || e.nodes[e.overflow[0]].at > limit {
+				return nilNode
 			}
 			// Re-base the cursor at the overflow minimum; promotion then
 			// pulls it (and everything else newly in range) into the wheel
-			// or the ready heap.
-			e.cur = int64(e.overflow[0].at) >> tickShift
+			// or the ready list.
+			e.cur = int64(e.nodes[e.overflow[0]].at) >> tickShift
 			e.promoteOverflow()
 			continue
 		}
 		if !e.advance(limitTick) {
-			return nil
+			return nilNode
 		}
 	}
 }
 
-// fire executes one node: clock forward, node recycled, callback run. The
-// node is recycled before the callback so the callback can reschedule
-// without growing the pool, and so the event's own handle is already inert
-// (not Active) while it runs.
-func (e *Engine) fire(n *node) {
-	e.now = n.at
-	fn := n.fn
+// fire executes node i: clock forward, node recycled, callback run. The node
+// is recycled before the callback so the callback can reschedule without
+// growing the pool, and so the event's own handle is already inert (not
+// Active) while it runs.
+func (e *Engine) fire(i int32) {
+	e.now = e.nodes[i].at
+	fn := e.fns[i]
 	e.live--
-	e.recycle(n)
+	e.recycle(i)
 	e.nfired++
 	fn()
 }
@@ -550,11 +630,11 @@ func (e *Engine) Step() bool {
 	if e.stopped.Load() {
 		return false
 	}
-	n := e.next(maxTime)
-	if n == nil {
+	i := e.next(maxTime)
+	if i == nilNode {
 		return false
 	}
-	e.fire(n)
+	e.fire(i)
 	return true
 }
 
@@ -563,11 +643,11 @@ func (e *Engine) Step() bool {
 // executed.
 func (e *Engine) Run(until Time) {
 	for !e.stopped.Load() {
-		n := e.next(until)
-		if n == nil {
+		i := e.next(until)
+		if i == nilNode {
 			break
 		}
-		e.fire(n)
+		e.fire(i)
 	}
 	if e.now < until {
 		e.now = until

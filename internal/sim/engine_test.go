@@ -277,7 +277,7 @@ func TestLazyCancellationPreservesOrderAndCollects(t *testing.T) {
 	var order []Time
 	var cancel []Event
 	// Spread events across many ticks and slots so cancelled nodes sit in
-	// wheel slots, not just the ready heap.
+	// wheel slots, not just the ready list.
 	for i := 0; i < 4096; i++ {
 		ev := e.At(Time(i)*Time(Millisecond), func() { order = append(order, e.Now()) })
 		if i%8 != 0 {

@@ -10,9 +10,10 @@ import (
 
 // SelfSource samples the simulator itself — the deterministic part: event
 // queue census (timing-wheel residency per level, occupied slots, overflow
-// and ready heap depths, node pool size), cumulative events fired, and the
-// tracer's emitted/dropped totals. Everything it reads is a pure function of
-// simulation state, so its series participate in byte-identity checks.
+// heap and ready list depths, node pool size), cumulative events fired, and
+// the tracer's emitted/dropped totals. Everything it reads is a pure
+// function of simulation state, so its series participate in byte-identity
+// checks.
 //
 // Series (under the registration prefix):
 //
@@ -22,7 +23,7 @@ import (
 //	sim.wheel.level0..2  ditto, per level
 //	sim.wheel.slots      occupied wheel slots
 //	sim.wheel.overflow   beyond-horizon heap depth
-//	sim.wheel.ready      due-now heap depth
+//	sim.wheel.ready      due-now list depth
 //	sim.wheel.free       node pool size
 //	vtrace.emitted       tracer lifetime event count   (when a tracer is set)
 //	vtrace.dropped       events lost to ring wrap      (when a tracer is set)

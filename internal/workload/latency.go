@@ -48,6 +48,12 @@ type Server struct {
 	perSem   []*guest.Semaphore // per-worker queues (sticky mode)
 	perArr   [][]request
 
+	// freeIRQ pools the records of requests in flight on the IRQ path, and
+	// arriveFn is the open-loop arrival callback: both bound once, so the
+	// request path allocates nothing per request.
+	freeIRQ  []*irqRequest
+	arriveFn func()
+
 	ops     uint64
 	e2e     *metrics.Histogram
 	queue   *metrics.Histogram
@@ -87,6 +93,43 @@ type request struct {
 	svc sim.Duration
 }
 
+// irqRequest is a request between injection and interrupt delivery: its
+// demand and, in sticky mode, its worker. Records are pooled per server and
+// each one's deliver callback is bound once, when the record is minted.
+type irqRequest struct {
+	s       *Server
+	w       int
+	svc     sim.Duration
+	deliver func()
+}
+
+// onDeliver runs in interrupt context: it stamps the request, queues it for
+// its worker pool (or, in sticky mode, its worker) and returns the record
+// to the pool.
+func (r *irqRequest) onDeliver() {
+	s := r.s
+	vm := s.env.VM
+	req := request{at: vm.Engine().Now(), svc: r.svc}
+	w := r.w
+	s.freeIRQ = append(s.freeIRQ, r)
+	if s.sticky {
+		s.perArr[w] = append(s.perArr[w], req)
+		vm.Post(s.perSem[w])
+		return
+	}
+	s.arrivals = append(s.arrivals, req)
+	vm.Post(s.reqSem)
+}
+
+// popFront removes and returns the head of a request FIFO, shifting the
+// rest down so the queue keeps its backing array.
+func popFront(q *[]request) request {
+	s := *q
+	head := s[0]
+	*q = s[:copy(s, s[1:])]
+	return head
+}
+
 // NewServer builds a server workload in env.
 func NewServer(env Env, cfg ServerConfig) *Server {
 	if cfg.Workers <= 0 {
@@ -94,7 +137,7 @@ func NewServer(env Env, cfg ServerConfig) *Server {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
-	return &Server{
+	s := &Server{
 		rng:          rand.New(rand.NewSource(env.VM.Engine().Seed() ^ int64(h.Sum64()))),
 		env:          env,
 		name:         cfg.Name,
@@ -114,6 +157,8 @@ func NewServer(env Env, cfg ServerConfig) *Server {
 		queue:        metrics.NewHistogram(),
 		service:      metrics.NewHistogram(),
 	}
+	s.arriveFn = s.onArrival
+	return s
 }
 
 // Name implements Instance.
@@ -194,17 +239,16 @@ func (s *Server) inject() { s.injectTo(0) }
 func (s *Server) injectTo(w int) {
 	vm := s.env.VM
 	irq := vm.VCPU(s.rng.Intn(vm.NumVCPUs()))
-	svc := s.drawService()
-	vm.DeliverIRQ(irq, func() {
-		req := request{at: vm.Engine().Now(), svc: svc}
-		if s.sticky {
-			s.perArr[w] = append(s.perArr[w], req)
-			vm.Post(s.perSem[w])
-			return
-		}
-		s.arrivals = append(s.arrivals, req)
-		vm.Post(s.reqSem)
-	})
+	var r *irqRequest
+	if n := len(s.freeIRQ); n > 0 {
+		r = s.freeIRQ[n-1]
+		s.freeIRQ = s.freeIRQ[:n-1]
+	} else {
+		r = &irqRequest{s: s}
+		r.deliver = r.onDeliver
+	}
+	r.w, r.svc = w, s.drawService()
+	vm.DeliverIRQ(irq, r.deliver)
 }
 
 // drawService samples one request's service demand from the server's
@@ -227,15 +271,17 @@ func (s *Server) scheduleArrival() {
 	if s.stopped {
 		return
 	}
-	eng := s.env.VM.Engine()
-	gap := sim.Exp(s.rng, s.interarrival)
-	eng.After(gap, func() {
-		if s.stopped {
-			return
-		}
-		s.inject()
-		s.scheduleArrival()
-	})
+	s.env.VM.Engine().After(sim.Exp(s.rng, s.interarrival), s.arriveFn)
+}
+
+// onArrival is the open-loop arrival timer: inject one request, schedule
+// the next.
+func (s *Server) onArrival() {
+	if s.stopped {
+		return
+	}
+	s.inject()
+	s.scheduleArrival()
 }
 
 // workerBehavior is the Tailbench-style loop for worker w: take a request,
@@ -278,8 +324,7 @@ func (s *Server) workerBehavior(w int) guest.Behavior {
 				return guest.SemWait(sem())
 			}
 			// Woken with a request available.
-			req := (*q)[0]
-			*q = (*q)[1:]
+			req := popFront(q)
 			arrival = req.at
 			svcStart = now
 			s.queue.Observe(int64(now.Sub(arrival)))

@@ -263,14 +263,44 @@ func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) (Wor
 
 // NewServer builds a custom request/response workload on a VM (for loads
 // the catalogue doesn't cover: open vs closed loop, sticky connections,
-// service-time distributions).
-func (c *Cluster) NewServer(vm *VM, sched *VSched, cfg ServerConfig) *Server {
+// service-time distributions). A config the server cannot run is an error:
+// no workers, a negative duration or count, or a jitter or footprint that
+// is not a finite number in range.
+func (c *Cluster) NewServer(vm *VM, sched *VSched, cfg ServerConfig) (*Server, error) {
+	if err := checkServerConfig(cfg); err != nil {
+		return nil, err
+	}
 	env := workload.Env{VM: vm, Nominal: c.h.Config().BaseSpeed}
 	if sched != nil {
 		env.Group = sched.UserGroup()
 		env.BEGroup = sched.BEGroup()
 	}
-	return workload.NewServer(env, cfg)
+	return workload.NewServer(env, cfg), nil
+}
+
+// checkServerConfig rejects the server configs that would otherwise panic
+// deep inside the simulation, or silently run something other than asked.
+func checkServerConfig(cfg ServerConfig) error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("vsched: server %q: bad %s %v (want %s)", cfg.Name, field, v, want)
+	}
+	switch {
+	case cfg.Workers <= 0:
+		return bad("Workers", cfg.Workers, "at least 1")
+	case cfg.ServiceMean < 0:
+		return bad("ServiceMean", cfg.ServiceMean, "a duration >= 0")
+	case !(cfg.ServiceJit >= 0 && cfg.ServiceJit <= 1):
+		return bad("ServiceJit", cfg.ServiceJit, "a fraction in [0, 1]")
+	case cfg.Interarrival < 0:
+		return bad("Interarrival", cfg.Interarrival, "a duration >= 0")
+	case cfg.Connections < 0:
+		return bad("Connections", cfg.Connections, "a count >= 0")
+	case cfg.Think < 0:
+		return bad("Think", cfg.Think, "a duration >= 0")
+	case !(cfg.FootprintMB >= 0) || math.IsInf(cfg.FootprintMB, 1):
+		return bad("FootprintMB", cfg.FootprintMB, "a finite size >= 0")
+	}
+	return nil
 }
 
 // WorkloadNames lists the catalogued benchmarks.

@@ -65,6 +65,58 @@ func TestFacadeUnknownWorkloadErrors(t *testing.T) {
 	}
 }
 
+// TestFacadeNewServerBadConfig: every server config that used to panic deep
+// inside the simulation — or that names a nonsense value — is an error from
+// NewServer, and the error names the offending field.
+func TestFacadeNewServerBadConfig(t *testing.T) {
+	ok := vsched.ServerConfig{Name: "svc", Workers: 2, ServiceMean: 100 * vsched.Microsecond,
+		Interarrival: vsched.Millisecond}
+	cases := []struct {
+		field string
+		edit  func(*vsched.ServerConfig)
+	}{
+		{"Workers", func(c *vsched.ServerConfig) { c.Workers = 0 }},
+		{"Workers", func(c *vsched.ServerConfig) { c.Workers = -1 }},
+		{"ServiceMean", func(c *vsched.ServerConfig) { c.ServiceMean = -vsched.Microsecond }},
+		{"ServiceJit", func(c *vsched.ServerConfig) { c.ServiceJit = 1.5 }},
+		{"ServiceJit", func(c *vsched.ServerConfig) { c.ServiceJit = -0.1 }},
+		{"ServiceJit", func(c *vsched.ServerConfig) { c.ServiceJit = math.NaN() }},
+		{"ServiceJit", func(c *vsched.ServerConfig) { c.ServiceJit = math.Inf(1) }},
+		{"Interarrival", func(c *vsched.ServerConfig) { c.Interarrival = -vsched.Millisecond }},
+		{"Connections", func(c *vsched.ServerConfig) { c.Connections = -1 }},
+		{"Think", func(c *vsched.ServerConfig) { c.Connections, c.Think = 2, -vsched.Millisecond }},
+		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = math.Inf(1) }},
+		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = math.NaN() }},
+		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = -1 }},
+	}
+	cl := vsched.NewCluster(vsched.ClusterConfig{})
+	vm := cl.NewVM("vm", []int{0, 1})
+	for _, tc := range cases {
+		cfg := ok
+		tc.edit(&cfg)
+		srv, err := cl.NewServer(vm, nil, cfg)
+		if err == nil || srv != nil {
+			t.Errorf("%+v: got (%v, %v), want (nil, error)", cfg, srv, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %q does not name %s", cfg, err, tc.field)
+		}
+	}
+	// The boundary values are valid, and a valid server runs.
+	edge := ok
+	edge.ServiceJit, edge.FootprintMB, edge.Connections, edge.Think = 1, 0, 1, 0
+	srv, err := cl.NewServer(vm, nil, edge)
+	if err != nil {
+		t.Fatalf("boundary config rejected: %v", err)
+	}
+	srv.Start()
+	cl.RunFor(100 * vsched.Millisecond)
+	if srv.Ops() == 0 {
+		t.Fatal("boundary-config server made no progress")
+	}
+}
+
 func TestWorkloadNamesAndExperimentIDs(t *testing.T) {
 	if len(vsched.WorkloadNames()) < 30 {
 		t.Fatalf("catalogue too small: %d", len(vsched.WorkloadNames()))
@@ -152,10 +204,13 @@ func TestSetVCPULatencyAffectsTails(t *testing.T) {
 			cl.AddStressor(i, vsched.DefaultWeight)
 			cl.SetVCPULatency(i, lat)
 		}
-		srv := cl.NewServer(vm, nil, vsched.ServerConfig{
+		srv, err := cl.NewServer(vm, nil, vsched.ServerConfig{
 			Name: "svc", Workers: 1, ServiceMean: 100 * vsched.Microsecond,
 			Interarrival: 50 * vsched.Millisecond, LatencyMark: true,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv.Start()
 		cl.RunFor(20 * vsched.Second)
 		return srv.E2E().P95()
