@@ -20,20 +20,20 @@ import (
 
 // contendedRig builds a 16-vCPU VM with 50% fair-share contention and
 // asymmetric per-thread latency, the common substrate for the ablations.
-func contendedRig(feats vsched.Features) (*vsched.Cluster, *vsched.VM, *vsched.VSched) {
+func contendedRig(tb testing.TB, feats vsched.Features) (*vsched.Cluster, *vsched.VM, *vsched.VSched) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 13, CoresPerSocket: 16})
 	ids := make([]int, 16)
 	for i := range ids {
 		ids[i] = i
 	}
-	vm := cl.NewVM("vm", ids)
+	vm := mustVM(tb, cl, "vm", ids)
 	for i := 0; i < 16; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight)
+		mustStressor(tb, cl, i)
 		lat := 6 * vsched.Millisecond
 		if i >= 8 {
 			lat = 3 * vsched.Millisecond
 		}
-		cl.SetVCPULatency(i, lat)
+		mustLatency(tb, cl, i, lat)
 	}
 	var sched *vsched.VSched
 	if feats != (vsched.Features{}) {
@@ -48,7 +48,7 @@ func contendedRig(feats vsched.Features) (*vsched.Cluster, *vsched.VM, *vsched.V
 func BenchmarkAblationProbeCost(b *testing.B) {
 	run := func(enable bool) uint64 {
 		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 9, CoresPerSocket: 8})
-		vm := cl.NewVM("vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
+		vm := mustVM(b, cl, "vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
 		var sched *vsched.VSched
 		if enable {
 			sched = cl.EnableVSched(vm, vsched.AllFeatures())
@@ -76,10 +76,10 @@ func BenchmarkAblationProbeCost(b *testing.B) {
 func BenchmarkAblationEMAvsRaw(b *testing.B) {
 	run := func(halfPeriods float64) float64 {
 		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 17, CoresPerSocket: 2})
-		vm := cl.NewVM("vm", []int{0, 1})
+		vm := mustVM(b, cl, "vm", []int{0, 1})
 		// Bursts long relative to the 100ms sampling window: individual
 		// capacity samples swing between ~0 and full.
-		cl.AddPatternContender(0, 170*vsched.Millisecond, 390*vsched.Millisecond, 0)
+		mustPattern(b, cl, 0, 170*vsched.Millisecond, 390*vsched.Millisecond, 0)
 		p := vsched.DefaultParams()
 		p.EMAHalfPeriods = halfPeriods
 		cl.EnableVSchedWithParams(vm, vsched.Features{Vcap: true, Vact: true}, p)
@@ -116,7 +116,7 @@ func BenchmarkAblationEMAvsRaw(b *testing.B) {
 func BenchmarkAblationBVSFirstFit(b *testing.B) {
 	run := func(bestFit bool) float64 {
 		feats := vsched.Features{Vcap: true, Vact: true, Vtop: true, BVS: true}
-		cl, vm, sched := contendedRig(feats)
+		cl, vm, sched := contendedRig(b, feats)
 		sched.SetBVSBestFit(bestFit)
 		srv := mustWorkload(b, cl, vm, sched, "masstree", 0).(*vsched.Server)
 		srv.Start()
@@ -146,7 +146,7 @@ func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 		for i := range ids {
 			ids[i] = i
 		}
-		vm := cl.NewVM("vm", ids)
+		vm := mustVM(b, cl, "vm", ids)
 		// Only a minority is genuinely low-latency, like hpvm's dedicated
 		// socket: vCPUs 0-3 dedicated; 4-9 contended with 3ms bursts;
 		// 10-15 with 9ms. The median latency is the 3ms class.
@@ -155,8 +155,8 @@ func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 			if i >= 10 {
 				lat = 9 * vsched.Millisecond
 			}
-			cl.SetVCPULatency(i, lat)
-			cl.AddStressor(i, vsched.DefaultWeight)
+			mustLatency(b, cl, i, lat)
+			mustStressor(b, cl, i)
 		}
 		feats := vsched.Features{Vcap: true, Vact: true, Vtop: true, BVS: true}
 		sched := cl.EnableVSched(vm, feats)
@@ -184,9 +184,9 @@ func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 func BenchmarkAblationHeartbeatGranularity(b *testing.B) {
 	run := func() float64 {
 		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 29, CoresPerSocket: 2})
-		vm := cl.NewVM("vm", []int{0, 1})
+		vm := mustVM(b, cl, "vm", []int{0, 1})
 		// Ground truth: 4ms inactive bursts on vCPU1.
-		cl.AddPatternContender(1, 4*vsched.Millisecond, 6*vsched.Millisecond, 0)
+		mustPattern(b, cl, 1, 4*vsched.Millisecond, 6*vsched.Millisecond, 0)
 		cl.EnableVSched(vm, vsched.Features{Vcap: true, Vact: true})
 		cl.RunFor(10 * vsched.Second)
 		return vm.VCPU(1).Latency().Milliseconds()

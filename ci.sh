@@ -63,10 +63,11 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/
 
-# Cell-parallel paper experiments under the race detector: a cell shares no
+# Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a
 # panicking cell reaches the caller. -short keeps to cheap experiments (fig3,
-# fig11, table3, ...): fig12+fig13 alone take over a minute under -race.
+# fig11, table3, ..., and the macro fleetscale and faulttol cells at scale
+# 0.05): fig12+fig13 alone take over a minute under -race.
 echo "== cell-parallel experiments (-race)"
 go test -race -short -run Cells ./internal/experiments/
 
@@ -111,9 +112,11 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./int
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48
-# hours of virtual time — must finish inside the CI budget (the macro
-# simulator does the whole thing in seconds) and pass its internal
-# serial==sharded snapshot byte-identity gate, which panics on divergence.
+# hours of virtual time, one parallel cell per policy — must finish inside
+# the CI budget (the macro simulator does the whole thing in seconds), and
+# RunMacro's conservation check panics on any unaccounted VM. Determinism
+# is pinned by the fleet package's snapshot-digest tests and, for the cell
+# fan-out, by the -race Cells stage above.
 echo "== fleetscale determinism smoke (full scale)"
 "$tmp"/vexp_ci -run fleetscale -seed 42 > /dev/null
 
@@ -127,10 +130,10 @@ echo "== fleetobs telemetry determinism smoke"
 cmp "$tmp"/vexp_fleetobs_a.txt "$tmp"/vexp_fleetobs_b.txt
 
 # Fault-tolerance smoke: the faulttol experiment embeds three panic gates
-# (serial==sharded snapshot bytes with faults active, recovery strictly
-# beating no-recovery on completed lifetimes, exact VM conservation). On top
-# of finishing at full scale — 1024 hosts, 48 h, the whole crash/brownout/
-# stall schedule — two same-seed runs must be byte-identical.
+# (recovery strictly beating no-recovery on completed lifetimes, a schedule
+# that actually loses VMs, exact VM conservation). On top of finishing at
+# full scale — 1024 hosts, 48 h, the whole crash/brownout/stall schedule,
+# one parallel cell per mode — two same-seed runs must be byte-identical.
 echo "== faulttol byte-identity smoke (full scale)"
 "$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_a.txt
 "$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_b.txt

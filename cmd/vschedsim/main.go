@@ -148,7 +148,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown -policy %q (want cfs or eevdf)\n", *policy)
 		return 1
 	}
-	vm := cl.NewVMWithParams("vm", ids, gp)
+	vm, err := cl.NewVMWithParams("vm", ids, gp)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	// Tracing taps every layer: the host observer sees entity state changes,
 	// and the VM tracer carries guest context switches plus vSched decisions.
@@ -163,12 +167,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *share < 1.0 {
 		w := int64(float64(vsched.DefaultWeight) * (1 - *share) / *share)
 		for i := 0; i < *vcpus; i++ {
-			cl.AddStressor(i, w)
+			if _, err := cl.AddStressor(i, w); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
 		}
 	}
 	if *latency > 0 {
 		for i := 0; i < *vcpus; i++ {
-			cl.SetVCPULatency(i, vsched.Duration(latency.Nanoseconds()))
+			if err := cl.SetVCPULatency(i, vsched.Duration(latency.Nanoseconds())); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
 		}
 	}
 

@@ -10,11 +10,16 @@ import (
 // host, vSched attached, a workload measured. Deterministic by seed.
 func Example() {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 42, CoresPerSocket: 4})
-	vm := cl.NewVM("demo", []int{0, 1, 2, 3})
+	vm, err := cl.NewVM("demo", []int{0, 1, 2, 3})
+	if err != nil {
+		panic(err)
+	}
 
 	// A co-tenant on every core: each vCPU keeps a 50% fair share.
 	for i := 0; i < 4; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight)
+		if _, err := cl.AddStressor(i, vsched.DefaultWeight); err != nil {
+			panic(err)
+		}
 	}
 
 	sched := cl.EnableVSched(vm, vsched.AllFeatures())
@@ -43,7 +48,10 @@ func ExampleRunExperiment() {
 // ExampleCluster_Workload runs a catalogued benchmark on a plain-CFS VM.
 func ExampleCluster_Workload() {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 2})
-	vm := cl.NewVM("vm", []int{0, 1})
+	vm, err := cl.NewVM("vm", []int{0, 1})
+	if err != nil {
+		panic(err)
+	}
 	inst, err := cl.Workload(vm, nil, "fio", 2)
 	if err != nil {
 		panic(err)

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vsched"
 )
@@ -17,13 +18,19 @@ func main() {
 	// An EEVDF guest: same VM, different task-picking policy.
 	gp := vsched.DefaultGuestParams()
 	gp.Policy = vsched.PolicyEEVDF
-	vm := cl.NewVMWithParams("eevdf-vm", []int{0, 1, 2, 3, 4, 5, 6, 7}, gp)
+	vm, err := cl.NewVMWithParams("eevdf-vm", []int{0, 1, 2, 3, 4, 5, 6, 7}, gp)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Long contention cycles on socket 1: 60ms bursts, so the default
 	// 100ms sampling period aliases badly.
 	for i := 4; i < 8; i++ {
-		cl.AddPatternContender(i, 60*vsched.Millisecond, 60*vsched.Millisecond,
+		_, err := cl.AddPatternContender(i, 60*vsched.Millisecond, 60*vsched.Millisecond,
 			vsched.Duration(i)*17*vsched.Millisecond)
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// vSched with the cache prober enabled; its hooks attach to EEVDF

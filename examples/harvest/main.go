@@ -17,9 +17,14 @@ func run(withIVH bool) float64 {
 	for i := range ids {
 		ids[i] = i
 	}
-	vm := cl.NewVM("batch", ids)
+	vm, err := cl.NewVM("batch", ids)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i := 0; i < 16; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight)
+		if _, err := cl.AddStressor(i, vsched.DefaultWeight); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	feats := vsched.Features{Vcap: true, Vact: true, IVH: withIVH}

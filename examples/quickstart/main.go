@@ -12,12 +12,17 @@ import (
 
 func run(enable bool) (ops uint64, p95ms float64) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 7, CoresPerSocket: 8})
-	vm := cl.NewVM("web", []int{0, 1, 2, 3, 4, 5, 6, 7})
+	vm, err := cl.NewVM("web", []int{0, 1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// A co-tenant VM stresses every core: each of our vCPUs keeps only a
 	// 50% share and suffers multi-millisecond inactive periods.
 	for i := 0; i < 8; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight)
+		if _, err := cl.AddStressor(i, vsched.DefaultWeight); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var sched *vsched.VSched

@@ -17,15 +17,22 @@ func run(feats vsched.Features) (p95, queue95 float64) {
 	for i := range ids {
 		ids[i] = i
 	}
-	vm := cl.NewVM("svc", ids)
+	vm, err := cl.NewVM("svc", ids)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for i := 0; i < 16; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight) // 50% share everywhere
+		if _, err := cl.AddStressor(i, vsched.DefaultWeight); err != nil { // 50% share everywhere
+			log.Fatal(err)
+		}
 		lat := 6 * vsched.Millisecond
 		if i >= 8 {
 			lat = 3 * vsched.Millisecond
 		}
-		cl.SetVCPULatency(i, lat)
+		if err := cl.SetVCPULatency(i, lat); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	sched := cl.EnableVSched(vm, feats)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vsched"
 )
@@ -23,7 +24,10 @@ func main() {
 		int(h.ThreadAt(1, 0, 0).ID()), int(h.ThreadAt(1, 0, 1).ID()),
 		int(h.ThreadAt(1, 1, 0).ID()), int(h.ThreadAt(1, 1, 0).ID()),
 	}
-	vm := cl.NewVM("probe-me", threads)
+	vm, err := cl.NewVM("probe-me", threads)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sched := cl.EnableVSched(vm, vsched.Features{Vtop: true})
 
 	cl.RunFor(5 * vsched.Second) // bootstrap full probe + validations

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"vsched/internal/cloudgen"
@@ -28,12 +27,14 @@ import (
 // ~96 brownouts, ~144 stalls) at any -scale, keeping the gates meaningful in
 // the shrunk test configurations.
 //
-// Three gates panic on violation rather than merely reporting:
+// Each mode is one cell; the cells run in parallel and the report is
+// assembled in mode order. Three gates panic on violation rather than
+// merely reporting:
 //
-//  1. determinism — both faulted modes run serially and sharded, and the
-//     final-state snapshots must be byte-identical;
-//  2. recovery value — the recovery run must complete strictly more VM
+//  1. recovery value — the recovery run must complete strictly more VM
 //     lifetimes than the no-recovery run under the identical schedule;
+//  2. a live schedule — the no-recovery run must see crashes and lose VMs,
+//     or the first gate is vacuous;
 //  3. conservation — every arrival is accounted (arrived == lifetimes +
 //     lost + rejected + running + pending, exactly); RunMacro itself
 //     panics on any imbalance, so every row of the report implies it.
@@ -73,20 +74,35 @@ func FaultTol(o Options) *Report {
 		len(trace.Hosts), len(trace.VMs), trace.Horizon.Seconds()/3600,
 		len(trace.Faults.Events), o.Seed)
 
-	run := func(sched *faults.Schedule, rcv faults.RecoveryConfig, shards int, tc *telemetry.Config) *fleet.MacroResult {
-		return fleet.RunMacro(fleet.MacroConfig{
+	modes := []struct {
+		name  string
+		sched *faults.Schedule
+		rcv   faults.RecoveryConfig
+		tc    *telemetry.Config
+	}{
+		{"clean", nil, faults.RecoveryConfig{}, nil},
+		{"faults", trace.Faults, faults.RecoveryConfig{}, nil},
+		{"recovery", trace.Faults, faults.RecoveryConfig{Enabled: true}, &tcfg},
+	}
+	results := cells(o, len(modes), func(i int, o Options) *fleet.MacroResult {
+		md := modes[i]
+		r := fleet.RunMacro(fleet.MacroConfig{
 			Trace:     trace,
 			Policy:    pol,
 			Epoch:     60 * sim.Second,
-			Shards:    shards,
-			Faults:    sched,
-			Recovery:  rcv,
-			Telemetry: tc,
+			Faults:    md.sched,
+			Recovery:  md.rcv,
+			Telemetry: md.tc,
 			Observe:   func(e *sim.Engine) { o.Stats.Track(e) },
 		})
-	}
-	add := func(mode string, r *fleet.MacroResult) {
-		rep.Add(mode,
+		if md.tc != nil { // the recovery cell: its registry and series are the ones reported
+			o.Stats.TrackRegistry("faulttol."+md.name, r.Registry)
+			o.Stats.TrackTelemetry("faulttol."+md.name, r.Telemetry)
+		}
+		return r
+	})
+	for i, r := range results {
+		rep.Add(modes[i].name,
 			fmt.Sprintf("%d", r.Placed),
 			fmt.Sprintf("%d", r.Rejected),
 			fmt.Sprintf("%d", r.Lifetimes),
@@ -98,26 +114,7 @@ func FaultTol(o Options) *Report {
 			fmt.Sprintf("%.1f", r.LostVCPUHours),
 		)
 	}
-	gate := func(mode string, serial, sharded *fleet.MacroResult) {
-		if !bytes.Equal(serial.Snapshot, sharded.Snapshot) {
-			panic(fmt.Sprintf("faulttol: %s serial/sharded snapshots diverge: %s vs %s",
-				mode, fleet.SnapshotDigest(serial.Snapshot), fleet.SnapshotDigest(sharded.Snapshot)))
-		}
-	}
-
-	clean := run(nil, faults.RecoveryConfig{}, 8, nil)
-	add("clean", clean)
-
-	noRec := run(trace.Faults, faults.RecoveryConfig{}, 8, nil)
-	gate("no-recovery", run(trace.Faults, faults.RecoveryConfig{}, 1, nil), noRec)
-	add("faults", noRec)
-
-	rcv := faults.RecoveryConfig{Enabled: true}
-	rec := run(trace.Faults, rcv, 8, &tcfg)
-	gate("recovery", run(trace.Faults, rcv, 1, nil), rec)
-	add("recovery", rec)
-	o.Stats.TrackRegistry("faulttol.recovery", rec.Registry)
-	o.Stats.TrackTelemetry("faulttol.recovery", rec.Telemetry)
+	noRec, rec := results[1], results[2]
 
 	if rec.Lifetimes <= noRec.Lifetimes {
 		panic(fmt.Sprintf("faulttol: recovery completed %d lifetimes, no-recovery %d — recovery must win strictly",
@@ -127,7 +124,7 @@ func FaultTol(o Options) *Report {
 		panic(fmt.Sprintf("faulttol: schedule too quiet (crashes=%d lost=%d) — gates are vacuous",
 			noRec.Crashes, noRec.Lost))
 	}
-	rep.Notef("gates: serial==sharded bytes with faults active; recovery lifetimes %d > %d; "+
+	rep.Notef("gates: recovery lifetimes %d > %d; "+
 		"conservation arrived == lifetimes+lost+rejected+running+pending (RunMacro panics otherwise)",
 		rec.Lifetimes, noRec.Lifetimes)
 	rep.Notef("recovery: %d crashes killed %d VMs, %d restarts, %d lost, %d evacuations (%d failed), MTTR max %.0fs",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"vsched/internal/cloudgen"
@@ -10,24 +9,6 @@ import (
 	"vsched/internal/telemetry"
 )
 
-// CloudScale pushes the fleet layer to cloud-provider dimensions (no paper
-// counterpart; the paper's testbed stops at a handful of hosts). A cloudgen
-// trace — heavy-tailed VM sizes, diurnal arrivals, bimodal lifetimes,
-// heterogeneous host classes — drives the macro fleet simulator at full
-// scale: 1024 hosts, ~115k VM arrivals, 48 hours of virtual time, per
-// placement policy. Reported per policy:
-//
-//   - degree of imbalance (max-min)/avg of host utilization, mean and max
-//     over epochs — the CloudSim load-balance metric;
-//   - batch makespan (completion of the last batch VM);
-//   - p95 per-VM steal fraction — the vSched-visible cost of bad placement;
-//   - throughput accounting (placed / rejected / completed lifetimes).
-//
-// Every cell runs twice, serially and sharded across host-range goroutines,
-// and panics unless the two final-state snapshots are byte-identical: the
-// determinism gate that keeps the sharded fast path honest. The sharded run
-// also carries a telemetry recorder, which must not perturb the bytes
-// either.
 // scaledCloudConfig shrinks the default cloudgen trace for -scale < 1 with
 // floors that keep the scenario meaningful: heterogeneous hosts, thousands
 // of lifetimes, several diurnal-scale hours. Shared by the fleetscale and
@@ -57,6 +38,23 @@ func scaledCloudConfig(scale float64) cloudgen.Config {
 	return cfg
 }
 
+// CloudScale pushes the fleet layer to cloud-provider dimensions (no paper
+// counterpart; the paper's testbed stops at a handful of hosts). A cloudgen
+// trace — heavy-tailed VM sizes, diurnal arrivals, bimodal lifetimes,
+// heterogeneous host classes — drives the macro fleet simulator at full
+// scale: 1024 hosts, ~115k VM arrivals, 48 hours of virtual time, per
+// placement policy. Reported per policy:
+//
+//   - degree of imbalance (max-min)/avg of host utilization, mean and max
+//     over epochs — the CloudSim load-balance metric;
+//   - batch makespan (completion of the last batch VM);
+//   - p95 per-VM steal fraction — the vSched-visible cost of bad placement;
+//   - throughput accounting (placed / rejected / completed lifetimes).
+//
+// Each policy is one cell with a telemetry recorder attached; the cells run
+// in parallel and the report is assembled in policy order. Determinism and
+// telemetry inertness are pinned by the fleet package's snapshot-digest and
+// attached-vs-detached tests.
 func CloudScale(o Options) *Report {
 	trace := cloudgen.Generate(o.Seed, scaledCloudConfig(o.Scale))
 
@@ -72,28 +70,19 @@ func CloudScale(o Options) *Report {
 		len(trace.Hosts), trace.TotalThreads(), len(trace.VMs), trace.Horizon.Seconds()/3600, o.Seed)
 
 	policies := []fleet.Policy{fleet.FirstFit{}, fleet.LeastLoaded{}, fleet.StealAware{}}
-	for _, pol := range policies {
-		run := func(shards int, tc *telemetry.Config) *fleet.MacroResult {
-			return fleet.RunMacro(fleet.MacroConfig{
-				Trace:     trace,
-				Policy:    pol,
-				Epoch:     60 * sim.Second,
-				Shards:    shards,
-				Telemetry: tc,
-				Observe:   func(e *sim.Engine) { o.Stats.Track(e) },
-			})
-		}
-		serial := run(1, nil)
-		sharded := run(8, &tcfg)
-		// The determinism gate: host-range sharding (and the attached
-		// recorder) must not move a single bit of final state.
-		if !bytes.Equal(serial.Snapshot, sharded.Snapshot) {
-			panic(fmt.Sprintf("fleetscale: %s serial/sharded snapshots diverge: %s vs %s",
-				pol.Name(), fleet.SnapshotDigest(serial.Snapshot), fleet.SnapshotDigest(sharded.Snapshot)))
-		}
-		r := sharded
+	results := cells(o, len(policies), func(i int, o Options) *fleet.MacroResult {
+		r := fleet.RunMacro(fleet.MacroConfig{
+			Trace:     trace,
+			Policy:    policies[i],
+			Epoch:     60 * sim.Second,
+			Telemetry: &tcfg,
+			Observe:   func(e *sim.Engine) { o.Stats.Track(e) },
+		})
 		o.Stats.TrackRegistry("fleetscale."+r.Policy, r.Registry)
 		o.Stats.TrackTelemetry("fleetscale."+r.Policy, r.Telemetry)
+		return r
+	})
+	for _, r := range results {
 		rep.Add(r.Policy,
 			fmt.Sprintf("%d", r.Placed),
 			fmt.Sprintf("%d", r.Rejected),
@@ -109,6 +98,6 @@ func CloudScale(o Options) *Report {
 			rep.Notef("%s: snapshot %s", r.Policy, fleet.SnapshotDigest(r.Snapshot))
 		}
 	}
-	rep.Notef("determinism gate: serial == sharded final-state bytes for every policy")
+	rep.Notef("one cell per policy with a 60s telemetry recorder, run in parallel and reported in policy order")
 	return rep
 }

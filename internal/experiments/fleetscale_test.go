@@ -6,9 +6,9 @@ import (
 )
 
 // TestCloudScaleRuns exercises the fleetscale experiment at a reduced scale:
-// the embedded serial-vs-sharded determinism gate panics on divergence, so a
-// clean return is the real assertion. The shape checks keep the report
-// honest.
+// RunMacro panics on a conservation imbalance, so a clean return carries
+// weight; the shape checks keep the report honest, and every policy cell
+// must reach the stats.
 func TestCloudScaleRuns(t *testing.T) {
 	stats := &Stats{}
 	rep := CloudScale(Options{Seed: 42, Scale: 0.05, Stats: stats})

@@ -72,7 +72,6 @@ func ObsPlane(o Options) *Report {
 			Trace:     trace,
 			Policy:    fleet.StealAware{},
 			Epoch:     60 * sim.Second,
-			Shards:    8,
 			Faults:    trace.Faults,
 			Recovery:  faults.RecoveryConfig{Enabled: true},
 			Telemetry: &tcfg,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
@@ -36,12 +35,12 @@ import (
 //
 // Scale: state is flat value-typed arrays (one macroVM, one macroHost per
 // entity — no pointers into the engine; each host packs its live VMs'
-// integration state into a dense slice of resident records), and the epoch
-// integration shards across contiguous host ranges on real goroutines inside
-// a single engine callback. Each host's VMs live on exactly one shard, so the
-// parallel phase writes disjoint state; every cross-host reduction (DI,
-// snapshot, placement) runs serially in host order afterwards. Serial and
-// sharded runs are byte-identical — the fleetscale experiment panics if not.
+// integration state into a dense slice of resident records and caches their
+// summed demand), and the epoch integration is one serial pass in host order
+// that advances each host and folds it into the fleet reductions (DI,
+// aggregates) as it goes. A cell is ~80 µs of work per epoch, too little to
+// pay for a goroutine fan-out; parallelism lives one level up, across
+// independent cells (policies, fault modes, trials).
 type MacroConfig struct {
 	Trace cloudgen.Trace
 	// Policy places arriving VMs. IndexedPolicy implementations go through
@@ -52,8 +51,12 @@ type MacroConfig struct {
 	Overcommit float64
 	// Epoch is the integration step (default 60s of virtual time).
 	Epoch sim.Duration
-	// Shards is the number of worker goroutines for the epoch integration;
-	// <= 1 runs serially. Results are identical either way.
+	// Shards is no longer used: the epoch integration always runs serially.
+	// A per-epoch goroutine fan-out over host ranges cost more than it saved
+	// (about 80 µs of work per epoch), so macro runs parallelize across
+	// independent cells instead.
+	//
+	// Deprecated: ignored. It stays so callers that set it still compile.
 	Shards int
 	// Horizon overrides Trace.Horizon when > 0.
 	Horizon sim.Duration
@@ -121,8 +124,7 @@ type MacroResult struct {
 	// LostVCPUHours is batch progress destroyed by crashes.
 	LostVCPUHours float64
 	// Snapshot is the canonical byte encoding of final simulation state;
-	// serial and sharded runs of the same config must produce identical
-	// bytes.
+	// two runs of the same config must produce identical bytes.
 	Snapshot []byte
 	// Registry exposes the cell's counters; Telemetry the recorder when
 	// configured.
@@ -171,6 +173,9 @@ type macroHost struct {
 	stealEMA  float64
 	util      float64    // last epoch's min(1, D/threads)
 	res       []resident // live VMs in placement order
+	// demand caches the left-to-right sum of res[k].load: an append adds its
+	// load, a removal refolds the rest, so it always equals a fresh fold.
+	demand float64
 	// Fault windows, opened serially at epoch boundaries; a stalled host
 	// integrates with rho = 0.
 	faultWindows
@@ -266,9 +271,6 @@ type macroSim struct {
 	// the first bucket not yet swept; swept buckets are released.
 	cal   [][]int32
 	swept int
-
-	// per-shard scratch, reused every epoch
-	completions [][]int32
 }
 
 // RunMacro executes one macro cell to its horizon and returns the result.
@@ -298,9 +300,6 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 60 * sim.Second
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = cfg.Trace.Horizon
@@ -337,7 +336,6 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 		m.ix = NewHostIndex(caps)
 		m.ipol = ipol
 	}
-	m.completions = make([][]int32, cfg.Shards)
 	if cfg.Telemetry != nil {
 		m.rec = telemetry.New(m.eng, *cfg.Telemetry)
 		m.rec.AddSource("", telemetry.RegistrySource(m.reg))
@@ -368,7 +366,7 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 }
 
 // epoch advances one integration step: boundary work (departures, arrivals,
-// rescoring) then the parallel integration of [now, now+E).
+// rescoring) then the integration of [now, now+E).
 func (m *macroSim) epoch() {
 	now := m.eng.Now()
 	m.boundary(now)
@@ -390,8 +388,8 @@ func (m *macroSim) epoch() {
 }
 
 // publishEpoch emits the epoch progress event (cumulative conservation
-// ledger + fleet gauges) and refreshes the metric mirror. Serial safepoint:
-// runs after the sharded integration has joined.
+// ledger + fleet gauges) and refreshes the metric mirror. Safepoint: runs
+// after the epoch's integration.
 func (m *macroSim) publishEpoch(end sim.Time) {
 	m.epochIdx++
 	if m.obs == nil {
@@ -426,10 +424,10 @@ func (m *macroSim) publishMirror() {
 	})
 }
 
-// boundary performs the serial epoch-start work at time t, in a fixed order
-// so serial and sharded runs cannot diverge: departures due by t, fault
-// events quantized to this epoch, a full index rescore, pending retries,
-// evacuation of degraded hosts, then arrivals with At < t+E in trace order.
+// boundary performs the epoch-start work at time t, in a fixed order so
+// reruns cannot diverge: departures due by t, fault events quantized to
+// this epoch, a full index rescore, pending retries, evacuation of degraded
+// hosts, then arrivals with At < t+E in trace order.
 func (m *macroSim) boundary(t sim.Time) {
 	m.now = t
 	// Departures: sweep the calendar through this boundary's bucket. Every
@@ -543,6 +541,7 @@ func (m *macroSim) applyFaults(t sim.Time) {
 				m.kill(&h.res[k], t)
 			}
 			h.res = h.res[:0]
+			h.demand = 0
 			h.committed = 0
 		}
 	}
@@ -664,7 +663,7 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.res = append(h.res, m.resident(e.id))
+	h.push(m.resident(e.id))
 	m.file(e.id)
 	m.events++
 	m.ledger.restored(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
@@ -703,10 +702,11 @@ func (m *macroSim) evacuate(t sim.Time) {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
 			h.res = h.res[:len(h.res)-1]
+			h.refold()
 			h.committed -= int32(vm.vcpus)
 			d := &m.hosts[hi]
 			d.committed += int32(vm.vcpus)
-			d.res = append(d.res, r)
+			d.push(r)
 			vm.host = int32(hi)
 			m.ledger.count(&m.ledger.Evacuations, "evacuations")
 			m.reindexHost(i)
@@ -791,7 +791,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.res = append(h.res, m.resident(int32(idx)))
+	h.push(m.resident(int32(idx)))
 	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
@@ -809,6 +809,7 @@ func (m *macroSim) depart(id int32) {
 		if h.res[k].id == id {
 			m.writeBack(&h.res[k])
 			h.res = append(h.res[:k], h.res[k+1:]...)
+			h.refold()
 			break
 		}
 	}
@@ -832,72 +833,44 @@ func (m *macroSim) resident(id int32) resident {
 	}
 }
 
+// push appends resident r to the host and adds its load to the cached
+// demand: the same left fold a fresh sum over res performs.
+func (h *macroHost) push(r resident) {
+	h.res = append(h.res, r)
+	h.demand += r.load
+}
+
+// refold recomputes the cached demand after a removal, left to right over
+// the remaining records. Subtracting the departed load would round
+// differently from the fold that built the sum.
+func (h *macroHost) refold() {
+	d := 0.0
+	for k := range h.res {
+		d += h.res[k].load
+	}
+	h.demand = d
+}
+
 // writeBack copies resident r's canonical fields to its macroVM.
 func (m *macroSim) writeBack(r *resident) {
 	vm := &m.vms[r.id]
 	vm.work, vm.served, vm.steal, vm.done = r.work, r.served, r.steal, r.done
 }
 
-// integrate advances every host through [t0, t1). The per-host work is
-// independent — each VM belongs to one host — so it shards across contiguous
-// host ranges. All cross-host reductions happen serially afterwards, in host
-// order, so shard count cannot perturb a single float operation.
+// integrate advances every host through [t0, t1) in one pass in host order.
+// Each host's contention step is followed at once by its batch completions
+// and its share of the fleet reductions (work units, DI, aggregates), so
+// every float operation happens in the same order as a separate reduction
+// pass over the hosts would do it.
 func (m *macroSim) integrate(t0, t1 sim.Time) {
-	shards := m.cfg.Shards
-	if shards > len(m.hosts) {
-		shards = len(m.hosts)
-	}
-	per := (len(m.hosts) + shards - 1) / shards
-	if shards == 1 {
-		m.completions[0] = m.integrateRange(0, len(m.hosts), t0, t1, m.completions[0][:0])
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			lo := s * per
-			hi := lo + per
-			if hi > len(m.hosts) {
-				hi = len(m.hosts)
-			}
-			if lo >= hi {
-				m.completions[s] = m.completions[s][:0]
-				continue
-			}
-			wg.Add(1)
-			go func(s, lo, hi int) {
-				defer wg.Done()
-				m.completions[s] = m.integrateRange(lo, hi, t0, t1, m.completions[s][:0])
-			}(s, lo, hi)
-		}
-		wg.Wait()
-	}
-
-	// Serial merge, shard order == host order: batch completions are filed
-	// in the calendar under the boundary that ends this epoch.
-	var events uint64
-	for i := range m.hosts {
-		events += uint64(len(m.hosts[i].res)) + 1
-	}
-	m.events += events
-	for s := 0; s < shards; s++ {
-		for _, id := range m.completions[s] {
-			vm := &m.vms[id]
-			// depart holds the analytic completion instant; the makespan is
-			// the latest one seen. The actual departure quantizes to the
-			// epoch boundary.
-			if vm.depart > m.makespan {
-				m.makespan = vm.depart
-			}
-			vm.depart = t1
-			m.file(id)
-		}
-	}
-
-	// Degree of imbalance over hosts with any capacity, serial in host order.
+	dt := t1.Sub(t0).Seconds()
 	minU, maxU, sumU := math.Inf(1), math.Inf(-1), 0.0
 	sumSteal, sumCommitted, alive := 0.0, 0.0, 0.0
 	down, degraded, stalled := 0.0, 0.0, 0.0
 	for i := range m.hosts {
 		h := &m.hosts[i]
+		m.events += uint64(len(h.res)) + 1
+		m.advance(h, t0, t1, dt)
 		u := h.util
 		if u < minU {
 			minU = u
@@ -920,7 +893,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	}
 	// Availability ledger: committed vCPU-seconds delivered-or-placed this
 	// epoch. The down side accrues per crash victim at restart/loss time.
-	m.ledger.up(sumCommitted, t1.Sub(t0).Seconds())
+	m.ledger.up(sumCommitted, dt)
 	n := float64(len(m.hosts))
 	di := 0.0
 	if sumU > 0 {
@@ -950,75 +923,70 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	m.reg.Counter("fleet.macro.epochs").Inc()
 }
 
-// integrateRange advances hosts [lo, hi) through [t0, t1), appending batch
-// VMs whose budget drained to done. Touches only state owned by those hosts.
-func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []int32 {
-	dt := t1.Sub(t0).Seconds()
+// advance runs host h's contention step over [t0, t1), dt seconds long. A
+// batch VM whose budget drains lifts its analytic completion instant into
+// the makespan and is filed in the calendar under t1, the boundary that ends
+// this epoch.
+func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 	const alpha = 0.4 // same smoothing the micro fleet's steal EMA uses
-	for i := lo; i < hi; i++ {
-		h := &m.hosts[i]
-		// Effective compute for this epoch: zero while crashed or stalled
-		// (stall = all demand steals, nothing progresses), degradeFactor x
-		// threads while browned out. Fault windows are set serially at
-		// boundaries, so reading them here is shard-safe.
-		effT := float64(h.threads)
-		if h.downUntil > t0 || h.stallUntil > t0 {
-			effT = 0
-		} else if h.degradedUntil > t0 {
-			effT = h.degradeFactor * float64(h.threads)
-		}
-		res := h.res
-		demand := 0.0
-		for k := range res {
-			demand += res[k].load
-		}
-		rho := 1.0
-		util := 0.0
-		if effT <= 0 {
-			rho = 0
-			if demand > 0 {
-				util = 1
-			}
-		} else {
-			if demand > effT {
-				rho = effT / demand
-			}
-			util = demand / effT
-			if util > 1 {
-				util = 1
-			}
-		}
-		h.util = util
-		target := 0.0
+	// Effective compute for this epoch: zero while crashed or stalled (stall
+	// = all demand steals, nothing progresses), degradeFactor x threads
+	// while browned out.
+	effT := float64(h.threads)
+	if h.downUntil > t0 || h.stallUntil > t0 {
+		effT = 0
+	} else if h.degradedUntil > t0 {
+		effT = h.degradeFactor * float64(h.threads)
+	}
+	demand := h.demand
+	rho := 1.0
+	util := 0.0
+	if effT <= 0 {
+		rho = 0
 		if demand > 0 {
-			target = 1 - rho
+			util = 1
 		}
-		h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
-		for k := range res {
-			r := &res[k]
-			span := dt
-			if r.batch && !r.done {
-				rate := rho * h.speed // per-vCPU progress per second
-				if need := r.work / rate; need < span {
-					span = need
-					r.work = 0
-					r.done = true
-					// Analytic completion instant; integrate() lifts it
-					// into the makespan then quantizes the departure.
-					m.vms[r.id].depart = t0.Add(sim.Duration(span * float64(sim.Second)))
-					done = append(done, r.id)
-				} else {
-					r.work -= rate * span
-				}
-			} else if r.done {
-				span = 0 // budget drained in a prior epoch; idle until boundary
-			}
-			req := r.load * span
-			r.served += req * rho
-			r.steal += req * (1 - rho)
+	} else {
+		if demand > effT {
+			rho = effT / demand
+		}
+		util = demand / effT
+		if util > 1 {
+			util = 1
 		}
 	}
-	return done
+	h.util = util
+	target := 0.0
+	if demand > 0 {
+		target = 1 - rho
+	}
+	h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
+	res := h.res
+	for k := range res {
+		r := &res[k]
+		span := dt
+		if r.batch && !r.done {
+			rate := rho * h.speed // per-vCPU progress per second
+			if need := r.work / rate; need < span {
+				span = need
+				r.work = 0
+				r.done = true
+				// The departure itself quantizes to the epoch boundary.
+				if done := t0.Add(sim.Duration(span * float64(sim.Second))); done > m.makespan {
+					m.makespan = done
+				}
+				m.vms[r.id].depart = t1
+				m.file(r.id)
+			} else {
+				r.work -= rate * span
+			}
+		} else if r.done {
+			span = 0 // budget drained in a prior epoch; idle until boundary
+		}
+		req := r.load * span
+		r.served += req * rho
+		r.steal += req * (1 - rho)
+	}
 }
 
 // result finalizes counters, percentiles and the canonical snapshot, and

@@ -21,7 +21,7 @@ func TestMacroObsInert(t *testing.T) {
 		CrashMTBF: 20 * 3600 * sim.Second,
 	})
 	base := MacroConfig{
-		Trace: trace, Policy: StealAware{}, Shards: 4,
+		Trace: trace, Policy: StealAware{},
 		Telemetry: &telemetry.Config{Interval: 30 * sim.Second},
 		Faults:    &schedv,
 		Recovery:  faults.RecoveryConfig{Enabled: true},
@@ -76,7 +76,7 @@ func TestMacroObsStream(t *testing.T) {
 	})
 	pub := progress.NewPublisher(1 << 16)
 	res := RunMacro(MacroConfig{
-		Trace: trace, Policy: LeastLoaded{}, Shards: 3,
+		Trace: trace, Policy: LeastLoaded{},
 		Faults:   &schedv,
 		Recovery: faults.RecoveryConfig{Enabled: true},
 		Obs:      pub,

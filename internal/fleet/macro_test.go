@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,28 +29,10 @@ func macroTestTrace(seed int64) cloudgen.Trace {
 	return cloudgen.Generate(seed, cfg)
 }
 
-func TestMacroShardedMatchesSerial(t *testing.T) {
-	trace := macroTestTrace(42)
-	for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
-		pol := pol
-		t.Run(pol.Name(), func(t *testing.T) {
-			serial := RunMacro(MacroConfig{Trace: trace, Policy: pol, Shards: 1})
-			sharded := RunMacro(MacroConfig{Trace: trace, Policy: pol, Shards: 7})
-			if !bytes.Equal(serial.Snapshot, sharded.Snapshot) {
-				t.Fatalf("serial digest %s != sharded digest %s",
-					SnapshotDigest(serial.Snapshot), SnapshotDigest(sharded.Snapshot))
-			}
-			if serial.Placed == 0 || serial.Lifetimes == 0 {
-				t.Fatalf("degenerate run: placed=%d lifetimes=%d", serial.Placed, serial.Lifetimes)
-			}
-		})
-	}
-}
-
 func TestMacroDeterministic(t *testing.T) {
 	trace := macroTestTrace(7)
-	a := RunMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: 4})
-	b := RunMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: 4})
+	a := RunMacro(MacroConfig{Trace: trace, Policy: StealAware{}})
+	b := RunMacro(MacroConfig{Trace: trace, Policy: StealAware{}})
 	if !bytes.Equal(a.Snapshot, b.Snapshot) {
 		t.Fatalf("two identical runs diverged: %s vs %s",
 			SnapshotDigest(a.Snapshot), SnapshotDigest(b.Snapshot))
@@ -59,11 +42,36 @@ func TestMacroDeterministic(t *testing.T) {
 	}
 }
 
+// TestMacroTelemetryInert: attaching a telemetry recorder moves no bit of
+// final state, on a clean run and on a faulted run with recovery (retries,
+// restarts and evacuations all happen while the recorder samples).
 func TestMacroTelemetryInert(t *testing.T) {
 	trace := macroTestTrace(11)
-	bare := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}, Shards: 2})
+	storm := faults.Generate(11, len(trace.Hosts), trace.Horizon, faults.Config{
+		CrashMTBF:    20 * cloudgen.Hour,
+		BrownoutMTBF: 10 * cloudgen.Hour,
+		StallMTBF:    5 * cloudgen.Hour,
+		MigFailProb:  0.2,
+	})
+	faulted := MacroConfig{
+		Trace: trace, Policy: StealAware{}, Faults: &storm,
+		Recovery: faults.RecoveryConfig{Enabled: true},
+	}
+	bareF := RunMacro(faulted)
+	faulted.Telemetry = &telemetry.Config{Interval: 30 * sim.Second}
+	observedF := RunMacro(faulted)
+	if !bytes.Equal(bareF.Snapshot, observedF.Snapshot) {
+		t.Fatalf("attaching telemetry changed a faulted run: %s vs %s",
+			SnapshotDigest(bareF.Snapshot), SnapshotDigest(observedF.Snapshot))
+	}
+	if bareF.Crashes == 0 || bareF.Restarts == 0 || bareF.Evacuations == 0 {
+		t.Fatalf("storm too quiet: crashes=%d restarts=%d evacuations=%d",
+			bareF.Crashes, bareF.Restarts, bareF.Evacuations)
+	}
+
+	bare := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}})
 	observed := RunMacro(MacroConfig{
-		Trace: trace, Policy: LeastLoaded{}, Shards: 2,
+		Trace: trace, Policy: LeastLoaded{},
 		Telemetry: &telemetry.Config{Interval: 30 * sim.Second},
 	})
 	if !bytes.Equal(bare.Snapshot, observed.Snapshot) {
@@ -86,7 +94,7 @@ func TestMacroTelemetryInert(t *testing.T) {
 
 func TestMacroAccounting(t *testing.T) {
 	trace := macroTestTrace(3)
-	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}, Shards: 3})
+	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}})
 	if res.Placed+res.Rejected != res.Arrivals {
 		t.Fatalf("placed %d + rejected %d != arrivals %d", res.Placed, res.Rejected, res.Arrivals)
 	}
@@ -495,8 +503,8 @@ var macroPinned = map[string]string{
 	"batch-restart-at-horizon":              "e8b3729bd275a330",
 }
 
-// TestMacroDigestsPinned runs macroTestTrace under every policy, serial and
-// sharded, clean and under three fault regimes, at the trace horizon and at a
+// TestMacroDigestsPinned runs macroTestTrace under every policy, clean and
+// under three fault regimes, at the trace horizon and at a
 // horizon that is not a multiple of the epoch (the calendar's short final
 // bucket), and compares each snapshot digest with the pinned value. A
 // hand-built row kills and restarts a batch VM that is still running at the
@@ -537,12 +545,10 @@ func TestMacroDigestsPinned(t *testing.T) {
 		for _, mode := range modes {
 			for _, h := range []sim.Duration{trace.Horizon, odd} {
 				key := fmt.Sprintf("%s/%s/%s", pol.Name(), mode.name, time.Duration(h))
-				for _, shards := range []int{1, 3} {
-					check(t, key, RunMacro(MacroConfig{
-						Trace: trace, Policy: pol, Shards: shards, Horizon: h,
-						Faults: mode.faults, Recovery: mode.rcv,
-					}))
-				}
+				check(t, key, RunMacro(MacroConfig{
+					Trace: trace, Policy: pol, Horizon: h,
+					Faults: mode.faults, Recovery: mode.rcv,
+				}))
 			}
 		}
 	}
@@ -561,9 +567,10 @@ func TestMacroDigestsPinned(t *testing.T) {
 	check(t, "batch-restart-at-horizon", res)
 }
 
-// TestMacroFaultShardedMatchesSerial: the whole fault plane — kills, retries,
-// restarts, evacuations, the migration-failure law — must keep serial and
-// sharded runs byte-identical under a generated fault storm.
+// TestMacroFaultShardedMatchesSerial: under a generated fault storm — kills,
+// retries, restarts, evacuations, the migration-failure law — the same
+// config run twice gives identical bytes, and so does a config that still
+// sets the deprecated Shards field, which nothing reads.
 func TestMacroFaultShardedMatchesSerial(t *testing.T) {
 	trace := macroTestTrace(42)
 	sched := faults.Generate(42, len(trace.Hosts), trace.Horizon, faults.Config{
@@ -584,18 +591,18 @@ func TestMacroFaultShardedMatchesSerial(t *testing.T) {
 					Recovery: faults.RecoveryConfig{Enabled: true},
 				})
 			}
-			serial, sharded := mk(1), mk(7)
-			if !bytes.Equal(serial.Snapshot, sharded.Snapshot) {
-				t.Fatalf("fault plane diverged: serial %s != sharded %s",
-					SnapshotDigest(serial.Snapshot), SnapshotDigest(sharded.Snapshot))
-			}
-			if serial.Crashes == 0 || serial.Killed == 0 || serial.Restarts == 0 {
+			first := mk(0)
+			if first.Crashes == 0 || first.Killed == 0 || first.Restarts == 0 {
 				t.Fatalf("storm too quiet: crashes=%d killed=%d restarts=%d",
-					serial.Crashes, serial.Killed, serial.Restarts)
+					first.Crashes, first.Killed, first.Restarts)
 			}
-			again := mk(7)
-			if !bytes.Equal(sharded.Snapshot, again.Snapshot) {
-				t.Fatal("two identical faulted runs diverged")
+			if again := mk(0); !bytes.Equal(first.Snapshot, again.Snapshot) {
+				t.Fatalf("two identical faulted runs diverged: %s vs %s",
+					SnapshotDigest(first.Snapshot), SnapshotDigest(again.Snapshot))
+			}
+			if legacy := mk(7); !bytes.Equal(first.Snapshot, legacy.Snapshot) {
+				t.Fatalf("setting the ignored Shards field changed the run: %s vs %s",
+					SnapshotDigest(first.Snapshot), SnapshotDigest(legacy.Snapshot))
 			}
 		})
 	}
@@ -638,12 +645,12 @@ func warmMacro(cfg MacroConfig, mid sim.Time) *macroSim {
 }
 
 // TestMacroEpochAllocFree pins the epoch integration at zero heap
-// allocations once a run is in steady state: the per-host records, the
-// completion scratch and the aggregate block are all reused.
+// allocations once a run is in steady state: the per-host records and the
+// aggregate block are reused.
 func TestMacroEpochAllocFree(t *testing.T) {
 	trace := macroTestTrace(42)
 	mid := sim.Time(0).Add(3 * cloudgen.Hour)
-	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: 1}, mid)
+	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}}, mid)
 	alive := 0
 	for i := range m.hosts {
 		alive += len(m.hosts[i].res)
@@ -659,22 +666,130 @@ func TestMacroEpochAllocFree(t *testing.T) {
 
 // BenchmarkMacroEpoch times the epoch integration alone on the full
 // 1024-host cloudgen trace, advanced to its midpoint: ns/host-epoch is the
-// cost of one host's contention step (demand sum, rho, per-VM steal and
-// progress) including the serial reductions integrate runs after the shards
-// join.
+// cost of one host's contention step (rho, per-VM steal and progress)
+// together with its share of the fleet reductions.
 func BenchmarkMacroEpoch(b *testing.B) {
 	trace := cloudgen.Generate(42, cloudgen.DefaultConfig())
 	mid := sim.Time(0).Add(trace.Horizon / 2)
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}, Shards: shards}, mid)
-			t1 := mid.Add(m.cfg.Epoch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.integrate(mid, t1)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.hosts)), "ns/host-epoch")
-		})
+	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}}, mid)
+	t1 := mid.Add(m.cfg.Epoch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.integrate(mid, t1)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.hosts)), "ns/host-epoch")
+}
+
+// TestMacroFusedPassInvariants drives a faulted, recovering run epoch by
+// epoch. Crashes clear hosts, evacuations pop and push records, restarts
+// and departures add and remove them; after every epoch each host's cached
+// demand must equal a fresh left-to-right fold over its records, and the
+// aggregate block must equal a separate host-order reduction, bit for bit.
+// Service VMs want 0.37 of each vCPU rather than the generator's 0.5, so
+// loads are not dyadic and subtracting a departed load from the cached sum
+// would round differently from the fold.
+func TestMacroFusedPassInvariants(t *testing.T) {
+	trace := macroTestTrace(42)
+	for i := range trace.VMs {
+		if trace.VMs[i].Class == cloudgen.Service {
+			trace.VMs[i].Demand = 0.37
+		}
+	}
+	storm := faults.Generate(42, len(trace.Hosts), trace.Horizon, faults.Config{
+		CrashMTBF:    20 * cloudgen.Hour,
+		BrownoutMTBF: 10 * cloudgen.Hour,
+		StallMTBF:    5 * cloudgen.Hour,
+		MigFailProb:  0.2,
+	})
+	m := newMacroSim(MacroConfig{
+		Trace: trace, Policy: StealAware{}, Faults: &storm,
+		Recovery: faults.RecoveryConfig{Enabled: true},
+	})
+	checkDemand := func(when sim.Time) {
+		t.Helper()
+		for i := range m.hosts {
+			h := &m.hosts[i]
+			fold := 0.0
+			for k := range h.res {
+				fold += h.res[k].load
+			}
+			if math.Float64bits(fold) != math.Float64bits(h.demand) {
+				t.Fatalf("t=%v host %d: cached demand %v, fold over %d records %v",
+					when, i, h.demand, len(h.res), fold)
+			}
+		}
+	}
+	m.eng.At(0, m.epoch)
+	epochs := 0
+	for t0 := sim.Time(0); t0 < m.horizon; t0 = t0.Add(m.cfg.Epoch) {
+		m.eng.Run(t0)
+		if m.now != t0 {
+			t.Fatalf("epoch at %v did not run (boundary clock %v)", t0, m.now)
+		}
+		checkDemand(t0)
+		if got, want := aggBits(m.agg), aggBits(reduceHosts(m, t0)); got != want {
+			t.Fatalf("t=%v: fused aggregates %+v, separate reduction %+v", t0, m.agg, reduceHosts(m, t0))
+		}
+		epochs++
+	}
+	m.boundary(m.horizon)
+	checkDemand(m.horizon)
+	res := m.result()
+	if epochs == 0 || res.Crashes == 0 || res.Restarts == 0 || res.Evacuations == 0 || res.Lifetimes == 0 {
+		t.Fatalf("run too quiet: epochs=%d crashes=%d restarts=%d evacuations=%d lifetimes=%d",
+			epochs, res.Crashes, res.Restarts, res.Evacuations, res.Lifetimes)
+	}
+}
+
+// reduceHosts recomputes the aggregate block of the epoch that started at
+// t0 from host state alone, in its own host-order pass.
+func reduceHosts(m *macroSim, t0 sim.Time) macroAgg {
+	minU, maxU := math.Inf(1), math.Inf(-1)
+	var a macroAgg
+	sumU := 0.0
+	for i := range m.hosts {
+		h := &m.hosts[i]
+		minU = math.Min(minU, h.util)
+		maxU = math.Max(maxU, h.util)
+		sumU += h.util
+		a.stealEMAMean += h.stealEMA
+		a.committed += float64(h.committed)
+		a.alive += float64(len(h.res))
+		switch {
+		case h.downUntil > t0:
+			a.hostsDown++
+		case h.degradedUntil > t0:
+			a.hostsDegraded++
+		}
+		if h.stallUntil > t0 {
+			a.hostsStalled++
+		}
+	}
+	n := float64(len(m.hosts))
+	if sumU > 0 {
+		a.di = (maxU - minU) / (sumU / n)
+	}
+	a.utilMean, a.utilMax = sumU/n, maxU
+	a.stealEMAMean /= n
+	a.pendingRetry = float64(len(m.retryQ))
+	a.restarts = float64(m.ledger.Restarts)
+	a.lost = float64(m.ledger.Lost)
+	a.evacuations = float64(m.ledger.Evacuations)
+	a.killed = float64(m.ledger.Killed)
+	return a
+}
+
+// aggBits returns every field of a as raw float64 bits, so == compares the
+// block bit for bit.
+func aggBits(a macroAgg) [14]uint64 {
+	var out [14]uint64
+	v := reflect.ValueOf(a)
+	if v.NumField() != len(out) {
+		panic(fmt.Sprintf("macroAgg has %d fields, aggBits covers %d", v.NumField(), len(out)))
+	}
+	for i := range out {
+		out[i] = math.Float64bits(v.Field(i).Float())
+	}
+	return out
 }

@@ -73,3 +73,45 @@ func TestServerSteadyStateAllocBudget(t *testing.T) {
 			avg, serverSteadyStateAllocBudget)
 	}
 }
+
+// TestReqFIFOOrderAndReuse: the request FIFO hands requests out in arrival
+// order across its compactions, and a backlog that rises and drains in
+// waves keeps reusing one array instead of growing it.
+func TestReqFIFOOrderAndReuse(t *testing.T) {
+	var q reqFIFO
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(request{at: sim.Time(next)})
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := q.pop(); got.at != sim.Time(want) {
+				t.Fatalf("pop %d returned request %d", want, got.at)
+			}
+			want++
+		}
+	}
+	push(64)
+	pop(40)
+	push(64)
+	pop(88)
+	if q.len() != 0 {
+		t.Fatalf("drained queue reports %d requests", q.len())
+	}
+	capAfterWarmup := cap(q.buf)
+	for wave := 0; wave < 100; wave++ {
+		push(50)
+		pop(30)
+		push(20)
+		pop(40)
+	}
+	if q.len() != 0 || want != next {
+		t.Fatalf("after the waves: len %d, popped %d of %d", q.len(), want, next)
+	}
+	if cap(q.buf) != capAfterWarmup {
+		t.Fatalf("array grew from %d to %d under a bounded backlog", capAfterWarmup, cap(q.buf))
+	}
+}

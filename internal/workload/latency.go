@@ -43,10 +43,10 @@ type Server struct {
 	rng *rand.Rand
 
 	reqSem   *guest.Semaphore
-	arrivals []request // FIFO of pending requests
+	arrivals reqFIFO // pending requests
 	sticky   bool
 	perSem   []*guest.Semaphore // per-worker queues (sticky mode)
-	perArr   [][]request
+	perArr   []reqFIFO
 
 	// freeIRQ pools the records of requests in flight on the IRQ path, and
 	// arriveFn is the open-loop arrival callback: both bound once, so the
@@ -113,21 +113,36 @@ func (r *irqRequest) onDeliver() {
 	w := r.w
 	s.freeIRQ = append(s.freeIRQ, r)
 	if s.sticky {
-		s.perArr[w] = append(s.perArr[w], req)
+		s.perArr[w].push(req)
 		vm.Post(s.perSem[w])
 		return
 	}
-	s.arrivals = append(s.arrivals, req)
+	s.arrivals.push(req)
 	vm.Post(s.reqSem)
 }
 
-// popFront removes and returns the head of a request FIFO, shifting the
-// rest down so the queue keeps its backing array.
-func popFront(q *[]request) request {
-	s := *q
-	head := s[0]
-	*q = s[:copy(s, s[1:])]
-	return head
+// reqFIFO is a request queue that pops by advancing a head index, so a pop
+// costs O(1) however deep the backlog. Once the head passes half of the
+// array, the live tail is copied down to the front: the array is reused
+// instead of growing, and each request is copied O(1) times on average.
+type reqFIFO struct {
+	buf  []request
+	head int
+}
+
+func (q *reqFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *reqFIFO) push(r request) { q.buf = append(q.buf, r) }
+
+// pop removes and returns the oldest request; the queue must not be empty.
+func (q *reqFIFO) pop() request {
+	r := q.buf[q.head]
+	q.head++
+	if q.head > len(q.buf)/2 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	return r
 }
 
 // NewServer builds a server workload in env.
@@ -198,7 +213,7 @@ func (s *Server) Start() {
 	s.started = true
 	if s.sticky {
 		s.perSem = make([]*guest.Semaphore, s.workers)
-		s.perArr = make([][]request, s.workers)
+		s.perArr = make([]reqFIFO, s.workers)
 		for i := range s.perSem {
 			s.perSem[i] = guest.NewSemaphore(0)
 		}
@@ -296,7 +311,7 @@ func (s *Server) workerBehavior(w int) guest.Behavior {
 		}
 		return s.reqSem
 	}
-	queue := func() *[]request {
+	queue := func() *reqFIFO {
 		if s.sticky {
 			return &s.perArr[w]
 		}
@@ -318,13 +333,13 @@ func (s *Server) workerBehavior(w int) guest.Behavior {
 			return guest.SemWait(sem())
 		default:
 			q := queue()
-			if len(*q) == 0 {
+			if q.len() == 0 {
 				// Initial entry (or spurious wake): park on the queue.
 				state = 0
 				return guest.SemWait(sem())
 			}
 			// Woken with a request available.
-			req := popFront(q)
+			req := q.pop()
 			arrival = req.at
 			svcStart = now
 			s.queue.Observe(int64(now.Sub(arrival)))

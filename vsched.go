@@ -11,9 +11,15 @@
 // the common cases. Typical use:
 //
 //	cl := vsched.NewCluster(vsched.ClusterConfig{Sockets: 1, CoresPerSocket: 8})
-//	vm := cl.NewVM("guest", []int{0, 1, 2, 3})
+//	vm, err := cl.NewVM("guest", []int{0, 1, 2, 3})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	sched := cl.EnableVSched(vm, vsched.AllFeatures())
-//	cl.AddStressor(1, vsched.DefaultWeight) // a noisy co-tenant on core 1
+//	// A noisy co-tenant on core 1.
+//	if _, err := cl.AddStressor(1, vsched.DefaultWeight); err != nil {
+//		log.Fatal(err)
+//	}
 //	srv, err := cl.Workload(vm, sched, "nginx", 4)
 //	if err != nil {
 //		log.Fatal(err)
@@ -193,21 +199,37 @@ func (c *Cluster) Now() Time { return c.eng.Now() }
 func (c *Cluster) RunFor(d Duration) { c.eng.RunFor(d) }
 
 // NewVM creates and starts a VM whose vCPU i is pinned on hardware thread
-// threadIDs[i].
-func (c *Cluster) NewVM(name string, threadIDs []int) *VM {
+// threadIDs[i]. An empty list, or a thread id outside [0, NumThreads) of the
+// host, is an error.
+func (c *Cluster) NewVM(name string, threadIDs []int) (*VM, error) {
 	return c.NewVMWithParams(name, threadIDs, guest.DefaultParams())
 }
 
 // NewVMWithParams creates and starts a VM with explicit guest scheduler
-// parameters (e.g. Policy: PolicyEEVDF).
-func (c *Cluster) NewVMWithParams(name string, threadIDs []int, p GuestParams) *VM {
+// parameters (e.g. Policy: PolicyEEVDF). Thread ids are checked as in NewVM.
+func (c *Cluster) NewVMWithParams(name string, threadIDs []int, p GuestParams) (*VM, error) {
+	if len(threadIDs) == 0 {
+		return nil, fmt.Errorf("vsched: VM %q needs at least one vCPU", name)
+	}
 	threads := make([]*host.Thread, len(threadIDs))
 	for i, id := range threadIDs {
-		threads[i] = c.h.Thread(id)
+		th, err := c.thread(id)
+		if err != nil {
+			return nil, err
+		}
+		threads[i] = th
 	}
 	vm := guest.NewVM(c.h, name, threads, p)
 	vm.Start()
-	return vm
+	return vm, nil
+}
+
+// thread returns hardware thread id, or an error naming the host's range.
+func (c *Cluster) thread(id int) (*host.Thread, error) {
+	if n := c.h.NumThreads(); id < 0 || id >= n {
+		return nil, fmt.Errorf("vsched: thread id %d outside [0, %d)", id, n)
+	}
+	return c.h.Thread(id), nil
 }
 
 // EnableVSched attaches and starts vSched on a VM with default tunables.
@@ -227,22 +249,37 @@ func (c *Cluster) EnableVSchedWithParams(vm *VM, feats Features, p Params) *VSch
 
 // AddStressor puts an always-runnable CFS co-tenant with the given weight on
 // hardware thread threadID; the vCPU sharing it gets the complementary fair
-// share.
-func (c *Cluster) AddStressor(threadID int, weight int64) *Entity {
-	return host.NewStressor(c.h, fmt.Sprintf("stressor-%d", threadID), c.h.Thread(threadID), weight)
+// share. A thread id outside the host is an error.
+func (c *Cluster) AddStressor(threadID int, weight int64) (*Entity, error) {
+	th, err := c.thread(threadID)
+	if err != nil {
+		return nil, err
+	}
+	return host.NewStressor(c.h, fmt.Sprintf("stressor-%d", threadID), th, weight), nil
 }
 
 // AddPatternContender puts a realtime square-wave co-tenant on a thread: the
-// vCPU there is deterministically inactive for `on` every `on+off`.
-func (c *Cluster) AddPatternContender(threadID int, on, off, phase Duration) *host.PatternContender {
-	return host.NewPatternContender(c.h, fmt.Sprintf("pattern-%d", threadID), c.h.Thread(threadID), on, off, phase)
+// vCPU there is deterministically inactive for `on` every `on+off`. A thread
+// id outside the host is an error.
+func (c *Cluster) AddPatternContender(threadID int, on, off, phase Duration) (*host.PatternContender, error) {
+	th, err := c.thread(threadID)
+	if err != nil {
+		return nil, err
+	}
+	return host.NewPatternContender(c.h, fmt.Sprintf("pattern-%d", threadID), th, on, off, phase), nil
 }
 
 // SetVCPULatency tunes the host scheduler granularities of a thread so the
 // vCPU there keeps its share but waits ~lat to get back on CPU (the paper's
-// sched_min/wakeup_granularity knob).
-func (c *Cluster) SetVCPULatency(threadID int, lat Duration) {
-	c.h.Thread(threadID).SetGranularities(lat, 2*lat)
+// sched_min/wakeup_granularity knob). A thread id outside the host is an
+// error.
+func (c *Cluster) SetVCPULatency(threadID int, lat Duration) error {
+	th, err := c.thread(threadID)
+	if err != nil {
+		return err
+	}
+	th.SetGranularities(lat, 2*lat)
+	return nil
 }
 
 // Workload instantiates a catalogued benchmark (see WorkloadNames) on a VM.

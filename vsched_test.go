@@ -1,6 +1,7 @@
 package vsched_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,6 +20,42 @@ func mustWorkload(tb testing.TB, cl *vsched.Cluster, vm *vsched.VM, sched *vsche
 	return inst
 }
 
+// mustVM creates a VM on threadIDs, failing tb on a bad thread id.
+func mustVM(tb testing.TB, cl *vsched.Cluster, name string, threadIDs []int) *vsched.VM {
+	tb.Helper()
+	vm, err := cl.NewVM(name, threadIDs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return vm
+}
+
+// mustStressor puts a default-weight stressor on thread id, failing tb on a
+// bad id.
+func mustStressor(tb testing.TB, cl *vsched.Cluster, id int) {
+	tb.Helper()
+	if _, err := cl.AddStressor(id, vsched.DefaultWeight); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// mustPattern puts a square-wave contender on thread id, failing tb on a
+// bad id.
+func mustPattern(tb testing.TB, cl *vsched.Cluster, id int, on, off, phase vsched.Duration) {
+	tb.Helper()
+	if _, err := cl.AddPatternContender(id, on, off, phase); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// mustLatency sets thread id's vCPU latency, failing tb on a bad id.
+func mustLatency(tb testing.TB, cl *vsched.Cluster, id int, lat vsched.Duration) {
+	tb.Helper()
+	if err := cl.SetVCPULatency(id, lat); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestClusterDefaults(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
 	if cl.Host().NumThreads() != 8 {
@@ -35,10 +72,10 @@ func TestClusterDefaults(t *testing.T) {
 
 func TestFacadeEndToEnd(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 4})
-	vm := cl.NewVM("vm", []int{0, 1, 2, 3})
+	vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3})
 	sched := cl.EnableVSched(vm, vsched.AllFeatures())
 	for i := 0; i < 4; i++ {
-		cl.AddStressor(i, vsched.DefaultWeight)
+		mustStressor(t, cl, i)
 	}
 	inst := mustWorkload(t, cl, vm, sched, "sysbench", 4)
 	inst.Start()
@@ -53,9 +90,50 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeBadThreadIDs: every facade call that takes a hardware thread id
+// returns an error naming the id for one outside the host, instead of
+// panicking on the host's thread table, and builds nothing.
+func TestFacadeBadThreadIDs(t *testing.T) {
+	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	for _, id := range []int{-1, 4, 1 << 20} {
+		want := fmt.Sprintf("thread id %d outside [0, 4)", id)
+		check := func(call string, err error, built bool) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s(%d): error %v, want one containing %q", call, id, err, want)
+			}
+			if built {
+				t.Errorf("%s(%d): returned a value along with the error", call, id)
+			}
+		}
+		vm, err := cl.NewVM("vm", []int{0, id})
+		check("NewVM", err, vm != nil)
+		vm, err = cl.NewVMWithParams("vm", []int{id}, vsched.DefaultGuestParams())
+		check("NewVMWithParams", err, vm != nil)
+		e, err := cl.AddStressor(id, vsched.DefaultWeight)
+		check("AddStressor", err, e != nil)
+		pc, err := cl.AddPatternContender(id, vsched.Millisecond, vsched.Millisecond, 0)
+		check("AddPatternContender", err, pc != nil)
+		check("SetVCPULatency", cl.SetVCPULatency(id, vsched.Millisecond), false)
+	}
+	if vm, err := cl.NewVM("empty", nil); err == nil || vm != nil {
+		t.Errorf("NewVM with no threads: vm %v, err %v; want an error", vm, err)
+	}
+
+	// The valid edge ids still work.
+	vm := mustVM(t, cl, "vm", []int{0, 3})
+	mustStressor(t, cl, 3)
+	mustPattern(t, cl, 0, vsched.Millisecond, vsched.Millisecond, 0)
+	mustLatency(t, cl, 3, vsched.Millisecond)
+	cl.RunFor(10 * vsched.Millisecond)
+	if vm.NumVCPUs() != 2 {
+		t.Fatalf("VM has %d vCPUs, want 2", vm.NumVCPUs())
+	}
+}
+
 func TestFacadeUnknownWorkloadErrors(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
-	vm := cl.NewVM("vm", []int{0})
+	vm := mustVM(t, cl, "vm", []int{0})
 	inst, err := cl.Workload(vm, nil, "no-such-benchmark", 1)
 	if err == nil || inst != nil {
 		t.Fatalf("unknown workload = (%v, %v), want (nil, error)", inst, err)
@@ -90,7 +168,7 @@ func TestFacadeNewServerBadConfig(t *testing.T) {
 		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = -1 }},
 	}
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
-	vm := cl.NewVM("vm", []int{0, 1})
+	vm := mustVM(t, cl, "vm", []int{0, 1})
 	for _, tc := range cases {
 		cfg := ok
 		tc.edit(&cfg)
@@ -199,10 +277,10 @@ func TestRunExperimentSmoke(t *testing.T) {
 func TestSetVCPULatencyAffectsTails(t *testing.T) {
 	run := func(lat vsched.Duration) int64 {
 		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 2, CoresPerSocket: 2})
-		vm := cl.NewVM("vm", []int{0, 1})
+		vm := mustVM(t, cl, "vm", []int{0, 1})
 		for i := 0; i < 2; i++ {
-			cl.AddStressor(i, vsched.DefaultWeight)
-			cl.SetVCPULatency(i, lat)
+			mustStressor(t, cl, i)
+			mustLatency(t, cl, i, lat)
 		}
 		srv, err := cl.NewServer(vm, nil, vsched.ServerConfig{
 			Name: "svc", Workers: 1, ServiceMean: 100 * vsched.Microsecond,
@@ -224,10 +302,10 @@ func TestSetVCPULatencyAffectsTails(t *testing.T) {
 func TestDeterminismAcrossFacade(t *testing.T) {
 	run := func() uint64 {
 		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 77, CoresPerSocket: 8})
-		vm := cl.NewVM("vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
+		vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
 		sched := cl.EnableVSched(vm, vsched.AllFeatures())
 		for i := 0; i < 8; i++ {
-			cl.AddStressor(i, vsched.DefaultWeight)
+			mustStressor(t, cl, i)
 		}
 		inst := mustWorkload(t, cl, vm, sched, "nginx", 0)
 		inst.Start()
@@ -243,7 +321,10 @@ func TestEEVDFVMThroughFacade(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 3, CoresPerSocket: 4})
 	p := vsched.DefaultGuestParams()
 	p.Policy = vsched.PolicyEEVDF
-	vm := cl.NewVMWithParams("vm", []int{0, 1, 2, 3}, p)
+	vm, err := cl.NewVMWithParams("vm", []int{0, 1, 2, 3}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched := cl.EnableVSched(vm, vsched.AllFeatures())
 	inst := mustWorkload(t, cl, vm, sched, "sysbench", 4)
 	inst.Start()
@@ -255,11 +336,11 @@ func TestEEVDFVMThroughFacade(t *testing.T) {
 
 func TestExtensionsThroughFacade(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 4, CoresPerSocket: 4})
-	vm := cl.NewVM("vm", []int{0, 1, 2, 3})
+	vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3})
 	feats := vsched.AllFeatures()
 	feats.Vllc = true
 	sched := cl.EnableVSched(vm, feats)
-	cl.AddStressor(0, vsched.DefaultWeight)
+	mustStressor(t, cl, 0)
 	cl.RunFor(8 * vsched.Second)
 	// AutoTune returns sane, installed parameters.
 	tuned := sched.AutoTune()
