@@ -66,8 +66,9 @@ go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./int
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a
 # panicking cell reaches the caller. -short keeps to cheap experiments (fig3,
-# fig11, table3, ..., and the macro fleetscale and faulttol cells at scale
-# 0.05): fig12+fig13 alone take over a minute under -race.
+# fig11, table3, ..., the micro fleet and fleetobs cells and the macro
+# fleetscale and faulttol cells at scale 0.05): fig12+fig13 alone take over
+# a minute under -race.
 echo "== cell-parallel experiments (-race)"
 go test -race -short -run Cells ./internal/experiments/
 
@@ -120,10 +121,10 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./int
 echo "== fleetscale determinism smoke (full scale)"
 "$tmp"/vexp_ci -run fleetscale -seed 42 > /dev/null
 
-# Telemetry byte-identity smoke: the fleetobs experiment panics internally if
-# its serial and parallel flight-recorder snapshots diverge; on top of that,
-# two full runs of the same seed (with -telemetry sparklines on stdout) must
-# be byte-identical.
+# Telemetry byte-identity smoke: TestCellsMatchSerial/fleetobs in the -race
+# Cells stage above pins each flight-recorder snapshot between serial and
+# parallel cells; on top of that, two full runs of the same seed (with
+# -telemetry sparklines on stdout) must be byte-identical.
 echo "== fleetobs telemetry determinism smoke"
 "$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_a.txt
 "$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_b.txt

@@ -111,6 +111,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bad -scale %v (want a finite factor > 0)\n", *scale)
 		return 1
 	}
+	switch {
+	case *reps < 1:
+		fmt.Fprintf(stderr, "bad -reps %d (want >= 1)\n", *reps)
+		return 1
+	case *retries < 0:
+		fmt.Fprintf(stderr, "bad -retries %d (want >= 0)\n", *retries)
+		return 1
+	case *timeout < 0:
+		fmt.Fprintf(stderr, "bad -timeout %v (want >= 0; 0 = none)\n", *timeout)
+		return 1
+	}
 
 	hcfg := harness.Config{
 		Runners:  runners,

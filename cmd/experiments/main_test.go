@@ -58,17 +58,23 @@ func TestUnknownExperimentFails(t *testing.T) {
 // TestBadInputFails: a bad numeric flag exits 1 with a one-line diagnostic
 // and runs nothing.
 func TestBadInputFails(t *testing.T) {
-	for _, scale := range []string{"NaN", "0", "-1", "+Inf"} {
+	for _, bad := range [][2]string{
+		{"scale", "NaN"}, {"scale", "0"}, {"scale", "-1"}, {"scale", "+Inf"},
+		{"reps", "0"}, {"reps", "-2"},
+		{"retries", "-1"},
+		{"timeout", "-1s"},
+	} {
+		flag, val := bad[0], bad[1]
 		var out, errb strings.Builder
-		if code := run([]string{"-run", "fig3", "-scale", scale}, &out, &errb); code != 1 {
-			t.Errorf("-scale %s exited %d, want 1", scale, code)
+		if code := run([]string{"-run", "fig3", "-" + flag, val}, &out, &errb); code != 1 {
+			t.Errorf("-%s %s exited %d, want 1", flag, val, code)
 			continue
 		}
-		if msg := errb.String(); !strings.Contains(msg, "bad -scale") || strings.Count(msg, "\n") != 1 {
-			t.Errorf("-scale %s: stderr %q, want one line naming -scale", scale, msg)
+		if msg := errb.String(); !strings.Contains(msg, "bad -"+flag) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-%s %s: stderr %q, want one line naming -%s", flag, val, msg, flag)
 		}
 		if out.Len() != 0 {
-			t.Errorf("-scale %s wrote to stdout: %s", scale, out.String())
+			t.Errorf("-%s %s wrote to stdout: %s", flag, val, out.String())
 		}
 	}
 }

@@ -432,26 +432,27 @@ type cluster struct {
 // newCluster builds a host; nominal speed 2.0 cycles/ns, SMT and turbo on.
 // The seed comes from o.Seed and the engine is registered with o.Stats.
 func newCluster(o Options, sockets, cores, threadsPer int) *cluster {
-	eng := sim.NewEngine(o.Seed)
-	o.Stats.Track(eng)
-	cfg := host.DefaultConfig()
-	cfg.Sockets = sockets
-	cfg.CoresPerSocket = cores
-	cfg.ThreadsPerCore = threadsPer
-	return &cluster{eng: eng, h: host.New(eng, cfg), stats: o.Stats}
+	return buildCluster(o, sockets, cores, threadsPer, false)
 }
 
 // newFlatCluster builds a host without SMT/turbo speed effects — used by
 // controlled experiments that need exact capacity arithmetic.
 func newFlatCluster(o Options, sockets, cores, threadsPer int) *cluster {
+	return buildCluster(o, sockets, cores, threadsPer, true)
+}
+
+// buildCluster is newCluster and newFlatCluster's shared body.
+func buildCluster(o Options, sockets, cores, threadsPer int, flat bool) *cluster {
 	eng := sim.NewEngine(o.Seed)
 	o.Stats.Track(eng)
 	cfg := host.DefaultConfig()
 	cfg.Sockets = sockets
 	cfg.CoresPerSocket = cores
 	cfg.ThreadsPerCore = threadsPer
-	cfg.SMTFactor = 1.0
-	cfg.TurboFactor = 1.0
+	if flat {
+		cfg.SMTFactor = 1.0
+		cfg.TurboFactor = 1.0
+	}
 	return &cluster{eng: eng, h: host.New(eng, cfg), stats: o.Stats}
 }
 
@@ -477,27 +478,21 @@ type deployment struct {
 	vs *core.VSched
 }
 
-// deploy builds and starts a VM on the given threads under a configuration.
+// deploy builds and starts a VM on the given threads under a configuration:
+// CFS runs no vSched, Enhanced the enhanced-CFS feature set, VSched all of it.
 func deploy(c *cluster, name string, threads []*host.Thread, cfg Config) *deployment {
-	vm := guest.NewVM(c.h, name, threads, guest.DefaultParams())
-	c.stats.TrackRegistry(name, vm.Metrics())
-	vm.Start()
-	d := &deployment{vm: vm}
-	if cfg != CFS {
-		feats := core.EnhancedCFS()
-		if cfg == VSched {
-			feats = core.AllFeatures()
-		}
-		p := core.DefaultParams()
-		p.NominalSpeed = c.h.Config().BaseSpeed
-		d.vs = core.New(vm, feats, p, cachemodel.Default())
-		d.vs.Start()
+	var feats core.Features
+	switch cfg {
+	case Enhanced:
+		feats = core.EnhancedCFS()
+	case VSched:
+		feats = core.AllFeatures()
 	}
-	return d
+	return deployFeatures(c, name, threads, feats)
 }
 
 // deployFeatures builds a VM with an explicit feature set (for experiments
-// isolating single probers/techniques).
+// isolating single probers/techniques); the zero set runs no vSched.
 func deployFeatures(c *cluster, name string, threads []*host.Thread, feats core.Features) *deployment {
 	vm := guest.NewVM(c.h, name, threads, guest.DefaultParams())
 	c.stats.TrackRegistry(name, vm.Metrics())

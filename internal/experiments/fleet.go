@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"vsched/internal/fleet"
 	"vsched/internal/host"
@@ -18,15 +17,8 @@ import (
 // reshuffles hotspots from per-host steal telemetry. Reported per cell:
 // fleet-wide p50/p95 request latency, throughput, cumulative steal, and
 // migration counts. The cells are independent simulations sharing one
-// arrival trace, so they shard across a worker pool with results identical
-// to a serial run.
+// arrival trace, run as cells in policy x guest order.
 func FleetScale(o Options) *Report {
-	return fleetReport(o, runtime.GOMAXPROCS(0))
-}
-
-// fleetReport is FleetScale with an explicit worker count so the
-// determinism suite can pin sharded against serial execution.
-func fleetReport(o Options, workers int) *Report {
 	hostCfg := host.DefaultConfig()
 	hostCfg.Sockets = 1
 	hostCfg.CoresPerSocket = 4
@@ -86,11 +78,11 @@ func fleetReport(o Options, workers int) *Report {
 		}
 	}
 
-	// Cells shard over the harness-style worker pool; per-cell labels are
-	// unique so concurrent registration cannot perturb snapshot naming.
-	results := fleet.RunAll(cfgs, workers, func(i int, f *fleet.Fleet) {
+	results := cells(o, len(cfgs), func(i int, o Options) *fleet.Result {
+		f := fleet.New(cfgs[i])
 		o.Stats.Track(f.Engine())
 		o.Stats.TrackRegistry(labels[i], f.Registry())
+		return f.Run()
 	})
 
 	rep := &Report{

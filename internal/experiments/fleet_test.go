@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-// TestFleetShardedMatchesSerial pins the fleet experiment's sharding
-// contract: cells fanned over a worker pool must render the byte-identical
-// report a serial pass produces.
-func TestFleetShardedMatchesSerial(t *testing.T) {
-	o := Options{Seed: 42, Scale: 0.1}
-	serial := fleetReport(o, 1).String()
-	sharded := fleetReport(o, 4).String()
-	if serial != sharded {
-		t.Fatalf("sharded fleet report differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-			serial, sharded)
-	}
-	if serial == "" {
-		t.Fatal("empty report")
-	}
-}
-
 // TestFleetStealAwareBeatsFirstFit pins the experiment's headline: telemetry-
 // driven placement must deliver a lower fleet-wide p95 than packing, for
 // both guest configurations.

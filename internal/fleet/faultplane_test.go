@@ -234,40 +234,6 @@ func TestMigrationWhileExiting(t *testing.T) {
 	}
 }
 
-// TestFleetFaultShardedMatchesSerial: micro cells with the fault plane active
-// still shard with results identical to a serial run.
-func TestFleetFaultShardedMatchesSerial(t *testing.T) {
-	sched := &faults.Schedule{Seed: 9, Events: []faults.Event{
-		{At: sim.Time(0).Add(400 * sim.Millisecond), Host: 0, Kind: faults.Crash,
-			Duration: 800 * sim.Millisecond},
-		{At: sim.Time(0).Add(700 * sim.Millisecond), Host: 1, Kind: faults.Brownout,
-			Duration: 600 * sim.Millisecond, Factor: 0.5},
-		{At: sim.Time(0).Add(900 * sim.Millisecond), Host: 2, Kind: faults.Stall,
-			Duration: 300 * sim.Millisecond},
-	}}
-	var cfgs []Config
-	for _, pol := range []Policy{FirstFit{}, StealAware{}} {
-		cfg := testConfig(42, pol, false)
-		cfg.Faults = sched
-		cfg.Recovery = fastRecovery()
-		cfgs = append(cfgs, cfg)
-	}
-	serial := RunAll(cfgs, 1, nil)
-	parallel := RunAll(cfgs, 4, nil)
-	for i := range cfgs {
-		s, p := serial[i], parallel[i]
-		if s.Ops != p.Ops || s.Steal != p.Steal || s.Events != p.Events ||
-			s.Killed != p.Killed || s.Restarts != p.Restarts || s.Lost != p.Lost ||
-			s.Evacuations != p.Evacuations || s.Availability != p.Availability {
-			t.Fatalf("faulted cell %d differs between serial and sharded runs:\n%+v\nvs\n%+v",
-				i, s, p)
-		}
-		if s.Killed == 0 {
-			t.Fatalf("cell %d: crash killed nothing; rig too quiet", i)
-		}
-	}
-}
-
 // microPinned holds digests of micro-tier fault outcomes, recorded before the
 // two fleet tiers' fault and recovery bookkeeping moved into one shared core.
 // Any digest moving means simulated output changed.

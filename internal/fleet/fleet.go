@@ -13,8 +13,7 @@
 // Everything is deterministic: a Config is a pure value (the arrival trace
 // is pre-generated from a seed), one Run builds one private sim.Engine, and
 // the same Config always produces the same Result. Independent fleet cells
-// therefore shard across worker pools with merged results identical to a
-// serial run (see RunAll).
+// therefore run on a worker pool with results identical to a serial run.
 package fleet
 
 import (

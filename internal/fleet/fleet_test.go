@@ -12,6 +12,7 @@ import (
 
 	"vsched/internal/faults"
 	"vsched/internal/host"
+	"vsched/internal/par"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
 )
@@ -160,49 +161,54 @@ func TestRerunIsIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesSerial: micro cells, clean and with the fault plane
+// active, run on a four-worker pool with results identical to a serial run.
+// It runs under -short so the race pass covers concurrent micro cells.
 func TestShardedMatchesSerial(t *testing.T) {
-	var cfgs []Config
+	sched := &faults.Schedule{Seed: 9, Events: []faults.Event{
+		{At: sim.Time(0).Add(400 * sim.Millisecond), Host: 0, Kind: faults.Crash,
+			Duration: 800 * sim.Millisecond},
+		{At: sim.Time(0).Add(700 * sim.Millisecond), Host: 1, Kind: faults.Brownout,
+			Duration: 600 * sim.Millisecond, Factor: 0.5},
+		{At: sim.Time(0).Add(900 * sim.Millisecond), Host: 2, Kind: faults.Stall,
+			Duration: 300 * sim.Millisecond},
+	}}
+	var clean, faulted []Config
 	for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
 		for _, vs := range []bool{false, true} {
-			cfgs = append(cfgs, testConfig(42, pol, vs))
+			clean = append(clean, testConfig(42, pol, vs))
 		}
 	}
-	serial := RunAll(cfgs, 1, nil)
-	parallel := RunAll(cfgs, 4, nil)
-	for i := range cfgs {
-		s, p := serial[i], parallel[i]
-		if s.Placed != p.Placed || s.Migrations != p.Migrations || s.Ops != p.Ops ||
-			s.Steal != p.Steal || s.Events != p.Events ||
-			s.E2E.P50() != p.E2E.P50() || s.E2E.P95() != p.E2E.P95() {
-			t.Fatalf("cell %d (%s/%s) differs between serial and sharded runs:\n%+v\nvs\n%+v",
-				i, s.Policy, s.Guest, s, p)
-		}
+	for _, pol := range []Policy{FirstFit{}, StealAware{}} {
+		cfg := testConfig(42, pol, false)
+		cfg.Faults = sched
+		cfg.Recovery = fastRecovery()
+		faulted = append(faulted, cfg)
 	}
-}
-
-// TestRunAllPanicReachesCaller: a cell that panics mid-run on a worker
-// goroutine must not kill the process. The panic comes back on the caller's
-// goroutine with its original value, whatever the worker count.
-func TestRunAllPanicReachesCaller(t *testing.T) {
-	type ledgerBroken struct{ cell int }
-	cfgs := []Config{
-		testConfig(42, FirstFit{}, false),
-		testConfig(42, FirstFit{}, true),
-		testConfig(42, StealAware{}, false),
-	}
-	for _, workers := range []int{1, 4} {
-		got := func() (p any) {
-			defer func() { p = recover() }()
-			RunAll(cfgs, workers, func(i int, f *Fleet) {
-				if i == 1 {
-					f.Engine().After(100*sim.Millisecond, func() { panic(ledgerBroken{i}) })
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+	}{{"clean", clean}, {"faulted", faulted}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) []*Result {
+				return par.Map(len(tc.cfgs), workers, func(i int) *Result { return New(tc.cfgs[i]).Run() })
+			}
+			serial, parallel := run(1), run(4)
+			for i := range tc.cfgs {
+				s, p := serial[i], parallel[i]
+				if s.Placed != p.Placed || s.Migrations != p.Migrations || s.Ops != p.Ops ||
+					s.Steal != p.Steal || s.Events != p.Events ||
+					s.E2E.P50() != p.E2E.P50() || s.E2E.P95() != p.E2E.P95() ||
+					s.Killed != p.Killed || s.Restarts != p.Restarts || s.Lost != p.Lost ||
+					s.Evacuations != p.Evacuations || s.Availability != p.Availability {
+					t.Fatalf("cell %d (%s/%s) differs between serial and sharded runs:\n%+v\nvs\n%+v",
+						i, s.Policy, s.Guest, s, p)
 				}
-			})
-			return nil
-		}()
-		if got != (ledgerBroken{1}) {
-			t.Fatalf("workers=%d: recovered %v (%T), want ledgerBroken{1}", workers, got, got)
-		}
+				if tc.cfgs[i].Faults != nil && s.Killed == 0 {
+					t.Fatalf("cell %d: crash killed nothing; rig too quiet", i)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package par runs independent, index-addressed jobs over a bounded pool of
-// goroutines. It is the one worker pool in the simulator: the experiment
-// harness's trials (harness.Run), the micro fleet's cells (fleet.RunAll) and
-// the paper experiments' cells (experiments.cells). Results come back by
-// index, so output never depends on which goroutine ran a job or when.
+// goroutines. It is the one worker pool in the simulator, with two callers:
+// the experiment harness's trials (harness.Run) and every experiment's cells
+// (experiments.cells). Results come back by index, so output never depends on
+// which goroutine ran a job or when.
 package par
 
 import (

@@ -249,34 +249,49 @@ func (c *Cluster) EnableVSchedWithParams(vm *VM, feats Features, p Params) *VSch
 
 // AddStressor puts an always-runnable CFS co-tenant with the given weight on
 // hardware thread threadID; the vCPU sharing it gets the complementary fair
-// share. A thread id outside the host is an error.
+// share. A thread id outside the host or a weight <= 0 is an error.
 func (c *Cluster) AddStressor(threadID int, weight int64) (*Entity, error) {
 	th, err := c.thread(threadID)
 	if err != nil {
 		return nil, err
 	}
+	if weight <= 0 {
+		return nil, fmt.Errorf("vsched: stressor weight %d must be > 0", weight)
+	}
 	return host.NewStressor(c.h, fmt.Sprintf("stressor-%d", threadID), th, weight), nil
 }
 
 // AddPatternContender puts a realtime square-wave co-tenant on a thread: the
-// vCPU there is deterministically inactive for `on` every `on+off`. A thread
-// id outside the host is an error.
+// vCPU there is deterministically inactive for `on` every `on+off`, starting
+// `phase` from now. A thread id outside the host, on <= 0, off < 0 or
+// phase < 0 is an error.
 func (c *Cluster) AddPatternContender(threadID int, on, off, phase Duration) (*host.PatternContender, error) {
 	th, err := c.thread(threadID)
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case on <= 0:
+		return nil, fmt.Errorf("vsched: pattern contender on %v must be > 0", on)
+	case off < 0:
+		return nil, fmt.Errorf("vsched: pattern contender off %v must be >= 0", off)
+	case phase < 0:
+		return nil, fmt.Errorf("vsched: pattern contender phase %v must be >= 0", phase)
 	}
 	return host.NewPatternContender(c.h, fmt.Sprintf("pattern-%d", threadID), th, on, off, phase), nil
 }
 
 // SetVCPULatency tunes the host scheduler granularities of a thread so the
 // vCPU there keeps its share but waits ~lat to get back on CPU (the paper's
-// sched_min/wakeup_granularity knob). A thread id outside the host is an
-// error.
+// sched_min/wakeup_granularity knob). lat 0 restores the host default. A
+// thread id outside the host or lat < 0 is an error.
 func (c *Cluster) SetVCPULatency(threadID int, lat Duration) error {
 	th, err := c.thread(threadID)
 	if err != nil {
 		return err
+	}
+	if lat < 0 {
+		return fmt.Errorf("vsched: vCPU latency lat %v must be >= 0", lat)
 	}
 	th.SetGranularities(lat, 2*lat)
 	return nil

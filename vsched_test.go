@@ -131,6 +131,53 @@ func TestFacadeBadThreadIDs(t *testing.T) {
 	}
 }
 
+// TestFacadeBadArguments: a co-tenant or latency argument the host cannot
+// run is an error naming the argument, and the call builds nothing.
+func TestFacadeBadArguments(t *testing.T) {
+	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	ms := vsched.Millisecond
+	stressor := func(w int64) func() (bool, error) {
+		return func() (bool, error) { e, err := cl.AddStressor(1, w); return e != nil, err }
+	}
+	pattern := func(on, off, phase vsched.Duration) func() (bool, error) {
+		return func() (bool, error) { pc, err := cl.AddPatternContender(1, on, off, phase); return pc != nil, err }
+	}
+	latency := func(lat vsched.Duration) func() (bool, error) {
+		return func() (bool, error) { return false, cl.SetVCPULatency(1, lat) }
+	}
+	cases := []struct {
+		want string
+		call func() (bool, error)
+	}{
+		{"weight 0", stressor(0)},
+		{"weight -3", stressor(-3)},
+		{"on 0.000ms", pattern(0, ms, 0)},
+		{"on -1.000ms", pattern(-ms, ms, 0)},
+		{"off -1.000ms", pattern(ms, -ms, 0)},
+		{"phase -1.000ms", pattern(ms, ms, -ms)},
+		{"lat -1.000ms", latency(-ms)},
+	}
+	for _, tc := range cases {
+		built, err := tc.call()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.want, err, tc.want)
+		}
+		if built {
+			t.Errorf("%s: returned a value along with the error", tc.want)
+		}
+	}
+
+	// The boundary values still work: off 0, phase 0 and lat 0 (the host
+	// default).
+	vm := mustVM(t, cl, "vm", []int{0, 1})
+	mustPattern(t, cl, 0, ms, 0, 0)
+	mustLatency(t, cl, 1, 0)
+	cl.RunFor(10 * ms)
+	if vm.NumVCPUs() != 2 {
+		t.Fatalf("VM has %d vCPUs, want 2", vm.NumVCPUs())
+	}
+}
+
 func TestFacadeUnknownWorkloadErrors(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
 	vm := mustVM(t, cl, "vm", []int{0})
