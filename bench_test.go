@@ -82,7 +82,9 @@ func BenchmarkAblationEMAvsRaw(b *testing.B) {
 		mustPattern(b, cl, 0, 170*vsched.Millisecond, 390*vsched.Millisecond, 0)
 		p := vsched.DefaultParams()
 		p.EMAHalfPeriods = halfPeriods
-		cl.EnableVSchedWithParams(vm, vsched.Features{Vcap: true, Vact: true}, p)
+		if _, err := cl.EnableVSchedWithParams(vm, vsched.Features{Vcap: true, Vact: true}, p); err != nil {
+			b.Fatal(err)
+		}
 		cl.RunFor(3 * vsched.Second)
 		// Sample the published capacity each second and return its variance.
 		var vals []float64

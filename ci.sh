@@ -45,6 +45,9 @@ go test $short ./...
 
 race_pkgs=$(go list ./internal/... | grep -vx 'vsched/internal/experiments' | tr '\n' ' ')
 echo "== go test -race -short $race_pkgs"
+# This includes the live ops plane end to end: internal/fleet's
+# TestMacroObsStream publishes a faulted macro run into an obshttp server
+# while TCP clients stream its events and scrape /metrics concurrently.
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
 
@@ -66,9 +69,9 @@ go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./int
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a
 # panicking cell reaches the caller. -short keeps to cheap experiments (fig3,
-# fig11, table3, ..., the micro fleet and fleetobs cells and the macro
-# fleetscale and faulttol cells at scale 0.05): fig12+fig13 alone take over
-# a minute under -race.
+# fig11, table3, ..., the micro fleet cells with their two telemetry
+# recorders and the macro fleetscale and faulttol cells at scale 0.05):
+# fig12+fig13 alone take over a minute under -race.
 echo "== cell-parallel experiments (-race)"
 go test -race -short -run Cells ./internal/experiments/
 
@@ -121,14 +124,17 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./int
 echo "== fleetscale determinism smoke (full scale)"
 "$tmp"/vexp_ci -run fleetscale -seed 42 > /dev/null
 
-# Telemetry byte-identity smoke: TestCellsMatchSerial/fleetobs in the -race
-# Cells stage above pins each flight-recorder snapshot between serial and
-# parallel cells; on top of that, two full runs of the same seed (with
-# -telemetry sparklines on stdout) must be byte-identical.
-echo "== fleetobs telemetry determinism smoke"
-"$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_a.txt
-"$tmp"/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleetobs_b.txt
-cmp "$tmp"/vexp_fleetobs_a.txt "$tmp"/vexp_fleetobs_b.txt
+# Telemetry byte-identity smoke: the fleet experiment's first-fit and
+# steal-aware CFS cells carry a flight recorder, and the run panics unless
+# its memory stays bounded and its steal series shows the steal-aware gain.
+# TestCellsMatchSerial/fleet in the -race Cells stage above pins each
+# recorder snapshot between serial and parallel cells; on top of that, two
+# runs of the same seed (with -telemetry sparklines on stdout) must be
+# byte-identical.
+echo "== fleet telemetry determinism smoke"
+"$tmp"/vexp_ci -run fleet -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleet_a.txt
+"$tmp"/vexp_ci -run fleet -scale 0.1 -seed 7 -telemetry > "$tmp"/vexp_fleet_b.txt
+cmp "$tmp"/vexp_fleet_a.txt "$tmp"/vexp_fleet_b.txt
 
 # Fault-tolerance smoke: the faulttol experiment embeds three panic gates
 # (recovery strictly beating no-recovery on completed lifetimes, a schedule
@@ -139,17 +145,6 @@ echo "== faulttol byte-identity smoke (full scale)"
 "$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_a.txt
 "$tmp"/vexp_ci -run faulttol -seed 42 > "$tmp"/vexp_faulttol_b.txt
 cmp "$tmp"/vexp_faulttol_a.txt "$tmp"/vexp_faulttol_b.txt
-
-# Obsplane smoke: the obsplane experiment boots the embedded observability
-# server on an ephemeral port, streams the run's progress events over real
-# TCP, and scrapes /metrics concurrently — with five internal panic gates
-# (snapshot + telemetry byte-identity attached vs detached, ledger
-# conservation on the stream, final-scrape exactness). On top of that, two
-# serial runs must be byte-identical: observation is inert by construction.
-echo "== obsplane observability determinism smoke"
-"$tmp"/vexp_ci -run obsplane -scale 0.05 -seed 7 > "$tmp"/vexp_obsplane_a.txt
-"$tmp"/vexp_ci -run obsplane -scale 0.05 -seed 7 > "$tmp"/vexp_obsplane_b.txt
-cmp "$tmp"/vexp_obsplane_a.txt "$tmp"/vexp_obsplane_b.txt
 
 # vbench smoke: bench/ is a module of its own, so the root `go test ./...`
 # never enters it. Its smoke test runs all four benchmark workloads at smoke

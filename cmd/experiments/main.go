@@ -12,7 +12,7 @@
 //	experiments -run all -timeout 10m       # per-trial wall-clock budget
 //	experiments -run all -retries 2         # re-attempt timed-out/panicked trials
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
-//	experiments -run fleetobs -telemetry    # append flight-recorder sparklines
+//	experiments -run fleet -telemetry       # append flight-recorder sparklines
 //	experiments -run all -progress          # rate-limited done/total + ETA heartbeat on stderr
 //	experiments -run all -serve :9137       # live /metrics + /runs/experiments/events while running
 //

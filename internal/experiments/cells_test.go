@@ -16,16 +16,16 @@ import (
 
 // cellExperiments are the experiments whose independent simulations run as
 // cells: the paper suite, the micro-tier fleet (one cell per policy and
-// guest) and fleetobs (one per policy), and the macro-tier fleetscale (one
-// per policy) and faulttol (one per mode). cheapCellExperiments is the subset
-// checked under -short.
+// guest, two of them with a telemetry recorder), and the macro-tier
+// fleetscale (one per policy) and faulttol (one per mode).
+// cheapCellExperiments is the subset checked under -short.
 var (
 	cellExperiments = []string{"fig2", "fig3", "fig4", "table2", "fig11", "fig12", "fig13",
 		"fig14", "table3", "fig15", "table4", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-		"fleet", "fleetobs", "fleetscale", "faulttol"}
+		"fleet", "fleetscale", "faulttol"}
 	cheapCellExperiments = map[string]bool{
 		"fig3": true, "fig4": true, "table2": true, "fig11": true, "table3": true, "table4": true, "fig16": true,
-		"fleet": true, "fleetobs": true, "fleetscale": true, "faulttol": true,
+		"fleet": true, "fleetscale": true, "faulttol": true,
 	}
 )
 

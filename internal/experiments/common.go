@@ -379,10 +379,8 @@ func Registry() []Runner {
 		{"probeacc", "Prober accuracy vs host ground truth", ProbeAccuracy},
 		{"fleet", "Fleet-scale placement: policy x guest on a 32-host cluster", FleetScale},
 		{"attrib", "Latency attribution: per-cause wall-time breakdown by config", Attrib},
-		{"fleetobs", "Telemetry flight recorder: determinism, memory bound, steal signal", FleetObs},
 		{"fleetscale", "Cloud-scale placement: 1024-host heterogeneous fleet on a generated trace", CloudScale},
 		{"faulttol", "Fault tolerance: deterministic crash/brownout schedule, recovery vs loss", FaultTol},
-		{"obsplane", "Live ops plane: HTTP metrics + progress stream, inert by construction", ObsPlane},
 	}
 }
 

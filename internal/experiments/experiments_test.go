@@ -22,8 +22,8 @@ func TestRegistryIntegrity(t *testing.T) {
 			t.Fatalf("ByID(%s) failed", r.ID)
 		}
 	}
-	if len(seen) != 26 { // 19 paper figures/tables + probeacc + fleet + attrib + fleetobs + fleetscale + faulttol + obsplane
-		t.Fatalf("want 26 experiments, got %d", len(seen))
+	if len(seen) != 24 { // 19 paper figures/tables + probeacc + fleet + attrib + fleetscale + faulttol
+		t.Fatalf("want 24 experiments, got %d", len(seen))
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("ByID must reject unknown ids")

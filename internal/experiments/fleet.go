@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"vsched/internal/fleet"
 	"vsched/internal/host"
 	"vsched/internal/sim"
+	"vsched/internal/telemetry"
 )
 
 // FleetScale has no paper counterpart (like probeacc): it takes vSched to
@@ -18,7 +20,18 @@ import (
 // fleet-wide p50/p95 request latency, throughput, cumulative steal, and
 // migration counts. The cells are independent simulations sharing one
 // arrival trace, run as cells in policy x guest order.
+//
+// The first-fit and steal-aware CFS cells also carry a telemetry flight
+// recorder, checked by checkFleetTelemetry. Telemetry is inert, so the
+// report is the same with or without it.
 func FleetScale(o Options) *Report {
+	_, rep := fleetScale(o)
+	return rep
+}
+
+// fleetScale runs the fleet cells and the telemetry checks, and returns the
+// typed results in policy x guest order with the report rendered from them.
+func fleetScale(o Options) ([]*fleet.Result, *Report) {
 	hostCfg := host.DefaultConfig()
 	hostCfg.Sockets = 1
 	hostCfg.CoresPerSocket = 4
@@ -48,12 +61,22 @@ func FleetScale(o Options) *Report {
 	}
 	trace := fleet.GenerateArrivals(o.Seed, arrivals, window, mix)
 
+	// A deliberately small recorder config: the memory check uses the
+	// provable bound, so it should be tight enough to mean something.
+	tcfg := telemetry.Config{
+		Interval:       o.scaled(25 * sim.Millisecond),
+		RawChunkPoints: 256,
+		RawChunks:      2,
+		Tier1Cap:       128,
+		Tier2Cap:       256,
+	}
+
 	policies := []fleet.Policy{fleet.FirstFit{}, fleet.LeastLoaded{}, fleet.StealAware{}}
 	var cfgs []fleet.Config
 	var labels []string
 	for _, pol := range policies {
 		for _, vs := range []bool{false, true} {
-			cfgs = append(cfgs, fleet.Config{
+			cfg := fleet.Config{
 				Seed:           o.Seed,
 				Hosts:          hosts,
 				HostConfig:     hostCfg,
@@ -69,11 +92,15 @@ func FleetScale(o Options) *Report {
 					Margin:   0.04,
 					Downtime: o.scaled(20 * sim.Millisecond),
 				},
-			})
+			}
 			guest := "CFS"
 			if vs {
 				guest = "vSched"
 			}
+			if !vs && pol.Name() != "least-loaded" { // the two cells checkFleetTelemetry compares
+				cfg.Telemetry = &tcfg
+			}
+			cfgs = append(cfgs, cfg)
 			labels = append(labels, fmt.Sprintf("fleet/%s/%s", pol.Name(), guest))
 		}
 	}
@@ -82,8 +109,11 @@ func FleetScale(o Options) *Report {
 		f := fleet.New(cfgs[i])
 		o.Stats.Track(f.Engine())
 		o.Stats.TrackRegistry(labels[i], f.Registry())
-		return f.Run()
+		r := f.Run()
+		o.Stats.TrackTelemetry(labels[i], r.Telemetry)
+		return r
 	})
+	checkFleetTelemetry(tcfg, results[0], results[4]) // first-fit and steal-aware, CFS
 
 	rep := &Report{
 		ID:     "fleet",
@@ -111,5 +141,46 @@ func FleetScale(o Options) *Report {
 				guest, sa/ff*100, sa/1e6, ff/1e6)
 		}
 	}
-	return rep
+	return results, rep
+}
+
+// checkFleetTelemetry panics unless the two recorded cells show what a
+// flight recorder is for:
+//
+//  1. Bounded memory: each recorder's deterministic series stay under their
+//     provable bound and under a fixed budget, while buffering the cell's
+//     raw event stream would not fit that budget.
+//  2. Signal: the worst per-host p95 of the sampled steal EMA is lower under
+//     steal-aware placement than under first-fit.
+func checkFleetTelemetry(cfg telemetry.Config, firstFit, stealAware *fleet.Result) {
+	// Sample count is scale-invariant (interval and horizon scale together),
+	// so the telemetry footprint is too, while event volume grows with work.
+	// 48 bytes is sizeof(vtrace.Event).
+	const budget = 512 << 10
+	const eventBytes = 48
+	worstSteal := func(r *fleet.Result) float64 {
+		bytes, bound, worst := 0, 0, 0.0
+		for _, s := range r.Telemetry.Series(false) {
+			bytes += s.Bytes()
+			bound += telemetry.MaxSeriesBytes(cfg)
+			if strings.HasPrefix(s.Name, "fleet.host") && strings.HasSuffix(s.Name, ".steal_ema") {
+				worst = max(worst, s.Quantile(0.95))
+			}
+		}
+		switch raw := r.Events * eventBytes; {
+		case bytes > bound:
+			panic(fmt.Sprintf("fleet: %s telemetry %d B exceeds provable bound %d B", r.Policy, bytes, bound))
+		case bytes > budget:
+			panic(fmt.Sprintf("fleet: %s telemetry %d B exceeds budget %d B", r.Policy, bytes, budget))
+		case raw <= budget:
+			panic(fmt.Sprintf("fleet: %s raw event trace (%d B) fits the %d B budget: scenario too small to show the trade",
+				r.Policy, raw, budget))
+		}
+		return worst
+	}
+	ff, sa := worstSteal(firstFit), worstSteal(stealAware)
+	if !(sa < ff) {
+		panic(fmt.Sprintf("fleet: %s worst-host p95 steal %.4f not below %s's %.4f",
+			stealAware.Policy, sa, firstFit.Policy, ff))
+	}
 }

@@ -315,7 +315,7 @@ func TestMicroFaultOutcomesPinned(t *testing.T) {
 // censusPinned is the digest of the sim.* series (the engine's event-queue
 // census: pending, wheel residency per level, occupied slots, overflow,
 // ready and free-pool depths) of the rig below, recorded before the engine
-// moved to an index arena. The census is part of fleetobs' telemetry bytes,
+// moved to an index arena. The census is part of the fleet experiment's telemetry bytes,
 // so any queue rewrite must leave every sample of it unchanged.
 const censusPinned = "ec1a000e93badc12623487664a5034ccb2dda2485567cb61cc0ad07dc4ae6b2a"
 

@@ -1,10 +1,18 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"vsched/internal/faults"
+	"vsched/internal/obshttp"
 	"vsched/internal/progress"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
@@ -65,16 +73,46 @@ func TestMacroObsInert(t *testing.T) {
 	}
 }
 
-// TestMacroObsStream drains the published events and reconciles them
-// against the run outcome: every epoch ledger conserves, the fault/recovery
-// event counts match the result counters, and run_done matches the final
-// ledger exactly.
+// TestMacroObsStream runs a faulted macro run published into a live obshttp
+// server and reconciles what a TCP client sees against the run outcome. One
+// client consumes /runs/{id}/events as NDJSON while another scrapes /metrics
+// for the whole run. Checked: every streamed epoch ledger conserves, the
+// stream accounts for every published event (received + dropped ==
+// published), the fault/recovery event counts match the result counters,
+// run_done matches the final ledger exactly, and the final scrape carries
+// the exact placed sample.
 func TestMacroObsStream(t *testing.T) {
 	trace := macroTestTrace(23)
 	schedv := faults.Generate(23, len(trace.Hosts), trace.Horizon, faults.Config{
 		CrashMTBF: 12 * 3600 * sim.Second,
 	})
-	pub := progress.NewPublisher(1 << 16)
+	srv := obshttp.New(obshttp.Options{BusSize: 1 << 16, PollInterval: 2 * time.Millisecond})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	run := srv.Register("stream-test")
+	pub := run.Publisher()
+
+	streamed := make(chan streamTally, 1)
+	go func() { streamed <- consumeStream(addr, run.ID) }()
+	stopScrape, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stopScrape:
+				scraped <- n
+				return
+			default:
+			}
+			if body, err := httpGet(addr, "/metrics"); err == nil && len(body) > 0 {
+				n++
+			}
+		}
+	}()
+
 	res := RunMacro(MacroConfig{
 		Trace: trace, Policy: LeastLoaded{},
 		Faults:   &schedv,
@@ -82,68 +120,46 @@ func TestMacroObsStream(t *testing.T) {
 		Obs:      pub,
 		ObsLabel: "stream-test",
 	})
+	run.Finish()
+	st := <-streamed
+	close(stopScrape)
+	t.Logf("%d /metrics scrapes during the run", <-scraped)
 
-	reader := pub.Bus.NewReader(true)
-	buf := make([]progress.Event, 256)
-	var epochs, fault, recov int
-	var runStart, runDone *progress.Event
-	for {
-		n := reader.Poll(buf)
-		if n == 0 {
-			break
-		}
-		for i := range buf[:n] {
-			ev := buf[i]
-			switch ev.Kind {
-			case progress.KindRunStart:
-				runStart = &ev
-			case progress.KindEpoch:
-				epochs++
-				if ev.Admitted != ev.Completed+ev.Lost+ev.Rejected+ev.Running+ev.Pending {
-					t.Fatalf("epoch %d ledger does not conserve: %+v", ev.Epoch, ev)
-				}
-				if got := pub.Bus.LabelName(ev.Label); got != "stream-test" {
-					t.Fatalf("epoch label %q", got)
-				}
-			case progress.KindFault:
-				fault++
-				if d := pub.Bus.LabelName(ev.Detail); d != "crash" && d != "brownout" && d != "stall" {
-					t.Fatalf("fault detail %q", d)
-				}
-			case progress.KindRecovery:
-				recov++
-			case progress.KindRunDone:
-				runDone = &ev
-			}
-		}
+	if st.err != "" {
+		t.Fatal(st.err)
 	}
-	if reader.Dropped() != 0 {
-		t.Fatalf("dropped %d events with a roomy ring", reader.Dropped())
+	published := pub.Bus.Seq()
+	if st.end == nil || st.end.Received != st.events || st.end.Received+st.end.Dropped != published {
+		t.Fatalf("stream does not reconcile: end %+v, consumer counted %d, published %d", st.end, st.events, published)
 	}
-	if runStart == nil || runStart.Total != int64(res.Arrivals) {
-		t.Fatalf("run_start: %+v (arrivals %d)", runStart, res.Arrivals)
+	if st.end.Dropped != 0 {
+		t.Fatalf("dropped %d of %d events with a roomy ring", st.end.Dropped, published)
 	}
-	if epochs == 0 {
+	if st.runStart == nil || st.runStart.Total != int64(res.Arrivals) {
+		t.Fatalf("run_start: %+v (arrivals %d)", st.runStart, res.Arrivals)
+	}
+	if st.epochs == 0 {
 		t.Fatal("no epoch events")
 	}
-	if want := res.Crashes + res.Brownouts + res.Stalls; fault != want {
-		t.Fatalf("fault events %d != applied faults %d", fault, want)
+	if want := res.Crashes + res.Brownouts + res.Stalls; st.faults != want {
+		t.Fatalf("fault events %d != applied faults %d", st.faults, want)
 	}
-	if recov != res.Restarts {
-		t.Fatalf("recovery events %d != restarts %d", recov, res.Restarts)
+	if st.recoveries != res.Restarts {
+		t.Fatalf("recovery events %d != restarts %d", st.recoveries, res.Restarts)
 	}
-	if runDone == nil {
+	d := st.runDone
+	if d == nil {
 		t.Fatal("no run_done event")
 	}
-	if int(runDone.Completed) != res.Lifetimes || int(runDone.Lost) != res.Lost ||
-		int(runDone.Rejected) != res.Rejected || int(runDone.Running) != res.RunningAtEnd ||
-		int(runDone.Pending) != res.PendingAtEnd {
-		t.Fatalf("run_done %+v does not match result %+v", runDone, res)
+	if int(d.Completed) != res.Lifetimes || int(d.Lost) != res.Lost ||
+		int(d.Rejected) != res.Rejected || int(d.Running) != res.RunningAtEnd ||
+		int(d.Pending) != res.PendingAtEnd {
+		t.Fatalf("run_done %+v does not match result %+v", d, res)
 	}
-	if runDone.Admitted != runDone.Completed+runDone.Lost+runDone.Rejected+runDone.Running+runDone.Pending {
-		t.Fatalf("final ledger does not conserve: %+v", runDone)
+	if d.Admitted != d.Completed+d.Lost+d.Rejected+d.Running+d.Pending {
+		t.Fatalf("final ledger does not conserve: %+v", d)
 	}
-	// The mirror carries the final registry state.
+	// The mirror carries the final registry state, and /metrics serves it.
 	var placed float64 = -1
 	for _, sm := range pub.Mirror.Load() {
 		if sm.Name == "fleet.macro.placed" {
@@ -153,4 +169,93 @@ func TestMacroObsStream(t *testing.T) {
 	if placed != float64(res.Placed) {
 		t.Fatalf("mirror fleet.macro.placed = %v, want %d", placed, res.Placed)
 	}
+	body, err := httpGet(addr, "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("vsched_metric{run=\"stream-test\",name=\"fleet.macro.placed\"} %d\n", res.Placed)
+	if !strings.Contains(string(body), want) {
+		t.Fatalf("final /metrics scrape lacks %q:\n%s", strings.TrimSpace(want), body)
+	}
+}
+
+// wireRec decodes one NDJSON line of the event stream: a progress event,
+// or a drops/stream_end record carrying the dropped and received counts.
+type wireRec struct {
+	progress.WireEvent
+	Dropped  uint64 `json:"dropped"`
+	Received uint64 `json:"received"`
+}
+
+// streamTally is what one event-stream client saw.
+type streamTally struct {
+	events                     uint64 // progress events (not drops or stream_end records)
+	epochs, faults, recoveries int
+	runStart, runDone, end     *wireRec
+	err                        string
+}
+
+// consumeStream reads /runs/{id}/events over TCP until stream_end. It checks
+// each epoch's ledger as it arrives, so a violation is caught even if later
+// events would hide it.
+func consumeStream(addr, id string) (st streamTally) {
+	resp, err := http.Get("http://" + addr + "/runs/" + id + "/events")
+	if err != nil {
+		st.err = fmt.Sprintf("event stream: %v", err)
+		return st
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var rec wireRec
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			st.err = fmt.Sprintf("event stream: bad line %q: %v", sc.Bytes(), err)
+			return st
+		}
+		switch rec.Kind {
+		case "stream_end":
+			st.end = &rec
+			return st
+		case "drops":
+			continue
+		case "run_start":
+			st.runStart = &rec
+		case "epoch":
+			st.epochs++
+			if rec.Admitted != rec.Completed+rec.Lost+rec.Rejected+rec.Running+rec.Pending {
+				st.err = fmt.Sprintf("epoch %d ledger does not conserve: %+v", rec.Epoch, rec)
+				return st
+			}
+			if rec.Label != "stream-test" {
+				st.err = fmt.Sprintf("epoch label %q", rec.Label)
+				return st
+			}
+		case "fault":
+			st.faults++
+			if d := rec.Detail; d != "crash" && d != "brownout" && d != "stall" {
+				st.err = fmt.Sprintf("fault detail %q", d)
+				return st
+			}
+		case "recovery":
+			st.recoveries++
+		case "run_done":
+			st.runDone = &rec
+		}
+		st.events++
+	}
+	st.err = fmt.Sprintf("event stream ended without stream_end: %v", sc.Err())
+	return st
+}
+
+// httpGet fetches one path from the server and returns the body.
+func httpGet(addr, path string) ([]byte, error) {
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
 }

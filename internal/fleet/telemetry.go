@@ -114,7 +114,7 @@ func (s *classSource) Collect(now sim.Time, emit func(string, float64)) {
 // per-class and simulator self-observability sources, plus the volatile
 // wall-clock source. Everything except the wall source reads only simulation
 // state, so the deterministic snapshot is byte-identical between serial and
-// parallel runs — TestCellsMatchSerial/fleetobs pins exactly that.
+// parallel runs — TestCellsMatchSerial/fleet pins exactly that.
 func (f *Fleet) attachTelemetry(cfg telemetry.Config, arrivals []Arrival) *telemetry.Recorder {
 	rec := telemetry.New(f.eng, cfg)
 	rec.AddSource("", telemetry.RegistrySource(f.reg))

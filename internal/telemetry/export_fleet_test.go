@@ -12,7 +12,7 @@ import (
 
 // fleetFaultSeries are the eight fleet.macro.* series the macro fault plane
 // aggregates each epoch (see fleet.macroAgg.emit). The exports below are what
-// harness artifacts embed and the obsplane mirror tails, so their round-trip
+// harness artifacts embed and the live /metrics mirror tails, so their round-trip
 // behaviour is pinned here against realistic shapes: step counters, spiky
 // gauges, an all-zero quiet run, and histories long enough to cross both
 // rollup-tier boundaries.

@@ -236,15 +236,22 @@ func (c *Cluster) thread(id int) (*host.Thread, error) {
 func (c *Cluster) EnableVSched(vm *VM, feats Features) *VSched {
 	p := core.DefaultParams()
 	p.NominalSpeed = c.h.Config().BaseSpeed
-	return c.EnableVSchedWithParams(vm, feats, p)
-}
-
-// EnableVSchedWithParams attaches and starts vSched with explicit tunables
-// (paper Table 1 values are the defaults; see DefaultParams).
-func (c *Cluster) EnableVSchedWithParams(vm *VM, feats Features, p Params) *VSched {
 	s := core.New(vm, feats, p, cachemodel.Default())
 	s.Start()
 	return s
+}
+
+// EnableVSchedWithParams attaches and starts vSched with explicit tunables
+// (paper Table 1 values are the defaults; see DefaultParams). Tunables vSched
+// cannot run with are an error: a period, count or divisor that is not a
+// finite number > 0, or LightEvery shorter than SamplePeriod.
+func (c *Cluster) EnableVSchedWithParams(vm *VM, feats Features, p Params) (*VSched, error) {
+	if err := checkParams(p); err != nil {
+		return nil, err
+	}
+	s := core.New(vm, feats, p, cachemodel.Default())
+	s.Start()
+	return s, nil
 }
 
 // AddStressor puts an always-runnable CFS co-tenant with the given weight on
@@ -299,11 +306,15 @@ func (c *Cluster) SetVCPULatency(threadID int, lat Duration) error {
 
 // Workload instantiates a catalogued benchmark (see WorkloadNames) on a VM.
 // sched may be nil (stock CFS); threads 0 uses the benchmark default. An
-// unknown name is an error, like an unknown ID in RunExperiment.
+// unknown name is an error, like an unknown ID in RunExperiment, and so is
+// threads < 0.
 func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) (WorkloadInstance, error) {
 	spec, ok := workload.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("vsched: unknown workload %q (see vsched.WorkloadNames)", name)
+	}
+	if threads < 0 {
+		return nil, fmt.Errorf("vsched: workload %q: threads %d must be >= 0", name, threads)
 	}
 	env := workload.Env{VM: vm, Threads: threads, Nominal: c.h.Config().BaseSpeed}
 	if sched != nil {
@@ -351,6 +362,34 @@ func checkServerConfig(cfg ServerConfig) error {
 		return bad("Think", cfg.Think, "a duration >= 0")
 	case !(cfg.FootprintMB >= 0) || math.IsInf(cfg.FootprintMB, 1):
 		return bad("FootprintMB", cfg.FootprintMB, "a finite size >= 0")
+	}
+	return nil
+}
+
+// checkParams rejects the tunables that would otherwise hang or panic inside
+// the simulation.
+func checkParams(p Params) error {
+	positive := []struct {
+		field string
+		v     float64
+	}{
+		{"SamplePeriod", float64(p.SamplePeriod)},
+		{"LightEvery", float64(p.LightEvery)},
+		{"HeavyEveryLights", float64(p.HeavyEveryLights)},
+		{"EMAHalfPeriods", p.EMAHalfPeriods},
+		{"VtopEvery", float64(p.VtopEvery)},
+		{"VtopTargetTransfers", float64(p.VtopTargetTransfers)},
+		{"VtopTimeoutAttempts", float64(p.VtopTimeoutAttempts)},
+		{"StragglerFactor", p.StragglerFactor},
+		{"NominalSpeed", p.NominalSpeed},
+	}
+	for _, f := range positive {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("vsched: bad param %s %v (want a finite value > 0)", f.field, f.v)
+		}
+	}
+	if p.LightEvery < p.SamplePeriod {
+		return fmt.Errorf("vsched: bad param LightEvery %v (want >= SamplePeriod %v)", p.LightEvery, p.SamplePeriod)
 	}
 	return nil
 }

@@ -178,6 +178,57 @@ func TestFacadeBadArguments(t *testing.T) {
 	}
 }
 
+// TestFacadeBadParams: vSched tunables it cannot run with, and a negative
+// workload thread count, are errors naming the field, not a hang, an engine
+// panic or a silent default.
+func TestFacadeBadParams(t *testing.T) {
+	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	vm := mustVM(t, cl, "vm", []int{0, 1})
+	params := func(edit func(*vsched.Params)) func() (bool, error) {
+		return func() (bool, error) {
+			p := vsched.DefaultParams()
+			edit(&p)
+			s, err := cl.EnableVSchedWithParams(vm, vsched.AllFeatures(), p)
+			return s != nil, err
+		}
+	}
+	cases := []struct {
+		want string
+		call func() (bool, error)
+	}{
+		{"NominalSpeed", params(func(p *vsched.Params) { p.NominalSpeed = 0 })},
+		{"NominalSpeed", params(func(p *vsched.Params) { p.NominalSpeed = math.NaN() })},
+		{"NominalSpeed", params(func(p *vsched.Params) { p.NominalSpeed = math.Inf(1) })},
+		{"SamplePeriod", params(func(p *vsched.Params) { p.SamplePeriod = 0 })},
+		{"LightEvery", params(func(p *vsched.Params) { p.LightEvery = 0 })},
+		{"LightEvery", params(func(p *vsched.Params) { p.LightEvery = p.SamplePeriod / 2 })},
+		{"HeavyEveryLights", params(func(p *vsched.Params) { p.HeavyEveryLights = 0 })},
+		{"EMAHalfPeriods", params(func(p *vsched.Params) { p.EMAHalfPeriods = -1 })},
+		{"VtopEvery", params(func(p *vsched.Params) { p.VtopEvery = -vsched.Second })},
+		{"VtopTargetTransfers", params(func(p *vsched.Params) { p.VtopTargetTransfers = 0 })},
+		{"VtopTimeoutAttempts", params(func(p *vsched.Params) { p.VtopTimeoutAttempts = -1 })},
+		{"StragglerFactor", params(func(p *vsched.Params) { p.StragglerFactor = 0 })},
+		{"threads -3", func() (bool, error) { w, err := cl.Workload(vm, nil, "nginx", -3); return w != nil, err }},
+	}
+	for _, tc := range cases {
+		built, err := tc.call()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.want, err, tc.want)
+		}
+		if built {
+			t.Errorf("%s: returned a value along with the error", tc.want)
+		}
+	}
+
+	// The boundary LightEvery == SamplePeriod is valid, and vSched runs.
+	p := vsched.DefaultParams()
+	p.LightEvery = p.SamplePeriod
+	if _, err := cl.EnableVSchedWithParams(vm, vsched.Features{Vcap: true, Vact: true}, p); err != nil {
+		t.Fatalf("boundary params rejected: %v", err)
+	}
+	cl.RunFor(500 * vsched.Millisecond)
+}
+
 func TestFacadeUnknownWorkloadErrors(t *testing.T) {
 	cl := vsched.NewCluster(vsched.ClusterConfig{})
 	vm := mustVM(t, cl, "vm", []int{0})
@@ -247,10 +298,10 @@ func TestWorkloadNamesAndExperimentIDs(t *testing.T) {
 		t.Fatalf("catalogue too small: %d", len(vsched.WorkloadNames()))
 	}
 	ids := vsched.ExperimentIDs()
-	if len(ids) != 26 {
-		t.Fatalf("want 26 experiments (fig2..21 + tables + probeacc + fleet + attrib + fleetobs + fleetscale + faulttol + obsplane), got %d: %v", len(ids), ids)
+	if len(ids) != 24 {
+		t.Fatalf("want 24 experiments (fig2..21 + tables + probeacc + fleet + attrib + fleetscale + faulttol), got %d: %v", len(ids), ids)
 	}
-	for _, want := range []string{"fig2", "fig10b", "table2", "fig18", "fig21", "probeacc", "fleet", "attrib", "fleetscale", "faulttol", "obsplane"} {
+	for _, want := range []string{"fig2", "fig10b", "table2", "fig18", "fig21", "probeacc", "fleet", "attrib", "fleetscale", "faulttol"} {
 		found := false
 		for _, id := range ids {
 			if id == want {
