@@ -21,7 +21,7 @@ import (
 // contendedRig builds a 16-vCPU VM with 50% fair-share contention and
 // asymmetric per-thread latency, the common substrate for the ablations.
 func contendedRig(tb testing.TB, feats vsched.Features) (*vsched.Cluster, *vsched.VM, *vsched.VSched) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 13, CoresPerSocket: 16})
+	cl := mustCluster(tb, vsched.ClusterConfig{Seed: 13, CoresPerSocket: 16})
 	ids := make([]int, 16)
 	for i := range ids {
 		ids[i] = i
@@ -47,7 +47,7 @@ func contendedRig(tb testing.TB, feats vsched.Features) (*vsched.Cluster, *vsche
 // emergent, not assumed).
 func BenchmarkAblationProbeCost(b *testing.B) {
 	run := func(enable bool) uint64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 9, CoresPerSocket: 8})
+		cl := mustCluster(b, vsched.ClusterConfig{Seed: 9, CoresPerSocket: 8})
 		vm := mustVM(b, cl, "vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
 		var sched *vsched.VSched
 		if enable {
@@ -75,7 +75,7 @@ func BenchmarkAblationProbeCost(b *testing.B) {
 // contention burst.
 func BenchmarkAblationEMAvsRaw(b *testing.B) {
 	run := func(halfPeriods float64) float64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 17, CoresPerSocket: 2})
+		cl := mustCluster(b, vsched.ClusterConfig{Seed: 17, CoresPerSocket: 2})
 		vm := mustVM(b, cl, "vm", []int{0, 1})
 		// Bursts long relative to the 100ms sampling window: individual
 		// capacity samples swing between ~0 and full.
@@ -143,7 +143,7 @@ func BenchmarkAblationBVSFirstFit(b *testing.B) {
 // tasks behind multi-millisecond inactive bursts.
 func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 	run := func(median bool) float64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 31, Sockets: 2, CoresPerSocket: 8})
+		cl := mustCluster(b, vsched.ClusterConfig{Seed: 31, Sockets: 2, CoresPerSocket: 8})
 		ids := make([]int, 16)
 		for i := range ids {
 			ids[i] = i
@@ -185,7 +185,7 @@ func BenchmarkAblationBVSLatencyGate(b *testing.B) {
 // instrumentation).
 func BenchmarkAblationHeartbeatGranularity(b *testing.B) {
 	run := func() float64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 29, CoresPerSocket: 2})
+		cl := mustCluster(b, vsched.ClusterConfig{Seed: 29, CoresPerSocket: 2})
 		vm := mustVM(b, cl, "vm", []int{0, 1})
 		// Ground truth: 4ms inactive bursts on vCPU1.
 		mustPattern(b, cl, 1, 4*vsched.Millisecond, 6*vsched.Millisecond, 0)

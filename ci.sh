@@ -61,10 +61,12 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # (internal/sim/heapengine) event for event on randomized scripts. This is
 # the gate that lets the engine be optimized without re-recording goldens.
 # The allocation budgets ride along: the engine's schedule→fire path, the
-# guest's steady-state window and the request servers' steady-state window
-# are all pinned at zero allocations.
+# guest's steady-state window, the request servers' steady-state window, a
+# vtrace ring emit of a known subject and a latprof span's
+# wakeup→on→off cycle are all pinned at zero allocations.
 echo "== engine differential suite + alloc budgets (-race)"
-go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/
+go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/ \
+	./internal/vtrace/ ./internal/latprof/
 
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a

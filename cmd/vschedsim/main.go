@@ -124,13 +124,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *sockets < 0 {
+		fmt.Fprintf(stderr, "bad -sockets %d (want >= 0)\n", *sockets)
+		return 1
+	}
+	if *cores < 0 {
+		fmt.Fprintf(stderr, "bad -cores %d (want >= 0; 0 = vcpus)\n", *cores)
+		return 1
+	}
+
 	nCores := *cores
 	if nCores == 0 {
 		nCores = *vcpus
 	}
-	cl := vsched.NewCluster(vsched.ClusterConfig{
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{
 		Seed: *seed, Sockets: *sockets, CoresPerSocket: nCores, SMT: *smt,
 	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	if n := cl.Host().NumThreads(); *vcpus > n {
 		fmt.Fprintf(stderr, "bad -vcpus %d (the host has %d hardware threads)\n", *vcpus, n)
 		return 1

@@ -199,6 +199,8 @@ func TestBadInputFails(t *testing.T) {
 		{[]string{"-share", "1.5"}, "bad -share 1.5"},
 		{[]string{"-vcpus", "0"}, "bad -vcpus 0"},
 		{[]string{"-vcpus", "8", "-cores", "4"}, "bad -vcpus 8"},
+		{[]string{"-sockets", "-1"}, "bad -sockets -1"},
+		{[]string{"-cores", "-2"}, "bad -cores -2"},
 		{[]string{"-duration", "0"}, "bad -duration 0s"},
 		{[]string{"-duration", "-1s"}, "bad -duration -1s"},
 		{[]string{"-warmup", "-1s"}, "bad -warmup -1s"},

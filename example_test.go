@@ -9,7 +9,10 @@ import (
 // Example builds the paper's core scenario end to end: a VM on a contended
 // host, vSched attached, a workload measured. Deterministic by seed.
 func Example() {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 42, CoresPerSocket: 4})
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{Seed: 42, CoresPerSocket: 4})
+	if err != nil {
+		panic(err)
+	}
 	vm, err := cl.NewVM("demo", []int{0, 1, 2, 3})
 	if err != nil {
 		panic(err)
@@ -47,7 +50,10 @@ func ExampleRunExperiment() {
 
 // ExampleCluster_Workload runs a catalogued benchmark on a plain-CFS VM.
 func ExampleCluster_Workload() {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 2})
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 2})
+	if err != nil {
+		panic(err)
+	}
 	vm, err := cl.NewVM("vm", []int{0, 1})
 	if err != nil {
 		panic(err)

@@ -11,9 +11,12 @@ import (
 )
 
 func main() {
-	cl := vsched.NewCluster(vsched.ClusterConfig{
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{
 		Seed: 11, Sockets: 2, CoresPerSocket: 4,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// An EEVDF guest: same VM, different task-picking policy.
 	gp := vsched.DefaultGuestParams()

@@ -12,7 +12,10 @@ import (
 )
 
 func run(withIVH bool) float64 {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 3, CoresPerSocket: 16})
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{Seed: 3, CoresPerSocket: 16})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ids := make([]int, 16)
 	for i := range ids {
 		ids[i] = i

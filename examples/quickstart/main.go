@@ -11,7 +11,10 @@ import (
 )
 
 func run(enable bool) (ops uint64, p95ms float64) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 7, CoresPerSocket: 8})
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{Seed: 7, CoresPerSocket: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
 	vm, err := cl.NewVM("web", []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		log.Fatal(err)

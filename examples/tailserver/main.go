@@ -12,7 +12,10 @@ import (
 )
 
 func run(feats vsched.Features) (p95, queue95 float64) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 21, CoresPerSocket: 16})
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{Seed: 21, CoresPerSocket: 16})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ids := make([]int, 16)
 	for i := range ids {
 		ids[i] = i

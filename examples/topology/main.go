@@ -12,9 +12,12 @@ import (
 )
 
 func main() {
-	cl := vsched.NewCluster(vsched.ClusterConfig{
+	cl, err := vsched.NewCluster(vsched.ClusterConfig{
 		Seed: 5, Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2, SMT: true,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	h := cl.Host()
 	// vCPU -> hardware thread: two SMT pairs in socket 0, one SMT pair in
 	// socket 1, and vCPUs 6,7 stacked on one thread.

@@ -300,7 +300,13 @@ func TestHostFoldSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("steady-state entity events allocate %v times per cycle, want 0", n)
 	}
-	if got := ps[0].tasks[1].stealBy["tenant"]; got != 102*ms {
+	var got sim.Duration
+	for _, b := range ps[0].tasks[1].stealBy {
+		if b.Entity == "tenant" {
+			got += b.Wait
+		}
+	}
+	if got != 102*ms {
 		t.Fatalf("stalled task blames tenant for %v, want 102ms", got)
 	}
 }

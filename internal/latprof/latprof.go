@@ -41,10 +41,18 @@
 // Determinism: the profiler is a pure fold over the event stream. Feeding
 // the same events yields byte-identical reports; all aggregation orders are
 // explicit (task id, name, or span order), never map order.
+//
+// Memory: a warm span allocates nothing from wakeup to close. Open-span
+// state is recycled, steal blame accumulates in a small slice, and each
+// closed span's sorted StealBy is carved from a per-profiler arena. Finish
+// does not copy: Profile.Spans (and every span's StealBy) shares storage
+// with the profiler and is read-only. Spans closed after a Finish never
+// show up in, or change, a profile it returned.
 package latprof
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"vsched/internal/host"
@@ -181,7 +189,10 @@ type taskState struct {
 	running bool
 	since   sim.Time
 	span    Span
-	stealBy map[string]sim.Duration
+	// stealBy accumulates the span's steal-wait per blamed entity, in
+	// first-blame order. A span blames a handful of entities at most, so a
+	// linear scan beats a map, and the slice is reused across spans.
+	stealBy []Blame
 	// migDebt is traced migration cost (ns at nominal speed) not yet
 	// carved out of subsequent run time.
 	migDebt sim.Duration
@@ -217,6 +228,13 @@ type Profiler struct {
 	spans     []Span
 	truncated int
 	lastAt    sim.Time
+
+	// free holds closed taskStates for reuse. blameArena is the current
+	// chunk closed spans' StealBy slices are carved from; blameChunk is
+	// the capacity of the next chunk.
+	free       []*taskState
+	blameArena []Blame
+	blameChunk int
 }
 
 // New returns a profiler for one VM with a private host view: every host
@@ -331,18 +349,32 @@ func (p *Profiler) wakeup(ev vtrace.Event) {
 		p.flushTask(ts, ev.At)
 		p.truncated++
 		p.drop(ts)
+		p.release(ts)
 	}
-	p.add(&taskState{
-		id:    id,
-		vcpu:  int(ev.A1),
-		since: ev.At,
-		span: Span{
-			Task:    ev.Subject,
-			TaskID:  id,
-			Start:   ev.At,
-			WakerID: ev.A2,
-		},
-	})
+	ts := p.alloc()
+	ts.id = id
+	ts.vcpu = int(ev.A1)
+	ts.since = ev.At
+	ts.span = Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: ev.A2}
+	p.add(ts)
+}
+
+// alloc returns a zeroed taskState, reusing a released one when it can;
+// release hands a closed one back.
+func (p *Profiler) alloc() *taskState {
+	n := len(p.free)
+	if n == 0 {
+		return &taskState{}
+	}
+	ts := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return ts
+}
+
+func (p *Profiler) release(ts *taskState) {
+	*ts = taskState{stealBy: ts.stealBy[:0]}
+	p.free = append(p.free, ts)
 }
 
 // add opens ts; drop forgets it.
@@ -366,12 +398,11 @@ func (p *Profiler) taskOn(ev vtrace.Event) {
 	ts := p.tasks[id]
 	if ts == nil {
 		// First sight mid-run: reconstruct from here but mark truncated.
-		ts = &taskState{
-			id:        id,
-			since:     ev.At,
-			span:      Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: -1},
-			truncated: true,
-		}
+		ts = p.alloc()
+		ts.id = id
+		ts.since = ev.At
+		ts.span = Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: -1}
+		ts.truncated = true
 		p.add(ts)
 	}
 	p.flushTask(ts, ev.At)
@@ -416,28 +447,51 @@ func (p *Profiler) closeSpan(ts *taskState, at sim.Time) {
 	p.drop(ts)
 	if ts.truncated {
 		p.truncated++
-		return
+	} else {
+		ts.span.End = at
+		ts.span.StealBy = p.sortedBlame(ts.stealBy)
+		p.spans = append(p.spans, ts.span)
 	}
-	ts.span.End = at
-	ts.span.StealBy = sortedBlame(ts.stealBy)
-	p.spans = append(p.spans, ts.span)
+	p.release(ts)
 }
 
-func sortedBlame(m map[string]sim.Duration) []Blame {
-	if len(m) == 0 {
+// Blame arena chunks start small, so the many profilers of a fleet with
+// little steal stay small, and double up to a cap.
+const (
+	minBlameChunk = 16
+	maxBlameChunk = 4096
+)
+
+// sortedBlame copies acc into a slice carved from the profiler's blame
+// arena, sorted by wait (largest first), then entity name. The result's
+// capacity is its length, so nothing appended to it can reach the arena.
+func (p *Profiler) sortedBlame(acc []Blame) []Blame {
+	n := len(acc)
+	if n == 0 {
 		return nil
 	}
-	out := make([]Blame, 0, len(m))
-	for e, d := range m {
-		out = append(out, Blame{Entity: e, Wait: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wait != out[j].Wait {
-			return out[i].Wait > out[j].Wait
+	if cap(p.blameArena)-len(p.blameArena) < n {
+		if p.blameChunk < minBlameChunk {
+			p.blameChunk = minBlameChunk
 		}
-		return out[i].Entity < out[j].Entity
-	})
+		p.blameArena = make([]Blame, 0, max(p.blameChunk, n))
+		p.blameChunk = min(2*p.blameChunk, maxBlameChunk)
+	}
+	lo := len(p.blameArena)
+	p.blameArena = append(p.blameArena, acc...)
+	out := p.blameArena[lo : lo+n : lo+n]
+	sortBlame(out)
 	return out
+}
+
+// sortBlame orders blame by wait (largest first), then entity name.
+func sortBlame(b []Blame) {
+	slices.SortFunc(b, func(x, y Blame) int {
+		if x.Wait != y.Wait {
+			return cmp.Compare(y.Wait, x.Wait)
+		}
+		return strings.Compare(x.Entity, y.Entity)
+	})
 }
 
 // flushThread settles every open span whose vCPU sits on hardware thread t.
@@ -543,10 +597,13 @@ func (p *Profiler) blame(ts *taskState, t *hwThread, el sim.Duration) {
 }
 
 func (p *Profiler) blameName(ts *taskState, name string, el sim.Duration) {
-	if ts.stealBy == nil {
-		ts.stealBy = map[string]sim.Duration{}
+	for i := range ts.stealBy {
+		if ts.stealBy[i].Entity == name {
+			ts.stealBy[i].Wait += el
+			return
+		}
 	}
-	ts.stealBy[name] += el
+	ts.stealBy = append(ts.stealBy, Blame{Entity: name, Wait: el})
 }
 
 // Finish settles every open span at time now and returns the profile.
@@ -565,11 +622,13 @@ func (p *Profiler) Finish(now sim.Time) *Profile {
 	for _, ts := range p.open {
 		p.flushTask(ts, now)
 	}
-	spans := make([]Span, len(p.spans))
-	copy(spans, p.spans)
+	// The profile shares the closed spans with the profiler. Closed spans
+	// never change, and the profile's capacity stops at its length, so the
+	// spans closed later are invisible to it.
+	n := len(p.spans)
 	return &Profile{
 		VM:        p.cfg.VM,
-		Spans:     spans,
+		Spans:     p.spans[:n:n],
 		Open:      len(p.tasks),
 		Truncated: p.truncated,
 	}

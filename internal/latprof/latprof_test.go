@@ -1,6 +1,7 @@
 package latprof
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -351,5 +352,75 @@ func TestPerTaskAndFlatten(t *testing.T) {
 	}
 	if flat["run_ns"] != float64(7*ms) {
 		t.Fatalf("run_ns = %v, want %v", flat["run_ns"], float64(7*ms))
+	}
+}
+
+// stealCycle appends one span of task 1 to f: woken and installed on vCPU
+// 0, stalled 1ms behind a tenant on thread 0, then run and blocked.
+func (f *feed) stealCycle(now *sim.Time) {
+	*now += sim.Time(ms)
+	f.wakeup(*now, "a", 1, 0, -1)
+	f.on(*now, "a", 1, 0)
+	*now += sim.Time(ms)
+	f.ent(*now, "vm/vcpu0", host.Running, host.Runnable, 0)
+	f.ent(*now, "tenant", host.Runnable, host.Running, 0)
+	*now += sim.Time(ms)
+	f.ent(*now, "tenant", host.Running, host.Runnable, 0)
+	f.ent(*now, "vm/vcpu0", host.Runnable, host.Running, 0)
+	*now += sim.Time(ms)
+	f.off(*now, "a", 1, 0, 0)
+}
+
+// TestProfileSharesSpans: Finish hands out the profiler's closed spans
+// without copying them, yet an earlier profile never changes: not when more
+// spans close after it, and not when a later Finish settles more. The later
+// profile extends the earlier one.
+func TestProfileSharesSpans(t *testing.T) {
+	f := newFeed(2.0)
+	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
+	var now sim.Time
+	for i := 0; i < 3; i++ {
+		f.stealCycle(&now)
+	}
+	f.wakeup(now, "b", 2, 0, 1) // left open across both Finish calls
+	first := f.p.Finish(now)
+	before := fmt.Sprintf("%+v", *first)
+	for i := 0; i < 40; i++ { // enough to outgrow the first blame chunk
+		f.stealCycle(&now)
+	}
+	second := f.p.Finish(now)
+	if after := fmt.Sprintf("%+v", *first); after != before {
+		t.Fatalf("earlier profile changed:\nbefore %s\n after %s", before, after)
+	}
+	if len(first.Spans) != 3 || len(second.Spans) != 43 {
+		t.Fatalf("spans = %d then %d, want 3 then 43", len(first.Spans), len(second.Spans))
+	}
+	if !reflect.DeepEqual(second.Spans[:3], first.Spans) {
+		t.Fatal("second profile does not extend the first")
+	}
+	for i := range second.Spans {
+		want := []Blame{{Entity: "tenant", Wait: ms}}
+		if s := &second.Spans[i]; !reflect.DeepEqual(s.StealBy, want) || cap(s.StealBy) != 1 {
+			t.Fatalf("span %d StealBy = %+v (cap %d), want %+v (cap 1)", i, s.StealBy, cap(s.StealBy), want)
+		}
+	}
+	if first.Open != 1 || second.Open != 1 {
+		t.Fatalf("open = %d then %d, want 1 then 1", first.Open, second.Open)
+	}
+}
+
+// TestSpanAllocBudget: a warm wakeup→on→off cycle, steal blame included,
+// allocates nothing per cycle. The span list and the blame arena grow
+// geometrically, so their occasional growth amortizes to zero.
+func TestSpanAllocBudget(t *testing.T) {
+	f := newFeed(2.0)
+	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
+	var now sim.Time
+	f.stealCycle(&now)
+	if n := testing.AllocsPerRun(1000, func() { f.stealCycle(&now) }); n != 0 {
+		t.Fatalf("span cycle allocates %v times, want 0", n)
+	}
+	if got := len(f.p.Finish(now).Spans); got != 1002 {
+		t.Fatalf("spans = %d, want 1002", got)
 	}
 }

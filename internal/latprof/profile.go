@@ -13,7 +13,9 @@ import (
 // Profile is the finished attribution report of one VM: every closed span,
 // plus enough bookkeeping to judge the reconstruction's completeness.
 type Profile struct {
-	VM    string
+	VM string
+	// Spans shares storage with the profiler that built it: read it, never
+	// write it.
 	Spans []Span
 	// Open counts spans still open at Finish time (settled but not closed;
 	// excluded from Spans).
@@ -119,7 +121,14 @@ func (p *Profile) TopBlame(n int) []Blame {
 			agg[b.Entity] += b.Wait
 		}
 	}
-	out := sortedBlame(agg)
+	if len(agg) == 0 {
+		return nil
+	}
+	out := make([]Blame, 0, len(agg))
+	for e, d := range agg {
+		out = append(out, Blame{Entity: e, Wait: d})
+	}
+	sortBlame(out)
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

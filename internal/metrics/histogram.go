@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -42,7 +43,7 @@ func bucketIndex(v int64) int {
 	}
 	// Highest set bit beyond the sub-bucket range selects the major bucket;
 	// the next subBucketBits bits select the minor bucket.
-	msb := 63 - leadingZeros64(uint64(v))
+	msb := 63 - bits.LeadingZeros64(uint64(v))
 	shift := msb - subBucketBits
 	minor := int(v>>uint(shift)) & (subBuckets - 1)
 	major := shift + 1
@@ -57,18 +58,6 @@ func bucketLow(i int) int64 {
 	}
 	shift := major - 1
 	return (int64(subBuckets) + int64(minor)) << uint(shift)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Observe records one sample. Negative samples are clamped to zero.

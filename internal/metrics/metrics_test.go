@@ -164,6 +164,47 @@ func TestBucketProperty(t *testing.T) {
 	}
 }
 
+// loopBucketIndex is bucketIndex with the highest set bit found by a
+// bit-by-bit shift loop: the reference the hardware count must reproduce.
+func loopBucketIndex(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	if v < subBuckets {
+		return int(v)
+	}
+	x, lz := uint64(v), 0
+	for x&(1<<63) == 0 {
+		x <<= 1
+		lz++
+	}
+	shift := 63 - lz - subBucketBits
+	return (shift+1)*subBuckets + int(v>>uint(shift))&(subBuckets-1)
+}
+
+// bucketIndex agrees with the shift-loop reference at every power-of-two
+// boundary (and one either side), at the extremes, and on random values.
+func TestBucketIndexMatchesLoop(t *testing.T) {
+	check := func(v int64) {
+		if got, want := bucketIndex(v), loopBucketIndex(v); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, v := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+		check(v)
+	}
+	for b := 0; b < 63; b++ {
+		p := int64(1) << b
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(rng.Int63() >> rng.Intn(63))
+	}
+}
+
 // Property: quantiles are monotone in q.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	prop := func(vals []uint32) bool {

@@ -10,10 +10,13 @@
 // Everything is built for two properties:
 //
 //   - Zero cost when off. Every emit method is safe on a nil *Tracer and
-//     returns immediately; events are fixed-size values in a preallocated
-//     ring, so even an enabled tracer allocates nothing per event. Subjects
-//     are interned strings the emitting layer already holds (entity and task
-//     names), never formatted on the hot path.
+//     returns immediately; events are fixed-size records in a preallocated
+//     ring, so even an enabled tracer allocates nothing per event once it
+//     has seen the event's subject. Subjects are strings the emitting layer
+//     already holds (entity and task names), never formatted on the hot
+//     path; the ring stores each as an index into the tracer's table of
+//     distinct subjects, so a record holds no pointers and the garbage
+//     collector never scans the ring.
 //   - Determinism. Events carry only virtual time and deterministic
 //     payloads, so a traced run exports byte-identical output across
 //     repeated runs with the same seed.
@@ -23,6 +26,8 @@
 package vtrace
 
 import (
+	"unsafe"
+
 	"vsched/internal/host"
 	"vsched/internal/sim"
 )
@@ -209,15 +214,46 @@ type Event struct {
 // them to an observer. The zero of everything is useful: a nil *Tracer is a
 // disabled tracer whose emit methods are no-ops.
 type Tracer struct {
-	buf   []Event
+	buf   []record
 	next  int    // ring write index
 	total uint64 // events emitted over the tracer's lifetime
 	obs   func(Event)
+
+	// subs is the ring's subject table: record.sub indexes it, and subIdx
+	// maps each distinct non-empty subject back to its index. subs[0] is
+	// "".
+	subs   []string
+	subIdx map[string]uint32
+	// recent caches intern results by string data pointer, so the emits of
+	// a subject the caller keeps reusing skip the map's hash.
+	recent [internCache]internEntry
+}
+
+// record is the ring's storage form of an Event: the subject is an index
+// into the tracer's subject table, so a record holds no pointers and the
+// ring is an allocation the garbage collector never scans.
+type record struct {
+	at, a0, a1, a2 int64
+	sub            uint32
+	kind           Kind
+}
+
+// The intern cache has internCache = 1<<internBits slots.
+const (
+	internBits  = 6
+	internCache = 1 << internBits
+)
+
+type internEntry struct {
+	ptr *byte // string data; holding it keeps the bytes from being reused
+	n   int
+	idx uint32
 }
 
 // DefaultCapacity is a buffer big enough for several virtual seconds of a
-// mid-sized VM (56 bytes/event on 64-bit platforms => ~14.7 MB, allocated
-// and zeroed by every New(0)).
+// mid-sized VM (40 bytes/event => ~10.5 MB, allocated and zeroed by every
+// New(0)). The ring holds no pointers, so the garbage collector does not
+// scan it.
 const DefaultCapacity = 1 << 18
 
 // New returns a tracer with a preallocated ring of the given capacity
@@ -226,7 +262,11 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{
+		buf:    make([]record, 0, capacity),
+		subs:   []string{""},
+		subIdx: map[string]uint32{},
+	}
 }
 
 // NewObserver returns a ring-less tracer that streams every emitted event to
@@ -251,17 +291,26 @@ func (tr *Tracer) SetObserver(fn func(Event)) {
 
 // Emit records one event. Safe (and free) on a nil tracer: the nil check is
 // the entire disabled fast path, and an enabled emit writes one fixed-size
-// slot with no allocation.
+// slot with no allocation once its subject has been seen.
 func (tr *Tracer) Emit(at sim.Time, k Kind, subject string, a0, a1, a2 int64) {
 	if tr == nil {
 		return
 	}
-	ev := Event{At: at, Kind: k, Subject: subject, A0: a0, A1: a1, A2: a2}
 	if cap(tr.buf) > 0 {
+		// Fibonacci hashing of the subject's data pointer picks its intern
+		// cache slot. An empty slot (nil, 0) holds index 0, which is "", so
+		// it is a correct hit for an empty subject.
+		p := unsafe.StringData(subject)
+		e := &tr.recent[uint64(uintptr(unsafe.Pointer(p)))*0x9E3779B97F4A7C15>>(64-internBits)]
+		sub := e.idx
+		if e.ptr != p || e.n != len(subject) {
+			sub = tr.intern(subject, e)
+		}
+		r := record{at: int64(at), a0: a0, a1: a1, a2: a2, sub: sub, kind: k}
 		if len(tr.buf) < cap(tr.buf) {
-			tr.buf = append(tr.buf, ev)
+			tr.buf = append(tr.buf, r)
 		} else {
-			tr.buf[tr.next] = ev
+			tr.buf[tr.next] = r
 			tr.next++
 			if tr.next == len(tr.buf) {
 				tr.next = 0
@@ -270,8 +319,26 @@ func (tr *Tracer) Emit(at sim.Time, k Kind, subject string, a0, a1, a2 int64) {
 	}
 	tr.total++
 	if tr.obs != nil {
-		tr.obs(ev)
+		tr.obs(Event{At: at, Kind: k, Subject: subject, A0: a0, A1: a1, A2: a2})
 	}
+}
+
+// intern looks s up in the subject table, adds it if new, and refills
+// cache slot e with it. Emit checks the cache itself, so a hit costs no call.
+//
+//go:noinline
+func (tr *Tracer) intern(s string, e *internEntry) uint32 {
+	var idx uint32
+	if len(s) > 0 {
+		var ok bool
+		if idx, ok = tr.subIdx[s]; !ok {
+			idx = uint32(len(tr.subs))
+			tr.subs = append(tr.subs, s)
+			tr.subIdx[s] = idx
+		}
+	}
+	*e = internEntry{ptr: unsafe.StringData(s), n: len(s), idx: idx}
+	return idx
 }
 
 // Enabled reports whether the tracer records events.
@@ -302,8 +369,12 @@ func (tr *Tracer) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, len(tr.buf))
-	out = append(out, tr.buf[tr.next:]...)
-	out = append(out, tr.buf[:tr.next]...)
+	for _, part := range [2][]record{tr.buf[tr.next:], tr.buf[:tr.next]} {
+		for _, r := range part {
+			out = append(out, Event{At: sim.Time(r.at), Kind: r.kind, Subject: tr.subs[r.sub],
+				A0: r.a0, A1: r.a1, A2: r.a2})
+		}
+	}
 	return out
 }
 

@@ -10,7 +10,10 @@
 // The root package is a facade: it wires the internal packages together for
 // the common cases. Typical use:
 //
-//	cl := vsched.NewCluster(vsched.ClusterConfig{Sockets: 1, CoresPerSocket: 8})
+//	cl, err := vsched.NewCluster(vsched.ClusterConfig{Sockets: 1, CoresPerSocket: 8})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	vm, err := cl.NewVM("guest", []int{0, 1, 2, 3})
 //	if err != nil {
 //		log.Fatal(err)
@@ -148,7 +151,8 @@ type ClusterConfig struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
 	// Sockets, CoresPerSocket, ThreadsPerCore define the topology.
-	// Zero values default to 1 socket × 8 cores × 1 thread.
+	// Zero values default to 1 socket × 8 cores × 1 thread; negative
+	// values make NewCluster fail.
 	Sockets        int
 	CoresPerSocket int
 	ThreadsPerCore int
@@ -163,16 +167,24 @@ type Cluster struct {
 	h   *host.Host
 }
 
-// NewCluster builds a simulated host.
-func NewCluster(cfg ClusterConfig) *Cluster {
-	if cfg.Sockets <= 0 {
-		cfg.Sockets = 1
-	}
-	if cfg.CoresPerSocket <= 0 {
-		cfg.CoresPerSocket = 8
-	}
-	if cfg.ThreadsPerCore <= 0 {
-		cfg.ThreadsPerCore = 1
+// NewCluster builds a simulated host. A zero topology field takes its
+// default; a negative one is an error naming the field.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"Sockets", &cfg.Sockets, 1},
+		{"CoresPerSocket", &cfg.CoresPerSocket, 8},
+		{"ThreadsPerCore", &cfg.ThreadsPerCore, 1},
+	} {
+		if *f.v < 0 {
+			return nil, fmt.Errorf("vsched: ClusterConfig.%s is %d, want >= 0 (0 picks the default, %d)", f.name, *f.v, f.def)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	hc := host.DefaultConfig()
@@ -183,7 +195,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		hc.SMTFactor = 1.0
 		hc.TurboFactor = 1.0
 	}
-	return &Cluster{eng: eng, h: host.New(eng, hc)}
+	return &Cluster{eng: eng, h: host.New(eng, hc)}, nil
 }
 
 // Engine returns the simulation engine.

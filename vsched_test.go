@@ -20,6 +20,16 @@ func mustWorkload(tb testing.TB, cl *vsched.Cluster, vm *vsched.VM, sched *vsche
 	return inst
 }
 
+// mustCluster builds a cluster, failing tb on a bad topology.
+func mustCluster(tb testing.TB, cfg vsched.ClusterConfig) *vsched.Cluster {
+	tb.Helper()
+	cl, err := vsched.NewCluster(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cl
+}
+
 // mustVM creates a VM on threadIDs, failing tb on a bad thread id.
 func mustVM(tb testing.TB, cl *vsched.Cluster, name string, threadIDs []int) *vsched.VM {
 	tb.Helper()
@@ -57,7 +67,7 @@ func mustLatency(tb testing.TB, cl *vsched.Cluster, id int, lat vsched.Duration)
 }
 
 func TestClusterDefaults(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{})
+	cl := mustCluster(t, vsched.ClusterConfig{})
 	if cl.Host().NumThreads() != 8 {
 		t.Fatalf("default topology should be 8 threads, got %d", cl.Host().NumThreads())
 	}
@@ -70,8 +80,39 @@ func TestClusterDefaults(t *testing.T) {
 	}
 }
 
+// TestClusterTopology: a zero topology field takes its default, a positive
+// one is used as given, and a negative one is an error naming the field
+// that builds no cluster.
+func TestClusterTopology(t *testing.T) {
+	for _, c := range []struct {
+		cfg     vsched.ClusterConfig
+		threads int    // want on success
+		field   string // want in the error; "" = success
+	}{
+		{vsched.ClusterConfig{}, 8, ""},
+		{vsched.ClusterConfig{Sockets: 2, CoresPerSocket: 3, ThreadsPerCore: 2}, 12, ""},
+		{vsched.ClusterConfig{CoresPerSocket: 4, ThreadsPerCore: 0}, 4, ""},
+		{vsched.ClusterConfig{Sockets: -1}, 0, "Sockets"},
+		{vsched.ClusterConfig{CoresPerSocket: -4}, 0, "CoresPerSocket"},
+		{vsched.ClusterConfig{Sockets: 2, ThreadsPerCore: -2}, 0, "ThreadsPerCore"},
+	} {
+		cl, err := vsched.NewCluster(c.cfg)
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("%+v: %v", c.cfg, err)
+			} else if n := cl.Host().NumThreads(); n != c.threads {
+				t.Errorf("%+v: %d threads, want %d", c.cfg, n, c.threads)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "ClusterConfig."+c.field+" ") || cl != nil {
+			t.Errorf("%+v = (%v, %v), want (nil, error naming %s)", c.cfg, cl, err, c.field)
+		}
+	}
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 1, CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{Seed: 1, CoresPerSocket: 4})
 	vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3})
 	sched := cl.EnableVSched(vm, vsched.AllFeatures())
 	for i := 0; i < 4; i++ {
@@ -94,7 +135,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 // returns an error naming the id for one outside the host, instead of
 // panicking on the host's thread table, and builds nothing.
 func TestFacadeBadThreadIDs(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{CoresPerSocket: 4})
 	for _, id := range []int{-1, 4, 1 << 20} {
 		want := fmt.Sprintf("thread id %d outside [0, 4)", id)
 		check := func(call string, err error, built bool) {
@@ -134,7 +175,7 @@ func TestFacadeBadThreadIDs(t *testing.T) {
 // TestFacadeBadArguments: a co-tenant or latency argument the host cannot
 // run is an error naming the argument, and the call builds nothing.
 func TestFacadeBadArguments(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{CoresPerSocket: 4})
 	ms := vsched.Millisecond
 	stressor := func(w int64) func() (bool, error) {
 		return func() (bool, error) { e, err := cl.AddStressor(1, w); return e != nil, err }
@@ -182,7 +223,7 @@ func TestFacadeBadArguments(t *testing.T) {
 // workload thread count, are errors naming the field, not a hang, an engine
 // panic or a silent default.
 func TestFacadeBadParams(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{CoresPerSocket: 4})
 	vm := mustVM(t, cl, "vm", []int{0, 1})
 	params := func(edit func(*vsched.Params)) func() (bool, error) {
 		return func() (bool, error) {
@@ -230,7 +271,7 @@ func TestFacadeBadParams(t *testing.T) {
 }
 
 func TestFacadeUnknownWorkloadErrors(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{})
+	cl := mustCluster(t, vsched.ClusterConfig{})
 	vm := mustVM(t, cl, "vm", []int{0})
 	inst, err := cl.Workload(vm, nil, "no-such-benchmark", 1)
 	if err == nil || inst != nil {
@@ -265,7 +306,7 @@ func TestFacadeNewServerBadConfig(t *testing.T) {
 		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = math.NaN() }},
 		{"FootprintMB", func(c *vsched.ServerConfig) { c.FootprintMB = -1 }},
 	}
-	cl := vsched.NewCluster(vsched.ClusterConfig{})
+	cl := mustCluster(t, vsched.ClusterConfig{})
 	vm := mustVM(t, cl, "vm", []int{0, 1})
 	for _, tc := range cases {
 		cfg := ok
@@ -374,7 +415,7 @@ func TestRunExperimentSmoke(t *testing.T) {
 
 func TestSetVCPULatencyAffectsTails(t *testing.T) {
 	run := func(lat vsched.Duration) int64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 2, CoresPerSocket: 2})
+		cl := mustCluster(t, vsched.ClusterConfig{Seed: 2, CoresPerSocket: 2})
 		vm := mustVM(t, cl, "vm", []int{0, 1})
 		for i := 0; i < 2; i++ {
 			mustStressor(t, cl, i)
@@ -399,7 +440,7 @@ func TestSetVCPULatencyAffectsTails(t *testing.T) {
 
 func TestDeterminismAcrossFacade(t *testing.T) {
 	run := func() uint64 {
-		cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 77, CoresPerSocket: 8})
+		cl := mustCluster(t, vsched.ClusterConfig{Seed: 77, CoresPerSocket: 8})
 		vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3, 4, 5, 6, 7})
 		sched := cl.EnableVSched(vm, vsched.AllFeatures())
 		for i := 0; i < 8; i++ {
@@ -416,7 +457,7 @@ func TestDeterminismAcrossFacade(t *testing.T) {
 }
 
 func TestEEVDFVMThroughFacade(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 3, CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{Seed: 3, CoresPerSocket: 4})
 	p := vsched.DefaultGuestParams()
 	p.Policy = vsched.PolicyEEVDF
 	vm, err := cl.NewVMWithParams("vm", []int{0, 1, 2, 3}, p)
@@ -433,7 +474,7 @@ func TestEEVDFVMThroughFacade(t *testing.T) {
 }
 
 func TestExtensionsThroughFacade(t *testing.T) {
-	cl := vsched.NewCluster(vsched.ClusterConfig{Seed: 4, CoresPerSocket: 4})
+	cl := mustCluster(t, vsched.ClusterConfig{Seed: 4, CoresPerSocket: 4})
 	vm := mustVM(t, cl, "vm", []int{0, 1, 2, 3})
 	feats := vsched.AllFeatures()
 	feats.Vllc = true
