@@ -63,10 +63,13 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # The allocation budgets ride along: the engine's schedule→fire path, the
 # guest's steady-state window, the request servers' steady-state window, a
 # vtrace ring emit of a known subject and a latprof span's
-# wakeup→on→off cycle are all pinned at zero allocations.
+# wakeup→on→off cycle are all pinned at zero allocations; cloudgen.Generate
+# reserves its trace once from the arrival-rate integral and
+# faults.Generate reseeds one Rand, so neither call's allocation count grows
+# with the trace or the fleet.
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/ \
-	./internal/vtrace/ ./internal/latprof/
+	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/
 
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a
@@ -110,11 +113,14 @@ done
 # per-host epoch integration (internal/fleet), the tracer's disabled/enabled
 # emit cost (internal/vtrace), the attribution host fold's per-event cost
 # as profilers pile up (internal/latprof), the guest's mask-driven wakeup
-# selection at 16 and 64 vCPUs (internal/guest) and the host's core-level
-# busy change with and without a turbo flip (internal/host). One iteration
-# measures nothing; it only checks that every benchmark still runs.
+# selection at 16 and 64 vCPUs (internal/guest), the host's core-level
+# busy change with and without a turbo flip (internal/host) and the 96 h,
+# 1024-host region trace and fault schedule (internal/cloudgen,
+# internal/faults). One iteration measures nothing; it only checks that
+# every benchmark still runs.
 echo "== go benchmarks (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/
+go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/ \
+	./internal/cloudgen/ ./internal/faults/
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48

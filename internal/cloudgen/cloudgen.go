@@ -108,8 +108,8 @@ type Config struct {
 	DiurnalPeriod sim.Duration
 	// DiurnalPhase shifts the peak (radians).
 	DiurnalPhase float64
-	// ServiceDemand is the per-vCPU CPU demand fraction of service VMs
-	// (mostly idle between requests); batch VMs always demand 1.0.
+	// ServiceDemand in (0,1] is the per-vCPU CPU demand fraction of service
+	// VMs (mostly idle between requests); batch VMs always demand 1.0.
 	ServiceDemand float64
 	Size          SizeDist
 	Lifetime      LifetimeDist
@@ -235,7 +235,7 @@ func (c Config) withDefaults() Config {
 	if c.DiurnalPeriod <= 0 {
 		c.DiurnalPeriod = d.DiurnalPeriod
 	}
-	if c.ServiceDemand <= 0 || c.ServiceDemand > 1 {
+	if c.ServiceDemand == 0 {
 		c.ServiceDemand = d.ServiceDemand
 	}
 	if c.Size == (SizeDist{}) {
@@ -259,6 +259,9 @@ func (c Config) validate() {
 	if c.Size.MinVCPUs < 1 || c.Size.MaxVCPUs < c.Size.MinVCPUs {
 		panic(fmt.Sprintf("cloudgen: size bounds [%d,%d] invalid", c.Size.MinVCPUs, c.Size.MaxVCPUs))
 	}
+	if !(c.ServiceDemand > 0 && c.ServiceDemand <= 1) {
+		panic(fmt.Sprintf("cloudgen: ServiceDemand %v outside (0,1]", c.ServiceDemand))
+	}
 	if c.Size.Kind == SizePareto && c.Size.Alpha <= 0 {
 		panic(fmt.Sprintf("cloudgen: pareto alpha %v must be positive", c.Size.Alpha))
 	}
@@ -275,6 +278,7 @@ func (c Config) validate() {
 	if lf.EphemeralFrac < 1 && lf.LongMean <= 0 {
 		panic("cloudgen: long-lived mean lifetime must be positive")
 	}
+	maxThreads := 0
 	for _, h := range c.Hosts {
 		if h.Count <= 0 || h.Cores <= 0 || h.SMT <= 0 {
 			panic(fmt.Sprintf("cloudgen: host class %q needs positive count/cores/smt", h.Name))
@@ -282,17 +286,57 @@ func (c Config) validate() {
 		if h.SpeedFactor <= 0 {
 			panic(fmt.Sprintf("cloudgen: host class %q needs positive speed factor", h.Name))
 		}
+		maxThreads = max(maxThreads, h.Threads())
+	}
+	// Generate clamps MaxVCPUs to the largest host; a MinVCPUs above it
+	// would leave no size that is both in range and placeable.
+	if c.Size.MinVCPUs > maxThreads {
+		panic(fmt.Sprintf("cloudgen: Size.MinVCPUs %d above the largest host's %d threads", c.Size.MinVCPUs, maxThreads))
 	}
 }
 
+// maxPresize bounds the capacity Generate reserves up front (~59 MB of VMs,
+// over four times the largest trace in use), so a huge or non-finite rate
+// estimate cannot overflow or reserve memory before a single draw; a longer
+// trace still grows by appending.
+const maxPresize = 1 << 20
+
+// expectedVMs is the capacity Generate reserves for the trace: the Poisson
+// mean of the arrival count, which is the integral of the diurnal rate over
+// [0, Horizon) in closed form, plus a four-sigma margin, capped by MaxVMs.
+// A draw past the estimate still appends; the margin makes that rare (about
+// 3e-5 of traces) and reserves 4/sqrt(mean) of the trace in spare capacity,
+// under 1.5% from 100k VMs up.
+func (c Config) expectedVMs() int {
+	h, p := float64(c.Horizon), float64(c.DiurnalPeriod)
+	mean := c.BaseRate / float64(Hour) * (h + c.DiurnalAmplitude*p/(2*math.Pi)*
+		(math.Cos(c.DiurnalPhase)-math.Cos(2*math.Pi*h/p+c.DiurnalPhase)))
+	n := mean + 4*math.Sqrt(mean) + 1
+	if c.MaxVMs > 0 && n > float64(c.MaxVMs) {
+		n = float64(c.MaxVMs)
+	}
+	if !(n < maxPresize) {
+		n = maxPresize
+	}
+	return int(n)
+}
+
 // Generate produces the trace for (seed, cfg). Deterministic: one private
-// rand stream, consumed in a fixed order per arrival.
+// rand stream, consumed in a fixed order per arrival. Two things keep it
+// cheap without moving a draw: tr.VMs is sized once from the integral of the
+// arrival rate (expectedVMs), and the bounded-Pareto constants are computed
+// once per trace instead of once per VM.
 func Generate(seed int64, cfg Config) Trace {
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	rng := rand.New(rand.NewSource(seed))
 
 	tr := Trace{Seed: seed, Horizon: cfg.Horizon}
+	hosts := 0
+	for _, hc := range cfg.Hosts {
+		hosts += hc.Count
+	}
+	tr.Hosts = make([]HostSpec, 0, hosts)
 	for _, hc := range cfg.Hosts {
 		for i := 0; i < hc.Count; i++ {
 			tr.Hosts = append(tr.Hosts, HostSpec{
@@ -317,6 +361,8 @@ func Generate(seed int64, cfg Config) Trace {
 	if size.MaxVCPUs > maxThreads {
 		size.MaxVCPUs = maxThreads
 	}
+	sizer := newSizeSampler(size)
+	tr.VMs = make([]VM, 0, cfg.expectedVMs())
 	rateMax := cfg.BaseRate * (1 + cfg.DiurnalAmplitude) / float64(Hour) // per ns
 	var at sim.Time
 	id := 0
@@ -336,7 +382,7 @@ func Generate(seed int64, cfg Config) Trace {
 		if u*rateMax > rate {
 			continue
 		}
-		vm := VM{ID: id, At: at, VCPUs: sampleSize(rng, size)}
+		vm := VM{ID: id, At: at, VCPUs: sizer.sample(rng)}
 		if rng.Float64() < cfg.Lifetime.EphemeralFrac {
 			vm.Class = Batch
 			vm.Demand = 1.0
@@ -356,12 +402,29 @@ func Generate(seed int64, cfg Config) Trace {
 	return tr
 }
 
-// sampleSize draws one vCPU count.
-func sampleSize(rng *rand.Rand, d SizeDist) int {
+// sizeSampler draws vCPU counts from one SizeDist. For SizePareto it holds
+// MinVCPUs^Alpha, MaxVCPUs^Alpha and -1/Alpha, which every draw needs.
+type sizeSampler struct {
+	d                   SizeDist
+	la, ha, negInvAlpha float64
+}
+
+func newSizeSampler(d SizeDist) sizeSampler {
+	s := sizeSampler{d: d}
+	if d.Kind == SizePareto {
+		s.la, s.ha = math.Pow(float64(d.MinVCPUs), d.Alpha), math.Pow(float64(d.MaxVCPUs), d.Alpha)
+		s.negInvAlpha = -1 / d.Alpha
+	}
+	return s
+}
+
+// sample draws one vCPU count.
+func (s *sizeSampler) sample(rng *rand.Rand) int {
+	d := s.d
 	var v float64
 	switch d.Kind {
 	case SizePareto:
-		v = paretoBounded(rng, d.Alpha, float64(d.MinVCPUs), float64(d.MaxVCPUs))
+		v = paretoBounded(rng, s.la, s.ha, s.negInvAlpha)
 	case SizeLognormal:
 		v = math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
 	default:
@@ -378,15 +441,15 @@ func sampleSize(rng *rand.Rand, d SizeDist) int {
 }
 
 // paretoBounded inverts the bounded-Pareto CDF on [lo, hi] with tail
-// exponent alpha: both truncation points are respected exactly, unlike
-// capping an unbounded draw, so the sampled mass integrates to one.
-func paretoBounded(rng *rand.Rand, alpha, lo, hi float64) float64 {
+// exponent alpha, given la = lo^alpha, ha = hi^alpha and negInvAlpha =
+// -1/alpha: both truncation points are respected exactly, unlike capping an
+// unbounded draw, so the sampled mass integrates to one.
+func paretoBounded(rng *rand.Rand, la, ha, negInvAlpha float64) float64 {
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
 	}
-	la, ha := math.Pow(lo, alpha), math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return math.Pow(-(u*ha-u*la-ha)/(ha*la), negInvAlpha)
 }
 
 // lognormalDur draws a lognormal duration with the given median and

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"vsched/internal/faults"
@@ -64,6 +65,26 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
+// regionConfig is the 96 h, 1024-host region the macro benchmark workloads
+// replay: the default config over twice its horizon (~231k arrivals).
+func regionConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Horizon = 96 * Hour
+	return cfg
+}
+
+// TestGoldenTraceFullRegion pins the full-size region trace byte for byte, so
+// a speed-up of the generator cannot shift a single draw of the inputs the
+// macro tier is measured on.
+func TestGoldenTraceFullRegion(t *testing.T) {
+	tr := Generate(42, regionConfig())
+	got := fmt.Sprintf("%x", encode(tr))
+	const want = goldenRegionDigest
+	if got != want {
+		t.Fatalf("full-region trace digest changed: got %s want %s (VMs=%d)", got, want, len(tr.VMs))
+	}
+}
+
 func TestTraceShape(t *testing.T) {
 	cfg := smallConfig()
 	tr := Generate(3, cfg)
@@ -105,6 +126,48 @@ func TestTraceShape(t *testing.T) {
 				t.Fatalf("service VM %d malformed: %+v", i, vm)
 			}
 		}
+	}
+}
+
+// smokeRegionConfig is the 64-host, 3 h region of the macro benchmark's
+// smoke size.
+func smokeRegionConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Horizon = 3 * Hour
+	cfg.BaseRate = 600
+	for i := range cfg.Hosts {
+		cfg.Hosts[i].Count /= 16
+	}
+	return cfg
+}
+
+// TestGenerateAllocBudget: Generate reserves tr.VMs once from the rate
+// integral, so the default, full-region and smoke traces never regrow and
+// waste at most 3% (+64) of their capacity, MaxVMs caps the reservation, and
+// a call allocates a fixed handful of objects whatever the trace length.
+func TestGenerateAllocBudget(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"default": DefaultConfig(),
+		"region":  regionConfig(),
+		"smoke":   smokeRegionConfig(),
+	} {
+		tr := Generate(42, cfg)
+		n, c := len(tr.VMs), cap(tr.VMs)
+		if c < n || float64(c) > 1.03*float64(n)+64 {
+			t.Errorf("%s: %d VMs in capacity %d, want len <= cap <= 1.03*len+64", name, n, c)
+		}
+	}
+	capped := regionConfig()
+	capped.MaxVMs = 1000
+	if tr := Generate(42, capped); len(tr.VMs) != 1000 || cap(tr.VMs) > 1000 {
+		t.Errorf("MaxVMs 1000: %d VMs in capacity %d", len(tr.VMs), cap(tr.VMs))
+	}
+
+	small, region := smallConfig(), regionConfig()
+	a := testing.AllocsPerRun(3, func() { Generate(42, small) })
+	b := testing.AllocsPerRun(3, func() { Generate(42, region) })
+	if a != b || b > 8 {
+		t.Fatalf("Generate allocs: %v for a 24-host 12 h trace, %v for the 1024-host 96 h region; want equal and <= 8", a, b)
 	}
 }
 
@@ -305,23 +368,33 @@ func TestSizeClampToLargestHost(t *testing.T) {
 }
 
 func TestValidatePanics(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.DiurnalAmplitude = 1.0 },
-		func(c *Config) { c.Size.MinVCPUs = 0 },
-		func(c *Config) { c.Size.MaxVCPUs = 0 },
-		func(c *Config) { c.Size.Alpha = -1 },
-		func(c *Config) { c.Lifetime.EphemeralFrac = 1.5 },
-		func(c *Config) { c.Lifetime.EphemeralMean = -Hour },
-		func(c *Config) { c.Hosts = []HostClass{{Name: "bad", Count: 0, Cores: 1, SMT: 1, SpeedFactor: 1}} },
-		func(c *Config) { c.Hosts = []HostClass{{Name: "bad", Count: 1, Cores: 1, SMT: 1, SpeedFactor: -1}} },
+	cases := []struct {
+		mut  func(*Config)
+		want string // substring of the panic message
+	}{
+		{func(c *Config) { c.DiurnalAmplitude = 1.0 }, "diurnal amplitude"},
+		{func(c *Config) { c.Size.MinVCPUs = 0 }, "size bounds"},
+		{func(c *Config) { c.Size.MaxVCPUs = 0 }, "size bounds"},
+		{func(c *Config) { c.Size.Alpha = -1 }, "pareto alpha"},
+		{func(c *Config) { c.Lifetime.EphemeralFrac = 1.5 }, "ephemeral fraction"},
+		{func(c *Config) { c.Lifetime.EphemeralMean = -Hour }, "ephemeral mean"},
+		{func(c *Config) { c.Hosts = []HostClass{{Name: "bad", Count: 0, Cores: 1, SMT: 1, SpeedFactor: 1}} }, "count/cores/smt"},
+		{func(c *Config) { c.Hosts = []HostClass{{Name: "bad", Count: 1, Cores: 1, SMT: 1, SpeedFactor: -1}} }, "speed factor"},
+		{func(c *Config) { c.ServiceDemand = -0.5 }, "ServiceDemand"},
+		{func(c *Config) { c.ServiceDemand = 1.5 }, "ServiceDemand"},
+		// smallConfig's largest host has 16 threads.
+		{func(c *Config) { c.Size.MinVCPUs = 20 }, "Size.MinVCPUs"},
 	}
-	for i, mut := range cases {
+	for i, tc := range cases {
 		cfg := smallConfig()
-		mut(&cfg)
+		tc.mut(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: invalid config did not panic", i)
+				r := recover()
+				if r == nil {
+					t.Errorf("case %d: invalid config did not panic", i)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("case %d: panic %q does not name %q", i, msg, tc.want)
 				}
 			}()
 			Generate(1, cfg)
@@ -357,3 +430,15 @@ func TestFaultScheduleIndependent(t *testing.T) {
 		t.Fatal("same seed produced different fault schedules")
 	}
 }
+
+// BenchmarkGenerate times the full-size region trace the macro benchmark
+// workloads replay.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := regionConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchTrace = Generate(42, cfg)
+	}
+}
+
+var benchTrace Trace

@@ -43,6 +43,14 @@ import (
 // availability, mean/max time-to-recover, restart and evacuation counts,
 // and lost vCPU-hours.
 func FaultTol(o Options) *Report {
+	_, rep := faultTol(o)
+	return rep
+}
+
+// faultTol runs the three mode cells and the gates, and returns the typed
+// results in mode order (clean, faults, recovery) with the report rendered
+// from them.
+func faultTol(o Options) ([]*fleet.MacroResult, *Report) {
 	cfg := scaledCloudConfig(o.Scale)
 	hosts := 0
 	for _, hc := range cfg.Hosts {
@@ -132,5 +140,5 @@ func FaultTol(o Options) *Report {
 	if o.Verbose {
 		rep.Notef("recovery snapshot %s", fleet.SnapshotDigest(rec.Snapshot))
 	}
-	return rep
+	return results, rep
 }

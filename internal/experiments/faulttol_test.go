@@ -1,40 +1,31 @@
 package experiments
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
 // TestFaultTolRuns exercises the faulttol experiment at a reduced scale. The
 // hard assertions — recovery strictly beating no-recovery on completed
 // lifetimes, a schedule that actually kills VMs, and exact VM conservation —
 // are panics inside the experiment and RunMacro, so a clean return carries
-// most of the weight; the shape checks keep the SLO report honest.
+// most of the weight; the checks on the typed results keep the SLO report
+// honest.
 func TestFaultTolRuns(t *testing.T) {
 	stats := &Stats{}
-	rep := FaultTol(Options{Seed: 42, Scale: 0.05, Stats: stats})
-	if len(rep.Rows) != 3 {
-		t.Fatalf("got %d rows, want clean/faults/recovery", len(rep.Rows))
+	results, rep := faultTol(Options{Seed: 42, Scale: 0.05, Stats: stats})
+	if len(results) != 3 || len(rep.Rows) != 3 {
+		t.Fatalf("got %d results and %d rows, want clean/faults/recovery", len(results), len(rep.Rows))
 	}
-	lifetimes := func(row []string) int {
-		n, err := strconv.Atoi(row[3])
-		if err != nil {
-			t.Fatalf("bad lifetimes cell %q", row[3])
-		}
-		return n
+	clean, noRec, rec := results[0], results[1], results[2]
+	if noRec.Lifetimes >= clean.Lifetimes {
+		t.Fatalf("faults did not cost throughput: %d lifetimes vs clean %d", noRec.Lifetimes, clean.Lifetimes)
 	}
-	clean, noRec, rec := rep.Rows[0], rep.Rows[1], rep.Rows[2]
-	if lifetimes(noRec) >= lifetimes(clean) {
-		t.Fatalf("faults did not cost throughput: %s vs clean %s", noRec[3], clean[3])
+	if rec.Lifetimes <= noRec.Lifetimes {
+		t.Fatalf("recovery lifetimes %d not above no-recovery %d", rec.Lifetimes, noRec.Lifetimes)
 	}
-	if lifetimes(rec) <= lifetimes(noRec) {
-		t.Fatalf("recovery row %s not above no-recovery %s", rec[3], noRec[3])
+	if rec.Availability <= 0 || rec.Availability >= 1 {
+		t.Fatalf("recovery availability %v, want in (0,1) under a crash schedule", rec.Availability)
 	}
-	if avail, err := strconv.ParseFloat(rec[7], 64); err != nil || avail <= 0 || avail >= 1 {
-		t.Fatalf("recovery availability %q, want in (0,1) under a crash schedule", rec[7])
-	}
-	if clean[7] != "1.00000" {
-		t.Fatalf("clean availability %q, want exactly 1", clean[7])
+	if clean.Availability != 1 {
+		t.Fatalf("clean availability %v, want exactly 1", clean.Availability)
 	}
 	if stats.Engines() == 0 {
 		t.Fatal("no engines tracked")

@@ -80,7 +80,8 @@ func (e Event) Until() sim.Time { return e.At.Add(e.Duration) }
 
 // Config parameterises Generate. Each kind is an independent per-host
 // renewal process: exponential gaps with the given MTBF (0 disables the
-// kind), then a duration drawn uniformly in [0.5, 1.5) x the mean. Gaps are
+// kind), then a duration drawn uniformly in [0.5, 1.5) x the mean (0 takes
+// the default). Negative MTBFs and means are rejected. Gaps are
 // measured from the end of the previous same-kind fault, so same-kind events
 // never overlap on one host (different kinds may).
 type Config struct {
@@ -104,16 +105,16 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CrashDowntime <= 0 {
+	if c.CrashDowntime == 0 {
 		c.CrashDowntime = 10 * 60 * sim.Second
 	}
-	if c.BrownoutMean <= 0 {
+	if c.BrownoutMean == 0 {
 		c.BrownoutMean = 30 * 60 * sim.Second
 	}
 	if c.FactorLo == 0 && c.FactorHi == 0 {
 		c.FactorLo, c.FactorHi = 0.3, 0.7
 	}
-	if c.StallMean <= 0 {
+	if c.StallMean == 0 {
 		c.StallMean = 2 * 60 * sim.Second
 	}
 	return c
@@ -122,6 +123,18 @@ func (c Config) withDefaults() Config {
 // validate panics on configurations that cannot be sampled meaningfully;
 // these are programming errors, not data.
 func (c Config) validate() {
+	for _, f := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"CrashMTBF", c.CrashMTBF}, {"CrashDowntime", c.CrashDowntime},
+		{"BrownoutMTBF", c.BrownoutMTBF}, {"BrownoutMean", c.BrownoutMean},
+		{"StallMTBF", c.StallMTBF}, {"StallMean", c.StallMean},
+	} {
+		if f.v < 0 {
+			panic(fmt.Sprintf("faults: %s %v is negative", f.name, f.v))
+		}
+	}
 	if c.FactorLo <= 0 || c.FactorHi > 1 || c.FactorHi < c.FactorLo {
 		panic(fmt.Sprintf("faults: brownout factor range [%v,%v] outside (0,1]", c.FactorLo, c.FactorHi))
 	}
@@ -160,7 +173,9 @@ func fnv1a(words ...uint64) uint64 {
 // Generate produces the fault schedule for a fleet of hosts over horizon.
 // Deterministic: host h's kind-k process draws from a private sub-stream
 // seeded by FNV(seed, h, k), so adding hosts or kinds never perturbs the
-// events of existing ones.
+// events of existing ones. One Rand is reseeded per sub-stream rather than
+// allocated per sub-stream: Float64 and ExpFloat64 keep no state outside
+// the source, so each reseed reproduces the sub-stream a fresh Rand would.
 func Generate(seed int64, hosts int, horizon sim.Duration, cfg Config) Schedule {
 	cfg = cfg.withDefaults()
 	cfg.validate()
@@ -178,12 +193,13 @@ func Generate(seed int64, hosts int, horizon sim.Duration, cfg Config) Schedule 
 		{Brownout, cfg.BrownoutMTBF, cfg.BrownoutMean},
 		{Stall, cfg.StallMTBF, cfg.StallMean},
 	}
+	rng := rand.New(rand.NewSource(0))
 	for h := 0; h < hosts; h++ {
 		for _, p := range procs {
-			if p.mtbf <= 0 {
+			if p.mtbf == 0 {
 				continue
 			}
-			rng := rand.New(rand.NewSource(int64(fnv1a(uint64(seed), uint64(h), uint64(p.kind)))))
+			rng.Seed(int64(fnv1a(uint64(seed), uint64(h), uint64(p.kind))))
 			var t sim.Time
 			for {
 				t = t.Add(sim.Duration(rng.ExpFloat64() * float64(p.mtbf)))

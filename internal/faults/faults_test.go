@@ -1,7 +1,11 @@
 package faults
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vsched/internal/sim"
@@ -17,6 +21,37 @@ func testConfig() Config {
 }
 
 const Hour = 3600 * sim.Second
+
+// regionConfig is the schedule the macro benchmark's faulted workload runs:
+// MTBFs chosen for ~48 crashes, ~96 brownouts and ~144 stalls across hosts
+// over horizon.
+func regionConfig(hosts int, horizon sim.Duration) Config {
+	mtbf := func(target float64) sim.Duration {
+		return sim.Duration(float64(hosts) * float64(horizon) / target)
+	}
+	return Config{CrashMTBF: mtbf(48), BrownoutMTBF: mtbf(96), StallMTBF: mtbf(144), MigFailProb: 0.1}
+}
+
+// digest folds every field of every event through FNV-64a.
+func digest(s Schedule) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "seed=%d mig=%x\n", s.Seed, math.Float64bits(s.MigFailProb))
+	for _, e := range s.Events {
+		fmt.Fprintf(h, "%d %d %d %d %x\n", e.At, e.Host, e.Kind, e.Duration, math.Float64bits(e.Factor))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGoldenSchedule pins the 1024-host, 96 h region schedule byte for byte:
+// any change to the sub-stream seeding or draw order shows up here.
+func TestGoldenSchedule(t *testing.T) {
+	const hosts, horizon = 1024, 96 * Hour
+	s := Generate(42, hosts, horizon, regionConfig(hosts, horizon))
+	const want = "1db3db1b9c8c8512"
+	if got := digest(s); got != want {
+		t.Fatalf("region schedule digest changed: got %s want %s (%d events)", got, want, len(s.Events))
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(7, 64, 48*Hour, testConfig())
@@ -198,17 +233,79 @@ func TestValidatePanics(t *testing.T) {
 			Generate(1, 4, Hour, cfg)
 		},
 		"no hosts": func() { Generate(1, 0, Hour, testConfig()) },
+		"negative CrashMTBF": func() {
+			cfg := testConfig()
+			cfg.CrashMTBF = -Hour
+			Generate(1, 4, Hour, cfg)
+		},
+		"negative BrownoutMTBF": func() {
+			cfg := testConfig()
+			cfg.BrownoutMTBF = -Hour
+			Generate(1, 4, Hour, cfg)
+		},
+		"negative StallMTBF": func() {
+			cfg := testConfig()
+			cfg.StallMTBF = -Hour
+			Generate(1, 4, Hour, cfg)
+		},
+		"negative CrashDowntime": func() {
+			cfg := testConfig()
+			cfg.CrashDowntime = -sim.Second
+			Generate(1, 4, Hour, cfg)
+		},
+		"negative BrownoutMean": func() {
+			cfg := testConfig()
+			cfg.BrownoutMean = -sim.Second
+			Generate(1, 4, Hour, cfg)
+		},
+		"negative StallMean": func() {
+			cfg := testConfig()
+			cfg.StallMean = -sim.Second
+			Generate(1, 4, Hour, cfg)
+		},
 		"no horizon": func() {
 			Generate(1, 4, 0, testConfig())
 		},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s: expected panic", name)
+					return
+				}
+				// A negative field's panic names the field.
+				if field, ok := strings.CutPrefix(name, "negative "); ok && !strings.Contains(fmt.Sprint(r), field) {
+					t.Errorf("%s: panic %q does not name %s", name, r, field)
 				}
 			}()
 			fn()
 		}()
 	}
 }
+
+// TestGenerateAllocBudget: one reseeded Rand serves every (host, kind)
+// sub-stream, so with the MTBFs scaled to the same expected event count a
+// 1024-host schedule allocates no more than a 64-host one.
+func TestGenerateAllocBudget(t *testing.T) {
+	allocs := func(hosts int) float64 {
+		cfg := regionConfig(hosts, 96*Hour)
+		return testing.AllocsPerRun(3, func() { Generate(42, hosts, 96*Hour, cfg) })
+	}
+	small, big := allocs(64), allocs(1024)
+	if d := big - small; d > 2 || d < -2 {
+		t.Fatalf("Generate allocs: %v at 64 hosts, %v at 1024; want within 2 of each other", small, big)
+	}
+}
+
+// BenchmarkGenerate times the 1024-host, 96 h region schedule.
+func BenchmarkGenerate(b *testing.B) {
+	const hosts, horizon = 1024, 96 * Hour
+	cfg := regionConfig(hosts, horizon)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSchedule = Generate(42, hosts, horizon, cfg)
+	}
+}
+
+var benchSchedule Schedule
