@@ -126,11 +126,14 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./int
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48
 # hours of virtual time, one parallel cell per policy — must finish inside
 # the CI budget (the macro simulator does the whole thing in seconds), and
-# RunMacro's conservation check panics on any unaccounted VM. Determinism
-# is pinned by the fleet package's snapshot-digest tests and, for the cell
-# fan-out, by the -race Cells stage above.
+# RunMacro's conservation check panics on any unaccounted VM. Its policy
+# cells run in parallel, so two same-seed runs must also be byte-identical:
+# that catches run-to-run nondeterminism at full scale, where the fleet
+# package's snapshot-digest tests only cover a small trace.
 echo "== fleetscale determinism smoke (full scale)"
-"$tmp"/vexp_ci -run fleetscale -seed 42 > /dev/null
+"$tmp"/vexp_ci -run fleetscale -seed 42 > "$tmp"/vexp_fleetscale_a.txt
+"$tmp"/vexp_ci -run fleetscale -seed 42 > "$tmp"/vexp_fleetscale_b.txt
+cmp "$tmp"/vexp_fleetscale_a.txt "$tmp"/vexp_fleetscale_b.txt
 
 # Telemetry byte-identity smoke: the fleet experiment's first-fit and
 # steal-aware CFS cells carry a flight recorder, and the run panics unless

@@ -56,6 +56,13 @@ func scaledCloudConfig(scale float64) cloudgen.Config {
 // telemetry inertness are pinned by the fleet package's snapshot-digest and
 // attached-vs-detached tests.
 func CloudScale(o Options) *Report {
+	_, rep := cloudScale(o)
+	return rep
+}
+
+// cloudScale runs the policy cells and returns the typed results in policy
+// order with the report rendered from them.
+func cloudScale(o Options) ([]*fleet.MacroResult, *Report) {
 	trace := cloudgen.Generate(o.Seed, scaledCloudConfig(o.Scale))
 
 	tcfg := telemetry.Config{Interval: 60 * sim.Second}
@@ -99,5 +106,5 @@ func CloudScale(o Options) *Report {
 		}
 	}
 	rep.Notef("one cell per policy with a 60s telemetry recorder, run in parallel and reported in policy order")
-	return rep
+	return results, rep
 }

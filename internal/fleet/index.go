@@ -24,11 +24,10 @@ import (
 //     capacity correlate (see DESIGN.md and BenchmarkPlacement).
 //
 // Updates (occupancy or score changes on one host) rewrite one leaf and its
-// root path: O(log n). A caller that rewrites every leaf at once (the macro
-// tier's epoch-boundary rescore) writes the leaves with SetLeaf and then
-// calls Rebuild once: n-1 pulls instead of n root paths, and the same tree.
-// The index holds per-host capacity, so heterogeneous fleets work without
-// the policies knowing.
+// root path: O(log n). The tree is a pure function of its leaves, so any
+// sequence of Updates leaves it exactly as writing the same leaves and
+// rebuilding every internal node would. The index holds per-host capacity,
+// so heterogeneous fleets work without the policies knowing.
 //
 // Determinism: queries read only the tree, tie-break by construction toward
 // lower host IDs (left-first descent, strict-inequality pruning), and the
@@ -104,6 +103,9 @@ func (ix *HostIndex) Capacity(i int) int { return int(ix.capacity[i]) }
 // Free returns host i's current free capacity.
 func (ix *HostIndex) Free(i int) int { return int(ix.free[ix.size+i]) }
 
+// Score returns the policy score in host i's leaf.
+func (ix *HostIndex) Score(i int) float64 { return ix.score[ix.size+i] }
+
 // Update sets host i's committed occupancy and policy score, rewriting the
 // leaf's root path.
 func (ix *HostIndex) Update(i, committed int, score float64) {
@@ -115,17 +117,7 @@ func (ix *HostIndex) Update(i, committed int, score float64) {
 	}
 }
 
-// SetLeaf sets host i's committed occupancy and policy score in its leaf
-// only. Queries read stale aggregates until the next Rebuild.
-func (ix *HostIndex) SetLeaf(i, committed int, score float64) {
-	leaf := ix.size + i
-	ix.free[leaf] = ix.capacity[i] - int32(committed)
-	ix.score[leaf] = score
-}
-
-// Rebuild recomputes every internal node from the leaves, bottom-up. After
-// SetLeaf on any set of hosts it leaves the tree exactly as one Update per
-// written leaf would.
+// Rebuild recomputes every internal node from the leaves, bottom-up.
 func (ix *HostIndex) Rebuild() {
 	for i := ix.size - 1; i >= 1; i-- {
 		ix.pull(i)

@@ -79,9 +79,17 @@ func TestHostIndexBestScoreTieBreak(t *testing.T) {
 	}
 }
 
+// setLeaf writes host i's leaf and none of its ancestors; Rebuild then
+// recomputes them all. It is the reference construction the incremental
+// paths are checked against.
+func setLeaf(ix *HostIndex, i, committed int, score float64) {
+	ix.free[ix.size+i] = ix.capacity[i] - int32(committed)
+	ix.score[ix.size+i] = score
+}
+
 // TestHostIndexRebuildMatchesUpdate applies random batches of leaf writes to
-// two indexes, one through SetLeaf plus a single Rebuild and one through an
-// Update per write. Scores include -Inf, +Inf and ties; committed may exceed
+// two indexes, one through leaf writes plus a single Rebuild and one through
+// an Update per write. Scores include -Inf, +Inf and ties; committed may exceed
 // capacity, leaving negative free the way the macro tier's degraded hosts do.
 // After every batch the trees must match node for node and answer every
 // FirstFit and BestScore query alike.
@@ -97,7 +105,7 @@ func TestHostIndexRebuildMatchesUpdate(t *testing.T) {
 		for batch := 0; batch < 300; batch++ {
 			writes := 1 + rng.Intn(hosts)
 			if batch%4 == 0 {
-				writes = hosts // a full rescore, like a macro boundary
+				writes = hosts // every leaf at once
 			}
 			for w := 0; w < writes; w++ {
 				i := rng.Intn(hosts)
@@ -109,7 +117,7 @@ func TestHostIndexRebuildMatchesUpdate(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					score = special[rng.Intn(len(special))]
 				}
-				bulk.SetLeaf(i, committed, score)
+				setLeaf(bulk, i, committed, score)
 				path.Update(i, committed, score)
 			}
 			bulk.Rebuild()

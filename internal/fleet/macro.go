@@ -145,7 +145,6 @@ const (
 
 // macroVM is one VM's compact bookkeeping (no per-vCPU state).
 type macroVM struct {
-	at       sim.Time
 	depart   sim.Time // service deadline; batch analytic completion once known
 	work     float64  // batch: remaining per-vCPU seconds of compute
 	origWork float64  // batch: full budget, for crash lost-progress accounting
@@ -169,10 +168,13 @@ type macroHost struct {
 	threads   int32
 	capacity  int32 // admission bound: overcommit * threads
 	committed int32
-	speed     float64
-	stealEMA  float64
-	util      float64    // last epoch's min(1, D/threads)
-	res       []resident // live VMs in placement order
+	// dirty marks a host whose index leaf may be stale: it sits in
+	// macroSim.dirty until the next boundary rewrites the leaf.
+	dirty    bool
+	speed    float64
+	stealEMA float64
+	util     float64    // last epoch's min(1, D/threads)
+	res      []resident // live VMs in placement order
 	// demand caches the left-to-right sum of res[k].load: an append adds its
 	// load, a removal refolds the rest, so it always equals a fresh fold.
 	demand float64
@@ -225,24 +227,34 @@ type retryEntry struct {
 }
 
 type macroSim struct {
-	cfg     MacroConfig
-	eng     *sim.Engine
-	reg     *metrics.Registry
-	rec     *telemetry.Recorder
-	hosts   []macroHost
-	vms     []macroVM
-	ix      *HostIndex
-	ipol    IndexedPolicy
+	cfg   MacroConfig
+	eng   *sim.Engine
+	reg   *metrics.Registry
+	rec   *telemetry.Recorder
+	hosts []macroHost
+	vms   []macroVM
+	ix    *HostIndex
+	ipol  IndexedPolicy
+	// dirty lists the hosts whose index leaf may be stale, each once (see
+	// mark); the next boundary rewrites exactly these leaves. open lists, in
+	// ascending host order, the hosts with an open down or degraded window:
+	// the only hosts whose commitment can exceed their effective capacity.
+	dirty   []int32
+	open    []int32
 	next    int // first trace VM not yet arrived
 	horizon sim.Time
 	now     sim.Time // current boundary time (effective-capacity clock)
 
 	placed, rejected, departed int
-	events                     uint64
-	diSum, diMax               float64
-	diEpochs                   int
-	makespan                   sim.Time
-	agg                        macroAgg
+	// placedC and departedC are bound on their first increment, when a
+	// registry lookup would have created them, so the registry's contents
+	// and creation order stay the same.
+	placedC, departedC *metrics.Counter
+	events             uint64
+	diSum, diMax       float64
+	diEpochs           int
+	makespan           sim.Time
+	agg                macroAgg
 
 	// Fault plane. sched is the injected schedule (nil = no faults), rcv
 	// the recovery policy (zero = disabled), nextFault the cursor into
@@ -321,14 +333,19 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	}
 	m.hosts = make([]macroHost, len(cfg.Trace.Hosts))
 	caps := make([]int, len(cfg.Trace.Hosts))
+	// Every leaf starts stale, so the first boundary writes them all.
+	m.dirty = make([]int32, len(m.hosts))
+	m.open = make([]int32, 0, len(m.hosts))
 	for i, hs := range cfg.Trace.Hosts {
 		c := int(cfg.Overcommit * float64(hs.Threads))
 		m.hosts[i] = macroHost{
 			threads:  int32(hs.Threads),
 			capacity: int32(c),
+			dirty:    true,
 			speed:    hs.SpeedFactor,
 		}
 		caps[i] = c
+		m.dirty[i] = int32(i)
 	}
 	m.vms = make([]macroVM, len(cfg.Trace.VMs))
 	m.cal = make([][]int32, m.bucket(m.horizon)+1)
@@ -426,8 +443,9 @@ func (m *macroSim) publishMirror() {
 
 // boundary performs the epoch-start work at time t, in a fixed order so
 // reruns cannot diverge: departures due by t, fault events quantized to
-// this epoch, a full index rescore, pending retries, evacuation of degraded
-// hosts, then arrivals with At < t+E in trace order.
+// this epoch, a rescore of the hosts marked since the last one, pending
+// retries, evacuation of degraded hosts, then arrivals with At < t+E in trace
+// order.
 func (m *macroSim) boundary(t sim.Time) {
 	m.now = t
 	// Departures: sweep the calendar through this boundary's bucket. Every
@@ -448,17 +466,17 @@ func (m *macroSim) boundary(t sim.Time) {
 	// stalls freeze.
 	m.applyFaults(t)
 
-	// Rescore every host before any placement work: committed changed
-	// above, stealEMA during the last integration, and effective capacity
-	// whenever a fault window opened or expired. Every leaf changes, so
-	// write them all and rebuild the tree once.
-	if m.ix != nil {
-		for i := range m.hosts {
-			committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
-			m.ix.SetLeaf(i, committed, score)
-		}
-		m.ix.Rebuild()
+	// Rescore before any placement work, but only the hosts whose leaf may
+	// have moved: departures marked theirs above, the last integration
+	// marked every host whose steal EMA moved its leaf, and the window sweep
+	// marks every host with an open window (every host a crash or brownout
+	// struck above among them) and every host whose window just expired.
+	m.sweepWindows(t)
+	for _, i := range m.dirty {
+		m.hosts[i].dirty = false
+		m.reindexHost(int(i))
 	}
+	m.dirty = m.dirty[:0]
 
 	// Pending retries due now: crash restarts and admission re-attempts,
 	// oldest (readyAt, id) first.
@@ -502,6 +520,50 @@ func (m *macroSim) file(id int32) {
 	}
 }
 
+// mark queues host i's leaf for the next boundary's rescore. A leaf is a
+// pure function of the host's commitment, live-VM count, steal EMA and
+// effective capacity, so a change to one of them that is not reindexed on
+// the spot marks the host, unless the recomputed leaf is provably the same
+// (leafMoved).
+func (m *macroSim) mark(i int) {
+	if h := &m.hosts[i]; !h.dirty {
+		h.dirty = true
+		m.dirty = append(m.dirty, int32(i))
+	}
+}
+
+// sweepWindows marks every host in the open set, whose effective capacity
+// depends on the boundary clock, and drops the hosts whose down and degraded
+// windows have both expired by t, so the boundary of expiry marks a host one
+// last time. A host whose commitment still exceeds its full capacity (a
+// hand-built brownout factor above 1) stays until it fits, so that evacuate
+// keeps seeing it.
+func (m *macroSim) sweepWindows(t sim.Time) {
+	kept := m.open[:0]
+	for _, i := range m.open {
+		m.mark(int(i))
+		if h := &m.hosts[i]; h.downUntil > t || h.degradedUntil > t || h.committed > h.capacity {
+			kept = append(kept, i)
+		}
+	}
+	m.open = kept
+}
+
+// leafMoved reports whether host i's index leaf, recomputed now, differs
+// from the one the index holds. The integration asks it of every host whose
+// steal EMA changed: an EMA that has stopped being fed decays for over a
+// thousand epochs, while the leaf ignores it (first-fit, least-loaded) or
+// absorbs it once it falls below the score's rounding (steal-aware), so
+// most of those hosts' leaves have not moved.
+func (m *macroSim) leafMoved(i int) bool {
+	if m.ix == nil {
+		return false
+	}
+	committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
+	return m.ix.Free(i) != m.ix.Capacity(i)-committed ||
+		math.Float64bits(m.ix.Score(i)) != math.Float64bits(score)
+}
+
 // reindexHost refreshes host i's leaf and its root path.
 func (m *macroSim) reindexHost(i int) {
 	if m.ix == nil {
@@ -523,7 +585,8 @@ func (m *macroSim) applyFaults(t sim.Time) {
 			break
 		}
 		m.nextFault++
-		h := &m.hosts[faultHost(ev, len(m.hosts))]
+		hi := faultHost(ev, len(m.hosts))
+		h := &m.hosts[hi]
 		m.events++
 		if m.obs != nil {
 			m.obs.Publish(progress.Event{
@@ -536,6 +599,13 @@ func (m *macroSim) applyFaults(t sim.Time) {
 		}
 		m.ledger.fault(ev.Kind)
 		h.open(ev)
+		if ev.Kind != faults.Stall {
+			// Join the open set, in ascending host order. The boundary's
+			// window sweep marks the host for the rescore that follows.
+			if k, found := slices.BinarySearch(m.open, int32(hi)); !found {
+				m.open = slices.Insert(m.open, k, int32(hi))
+			}
+		}
 		if ev.Kind == faults.Crash {
 			for k := range h.res {
 				m.kill(&h.res[k], t)
@@ -684,11 +754,15 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 // attempt consults the migration-failure law; a failed attempt abandons the
 // host until the next boundary. A VM with nowhere to go stays — graceful
 // degradation: the overcommit persists and shows up as steal.
+//
+// Admission, restart and evacuation all place within effective capacity, so
+// only a host with an open window can be over it: the scan visits the open
+// set, in the ascending host order a scan of every host would take.
 func (m *macroSim) evacuate(t sim.Time) {
 	if !m.rcv.Enabled || m.sched == nil {
 		return
 	}
-	for i := range m.hosts {
+	for _, i := range m.open {
 		h := &m.hosts[i]
 		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.res) > 0 {
 			r := h.res[len(h.res)-1]
@@ -698,7 +772,7 @@ func (m *macroSim) evacuate(t sim.Time) {
 				break
 			}
 			hi := m.choose(int(vm.vcpus))
-			if hi < 0 || hi == i {
+			if hi < 0 || hi == int(i) {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
 			h.res = h.res[:len(h.res)-1]
@@ -709,7 +783,7 @@ func (m *macroSim) evacuate(t sim.Time) {
 			d.push(r)
 			vm.host = int32(hi)
 			m.ledger.count(&m.ledger.Evacuations, "evacuations")
-			m.reindexHost(i)
+			m.reindexHost(int(i))
 			m.reindexHost(hi)
 		}
 	}
@@ -776,7 +850,6 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	h.committed += int32(tv.VCPUs)
 	vm := &m.vms[idx]
 	*vm = macroVM{
-		at:     t,
 		demand: tv.Demand,
 		host:   int32(hi),
 		vcpus:  int16(tv.VCPUs),
@@ -794,7 +867,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	h.push(m.resident(int32(idx)))
 	m.file(int32(idx))
 	m.placed++
-	m.reg.Counter("fleet.macro.placed").Inc()
+	m.counter(&m.placedC, "fleet.macro.placed").Inc()
 	m.reindexHost(hi)
 }
 
@@ -805,6 +878,7 @@ func (m *macroSim) depart(id int32) {
 	vm.state = vmCompleted
 	h := &m.hosts[vm.host]
 	h.committed -= int32(vm.vcpus)
+	m.mark(int(vm.host))
 	for k := range h.res {
 		if h.res[k].id == id {
 			m.writeBack(&h.res[k])
@@ -815,7 +889,15 @@ func (m *macroSim) depart(id int32) {
 	}
 	m.departed++
 	m.events++
-	m.reg.Counter("fleet.macro.departed").Inc()
+	m.counter(&m.departedC, "fleet.macro.departed").Inc()
+}
+
+// counter returns the registry counter name, binding it to *c on first use.
+func (m *macroSim) counter(c **metrics.Counter, name string) *metrics.Counter {
+	if *c == nil {
+		*c = m.reg.Counter(name)
+	}
+	return *c
 }
 
 // resident builds VM id's record from its macroVM, whose fields admit or
@@ -870,7 +952,11 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	for i := range m.hosts {
 		h := &m.hosts[i]
 		m.events += uint64(len(h.res)) + 1
+		ema := h.stealEMA
 		m.advance(h, t0, t1, dt)
+		if h.stealEMA != ema && m.leafMoved(i) {
+			m.mark(i)
+		}
 		u := h.util
 		if u < minU {
 			minU = u
@@ -961,12 +1047,19 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 		target = 1 - rho
 	}
 	h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
+	rate := rho * h.speed // per-vCPU batch progress per second
+	miss := 1 - rho
 	res := h.res
 	for k := range res {
 		r := &res[k]
+		if r.done {
+			// Budget drained in a prior epoch; idle until the boundary. Its
+			// zero-length span would add +0 to served and steal, which are
+			// never -0, so skipping it changes no bit.
+			continue
+		}
 		span := dt
-		if r.batch && !r.done {
-			rate := rho * h.speed // per-vCPU progress per second
+		if r.batch {
 			if need := r.work / rate; need < span {
 				span = need
 				r.work = 0
@@ -980,12 +1073,10 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 			} else {
 				r.work -= rate * span
 			}
-		} else if r.done {
-			span = 0 // budget drained in a prior epoch; idle until boundary
 		}
 		req := r.load * span
 		r.served += req * rho
-		r.steal += req * (1 - rho)
+		r.steal += req * miss
 	}
 }
 

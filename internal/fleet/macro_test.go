@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -681,15 +682,12 @@ func BenchmarkMacroEpoch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.hosts)), "ns/host-epoch")
 }
 
-// TestMacroFusedPassInvariants drives a faulted, recovering run epoch by
-// epoch. Crashes clear hosts, evacuations pop and push records, restarts
-// and departures add and remove them; after every epoch each host's cached
-// demand must equal a fresh left-to-right fold over its records, and the
-// aggregate block must equal a separate host-order reduction, bit for bit.
-// Service VMs want 0.37 of each vCPU rather than the generator's 0.5, so
-// loads are not dyadic and subtracting a departed load from the cached sum
-// would round differently from the fold.
-func TestMacroFusedPassInvariants(t *testing.T) {
+// stormRun is the faulted, recovering run the fused-pass and incremental-
+// index tests drive epoch by epoch: crashes, brownouts and stalls with
+// recovery on macroTestTrace(42). Service VMs want 0.37 of each vCPU rather
+// than the generator's 0.5, so loads are not dyadic and subtracting a
+// departed load from a cached sum would round differently from a fold.
+func stormRun(pol Policy) MacroConfig {
 	trace := macroTestTrace(42)
 	for i := range trace.VMs {
 		if trace.VMs[i].Class == cloudgen.Service {
@@ -702,10 +700,19 @@ func TestMacroFusedPassInvariants(t *testing.T) {
 		StallMTBF:    5 * cloudgen.Hour,
 		MigFailProb:  0.2,
 	})
-	m := newMacroSim(MacroConfig{
-		Trace: trace, Policy: StealAware{}, Faults: &storm,
+	return MacroConfig{
+		Trace: trace, Policy: pol, Faults: &storm,
 		Recovery: faults.RecoveryConfig{Enabled: true},
-	})
+	}
+}
+
+// TestMacroFusedPassInvariants drives stormRun epoch by epoch. Crashes
+// clear hosts, evacuations pop and push records, restarts and departures
+// add and remove them; after every epoch each host's cached demand must
+// equal a fresh left-to-right fold over its records, and the aggregate block
+// must equal a separate host-order reduction, bit for bit.
+func TestMacroFusedPassInvariants(t *testing.T) {
+	m := newMacroSim(stormRun(StealAware{}))
 	checkDemand := func(when sim.Time) {
 		t.Helper()
 		for i := range m.hosts {
@@ -792,4 +799,78 @@ func aggBits(a macroAgg) [14]uint64 {
 		out[i] = math.Float64bits(v.Field(i).Float())
 	}
 	return out
+}
+
+// TestMacroIncrementalIndex drives stormRun under every indexed policy one
+// boundary at a time, stepping the boundary and the integration the way
+// epoch does. After every boundary the incrementally maintained index must
+// equal, node for node and bit for bit, a fresh index whose leaves are all
+// written from indexLeaf and then rebuilt; and no host outside the open-
+// window set may hold more than its effective capacity, since evacuate
+// visits only that set. The stepped run must end in RunMacro's snapshot.
+func TestMacroIncrementalIndex(t *testing.T) {
+	for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			cfg := stormRun(pol)
+			m := newMacroSim(cfg)
+			caps := make([]int, len(m.hosts))
+			for i := range m.hosts {
+				caps[i] = int(m.hosts[i].capacity)
+			}
+			check := func(b sim.Time) {
+				t.Helper()
+				ref := NewHostIndex(caps)
+				for i := range m.hosts {
+					committed, score := indexLeaf(m.ipol, m.macroInfo(i), caps[i])
+					setLeaf(ref, i, committed, score)
+				}
+				ref.Rebuild()
+				same := func(node int) bool {
+					return m.ix.free[node] == ref.free[node] &&
+						math.Float64bits(m.ix.score[node]) == math.Float64bits(ref.score[node])
+				}
+				for i := range m.hosts {
+					if leaf := ref.size + i; !same(leaf) {
+						t.Fatalf("boundary %v: host %d leaf (free %d, score %v), full rescore (free %d, score %v)",
+							b, i, m.ix.free[leaf], m.ix.score[leaf], ref.free[leaf], ref.score[leaf])
+					}
+				}
+				for node := 1; node < ref.size; node++ {
+					if !same(node) {
+						t.Fatalf("boundary %v: node %d (free %d, score %v), full rescore (free %d, score %v)",
+							b, node, m.ix.free[node], m.ix.score[node], ref.free[node], ref.score[node])
+					}
+				}
+				for k := 1; k < len(m.open); k++ {
+					if m.open[k-1] >= m.open[k] {
+						t.Fatalf("boundary %v: open set %v not strictly ascending", b, m.open)
+					}
+				}
+				for i := range m.hosts {
+					h := &m.hosts[i]
+					if _, open := slices.BinarySearch(m.open, int32(i)); !open && int(h.committed) > h.effCap(caps[i], b) {
+						t.Fatalf("boundary %v: host %d outside the open set holds %d vCPUs over effective capacity %d",
+							b, i, h.committed, h.effCap(caps[i], b))
+					}
+				}
+			}
+			boundaries := 0
+			for t0 := sim.Time(0); t0 < m.horizon; t0 = t0.Add(m.cfg.Epoch) {
+				m.boundary(t0)
+				check(t0)
+				boundaries++
+				m.integrate(t0, min(t0.Add(m.cfg.Epoch), m.horizon))
+			}
+			m.boundary(m.horizon)
+			check(m.horizon)
+			res := m.result()
+			if res.Evacuations == 0 || res.Restarts == 0 || res.Lifetimes == 0 {
+				t.Fatalf("run too quiet over %d boundaries: evacuations=%d restarts=%d lifetimes=%d",
+					boundaries, res.Evacuations, res.Restarts, res.Lifetimes)
+			}
+			if want := RunMacro(cfg); !bytes.Equal(res.Snapshot, want.Snapshot) {
+				t.Fatalf("stepped run %s, RunMacro %s", SnapshotDigest(res.Snapshot), SnapshotDigest(want.Snapshot))
+			}
+		})
+	}
 }

@@ -515,17 +515,14 @@ func (vm *VM) Post(s *Semaphore) {
 	s.count++
 }
 
-// BroadcastCond wakes all waiters of c from daemon/interrupt context.
-func (vm *VM) BroadcastCond(c *Cond) { vm.broadcast(&c.syncState, nil) }
-
-// broadcast wakes every waiter of c as fan-out wakeups from waker (nil for
-// interrupt context). The drained queue's array is kept for the next
-// waiters unless a wakeup queued a new waiter meanwhile.
-func (vm *VM) broadcast(c *syncState, waker *VCPU) {
+// BroadcastCond wakes every waiter of c from daemon/interrupt context, as
+// fan-out wakeups. The drained queue's array is kept for the next waiters
+// unless a wakeup queued a new waiter meanwhile.
+func (vm *VM) BroadcastCond(c *Cond) {
 	ws := c.waiters
 	c.waiters = nil
 	for _, w := range ws {
-		vm.wakeTaskWide(w, waker, true)
+		vm.wakeTaskWide(w, nil, true)
 	}
 	if c.waiters == nil {
 		clear(ws)
@@ -597,10 +594,6 @@ func (vm *VM) advance(t *Task) {
 			if c := seg.sync; len(c.waiters) > 0 {
 				vm.wakeTask(popFront(&c.waiters), v)
 			}
-			continue
-
-		case SegCondBroadcast:
-			vm.broadcast(seg.sync, v)
 			continue
 
 		case SegSemWait:

@@ -75,8 +75,6 @@ const (
 	SegCondWait
 	// SegCondSignal wakes one waiter of the Cond and continues.
 	SegCondSignal
-	// SegCondBroadcast wakes all waiters of the Cond and continues.
-	SegCondBroadcast
 	// SegSemWait decrements the Semaphore, blocking at zero.
 	SegSemWait
 	// SegSemPost increments the Semaphore, waking one waiter, and continues.
@@ -110,7 +108,6 @@ func AcquireSpin(m *Mutex) Segment   { return Segment{Kind: SegAcquireSpin, sync
 func Release(m *Mutex) Segment       { return Segment{Kind: SegRelease, sync: &m.syncState} }
 func Wait(c *Cond) Segment           { return Segment{Kind: SegCondWait, sync: &c.syncState} }
 func Signal(c *Cond) Segment         { return Segment{Kind: SegCondSignal, sync: &c.syncState} }
-func Broadcast(c *Cond) Segment      { return Segment{Kind: SegCondBroadcast, sync: &c.syncState} }
 func SemWait(s *Semaphore) Segment   { return Segment{Kind: SegSemWait, sync: &s.syncState} }
 func SemPost(s *Semaphore) Segment   { return Segment{Kind: SegSemPost, sync: &s.syncState} }
 func BarrierWait(b *Barrier) Segment { return Segment{Kind: SegBarrier, sync: &b.syncState} }

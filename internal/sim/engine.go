@@ -654,8 +654,14 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunFor advances the simulation by d virtual time.
-func (e *Engine) RunFor(d Duration) { e.Run(e.now.Add(d)) }
+// RunFor advances the simulation by d virtual time. A negative d is a sign
+// error upstream, so it panics, as After does for a negative delay.
+func (e *Engine) RunFor(d Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative run duration %v", d))
+	}
+	e.Run(e.now.Add(d))
+}
 
 // Drain runs until the event queue is empty or limit events have fired.
 // It returns the number of events executed.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -408,6 +410,25 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	e.After(-1, func() {})
+}
+
+// TestEngineNegativeRunForPanics: RunFor(-d) used to run nothing and report
+// nothing; it panics naming the duration, and leaves the clock and the queue
+// untouched.
+func TestEngineNegativeRunForPanics(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	e.At(0, func() { fired = true })
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "negative run duration") || !strings.Contains(msg, Duration(-Millisecond).String()) {
+			t.Fatalf("panic %q does not name the negative duration", msg)
+		}
+		if fired || e.Now() != 0 {
+			t.Fatalf("RunFor(-1ms) fired=%v now=%v, want nothing run", fired, e.Now())
+		}
+	}()
+	e.RunFor(-Millisecond)
 }
 
 func TestDrainLimit(t *testing.T) {
