@@ -66,10 +66,12 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # wakeup→on→off cycle are all pinned at zero allocations; cloudgen.Generate
 # reserves its trace once from the arrival-rate integral and
 # faults.Generate reseeds one Rand, so neither call's allocation count grows
-# with the trace or the fleet.
+# with the trace or the fleet; and the macro tier keeps a 16-byte macroVM and
+# a capped number of bytes allocated per trace VM over a 24 h, 1024-host
+# RunMacro.
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/ \
-	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/
+	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/ ./internal/fleet/
 
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a

@@ -212,6 +212,8 @@ type Fleet struct {
 	// differential test in index_test.go).
 	ix   *HostIndex
 	ipol IndexedPolicy
+	// linear is view()'s scratch snapshot, refilled for every placement.
+	linear []HostInfo
 
 	placed, rejected, departed, migrations int
 	reg                                    *metrics.Registry
@@ -317,13 +319,16 @@ func (f *Fleet) capacity() int {
 }
 
 // view renders the per-host snapshot handed to non-indexed placement
-// policies, in stable host-ID order.
+// policies, in stable host-ID order, into one scratch slice that the next
+// call overwrites (Policy.Place must not retain it).
 func (f *Fleet) view() []HostInfo {
-	out := make([]HostInfo, len(f.hosts))
-	for i, hs := range f.hosts {
-		out[i] = f.info(hs)
+	if f.linear == nil {
+		f.linear = make([]HostInfo, len(f.hosts))
 	}
-	return out
+	for i, hs := range f.hosts {
+		f.linear[i] = f.info(hs)
+	}
+	return f.linear
 }
 
 // pickThreads chooses n distinct threads on hs, least-committed first (ties

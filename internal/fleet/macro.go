@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -33,10 +34,11 @@ import (
 // accruing steal at its analytic completion instant (that instant is the
 // makespan contribution) but frees its commitment at the next boundary.
 //
-// Scale: state is flat value-typed arrays (one macroVM, one macroHost per
-// entity — no pointers into the engine; each host packs its live VMs'
-// integration state into a dense slice of resident records and caches their
-// summed demand), and the epoch integration is one serial pass in host order
+// Scale: state is flat value-typed arrays (a 16-byte macroVM per trace VM
+// and its 40-byte record in the result snapshot, one macroHost per host — no
+// pointers into the engine; each host packs its live VMs' integration state
+// into a dense slice of resident records and caches their summed demand),
+// and the epoch integration is one serial pass in host order
 // that advances each host and folds it into the fleet reductions (DI,
 // aggregates) as it goes. A cell is ~80 µs of work per epoch, too little to
 // pay for a goroutine fan-out; parallelism lives one level up, across
@@ -143,24 +145,51 @@ const (
 	vmRejected               // terminally rejected at admission
 )
 
-// macroVM is one VM's compact bookkeeping (no per-vCPU state).
+// macroVM is one VM's id-indexed bookkeeping: 16 bytes, no floats. Its size,
+// demand, class and budget are read from the trace VM of the same index, and
+// its served, steal and work live in its resident record while it is live
+// and in its snapshot record (see record) otherwise.
 type macroVM struct {
-	depart   sim.Time // service deadline; batch analytic completion once known
-	work     float64  // batch: remaining per-vCPU seconds of compute
-	origWork float64  // batch: full budget, for crash lost-progress accounting
-	demand   float64  // per-vCPU demand weight while alive
-	steal    float64  // accumulated stolen vCPU-seconds
-	served   float64  // accumulated delivered vCPU-seconds
-	// downSince marks the kill instant of a crash victim awaiting restart
-	// (time-to-recover accounting).
-	downSince sim.Time
-	host      int32
-	restarts  int32
-	vcpus     int16
-	state     uint8
-	batch     bool
-	alive     bool
-	done      bool // batch budget drained, awaiting boundary departure
+	depart sim.Time // service deadline; batch analytic completion once known
+	host   int32    // current host; the last one once dead, 0 before placement
+	// bits packs the lifecycle state (vmStateMask), the vmAlive, vmDone and
+	// vmPlaced flags, and the restart count above vmRestartShift.
+	bits uint32
+}
+
+// macroVM.bits layout. vmDone marks a batch VM whose budget drained and
+// which awaits its boundary departure; vmPlaced marks a VM admitted at least
+// once, so its snapshot record holds what it was served.
+const (
+	vmStateMask    = 1<<3 - 1
+	vmAlive        = 1 << 3
+	vmDone         = 1 << 4
+	vmPlaced       = 1 << 5
+	vmRestartShift = 6
+	vmMaxRestarts  = math.MaxUint32 >> vmRestartShift
+)
+
+func (vm *macroVM) state() uint8         { return uint8(vm.bits & vmStateMask) }
+func (vm *macroVM) setState(s uint8)     { vm.bits = vm.bits&^vmStateMask | uint32(s) }
+func (vm *macroVM) has(flag uint32) bool { return vm.bits&flag != 0 }
+func (vm *macroVM) restarts() uint32     { return vm.bits >> vmRestartShift }
+
+// set turns flag on or off.
+func (vm *macroVM) set(flag uint32, on bool) {
+	vm.bits &^= flag
+	if on {
+		vm.bits |= flag
+	}
+}
+
+// restarted counts one restart. A count past the packed field is a broken
+// invariant: every restart needs a crash, and no schedule holds 2^26 of them
+// for one VM.
+func (vm *macroVM) restarted() {
+	if vm.restarts() == vmMaxRestarts {
+		panic(fmt.Sprintf("fleet: macro VM restarted more than %d times", vmMaxRestarts))
+	}
+	vm.bits += 1 << vmRestartShift
 }
 
 // macroHost is one host's compact bookkeeping.
@@ -187,9 +216,9 @@ type macroHost struct {
 // its host's placement order so an epoch streams the host's own records
 // instead of chasing ids across the arrival-indexed m.vms. While the VM is
 // live on the host, the record is the canonical copy of work, served, steal
-// and done: writeBack copies them to the macroVM when the VM departs or is
-// killed, and result() does so for every remaining resident before it reads
-// m.vms.
+// and done: writeBack encodes them into the VM's snapshot record and done
+// flag when the VM departs or is killed, and result() does so for every
+// remaining resident before it reads the snapshot records.
 type resident struct {
 	load   float64 // vcpus * per-vCPU demand weight
 	work   float64
@@ -224,6 +253,9 @@ type retryEntry struct {
 	// resumed on restart. Batch VMs restart with their full budget (the
 	// destroyed progress is lost work).
 	remaining sim.Duration
+	// downSince is a crash victim's kill instant, for time-to-recover and
+	// outage accounting; the queue is the only place a victim waits.
+	downSince sim.Time
 }
 
 type macroSim struct {
@@ -233,8 +265,15 @@ type macroSim struct {
 	rec   *telemetry.Recorder
 	hosts []macroHost
 	vms   []macroVM
-	ix    *HostIndex
-	ipol  IndexedPolicy
+	// snap is the result snapshot, allocated at its exact size up front:
+	// each VM's 40-byte record in it is the canonical home of the VM's
+	// served, steal and work whenever the VM is not live (see record).
+	snap []byte
+	ix   *HostIndex
+	ipol IndexedPolicy
+	// linear is the host snapshot a policy without an index places over,
+	// refilled for every placement.
+	linear []HostInfo
 	// dirty lists the hosts whose index leaf may be stale, each once (see
 	// mark); the next boundary rewrites exactly these leaves. open lists, in
 	// ascending host order, the hosts with an open down or degraded window:
@@ -300,11 +339,23 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	if len(cfg.Trace.Hosts) == 0 {
 		panic("fleet: macro run needs a host population")
 	}
-	// vcpus is an int16 and 0 marks a never-placed VM, so a size outside
-	// [1, MaxInt16] would corrupt admission accounting or the result.
+	// The tier reads each VM's size, demand, lifetime, budget and class from
+	// the trace whenever it needs them, so a value outside its range would
+	// silently corrupt admission accounting or served and steal: refuse it
+	// by VM id before simulating anything.
 	for i := range cfg.Trace.VMs {
-		if tv := &cfg.Trace.VMs[i]; tv.VCPUs < 1 || tv.VCPUs > math.MaxInt16 {
+		tv := &cfg.Trace.VMs[i]
+		switch {
+		case tv.VCPUs < 1 || tv.VCPUs > math.MaxInt16:
 			panic(fmt.Sprintf("fleet: macro trace VM %d has %d vCPUs, want 1..%d", tv.ID, tv.VCPUs, math.MaxInt16))
+		case math.IsNaN(tv.Demand) || math.IsInf(tv.Demand, 0) || tv.Demand < 0:
+			panic(fmt.Sprintf("fleet: macro trace VM %d has demand %v, want finite and >= 0", tv.ID, tv.Demand))
+		case tv.Lifetime < 0:
+			panic(fmt.Sprintf("fleet: macro trace VM %d has lifetime %v, want >= 0", tv.ID, tv.Lifetime))
+		case tv.Work < 0:
+			panic(fmt.Sprintf("fleet: macro trace VM %d has work %v, want >= 0", tv.ID, tv.Work))
+		case tv.Class != cloudgen.Service && tv.Class != cloudgen.Batch:
+			panic(fmt.Sprintf("fleet: macro trace VM %d has class %d, want service or batch", tv.ID, tv.Class))
 		}
 	}
 	if cfg.Overcommit <= 0 {
@@ -348,6 +399,8 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 		m.dirty[i] = int32(i)
 	}
 	m.vms = make([]macroVM, len(cfg.Trace.VMs))
+	// Exact size: 7 words per host, 5 per VM, 24 scalars.
+	m.snap = make([]byte, 8*(7*len(m.hosts)+5*len(m.vms)+24))
 	m.cal = make([][]int32, m.bucket(m.horizon)+1)
 	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
 		m.ix = NewHostIndex(caps)
@@ -455,7 +508,7 @@ func (m *macroSim) boundary(t sim.Time) {
 	// boundary does not affect state (depart only removes and decrements).
 	for k := m.bucket(t); m.swept <= k; m.swept++ {
 		for _, id := range m.cal[m.swept] {
-			if vm := &m.vms[id]; vm.alive && vm.depart <= t {
+			if vm := &m.vms[id]; vm.has(vmAlive) && vm.depart <= t {
 				m.depart(id)
 			}
 		}
@@ -622,24 +675,23 @@ func (m *macroSim) applyFaults(t sim.Time) {
 // queue (recovery) or is terminally lost. The caller drops r afterwards.
 func (m *macroSim) kill(r *resident, t sim.Time) {
 	id := r.id
+	tv := &m.cfg.Trace.VMs[id]
 	m.writeBack(r)
 	vm := &m.vms[id]
-	vm.alive = false
-	vm.done = false
-	vm.downSince = t
+	vm.set(vmAlive|vmDone, false)
 	m.events++
 	m.ledger.count(&m.ledger.Killed, "killed")
-	if vm.batch {
-		m.lostVCPUSeconds += (vm.origWork - vm.work) * float64(vm.vcpus)
+	if r.batch {
+		m.lostVCPUSeconds += (tv.Work.Seconds() - r.work) * float64(tv.VCPUs)
 	}
 	if !m.rcv.Enabled {
-		vm.state = vmLost
-		m.ledger.lostAfter(0, int(vm.vcpus))
+		vm.setState(vmLost)
+		m.ledger.lostAfter(0, tv.VCPUs)
 		return
 	}
-	vm.state = vmPending
+	vm.setState(vmPending)
 	var remaining sim.Duration
-	if !vm.batch {
+	if !r.batch {
 		remaining = vm.depart.Sub(t) // > 0: departures due by t already ran
 	}
 	m.enqueue(retryEntry{
@@ -647,6 +699,7 @@ func (m *macroSim) kill(r *resident, t sim.Time) {
 		attempt:   1,
 		readyAt:   t.Add(m.rcv.Backoff(1)),
 		remaining: remaining,
+		downSince: t,
 	}, t)
 }
 
@@ -671,13 +724,13 @@ func (m *macroSim) enqueue(e retryEntry, t sim.Time) {
 func (m *macroSim) terminal(e retryEntry, t sim.Time) {
 	vm := &m.vms[e.id]
 	if e.admit {
-		vm.state = vmRejected
+		vm.setState(vmRejected)
 		m.rejected++
 		m.reg.Counter("fleet.macro.rejected").Inc()
 		return
 	}
-	vm.state = vmLost
-	m.ledger.lostAfter(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
+	vm.setState(vmLost)
+	m.ledger.lostAfter(t.Sub(e.downSince).Seconds(), m.cfg.Trace.VMs[e.id].VCPUs)
 }
 
 // retries runs every queue entry due at t in (readyAt, id) order. The due
@@ -691,12 +744,7 @@ func (m *macroSim) retries(t sim.Time) {
 	due := m.retryQ[:cut]
 	m.retryQ = m.retryQ[cut:]
 	for _, e := range due {
-		vm := &m.vms[e.id]
-		vcpus := int(vm.vcpus)
-		if e.admit {
-			vcpus = m.cfg.Trace.VMs[e.id].VCPUs
-		}
-		hi := m.choose(vcpus)
+		hi := m.choose(m.cfg.Trace.VMs[e.id].VCPUs)
 		m.events++
 		if hi < 0 {
 			if int(e.attempt) >= m.rcv.MaxRetries {
@@ -719,24 +767,24 @@ func (m *macroSim) retries(t sim.Time) {
 // restart re-places a crash victim on host hi: service VMs resume their
 // remaining wall-clock lifetime, batch VMs restart their full budget.
 func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
+	tv := &m.cfg.Trace.VMs[e.id]
 	vm := &m.vms[e.id]
 	h := &m.hosts[hi]
-	h.committed += int32(vm.vcpus)
+	h.committed += int32(tv.VCPUs)
 	vm.host = int32(hi)
-	vm.alive = true
-	vm.state = vmRunning
-	vm.restarts++
-	if vm.batch {
-		vm.work = vm.origWork
-		vm.done = false
+	vm.set(vmAlive, true)
+	vm.setState(vmRunning)
+	vm.restarted()
+	r := m.resident(e.id)
+	if r.batch {
 		vm.depart = m.horizon
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.push(m.resident(e.id))
+	h.push(r)
 	m.file(e.id)
 	m.events++
-	m.ledger.restored(t.Sub(vm.downSince).Seconds(), int(vm.vcpus))
+	m.ledger.restored(t.Sub(e.downSince).Seconds(), tv.VCPUs)
 	m.reindexHost(hi)
 	if m.obs != nil {
 		m.obs.Publish(progress.Event{
@@ -766,22 +814,22 @@ func (m *macroSim) evacuate(t sim.Time) {
 		h := &m.hosts[i]
 		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.res) > 0 {
 			r := h.res[len(h.res)-1]
-			vm := &m.vms[r.id]
+			vcpus := m.cfg.Trace.VMs[r.id].VCPUs
 			m.events++
 			if m.ledger.evacFails(m.sched) {
 				break
 			}
-			hi := m.choose(int(vm.vcpus))
+			hi := m.choose(vcpus)
 			if hi < 0 || hi == int(i) {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
 			h.res = h.res[:len(h.res)-1]
 			h.refold()
-			h.committed -= int32(vm.vcpus)
+			h.committed -= int32(vcpus)
 			d := &m.hosts[hi]
-			d.committed += int32(vm.vcpus)
+			d.committed += int32(vcpus)
 			d.push(r)
-			vm.host = int32(hi)
+			m.vms[r.id].host = int32(hi)
 			m.ledger.count(&m.ledger.Evacuations, "evacuations")
 			m.reindexHost(int(i))
 			m.reindexHost(hi)
@@ -804,16 +852,19 @@ func (m *macroSim) macroInfo(i int) HostInfo {
 }
 
 // choose picks a host for a vcpus-wide VM through the index or the linear
-// snapshot scan; -1 means nothing fits.
+// snapshot scan; -1 means nothing fits. The linear snapshot is one scratch
+// slice refilled per call, which Policy.Place must not retain.
 func (m *macroSim) choose(vcpus int) int {
 	if m.ix != nil {
 		return m.ipol.PlaceIndexed(m.ix, vcpus)
 	}
-	snap := make([]HostInfo, len(m.hosts))
-	for i := range m.hosts {
-		snap[i] = m.macroInfo(i)
+	if m.linear == nil {
+		m.linear = make([]HostInfo, len(m.hosts))
 	}
-	return m.cfg.Policy.Place(snap, vcpus)
+	for i := range m.hosts {
+		m.linear[i] = m.macroInfo(i)
+	}
+	return m.cfg.Policy.Place(m.linear, vcpus)
 }
 
 // place admits trace VM idx at epoch time t. A rejection is terminal only
@@ -826,7 +877,7 @@ func (m *macroSim) place(idx int, t sim.Time) {
 	if hi < 0 {
 		vm := &m.vms[idx]
 		if m.rcv.Enabled {
-			vm.state = vmPending
+			vm.setState(vmPending)
 			m.enqueue(retryEntry{
 				id:      int32(idx),
 				admit:   true,
@@ -835,7 +886,7 @@ func (m *macroSim) place(idx int, t sim.Time) {
 			}, t)
 			return
 		}
-		vm.state = vmRejected
+		vm.setState(vmRejected)
 		m.rejected++
 		m.reg.Counter("fleet.macro.rejected").Inc()
 		return
@@ -849,22 +900,15 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	h := &m.hosts[hi]
 	h.committed += int32(tv.VCPUs)
 	vm := &m.vms[idx]
-	*vm = macroVM{
-		demand: tv.Demand,
-		host:   int32(hi),
-		vcpus:  int16(tv.VCPUs),
-		batch:  tv.Class == cloudgen.Batch,
-		alive:  true,
-		state:  vmRunning,
-	}
-	if vm.batch {
-		vm.work = tv.Work.Seconds()
-		vm.origWork = vm.work
+	vm.host = int32(hi)
+	vm.bits = vmAlive | vmPlaced | uint32(vmRunning)
+	r := m.resident(int32(idx))
+	if r.batch {
 		vm.depart = m.horizon // until the budget drains
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.push(m.resident(int32(idx)))
+	h.push(r)
 	m.file(int32(idx))
 	m.placed++
 	m.counter(&m.placedC, "fleet.macro.placed").Inc()
@@ -874,10 +918,10 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 // depart releases VM id's commitment and removes it from its host.
 func (m *macroSim) depart(id int32) {
 	vm := &m.vms[id]
-	vm.alive = false
-	vm.state = vmCompleted
+	vm.set(vmAlive, false)
+	vm.setState(vmCompleted)
 	h := &m.hosts[vm.host]
-	h.committed -= int32(vm.vcpus)
+	h.committed -= int32(m.cfg.Trace.VMs[id].VCPUs)
 	m.mark(int(vm.host))
 	for k := range h.res {
 		if h.res[k].id == id {
@@ -900,19 +944,22 @@ func (m *macroSim) counter(c **metrics.Counter, name string) *metrics.Counter {
 	return *c
 }
 
-// resident builds VM id's record from its macroVM, whose fields admit or
-// restart has just set.
+// resident builds VM id's record as admit or restart places it: its load,
+// class and full batch budget come from the trace VM, and served and steal
+// from its snapshot record, which is zero before the first placement and
+// holds the values at the kill after a crash.
 func (m *macroSim) resident(id int32) resident {
-	vm := &m.vms[id]
-	return resident{
-		load:   float64(vm.vcpus) * vm.demand,
-		work:   vm.work,
-		served: vm.served,
-		steal:  vm.steal,
-		id:     id,
-		batch:  vm.batch,
-		done:   vm.done,
+	tv := &m.cfg.Trace.VMs[id]
+	r := resident{
+		load:  float64(tv.VCPUs) * tv.Demand,
+		id:    id,
+		batch: tv.Class == cloudgen.Batch,
 	}
+	r.steal, r.served = m.recorded(id)
+	if r.batch {
+		r.work = tv.Work.Seconds()
+	}
+	return r
 }
 
 // push appends resident r to the host and adds its load to the cached
@@ -933,10 +980,28 @@ func (h *macroHost) refold() {
 	h.demand = d
 }
 
-// writeBack copies resident r's canonical fields to its macroVM.
+// record returns VM id's 40-byte snapshot record: steal, served and work
+// (float64 bits), then its flags and state words, which snapshot fills.
+func (m *macroSim) record(id int32) []byte {
+	off := 8 * (7*len(m.hosts) + 5*int(id))
+	return m.snap[off : off+40 : off+40]
+}
+
+// recorded decodes the steal and served held in VM id's snapshot record.
+func (m *macroSim) recorded(id int32) (steal, served float64) {
+	rec := m.record(id)
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+}
+
+// writeBack encodes resident r's canonical fields into its VM's snapshot
+// record and done flag, which hold them from now until a restart.
 func (m *macroSim) writeBack(r *resident) {
-	vm := &m.vms[r.id]
-	vm.work, vm.served, vm.steal, vm.done = r.work, r.served, r.steal, r.done
+	rec := m.record(r.id)
+	binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.steal))
+	binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(r.served))
+	binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(r.work))
+	m.vms[r.id].set(vmDone, r.done)
 }
 
 // integrate advances every host through [t0, t1) in one pass in host order.
@@ -1092,13 +1157,13 @@ func (m *macroSim) result() *MacroResult {
 	fracs := make([]float64, 0, m.placed)
 	totalSteal := 0.0
 	for i := range m.vms {
-		vm := &m.vms[i]
-		if vm.vcpus == 0 {
-			continue // never placed
+		if !m.vms[i].has(vmPlaced) {
+			continue
 		}
-		totalSteal += vm.steal
-		if tot := vm.steal + vm.served; tot > 0 {
-			fracs = append(fracs, vm.steal/tot)
+		steal, served := m.recorded(int32(i))
+		totalSteal += steal
+		if tot := steal + served; tot > 0 {
+			fracs = append(fracs, steal/tot)
 		}
 	}
 	sort.Float64s(fracs)
@@ -1115,19 +1180,24 @@ func (m *macroSim) result() *MacroResult {
 		diMean = m.diSum / float64(m.diEpochs)
 	}
 
-	// Walk the arrived VMs for the live states; crash victims still pending
-	// at the horizon accrue their outage tail here.
+	// Walk the arrived VMs for the live states.
 	var running, pending int
 	for i := 0; i < m.next; i++ {
-		vm := &m.vms[i]
-		switch vm.state {
+		switch m.vms[i].state() {
 		case vmRunning:
 			running++
 		case vmPending:
 			pending++
-			if vm.vcpus > 0 { // crash victim (admission retries never ran)
-				m.ledger.outage(m.horizon.Sub(vm.downSince).Seconds(), int(vm.vcpus))
-			}
+		}
+	}
+	// Crash victims still pending at the horizon accrue their outage tail,
+	// in ascending VM id: the order of the ledger's float sum. Every pending
+	// VM waits in the queue; admission retries never ran and have no outage.
+	waiting := slices.Clone(m.retryQ)
+	slices.SortFunc(waiting, func(a, b retryEntry) int { return cmp.Compare(a.id, b.id) })
+	for _, e := range waiting {
+		if !e.admit {
+			m.ledger.outage(m.horizon.Sub(e.downSince).Seconds(), m.cfg.Trace.VMs[e.id].VCPUs)
 		}
 	}
 	out := m.ledger.outcome("macro", census{
@@ -1174,18 +1244,16 @@ func (m *macroSim) result() *MacroResult {
 	}
 }
 
-// snapshot encodes final state canonically: every host's commitment, steal
-// EMA and utilization, every VM's steal/served/work bits, and the scalar
+// snapshot completes the canonical encoding of final state: every host's
+// commitment, steal EMA, utilization and fault windows, every VM's
+// steal/served/work bits (already in its record) and flags, and the scalar
 // outcome counters. Two runs that diverge anywhere — one float op, one
 // placement, one departure order — produce different bytes.
 func (m *macroSim) snapshot() []byte {
-	// Exact size: 7 words per host, 5 per VM, 24 scalars. At full scale the
-	// buffer is ~9 MB, and growing it by append would copy it several times.
-	buf := make([]byte, 0, 8*(7*len(m.hosts)+5*len(m.vms)+24))
+	buf, off := m.snap, 0
 	u64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
+		binary.LittleEndian.PutUint64(buf[off:], v)
+		off += 8
 	}
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 	for i := range m.hosts {
@@ -1200,18 +1268,16 @@ func (m *macroSim) snapshot() []byte {
 	}
 	for i := range m.vms {
 		vm := &m.vms[i]
-		f64(vm.steal)
-		f64(vm.served)
-		f64(vm.work)
+		off += 24 // steal, served, work: written by writeBack
 		flags := uint64(vm.host) << 8
-		if vm.alive {
+		if vm.has(vmAlive) {
 			flags |= 1
 		}
-		if vm.done {
+		if vm.has(vmDone) {
 			flags |= 2
 		}
 		u64(flags)
-		u64(uint64(vm.state) | uint64(uint32(vm.restarts))<<8)
+		u64(uint64(vm.state()) | uint64(vm.restarts())<<8)
 	}
 	u64(uint64(m.placed))
 	u64(uint64(m.rejected))

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
@@ -513,23 +515,7 @@ var macroPinned = map[string]string{
 func TestMacroDigestsPinned(t *testing.T) {
 	trace := macroTestTrace(42)
 	odd := trace.Horizon + 17*sim.Second
-	storm := faults.Generate(42, len(trace.Hosts), odd, faults.Config{
-		CrashMTBF:    20 * cloudgen.Hour,
-		BrownoutMTBF: 10 * cloudgen.Hour,
-		StallMTBF:    5 * cloudgen.Hour,
-		MigFailProb:  0.2,
-	})
-	crashes := faults.Generate(42, len(trace.Hosts), odd, faults.Config{CrashMTBF: 10 * cloudgen.Hour})
-	modes := []struct {
-		name   string
-		faults *faults.Schedule
-		rcv    faults.RecoveryConfig
-	}{
-		{"clean", nil, faults.RecoveryConfig{}},
-		{"storm-recovery", &storm, faults.RecoveryConfig{Enabled: true}},
-		{"storm-tightqueue", &storm, faults.RecoveryConfig{Enabled: true, QueueCap: 4, MaxRetries: 3}},
-		{"crash-norecovery", &crashes, faults.RecoveryConfig{}},
-	}
+	modes := digestModes(trace, odd)
 	check := func(t *testing.T, key string, res *MacroResult) {
 		t.Helper()
 		got := SnapshotDigest(res.Snapshot)
@@ -566,6 +552,74 @@ func TestMacroDigestsPinned(t *testing.T) {
 			res.Killed, res.Restarts, res.Lifetimes, res.RunningAtEnd)
 	}
 	check(t, "batch-restart-at-horizon", res)
+}
+
+// digestMode is one fault regime of TestMacroDigestsPinned.
+type digestMode struct {
+	name   string
+	faults *faults.Schedule
+	rcv    faults.RecoveryConfig
+}
+
+// digestModes returns the pinned fault regimes for trace, with schedules
+// generated out to horizon: clean, a fault storm with recovery (default and
+// a tight queue), and crashes without recovery.
+func digestModes(trace cloudgen.Trace, horizon sim.Duration) []digestMode {
+	storm := faults.Generate(42, len(trace.Hosts), horizon, faults.Config{
+		CrashMTBF:    20 * cloudgen.Hour,
+		BrownoutMTBF: 10 * cloudgen.Hour,
+		StallMTBF:    5 * cloudgen.Hour,
+		MigFailProb:  0.2,
+	})
+	crashes := faults.Generate(42, len(trace.Hosts), horizon, faults.Config{CrashMTBF: 10 * cloudgen.Hour})
+	return []digestMode{
+		{"clean", nil, faults.RecoveryConfig{}},
+		{"storm-recovery", &storm, faults.RecoveryConfig{Enabled: true}},
+		{"storm-tightqueue", &storm, faults.RecoveryConfig{Enabled: true, QueueCap: 4, MaxRetries: 3}},
+		{"crash-norecovery", &crashes, faults.RecoveryConfig{}},
+	}
+}
+
+// linearOnly exposes only its policy's Name and Place, so the macro tier
+// places through the linear snapshot scan instead of the HostIndex.
+type linearOnly struct{ Policy }
+
+// TestMacroLinearPolicyMatchesIndexed runs every built-in policy through the
+// macro tier's linear path (a wrapper without PlaceIndexed) and through the
+// HostIndex, clean and under the tight-queue fault storm of
+// TestMacroDigestsPinned at both of its horizons, and requires the same
+// snapshot digest: the scratch snapshot refilled per placement decides
+// exactly as the index does.
+func TestMacroLinearPolicyMatchesIndexed(t *testing.T) {
+	if _, ok := Policy(linearOnly{FirstFit{}}).(IndexedPolicy); ok {
+		t.Fatal("linearOnly still implements IndexedPolicy")
+	}
+	trace := macroTestTrace(42)
+	odd := trace.Horizon + 17*sim.Second
+	for _, mode := range digestModes(trace, odd) {
+		if mode.name != "clean" && mode.name != "storm-tightqueue" {
+			continue
+		}
+		for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
+			t.Run(mode.name+"/"+pol.Name(), func(t *testing.T) {
+				for _, h := range []sim.Duration{trace.Horizon, odd} {
+					run := func(p Policy) *MacroResult {
+						return RunMacro(MacroConfig{
+							Trace: trace, Policy: p, Horizon: h,
+							Faults: mode.faults, Recovery: mode.rcv,
+						})
+					}
+					indexed, linear := run(pol), run(linearOnly{pol})
+					if got, want := SnapshotDigest(linear.Snapshot), SnapshotDigest(indexed.Snapshot); got != want {
+						t.Fatalf("horizon %v: linear path digest %s, indexed %s", time.Duration(h), got, want)
+					}
+					if linear.Placed == 0 || mode.faults != nil && linear.Killed == 0 {
+						t.Fatalf("horizon %v: run too quiet: placed=%d killed=%d", time.Duration(h), linear.Placed, linear.Killed)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestMacroFaultShardedMatchesSerial: under a generated fault storm — kills,
@@ -609,30 +663,60 @@ func TestMacroFaultShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// rejectsTraceVM runs RunMacro on a one-host trace whose second VM, id 7,
+// is edited by edit, and requires a panic that names VM 7 and contains want.
+func rejectsTraceVM(t *testing.T, edit func(*cloudgen.VM), want string) {
+	t.Helper()
+	trace := cloudgen.Trace{
+		Seed:    1,
+		Horizon: 120 * sim.Second,
+		Hosts:   []cloudgen.HostSpec{{Class: "h", Threads: 4, SpeedFactor: 1.0}},
+		VMs: []cloudgen.VM{
+			{ID: 0, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
+			{ID: 7, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
+		},
+	}
+	edit(&trace.VMs[1])
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "VM 7 ") || !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name VM 7 and its %s", msg, want)
+		}
+	}()
+	RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
+}
+
 // TestMacroRejectsBadVCPUs: a trace VM sized outside [1, MaxInt16] is a
-// broken trace, not a workload. Zero collides with the never-placed marker,
-// a negative size corrupts admission accounting and 32768 wraps the int16,
-// so RunMacro refuses each one by VM id before simulating anything.
+// broken trace, not a workload. Zero or a negative size corrupts admission
+// accounting and 32768 is past the tier's size bound, so RunMacro refuses
+// each one by VM id before simulating anything.
 func TestMacroRejectsBadVCPUs(t *testing.T) {
 	for _, vcpus := range []int{-1, 0, 32768} {
 		t.Run(fmt.Sprint(vcpus), func(t *testing.T) {
-			trace := cloudgen.Trace{
-				Seed:    1,
-				Horizon: 120 * sim.Second,
-				Hosts:   []cloudgen.HostSpec{{Class: "h", Threads: 4, SpeedFactor: 1.0}},
-				VMs: []cloudgen.VM{
-					{ID: 0, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
-					{ID: 7, At: 0, VCPUs: vcpus, Class: cloudgen.Service, Demand: 0.5, Lifetime: 60 * sim.Second},
-				},
-			}
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "VM 7 ") || !strings.Contains(msg, fmt.Sprintf("%d vCPUs", vcpus)) {
-					t.Fatalf("panic %q does not name VM 7 and its %d vCPUs", msg, vcpus)
-				}
-			}()
-			RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
+			rejectsTraceVM(t, func(v *cloudgen.VM) { v.VCPUs = vcpus }, fmt.Sprintf("%d vCPUs", vcpus))
 		})
+	}
+}
+
+// TestMacroRejectsBadTraceFields: the macro tier reads a VM's demand,
+// lifetime, budget and class from the trace whenever it builds the VM's
+// record, so a value that would silently corrupt served and steal is refused
+// by VM id before simulating anything, one case per check.
+func TestMacroRejectsBadTraceFields(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*cloudgen.VM)
+		want string
+	}{
+		{"demand-nan", func(v *cloudgen.VM) { v.Demand = math.NaN() }, "demand NaN"},
+		{"demand-inf", func(v *cloudgen.VM) { v.Demand = math.Inf(1) }, "demand +Inf"},
+		{"demand-negative", func(v *cloudgen.VM) { v.Demand = -0.25 }, "demand -0.25"},
+		{"lifetime-negative", func(v *cloudgen.VM) { v.Lifetime = -sim.Second }, "lifetime " + fmt.Sprint(-sim.Second)},
+		{"work-negative", func(v *cloudgen.VM) { v.Class, v.Work = cloudgen.Batch, -sim.Second }, "work " + fmt.Sprint(-sim.Second)},
+		{"class-unknown", func(v *cloudgen.VM) { v.Class = 2 }, "class 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { rejectsTraceVM(t, c.edit, c.want) })
 	}
 }
 
@@ -662,6 +746,30 @@ func TestMacroEpochAllocFree(t *testing.T) {
 	t1 := mid.Add(m.cfg.Epoch)
 	if allocs := testing.AllocsPerRun(100, func() { m.integrate(mid, t1) }); allocs != 0 {
 		t.Fatalf("integrate allocates %v times per epoch, want 0", allocs)
+	}
+}
+
+// TestMacroAllocBudget gates the macro tier's memory per trace VM. The
+// id-indexed macroVM must stay within 16 bytes (each VM's floats live in its
+// resident record while live and in its snapshot record otherwise), and a
+// first-fit RunMacro over a 24 h, 1024-host cloudgen trace (57,750 VMs) must
+// allocate at most 116 bytes per trace VM in total. With the 16-byte macroVM
+// it allocates 107 B/VM (97 on the 96 h trace vbench runs); the 72-byte
+// macroVM with a snapshot built after the run allocated 163 (153).
+func TestMacroAllocBudget(t *testing.T) {
+	if size := unsafe.Sizeof(macroVM{}); size > 16 {
+		t.Fatalf("macroVM is %d bytes, budget 16", size)
+	}
+	cfg := cloudgen.DefaultConfig()
+	cfg.Horizon = 24 * cloudgen.Hour
+	trace := cloudgen.Generate(42, cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
+	runtime.ReadMemStats(&after)
+	const budget = 116
+	if perVM := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(trace.VMs)); perVM > budget {
+		t.Fatalf("RunMacro allocates %.1f B per trace VM over %d VMs, budget %d", perVM, len(trace.VMs), budget)
 	}
 }
 

@@ -20,6 +20,8 @@ func (h HostInfo) Fits(vcpus int) bool { return h.Committed+vcpus <= h.Capacity 
 // lowest host ID, snapshots arrive in stable host-ID order (never map
 // iteration), and heterogeneous Capacity values must not disturb either
 // property — the cluster may mix host classes (see internal/cloudgen).
+// Place must not retain hosts: both fleet tiers refill one scratch slice for
+// every placement, so the snapshot is only valid for the call.
 // Policies that also implement IndexedPolicy (see index.go) are placed
 // through a HostIndex in O(log hosts) instead of this linear scan.
 type Policy interface {
