@@ -45,14 +45,19 @@ go test $short ./...
 
 race_pkgs=$(go list ./internal/... | grep -vx 'vsched/internal/experiments' | tr '\n' ' ')
 echo "== go test -race -short $race_pkgs"
-# This includes the live ops plane end to end: internal/fleet's
-# TestMacroObsStream publishes a faulted macro run into an obshttp server
-# while TCP clients stream its events and scrape /metrics concurrently.
+# This includes the live ops plane end to end: internal/obshttp's
+# TestEventStreamNDJSON and TestLiveStreamWhilePublishing stream a run's
+# events over real TCP, the second while a publisher is still writing, and
+# internal/harness' TestObsTrialLifecycle drains the trial lifecycle the
+# harness publishes. Both CLIs' -serve inertness tests
+# (TestServeAndProgressInert, TestServeStdoutInert) run in the full test
+# stage above.
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
 
-# The progress bus's seqlock race is intermittent, so one pass can hide it:
-# its concurrency test runs twenty times under the race detector.
+# A race between the progress bus's publishers and its reader would be
+# intermittent, so one pass can hide it: the bus's concurrency test runs
+# twenty times under the race detector.
 echo "== progress bus concurrency (-race -count=20)"
 go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 

@@ -273,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "observability: http://%s/metrics, /runs/vschedsim/events\n", bound)
 		obsRun := osrv.Register("vschedsim")
 		pub := obsRun.Publisher()
-		label := pub.Label(*workloadName)
+		label := *workloadName
 		eng := cl.Engine()
 		total := warm + window
 		obsReg := metrics.NewRegistry()

@@ -27,9 +27,6 @@ func (s *VSched) bvsSelect(t *guest.Task, prev *guest.VCPU) *guest.VCPU {
 		return nil
 	}
 	s.bvsCalls.Inc()
-	if bvsDebug != nil {
-		defer func() { bvsDebug(s, t) }()
-	}
 	medCap := s.medianCapacity()
 	lowLat := s.lowLatencyThreshold()
 	n := s.vm.NumVCPUs()
@@ -121,15 +118,9 @@ func (s *VSched) bvsAcceptable(v *guest.VCPU, lowLat sim.Duration) bool {
 	}
 }
 
-// bvsDebug, when set by tests, observes each hook call.
-var bvsDebug func(*VSched, *guest.Task)
-
 func maxDur(a, b sim.Duration) sim.Duration {
 	if a > b {
 		return a
 	}
 	return b
 }
-
-// SetBVSDebug installs a debug observer (debug builds only).
-func SetBVSDebug(fn func(*VSched, *guest.Task)) { bvsDebug = fn }

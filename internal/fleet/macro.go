@@ -11,7 +11,6 @@ import (
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
 	"vsched/internal/metrics"
-	"vsched/internal/progress"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
 )
@@ -83,16 +82,6 @@ type MacroConfig struct {
 	// victims are lost and rejections are terminal — the graceful-
 	// degradation baseline.
 	Recovery faults.RecoveryConfig
-	// Obs, when non-nil, receives structured run progress (run start/done,
-	// per-epoch conservation ledgers, fault and recovery events) and mirror
-	// snapshots of the cell registry, fleet aggregates and engine self-census
-	// for live HTTP observation. Publishing is inert by construction: every
-	// publish happens at a serial safepoint (epoch boundaries) through the
-	// lock-free bus/mirror handoff, writes only fixed-size snapshots, and
-	// reads nothing back — results are byte-identical with or without it.
-	Obs *progress.Publisher
-	// ObsLabel names the run in published events (default: the policy name).
-	ObsLabel string
 }
 
 // MacroResult is one macro cell's outcome.
@@ -306,14 +295,6 @@ type macroSim struct {
 	ledger          recoveryLedger
 	lostVCPUSeconds float64
 
-	// Live progress publishing (nil obs = detached). obsLabel and the
-	// per-fault-kind detail labels are interned once at setup so the
-	// per-event publish path allocates nothing.
-	obs        *progress.Publisher
-	obsLabel   int32
-	faultLabel [3]int32
-	epochIdx   int64
-
 	// cal is the departure calendar: cal[k] lists the VMs due to leave at
 	// boundary k (time k*Epoch; the last bucket is the horizon). A VM is
 	// filed under the first boundary at or after its depart instant when it
@@ -415,23 +396,6 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	if cfg.Observe != nil {
 		cfg.Observe(m.eng)
 	}
-	if cfg.Obs != nil {
-		m.obs = cfg.Obs
-		label := cfg.ObsLabel
-		if label == "" {
-			label = cfg.Policy.Name()
-		}
-		m.obsLabel = m.obs.Label(label)
-		m.faultLabel[faults.Crash] = m.obs.Label("crash")
-		m.faultLabel[faults.Brownout] = m.obs.Label("brownout")
-		m.faultLabel[faults.Stall] = m.obs.Label("stall")
-		m.obs.Publish(progress.Event{
-			Kind:  progress.KindRunStart,
-			Label: m.obsLabel,
-			Total: int64(len(cfg.Trace.VMs)),
-		})
-		m.publishMirror()
-	}
 	return m
 }
 
@@ -441,8 +405,7 @@ func (m *macroSim) epoch() {
 	now := m.eng.Now()
 	m.boundary(now)
 	// Refresh the recorder's self-census gauges at the boundary so they are
-	// scrape- and sample-visible. Deliberately unconditional (not gated on
-	// m.obs): telemetry contents must not depend on whether anyone watches.
+	// sample-visible.
 	m.rec.UpdateCensus(m.reg)
 	end := now.Add(m.cfg.Epoch)
 	if end > m.horizon {
@@ -450,48 +413,10 @@ func (m *macroSim) epoch() {
 	}
 	if end > now {
 		m.integrate(now, end)
-		m.publishEpoch(end)
 	}
 	if end < m.horizon {
 		m.eng.At(end, m.epoch)
 	}
-}
-
-// publishEpoch emits the epoch progress event (cumulative conservation
-// ledger + fleet gauges) and refreshes the metric mirror. Safepoint: runs
-// after the epoch's integration.
-func (m *macroSim) publishEpoch(end sim.Time) {
-	m.epochIdx++
-	if m.obs == nil {
-		return
-	}
-	m.obs.Publish(progress.Event{
-		Kind:      progress.KindEpoch,
-		Label:     m.obsLabel,
-		At:        int64(end),
-		Epoch:     m.epochIdx,
-		Admitted:  int64(m.next),
-		Completed: int64(m.departed),
-		Lost:      int64(m.ledger.Lost),
-		Rejected:  int64(m.rejected),
-		Running:   int64(m.agg.alive),
-		Pending:   int64(len(m.retryQ)),
-		UtilMean:  m.agg.utilMean,
-		DI:        m.agg.di,
-	})
-	m.publishMirror()
-}
-
-// publishMirror swaps in a fresh snapshot of the cell registry (recorder
-// census included), the fleet aggregates and the engine self-census for
-// /metrics scrapers. Reads only simulation state, from the simulation
-// goroutine.
-func (m *macroSim) publishMirror() {
-	m.obs.PublishMirror(func(emit func(string, float64)) {
-		m.reg.VisitNumeric(emit)
-		macroSource{m}.Collect(m.now, emit)
-		(&telemetry.SelfSource{Eng: m.eng}).Collect(m.now, emit)
-	})
 }
 
 // boundary performs the epoch-start work at time t, in a fixed order so
@@ -641,15 +566,6 @@ func (m *macroSim) applyFaults(t sim.Time) {
 		hi := faultHost(ev, len(m.hosts))
 		h := &m.hosts[hi]
 		m.events++
-		if m.obs != nil {
-			m.obs.Publish(progress.Event{
-				Kind:   progress.KindFault,
-				Label:  m.obsLabel,
-				Detail: m.faultLabel[ev.Kind],
-				At:     int64(ev.At),
-				Host:   int64(ev.Host),
-			})
-		}
 		m.ledger.fault(ev.Kind)
 		h.open(ev)
 		if ev.Kind != faults.Stall {
@@ -786,15 +702,6 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	m.events++
 	m.ledger.restored(t.Sub(e.downSince).Seconds(), tv.VCPUs)
 	m.reindexHost(hi)
-	if m.obs != nil {
-		m.obs.Publish(progress.Event{
-			Kind:    progress.KindRecovery,
-			Label:   m.obsLabel,
-			At:      int64(t),
-			Host:    int64(hi),
-			Retries: int64(e.attempt),
-		})
-	}
 }
 
 // evacuate drains hosts whose commitment exceeds their degraded capacity,
@@ -1203,25 +1110,6 @@ func (m *macroSim) result() *MacroResult {
 	out := m.ledger.outcome("macro", census{
 		entered: m.next, departed: m.departed, rejected: m.rejected, pending: pending, running: running,
 	})
-
-	if m.obs != nil {
-		// Final ledger, after the horizon boundary's departures: the stream's
-		// terminal record, which consumers reconcile against the per-epoch
-		// events and the conservation law.
-		m.obs.Publish(progress.Event{
-			Kind:      progress.KindRunDone,
-			Label:     m.obsLabel,
-			At:        int64(m.horizon),
-			Epoch:     m.epochIdx,
-			Admitted:  int64(m.next),
-			Completed: int64(m.departed),
-			Lost:      int64(out.Lost),
-			Rejected:  int64(m.rejected),
-			Running:   int64(running),
-			Pending:   int64(pending),
-		})
-		m.publishMirror()
-	}
 
 	return &MacroResult{
 		Policy:          m.cfg.Policy.Name(),

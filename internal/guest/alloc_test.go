@@ -77,7 +77,7 @@ func steadyStateVM(features core.Features) (*sim.Engine, *guest.VM) {
 				if out != nil {
 					return guest.SemPost(out)
 				}
-				return guest.Yield()
+				return guest.Compute(work / 4)
 			}
 			return guest.Compute(work / 4)
 		}

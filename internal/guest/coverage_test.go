@@ -153,27 +153,6 @@ func TestKickVCPUWakesHalted(t *testing.T) {
 	}
 }
 
-func TestYieldRotatesEqualTasks(t *testing.T) {
-	eng, _, vm := testSetup(t, 1, 1, 1, 1)
-	ranB := false
-	stepA := 0
-	vm.Spawn("a", func(sim.Time) Segment {
-		stepA++
-		if stepA%2 == 1 {
-			return Compute(1e5)
-		}
-		return Yield()
-	})
-	vm.Spawn("b", func(sim.Time) Segment {
-		ranB = true
-		return Compute(1e5)
-	})
-	eng.RunFor(5 * sim.Millisecond)
-	if !ranB {
-		t.Fatal("yield never let the second task run")
-	}
-}
-
 func TestDeliverIRQImmediateWhenActive(t *testing.T) {
 	eng, _, vm := testSetup(t, 1, 1, 1, 1)
 	vm.Spawn("busy", func(sim.Time) Segment { return ComputeForever() })

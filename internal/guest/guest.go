@@ -662,19 +662,6 @@ func (vm *VM) advance(t *Task) {
 			v.dispatch()
 			return
 
-		case SegYield:
-			v.syncExec()
-			v.uninstallCurr()
-			v.compEv.Cancel()
-			v.compEv = sim.Event{}
-			t.remaining = 0
-			t.state = TaskRunnable
-			t.enqueuedAt = now
-			v.rq = append(v.rq, t)
-			v.syncMasks()
-			v.dispatch()
-			return
-
 		case SegExit:
 			t.state = TaskExited
 			t.exited = true

@@ -84,8 +84,6 @@ const (
 	// SegMigrate moves the task itself to the target vCPU and continues (the
 	// sched_setaffinity self-migration used by Fig. 3's migration mode).
 	SegMigrate
-	// SegYield requeues the task, letting equal-vruntime tasks run.
-	SegYield
 	// SegExit terminates the task.
 	SegExit
 )
@@ -112,7 +110,6 @@ func SemWait(s *Semaphore) Segment   { return Segment{Kind: SegSemWait, sync: &s
 func SemPost(s *Semaphore) Segment   { return Segment{Kind: SegSemPost, sync: &s.syncState} }
 func BarrierWait(b *Barrier) Segment { return Segment{Kind: SegBarrier, sync: &b.syncState} }
 func MigrateTo(cpu int) Segment      { return Segment{Kind: SegMigrate, arg: int64(cpu)} }
-func Yield() Segment                 { return Segment{Kind: SegYield} }
 func Exit() Segment                  { return Segment{Kind: SegExit} }
 
 // Behavior produces a task's next program segment. Implementations are

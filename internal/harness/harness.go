@@ -60,17 +60,20 @@ type Config struct {
 	Retries int
 	// Obs, when non-nil, receives the trial lifecycle (run start/done,
 	// trial start/done with retry counts and truncated errors) for live HTTP
-	// observation. Publishing goes through the lock-free bounded bus and
-	// reads nothing back, so attaching it cannot perturb results.
+	// observation. Publishing goes through the bounded bus and reads nothing
+	// back, so attaching it cannot perturb results. The harness publishes
+	// no metric mirror, so a served run's /metrics carries only obshttp's
+	// own vsched_obs_* counters (events published, scrapes served).
 	Obs *progress.Publisher
 	// Heartbeat, when non-nil, receives a plain-text progress line (trials
-	// done/total, failures, mean trial wall time, ETA) every HeartbeatEvery.
+	// done/total, failures, mean trial wall time, ETA) every heartbeatEvery.
 	// Intended for stderr on long interactive runs; off by default so CI
 	// logs stay clean.
 	Heartbeat io.Writer
-	// HeartbeatEvery rate-limits heartbeat lines (default 2s).
-	HeartbeatEvery time.Duration
 }
+
+// heartbeatEvery rate-limits heartbeat lines.
+const heartbeatEvery = 2 * time.Second
 
 func (c Config) normalized() Config {
 	if c.Runners == nil {
@@ -267,13 +270,10 @@ func Run(cfg Config) *Result {
 
 // runTracker is the harness's progress side-channel: trial lifecycle events
 // onto the bounded bus (multi-producer safe) plus the optional stderr
-// heartbeat. Labels are interned before the workers start, so the per-trial
-// publish path takes no locks beyond the bus's atomics; only rare failure
-// details hit the label-table mutex.
+// heartbeat.
 type runTracker struct {
-	obs    *progress.Publisher
-	labels map[string]int32
-	total  int64
+	obs   *progress.Publisher
+	total int64
 
 	done    atomic.Int64
 	failed  atomic.Int64
@@ -281,29 +281,17 @@ type runTracker struct {
 	started time.Time
 
 	hb      io.Writer
-	hbEvery time.Duration
 	stop    chan struct{}
 	stopped sync.WaitGroup
 }
 
 func newRunTracker(cfg Config, total int) *runTracker {
-	t := &runTracker{
+	return &runTracker{
 		obs:     cfg.Obs,
 		total:   int64(total),
 		hb:      cfg.Heartbeat,
-		hbEvery: cfg.HeartbeatEvery,
 		started: time.Now(),
 	}
-	if t.hbEvery <= 0 {
-		t.hbEvery = 2 * time.Second
-	}
-	if t.obs != nil {
-		t.labels = make(map[string]int32, len(cfg.Runners))
-		for _, r := range cfg.Runners {
-			t.labels[r.ID] = t.obs.Label(r.ID)
-		}
-	}
-	return t
 }
 
 func (t *runTracker) start() {
@@ -317,7 +305,7 @@ func (t *runTracker) start() {
 	t.stopped.Add(1)
 	go func() {
 		defer t.stopped.Done()
-		tick := time.NewTicker(t.hbEvery)
+		tick := time.NewTicker(heartbeatEvery)
 		defer tick.Stop()
 		for {
 			select {
@@ -356,7 +344,7 @@ func (t *runTracker) trialStart(slot *TrialResult) {
 	}
 	t.obs.Publish(progress.Event{
 		Kind:      progress.KindTrialStart,
-		Label:     t.labels[slot.ExperimentID],
+		Label:     slot.ExperimentID,
 		Replicate: int32(slot.Replicate),
 		Done:      t.done.Load(),
 		Total:     t.total,
@@ -375,17 +363,13 @@ func (t *runTracker) trialDone(slot *TrialResult) {
 	if t.obs == nil {
 		return
 	}
-	var detail int32
-	if slot.Err != "" {
-		msg := slot.Err
-		if len(msg) > 80 {
-			msg = msg[:80]
-		}
-		detail = t.obs.Label(msg)
+	detail := slot.Err
+	if len(detail) > 80 {
+		detail = detail[:80]
 	}
 	t.obs.Publish(progress.Event{
 		Kind:      progress.KindTrialDone,
-		Label:     t.labels[slot.ExperimentID],
+		Label:     slot.ExperimentID,
 		Detail:    detail,
 		Replicate: int32(slot.Replicate),
 		Done:      done,

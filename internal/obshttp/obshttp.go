@@ -6,7 +6,7 @@
 // plus the server's own vsched_obs_* counters), an NDJSON/SSE structured
 // progress stream on /runs/{id}/events, a /runs listing, /healthz, and the
 // standard pprof mux — without ever touching live simulation state.
-// Everything the handlers read arrived through a lock-free handoff at a
+// Everything the handlers read arrived through the bus or the mirror at a
 // simulation safepoint, so attaching the server (and scraping it
 // concurrently) cannot perturb a determinism-gated run.
 package obshttp
@@ -48,7 +48,7 @@ type Run struct {
 }
 
 // Publisher returns the handles the simulation publishes through. Pass it
-// to harness.Config.Obs / fleet.MacroConfig.Obs.
+// to harness.Config.Obs.
 func (r *Run) Publisher() *progress.Publisher { return r.pub }
 
 // Log returns the run-scoped structured logger.
@@ -304,7 +304,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 				}
 			}
 			for _, ev := range buf[:n] {
-				if !write(bus.Wire(ev)) {
+				if !write(ev) {
 					return
 				}
 				received++

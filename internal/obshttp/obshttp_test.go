@@ -125,12 +125,11 @@ func TestEventStreamNDJSON(t *testing.T) {
 	defer s.Close()
 	run := s.Register("demo")
 	pub := run.Publisher()
-	lbl := pub.Label("demo")
-	pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: lbl, Total: 3})
+	pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: "demo", Total: 3})
 	for i := 1; i <= 3; i++ {
-		pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i), Admitted: int64(i), Running: int64(i)})
+		pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i), Done: int64(i), Total: 3})
 	}
-	pub.Publish(progress.Event{Kind: progress.KindRunDone, Admitted: 3, Completed: 3})
+	pub.Publish(progress.Event{Kind: progress.KindRunDone, Done: 3, Total: 3})
 	run.Finish()
 
 	resp, err := http.Get("http://" + addr + "/runs/demo/events")
@@ -255,7 +254,7 @@ func TestLiveStreamWhilePublishing(t *testing.T) {
 			pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i)})
 			time.Sleep(100 * time.Microsecond)
 		}
-		pub.Publish(progress.Event{Kind: progress.KindRunDone, Admitted: 50})
+		pub.Publish(progress.Event{Kind: progress.KindRunDone, Done: 50})
 		run.Finish()
 	}()
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Sample is one mirrored (name, value) pair. Name is the simulator's dotted
-// metric name ("fleet.macro.placed"); a publisher emits each name at most
+// metric name ("sim.fired"); a publisher emits each name at most
 // once per snapshot.
 type Sample struct {
 	Name  string
@@ -89,14 +89,6 @@ func (p *Publisher) Publish(ev Event) {
 	if p != nil && p.Bus != nil {
 		p.Bus.Publish(ev)
 	}
-}
-
-// Label forwards to the bus label table; 0 on a nil publisher.
-func (p *Publisher) Label(name string) int32 {
-	if p == nil || p.Bus == nil {
-		return 0
-	}
-	return p.Bus.Label(name)
 }
 
 // PublishMirror forwards to the mirror; no-op on a nil publisher.

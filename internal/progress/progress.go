@@ -4,18 +4,17 @@
 //
 // The design constraint is that observation must be inert by construction.
 // Simulation results are determinism-gated byte for byte, so a publisher may
-// never block on a consumer, never take a lock a consumer holds, and never
-// read anything back from the observation side. Publishers therefore write
-// fixed-size snapshots at their existing safepoints (epoch boundaries, trial
-// completion) through lock-free/atomic handoffs:
+// never wait on a consumer's pace and never read anything back from the
+// observation side. Publishers therefore write small records at their
+// existing safepoints (trial settlement, a run-loop advance) through bounded
+// handoffs:
 //
-//   - Bus is a power-of-two ring of plain-old-data Event slots guarded by
-//     per-slot seqlock versions. Publish claims a sequence number with one
-//     atomic add, writes the slot, and flips the version — it never blocks
-//     and never allocates. Readers chase the ring with a private cursor; a
-//     reader that falls a full ring behind skips forward and counts exactly
-//     how many events it lost. Slow consumers lose history, never slow the
-//     simulation.
+//   - Bus is a fixed ring of Events under one mutex. Publish and a reader's
+//     Poll each hold the lock only to copy one slot, so a publisher waits at
+//     most one slot copy and never allocates. Readers chase the ring with a
+//     private cursor; a reader that falls a full ring behind skips forward
+//     and counts exactly how many events it lost. Slow consumers lose
+//     history, never slow the simulation.
 //   - Mirror hands whole metric snapshots to scrapers through one atomic
 //     pointer swap. A snapshot is a flat, name-sorted list of (name, value)
 //     pairs, filled through the emit(name, value) callback that
@@ -23,19 +22,11 @@
 //     publisher passes those readers the callback and copies nothing.
 //     Scrapers always see a complete, internally-consistent snapshot;
 //     publishers never wait for them.
-//
-// Event is strictly POD — no pointers, no strings — so a slot can hold it as
-// atomic 64-bit words, and a torn seqlock read is harmless garbage that
-// validation discards, rather than a corrupt pointer the garbage collector
-// could trip over. Run/experiment names travel as indices into the bus's
-// append-only label table.
 package progress
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Kind classifies a progress event.
@@ -43,7 +34,7 @@ type Kind uint8
 
 const (
 	// KindRunStart opens a run: Total carries the planned unit count
-	// (harness trials, macro arrivals).
+	// (harness trials, vschedsim virtual seconds).
 	KindRunStart Kind = iota
 	// KindTrialStart marks one harness (experiment, replicate) trial
 	// starting; Label is the experiment ID.
@@ -52,16 +43,10 @@ const (
 	// consumed, Detail a truncated error for failures, and Done/Failed the
 	// run-level tallies after this trial.
 	KindTrialDone
-	// KindEpoch is one macro-fleet integration step: the cumulative
-	// conservation ledger (Admitted..Pending), utilization and imbalance.
+	// KindEpoch is one step of a stepped run (a vschedsim virtual second):
+	// Epoch counts steps, Done/Total the progress through the run.
 	KindEpoch
-	// KindFault is one applied host fault event; Host is the victim and
-	// Detail names the fault kind.
-	KindFault
-	// KindRecovery is one successful crash-victim restart; Host is the new
-	// placement.
-	KindRecovery
-	// KindRunDone closes a run with the final ledger.
+	// KindRunDone closes a run with its final tallies.
 	KindRunDone
 )
 
@@ -70,8 +55,6 @@ var kindNames = [...]string{
 	KindTrialStart: "trial_start",
 	KindTrialDone:  "trial_done",
 	KindEpoch:      "epoch",
-	KindFault:      "fault",
-	KindRecovery:   "recovery",
 	KindRunDone:    "run_done",
 }
 
@@ -82,92 +65,38 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one fixed-size progress record. It is deliberately plain old
-// data: the bus hands slots between goroutines under a seqlock, where a torn
-// read of a pointer would be unsafe but a torn read of numbers is merely
-// discarded. Label and Detail index the bus label table (0 = empty).
+// MarshalText encodes the kind by name, so an Event streams as
+// {"kind":"trial_done",...}.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Event is one progress record, and also its streamed JSON form on
+// /runs/{id}/events: zero-valued fields other than seq, kind and at_ns are
+// elided.
 type Event struct {
-	Seq       uint64
-	Kind      Kind
-	Label     int32
-	Detail    int32
-	Replicate int32
+	Seq       uint64 `json:"seq"`
+	Kind      Kind   `json:"kind"`
+	Label     string `json:"label,omitempty"`
+	Detail    string `json:"detail,omitempty"`
+	Replicate int32  `json:"replicate,omitempty"`
 	// At is virtual time in nanoseconds.
-	At    int64
-	Epoch int64
-	// Conservation ledger (cumulative): Admitted == Completed + Lost +
-	// Rejected + Running + Pending at every safepoint.
-	Admitted  int64
-	Completed int64
-	Lost      int64
-	Rejected  int64
-	Running   int64
-	Pending   int64
+	At    int64 `json:"at_ns"`
+	Epoch int64 `json:"epoch,omitempty"`
 	// Harness trial accounting.
-	Done    int64
-	Total   int64
-	Failed  int64
-	Retries int64
-	// Fault plane.
-	Host int64
-	// Fleet gauges.
-	UtilMean float64
-	DI       float64
+	Done    int64 `json:"done,omitempty"`
+	Total   int64 `json:"total,omitempty"`
+	Failed  int64 `json:"failed,omitempty"`
+	Retries int64 `json:"retries,omitempty"`
 }
 
-// WireEvent is the JSON form streamed over /runs/{id}/events: Label/Detail
-// resolved through the label table, zero-valued fields elided.
-type WireEvent struct {
-	Seq       uint64  `json:"seq"`
-	Kind      string  `json:"kind"`
-	Label     string  `json:"label,omitempty"`
-	Detail    string  `json:"detail,omitempty"`
-	Replicate int32   `json:"replicate,omitempty"`
-	AtNS      int64   `json:"at_ns"`
-	Epoch     int64   `json:"epoch,omitempty"`
-	Admitted  int64   `json:"admitted,omitempty"`
-	Completed int64   `json:"completed,omitempty"`
-	Lost      int64   `json:"lost,omitempty"`
-	Rejected  int64   `json:"rejected,omitempty"`
-	Running   int64   `json:"running,omitempty"`
-	Pending   int64   `json:"pending,omitempty"`
-	Done      int64   `json:"done,omitempty"`
-	Total     int64   `json:"total,omitempty"`
-	Failed    int64   `json:"failed,omitempty"`
-	Retries   int64   `json:"retries,omitempty"`
-	Host      int64   `json:"host,omitempty"`
-	UtilMean  float64 `json:"util_mean,omitempty"`
-	DI        float64 `json:"di,omitempty"`
-}
-
-// eventWords is Event's size in 64-bit words.
-const eventWords = unsafe.Sizeof(Event{}) / 8
-
-// Event must be a whole number of words to travel as them.
-var _ [0]struct{} = [unsafe.Sizeof(Event{}) % 8]struct{}{}
-
-// slot is one ring cell. ver is the seqlock: 0 empty, 2s+1 while the writer
-// of sequence s is copying, 2s+2 once sequence s is published. The payload
-// is stored as atomic words, so a reader copying a slot while a writer
-// reclaims it reads torn numbers that the version check discards, not a
-// data race.
-type slot struct {
-	ver atomic.Uint64
-	ev  [eventWords]atomic.Uint64
-}
-
-// Bus is the bounded multi-producer broadcast ring. Publishing is lock-free
-// (one atomic add to claim a sequence, one store to publish) and readers are
-// pull-only, so nothing a consumer does can ever delay a publisher.
+// Bus is the bounded multi-producer broadcast ring. Publishers and readers
+// share one mutex held only for a slot copy, and readers are pull-only, so
+// nothing a consumer does can delay a publisher by more than that.
 type Bus struct {
-	slots []slot
-	mask  uint64
-	next  atomic.Uint64
-	done  atomic.Bool
-
-	labelMu  sync.Mutex
-	labelIdx map[string]int32
-	labels   atomic.Pointer[[]string]
+	mu   sync.Mutex
+	ring []Event
+	mask uint64
+	next uint64 // events published so far; guarded by mu
+	done atomic.Bool
 }
 
 // DefaultBusSize is the ring capacity when NewBus is given <= 0.
@@ -183,21 +112,20 @@ func NewBus(size int) *Bus {
 	for n < size {
 		n <<= 1
 	}
-	b := &Bus{slots: make([]slot, n), mask: uint64(n - 1), labelIdx: make(map[string]int32)}
-	empty := []string{""}
-	b.labels.Store(&empty)
-	return b
+	return &Bus{ring: make([]Event, n), mask: uint64(n - 1)}
 }
 
 // Cap returns the ring capacity.
-func (b *Bus) Cap() int { return len(b.slots) }
+func (b *Bus) Cap() int { return len(b.ring) }
 
-// Seq returns how many events have been published (claimed) so far.
+// Seq returns how many events have been published so far.
 func (b *Bus) Seq() uint64 {
 	if b == nil {
 		return 0
 	}
-	return b.next.Load()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.next
 }
 
 // MarkDone flags the run as finished so streaming consumers can drain and
@@ -211,90 +139,25 @@ func (b *Bus) MarkDone() {
 // Done reports whether the run has been marked finished.
 func (b *Bus) Done() bool { return b != nil && b.done.Load() }
 
-// Label interns name in the append-only label table and returns its index.
-// Index 0 is always the empty string. Safe for concurrent use; intended for
-// setup paths and rare events (trial errors), not per-event hot paths —
-// publishers should keep the returned index.
-func (b *Bus) Label(name string) int32 {
-	if b == nil || name == "" {
-		return 0
-	}
-	b.labelMu.Lock()
-	defer b.labelMu.Unlock()
-	if i, ok := b.labelIdx[name]; ok {
-		return i
-	}
-	old := *b.labels.Load()
-	next := make([]string, len(old)+1)
-	copy(next, old)
-	next[len(old)] = name
-	i := int32(len(old))
-	b.labelIdx[name] = i
-	b.labels.Store(&next)
-	return i
-}
-
-// LabelName resolves a label index; out-of-range indices resolve to "".
-// Lock-free: reads an immutable snapshot of the table.
-func (b *Bus) LabelName(i int32) string {
-	if b == nil || i <= 0 {
-		return ""
-	}
-	tbl := *b.labels.Load()
-	if int(i) >= len(tbl) {
-		return ""
-	}
-	return tbl[i]
-}
-
-// Publish writes one event to the ring. It assigns ev.Seq, never blocks on
-// consumers, and performs no allocation. Multiple publishers may call it
-// concurrently; the only wait is a Gosched spin in the pathological case of
-// a publisher lapping another publisher by a full ring, which bounded
-// publish rates never reach.
+// Publish writes one event to the ring and returns its sequence number,
+// which it also stores in the event's Seq. It allocates nothing, and
+// multiple publishers may call it concurrently.
 func (b *Bus) Publish(ev Event) uint64 {
-	seq := b.next.Add(1) - 1
-	s := &b.slots[seq&b.mask]
-	prev := uint64(0)
-	if seq >= uint64(len(b.slots)) {
-		prev = 2*(seq-uint64(len(b.slots))) + 2
-	}
-	for !s.ver.CompareAndSwap(prev, 2*seq+1) {
-		runtime.Gosched()
-	}
-	ev.Seq = seq
-	w := (*[eventWords]uint64)(unsafe.Pointer(&ev))
-	for i := range s.ev {
-		s.ev[i].Store(w[i])
-	}
-	s.ver.Store(2*seq + 2)
-	return seq
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ev.Seq = b.next
+	b.ring[b.next&b.mask] = ev
+	b.next++
+	return ev.Seq
 }
 
-// Wire resolves ev's label indices into the streamed JSON form.
-func (b *Bus) Wire(ev Event) WireEvent {
-	return WireEvent{
-		Seq:       ev.Seq,
-		Kind:      ev.Kind.String(),
-		Label:     b.LabelName(ev.Label),
-		Detail:    b.LabelName(ev.Detail),
-		Replicate: ev.Replicate,
-		AtNS:      ev.At,
-		Epoch:     ev.Epoch,
-		Admitted:  ev.Admitted,
-		Completed: ev.Completed,
-		Lost:      ev.Lost,
-		Rejected:  ev.Rejected,
-		Running:   ev.Running,
-		Pending:   ev.Pending,
-		Done:      ev.Done,
-		Total:     ev.Total,
-		Failed:    ev.Failed,
-		Retries:   ev.Retries,
-		Host:      ev.Host,
-		UtilMean:  ev.UtilMean,
-		DI:        ev.DI,
+// oldest is the sequence number of the oldest event still in the ring.
+// Callers hold b.mu.
+func (b *Bus) oldest() uint64 {
+	if size := uint64(len(b.ring)); b.next > size {
+		return b.next - size
 	}
+	return 0
 }
 
 // Reader is one consumer's private cursor into the bus. Not safe for
@@ -311,15 +174,12 @@ type Reader struct {
 // with the unretrievable prefix counted in Dropped(), so received + dropped
 // always equals the number published.
 func (b *Bus) NewReader(fromStart bool) *Reader {
-	r := &Reader{b: b}
-	head := b.next.Load()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := &Reader{b: b, cursor: b.next}
 	if fromStart {
-		if head > uint64(len(b.slots)) {
-			r.cursor = head - uint64(len(b.slots))
-			r.dropped = r.cursor
-		}
-	} else {
-		r.cursor = head
+		r.cursor = b.oldest()
+		r.dropped = r.cursor
 	}
 	return r
 }
@@ -329,49 +189,34 @@ func (r *Reader) Dropped() uint64 { return r.dropped }
 
 // Drained reports whether the reader has consumed everything published so
 // far.
-func (r *Reader) Drained() bool { return r.cursor >= r.b.next.Load() }
+func (r *Reader) Drained() bool { return r.cursor >= r.b.Seq() }
 
 // Poll copies available events into buf and returns how many were written.
-// Never blocks: it returns 0 when the bus is empty or the next slot is still
-// being written. Events lost to overwrite are skipped and added to
-// Dropped().
+// Never blocks beyond a slot copy: it returns 0 when the reader is drained.
+// Events lost to overwrite are skipped and added to Dropped().
 func (r *Reader) Poll(buf []Event) int {
 	n := 0
-	for n < len(buf) {
-		head := r.b.next.Load()
-		if r.cursor >= head {
-			break
-		}
-		if size := uint64(len(r.b.slots)); head > size {
-			if oldest := head - size; r.cursor < oldest {
-				r.dropped += oldest - r.cursor
-				r.cursor = oldest
-			}
-		}
-		s := &r.b.slots[r.cursor&r.b.mask]
-		want := 2*r.cursor + 2
-		v1 := s.ver.Load()
-		if v1 < want {
-			// Claimed but not yet published: come back later.
-			break
-		}
-		if v1 > want {
-			// Overwritten between the head check and here.
-			r.dropped++
-			r.cursor++
-			continue
-		}
-		var w [eventWords]uint64
-		for i := range w {
-			w[i] = s.ev[i].Load()
-		}
-		if s.ver.Load() != v1 {
-			// Torn read: the slot was reclaimed mid-copy. Re-examine it.
-			continue
-		}
-		buf[n] = *(*Event)(unsafe.Pointer(&w))
+	for n < len(buf) && r.copyNext(&buf[n]) {
 		n++
-		r.cursor++
 	}
 	return n
+}
+
+// copyNext copies the reader's next retained event into ev and advances the
+// cursor, first skipping (and counting) any events lost to overwrite. It
+// reports false when there is nothing left to read.
+func (r *Reader) copyNext(ev *Event) bool {
+	b := r.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if oldest := b.oldest(); r.cursor < oldest {
+		r.dropped += oldest - r.cursor
+		r.cursor = oldest
+	}
+	if r.cursor >= b.next {
+		return false
+	}
+	*ev = b.ring[r.cursor&b.mask]
+	r.cursor++
+	return true
 }

@@ -105,7 +105,7 @@ func TestConcurrentPublishers(t *testing.T) {
 				// Payload fields all derived from one value so a torn
 				// read is detectable.
 				v := int64(p*perProd + i)
-				b.Publish(Event{Kind: KindEpoch, Epoch: v, Admitted: v, Completed: -v})
+				b.Publish(Event{Kind: KindEpoch, Epoch: v, Done: v, Total: -v})
 			}
 		}(p)
 	}
@@ -128,9 +128,9 @@ func TestConcurrentPublishers(t *testing.T) {
 				break
 			}
 			for _, ev := range buf[:n] {
-				if ev.Admitted != ev.Epoch || ev.Completed != -ev.Epoch {
-					t.Fatalf("torn event: seq=%d epoch=%d admitted=%d completed=%d",
-						ev.Seq, ev.Epoch, ev.Admitted, ev.Completed)
+				if ev.Done != ev.Epoch || ev.Total != -ev.Epoch {
+					t.Fatalf("torn event: seq=%d epoch=%d done=%d total=%d",
+						ev.Seq, ev.Epoch, ev.Done, ev.Total)
 				}
 				if seen[ev.Seq] {
 					t.Fatalf("duplicate seq %d", ev.Seq)
@@ -152,68 +152,17 @@ func TestConcurrentPublishers(t *testing.T) {
 	}
 }
 
-func TestLabelTable(t *testing.T) {
-	b := NewBus(8)
-	i1 := b.Label("fleetscale")
-	i2 := b.Label("obsplane")
-	if i1 == 0 || i2 == 0 || i1 == i2 {
-		t.Fatalf("label indices: %d, %d", i1, i2)
-	}
-	if b.Label("fleetscale") != i1 {
-		t.Fatalf("re-interning changed the index")
-	}
-	if got := b.LabelName(i2); got != "obsplane" {
-		t.Fatalf("LabelName(%d) = %q", i2, got)
-	}
-	if b.LabelName(0) != "" || b.LabelName(999) != "" || b.LabelName(-3) != "" {
-		t.Fatalf("out-of-range labels must resolve to empty")
-	}
-}
-
-func TestLabelTableConcurrent(t *testing.T) {
-	b := NewBus(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			names := []string{"a", "b", "c", "d"}
-			for i := 0; i < 500; i++ {
-				n := names[i%len(names)]
-				idx := b.Label(n)
-				if got := b.LabelName(idx); got != n {
-					t.Errorf("LabelName(Label(%q)) = %q", n, got)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestWireEventJSON(t *testing.T) {
-	b := NewBus(8)
-	lbl := b.Label("fleetscale")
-	ev := Event{Kind: KindEpoch, Label: lbl, At: 60e9, Epoch: 1, Admitted: 10, Completed: 4, Running: 6}
-	b.Publish(ev)
-	r := b.NewReader(true)
-	buf := make([]Event, 1)
-	if r.Poll(buf) != 1 {
-		t.Fatalf("no event")
-	}
-	raw, err := json.Marshal(b.Wire(buf[0]))
+// TestEventJSON pins the streamed bytes of a trial event: field names,
+// order, the kind by name, and zero fields elided.
+func TestEventJSON(t *testing.T) {
+	ev := Event{Seq: 3, Kind: KindTrialDone, Label: "fig14", At: 60e9, Done: 4, Total: 6}
+	raw, err := json.Marshal(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["kind"] != "epoch" || m["label"] != "fleetscale" || m["admitted"] != float64(10) {
-		t.Fatalf("wire JSON = %s", raw)
-	}
-	if _, ok := m["lost"]; ok {
-		t.Fatalf("zero-valued field not elided: %s", raw)
+	const want = `{"seq":3,"kind":"trial_done","label":"fig14","at_ns":60000000000,"done":4,"total":6}`
+	if string(raw) != want {
+		t.Fatalf("event JSON = %s, want %s", raw, want)
 	}
 }
 
@@ -298,11 +247,8 @@ func TestNilPublisherSafe(t *testing.T) {
 	p.Publish(Event{Kind: KindEpoch})
 	p.PublishMirror(func(emit func(string, float64)) { emit("x", 1) })
 	p.MarkDone()
-	if p.Label("x") != 0 {
-		t.Fatalf("nil publisher Label != 0")
-	}
 	var b *Bus
-	if b.Seq() != 0 || b.Done() || b.Label("x") != 0 || b.LabelName(1) != "" {
+	if b.Seq() != 0 || b.Done() {
 		t.Fatalf("nil bus accessors not safe")
 	}
 	b.MarkDone()
