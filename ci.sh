@@ -67,8 +67,10 @@ go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 # the gate that lets the engine be optimized without re-recording goldens.
 # The allocation budgets ride along: the engine's schedule→fire path, the
 # guest's steady-state window, the request servers' steady-state window, a
-# vtrace ring emit of a known subject and a latprof span's
-# wakeup→on→off cycle are all pinned at zero allocations; cloudgen.Generate
+# vtrace ring emit of a known subject and a warm cycle over a fleet's 2,000
+# subjects (TestRingEmitAllocBudget), a latprof span's wakeup→on→off cycle
+# and open spans moving between vCPUs and vCPUs between threads
+# (TestFlushIndexAllocBudget) are all pinned at zero allocations; cloudgen.Generate
 # reserves its trace once from the arrival-rate integral and
 # faults.Generate reseeds one Rand, so neither call's allocation count grows
 # with the trace or the fleet; and the macro tier keeps a 16-byte macroVM and
@@ -118,7 +120,8 @@ done
 # Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
 # engine (internal/sim), placement index vs linear scan and the macro tier's
 # per-host epoch integration (internal/fleet), the tracer's disabled/enabled
-# emit cost (internal/vtrace), the attribution host fold's per-event cost
+# emit cost and its emit over a fleet's 2,000 subjects
+# (BenchmarkEmitFleetSubjects, internal/vtrace), the attribution host fold's per-event cost
 # as profilers pile up (internal/latprof), the guest's mask-driven wakeup
 # selection at 16 and 64 vCPUs (internal/guest), the host's core-level
 # busy change with and without a turbo flip (internal/host) and the 96 h,

@@ -251,20 +251,30 @@ func New(cfg Config) *Fleet {
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		h := host.New(f.eng, cfg.HostConfig)
-		vtrace.AttachHost(cfg.Tracer, h)
 		hs := &hostState{
 			index: i,
 			h:     h,
 			occ:   make([]int, h.NumThreads()),
 		}
+		tap := cfg.Tracer
 		if cfg.Attribution {
 			// Fold the host's events once for the profilers of the VMs
-			// created here (see the fold routing note). AttachHost only feeds
-			// host-kind events into the tap; each VM's guest events arrive
-			// solely through its own tracer tee in spawn().
-			hs.fold = latprof.NewHostFold()
-			vtrace.AttachHost(vtrace.NewObserver(hs.fold.Observe), h)
+			// created here (see the fold routing note). One tap derives the
+			// host's events once and tees each to the shared tracer, then to
+			// the fold, so the ring sees what a tracer-only tap would emit.
+			// The tap carries only host-kind events; each VM's guest events
+			// reach its profiler solely through its own tracer tee in spawn().
+			fold := latprof.NewHostFold()
+			hs.fold = fold
+			tap = vtrace.NewObserver(fold.Observe)
+			if tr := cfg.Tracer; tr != nil {
+				tap = vtrace.NewObserver(func(ev vtrace.Event) {
+					tr.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
+					fold.Observe(ev)
+				})
+			}
 		}
+		vtrace.AttachHost(tap, h)
 		f.hosts = append(f.hosts, hs)
 	}
 	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {

@@ -15,6 +15,7 @@ import (
 	"vsched/internal/par"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
+	"vsched/internal/vtrace"
 )
 
 func testHostConfig() host.Config {
@@ -407,6 +408,51 @@ func TestFleetAttributionPinned(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: digest %s, pinned %s (%d profiles, %d spans)", key, got, want, len(names), spans)
+		}
+	}
+}
+
+// TestAttributionLeavesRingUnchanged: with Attribution on, a host's one tap
+// tees every event to the tracer before the attribution fold, so the ring
+// holds exactly what a tracer-only run records — on a fleet that crashes,
+// restarts, evacuates and migrates, under both guests.
+func TestAttributionLeavesRingUnchanged(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(0).Add(sim.Duration(ms) * sim.Millisecond) }
+	dur := func(ms int) sim.Duration { return sim.Duration(ms) * sim.Millisecond }
+	sched := &faults.Schedule{Seed: 3, Events: []faults.Event{
+		{At: at(500), Host: 0, Kind: faults.Crash, Duration: dur(600)},
+		{At: at(800), Host: 1, Kind: faults.Brownout, Duration: dur(700), Factor: 0.5},
+	}}
+	for _, vs := range []bool{false, true} {
+		run := func(attribution bool) (*vtrace.Tracer, *Result) {
+			cfg := testConfig(42, StealAware{}, vs)
+			cfg.Arrivals = GenerateArrivals(42, 20, 1500*sim.Millisecond, testMix())
+			cfg.Faults, cfg.Recovery = sched, fastRecovery()
+			cfg.Tracer = vtrace.New(0)
+			cfg.Attribution = attribution
+			return cfg.Tracer, New(cfg).Run()
+		}
+		ring, r := run(false)
+		teed, ra := run(true)
+		if r.Evacuations == 0 || r.Migrations <= r.Evacuations || r.Restarts == 0 {
+			t.Fatalf("%s: evacuations=%d migrations=%d restarts=%d; the rig must evacuate, "+
+				"migrate and restart", r.Guest, r.Evacuations, r.Migrations, r.Restarts)
+		}
+		if len(ra.Attribution) == 0 {
+			t.Fatalf("%s: attribution on but no profiles", r.Guest)
+		}
+		if ring.Total() != teed.Total() || ring.Dropped() != teed.Dropped() {
+			t.Fatalf("%s: tracer-only total=%d dropped=%d, with attribution total=%d dropped=%d",
+				r.Guest, ring.Total(), ring.Dropped(), teed.Total(), teed.Dropped())
+		}
+		a, b := ring.Events(), teed.Events()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d events tracer-only, %d with attribution", r.Guest, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: event %d differs:\ntracer-only      %+v\nwith attribution %+v", r.Guest, i, a[i], b[i])
+			}
 		}
 	}
 }

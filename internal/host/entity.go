@@ -139,6 +139,11 @@ func (h *Host) NewEntity(name string, t *Thread, weight int64, client Client) *E
 // Name returns the entity's name.
 func (e *Entity) Name() string { return e.name }
 
+// Seq returns the entity's creation number on its host: NewEntity numbers a
+// host's entities 1, 2, 3, ... and the number never changes, even across
+// migration, so it densely indexes per-host entity tables.
+func (e *Entity) Seq() uint64 { return e.seq }
+
 // State returns the current scheduling state.
 func (e *Entity) State() EntityState { return e.state }
 

@@ -31,12 +31,14 @@
 // each thread's Running occupant for blame — so they are folded once per
 // host into a HostFold view that all profilers of VMs born there share, and
 // an event reaches only the profilers with a stake in it (the vCPU's owner,
-// and those with a vCPU homed on a thread it touches). Each view entry is
-// stamped with the sequence number of the host event that last wrote it,
-// and a profiler counts an entry as seen only if it was written after the
-// profiler attached; that rule makes a shared fold reconstruct exactly what
-// a private one fed from the attach point on would. New gives a profiler a
-// private fold, so standalone and fleet attribution take one code path.
+// and those with an open span on a vCPU homed on a thread it touches). Open
+// spans are indexed by vCPU, so settling a thread or a vCPU walks only the
+// spans on it. Each view entry is stamped with the sequence number of the
+// host event that last wrote it, and a profiler counts an entry as seen only
+// if it was written after the profiler attached; that rule makes a shared
+// fold reconstruct exactly what a private one fed from the attach point on
+// would. New gives a profiler a private fold, so standalone and fleet
+// attribution take one code path.
 //
 // Determinism: the profiler is a pure fold over the event stream. Feeding
 // the same events yields byte-identical reports; all aggregation orders are
@@ -180,6 +182,10 @@ type vcpuState struct {
 	known      bool      // saw at least one entity event
 	thread     *hwThread // last traced home thread; nil before the first entity event
 	speedMicro int64     // last traced effective speed; 0 = assume nominal
+	// open heads the list of the nopen open spans whose task sits on this
+	// vCPU; thread counts them among its stakes.
+	open  *taskState
+	nopen int
 }
 
 // taskState is an open span under reconstruction.
@@ -202,6 +208,9 @@ type taskState struct {
 	truncated bool
 	// slot is the task's index in Profiler.open.
 	slot int
+	// prev and next link the open spans on the same vCPU (vcpuState.open)
+	// while vcpu is a valid index (listed).
+	prev, next *taskState
 }
 
 // Profiler folds a vtrace event stream into attribution spans. Feed events
@@ -217,11 +226,18 @@ type Profiler struct {
 	// attached. A view entry counts as seen only if a later event wrote it.
 	fold      *HostFold
 	attachSeq uint64
+	// scan, when set, replaces the open-span index in flushVCPU with a
+	// reference implementation (HostFold.scan).
+	scan flusher
 
-	tasks map[int64]*taskState
-	// open holds the same tasks densely (swap-delete), so settling a thread
-	// or vCPU scans a slice. Each flush touches only its own span, so the
-	// scan order cannot change a result.
+	// tasks indexes the open spans by task id — a guest numbers its tasks
+	// 1, 2, 3, ... — and far holds those of ids outside [0, maxTaskID).
+	tasks []*taskState
+	far   map[int64]*taskState
+	// open holds the same tasks densely (swap-delete) for Finish. Settling
+	// a thread or vCPU walks only the spans on it: each vCPU lists its own
+	// (vcpuState.open). Each flush touches only its own span, so the walk
+	// order cannot change a result.
 	open  []*taskState
 	vcpus []vcpuState
 
@@ -323,10 +339,12 @@ func (p *Profiler) vcpuEntity(at sim.Time, idx int, to host.EntityState, t *hwTh
 	vs.state = to
 	vs.known = true
 	if vs.thread != t {
-		if vs.thread != nil {
-			vs.thread.unhome(p)
+		if vs.nopen > 0 {
+			if vs.thread != nil {
+				vs.thread.stake(p, -vs.nopen)
+			}
+			t.stake(p, vs.nopen)
 		}
-		t.home(p)
 		vs.thread = t
 	}
 }
@@ -342,7 +360,7 @@ func (p *Profiler) speedEvent(ev vtrace.Event) {
 
 func (p *Profiler) wakeup(ev vtrace.Event) {
 	id := ev.A0
-	if ts := p.tasks[id]; ts != nil {
+	if ts := p.task(id); ts != nil {
 		// A wakeup for a task we think is already awake means the stream
 		// lost the close of the previous span (ring wrap). Discard it as
 		// truncated and start clean.
@@ -377,25 +395,114 @@ func (p *Profiler) release(ts *taskState) {
 	p.free = append(p.free, ts)
 }
 
-// add opens ts; drop forgets it.
+// add opens ts on vCPU ts.vcpu; drop forgets it.
 func (p *Profiler) add(ts *taskState) {
 	ts.slot = len(p.open)
 	p.open = append(p.open, ts)
-	p.tasks[ts.id] = ts
+	p.setTask(ts.id, ts)
+	p.list(ts)
 }
 
 func (p *Profiler) drop(ts *taskState) {
+	p.unlist(ts)
 	last := p.open[len(p.open)-1]
 	p.open[ts.slot] = last
 	last.slot = ts.slot
 	p.open[len(p.open)-1] = nil
 	p.open = p.open[:len(p.open)-1]
-	delete(p.tasks, ts.id)
+	p.setTask(ts.id, nil)
+}
+
+// maxTaskID bounds the task ids the dense table holds, so a malformed
+// stream cannot size it.
+const maxTaskID = 1 << 16
+
+// task returns the open span of task id; nil when there is none.
+func (p *Profiler) task(id int64) *taskState {
+	if id >= 0 && id < int64(len(p.tasks)) {
+		return p.tasks[id]
+	}
+	if id >= 0 && id < maxTaskID {
+		return nil
+	}
+	return p.far[id]
+}
+
+// setTask files ts as task id's open span; nil forgets it.
+func (p *Profiler) setTask(id int64, ts *taskState) {
+	if id < 0 || id >= maxTaskID {
+		if ts == nil {
+			delete(p.far, id)
+			return
+		}
+		if p.far == nil {
+			p.far = map[int64]*taskState{}
+		}
+		p.far[id] = ts
+		return
+	}
+	for int64(len(p.tasks)) <= id {
+		p.tasks = append(p.tasks, nil)
+	}
+	p.tasks[id] = ts
+}
+
+// listed reports whether a span on vCPU idx sits on idx's list. Only a span
+// on an index a flush can name is: no flush names a negative or oversized
+// one (a malformed stream), so only Finish settles it.
+func listed(idx int) bool { return idx >= 0 && idx < maxVCPUs }
+
+// list links open span ts onto its vCPU's list, growing the vCPU table
+// (a zero vcpuState reads the same as an index past the table's end).
+func (p *Profiler) list(ts *taskState) {
+	if !listed(ts.vcpu) {
+		return
+	}
+	vs := p.vcpu(ts.vcpu)
+	ts.prev, ts.next = nil, vs.open
+	if vs.open != nil {
+		vs.open.prev = ts
+	}
+	vs.open = ts
+	vs.nopen++
+	if vs.thread != nil {
+		vs.thread.stake(p, 1)
+	}
+}
+
+func (p *Profiler) unlist(ts *taskState) {
+	if !listed(ts.vcpu) {
+		return
+	}
+	vs := &p.vcpus[ts.vcpu]
+	if ts.prev != nil {
+		ts.prev.next = ts.next
+	} else {
+		vs.open = ts.next
+	}
+	if ts.next != nil {
+		ts.next.prev = ts.prev
+	}
+	ts.prev, ts.next = nil, nil
+	vs.nopen--
+	if vs.thread != nil {
+		vs.thread.stake(p, -1)
+	}
+}
+
+// move puts open span ts on vCPU idx.
+func (p *Profiler) move(ts *taskState, idx int) {
+	if ts.vcpu == idx {
+		return
+	}
+	p.unlist(ts)
+	ts.vcpu = idx
+	p.list(ts)
 }
 
 func (p *Profiler) taskOn(ev vtrace.Event) {
 	id := ev.A1
-	ts := p.tasks[id]
+	ts := p.task(id)
 	if ts == nil {
 		// First sight mid-run: reconstruct from here but mark truncated.
 		ts = p.alloc()
@@ -407,18 +514,18 @@ func (p *Profiler) taskOn(ev vtrace.Event) {
 	}
 	p.flushTask(ts, ev.At)
 	ts.running = true
-	ts.vcpu = int(ev.A0)
+	p.move(ts, int(ev.A0))
 }
 
 func (p *Profiler) taskOff(ev vtrace.Event) {
 	id := ev.A1
-	ts := p.tasks[id]
+	ts := p.task(id)
 	if ts == nil {
 		return // open predates the tap; nothing to close
 	}
 	p.flushTask(ts, ev.At)
 	ts.running = false
-	ts.vcpu = int(ev.A0)
+	p.move(ts, int(ev.A0))
 	if ev.A2 == 1 {
 		return // preempted or migrating: span continues queued
 	}
@@ -426,17 +533,17 @@ func (p *Profiler) taskOff(ev vtrace.Event) {
 }
 
 func (p *Profiler) migrate(ev vtrace.Event) {
-	ts := p.tasks[ev.A0]
+	ts := p.task(ev.A0)
 	if ts == nil {
 		return
 	}
 	p.flushTask(ts, ev.At)
-	ts.vcpu = int(ev.A2)
+	p.move(ts, int(ev.A2))
 	ts.span.Migrations++
 }
 
 func (p *Profiler) migCost(ev vtrace.Event) {
-	ts := p.tasks[ev.A0]
+	ts := p.task(ev.A0)
 	if ts == nil || p.cfg.NominalSpeed <= 0 {
 		return
 	}
@@ -494,21 +601,29 @@ func sortBlame(b []Blame) {
 	})
 }
 
-// flushThread settles every open span whose vCPU sits on hardware thread t.
+// flushThread settles every open span whose vCPU sits on hardware thread t
+// (non-nil): it walks the lists of the profiler's vCPUs homed there.
 func (p *Profiler) flushThread(at sim.Time, t *hwThread) {
-	for _, ts := range p.open {
-		if p.homeOf(ts.vcpu) == t {
-			p.flushTask(ts, at)
+	for i := range p.vcpus {
+		if vs := &p.vcpus[i]; vs.thread == t {
+			for ts := vs.open; ts != nil; ts = ts.next {
+				p.flushTask(ts, at)
+			}
 		}
 	}
 }
 
 // flushVCPU settles every open span currently homed on vCPU idx.
 func (p *Profiler) flushVCPU(at sim.Time, idx int) {
-	for _, ts := range p.open {
-		if ts.vcpu == idx {
-			p.flushTask(ts, at)
-		}
+	if p.scan != nil {
+		p.scan.flushVCPU(p, at, idx)
+		return
+	}
+	if idx < 0 || idx >= len(p.vcpus) {
+		return
+	}
+	for ts := p.vcpus[idx].open; ts != nil; ts = ts.next {
+		p.flushTask(ts, at)
 	}
 }
 
@@ -629,7 +744,7 @@ func (p *Profiler) Finish(now sim.Time) *Profile {
 	return &Profile{
 		VM:        p.cfg.VM,
 		Spans:     p.spans[:n:n],
-		Open:      len(p.tasks),
+		Open:      len(p.open),
 		Truncated: p.truncated,
 	}
 }

@@ -424,3 +424,45 @@ func TestSpanAllocBudget(t *testing.T) {
 		t.Fatalf("spans = %d, want 1002", got)
 	}
 }
+
+// TestTaskIDsOutsideDenseTable: task ids are indexed densely, but an id the
+// table does not cover (negative or huge) is reconstructed all the same.
+func TestTaskIDsOutsideDenseTable(t *testing.T) {
+	spans := func(id int64) []Span {
+		f := newFeed(2.0)
+		f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
+		var now sim.Time
+		for i := 0; i < 3; i++ {
+			now += sim.Time(ms)
+			f.wakeup(now, "a", id, 0, -1)
+			f.on(now, "a", id, 0)
+			f.migrate(now+sim.Time(ms)/2, "a", id, 0, 0)
+			now += sim.Time(ms)
+			f.ent(now, "vm/vcpu0", host.Running, host.Runnable, 0)
+			f.ent(now, "tenant", host.Runnable, host.Running, 0)
+			now += sim.Time(ms)
+			f.ent(now, "tenant", host.Running, host.Runnable, 0)
+			f.ent(now, "vm/vcpu0", host.Runnable, host.Running, 0)
+			now += sim.Time(ms)
+			f.off(now, "a", id, 0, 0)
+		}
+		f.wakeup(now, "a", id, 0, -1) // left open
+		p := f.p.Finish(now)
+		if p.Open != 1 {
+			t.Fatalf("id %d: open = %d, want 1", id, p.Open)
+		}
+		for i := range p.Spans {
+			p.Spans[i].TaskID = 0
+		}
+		return p.Spans
+	}
+	want := spans(1)
+	if len(want) != 3 || want[0].Migrations != 1 || want[0].NS[StealWait] != ms {
+		t.Fatalf("spans %+v, want three with one migration and 1ms steal-wait each", want)
+	}
+	for _, id := range []int64{-5, maxTaskID, 1 << 40} {
+		if got := spans(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("id %d: spans %+v, want %+v", id, got, want)
+		}
+	}
+}

@@ -97,4 +97,33 @@ func TestRingEmitAllocBudget(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("ring emit of a known subject allocates %v times per cycle, want 0", n)
 	}
+
+	// A fleet's worth of subjects, more than the intern cache holds: the
+	// misses resolve through the subject table without allocating.
+	fleet := fleetSubjects(2000)
+	for _, s := range fleet {
+		tr.Emit(at, KindTaskWakeup, s, 1, 2, 3)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		at++
+		for _, s := range fleet {
+			tr.Emit(at, KindTaskOn, s, 1, 2, 3)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm cycle over %d subjects allocates %v times, want 0", len(fleet), n)
+	}
+}
+
+// fleetSubjects returns n distinct subjects named like a micro fleet's:
+// VM names, their vCPU entities and their tasks.
+func fleetSubjects(n int) []string {
+	out := make([]string, 0, n)
+	for vm := 0; len(out) < n; vm++ {
+		name := fmt.Sprintf("vm%d", vm)
+		out = append(out, name)
+		for i := 0; i < 4 && len(out) < n; i++ {
+			out = append(out, fmt.Sprintf("%s/vcpu%d", name, i), fmt.Sprintf("%s/task-%d", name, i))
+		}
+	}
+	return out[:n]
 }

@@ -570,3 +570,19 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		tr.Emit(sim.Time(i), KindTaskWakeup, "vm", 1, 2, 3)
 	}
 }
+
+// BenchmarkEmitFleetSubjects measures a ring emit cycling over a micro
+// fleet's 2,000 distinct subjects, where the intern cache, not the one hot
+// subject of BenchmarkEmitEnabled, decides the cost.
+func BenchmarkEmitFleetSubjects(b *testing.B) {
+	subjects := fleetSubjects(2000)
+	tr := New(1 << 12)
+	for _, s := range subjects {
+		tr.Emit(0, KindTaskWakeup, s, 1, 2, 3)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(sim.Time(i), KindTaskOn, subjects[i%len(subjects)], 1, 2, 3)
+	}
+}
