@@ -37,6 +37,10 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# bench/ is a module of its own, so the root vet never enters it.
+echo "== go vet ./... (bench module)"
+(cd bench && go vet ./...)
+
 echo "== go build ./..."
 go build ./...
 

@@ -267,9 +267,6 @@ func (s *Stats) EventsFired() uint64 {
 	return total
 }
 
-// DefaultOptions returns full-length deterministic options.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
-
 func (o Options) scaled(d sim.Duration) sim.Duration {
 	s := o.Scale
 	if s <= 0 {

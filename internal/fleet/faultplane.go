@@ -172,7 +172,7 @@ func (f *Fleet) retry(e *microRetry) {
 	expired := e.deadline != 0 && e.deadline <= now
 	hi := -1
 	if !expired {
-		hi = f.chooseHost(e.vcpus)
+		hi = pick(f.cfg.Policy, f.ix, e.vcpus)
 	}
 	if hi < 0 && !expired && e.attempt < f.rcv.MaxRetries {
 		e.attempt++
@@ -185,21 +185,6 @@ func (f *Fleet) retry(e *microRetry) {
 		return
 	}
 	f.restart(e, hi, now)
-}
-
-// chooseHost runs the placement policy for a vcpus-wide VM honouring
-// effective (fault-adjusted) capacity; -1 means nothing fits.
-func (f *Fleet) chooseHost(vcpus int) int {
-	var hi int
-	if f.ix != nil {
-		hi = f.ipol.PlaceIndexed(f.ix, vcpus)
-	} else {
-		hi = f.cfg.Policy.Place(f.view(), vcpus)
-	}
-	if hi < 0 || hi >= len(f.hosts) || vcpus > f.free(f.hosts[hi]) {
-		return -1
-	}
-	return hi
 }
 
 // restart re-places a crash victim on host hi as a fresh incarnation: new

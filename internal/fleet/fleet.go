@@ -206,14 +206,9 @@ type Fleet struct {
 	hosts []*hostState
 	vms   []*fleetVM // every VM ever placed, in placement order
 
-	// ix and ipol replace the per-arrival O(hosts) snapshot scan when the
-	// policy supports indexed placement; non-indexed policies keep the
-	// linear view() path. Decisions are identical either way (pinned by the
-	// differential test in index_test.go).
-	ix   *HostIndex
-	ipol IndexedPolicy
-	// linear is view()'s scratch snapshot, refilled for every placement.
-	linear []HostInfo
+	// ix holds one leaf per host, refreshed by reindex; the policy places
+	// every VM through it.
+	ix *HostIndex
 
 	placed, rejected, departed, migrations int
 	reg                                    *metrics.Registry
@@ -277,26 +272,21 @@ func New(cfg Config) *Fleet {
 		vtrace.AttachHost(tap, h)
 		f.hosts = append(f.hosts, hs)
 	}
-	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
-		caps := make([]int, len(f.hosts))
-		for i := range caps {
-			caps[i] = f.capacity()
-		}
-		f.ix = NewHostIndex(caps)
-		f.ipol = ipol
+	caps := make([]int, len(f.hosts))
+	for i := range caps {
+		caps[i] = f.capacity()
 	}
+	f.ix = NewHostIndex(caps)
 	return f
 }
 
-// info renders one host's policy snapshot row. Capacity is the effective
+// info renders one host's policy row. Capacity is the effective
 // (fault-adjusted) bound, so policies steer around crashed and degraded hosts
 // without knowing about faults.
 func (f *Fleet) info(hs *hostState) HostInfo {
 	return HostInfo{
-		Index:     hs.index,
 		Committed: hs.committed,
 		Capacity:  hs.effCap(f.capacity(), f.eng.Now()),
-		VMs:       len(hs.vms),
 		StealRate: hs.stealEMA,
 	}
 }
@@ -308,12 +298,9 @@ func (f *Fleet) free(hs *hostState) int {
 }
 
 // reindex refreshes one host's leaf in the placement index after its
-// commitments, telemetry or fault windows changed. No-op on the linear path.
+// commitments, telemetry or fault windows changed.
 func (f *Fleet) reindex(hs *hostState) {
-	if f.ix == nil {
-		return
-	}
-	committed, score := indexLeaf(f.ipol, f.info(hs), f.capacity())
+	committed, score := indexLeaf(f.cfg.Policy, f.info(hs), f.capacity())
 	f.ix.Update(hs.index, committed, score)
 }
 
@@ -326,19 +313,6 @@ func (f *Fleet) Registry() *metrics.Registry { return f.reg }
 // capacity is the committed-vCPU admission bound per host.
 func (f *Fleet) capacity() int {
 	return int(f.cfg.Overcommit * float64(f.hosts[0].h.NumThreads()))
-}
-
-// view renders the per-host snapshot handed to non-indexed placement
-// policies, in stable host-ID order, into one scratch slice that the next
-// call overwrites (Policy.Place must not retain it).
-func (f *Fleet) view() []HostInfo {
-	if f.linear == nil {
-		f.linear = make([]HostInfo, len(f.hosts))
-	}
-	for i, hs := range f.hosts {
-		f.linear[i] = f.info(hs)
-	}
-	return f.linear
 }
 
 // pickThreads chooses n distinct threads on hs, least-committed first (ties
@@ -429,7 +403,7 @@ func (f *Fleet) arrive(a Arrival) {
 	cfg.Tracer.Emit(now, vtrace.KindVMArrive, name, int64(a.Type.VCPUs), 0, 0)
 	f.reg.Counter("fleet.arrivals").Inc()
 
-	hi := f.chooseHost(a.Type.VCPUs)
+	hi := pick(f.cfg.Policy, f.ix, a.Type.VCPUs)
 	if hi < 0 {
 		f.rejected++
 		f.reg.Counter("fleet.rejected").Inc()

@@ -54,32 +54,50 @@ func testConfig(seed int64, pol Policy, vs bool) Config {
 	}
 }
 
+// indexRows builds a HostIndex over rows, whose Capacity doubles as each
+// host's configured capacity, with every leaf written for pol.
+func indexRows(pol Policy, rows []HostInfo) *HostIndex {
+	caps := make([]int, len(rows))
+	for i, h := range rows {
+		caps[i] = h.Capacity
+	}
+	ix := NewHostIndex(caps)
+	for i, h := range rows {
+		committed, score := indexLeaf(pol, h, h.Capacity)
+		ix.Update(i, committed, score)
+	}
+	return ix
+}
+
 func TestPolicyDecisions(t *testing.T) {
 	hosts := []HostInfo{
-		{Index: 0, Committed: 6, Capacity: 8, StealRate: 0.30},
-		{Index: 1, Committed: 2, Capacity: 8, StealRate: 0.10},
-		{Index: 2, Committed: 4, Capacity: 8, StealRate: 0.05},
+		{Committed: 6, Capacity: 8, StealRate: 0.30},
+		{Committed: 2, Capacity: 8, StealRate: 0.10},
+		{Committed: 4, Capacity: 8, StealRate: 0.05},
 	}
-	if got := (FirstFit{}).Place(hosts, 2); got != 0 {
+	place := func(p Policy, rows []HostInfo, vcpus int) int {
+		return p.Place(indexRows(p, rows), vcpus)
+	}
+	if got := place(FirstFit{}, hosts, 2); got != 0 {
 		t.Fatalf("first-fit chose %d, want 0", got)
 	}
-	if got := (FirstFit{}).Place(hosts, 4); got != 1 {
+	if got := place(FirstFit{}, hosts, 4); got != 1 {
 		t.Fatalf("first-fit (no room on 0) chose %d, want 1", got)
 	}
-	if got := (LeastLoaded{}).Place(hosts, 2); got != 1 {
+	if got := place(LeastLoaded{}, hosts, 2); got != 1 {
 		t.Fatalf("least-loaded chose %d, want 1", got)
 	}
-	if got := (StealAware{}).Place(hosts, 2); got != 2 {
+	if got := place(StealAware{}, hosts, 2); got != 2 {
 		t.Fatalf("steal-aware chose %d, want 2", got)
 	}
 	// Steal ties break toward fewer commitments.
 	hosts[1].StealRate = 0.05
-	if got := (StealAware{}).Place(hosts, 2); got != 1 {
+	if got := place(StealAware{}, hosts, 2); got != 1 {
 		t.Fatalf("steal-aware tie-break chose %d, want 1", got)
 	}
-	full := []HostInfo{{Index: 0, Committed: 8, Capacity: 8}}
+	full := []HostInfo{{Committed: 8, Capacity: 8}}
 	for _, p := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
-		if got := p.Place(full, 1); got != -1 {
+		if got := place(p, full, 1); got != -1 {
 			t.Fatalf("%s placed on a full cluster (host %d)", p.Name(), got)
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// HostIndex replaces the O(hosts) placement scan with a tournament tree: an
-// array-backed complete binary tree whose leaves are hosts (in stable host-ID
-// order) and whose internal nodes aggregate two things about their subtree —
-// the maximum free capacity (can anything down there fit this VM?) and the
-// minimum policy score (could anything down there beat the best host found so
-// far?).
+// HostIndex is what every placement policy places through, in place of an
+// O(hosts) scan: a tournament tree, an array-backed complete binary tree
+// whose leaves are hosts (in stable host-ID order) and whose internal nodes
+// aggregate two things about their subtree — the maximum free capacity (can
+// anything down there fit this VM?) and the minimum policy score (could
+// anything down there beat the best host found so far?).
 //
 // Queries:
 //
@@ -32,9 +32,9 @@ import (
 // Determinism: queries read only the tree, tie-break by construction toward
 // lower host IDs (left-first descent, strict-inequality pruning), and the
 // tree layout is a pure function of the host list — no map iteration
-// anywhere. BestScore reproduces the linear scan's "score < best" loop
-// bit-for-bit as long as scores are computed by the same expression (the
-// differential test in index_test.go pins this).
+// anywhere. BestScore answers exactly what an O(hosts) scan keeping the
+// fitting host with the strictly smallest score would (the differential test
+// in index_test.go pins this against such a scan).
 type HostIndex struct {
 	n    int // hosts (leaves in use)
 	size int // leaf capacity, power of two
@@ -142,8 +142,7 @@ func (ix *HostIndex) FirstFit(v int) int {
 }
 
 // BestScore returns the fitting host with the smallest score (ties to the
-// lowest host ID), or -1 when nothing fits. Matches the linear policies'
-// strict `score < best` comparison exactly.
+// lowest host ID), or -1 when nothing fits.
 func (ix *HostIndex) BestScore(v int) int {
 	need := int32(v)
 	best := math.Inf(1)
@@ -172,32 +171,3 @@ func (ix *HostIndex) BestScore(v int) int {
 	}
 	return bestIdx
 }
-
-// IndexedPolicy is a Policy that can place through a HostIndex instead of a
-// linear snapshot scan. Score must be a pure function of the snapshot row —
-// the fleet recomputes it for a host whenever that host's commitments or
-// telemetry change and stores it in the index, so PlaceIndexed over fresh
-// scores must agree with Place over a fresh snapshot (pinned by the
-// differential test).
-type IndexedPolicy interface {
-	Policy
-	// Score returns the value the index minimises for this host; lower is
-	// better. Policies that don't rank (first-fit) return 0.
-	Score(h HostInfo) float64
-	// PlaceIndexed picks a fitting host from the index, or -1.
-	PlaceIndexed(ix *HostIndex, vcpus int) int
-}
-
-func (FirstFit) Score(HostInfo) float64 { return 0 }
-
-func (FirstFit) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.FirstFit(vcpus) }
-
-func (LeastLoaded) Score(h HostInfo) float64 { return float64(h.Committed) }
-
-func (LeastLoaded) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }
-
-func (StealAware) Score(h HostInfo) float64 {
-	return h.StealRate + 0.1*float64(h.Committed)/float64(h.Capacity)
-}
-
-func (StealAware) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }

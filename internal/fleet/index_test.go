@@ -10,19 +10,21 @@ import (
 	"vsched/internal/vtrace"
 )
 
-// linearInfos builds the snapshot a linear Place sees from raw host state.
-func linearInfos(committed []int, caps []int, steal []float64, vms []int) []HostInfo {
-	out := make([]HostInfo, len(committed))
-	for i := range out {
-		out[i] = HostInfo{
-			Index:     i,
-			Committed: committed[i],
-			Capacity:  caps[i],
-			VMs:       vms[i],
-			StealRate: steal[i],
+// scanPlace is the O(hosts) reference the HostIndex is checked against: the
+// row that fits vcpus with the strictly smallest Score, ties to the lowest
+// index (for first-fit, whose Score is 0, the first fitting row), or -1.
+func scanPlace(pol Policy, rows []HostInfo, vcpus int) int {
+	best := -1
+	bestScore := 0.0
+	for i, h := range rows {
+		if h.Committed+vcpus > h.Capacity {
+			continue
+		}
+		if score := pol.Score(h); best < 0 || score < bestScore {
+			best, bestScore = i, score
 		}
 	}
-	return out
+	return best
 }
 
 func TestHostIndexFirstFit(t *testing.T) {
@@ -54,7 +56,7 @@ func TestHostIndexFirstFit(t *testing.T) {
 
 func TestHostIndexBestScoreTieBreak(t *testing.T) {
 	// Heterogeneous capacities, equal scores: lowest host ID must win, the
-	// same tie-break the linear scan's strict `<` produces.
+	// same tie-break scanPlace's strict `<` produces.
 	caps := []int{8, 16, 8, 16}
 	ix := NewHostIndex(caps)
 	for i := range caps {
@@ -140,16 +142,16 @@ func TestHostIndexRebuildMatchesUpdate(t *testing.T) {
 	}
 }
 
-// TestIndexedMatchesLinear drives a HostIndex and the linear Place
-// implementations through the same randomized sequence of placements,
-// departures and steal-telemetry updates over a heterogeneous fleet, and
-// requires bit-identical decisions from every policy at every step. This is
-// the contract that lets the fleet swap in the index without perturbing the
-// engineswap goldens.
+// TestIndexedMatchesLinear drives a HostIndex and the scanPlace reference
+// through the same randomized sequence of placements, departures,
+// steal-telemetry updates and host faults over a heterogeneous fleet, and
+// requires identical decisions from every policy at every step. A fault
+// takes a host down (effective capacity 0), browns it out (int(factor·cap))
+// or restores it; every leaf is written through the production indexLeaf,
+// and the reference scans effective-capacity rows, so a down host's +Inf
+// score and a degraded host's inflated commitment are checked too.
 func TestIndexedMatchesLinear(t *testing.T) {
-	policies := []IndexedPolicy{FirstFit{}, LeastLoaded{}, StealAware{}}
-	for _, pol := range policies {
-		pol := pol
+	for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			const hosts = 37 // not a power of two: exercises unused leaves
@@ -158,30 +160,29 @@ func TestIndexedMatchesLinear(t *testing.T) {
 				caps[i] = 8 + 8*rng.Intn(3) // 8, 16 or 24: heterogeneous
 			}
 			ix := NewHostIndex(caps)
-			committed := make([]int, hosts)
-			steal := make([]float64, hosts)
-			vms := make([]int, hosts)
+			rows := make([]HostInfo, hosts) // Capacity is the effective bound
+			for i := range rows {
+				rows[i].Capacity = caps[i]
+			}
 			type placed struct{ host, vcpus int }
 			var live []placed
+			faulted := 0
 
 			reindex := func(i int) {
-				ix.Update(i, committed[i], pol.Score(HostInfo{
-					Index: i, Committed: committed[i], Capacity: caps[i],
-					VMs: vms[i], StealRate: steal[i],
-				}))
+				committed, score := indexLeaf(pol, rows[i], caps[i])
+				ix.Update(i, committed, score)
 			}
 			for step := 0; step < 4000; step++ {
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 6: // place
 					v := 1 + rng.Intn(12)
-					want := pol.Place(linearInfos(committed, caps, steal, vms), v)
-					got := pol.PlaceIndexed(ix, v)
+					want := scanPlace(pol, rows, v)
+					got := pol.Place(ix, v)
 					if got != want {
-						t.Fatalf("step %d: PlaceIndexed(%d) = %d, linear Place = %d", step, v, got, want)
+						t.Fatalf("step %d: Place(%d) = %d, scan = %d", step, v, got, want)
 					}
 					if got >= 0 {
-						committed[got] += v
-						vms[got]++
+						rows[got].Committed += v
 						live = append(live, placed{got, v})
 						reindex(got)
 					}
@@ -193,14 +194,30 @@ func TestIndexedMatchesLinear(t *testing.T) {
 					p := live[k]
 					live[k] = live[len(live)-1]
 					live = live[:len(live)-1]
-					committed[p.host] -= p.vcpus
-					vms[p.host]--
+					rows[p.host].Committed -= p.vcpus
 					reindex(p.host)
-				default: // telemetry tick: steal EMAs move
+				case op < 10: // telemetry tick: steal EMAs move
 					i := rng.Intn(hosts)
-					steal[i] = rng.Float64() * 0.5
+					rows[i].StealRate = rng.Float64() * 0.5
+					reindex(i)
+				default: // fault: down, brownout or recovery
+					i := rng.Intn(hosts)
+					switch rng.Intn(3) {
+					case 0:
+						rows[i].Capacity = 0
+					case 1:
+						rows[i].Capacity = int((0.25 + 0.5*rng.Float64()) * float64(caps[i]))
+					default:
+						rows[i].Capacity = caps[i]
+					}
+					if rows[i].Capacity < caps[i] {
+						faulted++
+					}
 					reindex(i)
 				}
+			}
+			if faulted == 0 {
+				t.Fatal("no step took a host down or browned it out")
 			}
 		})
 	}
@@ -209,9 +226,9 @@ func TestIndexedMatchesLinear(t *testing.T) {
 // BenchmarkPlacement times the placement hot path in isolation: a churn of
 // place (60%), depart (30%) and steal-telemetry (10%) operations over a
 // heterogeneous fleet, with StealAware deciding through the HostIndex or
-// through the linear snapshot scan it replaced. TestIndexedMatchesLinear pins
-// that both make the same decisions, so only the cost differs. ns/op is per
-// churn operation; placements/s is the index-vs-scan headline.
+// through the scanPlace reference. TestIndexedMatchesLinear pins that both
+// make the same decisions, so only the cost differs. ns/op is per churn
+// operation; placements/s is the index-vs-scan headline.
 func BenchmarkPlacement(b *testing.B) {
 	const hosts = 1024
 	for _, indexed := range []bool{false, true} {
@@ -226,14 +243,14 @@ func BenchmarkPlacement(b *testing.B) {
 			for i := range caps {
 				caps[i] = 16 + 16*rng.Intn(2) // 16 or 32, heterogeneous
 			}
-			snap := make([]HostInfo, hosts)
-			for i := range snap {
-				snap[i] = HostInfo{Index: i, Capacity: caps[i]}
+			rows := make([]HostInfo, hosts)
+			for i := range rows {
+				rows[i] = HostInfo{Capacity: caps[i]}
 			}
 			ix := NewHostIndex(caps)
 			refresh := func(i int) {
 				if indexed {
-					ix.Update(i, snap[i].Committed, pol.Score(snap[i]))
+					ix.Update(i, rows[i].Committed, pol.Score(rows[i]))
 				}
 			}
 			type placed struct{ host, vcpus int }
@@ -246,13 +263,13 @@ func BenchmarkPlacement(b *testing.B) {
 					v := 1 + rng.Intn(8)
 					var hi int
 					if indexed {
-						hi = pol.PlaceIndexed(ix, v)
+						hi = pol.Place(ix, v)
 					} else {
-						hi = pol.Place(snap, v)
+						hi = scanPlace(pol, rows, v)
 					}
 					placements++
 					if hi >= 0 {
-						snap[hi].Committed += v
+						rows[hi].Committed += v
 						live = append(live, placed{hi, v})
 						refresh(hi)
 					}
@@ -264,11 +281,11 @@ func BenchmarkPlacement(b *testing.B) {
 					p := live[k]
 					live[k] = live[len(live)-1]
 					live = live[:len(live)-1]
-					snap[p.host].Committed -= p.vcpus
+					rows[p.host].Committed -= p.vcpus
 					refresh(p.host)
 				default:
 					i := rng.Intn(hosts)
-					snap[i].StealRate = rng.Float64() * 0.4
+					rows[i].StealRate = rng.Float64() * 0.4
 					refresh(i)
 				}
 			}

@@ -44,9 +44,8 @@ import (
 // independent cells (policies, fault modes, trials).
 type MacroConfig struct {
 	Trace cloudgen.Trace
-	// Policy places arriving VMs. IndexedPolicy implementations go through
-	// the HostIndex (O(log hosts) per placement); plain policies fall back
-	// to the linear snapshot scan.
+	// Policy places arriving VMs through the HostIndex (O(log hosts) per
+	// placement for the built-in policies); nil means FirstFit.
 	Policy Policy
 	// Overcommit scales threads into the admission bound (default 2.0).
 	Overcommit float64
@@ -259,10 +258,6 @@ type macroSim struct {
 	// served, steal and work whenever the VM is not live (see record).
 	snap []byte
 	ix   *HostIndex
-	ipol IndexedPolicy
-	// linear is the host snapshot a policy without an index places over,
-	// refilled for every placement.
-	linear []HostInfo
 	// dirty lists the hosts whose index leaf may be stale, each once (see
 	// mark); the next boundary rewrites exactly these leaves. open lists, in
 	// ascending host order, the hosts with an open down or degraded window:
@@ -383,10 +378,7 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	// Exact size: 7 words per host, 5 per VM, 24 scalars.
 	m.snap = make([]byte, 8*(7*len(m.hosts)+5*len(m.vms)+24))
 	m.cal = make([][]int32, m.bucket(m.horizon)+1)
-	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
-		m.ix = NewHostIndex(caps)
-		m.ipol = ipol
-	}
+	m.ix = NewHostIndex(caps)
 	if cfg.Telemetry != nil {
 		m.rec = telemetry.New(m.eng, *cfg.Telemetry)
 		m.rec.AddSource("", telemetry.RegistrySource(m.reg))
@@ -499,8 +491,8 @@ func (m *macroSim) file(id int32) {
 }
 
 // mark queues host i's leaf for the next boundary's rescore. A leaf is a
-// pure function of the host's commitment, live-VM count, steal EMA and
-// effective capacity, so a change to one of them that is not reindexed on
+// pure function of the host's commitment, steal EMA and effective
+// capacity, so a change to one of them that is not reindexed on
 // the spot marks the host, unless the recomputed leaf is provably the same
 // (leafMoved).
 func (m *macroSim) mark(i int) {
@@ -534,20 +526,14 @@ func (m *macroSim) sweepWindows(t sim.Time) {
 // absorbs it once it falls below the score's rounding (steal-aware), so
 // most of those hosts' leaves have not moved.
 func (m *macroSim) leafMoved(i int) bool {
-	if m.ix == nil {
-		return false
-	}
-	committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
+	committed, score := indexLeaf(m.cfg.Policy, m.macroInfo(i), int(m.hosts[i].capacity))
 	return m.ix.Free(i) != m.ix.Capacity(i)-committed ||
 		math.Float64bits(m.ix.Score(i)) != math.Float64bits(score)
 }
 
 // reindexHost refreshes host i's leaf and its root path.
 func (m *macroSim) reindexHost(i int) {
-	if m.ix == nil {
-		return
-	}
-	committed, score := indexLeaf(m.ipol, m.macroInfo(i), int(m.hosts[i].capacity))
+	committed, score := indexLeaf(m.cfg.Policy, m.macroInfo(i), int(m.hosts[i].capacity))
 	m.ix.Update(i, committed, score)
 }
 
@@ -660,7 +646,7 @@ func (m *macroSim) retries(t sim.Time) {
 	due := m.retryQ[:cut]
 	m.retryQ = m.retryQ[cut:]
 	for _, e := range due {
-		hi := m.choose(m.cfg.Trace.VMs[e.id].VCPUs)
+		hi := pick(m.cfg.Policy, m.ix, m.cfg.Trace.VMs[e.id].VCPUs)
 		m.events++
 		if hi < 0 {
 			if int(e.attempt) >= m.rcv.MaxRetries {
@@ -726,7 +712,7 @@ func (m *macroSim) evacuate(t sim.Time) {
 			if m.ledger.evacFails(m.sched) {
 				break
 			}
-			hi := m.choose(vcpus)
+			hi := pick(m.cfg.Policy, m.ix, vcpus)
 			if hi < 0 || hi == int(i) {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
@@ -744,34 +730,16 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 }
 
-// macroInfo builds the policy snapshot row for host i. Capacity is the
-// effective (fault-adjusted) bound, so linear policies steer around degraded
-// hosts exactly like the indexed path.
+// macroInfo builds the policy row for host i. Capacity is the effective
+// (fault-adjusted) bound, so policies steer around degraded hosts without
+// knowing about faults.
 func (m *macroSim) macroInfo(i int) HostInfo {
 	h := &m.hosts[i]
 	return HostInfo{
-		Index:     i,
 		Committed: int(h.committed),
 		Capacity:  h.effCap(int(h.capacity), m.now),
-		VMs:       len(h.res),
 		StealRate: h.stealEMA,
 	}
-}
-
-// choose picks a host for a vcpus-wide VM through the index or the linear
-// snapshot scan; -1 means nothing fits. The linear snapshot is one scratch
-// slice refilled per call, which Policy.Place must not retain.
-func (m *macroSim) choose(vcpus int) int {
-	if m.ix != nil {
-		return m.ipol.PlaceIndexed(m.ix, vcpus)
-	}
-	if m.linear == nil {
-		m.linear = make([]HostInfo, len(m.hosts))
-	}
-	for i := range m.hosts {
-		m.linear[i] = m.macroInfo(i)
-	}
-	return m.cfg.Policy.Place(m.linear, vcpus)
 }
 
 // place admits trace VM idx at epoch time t. A rejection is terminal only
@@ -779,7 +747,7 @@ func (m *macroSim) choose(vcpus int) int {
 // same backoff law crash victims use, so demand is conserved, not dropped.
 func (m *macroSim) place(idx int, t sim.Time) {
 	tv := &m.cfg.Trace.VMs[idx]
-	hi := m.choose(tv.VCPUs)
+	hi := pick(m.cfg.Policy, m.ix, tv.VCPUs)
 	m.events++
 	if hi < 0 {
 		vm := &m.vms[idx]

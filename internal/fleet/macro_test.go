@@ -580,48 +580,6 @@ func digestModes(trace cloudgen.Trace, horizon sim.Duration) []digestMode {
 	}
 }
 
-// linearOnly exposes only its policy's Name and Place, so the macro tier
-// places through the linear snapshot scan instead of the HostIndex.
-type linearOnly struct{ Policy }
-
-// TestMacroLinearPolicyMatchesIndexed runs every built-in policy through the
-// macro tier's linear path (a wrapper without PlaceIndexed) and through the
-// HostIndex, clean and under the tight-queue fault storm of
-// TestMacroDigestsPinned at both of its horizons, and requires the same
-// snapshot digest: the scratch snapshot refilled per placement decides
-// exactly as the index does.
-func TestMacroLinearPolicyMatchesIndexed(t *testing.T) {
-	if _, ok := Policy(linearOnly{FirstFit{}}).(IndexedPolicy); ok {
-		t.Fatal("linearOnly still implements IndexedPolicy")
-	}
-	trace := macroTestTrace(42)
-	odd := trace.Horizon + 17*sim.Second
-	for _, mode := range digestModes(trace, odd) {
-		if mode.name != "clean" && mode.name != "storm-tightqueue" {
-			continue
-		}
-		for _, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
-			t.Run(mode.name+"/"+pol.Name(), func(t *testing.T) {
-				for _, h := range []sim.Duration{trace.Horizon, odd} {
-					run := func(p Policy) *MacroResult {
-						return RunMacro(MacroConfig{
-							Trace: trace, Policy: p, Horizon: h,
-							Faults: mode.faults, Recovery: mode.rcv,
-						})
-					}
-					indexed, linear := run(pol), run(linearOnly{pol})
-					if got, want := SnapshotDigest(linear.Snapshot), SnapshotDigest(indexed.Snapshot); got != want {
-						t.Fatalf("horizon %v: linear path digest %s, indexed %s", time.Duration(h), got, want)
-					}
-					if linear.Placed == 0 || mode.faults != nil && linear.Killed == 0 {
-						t.Fatalf("horizon %v: run too quiet: placed=%d killed=%d", time.Duration(h), linear.Placed, linear.Killed)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestMacroFaultShardedMatchesSerial: under a generated fault storm — kills,
 // retries, restarts, evacuations, the migration-failure law — the same
 // config run twice gives identical bytes, and so does a config that still
@@ -909,7 +867,7 @@ func aggBits(a macroAgg) [14]uint64 {
 	return out
 }
 
-// TestMacroIncrementalIndex drives stormRun under every indexed policy one
+// TestMacroIncrementalIndex drives stormRun under every policy one
 // boundary at a time, stepping the boundary and the integration the way
 // epoch does. After every boundary the incrementally maintained index must
 // equal, node for node and bit for bit, a fresh index whose leaves are all
@@ -929,7 +887,7 @@ func TestMacroIncrementalIndex(t *testing.T) {
 				t.Helper()
 				ref := NewHostIndex(caps)
 				for i := range m.hosts {
-					committed, score := indexLeaf(m.ipol, m.macroInfo(i), caps[i])
+					committed, score := indexLeaf(m.cfg.Policy, m.macroInfo(i), caps[i])
 					setLeaf(ref, i, committed, score)
 				}
 				ref.Rebuild()

@@ -1,32 +1,28 @@
 package fleet
 
-// HostInfo is the per-host snapshot a placement policy sees. Policies are
+// HostInfo is the per-host row a placement policy scores. Policies are
 // control-plane code: they consult fleet bookkeeping (commitments) and
 // guest-observable telemetry (steal), never host physics.
 type HostInfo struct {
-	Index     int
 	Committed int     // vCPUs currently committed
 	Capacity  int     // admission bound (overcommit * threads)
-	VMs       int     // alive VMs placed here
 	StealRate float64 // EMA steal fraction per thread, 0..~1
 }
 
-// Fits reports whether a VM of the given size can be admitted.
-func (h HostInfo) Fits(vcpus int) bool { return h.Committed+vcpus <= h.Capacity }
-
-// Policy decides where an arriving VM goes. Place returns a host index that
-// Fits the request, or -1 to reject. Implementations must be deterministic
-// pure functions of the snapshot: ranked policies break every tie toward the
-// lowest host ID, snapshots arrive in stable host-ID order (never map
-// iteration), and heterogeneous Capacity values must not disturb either
-// property — the cluster may mix host classes (see internal/cloudgen).
-// Place must not retain hosts: both fleet tiers refill one scratch slice for
-// every placement, so the snapshot is only valid for the call.
-// Policies that also implement IndexedPolicy (see index.go) are placed
-// through a HostIndex in O(log hosts) instead of this linear scan.
+// Policy decides where an arriving VM goes, through the fleet's HostIndex.
+// Score is the value the index minimises for one host, lower is better; it
+// must be a pure function of the row, because the fleet recomputes it
+// whenever that host's commitments, telemetry or fault windows change and
+// stores it in the host's leaf (see indexLeaf). Policies that don't rank
+// (first-fit) return 0. Place returns a host whose leaf has room for vcpus,
+// or -1 to reject; both tiers panic on any other answer (see pick). Ranked
+// policies break every tie toward the lowest host ID, and heterogeneous
+// Capacity values must not disturb that — the cluster may mix host classes
+// (see internal/cloudgen).
 type Policy interface {
 	Name() string
-	Place(hosts []HostInfo, vcpus int) int
+	Score(h HostInfo) float64
+	Place(ix *HostIndex, vcpus int) int
 }
 
 // FirstFit packs: the lowest-indexed host with room wins. The classic
@@ -36,14 +32,9 @@ type FirstFit struct{}
 
 func (FirstFit) Name() string { return "first-fit" }
 
-func (FirstFit) Place(hosts []HostInfo, vcpus int) int {
-	for _, h := range hosts {
-		if h.Fits(vcpus) {
-			return h.Index
-		}
-	}
-	return -1
-}
+func (FirstFit) Score(HostInfo) float64 { return 0 }
+
+func (FirstFit) Place(ix *HostIndex, vcpus int) int { return ix.FirstFit(vcpus) }
 
 // LeastLoaded spreads (worst-fit): the fitting host with the fewest
 // committed vCPUs wins, ties to the lower index — explicitly by absolute
@@ -55,18 +46,9 @@ type LeastLoaded struct{}
 
 func (LeastLoaded) Name() string { return "least-loaded" }
 
-func (LeastLoaded) Place(hosts []HostInfo, vcpus int) int {
-	best := -1
-	for _, h := range hosts {
-		if !h.Fits(vcpus) {
-			continue
-		}
-		if best < 0 || h.Committed < hosts[best].Committed {
-			best = h.Index
-		}
-	}
-	return best
-}
+func (LeastLoaded) Score(h HostInfo) float64 { return float64(h.Committed) }
+
+func (LeastLoaded) Place(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }
 
 // StealAware is the fleet-level analogue of vSched's insight: commitments
 // lie the same way the vCPU abstraction lies, so consult measured steal.
@@ -78,22 +60,13 @@ func (LeastLoaded) Place(hosts []HostInfo, vcpus int) int {
 // A batch-heavy host repels new tenants even when its commitment count
 // looks moderate. Utilization is relative to each host's own Capacity, so
 // heterogeneous fleets rank fairly; exact score ties (same steal, same
-// utilization) resolve to the lower host ID via the strict comparison.
+// utilization) resolve to the lower host ID.
 type StealAware struct{}
 
 func (StealAware) Name() string { return "steal-aware" }
 
-func (StealAware) Place(hosts []HostInfo, vcpus int) int {
-	best := -1
-	bestScore := 0.0
-	for _, h := range hosts {
-		if !h.Fits(vcpus) {
-			continue
-		}
-		score := h.StealRate + 0.1*float64(h.Committed)/float64(h.Capacity)
-		if best < 0 || score < bestScore {
-			best, bestScore = h.Index, score
-		}
-	}
-	return best
+func (StealAware) Score(h HostInfo) float64 {
+	return h.StealRate + 0.1*float64(h.Committed)/float64(h.Capacity)
 }
+
+func (StealAware) Place(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }

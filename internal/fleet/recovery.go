@@ -69,12 +69,26 @@ func faultHost(ev faults.Event, n int) int {
 // tracks free = capacity - committed against the configured capacity, so
 // degraded headroom is folded in by inflating committed with it; a down host
 // scores +Inf (never NaN, which would poison BestScore pruning).
-func indexLeaf(pol IndexedPolicy, h HostInfo, capacity int) (committed int, score float64) {
+func indexLeaf(pol Policy, h HostInfo, capacity int) (committed int, score float64) {
 	score = math.Inf(1)
 	if h.Capacity > 0 {
 		score = pol.Score(h)
 	}
 	return h.Committed + capacity - h.Capacity, score
+}
+
+// pick asks pol for a host for a vcpus-wide VM and returns it, or -1 when
+// nothing fits. Both tiers reindex a host on every change to its commitment
+// and at every fault window's opening, so a leaf never promises more room
+// than its host has. A pick outside the fleet, or onto a leaf without room,
+// breaks the Policy contract and panics.
+func pick(pol Policy, ix *HostIndex, vcpus int) int {
+	hi := pol.Place(ix, vcpus)
+	if hi < -1 || hi >= ix.Len() || hi >= 0 && ix.Free(hi) < vcpus {
+		panic(fmt.Sprintf("fleet: policy %s placed a %d-vCPU VM on host %d, outside [-1, %d) or without room",
+			pol.Name(), vcpus, hi, ix.Len()))
+	}
+	return hi
 }
 
 // FaultOutcome is a run's fault-plane outcome, counted the same way in both

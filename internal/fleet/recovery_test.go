@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,5 +99,58 @@ func TestFaultWindowsEffCap(t *testing.T) {
 	if w.stallUntil != at(43) || w.effCap(16, at(41)) != 16 {
 		t.Fatalf("stall window %v, effCap %d: a stall must not cut admission capacity",
 			w.stallUntil, w.effCap(16, at(41)))
+	}
+}
+
+// rogue breaks the Policy contract: it places every VM on one fixed host,
+// whether or not that host exists or has room.
+type rogue struct{ host int }
+
+func (rogue) Name() string                { return "rogue" }
+func (rogue) Score(HostInfo) float64      { return 0 }
+func (r rogue) Place(*HostIndex, int) int { return r.host }
+
+// wantRoguePanic runs run and requires the panic pick raises for a rogue
+// pick of host.
+func wantRoguePanic(t *testing.T, host int, run func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		if !strings.HasPrefix(msg, "fleet: policy rogue placed a ") ||
+			!strings.Contains(msg, fmt.Sprintf("-vCPU VM on host %d, ", host)) {
+			t.Fatalf("panic %q, want the policy contract violation naming host %d", msg, host)
+		}
+	}()
+	run()
+}
+
+// TestMicroPolicyContract: a micro fleet panics, naming the policy, when its
+// policy picks a host outside the fleet or one without room, instead of
+// turning the broken pick into a rejection.
+func TestMicroPolicyContract(t *testing.T) {
+	// Past the end, below -1, and host 0 once it holds 4 of the 5 VMs.
+	for _, r := range []rogue{{4}, {-2}, {0}} {
+		t.Run(fmt.Sprint(r.host), func(t *testing.T) {
+			cfg := testConfig(1, r, false)
+			typ := testMix()[1].Type
+			cfg.Arrivals = nil
+			for id := 0; id < 5; id++ {
+				cfg.Arrivals = append(cfg.Arrivals, Arrival{ID: id, Type: typ, Lifetime: -sim.Second})
+			}
+			wantRoguePanic(t, r.host, func() { New(cfg).Run() })
+		})
+	}
+}
+
+// TestMacroPolicyContract: the macro tier panics, naming the policy, when its
+// policy picks a host outside the fleet (which used to be a bare index out of
+// range) or one without room (which used to overcommit it silently).
+func TestMacroPolicyContract(t *testing.T) {
+	trace := macroTestTrace(42)
+	for _, r := range []rogue{{len(trace.Hosts)}, {-2}, {0}} {
+		t.Run(fmt.Sprint(r.host), func(t *testing.T) {
+			wantRoguePanic(t, r.host, func() { RunMacro(MacroConfig{Trace: trace, Policy: r}) })
+		})
 	}
 }

@@ -45,17 +45,6 @@ func (b Belief) SameSocket(i, j int) bool { return b.SocketOf[i] == b.SocketOf[j
 // thread.
 func (b Belief) SameStack(i, j int) bool { return b.StackOf[i] == b.StackOf[j] }
 
-// SMTSiblings returns the vCPUs sharing i's core group, excluding i.
-func (b Belief) SMTSiblings(i int) []int {
-	var out []int
-	for j := range b.CoreOf {
-		if j != i && b.CoreOf[j] == b.CoreOf[i] {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // StackGroups returns the stacking groups with more than one member.
 func (b Belief) StackGroups() [][]int {
 	var out [][]int

@@ -135,9 +135,6 @@ func (v *VCPU) syncMasks() {
 	v.vm.overloaded.set(v.id, len(v.rq) >= 1 && v.nrRunning() >= 2)
 }
 
-// CyclesExecuted returns total cycles executed on this vCPU.
-func (v *VCPU) CyclesExecuted() float64 { return v.cyclesExec }
-
 // IdleSince returns when the vCPU entered the guest idle loop. Only
 // meaningful while GuestIdle() is true.
 func (v *VCPU) IdleSince() sim.Time { return v.idleSince }

@@ -56,14 +56,6 @@ func (p *PatternContender) Entity() *Entity { return p.entity }
 // Stop permanently halts the contender after the current burst.
 func (p *PatternContender) Stop() { p.stopped = true }
 
-// SetPattern changes the duty cycle; takes effect from the next burst.
-func (p *PatternContender) SetPattern(on, off sim.Duration) {
-	if on <= 0 || off < 0 {
-		panic("host: pattern contender needs on > 0 and off >= 0")
-	}
-	p.on, p.off = on, off
-}
-
 func (p *PatternContender) burst() {
 	if p.stopped {
 		return

@@ -95,7 +95,6 @@ type Entity struct {
 	runNS       sim.Duration // total time spent Running
 	stealNS     sim.Duration // total time Runnable or Throttled
 	preemptions uint64       // involuntary Running -> Runnable/Throttled
-	resumes     uint64       // transitions into Running
 
 	// observers are called after every state transition, in attach order.
 	// The vtrace package uses them to build timelines and event traces.
@@ -188,9 +187,6 @@ func (e *Entity) RunTime() sim.Duration {
 // this from steal jumps instead.
 func (e *Entity) Preemptions() uint64 { return e.preemptions }
 
-// Resumes returns how many times the entity transitioned into Running.
-func (e *Entity) Resumes() uint64 { return e.resumes }
-
 // setState performs bookkeeping common to all transitions.
 func (e *Entity) setState(to EntityState) {
 	now := e.host.eng.Now()
@@ -207,9 +203,6 @@ func (e *Entity) setState(to EntityState) {
 	}
 	e.state = to
 	e.lastChange = now
-	if to == Running {
-		e.resumes++
-	}
 	if from == Running && (to == Runnable || to == Throttled) {
 		e.preemptions++
 	}

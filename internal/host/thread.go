@@ -59,9 +59,6 @@ func (t *Thread) Slot() int { return t.slot }
 // Current returns the entity running on the thread, or nil.
 func (t *Thread) Current() *Entity { return t.current }
 
-// QueueLen returns the number of runnable (waiting) entities.
-func (t *Thread) QueueLen() int { return len(t.queue) }
-
 // Sibling returns the SMT sibling thread, or nil on single-thread cores.
 func (t *Thread) Sibling() *Thread { return t.sibling }
 
@@ -100,10 +97,6 @@ func (t *Thread) wakeupGranularity() sim.Duration {
 	}
 	return t.host.cfg.WakeupGranularity
 }
-
-// CurrentSpeed returns the effective speed an entity would observe running
-// on this thread right now, in cycles per nanosecond.
-func (t *Thread) CurrentSpeed() float64 { return t.effectiveSpeed() }
 
 func (t *Thread) effectiveSpeed() float64 {
 	cfg := t.host.cfg

@@ -56,15 +56,6 @@ func (p *Profile) Hist(c Cause) *metrics.Histogram {
 	return h
 }
 
-// WallHist builds a histogram of per-span wall times.
-func (p *Profile) WallHist() *metrics.Histogram {
-	h := metrics.NewHistogram()
-	for i := range p.Spans {
-		h.Observe(int64(p.Spans[i].Wall()))
-	}
-	return h
-}
-
 // CheckConservation verifies the invariant on every span: the six
 // components sum to the span's wall time exactly, in virtual nanoseconds.
 func (p *Profile) CheckConservation() error {
