@@ -12,7 +12,6 @@ package vsched_test
 // Full-length reproductions: go run ./cmd/experiments -run all
 
 import (
-	"runtime"
 	"testing"
 
 	"vsched"
@@ -200,16 +199,13 @@ func BenchmarkAblationHeartbeatGranularity(b *testing.B) {
 	b.ReportMetric(measured, "probed-latency-ms(truth=4)")
 }
 
-// benchRegistry runs the complete experiment registry through the harness
-// at 5% scale with the given worker-pool size.
-func benchRegistry(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkRegistry runs the complete experiment registry through the
+// harness at 5% scale. Trials and their cells share one budget of GOMAXPROCS
+// goroutines; -cpu 1 gives the fully serial reference path, whose output is
+// byte-identical (see internal/harness's determinism suite).
+func BenchmarkRegistry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := vsched.RunExperiments(vsched.HarnessConfig{
-			BaseSeed: 42,
-			Scale:    0.05,
-			Workers:  workers,
-		})
+		res, err := vsched.RunExperiments(vsched.HarnessConfig{BaseSeed: 42, Scale: 0.05})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,22 +214,4 @@ func benchRegistry(b *testing.B, workers int) {
 		}
 		b.ReportMetric(float64(res.EventsFired())/res.WallTime.Seconds(), "events/sec")
 	}
-}
-
-// BenchmarkRegistrySerial runs the whole registry on one harness worker:
-// one trial at a time, exactly the trial order and seeds of the classic
-// serial loop. Each experiment's cells still fan out over GOMAXPROCS; -cpu 1
-// gives the fully serial reference path.
-func BenchmarkRegistrySerial(b *testing.B) { benchRegistry(b, 1) }
-
-// BenchmarkRegistryParallel fans the registry out over the worker pool. The
-// output is byte-identical to the serial run (see internal/harness's
-// determinism suite); the wall-clock ratio of these two benchmarks is what
-// running trials side by side adds on top of the cells' own parallelism.
-func BenchmarkRegistryParallel(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	benchRegistry(b, workers)
 }

@@ -65,6 +65,12 @@ go test -race -short $race_pkgs
 echo "== progress bus concurrency (-race -count=20)"
 go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 
+# The parallelism budget's recruit/release counter is shared by every
+# par.Map in the process, nested ones included; a race in it would be just
+# as intermittent, so the budget tests run twenty times too.
+echo "== par budget (-race -count=20)"
+go test -race -count=20 -run Budget ./internal/par/
+
 # Engine differential suite under the race detector, explicitly and never
 # -short: the timing-wheel engine must match the retained heap engine
 # (internal/sim/heapengine) event for event on randomized scripts. This is

@@ -5,22 +5,21 @@
 //	experiments -list
 //	experiments -run fig14                  # one experiment
 //	experiments -run all                    # everything, in paper order
+//	GOMAXPROCS=1 experiments -run all       # the same bytes, fully serial
 //	experiments -run fig18 -scale 0.3       # shorter measurement windows
 //	experiments -run all -json              # machine-readable reports
-//	experiments -run all -parallel 8        # run 8 trials at once
 //	experiments -run all -reps 5            # 5 replicate seeds, mean±stddev cells
 //	experiments -run all -timeout 10m       # per-trial wall-clock budget
-//	experiments -run all -retries 2         # re-attempt timed-out/panicked trials
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
 //	experiments -run fleet -telemetry       # append flight-recorder sparklines
 //	experiments -run all -progress          # rate-limited done/total + ETA heartbeat on stderr
 //	experiments -run all -serve :9137       # live /metrics + /runs/experiments/events while running
 //
-// Reports go to stdout; timing and progress go to stderr, so stdout is a
-// pure function of (-run, -seed, -reps, -scale): a -parallel N run is
-// byte-identical to a -parallel 1 run, and both are byte-identical to the
-// fully serial GOMAXPROCS=1 run, in which an experiment's independent
-// simulations (its cells) also run one after another.
+// Trials and each experiment's independent simulations (its cells) share one
+// parallelism budget of GOMAXPROCS goroutines. Reports go to stdout; timing
+// and progress go to stderr, so stdout is a pure function of (-run, -seed,
+// -reps, -scale): a run is byte-identical to the fully serial GOMAXPROCS=1
+// run, in which every trial and cell runs one after another.
 package main
 
 import (
@@ -56,10 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Float64("scale", 1.0, "measurement window scale factor")
 		verbose  = fs.Bool("v", false, "verbose notes")
 		asJSON   = fs.Bool("json", false, "emit reports as JSON lines")
-		parallel = fs.Int("parallel", 1, "trials run at once (1 = one at a time; each trial's cells still fan out over GOMAXPROCS, and GOMAXPROCS=1 is the fully serial path)")
 		reps     = fs.Int("reps", 1, "replicate seeds per experiment; >1 adds mean±stddev [min,max] cells")
 		timeout  = fs.Duration("timeout", 0, "per-trial wall-clock budget (0 = none)")
-		retries  = fs.Int("retries", 0, "extra attempts per trial after a panic or timeout (0 = fail fast)")
 		out      = fs.String("out", "", "write a JSON-lines run artifact (seeds, wall time, events, reports)")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -115,9 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *reps < 1:
 		fmt.Fprintf(stderr, "bad -reps %d (want >= 1)\n", *reps)
 		return 1
-	case *retries < 0:
-		fmt.Fprintf(stderr, "bad -retries %d (want >= 0)\n", *retries)
-		return 1
 	case *timeout < 0:
 		fmt.Fprintf(stderr, "bad -timeout %v (want >= 0; 0 = none)\n", *timeout)
 		return 1
@@ -129,9 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Reps:     *reps,
 		Scale:    *scale,
 		Verbose:  *verbose,
-		Workers:  *parallel,
 		Timeout:  *timeout,
-		Retries:  *retries,
 	}
 	if *progress {
 		hcfg.Heartbeat = stderr

@@ -61,7 +61,6 @@ func TestBadInputFails(t *testing.T) {
 	for _, bad := range [][2]string{
 		{"scale", "NaN"}, {"scale", "0"}, {"scale", "-1"}, {"scale", "+Inf"},
 		{"reps", "0"}, {"reps", "-2"},
-		{"retries", "-1"},
 		{"timeout", "-1s"},
 	} {
 		flag, val := bad[0], bad[1]
@@ -79,10 +78,12 @@ func TestBadInputFails(t *testing.T) {
 	}
 }
 
-// TestUnknownFlagFails also covers the retired benchmark flags: timing lives
-// in the Go benchmarks and vbench, so -bench is a usage error like any other.
+// TestUnknownFlagFails also covers the retired flags: timing lives in the Go
+// benchmarks and vbench, trials share the GOMAXPROCS budget with their cells,
+// and a deterministic trial is never retried, so -bench, -parallel and
+// -retries are usage errors like any other.
 func TestUnknownFlagFails(t *testing.T) {
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-bench", "core"}} {
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-bench", "core"}, {"-parallel", "2"}, {"-retries", "1"}} {
 		var out, errb strings.Builder
 		if code := run(args, &out, &errb); code != 2 {
 			t.Fatalf("%v exited %d, want 2", args, code)

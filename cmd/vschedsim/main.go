@@ -123,6 +123,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bad -warmup %v (want >= 0)\n", *warmup)
 		return 1
 	}
+	// A negative latency, stall or stall offset would silently run as the
+	// default, no stall or a midway stall.
+	if *latency < 0 {
+		fmt.Fprintf(stderr, "bad -latency %v (want >= 0; 0 = default)\n", *latency)
+		return 1
+	}
+	if *stallDur < 0 {
+		fmt.Fprintf(stderr, "bad -stall %v (want >= 0; 0 = none)\n", *stallDur)
+		return 1
+	}
+	if *stallAt < 0 {
+		fmt.Fprintf(stderr, "bad -stallat %v (want >= 0; 0 = midway)\n", *stallAt)
+		return 1
+	}
 
 	if *sockets < 0 {
 		fmt.Fprintf(stderr, "bad -sockets %d (want >= 0)\n", *sockets)

@@ -204,6 +204,9 @@ func TestBadInputFails(t *testing.T) {
 		{[]string{"-duration", "0"}, "bad -duration 0s"},
 		{[]string{"-duration", "-1s"}, "bad -duration -1s"},
 		{[]string{"-warmup", "-1s"}, "bad -warmup -1s"},
+		{[]string{"-latency", "-5ms"}, "bad -latency -5ms"},
+		{[]string{"-stall", "-1s"}, "bad -stall -1s"},
+		{[]string{"-stallat", "-1s"}, "bad -stallat -1s"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

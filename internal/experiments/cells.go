@@ -1,17 +1,13 @@
 package experiments
 
-import (
-	"runtime"
+import "vsched/internal/par"
 
-	"vsched/internal/par"
-)
-
-// cells runs n independent cells of one experiment on min(GOMAXPROCS, n)
-// goroutines and returns their results by index. A cell is one simulation:
-// it builds its own engine from o, reads nothing but o and its index, and
-// returns values; it never touches the report or the caller's Options. The
-// caller assembles rows, notes and cross-cell aggregates from the results in
-// index order (DESIGN §4.14).
+// cells runs n independent cells of one experiment through par.Map, under the
+// process-wide budget of GOMAXPROCS goroutines, and returns their results by
+// index. A cell is one simulation: it builds its own engine from o, reads
+// nothing but o and its index, and returns values; it never touches the
+// report or the caller's Options. The caller assembles rows, notes and
+// cross-cell aggregates from the results in index order (DESIGN §4.14).
 //
 // Each cell reports to a child of opt.Stats. Engines reach the root as they
 // are built, so Stats.Interrupt freezes cells in flight and cells not yet
@@ -26,7 +22,7 @@ func cells[T any](opt Options, n int, run func(i int, o Options) T) []T {
 		kids[i] = opt.Stats.child()
 	}
 	defer opt.Stats.merge(kids)
-	return par.Map(n, runtime.GOMAXPROCS(0), func(i int) T {
+	return par.Map(n, func(i int) T {
 		o := opt
 		o.Stats = kids[i]
 		return run(i, o)

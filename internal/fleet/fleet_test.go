@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -181,7 +182,7 @@ func TestRerunIsIdentical(t *testing.T) {
 }
 
 // TestShardedMatchesSerial: micro cells, clean and with the fault plane
-// active, run on a four-worker pool with results identical to a serial run.
+// active, run under GOMAXPROCS 4 with results identical to GOMAXPROCS 1.
 // It runs under -short so the race pass covers concurrent micro cells.
 func TestShardedMatchesSerial(t *testing.T) {
 	sched := &faults.Schedule{Seed: 9, Events: []faults.Event{
@@ -209,8 +210,9 @@ func TestShardedMatchesSerial(t *testing.T) {
 		cfgs []Config
 	}{{"clean", clean}, {"faulted", faulted}} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) []*Result {
-				return par.Map(len(tc.cfgs), workers, func(i int) *Result { return New(tc.cfgs[i]).Run() })
+			run := func(procs int) []*Result {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				return par.Map(len(tc.cfgs), func(i int) *Result { return New(tc.cfgs[i]).Run() })
 			}
 			serial, parallel := run(1), run(4)
 			for i := range tc.cfgs {

@@ -14,8 +14,8 @@ import (
 // Text renders the run deterministically: one report per experiment in
 // registry order, aggregated across replicates, with failures summarised in
 // place. The output is a pure function of (seed set, scale, experiment set)
-// — wall times and worker counts never appear — so serial and parallel runs
-// of the same configuration produce byte-identical text.
+// — wall times and the parallelism budget never appear — so serial and
+// parallel runs of the same configuration produce byte-identical text.
 func (r *Result) Text() string {
 	var b strings.Builder
 	for i := range r.Experiments {
@@ -44,8 +44,10 @@ func (r *Result) Text() string {
 // (deterministic flight-recorder snapshots — Gorilla-compressed raw chunks
 // plus rollup buckets — keyed by recorder label) and is otherwise a strict
 // superset of 3; 5 adds the per-trial "retries" count (attempts consumed
-// under harness.Config.Retries) and is otherwise a strict superset of 4.
-const ArtifactSchemaVersion = 5
+// under a retry budget) and is otherwise a strict superset of 4; 6 drops
+// "retries" again (trials are deterministic and no longer retried) and
+// records the parallelism budget, GOMAXPROCS at run start, as "workers".
+const ArtifactSchemaVersion = 6
 
 // Artifact line types. A run artifact is JSON lines: one "run" header with
 // the full configuration and seed set, one "trial" line per trial (with its
@@ -66,19 +68,16 @@ type RunRecord struct {
 }
 
 type TrialRecord struct {
-	Type       string  `json:"type"` // "trial"
-	Experiment string  `json:"experiment"`
-	Replicate  int     `json:"replicate"`
-	Seed       int64   `json:"seed"`
-	WallMS     float64 `json:"wall_ms"`
-	Events     uint64  `json:"events"`
-	Engines    int     `json:"engines"`
-	Err        string  `json:"err,omitempty"`
-	TimedOut   bool    `json:"timed_out,omitempty"`
-	// Retries is the extra attempts the trial consumed under the harness
-	// retry budget (schema >= 5); absent (0) in older artifacts.
-	Retries int                `json:"retries,omitempty"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Type       string             `json:"type"` // "trial"
+	Experiment string             `json:"experiment"`
+	Replicate  int                `json:"replicate"`
+	Seed       int64              `json:"seed"`
+	WallMS     float64            `json:"wall_ms"`
+	Events     uint64             `json:"events"`
+	Engines    int                `json:"engines"`
+	Err        string             `json:"err,omitempty"`
+	TimedOut   bool               `json:"timed_out,omitempty"`
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
 	// Attribution is the flattened latency-attribution snapshot of every
 	// profile the trial tracked (schema >= 3); absent in older artifacts.
 	Attribution map[string]float64 `json:"attribution,omitempty"`
@@ -137,7 +136,6 @@ func (r *Result) WriteArtifact(w io.Writer) error {
 				Engines:     t.Engines,
 				Err:         t.Err,
 				TimedOut:    t.TimedOut,
-				Retries:     t.Retries,
 				Metrics:     t.Metrics,
 				Attribution: t.Attribution,
 				Telemetry:   t.Telemetry,
@@ -177,8 +175,8 @@ type Artifact struct {
 // ReadArtifact decodes a JSONL artifact produced by any schema version so
 // far. Version 1 predates the schema_version field and decodes with
 // SchemaVersion 1; version 2 lacks the attribution map (left nil); version 3
-// lacks the telemetry map (left nil); version 4 lacks the retries count
-// (left 0); unknown line types are skipped, so newer minor additions stay
+// lacks the telemetry map (left nil); version 5's per-trial retries count
+// is ignored; unknown line types are skipped, so newer minor additions stay
 // readable too.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
 	a := &Artifact{}

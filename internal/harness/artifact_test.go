@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func attribRunner(id string) experiments.Runner {
 func TestArtifactRoundTrip(t *testing.T) {
 	res := Run(Config{
 		Runners:  []experiments.Runner{attribRunner("synA"), synthetic("synB")},
-		BaseSeed: 7, Reps: 2, Workers: 2,
+		BaseSeed: 7, Reps: 2,
 	})
 	var buf bytes.Buffer
 	if err := res.WriteArtifact(&buf); err != nil {
@@ -44,8 +45,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if a.Run.SchemaVersion != ArtifactSchemaVersion {
 		t.Fatalf("schema %d want %d", a.Run.SchemaVersion, ArtifactSchemaVersion)
 	}
-	if a.Run.BaseSeed != 7 || len(a.Run.Seeds) != 4 {
-		t.Fatalf("run header %+v", a.Run)
+	if a.Run.BaseSeed != 7 || len(a.Run.Seeds) != 4 || a.Run.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("run header %+v (workers must be the GOMAXPROCS budget)", a.Run)
 	}
 	if len(a.Trials) != 4 {
 		t.Fatalf("want 4 trials, got %d", len(a.Trials))
@@ -93,6 +94,14 @@ const v3Artifact = `{"type":"run","schema_version":3,"base_seed":42,"reps":1,"wo
 const v4Artifact = `{"type":"run","schema_version":4,"base_seed":42,"reps":1,"workers":4,"scale":1,"experiments":["fig3"],"seeds":[42]}
 {"type":"trial","experiment":"fig3","replicate":0,"seed":42,"wall_ms":7.2,"events":700,"engines":1,"report":{"ID":"fig3","Title":"t","Header":["a"],"Rows":[["1"]]}}
 {"type":"summary","wall_ms":7.7,"events":700,"trials":1,"failed":0}
+`
+
+// v5Artifact is a canned schema-5 artifact, byte-for-byte in the shape
+// WriteArtifact produced before the v6 bump: a trial carrying the retry count
+// that schema 6 no longer writes.
+const v5Artifact = `{"type":"run","schema_version":5,"base_seed":42,"reps":1,"workers":2,"scale":1,"experiments":["fig3"],"seeds":[42]}
+{"type":"trial","experiment":"fig3","replicate":0,"seed":42,"wall_ms":8.4,"events":900,"engines":2,"retries":1,"metrics":{"vm.sched.steals":4},"report":{"ID":"fig3","Title":"t","Header":["a"],"Rows":[["1"]]}}
+{"type":"summary","wall_ms":8.9,"events":900,"trials":1,"failed":0}
 `
 
 // v1Artifact predates the schema_version field entirely.
@@ -143,8 +152,20 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 	if a.Run.SchemaVersion != 4 {
 		t.Fatalf("v4 schema read as %d", a.Run.SchemaVersion)
 	}
-	if tr := a.Trials[0]; tr.Retries != 0 {
-		t.Fatalf("v4 trial must decode with zero retries, got %d", tr.Retries)
+	if tr := a.Trials[0]; tr.Events != 700 || tr.Report == nil || tr.Report.ID != "fig3" {
+		t.Fatalf("v4 trial fields lost: %+v", tr)
+	}
+
+	a, err = ReadArtifact(strings.NewReader(v5Artifact))
+	if err != nil {
+		t.Fatalf("v5 artifact must stay readable: %v", err)
+	}
+	if a.Run.SchemaVersion != 5 || a.Run.Workers != 2 {
+		t.Fatalf("v5 run header %+v", a.Run)
+	}
+	if tr := a.Trials[0]; tr.Events != 900 || tr.Engines != 2 ||
+		tr.Metrics["vm.sched.steals"] != 4 || tr.Report == nil || tr.Report.ID != "fig3" {
+		t.Fatalf("v5 trial fields lost: %+v", tr)
 	}
 
 	a, err = ReadArtifact(strings.NewReader(v1Artifact))
@@ -178,7 +199,7 @@ func TestHarnessAttributionFlows(t *testing.T) {
 	if !ok {
 		t.Fatal("attrib experiment missing from registry")
 	}
-	res := Run(Config{Runners: []experiments.Runner{r}, BaseSeed: 42, Scale: 0.05, Workers: 1})
+	res := Run(Config{Runners: []experiments.Runner{r}, BaseSeed: 42, Scale: 0.05})
 	tr := &res.Experiments[0].Trials[0]
 	if !tr.OK() {
 		t.Fatalf("attrib trial failed: %s", tr.Err)
@@ -234,7 +255,7 @@ func telemetryRunner(id string) experiments.Runner {
 func TestArtifactTelemetryRoundTrip(t *testing.T) {
 	res := Run(Config{
 		Runners:  []experiments.Runner{telemetryRunner("synT"), synthetic("synB")},
-		BaseSeed: 9, Workers: 2,
+		BaseSeed: 9,
 	})
 	var buf bytes.Buffer
 	if err := res.WriteArtifact(&buf); err != nil {

@@ -2,10 +2,17 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vsched/internal/experiments"
 )
+
+// runProcs runs cfg with GOMAXPROCS set to procs, restoring it afterwards.
+func runProcs(procs int, cfg Config) *Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Run(cfg)
+}
 
 func registrySubset(t *testing.T, ids ...string) []experiments.Runner {
 	t.Helper()
@@ -21,15 +28,14 @@ func registrySubset(t *testing.T, ids ...string) []experiments.Runner {
 }
 
 // TestParallelMatchesSerialFastSubset drives real experiments with
-// replication through serial and parallel harnesses and requires
+// replication through the serial (GOMAXPROCS 1) and a parallel (GOMAXPROCS
+// 4) harness and requires
 // byte-identical text and artifacts-modulo-timing. Cheap enough for -short
 // and the race pass.
 func TestParallelMatchesSerialFastSubset(t *testing.T) {
 	runners := registrySubset(t, "fig3", "fig10a", "table2", "fig11")
-	run := func(workers int) *Result {
-		return Run(Config{Runners: runners, BaseSeed: 42, Reps: 3, Scale: 0.05, Workers: workers})
-	}
-	serial, parallel := run(1), run(8)
+	cfg := Config{Runners: runners, BaseSeed: 42, Reps: 3, Scale: 0.05}
+	serial, parallel := runProcs(1, cfg), runProcs(4, cfg)
 	if serial.Failed()+parallel.Failed() != 0 {
 		t.Fatalf("failures: serial=%d parallel=%d", serial.Failed(), parallel.Failed())
 	}
@@ -60,16 +66,14 @@ func TestParallelMatchesSerialFastSubset(t *testing.T) {
 
 // TestParallelMatchesSerialFullRegistry is the acceptance check for the
 // harness: the complete registry (the cmd/experiments -run all path), run
-// serially and with a worker pool, must produce byte-identical reports for
-// the same seed set.
+// under GOMAXPROCS 1 and 4, must produce byte-identical reports for the same
+// seed set.
 func TestParallelMatchesSerialFullRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry determinism suite")
 	}
-	run := func(workers int) *Result {
-		return Run(Config{BaseSeed: 42, Scale: 0.05, Workers: workers})
-	}
-	serial, parallel := run(1), run(8)
+	cfg := Config{BaseSeed: 42, Scale: 0.05}
+	serial, parallel := runProcs(1, cfg), runProcs(4, cfg)
 	if serial.Failed()+parallel.Failed() != 0 {
 		t.Fatalf("failures: serial=%d parallel=%d", serial.Failed(), parallel.Failed())
 	}
@@ -87,7 +91,7 @@ func TestParallelMatchesSerialFullRegistry(t *testing.T) {
 func TestRepsOneMatchesDirectRun(t *testing.T) {
 	r, _ := experiments.ByID("fig3")
 	direct := r.Run(experiments.Options{Seed: 42, Scale: 0.1}).String()
-	res := Run(Config{Runners: []experiments.Runner{r}, BaseSeed: 42, Scale: 0.1, Workers: 4})
+	res := Run(Config{Runners: []experiments.Runner{r}, BaseSeed: 42, Scale: 0.1})
 	harnessed := res.Experiments[0].Trials[0].Report.String()
 	if direct != harnessed {
 		t.Fatalf("harness trial diverged from direct run:\n%s\nvs\n%s", direct, harnessed)

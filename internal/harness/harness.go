@@ -2,8 +2,9 @@
 // one (experiment, replicate) pair — builds its own private sim.Engine from
 // a seed derived as DeriveSeed(baseSeed, experimentID, replicate), so
 // results are a pure function of the seed set and independent of how trials
-// are packed onto workers: parallel output is byte-identical to serial
-// output for the same configuration.
+// are packed onto goroutines: parallel output is byte-identical to serial
+// output for the same configuration. Trials and the cells inside them share
+// one parallelism budget, GOMAXPROCS goroutines (package par).
 //
 // On top of the fan-out the harness adds robustness (per-trial panic
 // recovery and a wall-clock timeout with cooperative cancellation through
@@ -42,28 +43,16 @@ type Config struct {
 	Scale float64
 	// Verbose is forwarded to experiments.Options.
 	Verbose bool
-	// Workers bounds the worker pool, the number of trials run at once; <1
-	// means GOMAXPROCS. Within a trial, an experiment's independent
-	// simulations (its cells) fan out over GOMAXPROCS on their own, so
-	// Workers 1 is one trial at a time and GOMAXPROCS=1 the fully serial run.
-	Workers int
 	// Timeout is the per-trial wall-clock budget; 0 disables it. A trial
 	// that overruns has its engines interrupted and is recorded as failed
 	// instead of killing the run.
 	Timeout time.Duration
-	// Retries is the number of additional attempts a trial gets after a
-	// panic or timeout (0 = fail fast). Every attempt reruns the identical
-	// (seed, scale) trial, so a retried success is byte-identical to a
-	// first-try success and determinism of the output is unaffected; only
-	// wall-clock failures (a timeout on a loaded machine) gain anything
-	// from a second try. The attempts consumed are recorded on the trial.
-	Retries int
 	// Obs, when non-nil, receives the trial lifecycle (run start/done,
-	// trial start/done with retry counts and truncated errors) for live HTTP
-	// observation. Publishing goes through the bounded bus and reads nothing
-	// back, so attaching it cannot perturb results. The harness publishes
-	// no metric mirror, so a served run's /metrics carries only obshttp's
-	// own vsched_obs_* counters (events published, scrapes served).
+	// trial start/done with truncated errors) for live HTTP observation.
+	// Publishing goes through the bounded bus and reads nothing back, so
+	// attaching it cannot perturb results. The harness publishes no metric
+	// mirror, so a served run's /metrics carries only obshttp's own
+	// vsched_obs_* counters (events published, scrapes served).
 	Obs *progress.Publisher
 	// Heartbeat, when non-nil, receives a plain-text progress line (trials
 	// done/total, failures, mean trial wall time, ETA) every heartbeatEvery.
@@ -85,16 +74,13 @@ func (c Config) normalized() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1.0
 	}
-	if c.Workers < 1 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
 // DeriveSeed maps (baseSeed, experimentID, replicate) to the trial's engine
 // seed. Replicate 0 is the paper run and keeps the base seed untouched;
 // higher replicates get an FNV-1a hash of the triple, so trial seeds are
-// stable under any reordering, subsetting, or worker count.
+// stable under any reordering, subsetting, or parallelism budget.
 func DeriveSeed(base int64, experimentID string, replicate int) int64 {
 	if replicate == 0 {
 		return base
@@ -118,9 +104,6 @@ type TrialResult struct {
 	// Err describes a panic or timeout; empty on success.
 	Err      string
 	TimedOut bool
-	// Retries is how many extra attempts the trial consumed under
-	// Config.Retries; 0 means it settled on the first try.
-	Retries int
 	// WallTime is host time spent on the trial.
 	WallTime time.Duration
 	// Events is the number of simulation events the trial fired, summed
@@ -157,8 +140,9 @@ type ExperimentResult struct {
 
 // Result is a full harness run.
 type Result struct {
-	BaseSeed    int64
-	Reps        int
+	BaseSeed int64
+	Reps     int
+	// Workers is the parallelism budget the run had: GOMAXPROCS at its start.
 	Workers     int
 	Scale       float64
 	Timeout     time.Duration
@@ -210,8 +194,9 @@ func (r *Result) Seeds() []int64 {
 	return seeds
 }
 
-// Run executes the configured trials over a bounded worker pool and returns
-// results in registry order regardless of completion order.
+// Run executes the configured trials through par.Map, under the process-wide
+// budget of GOMAXPROCS goroutines that each trial's cells draw on too, and
+// returns results in registry order regardless of completion order.
 func Run(cfg Config) *Result {
 	cfg = cfg.normalized()
 	start := time.Now()
@@ -225,7 +210,7 @@ func Run(cfg Config) *Result {
 	res := &Result{
 		BaseSeed: cfg.BaseSeed,
 		Reps:     cfg.Reps,
-		Workers:  cfg.Workers,
+		Workers:  runtime.GOMAXPROCS(0),
 		Scale:    cfg.Scale,
 		Timeout:  cfg.Timeout,
 	}
@@ -251,7 +236,7 @@ func Run(cfg Config) *Result {
 	// Each job owns its trial's result slot, so no locking is needed around
 	// the slots; par.Map's join publishes the writes. runTrial recovers a
 	// trial's panic into its slot, so no job panics.
-	par.Map(len(specs), cfg.Workers, func(i int) struct{} {
+	par.Map(len(specs), func(i int) struct{} {
 		spec := specs[i]
 		track.trialStart(spec.slot)
 		runTrial(spec.slot, spec.runner, cfg)
@@ -375,7 +360,6 @@ func (t *runTracker) trialDone(slot *TrialResult) {
 		Done:      done,
 		Total:     t.total,
 		Failed:    failed,
-		Retries:   int64(slot.Retries),
 	})
 }
 
@@ -408,26 +392,10 @@ type trialOutcome struct {
 	panicMsg string
 }
 
-// runTrial executes one trial with panic recovery, the wall-clock timeout,
-// and the bounded retry budget, filling the result slot. WallTime covers
-// every attempt; the stats and report are the final attempt's.
+// runTrial executes one trial with panic recovery and the wall-clock
+// timeout, filling the result slot. A failure is final: the trial is
+// deterministic, so a rerun would panic again.
 func runTrial(slot *TrialResult, r experiments.Runner, cfg Config) {
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		attemptTrial(slot, r, cfg)
-		slot.Retries = attempt
-		if slot.OK() || attempt >= cfg.Retries {
-			slot.WallTime = time.Since(start)
-			return
-		}
-		// Clear the failure before the next attempt; a later success must
-		// look exactly like a first-try success (bar the retry count).
-		slot.Report, slot.Err, slot.TimedOut = nil, "", false
-	}
-}
-
-// attemptTrial is a single attempt of one trial.
-func attemptTrial(slot *TrialResult, r experiments.Runner, cfg Config) {
 	stats := &experiments.Stats{}
 	opt := experiments.Options{
 		Seed:    slot.Seed,

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,10 +78,8 @@ func TestDeriveSeed(t *testing.T) {
 
 func TestParallelMatchesSerialSynthetic(t *testing.T) {
 	runners := syntheticSet(12)
-	run := func(workers int) *Result {
-		return Run(Config{Runners: runners, BaseSeed: 7, Reps: 3, Workers: workers})
-	}
-	serial, parallel := run(1), run(8)
+	cfg := Config{Runners: runners, BaseSeed: 7, Reps: 3}
+	serial, parallel := runProcs(1, cfg), runProcs(4, cfg)
 	if serial.Text() != parallel.Text() {
 		t.Fatalf("parallel text differs from serial:\n%s\nvs\n%s", parallel.Text(), serial.Text())
 	}
@@ -106,7 +103,7 @@ func TestPanicRecovery(t *testing.T) {
 	bomb := experiments.Runner{ID: "bomb", Title: "panics", Run: func(o experiments.Options) *experiments.Report {
 		panic("kaboom")
 	}}
-	res := Run(Config{Runners: []experiments.Runner{synthetic("a"), bomb, synthetic("b")}, BaseSeed: 1, Workers: 2})
+	res := Run(Config{Runners: []experiments.Runner{synthetic("a"), bomb, synthetic("b")}, BaseSeed: 1})
 	if res.Failed() != 1 {
 		t.Fatalf("failed=%d want 1", res.Failed())
 	}
@@ -139,7 +136,7 @@ func TestTimeoutInterruptsRunawayTrial(t *testing.T) {
 		return rep
 	}}
 	start := time.Now()
-	res := Run(Config{Runners: []experiments.Runner{runaway, synthetic("ok")}, BaseSeed: 1, Workers: 2, Timeout: 100 * time.Millisecond})
+	res := Run(Config{Runners: []experiments.Runner{runaway, synthetic("ok")}, BaseSeed: 1, Timeout: 100 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout did not bound the run: %v", elapsed)
 	}
@@ -225,7 +222,7 @@ func TestAggregateCells(t *testing.T) {
 }
 
 func TestArtifactStream(t *testing.T) {
-	res := Run(Config{Runners: syntheticSet(2), BaseSeed: 5, Reps: 2, Workers: 4})
+	res := Run(Config{Runners: syntheticSet(2), BaseSeed: 5, Reps: 2})
 	var buf bytes.Buffer
 	if err := res.WriteArtifact(&buf); err != nil {
 		t.Fatal(err)
@@ -262,70 +259,5 @@ func TestArtifactStream(t *testing.T) {
 	want := []string{"run", "trial", "trial", "aggregate", "trial", "trial", "aggregate", "summary"}
 	if strings.Join(types, ",") != strings.Join(want, ",") {
 		t.Fatalf("line types %v want %v", types, want)
-	}
-}
-
-// TestRetryRecoversFlakyTrial: with a retry budget, a trial that panics on
-// its first attempts but then succeeds ends up OK, with the consumed
-// attempts recorded; without the budget the first failure is final.
-func TestRetryRecoversFlakyTrial(t *testing.T) {
-	flaky := func(failures *int32) experiments.Runner {
-		return experiments.Runner{ID: "flaky", Title: "fails then recovers",
-			Run: func(o experiments.Options) *experiments.Report {
-				if atomic.AddInt32(failures, -1) >= 0 {
-					panic("transient")
-				}
-				rep := &experiments.Report{ID: "flaky", Title: "x", Header: []string{"a"}}
-				rep.Add("done")
-				return rep
-			}}
-	}
-
-	n := int32(2)
-	res := Run(Config{Runners: []experiments.Runner{flaky(&n)}, BaseSeed: 1, Workers: 1, Retries: 2})
-	tr := res.Experiments[0].Trials[0]
-	if !tr.OK() || tr.Retries != 2 {
-		t.Fatalf("retry did not recover the trial: ok=%v retries=%d err=%q", tr.OK(), tr.Retries, tr.Err)
-	}
-	if res.Failed() != 0 {
-		t.Fatalf("failed=%d want 0", res.Failed())
-	}
-
-	// Budget exhausted: still failed, with every attempt counted.
-	n = 5
-	res = Run(Config{Runners: []experiments.Runner{flaky(&n)}, BaseSeed: 1, Workers: 1, Retries: 2})
-	tr = res.Experiments[0].Trials[0]
-	if tr.OK() || tr.Retries != 2 || !strings.Contains(tr.Err, "transient") {
-		t.Fatalf("exhausted budget mis-recorded: %+v", tr)
-	}
-
-	// No budget: fail fast, zero retries.
-	n = 1
-	res = Run(Config{Runners: []experiments.Runner{flaky(&n)}, BaseSeed: 1, Workers: 1})
-	tr = res.Experiments[0].Trials[0]
-	if tr.OK() || tr.Retries != 0 {
-		t.Fatalf("fail-fast path mis-recorded: %+v", tr)
-	}
-}
-
-// TestRetrySuccessMatchesFirstTry: a retried success must render exactly
-// like a first-try success — the retry count lives in the artifact, not the
-// deterministic text.
-func TestRetrySuccessMatchesFirstTry(t *testing.T) {
-	clean := Run(Config{Runners: []experiments.Runner{synthetic("syn0")}, BaseSeed: 7, Workers: 1})
-	n := int32(1)
-	flaky := experiments.Runner{ID: "syn0", Title: "synthetic syn0",
-		Run: func(o experiments.Options) *experiments.Report {
-			if atomic.AddInt32(&n, -1) >= 0 {
-				panic("transient")
-			}
-			return synthetic("syn0").Run(o)
-		}}
-	retried := Run(Config{Runners: []experiments.Runner{flaky}, BaseSeed: 7, Workers: 1, Retries: 1})
-	if clean.Text() != retried.Text() {
-		t.Fatalf("retried text diverged:\n%s\nvs\n%s", retried.Text(), clean.Text())
-	}
-	if retried.Experiments[0].Trials[0].Retries != 1 {
-		t.Fatalf("retries=%d want 1", retried.Experiments[0].Trials[0].Retries)
 	}
 }

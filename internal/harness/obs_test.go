@@ -11,8 +11,8 @@ import (
 	"vsched/internal/progress"
 )
 
-// fakeRunners returns cheap runners: "ok" always succeeds, "boom" panics on
-// every attempt.
+// fakeRunners returns cheap runners: "ok" always succeeds, "boom" always
+// panics.
 func fakeRunners() []experiments.Runner {
 	return []experiments.Runner{
 		{ID: "ok", Title: "always succeeds", Run: func(o experiments.Options) *experiments.Report {
@@ -35,8 +35,6 @@ func TestObsTrialLifecycle(t *testing.T) {
 		Runners:  fakeRunners(),
 		BaseSeed: 42,
 		Reps:     3,
-		Workers:  2,
-		Retries:  1,
 		Obs:      pub,
 	})
 	if res.Trials() != 6 || res.Failed() != 3 {
@@ -76,8 +74,7 @@ func TestObsTrialLifecycle(t *testing.T) {
 	}
 
 	// Done tallies on trial_done events are a permutation of 1..6, and the
-	// failing experiment's trials carry the truncated panic text and the
-	// consumed retry budget.
+	// failing experiment's trials carry the truncated panic text.
 	seen := map[int64]bool{}
 	for _, ev := range evs {
 		if ev.Kind != progress.KindTrialDone {
@@ -90,9 +87,6 @@ func TestObsTrialLifecycle(t *testing.T) {
 		if ev.Label == "boom" {
 			if !strings.Contains(ev.Detail, "kaboom") {
 				t.Fatalf("boom trial detail = %q", ev.Detail)
-			}
-			if ev.Retries != 1 {
-				t.Fatalf("boom trial retries = %d, want 1", ev.Retries)
 			}
 		} else if ev.Label != "ok" {
 			t.Fatalf("unexpected trial label %q", ev.Label)
@@ -108,7 +102,7 @@ func TestObsTrialLifecycle(t *testing.T) {
 // TestObsInert proves attaching the publisher changes nothing about the
 // result: trial reports, metrics, and aggregates are deeply equal.
 func TestObsInert(t *testing.T) {
-	cfg := Config{Runners: fakeRunners()[:1], BaseSeed: 7, Reps: 2, Workers: 2}
+	cfg := Config{Runners: fakeRunners()[:1], BaseSeed: 7, Reps: 2}
 	detached := Run(cfg)
 	cfg.Obs = progress.NewPublisher(64)
 	attached := Run(cfg)
@@ -134,7 +128,6 @@ func TestHeartbeat(t *testing.T) {
 		Runners:   fakeRunners()[:1],
 		BaseSeed:  1,
 		Reps:      2,
-		Workers:   1,
 		Heartbeat: &buf,
 	})
 	out := buf.String()
@@ -154,7 +147,7 @@ func TestHeartbeat(t *testing.T) {
 // TestHeartbeatOffByDefault: no writer, no output machinery — Run simply
 // works and the tracker spawns nothing.
 func TestHeartbeatOffByDefault(t *testing.T) {
-	res := Run(Config{Runners: fakeRunners()[:1], BaseSeed: 1, Reps: 1, Workers: 1})
+	res := Run(Config{Runners: fakeRunners()[:1], BaseSeed: 1, Reps: 1})
 	if res.Failed() != 0 {
 		t.Fatalf("failed = %d", res.Failed())
 	}

@@ -39,9 +39,8 @@ const (
 	// KindTrialStart marks one harness (experiment, replicate) trial
 	// starting; Label is the experiment ID.
 	KindTrialStart
-	// KindTrialDone marks a trial settling; Retries carries the attempts
-	// consumed, Detail a truncated error for failures, and Done/Failed the
-	// run-level tallies after this trial.
+	// KindTrialDone marks a trial settling; Detail carries a truncated error
+	// for failures, and Done/Failed the run-level tallies after this trial.
 	KindTrialDone
 	// KindEpoch is one step of a stepped run (a vschedsim virtual second):
 	// Epoch counts steps, Done/Total the progress through the run.
@@ -82,10 +81,9 @@ type Event struct {
 	At    int64 `json:"at_ns"`
 	Epoch int64 `json:"epoch,omitempty"`
 	// Harness trial accounting.
-	Done    int64 `json:"done,omitempty"`
-	Total   int64 `json:"total,omitempty"`
-	Failed  int64 `json:"failed,omitempty"`
-	Retries int64 `json:"retries,omitempty"`
+	Done   int64 `json:"done,omitempty"`
+	Total  int64 `json:"total,omitempty"`
+	Failed int64 `json:"failed,omitempty"`
 }
 
 // Bus is the bounded multi-producer broadcast ring. Publishers and readers

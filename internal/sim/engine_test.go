@@ -156,24 +156,12 @@ func TestVariateHelpers(t *testing.T) {
 		if d := Exp(rng, Millisecond); d < 0 {
 			t.Fatal("Exp returned negative")
 		}
-		if d := Uniform(rng, 10, 20); d < 10 || d >= 20 {
-			t.Fatalf("Uniform out of range: %d", d)
-		}
-		if d := Normal(rng, Millisecond, Millisecond); d < 0 {
-			t.Fatal("Normal returned negative")
-		}
-		if d := Jitter(rng, 100, 0.5); d < 50 || d > 150 {
-			t.Fatalf("Jitter out of range: %d", d)
-		}
 		if d := Pareto(rng, 1.5, 100, 10000); d < 100 || d > 10000 {
 			t.Fatalf("Pareto out of range: %d", d)
 		}
 	}
 	if Exp(rng, 0) != 0 {
 		t.Fatal("Exp with non-positive mean must be 0")
-	}
-	if Uniform(rng, 20, 10) != 20 {
-		t.Fatal("Uniform with hi<=lo must return lo")
 	}
 }
 
@@ -184,9 +172,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if tm.Add(500*Duration(Millisecond)).Sub(tm) != Duration(500*Millisecond) {
 		t.Fatal("Add/Sub roundtrip failed")
-	}
-	if DurationOfSeconds(0.25) != 250*Millisecond {
-		t.Fatal("DurationOfSeconds")
 	}
 }
 
@@ -462,9 +447,6 @@ func TestFormattingHelpers(t *testing.T) {
 
 func TestVariateEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if Jitter(rng, 100, 0) != 100 {
-		t.Fatal("zero jitter must return base")
-	}
 	if Pareto(rng, 0, 100, 1000) != 100 {
 		t.Fatal("degenerate pareto must return min")
 	}

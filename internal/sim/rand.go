@@ -16,32 +16,6 @@ func Exp(rng *rand.Rand, mean Duration) Duration {
 	return Duration(rng.ExpFloat64() * float64(mean))
 }
 
-// Uniform returns a duration uniformly distributed in [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi Duration) Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + Duration(rng.Int63n(int64(hi-lo)))
-}
-
-// Normal returns a normally distributed duration clamped at zero.
-func Normal(rng *rand.Rand, mean, stddev Duration) Duration {
-	v := float64(mean) + rng.NormFloat64()*float64(stddev)
-	if v < 0 {
-		v = 0
-	}
-	return Duration(v)
-}
-
-// Jitter returns base scaled by a uniform factor in [1-f, 1+f].
-func Jitter(rng *rand.Rand, base Duration, f float64) Duration {
-	if f <= 0 {
-		return base
-	}
-	scale := 1 + f*(2*rng.Float64()-1)
-	return Duration(float64(base) * scale)
-}
-
 // Pareto returns a bounded Pareto-distributed duration with the given shape
 // and minimum; values are capped at max. Heavy-tailed service times in
 // latency experiments use this.

@@ -46,6 +46,3 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", d.Milliseconds()) }
-
-// DurationOfSeconds converts seconds to a Duration.
-func DurationOfSeconds(s float64) Duration { return Duration(s * float64(Second)) }

@@ -447,8 +447,8 @@ func checkScale(scale float64) error {
 	return nil
 }
 
-// HarnessConfig parameterises RunExperiments: worker pool size, replicate
-// seeds per experiment, per-trial timeout, scale.
+// HarnessConfig parameterises RunExperiments: experiment set, base seed,
+// replicate seeds per experiment, per-trial timeout, scale.
 type HarnessConfig = harness.Config
 
 // HarnessResult is a full harness run: per-trial reports and metadata plus
@@ -458,10 +458,11 @@ type HarnessResult = harness.Result
 // TrialResult is one (experiment, replicate) outcome inside a HarnessResult.
 type TrialResult = harness.TrialResult
 
-// RunExperiments fans the experiment registry (or cfg.Runners) out over a
-// bounded worker pool, with private engines per (experiment, replicate) trial.
-// Results are independent of scheduling: parallel output is byte-identical
-// to serial output for the same seed set. A NaN, infinite or negative
+// RunExperiments fans the experiment registry (or cfg.Runners) out, with
+// private engines per (experiment, replicate) trial. Trials and the cells
+// inside them share one budget of GOMAXPROCS goroutines. Results are
+// independent of scheduling: output is byte-identical to a GOMAXPROCS=1 run
+// for the same seed set. A NaN, infinite or negative
 // cfg.Scale is an error and runs nothing, as in RunExperiment.
 func RunExperiments(cfg HarnessConfig) (*HarnessResult, error) {
 	if err := checkScale(cfg.Scale); err != nil {
