@@ -44,6 +44,24 @@ echo "== go vet ./... (bench module)"
 echo "== go build ./..."
 go build ./...
 
+# Fused-free gate: on arm64 (and ppc64le, s390x, riscv64, loong64) Go may
+# fuse x*y + z into one multiply-add that rounds once, so the same seed would
+# give other bytes there; amd64 never fuses. internal/fleet rounds each such
+# product with an explicit float64(...), and an arm64 build of
+# cmd/experiments must hold no fused instruction in any of its functions.
+# Cross-compiling and disassembling work offline.
+echo "== internal/fleet fuses no multiply-add (GOARCH=arm64 objdump)"
+GOARCH=arm64 go build -o "$tmp"/vexp_arm64 ./cmd/experiments
+go tool objdump -s '^vsched/internal/fleet\.' "$tmp"/vexp_arm64 > "$tmp"/fleet_arm64.s
+fused=$(awk '
+    /^TEXT / { fn = $2; sub(/\(SB\)$/, "", fn); next }
+    $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp"/fleet_arm64.s)
+if [ -n "$fused" ]; then
+    echo "fused multiply-adds in internal/fleet; round each product with float64(...):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+
 echo "== go test $short ./..."
 go test $short ./...
 
@@ -83,9 +101,9 @@ go test -race -count=20 -run Budget ./internal/par/
 # (TestFlushIndexAllocBudget) are all pinned at zero allocations; cloudgen.Generate
 # reserves its trace once from the arrival-rate integral and
 # faults.Generate reseeds one Rand, so neither call's allocation count grows
-# with the trace or the fleet; and the macro tier keeps a 16-byte macroVM and
-# a capped number of bytes allocated per trace VM over a 24 h, 1024-host
-# RunMacro.
+# with the trace or the fleet; and the macro tier keeps a 16-byte macroVM,
+# 32-byte service and 48-byte batch host records and a capped number of
+# bytes allocated per trace VM over a 24 h, 1024-host RunMacro.
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/ \
 	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/ ./internal/fleet/
@@ -129,7 +147,9 @@ done
 
 # Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
 # engine (internal/sim), placement index vs linear scan and the macro tier's
-# per-host epoch integration (internal/fleet), the tracer's disabled/enabled
+# epoch integration (internal/fleet: BenchmarkMacroEpoch reports
+# ns/host-epoch and ns/resident-epoch, the cost per live VM record of the
+# class sweeps), the tracer's disabled/enabled
 # emit cost and its emit over a fleet's 2,000 subjects
 # (BenchmarkEmitFleetSubjects, internal/vtrace), the attribution host fold's per-event cost
 # as profilers pile up (internal/latprof), the guest's mask-driven wakeup

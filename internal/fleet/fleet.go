@@ -522,7 +522,7 @@ func (f *Fleet) telemetryTick() {
 			vm.stealSeen = cur
 		}
 		rate := float64(delta) / (float64(interval) * float64(len(hs.occ)))
-		hs.stealEMA = alpha*rate + (1-alpha)*hs.stealEMA
+		hs.stealEMA = float64(alpha*rate) + float64((1-alpha)*hs.stealEMA)
 		f.reindex(hs)
 	}
 	f.eng.After(interval, f.telemetryTick)

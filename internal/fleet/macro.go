@@ -36,7 +36,8 @@ import (
 // Scale: state is flat value-typed arrays (a 16-byte macroVM per trace VM
 // and its 40-byte record in the result snapshot, one macroHost per host — no
 // pointers into the engine; each host packs its live VMs' integration state
-// into a dense slice of resident records and caches their summed demand),
+// into two dense record arrays, one per VM class, and caches their summed
+// demand),
 // and the epoch integration is one serial pass in host order
 // that advances each host and folds it into the fleet reductions (DI,
 // aggregates) as it goes. A cell is ~80 µs of work per epoch, too little to
@@ -135,7 +136,7 @@ const (
 
 // macroVM is one VM's id-indexed bookkeeping: 16 bytes, no floats. Its size,
 // demand, class and budget are read from the trace VM of the same index, and
-// its served, steal and work live in its resident record while it is live
+// its served, steal and work live in its host record while it is live
 // and in its snapshot record (see record) otherwise.
 type macroVM struct {
 	depart sim.Time // service deadline; batch analytic completion once known
@@ -190,31 +191,48 @@ type macroHost struct {
 	dirty    bool
 	speed    float64
 	stealEMA float64
-	util     float64    // last epoch's min(1, D/threads)
-	res      []resident // live VMs in placement order
-	// demand caches the left-to-right sum of res[k].load: an append adds its
-	// load, a removal refolds the rest, so it always equals a fresh fold.
+	util     float64 // last epoch's min(1, D/threads)
+	// svc and bat hold the live service and batch VMs, each in placement
+	// order; seq is the last placement sequence number stamped on the host,
+	// so merging the two arrays by seq walks every live VM in placement
+	// order.
+	svc []svcRec
+	bat []batRec
+	seq uint32
+	// demand caches the sum of the live records' loads, folded left to
+	// right in placement order: an append adds its load, a removal refolds
+	// the rest, so it always equals a fresh fold.
 	demand float64
 	// Fault windows, opened serially at epoch boundaries; a stalled host
 	// integrates with rho = 0.
 	faultWindows
 }
 
-// resident is the integration-hot state of one live VM, stored densely in
-// its host's placement order so an epoch streams the host's own records
-// instead of chasing ids across the arrival-indexed m.vms. While the VM is
-// live on the host, the record is the canonical copy of work, served, steal
-// and done: writeBack encodes them into the VM's snapshot record and done
-// flag when the VM departs or is killed, and result() does so for every
-// remaining resident before it reads the snapshot records.
-type resident struct {
+// svcRec is the integration-hot state of one live service VM, and batRec
+// that of one live batch VM. Each class is stored densely in its host's
+// placement order, so an epoch streams the host's own records instead of
+// chasing ids across the arrival-indexed m.vms, and the service sweep
+// carries no class or completion branch. While the VM is live on the host,
+// the record is the canonical copy of served, steal, work and done:
+// writeBack encodes them into the VM's snapshot record and done flag when
+// the VM departs or is killed, and result() does so for every remaining
+// record before it reads the snapshot records. A service record's work is 0
+// and it is never done.
+type svcRec struct {
 	load   float64 // vcpus * per-vCPU demand weight
-	work   float64
 	served float64
 	steal  float64
 	id     int32
-	batch  bool
-	done   bool
+	seq    uint32 // placement sequence number on this host
+}
+
+// batRec is a live batch VM's record: the service fields, the budget it
+// has left, and whether that budget drained (the VM then idles until the
+// boundary that departs it).
+type batRec struct {
+	svcRec
+	work float64 // remaining budget in seconds
+	done bool
 }
 
 // macroAgg is the fleet-wide aggregate block the telemetry source samples.
@@ -562,29 +580,38 @@ func (m *macroSim) applyFaults(t sim.Time) {
 			}
 		}
 		if ev.Kind == faults.Crash {
-			for k := range h.res {
-				m.kill(&h.res[k], t)
+			// Kill in placement order: which victims overflow a full retry
+			// queue depends on it.
+			for i, j := 0, 0; i+j < h.live(); {
+				if h.svcNext(i, j) {
+					m.kill(batRec{svcRec: h.svc[i]}, t)
+					i++
+				} else {
+					m.kill(h.bat[j], t)
+					j++
+				}
 			}
-			h.res = h.res[:0]
+			h.svc, h.bat = h.svc[:0], h.bat[:0]
 			h.demand = 0
 			h.committed = 0
 		}
 	}
 }
 
-// kill marks resident r's VM dead after its host crashed: batch progress
+// kill marks record r's VM dead after its host crashed: batch progress
 // since the last (re)start is destroyed, and the VM either enters the retry
 // queue (recovery) or is terminally lost. The caller drops r afterwards.
-func (m *macroSim) kill(r *resident, t sim.Time) {
+func (m *macroSim) kill(r batRec, t sim.Time) {
 	id := r.id
 	tv := &m.cfg.Trace.VMs[id]
+	batch := tv.Class == cloudgen.Batch
 	m.writeBack(r)
 	vm := &m.vms[id]
 	vm.set(vmAlive|vmDone, false)
 	m.events++
 	m.ledger.count(&m.ledger.Killed, "killed")
-	if r.batch {
-		m.lostVCPUSeconds += (tv.Work.Seconds() - r.work) * float64(tv.VCPUs)
+	if batch {
+		m.lostVCPUSeconds += float64((tv.Work.Seconds() - r.work) * float64(tv.VCPUs))
 	}
 	if !m.rcv.Enabled {
 		vm.setState(vmLost)
@@ -593,7 +620,7 @@ func (m *macroSim) kill(r *resident, t sim.Time) {
 	}
 	vm.setState(vmPending)
 	var remaining sim.Duration
-	if !r.batch {
+	if !batch {
 		remaining = vm.depart.Sub(t) // > 0: departures due by t already ran
 	}
 	m.enqueue(retryEntry{
@@ -677,13 +704,12 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	vm.set(vmAlive, true)
 	vm.setState(vmRunning)
 	vm.restarted()
-	r := m.resident(e.id)
-	if r.batch {
+	if tv.Class == cloudgen.Batch {
 		vm.depart = m.horizon
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.push(r)
+	m.push(hi, m.resident(e.id))
 	m.file(e.id)
 	m.events++
 	m.ledger.restored(t.Sub(e.downSince).Seconds(), tv.VCPUs)
@@ -691,7 +717,8 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 }
 
 // evacuate drains hosts whose commitment exceeds their degraded capacity,
-// newest VM first (coldest state), re-placing through the policy. Each
+// newest VM first (coldest state: the record with the highest placement
+// sequence number of either class), re-placing through the policy. Each
 // attempt consults the migration-failure law; a failed attempt abandons the
 // host until the next boundary. A VM with nowhere to go stays — graceful
 // degradation: the overcommit persists and shows up as steal.
@@ -705,8 +732,14 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 	for _, i := range m.open {
 		h := &m.hosts[i]
-		for int(h.committed) > h.effCap(int(h.capacity), m.now) && len(h.res) > 0 {
-			r := h.res[len(h.res)-1]
+		for int(h.committed) > h.effCap(int(h.capacity), m.now) && h.live() > 0 {
+			batch := h.newestBat()
+			var r batRec
+			if batch {
+				r = h.bat[len(h.bat)-1]
+			} else {
+				r = batRec{svcRec: h.svc[len(h.svc)-1]}
+			}
 			vcpus := m.cfg.Trace.VMs[r.id].VCPUs
 			m.events++
 			if m.ledger.evacFails(m.sched) {
@@ -716,12 +749,15 @@ func (m *macroSim) evacuate(t sim.Time) {
 			if hi < 0 || hi == int(i) {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
-			h.res = h.res[:len(h.res)-1]
+			if batch {
+				h.bat = h.bat[:len(h.bat)-1]
+			} else {
+				h.svc = h.svc[:len(h.svc)-1]
+			}
 			h.refold()
 			h.committed -= int32(vcpus)
-			d := &m.hosts[hi]
-			d.committed += int32(vcpus)
-			d.push(r)
+			m.hosts[hi].committed += int32(vcpus)
+			m.push(hi, r)
 			m.vms[r.id].host = int32(hi)
 			m.ledger.count(&m.ledger.Evacuations, "evacuations")
 			m.reindexHost(int(i))
@@ -777,35 +813,46 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	vm := &m.vms[idx]
 	vm.host = int32(hi)
 	vm.bits = vmAlive | vmPlaced | uint32(vmRunning)
-	r := m.resident(int32(idx))
-	if r.batch {
+	if tv.Class == cloudgen.Batch {
 		vm.depart = m.horizon // until the budget drains
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.push(r)
+	m.push(hi, m.resident(int32(idx)))
 	m.file(int32(idx))
 	m.placed++
 	m.counter(&m.placedC, "fleet.macro.placed").Inc()
 	m.reindexHost(hi)
 }
 
-// depart releases VM id's commitment and removes it from its host.
+// depart releases VM id's commitment and removes its record from its
+// host's array for the VM's class.
 func (m *macroSim) depart(id int32) {
 	vm := &m.vms[id]
 	vm.set(vmAlive, false)
 	vm.setState(vmCompleted)
+	tv := &m.cfg.Trace.VMs[id]
 	h := &m.hosts[vm.host]
-	h.committed -= int32(m.cfg.Trace.VMs[id].VCPUs)
+	h.committed -= int32(tv.VCPUs)
 	m.mark(int(vm.host))
-	for k := range h.res {
-		if h.res[k].id == id {
-			m.writeBack(&h.res[k])
-			h.res = append(h.res[:k], h.res[k+1:]...)
-			h.refold()
-			break
+	if tv.Class == cloudgen.Batch {
+		for k := range h.bat {
+			if h.bat[k].id == id {
+				m.writeBack(h.bat[k])
+				h.bat = append(h.bat[:k], h.bat[k+1:]...)
+				break
+			}
+		}
+	} else {
+		for k := range h.svc {
+			if h.svc[k].id == id {
+				m.writeBack(batRec{svcRec: h.svc[k]})
+				h.svc = append(h.svc[:k], h.svc[k+1:]...)
+				break
+			}
 		}
 	}
+	h.refold()
 	m.departed++
 	m.events++
 	m.counter(&m.departedC, "fleet.macro.departed").Inc()
@@ -819,38 +866,70 @@ func (m *macroSim) counter(c **metrics.Counter, name string) *metrics.Counter {
 	return *c
 }
 
-// resident builds VM id's record as admit or restart places it: its load,
-// class and full batch budget come from the trace VM, and served and steal
-// from its snapshot record, which is zero before the first placement and
-// holds the values at the kill after a crash.
-func (m *macroSim) resident(id int32) resident {
+// resident builds VM id's record as admit or restart places it: its load
+// and full batch budget come from the trace VM, and served and steal from its
+// snapshot record, which is zero before the first placement and holds the
+// values at the kill after a crash. A service VM's record is the embedded
+// svcRec.
+func (m *macroSim) resident(id int32) batRec {
 	tv := &m.cfg.Trace.VMs[id]
-	r := resident{
-		load:  float64(tv.VCPUs) * tv.Demand,
-		id:    id,
-		batch: tv.Class == cloudgen.Batch,
-	}
+	r := batRec{svcRec: svcRec{load: float64(tv.VCPUs) * tv.Demand, id: id}}
 	r.steal, r.served = m.recorded(id)
-	if r.batch {
+	if tv.Class == cloudgen.Batch {
 		r.work = tv.Work.Seconds()
 	}
 	return r
 }
 
-// push appends resident r to the host and adds its load to the cached
-// demand: the same left fold a fresh sum over res performs.
-func (h *macroHost) push(r resident) {
-	h.res = append(h.res, r)
+// push places record r on host hi behind every record already there: it
+// stamps the host's next placement sequence number, appends r to the array
+// of its VM's class and adds its load to the cached demand, the same left
+// fold a fresh sum in placement order performs. A sequence number past
+// 2^32-1 is a broken invariant: no run places that many VMs on one host.
+func (m *macroSim) push(hi int, r batRec) {
+	h := &m.hosts[hi]
+	if h.seq == math.MaxUint32 {
+		panic(fmt.Sprintf("fleet: macro host %d placement sequence wrapped", hi))
+	}
+	h.seq++
+	r.seq = h.seq
+	if m.cfg.Trace.VMs[r.id].Class == cloudgen.Batch {
+		h.bat = append(h.bat, r)
+	} else {
+		h.svc = append(h.svc, r.svcRec)
+	}
 	h.demand += r.load
 }
 
+// live returns the number of live VMs on the host.
+func (h *macroHost) live() int { return len(h.svc) + len(h.bat) }
+
+// svcNext reports whether, with the first i service and j batch records
+// walked in placement order, the next record is service record i. At least
+// one record must remain.
+func (h *macroHost) svcNext(i, j int) bool {
+	return j == len(h.bat) || i < len(h.svc) && h.svc[i].seq < h.bat[j].seq
+}
+
+// newestBat reports whether the host's newest record, which must exist, is
+// a batch record.
+func (h *macroHost) newestBat() bool {
+	return len(h.svc) == 0 || len(h.bat) > 0 && h.bat[len(h.bat)-1].seq > h.svc[len(h.svc)-1].seq
+}
+
 // refold recomputes the cached demand after a removal, left to right over
-// the remaining records. Subtracting the departed load would round
-// differently from the fold that built the sum.
+// the remaining records in placement order. Subtracting the departed load
+// would round differently from the fold that built the sum.
 func (h *macroHost) refold() {
 	d := 0.0
-	for k := range h.res {
-		d += h.res[k].load
+	for i, j := 0, 0; i+j < h.live(); {
+		if h.svcNext(i, j) {
+			d += h.svc[i].load
+			i++
+		} else {
+			d += h.bat[j].load
+			j++
+		}
 	}
 	h.demand = d
 }
@@ -869,9 +948,9 @@ func (m *macroSim) recorded(id int32) (steal, served float64) {
 		math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 }
 
-// writeBack encodes resident r's canonical fields into its VM's snapshot
+// writeBack encodes record r's canonical fields into its VM's snapshot
 // record and done flag, which hold them from now until a restart.
-func (m *macroSim) writeBack(r *resident) {
+func (m *macroSim) writeBack(r batRec) {
 	rec := m.record(r.id)
 	binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.steal))
 	binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(r.served))
@@ -891,7 +970,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	down, degraded, stalled := 0.0, 0.0, 0.0
 	for i := range m.hosts {
 		h := &m.hosts[i]
-		m.events += uint64(len(h.res)) + 1
+		m.events += uint64(h.live()) + 1
 		ema := h.stealEMA
 		m.advance(h, t0, t1, dt)
 		if h.stealEMA != ema && m.leafMoved(i) {
@@ -907,7 +986,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		sumU += u
 		sumSteal += h.stealEMA
 		sumCommitted += float64(h.committed)
-		alive += float64(len(h.res))
+		alive += float64(h.live())
 		if h.downUntil > t0 {
 			down++
 		} else if h.degradedUntil > t0 {
@@ -986,12 +1065,30 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 	if demand > 0 {
 		target = 1 - rho
 	}
-	h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
-	rate := rho * h.speed // per-vCPU batch progress per second
+	h.stealEMA = float64(alpha*target) + float64((1-alpha)*h.stealEMA)
 	miss := 1 - rho
-	res := h.res
-	for k := range res {
-		r := &res[k]
+	// Service sweep: no class branch, no division. Uncontended (rho == 1, so
+	// miss == 0), served gains req*1 == req, and steal gains req*0 == +0,
+	// which leaves it unchanged because steal is never -0: the sweep skips
+	// both products and the steal store without moving a bit.
+	svc := h.svc
+	if miss == 0 {
+		for k := range svc {
+			svc[k].served += float64(svc[k].load * dt)
+		}
+	} else {
+		for k := range svc {
+			r := &svc[k]
+			req := r.load * dt
+			r.served += float64(req * rho)
+			r.steal += float64(req * miss)
+		}
+	}
+	// Batch sweep: a record runs until its budget drains.
+	rate := rho * h.speed // per-vCPU batch progress per second
+	bat := h.bat
+	for k := range bat {
+		r := &bat[k]
 		if r.done {
 			// Budget drained in a prior epoch; idle until the boundary. Its
 			// zero-length span would add +0 to served and steal, which are
@@ -999,24 +1096,22 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 			continue
 		}
 		span := dt
-		if r.batch {
-			if need := r.work / rate; need < span {
-				span = need
-				r.work = 0
-				r.done = true
-				// The departure itself quantizes to the epoch boundary.
-				if done := t0.Add(sim.Duration(span * float64(sim.Second))); done > m.makespan {
-					m.makespan = done
-				}
-				m.vms[r.id].depart = t1
-				m.file(r.id)
-			} else {
-				r.work -= rate * span
+		if need := r.work / rate; need < span {
+			span = need
+			r.work = 0
+			r.done = true
+			// The departure itself quantizes to the epoch boundary.
+			if done := t0.Add(sim.Duration(span * float64(sim.Second))); done > m.makespan {
+				m.makespan = done
 			}
+			m.vms[r.id].depart = t1
+			m.file(r.id)
+		} else {
+			r.work -= float64(rate * span)
 		}
 		req := r.load * span
-		r.served += req * rho
-		r.steal += req * miss
+		r.served += float64(req * rho)
+		r.steal += float64(req * miss)
 	}
 }
 
@@ -1024,9 +1119,14 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 // enforces the conservation law: every arrival is in exactly one terminal or
 // live state — nothing is lost unaccounted.
 func (m *macroSim) result() *MacroResult {
+	// Each write-back touches only its own VM's record, so these walks need
+	// no placement-order merge.
 	for i := range m.hosts {
-		for k := range m.hosts[i].res {
-			m.writeBack(&m.hosts[i].res[k])
+		for _, r := range m.hosts[i].svc {
+			m.writeBack(batRec{svcRec: r})
+		}
+		for _, r := range m.hosts[i].bat {
+			m.writeBack(r)
 		}
 	}
 	fracs := make([]float64, 0, m.placed)

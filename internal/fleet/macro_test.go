@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -687,6 +688,25 @@ func warmMacro(cfg MacroConfig, mid sim.Time) *macroSim {
 	return m
 }
 
+// TestMacroSeqWrapPanics: a host's placement sequence number orders its
+// service and batch records against each other, so one that wraps is a
+// broken invariant. push hands out the last number and then panics, naming
+// the host.
+func TestMacroSeqWrapPanics(t *testing.T) {
+	m := newMacroSim(MacroConfig{Trace: macroTestTrace(42)})
+	m.hosts[3].seq = math.MaxUint32 - 1
+	m.push(3, m.resident(0))
+	if got := m.hosts[3].seq; got != math.MaxUint32 {
+		t.Fatalf("host 3 seq %d after the last push, want %d", got, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "host 3 ") || !strings.Contains(msg, "wrapped") {
+			t.Fatalf("panic %q does not name host 3 and the wrap", msg)
+		}
+	}()
+	m.push(3, m.resident(1))
+}
+
 // TestMacroEpochAllocFree pins the epoch integration at zero heap
 // allocations once a run is in steady state: the per-host records and the
 // aggregate block are reused.
@@ -696,7 +716,7 @@ func TestMacroEpochAllocFree(t *testing.T) {
 	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}}, mid)
 	alive := 0
 	for i := range m.hosts {
-		alive += len(m.hosts[i].res)
+		alive += m.hosts[i].live()
 	}
 	if alive == 0 {
 		t.Fatal("degenerate warm-up: no live VMs")
@@ -709,14 +729,25 @@ func TestMacroEpochAllocFree(t *testing.T) {
 
 // TestMacroAllocBudget gates the macro tier's memory per trace VM. The
 // id-indexed macroVM must stay within 16 bytes (each VM's floats live in its
-// resident record while live and in its snapshot record otherwise), and a
-// first-fit RunMacro over a 24 h, 1024-host cloudgen trace (57,750 VMs) must
-// allocate at most 116 bytes per trace VM in total. With the 16-byte macroVM
-// it allocates 107 B/VM (97 on the 96 h trace vbench runs); the 72-byte
-// macroVM with a snapshot built after the run allocated 163 (153).
+// host record while live and in its snapshot record otherwise), the service
+// and batch host records within 32 and 48, and a first-fit RunMacro over a
+// 24 h, 1024-host cloudgen trace (57,750 VMs) must allocate at most 116 bytes
+// per trace VM in total. With the 16-byte macroVM and per-class host records
+// it allocates 112 B/VM (99 on the 96 h trace vbench runs; 107 and 97 with
+// one mixed-class slice per host); the 72-byte macroVM with a snapshot built
+// after the run allocated 163 (153).
 func TestMacroAllocBudget(t *testing.T) {
-	if size := unsafe.Sizeof(macroVM{}); size > 16 {
-		t.Fatalf("macroVM is %d bytes, budget 16", size)
+	for _, c := range []struct {
+		name         string
+		size, budget uintptr
+	}{
+		{"macroVM", unsafe.Sizeof(macroVM{}), 16},
+		{"svcRec", unsafe.Sizeof(svcRec{}), 32},
+		{"batRec", unsafe.Sizeof(batRec{}), 48},
+	} {
+		if c.size > c.budget {
+			t.Fatalf("%s is %d bytes, budget %d", c.name, c.size, c.budget)
+		}
 	}
 	cfg := cloudgen.DefaultConfig()
 	cfg.Horizon = 24 * cloudgen.Hour
@@ -734,18 +765,25 @@ func TestMacroAllocBudget(t *testing.T) {
 // BenchmarkMacroEpoch times the epoch integration alone on the full
 // 1024-host cloudgen trace, advanced to its midpoint: ns/host-epoch is the
 // cost of one host's contention step (rho, per-VM steal and progress)
-// together with its share of the fleet reductions.
+// together with its share of the fleet reductions, and ns/resident-epoch
+// the same time spread over the live VM records the pass integrates.
 func BenchmarkMacroEpoch(b *testing.B) {
 	trace := cloudgen.Generate(42, cloudgen.DefaultConfig())
 	mid := sim.Time(0).Add(trace.Horizon / 2)
 	m := warmMacro(MacroConfig{Trace: trace, Policy: StealAware{}}, mid)
 	t1 := mid.Add(m.cfg.Epoch)
+	residents := 0
+	for i := range m.hosts {
+		residents += m.hosts[i].live()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.integrate(mid, t1)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.hosts)), "ns/host-epoch")
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(b.N*len(m.hosts)), "ns/host-epoch")
+	b.ReportMetric(ns/float64(b.N*residents), "ns/resident-epoch")
 }
 
 // stormRun is the faulted, recovering run the fused-pass and incremental-
@@ -774,22 +812,46 @@ func stormRun(pol Policy) MacroConfig {
 
 // TestMacroFusedPassInvariants drives stormRun epoch by epoch. Crashes
 // clear hosts, evacuations pop and push records, restarts and departures
-// add and remove them; after every epoch each host's cached demand must
-// equal a fresh left-to-right fold over its records, and the aggregate block
+// add and remove them; after every epoch each host's placement sequence
+// numbers must strictly increase within each class array and never repeat
+// across the two, each host's cached demand must equal a fresh left-to-right
+// fold over its records merged in sequence order, and the aggregate block
 // must equal a separate host-order reduction, bit for bit.
 func TestMacroFusedPassInvariants(t *testing.T) {
 	m := newMacroSim(stormRun(StealAware{}))
 	checkDemand := func(when sim.Time) {
 		t.Helper()
+		type placed struct {
+			seq  uint32
+			load float64
+		}
+		var recs []placed
 		for i := range m.hosts {
 			h := &m.hosts[i]
+			recs = recs[:0]
+			for k, r := range h.svc {
+				if k > 0 && r.seq <= h.svc[k-1].seq {
+					t.Fatalf("t=%v host %d: service seq %d after %d", when, i, r.seq, h.svc[k-1].seq)
+				}
+				recs = append(recs, placed{r.seq, r.load})
+			}
+			for k, r := range h.bat {
+				if k > 0 && r.seq <= h.bat[k-1].seq {
+					t.Fatalf("t=%v host %d: batch seq %d after %d", when, i, r.seq, h.bat[k-1].seq)
+				}
+				recs = append(recs, placed{r.seq, r.load})
+			}
+			slices.SortFunc(recs, func(a, b placed) int { return cmp.Compare(a.seq, b.seq) })
 			fold := 0.0
-			for k := range h.res {
-				fold += h.res[k].load
+			for k, r := range recs {
+				if k > 0 && r.seq == recs[k-1].seq {
+					t.Fatalf("t=%v host %d: seq %d held by a service and a batch record", when, i, r.seq)
+				}
+				fold += r.load
 			}
 			if math.Float64bits(fold) != math.Float64bits(h.demand) {
 				t.Fatalf("t=%v host %d: cached demand %v, fold over %d records %v",
-					when, i, h.demand, len(h.res), fold)
+					when, i, h.demand, len(recs), fold)
 			}
 		}
 	}
@@ -828,7 +890,7 @@ func reduceHosts(m *macroSim, t0 sim.Time) macroAgg {
 		sumU += h.util
 		a.stealEMAMean += h.stealEMA
 		a.committed += float64(h.committed)
-		a.alive += float64(len(h.res))
+		a.alive += float64(h.live())
 		switch {
 		case h.downUntil > t0:
 			a.hostsDown++

@@ -151,11 +151,11 @@ func (l *recoveryLedger) fault(kind faults.Kind) {
 }
 
 // up accrues vcpus committed vCPUs held for seconds.
-func (l *recoveryLedger) up(vcpus, seconds float64) { l.upVCPUSeconds += vcpus * seconds }
+func (l *recoveryLedger) up(vcpus, seconds float64) { l.upVCPUSeconds += float64(vcpus * seconds) }
 
 // outage accrues downtime seconds of a vcpus-wide crash victim.
 func (l *recoveryLedger) outage(downtime float64, vcpus int) {
-	l.downVCPUSeconds += downtime * float64(vcpus)
+	l.downVCPUSeconds += float64(downtime * float64(vcpus))
 }
 
 // restored records a vcpus-wide crash victim restarted ttr seconds after it
