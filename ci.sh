@@ -7,8 +7,8 @@
 #   ./ci.sh quick   # same, but -short tests (skips the full-registry suites)
 #                   #   and no experiments_full.txt check
 #
-# The race pass covers every package under internal/, listed by `go list`
-# so a new package is race-tested without editing this file. The one
+# The race pass covers every package under internal/ and cmd/, listed by
+# `go list` so a new package is race-tested without editing this file. The one
 # exception is internal/experiments: its full-registry suites take minutes
 # under -race, so its cell-parallel tests get a stage of their own below.
 # The micro tier's packages (guest, host, core, workload) matter here too:
@@ -65,15 +65,16 @@ fi
 echo "== go test $short ./..."
 go test $short ./...
 
-race_pkgs=$(go list ./internal/... | grep -vx 'vsched/internal/experiments' | tr '\n' ' ')
+race_pkgs=$(go list ./internal/... ./cmd/... | grep -vx 'vsched/internal/experiments' | tr '\n' ' ')
 echo "== go test -race -short $race_pkgs"
 # This includes the live ops plane end to end: internal/obshttp's
 # TestEventStreamNDJSON and TestLiveStreamWhilePublishing stream a run's
 # events over real TCP, the second while a publisher is still writing, and
 # internal/harness' TestObsTrialLifecycle drains the trial lifecycle the
 # harness publishes. Both CLIs' -serve inertness tests
-# (TestServeAndProgressInert, TestServeStdoutInert) run in the full test
-# stage above.
+# (TestServeAndProgressInert, TestServeStdoutInert) run a live HTTP server
+# beside the run loop, and vschedsim's TestWatchStdoutInert prints its
+# -watch tables at the same run-loop safepoints.
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
 

@@ -24,6 +24,7 @@ import (
 	"vsched"
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
+	"vsched/internal/host"
 	"vsched/internal/latprof"
 	"vsched/internal/metrics"
 	"vsched/internal/obshttp"
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup       = fs.Duration("warmup", 5*time.Second, "virtual warmup time")
 		seed         = fs.Int64("seed", 1, "simulation seed")
 		watch        = fs.Bool("watch", false, "print a per-second top-style vCPU table during the run")
-		timeline     = fs.Bool("timeline", false, "print KernelShark-style per-vCPU activity strips at the end")
+		timeline     = fs.Bool("timeline", false, "print KernelShark-style per-vCPU activity strips of the final 80ms, read from the trace ring")
 		tracePath    = fs.String("trace", "", "write a Chrome/Perfetto trace of the whole run to this file")
 		metricsOut   = fs.Bool("metrics", false, "print the VM metrics registry snapshot at the end")
 		attrib       = fs.Bool("attrib", false, "print a per-cause latency attribution of the measurement window (adds an attribution track to -trace)")
@@ -183,11 +184,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Tracing taps every layer: the host observer sees entity state changes,
 	// and the VM tracer carries guest context switches plus vSched decisions.
-	var tracer *vtrace.Tracer
+	// -timeline draws its strips from the same ring. Only a -trace ring feeds
+	// the self-census, so -timeline adds no telemetry series.
+	var ring, tracer *vtrace.Tracer
+	if *tracePath != "" || *timeline {
+		ring = vtrace.New(0)
+		vtrace.AttachHost(ring, cl.Host())
+		vm.SetTracer(ring)
+	}
 	if *tracePath != "" {
-		tracer = vtrace.New(0)
-		vtrace.AttachHost(tracer, cl.Host())
-		vm.SetTracer(tracer)
+		tracer = ring
 	}
 
 	// Host contention per the requested share and latency.
@@ -236,13 +242,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if feats != (vsched.Features{}) {
 		sched = cl.EnableVSched(vm, feats)
-	}
-
-	var timelines []*vtrace.Timeline
-	if *timeline {
-		for i := 0; i < vm.NumVCPUs(); i++ {
-			timelines = append(timelines, vtrace.Attach(vm.VCPU(i).Entity()))
-		}
 	}
 
 	// The flight recorder samples the VM registry plus the engine's own
@@ -327,9 +326,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer obsFinish()
 	// advance is the run loop: whole-stretch when unobserved, chunked to
-	// per-second publish safepoints when -serve is live. Identical either way.
+	// per-second safepoints when -serve publishes or -watch prints there.
+	// Identical either way.
 	advance := func(d vsched.Duration) {
-		if obsPublish == nil {
+		if obsPublish == nil && !*watch {
 			cl.RunFor(d)
 			return
 		}
@@ -340,7 +340,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			cl.RunFor(step)
 			d -= step
-			obsPublish()
+			if obsPublish != nil {
+				obsPublish()
+			}
+			if *watch {
+				watchTable(stdout, cl, vm, sched)
+			}
 		}
 	}
 
@@ -373,20 +378,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 		fmt.Fprintf(stderr, "stall armed: %v at t=%v\n", *stallDur, time.Duration(at))
 	}
-	if *watch {
-		watchLoop(stdout, cl, vm, sched, warm+window)
-	}
 	advance(warm)
 
 	// Latency attribution taps the event stream for the measurement window
 	// only, so warmup does not dilute the breakdown. The host gets an extra
 	// observer (host observers stack) and the VM tracer becomes a tee that
-	// keeps feeding the -trace ring, so the recorded trace is unchanged.
+	// keeps feeding the ring, so the recorded trace and strips are unchanged.
 	var prof *latprof.Profiler
 	if *attrib {
 		prof = latprof.New(latprof.Config{VM: "vm", NominalSpeed: cl.Host().Config().BaseSpeed})
 		vtrace.AttachHost(vtrace.NewObserver(prof.Observe), cl.Host())
-		ring := tracer
 		vm.SetTracer(vtrace.NewObserver(func(ev vtrace.Event) {
 			prof.Observe(ev)
 			ring.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
@@ -426,15 +427,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "probed capacities: %s\n", strings.Join(caps, " "))
 	}
 	if *timeline {
-		// Last 80ms of the run, one strip per vCPU:
-		// '#' running, '.' preempted, 't' throttled, ' ' halted.
-		to := cl.Now()
-		from := to - vsched.Time(80*vsched.Millisecond)
-		fmt.Fprintln(stdout, "vCPU activity, final 80ms:")
-		for i, tl := range timelines {
-			fmt.Fprintf(stdout, "  v%-3d |%s|  running %2.0f%%\n", i,
-				tl.Render(72, from, to), 100*tl.RunningFraction(from, to))
+		ents := make([]*host.Entity, vm.NumVCPUs())
+		for i := range ents {
+			ents[i] = vm.VCPU(i).Entity()
 		}
+		writeStrips(stdout, stderr, ring, ents, cl.Now(), 80*vsched.Millisecond)
 	}
 	if *metricsOut {
 		fmt.Fprintln(stdout, "metrics:")
@@ -495,43 +492,36 @@ func writeTrace(path string, tr *vtrace.Tracer, extra []vtrace.SpanTrack, counte
 	return f.Close()
 }
 
-// watchLoop schedules a per-virtual-second snapshot of every vCPU: probed
-// capacity and latency next to the physical truth (host thread, entity
-// state), plus guest queue depth — a "top" for the simulation.
-func watchLoop(w io.Writer, cl *vsched.Cluster, vm *vsched.VM, sched *vsched.VSched, until vsched.Duration) {
-	eng := cl.Engine()
-	var snap func()
-	snap = func() {
-		fmt.Fprintf(w, "--- t=%v ---\n", eng.Now())
-		fmt.Fprintf(w, "%-5s %-9s %-11s %-8s %-7s %-10s %s\n",
-			"vcpu", "probedCap", "probedLat", "rqlen", "curr", "entState", "thread(skt/core/slot)")
-		for i := 0; i < vm.NumVCPUs(); i++ {
-			v := vm.VCPU(i)
-			curr := "-"
-			if c := v.Curr(); c != nil {
-				curr = c.Name()
-				if len(curr) > 7 {
-					curr = curr[:7]
-				}
-			}
-			th := v.Entity().Thread()
-			fmt.Fprintf(w, "%-5d %-9d %-11v %-8d %-7s %-10v %d/%d/%d\n",
-				i, v.Capacity(), v.Latency(), v.RunqueueLen(), curr,
-				v.Entity().State(), th.Socket(), th.Core(), th.Slot())
-		}
-		if sched != nil {
-			b := sched.Vtop().Belief()
-			var stacks []string
-			for _, g := range b.StackGroups() {
-				stacks = append(stacks, fmt.Sprint(g))
-			}
-			if len(stacks) > 0 {
-				fmt.Fprintln(w, "stacked groups:", strings.Join(stacks, " "))
+// watchTable prints a snapshot of every vCPU: probed capacity and latency
+// next to the physical truth (host thread, entity state), plus guest queue
+// depth — a "top" for the simulation. The run loop calls it at its
+// per-second safepoints, so watching schedules nothing on the engine.
+func watchTable(w io.Writer, cl *vsched.Cluster, vm *vsched.VM, sched *vsched.VSched) {
+	fmt.Fprintf(w, "--- t=%v ---\n", cl.Now())
+	fmt.Fprintf(w, "%-5s %-9s %-11s %-8s %-7s %-10s %s\n",
+		"vcpu", "probedCap", "probedLat", "rqlen", "curr", "entState", "thread(skt/core/slot)")
+	for i := 0; i < vm.NumVCPUs(); i++ {
+		v := vm.VCPU(i)
+		curr := "-"
+		if c := v.Curr(); c != nil {
+			curr = c.Name()
+			if len(curr) > 7 {
+				curr = curr[:7]
 			}
 		}
-		if eng.Now() < vsched.Time(until) {
-			eng.After(vsched.Second, snap)
+		th := v.Entity().Thread()
+		fmt.Fprintf(w, "%-5d %-9d %-11v %-8d %-7s %-10v %d/%d/%d\n",
+			i, v.Capacity(), v.Latency(), v.RunqueueLen(), curr,
+			v.Entity().State(), th.Socket(), th.Core(), th.Slot())
+	}
+	if sched != nil {
+		b := sched.Vtop().Belief()
+		var stacks []string
+		for _, g := range b.StackGroups() {
+			stacks = append(stacks, fmt.Sprint(g))
+		}
+		if len(stacks) > 0 {
+			fmt.Fprintln(w, "stacked groups:", strings.Join(stacks, " "))
 		}
 	}
-	eng.After(vsched.Second, snap)
 }

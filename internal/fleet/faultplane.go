@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"vsched/internal/faults"
 	"vsched/internal/sim"
@@ -228,16 +229,7 @@ func (f *Fleet) evacuate(hs *hostState) {
 		if f.ledger.evacFails(f.cfg.Faults) {
 			return
 		}
-		dst := -1
-		for i, cand := range f.hosts {
-			if i == hs.index || vm.typ.VCPUs > f.free(cand) {
-				continue
-			}
-			if dst < 0 || cand.stealEMA < f.hosts[dst].stealEMA ||
-				(cand.stealEMA == f.hosts[dst].stealEMA && cand.committed < f.hosts[dst].committed) {
-				dst = i
-			}
-		}
+		dst := f.calmest(vm.typ.VCPUs, hs.index, math.Inf(1))
 		if dst < 0 {
 			return // nowhere to go: stay overcommitted, steal rises
 		}

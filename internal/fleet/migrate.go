@@ -44,12 +44,21 @@ func (f *Fleet) migrateOnce() {
 	if vm == nil {
 		return
 	}
+	dst := f.calmest(vm.typ.VCPUs, src, f.hosts[src].stealEMA-cfg.Margin)
+	if dst < 0 {
+		return
+	}
+	f.moveVM(vm, dst)
+}
+
+// calmest is the one destination rule of live migration and evacuation: the
+// host, other than skip, that a VM of vcpus fits on and whose steal EMA is at
+// most ceiling, with the lowest steal EMA, then the fewest committed vCPUs,
+// then the lowest index. It returns -1 when no host qualifies.
+func (f *Fleet) calmest(vcpus, skip int, ceiling float64) int {
 	dst := -1
 	for i, hs := range f.hosts {
-		if i == src || vm.typ.VCPUs > f.free(hs) {
-			continue
-		}
-		if hs.stealEMA > f.hosts[src].stealEMA-cfg.Margin {
+		if i == skip || vcpus > f.free(hs) || hs.stealEMA > ceiling {
 			continue
 		}
 		if dst < 0 || hs.stealEMA < f.hosts[dst].stealEMA ||
@@ -57,10 +66,7 @@ func (f *Fleet) migrateOnce() {
 			dst = i
 		}
 	}
-	if dst < 0 {
-		return
-	}
-	f.moveVM(vm, dst)
+	return dst
 }
 
 // pickMigrant chooses the cheapest VM to move: fewest vCPUs, ties to the

@@ -396,7 +396,7 @@ func (vm *VM) wakeTaskWide(t *Task, waker *VCPU, wide bool) {
 		}
 	}
 	// The waker's current task, when there is one, is what the attribution
-	// profiler's critical-path view chains through.
+	// profiler records as the span's waker.
 	wakerID := int64(-1)
 	if waker != nil && waker.curr != nil {
 		wakerID = int64(waker.curr.id)

@@ -97,7 +97,8 @@ type Entity struct {
 	preemptions uint64       // involuntary Running -> Runnable/Throttled
 
 	// observers are called after every state transition, in attach order.
-	// The vtrace package uses them to build timelines and event traces.
+	// Tracers tap the host-wide hook instead (Host.AddObserver); these are
+	// for consumers of one entity, such as probeacc's steal-interval sampler.
 	observers []func(now sim.Time, from, to EntityState)
 }
 

@@ -290,40 +290,8 @@ func TestTruncatedSpansExcluded(t *testing.T) {
 	}
 }
 
-// TestCriticalPathChain: the critical path walks the waker chain backwards
-// from the last-ending span.
-func TestCriticalPathChain(t *testing.T) {
-	f := newFeed(2.0)
-	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
-	f.speed(0, 0, 2e6)
-	// p runs, wakes c (waker id 1), c runs, wakes d (waker id 2).
-	f.wakeup(0, "p", 1, 0, -1)
-	f.on(0, "p", 1, 0)
-	f.wakeup(at(5), "c", 2, 0, 1)
-	f.off(at(5), "p", 1, 0, 0)
-	f.on(at(5), "c", 2, 0)
-	f.wakeup(at(9), "d", 3, 0, 2)
-	f.off(at(9), "c", 2, 0, 0)
-	f.on(at(9), "d", 3, 0)
-	f.off(at(14), "d", 3, 0, 0)
-
-	prof := f.p.Finish(at(14))
-	chain, agg := prof.CriticalPath()
-	if len(chain) != 3 {
-		t.Fatalf("chain length = %d, want 3", len(chain))
-	}
-	order := []string{chain[0].Task, chain[1].Task, chain[2].Task}
-	if !reflect.DeepEqual(order, []string{"p", "c", "d"}) {
-		t.Fatalf("chain order = %v, want [p c d]", order)
-	}
-	if agg.Get(Run) != 14*ms {
-		t.Fatalf("chain run = %v, want 14ms", agg.Get(Run))
-	}
-}
-
-// TestPerTaskAndFlatten: aggregation orders are by name and the flat map
-// carries every cause.
-func TestPerTaskAndFlatten(t *testing.T) {
+// TestFlatten: the flat map carries every cause and the span totals.
+func TestFlatten(t *testing.T) {
 	f := newFeed(2.0)
 	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
 	f.speed(0, 0, 2e6)
@@ -335,10 +303,6 @@ func TestPerTaskAndFlatten(t *testing.T) {
 	f.off(at(7), "a", 2, 0, 0)
 
 	prof := f.p.Finish(at(7))
-	per := prof.PerTask()
-	if len(per) != 2 || per[0].Task != "a" || per[1].Task != "z" {
-		t.Fatalf("PerTask order wrong: %+v", per)
-	}
 	flat := prof.Flatten()
 	for _, c := range Causes() {
 		for _, suffix := range []string{"_ns", "_share", "_p95_ns"} {

@@ -126,85 +126,6 @@ func (p *Profile) TopBlame(n int) []Blame {
 	return out
 }
 
-// TaskAgg is the per-task-name aggregate of a profile.
-type TaskAgg struct {
-	Task  string
-	Spans int
-	Breakdown
-}
-
-// PerTask aggregates spans by task name, sorted by name.
-func (p *Profile) PerTask() []TaskAgg {
-	idx := map[string]int{}
-	var out []TaskAgg
-	for i := range p.Spans {
-		s := &p.Spans[i]
-		j, ok := idx[s.Task]
-		if !ok {
-			j = len(out)
-			idx[s.Task] = j
-			out = append(out, TaskAgg{Task: s.Task})
-		}
-		out[j].Spans++
-		out[j].Breakdown.Add(&s.Breakdown)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
-	return out
-}
-
-// CriticalPath walks the waker chain backwards from the last-ending span:
-// each hop moves to the waker's most recent span starting at or before the
-// current one. It returns the chain in causal order with its summed
-// breakdown — "why was the end of this workload late". Hops are capped so a
-// cyclic producer/consumer pair terminates.
-func (p *Profile) CriticalPath() ([]Span, Breakdown) {
-	var agg Breakdown
-	if len(p.Spans) == 0 {
-		return nil, agg
-	}
-	// Index spans by task id, each list in start order.
-	byTask := map[int64][]int{}
-	for i := range p.Spans {
-		byTask[p.Spans[i].TaskID] = append(byTask[p.Spans[i].TaskID], i)
-	}
-	for _, l := range byTask {
-		sort.Slice(l, func(a, b int) bool { return p.Spans[l[a]].Start < p.Spans[l[b]].Start })
-	}
-	cur := 0
-	for i := range p.Spans {
-		if p.Spans[i].End > p.Spans[cur].End {
-			cur = i
-		}
-	}
-	seen := map[int]bool{cur: true}
-	chain := []int{cur}
-	for hops := 0; hops < 128; hops++ {
-		waker := p.Spans[chain[len(chain)-1]].WakerID
-		if waker < 0 {
-			break
-		}
-		l := byTask[waker]
-		// Last span of the waker starting at or before the current start.
-		at := p.Spans[chain[len(chain)-1]].Start
-		k := sort.Search(len(l), func(i int) bool { return p.Spans[l[i]].Start > at })
-		if k == 0 {
-			break
-		}
-		next := l[k-1]
-		if seen[next] {
-			break
-		}
-		seen[next] = true
-		chain = append(chain, next)
-	}
-	out := make([]Span, len(chain))
-	for i, idx := range chain {
-		out[len(chain)-1-i] = p.Spans[idx]
-		agg.Add(&p.Spans[idx].Breakdown)
-	}
-	return out, agg
-}
-
 // Flatten renders the profile as a flat metric map for artifacts: totals
 // and shares per cause, p95 per-span component per cause, and the
 // reconstruction counters.

@@ -167,74 +167,3 @@ func TestChromeTrackExport(t *testing.T) {
 		}
 	}
 }
-
-// TestCriticalPathOnRealRun: a producer/consumer semaphore chain in a real
-// simulation yields a critical path that hops from the consumer back into
-// the producer through the traced waker ids.
-func TestCriticalPathOnRealRun(t *testing.T) {
-	eng := sim.NewEngine(3)
-	cfg := host.DefaultConfig()
-	cfg.Sockets, cfg.CoresPerSocket, cfg.ThreadsPerCore = 1, 2, 1
-	h := host.New(eng, cfg)
-	tr := vtrace.New(0)
-	vtrace.AttachHost(tr, h)
-	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(1)}, guest.DefaultParams())
-	p := New(Config{VM: "vm", NominalSpeed: cfg.BaseSpeed})
-	tr.SetObserver(p.Observe)
-	vm.SetTracer(tr)
-	vm.Start()
-	host.NewPatternContender(h, "tenant", h.Thread(0), 2*sim.Millisecond, 2*sim.Millisecond, 0)
-
-	sem := guest.NewSemaphore(0)
-	pstep, cstep := 0, 0
-	// The producer exits partway through, so the last-ending closed span is
-	// a consumer span whose wakeup chains back into the producer.
-	vm.Spawn("producer", func(sim.Time) guest.Segment {
-		pstep++
-		if pstep > 120 {
-			return guest.Exit()
-		}
-		switch pstep % 3 {
-		case 1:
-			return guest.Compute(5e5)
-		case 2:
-			return guest.SemPost(sem)
-		default:
-			return guest.Sleep(200 * sim.Microsecond)
-		}
-	}, guest.StartOn(0))
-	// The consumer's per-item work is heavy enough that it drains the
-	// backlog long after the producer exits, so its producer-woken span is
-	// the last to close.
-	vm.Spawn("consumer", func(sim.Time) guest.Segment {
-		cstep++
-		if cstep%2 == 1 {
-			return guest.SemWait(sem)
-		}
-		return guest.Compute(4e6)
-	}, guest.StartOn(1))
-
-	eng.RunFor(200 * sim.Millisecond)
-	prof := p.Finish(eng.Now())
-	if err := prof.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	chain, agg := prof.CriticalPath()
-	if len(chain) < 2 {
-		t.Fatalf("critical path has %d spans, want a producer->consumer chain", len(chain))
-	}
-	seen := map[string]bool{}
-	for _, s := range chain {
-		seen[s.Task] = true
-	}
-	if !seen["producer"] || !seen["consumer"] {
-		t.Fatalf("critical path tasks = %v, want both producer and consumer", seen)
-	}
-	var wall sim.Duration
-	for _, s := range chain {
-		wall += s.Wall()
-	}
-	if agg.Total() != wall {
-		t.Fatalf("critical-path aggregate %v != chain wall %v", agg.Total(), wall)
-	}
-}

@@ -10,8 +10,10 @@ import (
 func TestRecorderCensusAppearsInFlatten(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rec := New(eng, Config{Interval: 10 * sim.Millisecond})
-	rec.Record("demo.x", 1)
-	rec.Record("demo.y", 2)
+	rec.AddSource("demo.", SourceFunc(func(now sim.Time, emit func(string, float64)) {
+		emit("x", 1)
+		emit("y", 2)
+	}))
 	rec.SampleNow()
 
 	reg := metrics.NewRegistry()

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"vsched/internal/sim"
@@ -93,34 +91,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// WriteCSV dumps the rollup buckets of every series as CSV rows
-// (series,t0_ns,t1_ns,min,max,mean,count) — the whole history at rollup
-// resolution, ready for a spreadsheet or pandas.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "t0_ns", "t1_ns", "min", "max", "mean", "count"}); err != nil {
-		return err
-	}
-	for _, sr := range s.Series {
-		for _, b := range sr.Buckets {
-			rec := []string{
-				sr.Name,
-				strconv.FormatInt(b.T0, 10),
-				strconv.FormatInt(b.T1, 10),
-				strconv.FormatFloat(b.Min, 'g', -1, 64),
-				strconv.FormatFloat(b.Max, 'g', -1, 64),
-				strconv.FormatFloat(b.Mean(), 'g', -1, 64),
-				strconv.FormatUint(uint64(b.Count), 10),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // CounterTracks converts the recorder's raw windows into vtrace counter

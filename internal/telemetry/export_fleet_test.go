@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/csv"
 	"math"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,7 +117,7 @@ func TestFleetFaultSeriesJSONRoundTrip(t *testing.T) {
 // TestFleetFaultSeriesRollupConservation: after tier folding and stride
 // doubling, the exported buckets of every series still cover each sample
 // exactly once, in time order, with non-overlapping [T0, T1] spans — the
-// invariant that makes WriteCSV a faithful full-history dump.
+// invariant that makes the exported rollup a faithful full-history record.
 func TestFleetFaultSeriesRollupConservation(t *testing.T) {
 	snap, _ := buildFleetSnapshot(2400)
 	for _, sr := range snap.Series {
@@ -141,52 +138,6 @@ func TestFleetFaultSeriesRollupConservation(t *testing.T) {
 		if total != sr.Count {
 			t.Fatalf("%s: buckets hold %d samples, series recorded %d", sr.Name, total, sr.Count)
 		}
-	}
-}
-
-// TestFleetFaultSeriesCSV parses the WriteCSV output and reconciles it
-// against the snapshot: one row per bucket, grouped in series order, values
-// matching the JSON form bit for bit.
-func TestFleetFaultSeriesCSV(t *testing.T) {
-	snap, _ := buildFleetSnapshot(900)
-	var buf bytes.Buffer
-	if err := snap.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("parse CSV back: %v", err)
-	}
-	want := []string{"series", "t0_ns", "t1_ns", "min", "max", "mean", "count"}
-	if !reflect.DeepEqual(rows[0], want) {
-		t.Fatalf("header %v, want %v", rows[0], want)
-	}
-	rows = rows[1:]
-	i := 0
-	for _, sr := range snap.Series {
-		for bi, b := range sr.Buckets {
-			if i >= len(rows) {
-				t.Fatalf("CSV ended at row %d, %s bucket %d missing", i, sr.Name, bi)
-			}
-			row := rows[i]
-			i++
-			if row[0] != sr.Name {
-				t.Fatalf("row %d series %q, want %q", i, row[0], sr.Name)
-			}
-			t0, _ := strconv.ParseInt(row[1], 10, 64)
-			t1, _ := strconv.ParseInt(row[2], 10, 64)
-			mn, _ := strconv.ParseFloat(row[3], 64)
-			mx, _ := strconv.ParseFloat(row[4], 64)
-			mean, _ := strconv.ParseFloat(row[5], 64)
-			cnt, _ := strconv.ParseUint(row[6], 10, 32)
-			if t0 != b.T0 || t1 != b.T1 || mn != b.Min || mx != b.Max ||
-				mean != b.Mean() || uint32(cnt) != b.Count {
-				t.Fatalf("%s bucket %d: CSV row %v != bucket %+v", sr.Name, bi, row, b)
-			}
-		}
-	}
-	if i != len(rows) {
-		t.Fatalf("CSV has %d extra rows", len(rows)-i)
 	}
 }
 
@@ -220,18 +171,10 @@ func TestEmptyFleetSeriesExports(t *testing.T) {
 	if !bytes.Equal(js.Bytes(), again.Bytes()) {
 		t.Fatal("empty snapshot did not round-trip")
 	}
-	var cs bytes.Buffer
-	if err := snap.WriteCSV(&cs); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if lines := strings.Count(cs.String(), "\n"); lines != 1 {
-		t.Fatalf("empty snapshot CSV has %d lines, want header only:\n%s", lines, cs.String())
-	}
 }
 
 // TestNaNPayloadExports pins the contract for NaN samples in a fault series:
-// the Gorilla raw window preserves the exact NaN bit pattern, WriteCSV
-// renders the poisoned cells as literal NaN without erroring, and WriteJSON —
+// the Gorilla raw window preserves the exact NaN bit pattern, and WriteJSON —
 // which cannot represent NaN in its summary fields — fails loudly rather
 // than writing a corrupt document.
 func TestNaNPayloadExports(t *testing.T) {
@@ -252,13 +195,6 @@ func TestNaNPayloadExports(t *testing.T) {
 	}
 
 	snap := &Snapshot{IntervalNS: int64(cfg.Interval), Samples: 3, Series: []SeriesSnapshot{sr}}
-	var cs bytes.Buffer
-	if err := snap.WriteCSV(&cs); err != nil {
-		t.Fatalf("WriteCSV with NaN: %v", err)
-	}
-	if !strings.Contains(cs.String(), "NaN") {
-		t.Fatalf("CSV does not render the NaN cells:\n%s", cs.String())
-	}
 	if err := snap.WriteJSON(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteJSON silently accepted NaN summary fields; artifacts embedding this would be corrupt")
 	}

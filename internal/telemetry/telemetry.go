@@ -168,16 +168,6 @@ func (r *Recorder) addSource(prefix string, s Source, volatile bool) {
 	r.sources = append(r.sources, b)
 }
 
-// Record appends one sample directly, outside any source (ad-hoc series).
-func (r *Recorder) Record(name string, v float64) {
-	sr, ok := r.series[name]
-	if !ok {
-		sr = newSeries(name, false, &r.cfg)
-		r.series[name] = sr
-	}
-	sr.Append(int64(r.eng.Now()), v)
-}
-
 // SampleNow runs one collection pass over every source at the current
 // virtual time.
 func (r *Recorder) SampleNow() {

@@ -26,80 +26,34 @@ func contendedEntity(t *testing.T, attach func(h *host.Host, e *host.Entity)) {
 	eng.RunFor(100 * sim.Millisecond)
 }
 
-func TestTimelineRecordsAndIntegrates(t *testing.T) {
-	var tl *Timeline
-	contendedEntity(t, func(h *host.Host, e *host.Entity) { tl = Attach(e) })
-
-	if len(tl.Events) == 0 {
-		t.Fatal("no transitions recorded")
-	}
-	frac := tl.RunningFraction(0, sim.Time(100*sim.Millisecond))
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("running fraction=%v want ~0.5", frac)
-	}
-	run := tl.TimeIn(host.Running, 0, sim.Time(100*sim.Millisecond))
-	wait := tl.TimeIn(host.Runnable, 0, sim.Time(100*sim.Millisecond))
-	if run+wait < 99*sim.Millisecond {
-		t.Fatalf("run+wait=%v want ~100ms", run+wait)
-	}
-
-	strip := tl.Render(50, 0, sim.Time(100*sim.Millisecond))
-	if len(strip) != 50 {
-		t.Fatalf("strip len=%d", len(strip))
-	}
-	if !strings.Contains(strip, "#") || !strings.Contains(strip, ".") {
-		t.Fatalf("strip should show both running and waiting: %q", strip)
-	}
-}
-
-func TestRenderEdgeCases(t *testing.T) {
-	tl := &Timeline{Initial: host.Blocked}
-	if tl.Render(0, 0, 10) != "" {
-		t.Fatal("zero width must render empty")
-	}
-	if tl.Render(10, 10, 10) != "" {
-		t.Fatal("empty interval must render empty")
-	}
-	if got := tl.Render(4, 0, 100); got != "    " {
-		t.Fatalf("blocked strip wrong: %q", got)
-	}
-	if tl.RunningFraction(10, 10) != 0 {
-		t.Fatal("degenerate fraction must be 0")
-	}
-}
-
 // Satellite regression: before observers became a list, attaching a second
-// consumer silently replaced the first. Both must now see every transition.
+// consumer silently replaced the first. Every observer must see every
+// transition.
 func TestObserversStack(t *testing.T) {
-	var tl1, tl2 *Timeline
-	traced := 0
+	var first, second, third int
 	contendedEntity(t, func(h *host.Host, e *host.Entity) {
-		tl1 = Attach(e)
-		tl2 = Attach(e)
-		e.AddObserver(func(now sim.Time, from, to host.EntityState) { traced++ })
+		e.AddObserver(func(now sim.Time, from, to host.EntityState) { first++ })
+		e.AddObserver(func(now sim.Time, from, to host.EntityState) { second++ })
+		e.AddObserver(func(now sim.Time, from, to host.EntityState) { third++ })
 	})
-	if len(tl1.Events) == 0 {
-		t.Fatal("first observer recorded nothing")
+	if first == 0 {
+		t.Fatal("first observer saw nothing")
 	}
-	if len(tl2.Events) != len(tl1.Events) {
-		t.Fatalf("second observer saw %d events, first saw %d — observers clobbered",
-			len(tl2.Events), len(tl1.Events))
-	}
-	if traced != len(tl1.Events) {
-		t.Fatalf("raw observer saw %d events, timeline saw %d", traced, len(tl1.Events))
+	if second != first || third != first {
+		t.Fatalf("observers saw %d, %d, %d transitions — observers clobbered", first, second, third)
 	}
 }
 
 // The per-entity observers and the host-wide observer are independent taps.
 func TestHostObserverAndEntityObserversCoexist(t *testing.T) {
-	var tl *Timeline
+	var seen int
 	tr := New(0)
 	contendedEntity(t, func(h *host.Host, e *host.Entity) {
-		tl = Attach(e)
+		e.AddObserver(func(now sim.Time, from, to host.EntityState) { seen++ })
 		AttachHost(tr, h)
 	})
-	if len(tl.Events) == 0 {
-		t.Fatal("entity observer recorded nothing")
+	if seen == 0 {
+		t.Fatal("entity observer saw nothing")
 	}
 	var stateEvents int
 	for _, ev := range tr.Events() {
@@ -107,8 +61,8 @@ func TestHostObserverAndEntityObserversCoexist(t *testing.T) {
 			stateEvents++
 		}
 	}
-	if stateEvents != len(tl.Events) {
-		t.Fatalf("host tap saw %d transitions of v, timeline saw %d", stateEvents, len(tl.Events))
+	if stateEvents != seen {
+		t.Fatalf("host tap saw %d transitions of v, entity observer saw %d", stateEvents, seen)
 	}
 }
 
