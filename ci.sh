@@ -73,8 +73,9 @@ echo "== go test -race -short $race_pkgs"
 # internal/harness' TestObsTrialLifecycle drains the trial lifecycle the
 # harness publishes. Both CLIs' -serve inertness tests
 # (TestServeAndProgressInert, TestServeStdoutInert) run a live HTTP server
-# beside the run loop, and vschedsim's TestWatchStdoutInert prints its
-# -watch tables at the same run-loop safepoints.
+# beside the run loop, vschedsim's TestWatchStdoutInert prints its -watch
+# tables at the same run-loop safepoints, and experiments' TestHeartbeat
+# reads the harness's progress bus while trials publish to it.
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
 
@@ -83,6 +84,11 @@ go test -race -short $race_pkgs
 # twenty times under the race detector.
 echo "== progress bus concurrency (-race -count=20)"
 go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
+
+# experiments -progress is a second reader of that bus, racing the trial
+# publishers, so its test runs twenty times under the race detector too.
+echo "== progress heartbeat (-race -count=20)"
+go test -race -count=20 -run TestHeartbeat ./cmd/experiments/
 
 # The parallelism budget's recruit/release counter is shared by every
 # par.Map in the process, nested ones included; a race in it would be just

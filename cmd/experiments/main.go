@@ -7,7 +7,6 @@
 //	experiments -run all                    # everything, in paper order
 //	GOMAXPROCS=1 experiments -run all       # the same bytes, fully serial
 //	experiments -run fig18 -scale 0.3       # shorter measurement windows
-//	experiments -run all -json              # machine-readable reports
 //	experiments -run all -reps 5            # 5 replicate seeds, mean±stddev cells
 //	experiments -run all -timeout 10m       # per-trial wall-clock budget
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
@@ -23,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +35,7 @@ import (
 	"vsched/internal/harness"
 	"vsched/internal/obshttp"
 	"vsched/internal/profiling"
+	"vsched/internal/progress"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 42, "base simulation seed")
 		scale    = fs.Float64("scale", 1.0, "measurement window scale factor")
 		verbose  = fs.Bool("v", false, "verbose notes")
-		asJSON   = fs.Bool("json", false, "emit reports as JSON lines")
 		reps     = fs.Int("reps", 1, "replicate seeds per experiment; >1 adds mean±stddev [min,max] cells")
 		timeout  = fs.Duration("timeout", 0, "per-trial wall-clock budget (0 = none)")
 		out      = fs.String("out", "", "write a JSON-lines run artifact (seeds, wall time, events, reports)")
@@ -62,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		telem    = fs.Bool("telemetry", false, "print flight-recorder sparkline summaries for experiments that record telemetry")
 		serve    = fs.String("serve", "", "serve live observability on this address for the duration of the run: Prometheus /metrics, /runs, /runs/experiments/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
-		progress = fs.Bool("progress", false, "print a rate-limited progress heartbeat (done/total trials, mean trial time, ETA) to stderr")
+		showProg = fs.Bool("progress", false, "print a rate-limited progress heartbeat (done/total trials, mean trial time, ETA) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,33 +123,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Verbose:  *verbose,
 		Timeout:  *timeout,
 	}
-	if *progress {
-		hcfg.Heartbeat = stderr
-	}
-	// The live ops plane: trial progress and the run listing served over HTTP
-	// while the harness runs. Publication is inert by construction (bounded
-	// bus, atomic handoffs), so attaching it cannot change stdout: reports
-	// stay a pure function of (-run, -seed, -reps, -scale).
-	var obsRun *obshttp.Run
+	// The trial lifecycle goes onto one progress bus, read by the live ops
+	// plane (-serve) and the stderr heartbeat (-progress). Publication is
+	// inert by construction (bounded bus, atomic handoffs), so attaching
+	// either cannot change stdout: reports stay a pure function of (-run,
+	// -seed, -reps, -scale).
 	if *serve != "" {
-		osrv := obshttp.New(obshttp.Options{})
-		bound, err := osrv.ListenAndServe(*serve)
+		obsRun, stop, err := obshttp.Serve(*serve, "experiments", stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "observability: http://%s/metrics, /runs/experiments/events\n", bound)
-		obsRun = osrv.Register("experiments")
+		defer stop()
 		hcfg.Obs = obsRun.Publisher()
-		defer func() {
-			// Mark the stream done and give attached consumers a beat to
-			// drain their terminal record before the listener dies with us.
-			obsRun.Finish()
-			time.Sleep(100 * time.Millisecond)
-			osrv.Close()
-		}()
+	} else if *showProg {
+		hcfg.Obs = progress.NewPublisher(0)
+	}
+	stopHeartbeat := func() {}
+	if *showProg {
+		stopHeartbeat = startHeartbeat(hcfg.Obs.Bus, stderr)
 	}
 	res := harness.Run(hcfg)
+	stopHeartbeat()
 
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -170,24 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		for _, ex := range res.Experiments {
-			for i := range ex.Trials {
-				t := &ex.Trials[i]
-				if !t.OK() {
-					fmt.Fprintf(stderr, "%s rep %d (seed %d): %s\n", t.ExperimentID, t.Replicate, t.Seed, t.Err)
-					continue
-				}
-				if err := enc.Encode(t.Report); err != nil {
-					fmt.Fprintln(stderr, err)
-					return 1
-				}
-			}
-		}
-	} else {
-		fmt.Fprint(stdout, res.Text())
-	}
+	fmt.Fprint(stdout, res.Text())
 	if *telem {
 		printTelemetry(stdout, res)
 	}

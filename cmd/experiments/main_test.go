@@ -80,10 +80,11 @@ func TestBadInputFails(t *testing.T) {
 
 // TestUnknownFlagFails also covers the retired flags: timing lives in the Go
 // benchmarks and vbench, trials share the GOMAXPROCS budget with their cells,
-// and a deterministic trial is never retried, so -bench, -parallel and
-// -retries are usage errors like any other.
+// a deterministic trial is never retried, and every report is in the -out
+// artifact's trial records, so -bench, -parallel, -retries and -json are
+// usage errors like any other.
 func TestUnknownFlagFails(t *testing.T) {
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-bench", "core"}, {"-parallel", "2"}, {"-retries", "1"}} {
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-bench", "core"}, {"-parallel", "2"}, {"-retries", "1"}, {"-json"}} {
 		var out, errb strings.Builder
 		if code := run(args, &out, &errb); code != 2 {
 			t.Fatalf("%v exited %d, want 2", args, code)
@@ -154,6 +155,38 @@ func TestServeAndProgressInert(t *testing.T) {
 	}
 	if !strings.Contains(obsErr.String(), "harness: 1/1 trials") {
 		t.Fatalf("final heartbeat missing from stderr: %s", obsErr.String())
+	}
+}
+
+// TestHeartbeat: -progress reads the harness's progress bus and writes
+// plain-text "harness: " lines to stderr, ending with the final tally, and
+// without -progress no heartbeat line appears.
+func TestHeartbeat(t *testing.T) {
+	args := []string{"-run", "fig3", "-scale", "0.05", "-reps", "2"}
+	var out, errb strings.Builder
+	if code := run(append(args, "-progress"), &out, &errb); code != 0 {
+		t.Fatalf("-progress run exited %d: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(errb.String()), "\n")
+	beats, summary := lines[:len(lines)-1], lines[len(lines)-1]
+	if !strings.HasPrefix(summary, "(2 trials over ") {
+		t.Fatalf("run summary must close stderr, got %q", summary)
+	}
+	if len(beats) == 0 || !strings.HasPrefix(beats[len(beats)-1], "harness: 2/2 trials") {
+		t.Fatalf("final heartbeat missing:\n%s", errb.String())
+	}
+	for _, line := range beats {
+		if !strings.HasPrefix(line, "harness: ") || strings.ContainsAny(line, "{}") {
+			t.Fatalf("heartbeat line %q is not a plain-text harness line", line)
+		}
+	}
+
+	errb.Reset()
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("plain run exited %d: %s", code, errb.String())
+	}
+	if strings.Contains(errb.String(), "harness: ") {
+		t.Fatalf("heartbeat without -progress:\n%s", errb.String())
 	}
 }
 

@@ -277,14 +277,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var obsPublish func()
 	obsFinish := func() {}
 	if *serveAddr != "" {
-		osrv := obshttp.New(obshttp.Options{})
-		bound, err := osrv.ListenAndServe(*serveAddr)
+		obsRun, stopServe, err := obshttp.Serve(*serveAddr, "vschedsim", stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "observability: http://%s/metrics, /runs/vschedsim/events\n", bound)
-		obsRun := osrv.Register("vschedsim")
 		pub := obsRun.Publisher()
 		label := *workloadName
 		eng := cl.Engine()
@@ -317,11 +314,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				At: int64(eng.Now()), Epoch: epoch, Done: int64(inst.Ops()), Total: int64(total),
 			})
 			mirror()
-			obsRun.Finish()
-			// Give attached stream consumers a beat to drain their terminal
-			// record before the listener dies with the process.
-			time.Sleep(100 * time.Millisecond)
-			osrv.Close()
+			stopServe()
 		}
 	}
 	defer obsFinish()
@@ -485,7 +478,7 @@ func writeTrace(path string, tr *vtrace.Tracer, extra []vtrace.SpanTrack, counte
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTracks(f, extra, counters); err != nil {
+	if err := tr.WriteChrome(f, extra, counters); err != nil {
 		f.Close()
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"vsched/internal/guest"
 	"vsched/internal/host"
 	"vsched/internal/latprof"
+	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/vtrace"
 	"vsched/internal/workload"
@@ -129,7 +130,9 @@ func Attrib(opt Options) *Report {
 	for _, pat := range attribPatterns() {
 		for _, cfg := range attribConfigs() {
 			prof := runAttrib(opt, pat, cfg.feats)
-			opt.Stats.TrackAttribution("attrib/"+pat.name+"/"+cfg.name, prof.Flatten())
+			reg := metrics.NewRegistry()
+			prof.Publish(reg)
+			opt.Stats.TrackRegistry("attrib/"+pat.name+"/"+cfg.name, reg)
 			tot := prof.Totals()
 			blame := "-"
 			if tb := prof.TopBlame(1); len(tb) > 0 {

@@ -63,8 +63,8 @@ func TestAttribMechanisms(t *testing.T) {
 }
 
 // TestAttribReportShape runs the full experiment end to end at a small scale
-// and checks the report rows, the mechanism note, and that the attribution
-// snapshot reaches Stats for the artifact pipeline.
+// and checks the report rows, the mechanism note, and that each profile's
+// summary reaches the trial's metrics for the artifact pipeline.
 func TestAttribReportShape(t *testing.T) {
 	stats := &Stats{}
 	rep := Attrib(Options{Seed: 42, Scale: 0.1, Stats: stats})
@@ -76,10 +76,7 @@ func TestAttribReportShape(t *testing.T) {
 			t.Fatalf("row width %d != header %d: %v", len(row), len(rep.Header), row)
 		}
 	}
-	snap := stats.AttributionSnapshot()
-	if len(snap) == 0 {
-		t.Fatal("no attribution tracked")
-	}
+	snap := stats.MetricsSnapshot()
 	for _, key := range []string{
 		"attrib/balanced-5ms/baseline.steal_wait_share",
 		"attrib/heavy-30/10/+bvs+ivh.runnable_wait_p95_ns",

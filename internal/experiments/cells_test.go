@@ -37,12 +37,11 @@ func withProcs(n int, f func()) {
 
 // cellRun is everything a harness trial records about one run.
 type cellRun struct {
-	Report      string
-	Events      uint64
-	Engines     int
-	Metrics     map[string]float64
-	Attribution map[string]float64
-	Telemetry   map[string]*telemetry.Snapshot
+	Report    string
+	Events    uint64
+	Engines   int
+	Metrics   map[string]float64
+	Telemetry map[string]*telemetry.Snapshot
 }
 
 func runCells(r experiments.Runner, procs int) cellRun {
@@ -53,7 +52,6 @@ func runCells(r experiments.Runner, procs int) cellRun {
 		out.Events = stats.EventsFired()
 		out.Engines = stats.Engines()
 		out.Metrics = stats.MetricsSnapshot()
-		out.Attribution = stats.AttributionSnapshot()
 		out.Telemetry = stats.TelemetrySnapshot()
 	})
 	return out
@@ -104,24 +102,16 @@ func TestCellsMergeInCellOrder(t *testing.T) {
 			reg := metrics.NewRegistry()
 			reg.Gauge("cell").Set(float64(i))
 			o.Stats.TrackRegistry("vm", reg)
-			o.Stats.TrackAttribution("prof", map[string]float64{"cell": float64(i)})
 			return i
 		})
 	})
-	m, a := stats.MetricsSnapshot(), stats.AttributionSnapshot()
+	m := stats.MetricsSnapshot()
 	if m["vm.cell"] != -1 {
 		t.Fatalf("parent's own registry lost its label: vm.cell=%v", m["vm.cell"])
 	}
 	for i := 0; i < n; i++ {
 		if got := m[fmt.Sprintf("vm#%d.cell", i+2)]; got != float64(i) {
 			t.Fatalf("vm#%d.cell=%v, want cell %d", i+2, got, i)
-		}
-		label := "prof"
-		if i > 0 {
-			label = fmt.Sprintf("prof#%d", i+1)
-		}
-		if got := a[label+".cell"]; got != float64(i) {
-			t.Fatalf("%s.cell=%v, want cell %d", label, got, i)
 		}
 	}
 }

@@ -43,16 +43,15 @@ type Options struct {
 // goroutine, hence the lock.
 //
 // A cell gets a child Stats: Track goes straight to the root, so Interrupt
-// reaches every engine at once, while registries, attribution profiles and
-// recorders stay with the child until the cells finish and are merged into
-// the parent in cell order — the order a serial run tracks them in.
+// reaches every engine at once, while registries and recorders stay with the
+// child until the cells finish and are merged into the parent in cell order —
+// the order a serial run tracks them in.
 type Stats struct {
 	mu          sync.Mutex
 	root        *Stats // set on a cell's child: where its engines are tracked
 	engines     []*sim.Engine
 	interrupted bool
 	regs        []labeled[*metrics.Registry]
-	attrib      []labeled[map[string]float64]
 	telem       []labeled[*telemetry.Recorder]
 }
 
@@ -91,8 +90,7 @@ func (s *Stats) child() *Stats {
 	return &Stats{root: s}
 }
 
-// merge appends the children's registries, attribution profiles and
-// recorders to s in the order given. Only call once the children's cells
+// merge appends the children's registries and recorders to s in the order given. Only call once the children's cells
 // have finished.
 func (s *Stats) merge(kids []*Stats) {
 	if s == nil {
@@ -102,7 +100,6 @@ func (s *Stats) merge(kids []*Stats) {
 	defer s.mu.Unlock()
 	for _, k := range kids {
 		s.regs = append(s.regs, k.regs...)
-		s.attrib = append(s.attrib, k.attrib...)
 		s.telem = append(s.telem, k.telem...)
 	}
 }
@@ -151,19 +148,6 @@ func (s *Stats) TrackRegistry(label string, reg *metrics.Registry) {
 	s.regs = append(s.regs, labeled[*metrics.Registry]{label, reg})
 }
 
-// TrackAttribution records one flattened latency-attribution profile (see
-// latprof.Profile.Flatten) under label, for the harness to embed in the
-// trial artifact. Repeated labels get a deterministic #n suffix, like
-// TrackRegistry. A nil receiver is a no-op.
-func (s *Stats) TrackAttribution(label string, flat map[string]float64) {
-	if s == nil || len(flat) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.attrib = append(s.attrib, labeled[map[string]float64]{label, flat})
-}
-
 // TrackTelemetry records one flight recorder (see internal/telemetry) under
 // label, for the harness to embed its deterministic snapshot in the trial
 // artifact. Repeated labels get a deterministic #n suffix, like
@@ -193,28 +177,6 @@ func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
 			out = make(map[string]*telemetry.Snapshot, len(s.telem))
 		}
 		out[label] = s.telem[i].v.Snapshot(false)
-	}
-	return out
-}
-
-// AttributionSnapshot merges every tracked attribution report into one
-// label-prefixed map (nil when nothing was tracked). Only call after the
-// run has returned.
-func (s *Stats) AttributionSnapshot() map[string]float64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out map[string]float64
-	for i, label := range uniqueLabels(s.attrib) {
-		flat := s.attrib[i].v
-		if out == nil {
-			out = make(map[string]float64, len(flat)*len(s.attrib))
-		}
-		for k, v := range flat {
-			out[label+"."+k] = v
-		}
 	}
 	return out
 }

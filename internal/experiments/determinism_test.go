@@ -85,7 +85,7 @@ func tracedScenarioJSON(t *testing.T) []byte {
 	}
 	c.eng.RunFor(2 * sim.Second)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	return buf.Bytes()

@@ -68,8 +68,8 @@ type Config struct {
 	Tracer *vtrace.Tracer
 	// Attribution attaches a latency-attribution profiler (internal/latprof)
 	// to every placed VM and reports per-VM cause breakdowns in
-	// Result.Attribution plus fleet.attrib.* gauges. Observation only: the
-	// simulation is byte-identical with it on or off.
+	// Result.Attribution. Observation only: the simulation is byte-identical
+	// with it on or off.
 	Attribution bool
 	// Telemetry, when non-nil, attaches a flight recorder (see
 	// internal/telemetry) sampling the cell registry, per-host steal and
@@ -585,12 +585,6 @@ func (f *Fleet) collect(arr []Arrival) *Result {
 				panic(err)
 			}
 			r.Attribution[vm.name] = p
-			tot := p.Totals()
-			pre := "fleet.attrib." + vm.name + "."
-			for _, c := range latprof.Causes() {
-				f.reg.Gauge(pre + c.Key() + "_ns").Set(float64(tot.NS[c]))
-			}
-			f.reg.Gauge(pre + "spans").Set(float64(len(p.Spans)))
 		}
 	}
 	return r

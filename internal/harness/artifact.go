@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 
 	"vsched/internal/experiments"
@@ -46,8 +47,12 @@ func (r *Result) Text() string {
 // superset of 3; 5 adds the per-trial "retries" count (attempts consumed
 // under a retry budget) and is otherwise a strict superset of 4; 6 drops
 // "retries" again (trials are deterministic and no longer retried) and
-// records the parallelism budget, GOMAXPROCS at run start, as "workers".
-const ArtifactSchemaVersion = 6
+// records the parallelism budget, GOMAXPROCS at run start, as "workers"; 7
+// drops "attribution": each latency-attribution profile's summary is a
+// tracked registry, so its "<profile-label>.<metric>" keys sit in "metrics"
+// beside the VM keys (ReadArtifact merges a v3–v6 trial's attribution map
+// into its Metrics).
+const ArtifactSchemaVersion = 7
 
 // Artifact line types. A run artifact is JSON lines: one "run" header with
 // the full configuration and seed set, one "trial" line per trial (with its
@@ -78,9 +83,6 @@ type TrialRecord struct {
 	Err        string             `json:"err,omitempty"`
 	TimedOut   bool               `json:"timed_out,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
-	// Attribution is the flattened latency-attribution snapshot of every
-	// profile the trial tracked (schema >= 3); absent in older artifacts.
-	Attribution map[string]float64 `json:"attribution,omitempty"`
 	// Telemetry maps recorder label to the trial's deterministic
 	// flight-recorder snapshot (schema >= 4); absent in older artifacts.
 	Telemetry map[string]*telemetry.Snapshot `json:"telemetry,omitempty"`
@@ -127,19 +129,18 @@ func (r *Result) WriteArtifact(w io.Writer) error {
 		for j := range ex.Trials {
 			t := &ex.Trials[j]
 			if err := enc.Encode(TrialRecord{
-				Type:        "trial",
-				Experiment:  t.ExperimentID,
-				Replicate:   t.Replicate,
-				Seed:        t.Seed,
-				WallMS:      float64(t.WallTime.Microseconds()) / 1000,
-				Events:      t.Events,
-				Engines:     t.Engines,
-				Err:         t.Err,
-				TimedOut:    t.TimedOut,
-				Metrics:     t.Metrics,
-				Attribution: t.Attribution,
-				Telemetry:   t.Telemetry,
-				Report:      t.Report,
+				Type:       "trial",
+				Experiment: t.ExperimentID,
+				Replicate:  t.Replicate,
+				Seed:       t.Seed,
+				WallMS:     float64(t.WallTime.Microseconds()) / 1000,
+				Events:     t.Events,
+				Engines:    t.Engines,
+				Err:        t.Err,
+				TimedOut:   t.TimedOut,
+				Metrics:    t.Metrics,
+				Telemetry:  t.Telemetry,
+				Report:     t.Report,
 			}); err != nil {
 				return err
 			}
@@ -174,10 +175,11 @@ type Artifact struct {
 
 // ReadArtifact decodes a JSONL artifact produced by any schema version so
 // far. Version 1 predates the schema_version field and decodes with
-// SchemaVersion 1; version 2 lacks the attribution map (left nil); version 3
-// lacks the telemetry map (left nil); version 5's per-trial retries count
-// is ignored; unknown line types are skipped, so newer minor additions stay
-// readable too.
+// SchemaVersion 1; a version 3–6 trial's attribution map is merged into its
+// Metrics (attribution labels are never VM labels, so no key collides);
+// version 3 lacks the telemetry map (left nil); version 5's per-trial
+// retries count is ignored; unknown line types are skipped, so newer minor
+// additions stay readable too.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
 	a := &Artifact{}
 	sc := bufio.NewScanner(r)
@@ -203,9 +205,16 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 			}
 			sawRun = true
 		case "trial":
-			var t TrialRecord
+			var t struct {
+				TrialRecord
+				Attribution map[string]float64 `json:"attribution"`
+			}
 			if err = json.Unmarshal(line, &t); err == nil {
-				a.Trials = append(a.Trials, t)
+				if len(t.Attribution) > 0 && t.Metrics == nil {
+					t.Metrics = make(map[string]float64, len(t.Attribution))
+				}
+				maps.Copy(t.Metrics, t.Attribution)
+				a.Trials = append(a.Trials, t.TrialRecord)
 			}
 		case "aggregate":
 			var ag AggregateRecord

@@ -2,36 +2,38 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"vsched/internal/experiments"
+	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
 )
 
-// attribRunner is a synthetic runner that tracks an attribution snapshot, so
-// the artifact round-trip exercises the schema-3 trial field.
-func attribRunner(id string) experiments.Runner {
+// metricsRunner is a synthetic runner that tracks one registry, so the
+// artifact round-trip exercises the per-trial metrics map.
+func metricsRunner(id string) experiments.Runner {
 	r := synthetic(id)
 	inner := r.Run
 	r.Run = func(o experiments.Options) *experiments.Report {
-		o.Stats.TrackAttribution(id+"/vm", map[string]float64{
-			"spans":            12,
-			"steal_wait_share": 0.25,
-		})
+		reg := metrics.NewRegistry()
+		reg.Gauge("spans").Set(12)
+		reg.Gauge("steal_wait_share").Set(0.25)
+		o.Stats.TrackRegistry(id+"/vm", reg)
 		return inner(o)
 	}
 	return r
 }
 
-// TestArtifactRoundTrip writes a schema-3 artifact and reads it back with
-// ReadArtifact: header, per-trial attribution, aggregates and summary must
-// all survive the trip.
+// TestArtifactRoundTrip writes an artifact and reads it back with
+// ReadArtifact: header, per-trial metrics, aggregates and summary must all
+// survive the trip.
 func TestArtifactRoundTrip(t *testing.T) {
 	res := Run(Config{
-		Runners:  []experiments.Runner{attribRunner("synA"), synthetic("synB")},
+		Runners:  []experiments.Runner{metricsRunner("synA"), synthetic("synB")},
 		BaseSeed: 7, Reps: 2,
 	})
 	var buf bytes.Buffer
@@ -57,12 +59,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 		}
 		switch tr.Experiment {
 		case "synA":
-			if got := tr.Attribution["synA/vm.steal_wait_share"]; got != 0.25 {
-				t.Fatalf("attribution lost: %v", tr.Attribution)
+			if got := tr.Metrics["synA/vm.steal_wait_share"]; got != 0.25 {
+				t.Fatalf("metrics lost: %v", tr.Metrics)
 			}
 		case "synB":
-			if tr.Attribution != nil {
-				t.Fatalf("synB tracked no attribution, got %v", tr.Attribution)
+			if tr.Metrics != nil {
+				t.Fatalf("synB tracked no registry, got %v", tr.Metrics)
 			}
 		}
 	}
@@ -104,6 +106,14 @@ const v5Artifact = `{"type":"run","schema_version":5,"base_seed":42,"reps":1,"wo
 {"type":"summary","wall_ms":8.9,"events":900,"trials":1,"failed":0}
 `
 
+// v6Artifact is a canned schema-6 artifact, byte-for-byte in the shape
+// WriteArtifact produced before the v7 bump: a trial carrying both the VM
+// metrics and the separate attribution map that schema 7 folds into them.
+const v6Artifact = `{"type":"run","schema_version":6,"base_seed":42,"reps":1,"workers":2,"scale":1,"experiments":["attrib"],"seeds":[42]}
+{"type":"trial","experiment":"attrib","replicate":0,"seed":42,"wall_ms":6.3,"events":800,"engines":9,"metrics":{"vm.sched.steals":5},"attribution":{"attrib/p/c.spans":7,"attrib/p/c.steal_wait_share":0.125},"report":{"ID":"attrib","Title":"t","Header":["a"],"Rows":[["1"]]}}
+{"type":"summary","wall_ms":6.9,"events":800,"trials":1,"failed":0}
+`
+
 // v1Artifact predates the schema_version field entirely.
 const v1Artifact = `{"type":"run","base_seed":1,"reps":1,"workers":1,"scale":1,"experiments":["fig3"],"seeds":[1]}
 {"type":"trial","experiment":"fig3","replicate":0,"seed":1,"wall_ms":1,"events":10,"engines":1}
@@ -122,9 +132,6 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 		t.Fatalf("v2 trials %d", len(a.Trials))
 	}
 	tr := a.Trials[0]
-	if tr.Attribution != nil {
-		t.Fatalf("v2 trial must decode with nil attribution, got %v", tr.Attribution)
-	}
 	if tr.Metrics["vm.sched.steals"] != 3 || tr.Report == nil || tr.Report.ID != "fig3" {
 		t.Fatalf("v2 trial fields lost: %+v", tr)
 	}
@@ -141,8 +148,8 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 	}
 	if tr := a.Trials[0]; tr.Telemetry != nil {
 		t.Fatalf("v3 trial must decode with nil telemetry, got %v", tr.Telemetry)
-	} else if tr.Attribution["p.steal_wait_share"] != 0.5 {
-		t.Fatalf("v3 attribution lost: %+v", tr)
+	} else if len(tr.Metrics) != 1 || tr.Metrics["p.steal_wait_share"] != 0.5 {
+		t.Fatalf("v3 attribution must land in Metrics: %+v", tr)
 	}
 
 	a, err = ReadArtifact(strings.NewReader(v4Artifact))
@@ -166,6 +173,18 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 	if tr := a.Trials[0]; tr.Events != 900 || tr.Engines != 2 ||
 		tr.Metrics["vm.sched.steals"] != 4 || tr.Report == nil || tr.Report.ID != "fig3" {
 		t.Fatalf("v5 trial fields lost: %+v", tr)
+	}
+
+	a, err = ReadArtifact(strings.NewReader(v6Artifact))
+	if err != nil {
+		t.Fatalf("v6 artifact must stay readable: %v", err)
+	}
+	if a.Run.SchemaVersion != 6 {
+		t.Fatalf("v6 schema read as %d", a.Run.SchemaVersion)
+	}
+	want := map[string]float64{"vm.sched.steals": 5, "attrib/p/c.spans": 7, "attrib/p/c.steal_wait_share": 0.125}
+	if tr := a.Trials[0]; !reflect.DeepEqual(tr.Metrics, want) || tr.Engines != 9 || tr.Report == nil {
+		t.Fatalf("v6 metrics and attribution must merge into Metrics: %+v", tr)
 	}
 
 	a, err = ReadArtifact(strings.NewReader(v1Artifact))
@@ -192,8 +211,8 @@ func TestReadArtifactRejectsGarbage(t *testing.T) {
 }
 
 // TestHarnessAttributionFlows runs the real attrib experiment once through
-// the harness at a tiny scale and checks the flattened attribution reaches
-// the trial result and the artifact.
+// the harness at a tiny scale and checks each profile's summary reaches the
+// trial's metrics and the artifact.
 func TestHarnessAttributionFlows(t *testing.T) {
 	r, ok := experiments.ByID("attrib")
 	if !ok {
@@ -204,16 +223,13 @@ func TestHarnessAttributionFlows(t *testing.T) {
 	if !tr.OK() {
 		t.Fatalf("attrib trial failed: %s", tr.Err)
 	}
-	if len(tr.Attribution) == 0 {
-		t.Fatal("attrib trial produced no attribution snapshot")
-	}
 	want := "attrib/balanced-5ms/baseline.steal_wait_share"
-	if _, ok := tr.Attribution[want]; !ok {
-		keys := make([]string, 0, len(tr.Attribution))
-		for k := range tr.Attribution {
+	if _, ok := tr.Metrics[want]; !ok {
+		keys := make([]string, 0, len(tr.Metrics))
+		for k := range tr.Metrics {
 			keys = append(keys, k)
 		}
-		t.Fatalf("attribution missing %q (have e.g. %v)", want, keys[:min(4, len(keys))])
+		t.Fatalf("metrics missing %q (have e.g. %v)", want, keys[:min(4, len(keys))])
 	}
 	var buf bytes.Buffer
 	if err := res.WriteArtifact(&buf); err != nil {
@@ -223,8 +239,8 @@ func TestHarnessAttributionFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Trials[0].Attribution[want]; got != tr.Attribution[want] {
-		t.Fatalf("artifact attribution %v != trial %v", got, tr.Attribution[want])
+	if got := a.Trials[0].Metrics[want]; got != tr.Metrics[want] {
+		t.Fatalf("artifact metric %v != trial %v", got, tr.Metrics[want])
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,21 +46,15 @@ type Config struct {
 	// instead of killing the run.
 	Timeout time.Duration
 	// Obs, when non-nil, receives the trial lifecycle (run start/done,
-	// trial start/done with truncated errors) for live HTTP observation.
-	// Publishing goes through the bounded bus and reads nothing back, so
-	// attaching it cannot perturb results. The harness publishes no metric
-	// mirror, so a served run's /metrics carries only obshttp's own
+	// trial start/done with run-level tallies, the trial's wall time and
+	// truncated errors). It is the harness's one observation output: the
+	// live HTTP stream and the stderr progress line are both readers of its
+	// bus. Publishing goes through the bounded bus and reads nothing back,
+	// so attaching it cannot perturb results. The harness publishes no
+	// metric mirror, so a served run's /metrics carries only obshttp's own
 	// vsched_obs_* counters (events published, scrapes served).
 	Obs *progress.Publisher
-	// Heartbeat, when non-nil, receives a plain-text progress line (trials
-	// done/total, failures, mean trial wall time, ETA) every heartbeatEvery.
-	// Intended for stderr on long interactive runs; off by default so CI
-	// logs stay clean.
-	Heartbeat io.Writer
 }
-
-// heartbeatEvery rate-limits heartbeat lines.
-const heartbeatEvery = 2 * time.Second
 
 func (c Config) normalized() Config {
 	if c.Runners == nil {
@@ -110,14 +102,11 @@ type TrialResult struct {
 	// over every engine it built; Engines is how many it built.
 	Events  uint64
 	Engines int
-	// Metrics is the flattened snapshot of every VM metrics registry the
-	// trial built, keyed "<vm-label>.<instrument>"; nil when the trial
-	// deployed no VMs or was abandoned.
+	// Metrics is the flattened snapshot of every metrics registry the
+	// trial tracked, keyed "<label>.<instrument>": its VMs' registries and
+	// the published summaries of its latency-attribution profiles; nil when
+	// the trial tracked none or was abandoned.
 	Metrics map[string]float64
-	// Attribution is the flattened snapshot of every latency-attribution
-	// profile the trial tracked (experiments that run latprof), keyed
-	// "<profile-label>.<metric>"; nil when the trial tracked none.
-	Attribution map[string]float64
 	// Telemetry holds the deterministic flight-recorder snapshot of every
 	// telemetry recorder the trial tracked, keyed by recorder label; nil when
 	// the trial tracked none.
@@ -253,80 +242,25 @@ func Run(cfg Config) *Result {
 	return res
 }
 
-// runTracker is the harness's progress side-channel: trial lifecycle events
-// onto the bounded bus (multi-producer safe) plus the optional stderr
-// heartbeat.
+// runTracker publishes the trial lifecycle onto the bounded bus
+// (multi-producer safe) with run-level tallies.
 type runTracker struct {
 	obs   *progress.Publisher
 	total int64
 
-	done    atomic.Int64
-	failed  atomic.Int64
-	wallNS  atomic.Int64
-	started time.Time
-
-	hb      io.Writer
-	stop    chan struct{}
-	stopped sync.WaitGroup
+	done   atomic.Int64
+	failed atomic.Int64
 }
 
 func newRunTracker(cfg Config, total int) *runTracker {
-	return &runTracker{
-		obs:     cfg.Obs,
-		total:   int64(total),
-		hb:      cfg.Heartbeat,
-		started: time.Now(),
-	}
+	return &runTracker{obs: cfg.Obs, total: int64(total)}
 }
 
 func (t *runTracker) start() {
-	if t.obs != nil {
-		t.obs.Publish(progress.Event{Kind: progress.KindRunStart, Total: t.total})
-	}
-	if t.hb == nil {
-		return
-	}
-	t.stop = make(chan struct{})
-	t.stopped.Add(1)
-	go func() {
-		defer t.stopped.Done()
-		tick := time.NewTicker(heartbeatEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stop:
-				return
-			case <-tick.C:
-				t.beat()
-			}
-		}
-	}()
-}
-
-// beat writes one plain-text progress line: done/total, failures, mean trial
-// wall time, and a worker-corrected ETA for the remainder.
-func (t *runTracker) beat() {
-	done := t.done.Load()
-	line := fmt.Sprintf("harness: %d/%d trials", done, t.total)
-	if f := t.failed.Load(); f > 0 {
-		line += fmt.Sprintf(" (%d failed)", f)
-	}
-	if done > 0 {
-		mean := time.Duration(t.wallNS.Load() / done).Round(time.Millisecond)
-		line += fmt.Sprintf(", mean %v/trial", mean)
-		if left := t.total - done; left > 0 {
-			elapsed := time.Since(t.started)
-			eta := time.Duration(float64(elapsed) / float64(done) * float64(left)).Round(time.Second)
-			line += fmt.Sprintf(", eta ~%v", eta)
-		}
-	}
-	fmt.Fprintln(t.hb, line)
+	t.obs.Publish(progress.Event{Kind: progress.KindRunStart, Total: t.total})
 }
 
 func (t *runTracker) trialStart(slot *TrialResult) {
-	if t.obs == nil {
-		return
-	}
 	t.obs.Publish(progress.Event{
 		Kind:      progress.KindTrialStart,
 		Label:     slot.ExperimentID,
@@ -344,10 +278,6 @@ func (t *runTracker) trialDone(slot *TrialResult) {
 	} else {
 		failed = t.failed.Load()
 	}
-	t.wallNS.Add(int64(slot.WallTime))
-	if t.obs == nil {
-		return
-	}
 	detail := slot.Err
 	if len(detail) > 80 {
 		detail = detail[:80]
@@ -360,25 +290,18 @@ func (t *runTracker) trialDone(slot *TrialResult) {
 		Done:      done,
 		Total:     t.total,
 		Failed:    failed,
+		WallNS:    int64(slot.WallTime),
 	})
 }
 
-// finish emits the terminal event and the final heartbeat, then stops the
-// heartbeat goroutine.
+// finish emits the terminal event.
 func (t *runTracker) finish(res *Result) {
-	if t.stop != nil {
-		close(t.stop)
-		t.stopped.Wait()
-		t.beat()
-	}
-	if t.obs != nil {
-		t.obs.Publish(progress.Event{
-			Kind:   progress.KindRunDone,
-			Done:   t.done.Load(),
-			Total:  t.total,
-			Failed: int64(res.Failed()),
-		})
-	}
+	t.obs.Publish(progress.Event{
+		Kind:   progress.KindRunDone,
+		Done:   t.done.Load(),
+		Total:  t.total,
+		Failed: int64(res.Failed()),
+	})
 }
 
 // abandonGrace is how long a timed-out trial gets to unwind after its
@@ -419,7 +342,6 @@ func runTrial(slot *TrialResult, r experiments.Runner, cfg Config) {
 		slot.Events = stats.EventsFired()
 		slot.Engines = stats.Engines()
 		slot.Metrics = stats.MetricsSnapshot()
-		slot.Attribution = stats.AttributionSnapshot()
 		slot.Telemetry = stats.TelemetrySnapshot()
 		slot.TimedOut = timedOut
 		switch {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -73,8 +72,9 @@ func TestObsTrialLifecycle(t *testing.T) {
 		t.Fatalf("last event: %+v", last)
 	}
 
-	// Done tallies on trial_done events are a permutation of 1..6, and the
-	// failing experiment's trials carry the truncated panic text.
+	// Done tallies on trial_done events are a permutation of 1..6, each
+	// carries its trial's wall time, and the failing experiment's trials
+	// carry the truncated panic text.
 	seen := map[int64]bool{}
 	for _, ev := range evs {
 		if ev.Kind != progress.KindTrialDone {
@@ -84,6 +84,9 @@ func TestObsTrialLifecycle(t *testing.T) {
 			t.Fatalf("duplicate done tally %d", ev.Done)
 		}
 		seen[ev.Done] = true
+		if ev.WallNS <= 0 {
+			t.Fatalf("trial_done %d carries no wall time: %+v", ev.Done, ev)
+		}
 		if ev.Label == "boom" {
 			if !strings.Contains(ev.Detail, "kaboom") {
 				t.Fatalf("boom trial detail = %q", ev.Detail)
@@ -117,38 +120,5 @@ func TestObsInert(t *testing.T) {
 				t.Fatalf("trial %s/%d diverged with obs attached", d.ID, j)
 			}
 		}
-	}
-}
-
-// TestHeartbeat checks the stderr heartbeat ticks, mentions progress, and
-// stays plain text.
-func TestHeartbeat(t *testing.T) {
-	var buf bytes.Buffer
-	Run(Config{
-		Runners:   fakeRunners()[:1],
-		BaseSeed:  1,
-		Reps:      2,
-		Heartbeat: &buf,
-	})
-	out := buf.String()
-	if !strings.Contains(out, "harness: 2/2 trials") {
-		t.Fatalf("final heartbeat missing:\n%s", out)
-	}
-	if strings.ContainsAny(out, "{}") {
-		t.Fatalf("heartbeat is not plain text:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !strings.HasPrefix(line, "harness: ") {
-			t.Fatalf("unexpected heartbeat line %q", line)
-		}
-	}
-}
-
-// TestHeartbeatOffByDefault: no writer, no output machinery — Run simply
-// works and the tracker spawns nothing.
-func TestHeartbeatOffByDefault(t *testing.T) {
-	res := Run(Config{Runners: fakeRunners()[:1], BaseSeed: 1, Reps: 1})
-	if res.Failed() != 0 {
-		t.Fatalf("failed = %d", res.Failed())
 	}
 }

@@ -174,20 +174,11 @@ func (h *Host) Relation(a, b ThreadID) cachemodel.Relation {
 // Entities returns all entities ever registered (vCPUs and contenders).
 func (h *Host) Entities() []*Entity { return h.entities }
 
-// SetObserver replaces all host-wide state-transition observers with fn.
-// Observers fire after any per-entity observers, for every entity —
-// including ones created later — and must not synchronously change
-// schedulability (same contract as Client callbacks). Pass nil to remove.
-func (h *Host) SetObserver(fn func(e *Entity, now sim.Time, from, to EntityState)) {
-	if fn == nil {
-		h.observers = nil
-		return
-	}
-	h.observers = []func(e *Entity, now sim.Time, from, to EntityState){fn}
-}
-
 // AddObserver appends a host-wide state-transition observer without
-// disturbing observers already installed. Same contract as SetObserver.
+// disturbing observers already installed. Host observers fire in the order
+// added, after any per-entity observers, for every entity — including ones
+// created later — and must not synchronously change schedulability (same
+// contract as Client callbacks).
 func (h *Host) AddObserver(fn func(e *Entity, now sim.Time, from, to EntityState)) {
 	h.observers = append(h.observers, fn)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vsched/internal/host"
+	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/vtrace"
 )
@@ -290,8 +291,16 @@ func TestTruncatedSpansExcluded(t *testing.T) {
 	}
 }
 
-// TestFlatten: the flat map carries every cause and the span totals.
-func TestFlatten(t *testing.T) {
+// published is the profile's Publish output as a flat name->value map.
+func published(p *Profile) map[string]float64 {
+	reg := metrics.NewRegistry()
+	p.Publish(reg)
+	return reg.Snapshot().Flatten()
+}
+
+// TestPublish: the registry carries every cause and the span totals, all as
+// gauges.
+func TestPublish(t *testing.T) {
 	f := newFeed(2.0)
 	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
 	f.speed(0, 0, 2e6)
@@ -303,11 +312,22 @@ func TestFlatten(t *testing.T) {
 	f.off(at(7), "a", 2, 0, 0)
 
 	prof := f.p.Finish(at(7))
-	flat := prof.Flatten()
+	reg := metrics.NewRegistry()
+	prof.Publish(reg)
+	snap := reg.Snapshot()
+	if want := 4 + 3*len(Causes()); len(snap) != want {
+		t.Fatalf("published %d instruments, want %d", len(snap), want)
+	}
+	for _, e := range snap {
+		if e.Kind != "gauge" {
+			t.Fatalf("%s published as a %s, want a gauge", e.Name, e.Kind)
+		}
+	}
+	flat := snap.Flatten()
 	for _, c := range Causes() {
 		for _, suffix := range []string{"_ns", "_share", "_p95_ns"} {
 			if _, ok := flat[c.Key()+suffix]; !ok {
-				t.Fatalf("Flatten missing %s%s", c.Key(), suffix)
+				t.Fatalf("Publish missing %s%s", c.Key(), suffix)
 			}
 		}
 	}

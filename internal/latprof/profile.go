@@ -126,23 +126,21 @@ func (p *Profile) TopBlame(n int) []Blame {
 	return out
 }
 
-// Flatten renders the profile as a flat metric map for artifacts: totals
-// and shares per cause, p95 per-span component per cause, and the
-// reconstruction counters.
-func (p *Profile) Flatten() map[string]float64 {
-	out := map[string]float64{
-		"spans":     float64(len(p.Spans)),
-		"open":      float64(p.Open),
-		"truncated": float64(p.Truncated),
-		"dropped":   float64(p.DroppedEvents),
-	}
+// Publish sets the profile's scalar summary as gauges in reg: the
+// reconstruction counters (spans, open, truncated, dropped), then per cause,
+// in Causes() order, its total (<cause>_ns), its share of wall time
+// (<cause>_share) and its p95 per-span component (<cause>_p95_ns).
+func (p *Profile) Publish(reg *metrics.Registry) {
+	reg.Gauge("spans").Set(float64(len(p.Spans)))
+	reg.Gauge("open").Set(float64(p.Open))
+	reg.Gauge("truncated").Set(float64(p.Truncated))
+	reg.Gauge("dropped").Set(float64(p.DroppedEvents))
 	tot := p.Totals()
 	for _, c := range Causes() {
-		out[c.Key()+"_ns"] = float64(tot.NS[c])
-		out[c.Key()+"_share"] = tot.Share(c)
-		out[c.Key()+"_p95_ns"] = float64(p.Hist(c).P95())
+		reg.Gauge(c.Key() + "_ns").Set(float64(tot.NS[c]))
+		reg.Gauge(c.Key() + "_share").Set(tot.Share(c))
+		reg.Gauge(c.Key() + "_p95_ns").Set(float64(p.Hist(c).P95()))
 	}
-	return out
 }
 
 // ChromeTrack renders the spans as a Perfetto-loadable attribution track:

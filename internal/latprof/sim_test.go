@@ -102,8 +102,8 @@ func TestLivePostHocEquivalence(t *testing.T) {
 	if len(live.Spans) != len(post.Spans) {
 		t.Fatalf("live %d spans vs post-hoc %d", len(live.Spans), len(post.Spans))
 	}
-	if !reflect.DeepEqual(live.Flatten(), post.Flatten()) {
-		t.Fatalf("live vs post-hoc flatten mismatch:\n%v\n%v", live.Flatten(), post.Flatten())
+	if lp, pp := published(live), published(post); !reflect.DeepEqual(lp, pp) {
+		t.Fatalf("live vs post-hoc summary mismatch:\n%v\n%v", lp, pp)
 	}
 	if live.String() != post.String() {
 		t.Fatalf("live vs post-hoc report mismatch:\n%s\n%s", live.String(), post.String())
@@ -143,10 +143,10 @@ func TestStealBlameNamesContender(t *testing.T) {
 func TestChromeTrackExport(t *testing.T) {
 	prof, tr := contendedRig(42)
 	var a, b bytes.Buffer
-	if err := tr.WriteChrome(&a, prof.ChromeTrack()); err != nil {
+	if err := tr.WriteChrome(&a, []vtrace.SpanTrack{prof.ChromeTrack()}, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	if err := tr.WriteChrome(&b, prof.ChromeTrack()); err != nil {
+	if err := tr.WriteChrome(&b, []vtrace.SpanTrack{prof.ChromeTrack()}, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

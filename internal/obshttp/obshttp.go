@@ -13,8 +13,8 @@ package obshttp
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -29,8 +29,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Log receives structured server logs; nil discards them.
-	Log *slog.Logger
 	// BusSize is the per-run progress ring capacity (progress.DefaultBusSize
 	// if <= 0).
 	BusSize int
@@ -39,31 +37,23 @@ type Options struct {
 	PollInterval time.Duration
 }
 
-// Run is one registered simulation run: a stable ID, the publisher handles
-// the simulation writes into, and a run-scoped logger.
+// Run is one registered simulation run: a stable ID and the publisher
+// handles the simulation writes into.
 type Run struct {
 	ID  string
 	pub *progress.Publisher
-	log *slog.Logger
 }
 
 // Publisher returns the handles the simulation publishes through. Pass it
 // to harness.Config.Obs.
 func (r *Run) Publisher() *progress.Publisher { return r.pub }
 
-// Log returns the run-scoped structured logger.
-func (r *Run) Log() *slog.Logger { return r.log }
-
 // Finish marks the run's bus done so event streams drain and close. The run
 // stays registered: its final mirror snapshot remains scrape-visible.
-func (r *Run) Finish() {
-	r.pub.MarkDone()
-	r.log.Info("run finished", "events", r.pub.Bus.Seq())
-}
+func (r *Run) Finish() { r.pub.MarkDone() }
 
 // Server is the embeddable observability HTTP server.
 type Server struct {
-	log  *slog.Logger
 	mux  *http.ServeMux
 	poll time.Duration
 	bus  int
@@ -82,12 +72,7 @@ type Server struct {
 
 // New builds a server with no runs registered.
 func New(opts Options) *Server {
-	log := opts.Log
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	s := &Server{
-		log:  log,
 		mux:  http.NewServeMux(),
 		poll: opts.PollInterval,
 		bus:  opts.BusSize,
@@ -123,14 +108,9 @@ func (s *Server) Register(id string) *Run {
 		}
 		id = base + "-" + strconv.Itoa(n)
 	}
-	r := &Run{
-		ID:  id,
-		pub: progress.NewPublisher(s.bus),
-		log: s.log.With("run", id),
-	}
+	r := &Run{ID: id, pub: progress.NewPublisher(s.bus)}
 	s.runs = append(s.runs, r)
 	s.byID[id] = r
-	r.log.Info("run registered")
 	return r
 }
 
@@ -165,14 +145,10 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	}
 	s.lis = lis
 	s.srv = &http.Server{Handler: s.mux}
-	go func() {
-		if err := s.srv.Serve(lis); err != nil && err != http.ErrServerClosed {
-			s.log.Error("obs server exited", "err", err)
-		}
-	}()
-	bound := lis.Addr().String()
-	s.log.Info("obs server listening", "addr", bound)
-	return bound, nil
+	// Serve returns http.ErrServerClosed once Close is called; observation
+	// is best effort, so a listener that fails earlier just stops serving.
+	go s.srv.Serve(lis)
+	return lis.Addr().String(), nil
 }
 
 // Close stops the listener and all in-flight handlers.
@@ -181,6 +157,30 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
+}
+
+// drainGrace is how long Serve's stop keeps the listener up after marking
+// the run finished, so attached stream consumers can read their terminal
+// record before the process exits.
+const drainGrace = 100 * time.Millisecond
+
+// Serve is the -serve lifecycle the CLIs share: it starts a server on addr,
+// registers one run under id, and announces the bound address on w (the
+// CLI's stderr). stop marks the run finished, waits drainGrace, and closes
+// the server.
+func Serve(addr, id string, w io.Writer) (run *Run, stop func(), err error) {
+	s := New(Options{})
+	bound, err := s.ListenAndServe(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	run = s.Register(id)
+	fmt.Fprintf(w, "observability: http://%s/metrics, /runs/%s/events\n", bound, run.ID)
+	return run, func() {
+		run.Finish()
+		time.Sleep(drainGrace)
+		s.Close()
+	}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -280,7 +280,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 
 	bus := run.pub.Bus
 	reader := bus.NewReader(true)
-	run.log.Info("event stream attached", "sse", sse)
 	var (
 		received     uint64
 		reportedDrop uint64
@@ -319,12 +318,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 			if flusher != nil {
 				flusher.Flush()
 			}
-			run.log.Info("event stream drained", "received", received, "dropped", reader.Dropped())
 			return
 		}
 		select {
 		case <-req.Context().Done():
-			run.log.Info("event stream client gone", "received", received, "dropped", reader.Dropped())
 			return
 		case <-ticker.C:
 		}

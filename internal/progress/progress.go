@@ -40,7 +40,8 @@ const (
 	// starting; Label is the experiment ID.
 	KindTrialStart
 	// KindTrialDone marks a trial settling; Detail carries a truncated error
-	// for failures, and Done/Failed the run-level tallies after this trial.
+	// for failures, Done/Failed the run-level tallies after this trial, and
+	// WallNS the trial's wall time.
 	KindTrialDone
 	// KindEpoch is one step of a stepped run (a vschedsim virtual second):
 	// Epoch counts steps, Done/Total the progress through the run.
@@ -84,6 +85,8 @@ type Event struct {
 	Done   int64 `json:"done,omitempty"`
 	Total  int64 `json:"total,omitempty"`
 	Failed int64 `json:"failed,omitempty"`
+	// WallNS is a settled trial's host wall time in nanoseconds.
+	WallNS int64 `json:"wall_ns,omitempty"`
 }
 
 // Bus is the bounded multi-producer broadcast ring. Publishers and readers

@@ -20,30 +20,6 @@ func tracedRun() *Tracer {
 	return tr
 }
 
-// TestWriteChromeTracksByteIdentity pins the refactor: with no counter
-// tracks, WriteChromeTracks must produce byte-identical output to the
-// original WriteChrome path, spans included.
-func TestWriteChromeTracksByteIdentity(t *testing.T) {
-	tr := tracedRun()
-	spans := []SpanTrack{{
-		Process: "attrib",
-		Threads: []SpanThread{{
-			Name:   "t0",
-			Slices: []SpanSlice{{Name: "wait", From: 100, To: 200, Args: []SpanArg{{Key: "ns", Value: 100}}}},
-		}},
-	}}
-	var a, b bytes.Buffer
-	if err := tr.WriteChrome(&a, spans...); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChromeTracks(&b, spans, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("WriteChromeTracks(spans, nil) differs from WriteChrome(spans...)")
-	}
-}
-
 func TestCounterTrackExport(t *testing.T) {
 	tr := tracedRun()
 	counters := []CounterTrack{{
@@ -54,7 +30,7 @@ func TestCounterTrackExport(t *testing.T) {
 		},
 	}}
 	var b bytes.Buffer
-	if err := tr.WriteChromeTracks(&b, nil, counters); err != nil {
+	if err := tr.WriteChrome(&b, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -99,7 +75,7 @@ func TestCounterTrackHostileNames(t *testing.T) {
 		})
 	}
 	var b bytes.Buffer
-	if err := New(4).WriteChromeTracks(&b, nil, counters); err != nil {
+	if err := New(4).WriteChrome(&b, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -136,7 +112,7 @@ func TestCounterTrackNonFiniteValues(t *testing.T) {
 		}}},
 	}}
 	var b bytes.Buffer
-	if err := New(4).WriteChromeTracks(&b, nil, counters); err != nil {
+	if err := New(4).WriteChrome(&b, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

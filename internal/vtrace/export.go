@@ -123,19 +123,12 @@ type openSlice struct {
 }
 
 // WriteChrome exports the buffered events as Chrome Trace Event Format
-// JSON. Safe on a nil tracer (writes an empty trace). Extra SpanTracks —
-// derived data such as attribution spans — are appended as additional trace
-// processes after the event-derived ones, and the trailer records the
-// tracer's emitted/dropped totals so a consumer can tell whether ring
-// wrap-around lost events.
-func (tr *Tracer) WriteChrome(w io.Writer, extra ...SpanTrack) error {
-	return tr.WriteChromeTracks(w, extra, nil)
-}
-
-// WriteChromeTracks is WriteChrome with counter tracks too: spans become
-// slice processes, counters become Perfetto counter processes after them.
-// With no counters it produces byte-identical output to WriteChrome.
-func (tr *Tracer) WriteChromeTracks(w io.Writer, spans []SpanTrack, counters []CounterTrack) error {
+// JSON. Safe on a nil tracer (writes an empty trace). Span tracks — derived
+// data such as attribution spans — are appended as additional slice
+// processes after the event-derived ones, counter tracks as Perfetto counter
+// processes after them, and the trailer records the tracer's emitted/dropped
+// totals so a consumer can tell whether ring wrap-around lost events.
+func (tr *Tracer) WriteChrome(w io.Writer, spans []SpanTrack, counters []CounterTrack) error {
 	e := &exporter{
 		w:         bufio.NewWriter(w),
 		tr:        tr,

@@ -156,7 +156,7 @@ func TestWrapAroundExportMetadata(t *testing.T) {
 		t.Fatalf("summary missing drop accounting:\n%s", s)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -176,7 +176,7 @@ func TestWrapAroundExportMetadata(t *testing.T) {
 	tr2 := New(0)
 	tr2.Emit(0, KindBalance, "vm", 0, 0, 0)
 	buf.Reset()
-	if err := tr2.WriteChrome(&buf); err != nil {
+	if err := tr2.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"droppedEvents":0`)) {
@@ -253,7 +253,7 @@ func TestFaultStormDropAccounting(t *testing.T) {
 	// The Chrome export of a fault storm must stay valid JSON and carry the
 	// same accounting.
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -317,7 +317,7 @@ func TestExportFormatting(t *testing.T) {
 	tr.Emit(1500, KindVCPUSpeed, "vm", 2, 1_234_567, 0)
 	tr.Emit(2500, KindCapSample, "vm", 1, 900, 0)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -338,7 +338,7 @@ func TestExportFormatting(t *testing.T) {
 	tr = New(0)
 	tr.Emit(10, KindTaskWakeup, hostile, 0, 0, -1)
 	buf.Reset()
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -367,7 +367,7 @@ func TestExportFormatting(t *testing.T) {
 	}}}
 	tr = New(0)
 	buf.Reset()
-	if err := tr.WriteChrome(&buf, track); err != nil {
+	if err := tr.WriteChrome(&buf, []SpanTrack{track}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &struct{}{}); err != nil {
@@ -394,7 +394,7 @@ func TestNilTracerIsInert(t *testing.T) {
 		t.Fatalf("nil summary: %q", got)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatalf("nil WriteChrome: %v", err)
 	}
 	var doc map[string]any
@@ -437,7 +437,7 @@ func traceScenario(t *testing.T) []byte {
 	tr := New(0)
 	contendedEntity(t, func(h *host.Host, e *host.Entity) { AttachHost(tr, h) })
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	return buf.Bytes()
