@@ -74,8 +74,9 @@ echo "== go test -race -short $race_pkgs"
 # harness publishes. Both CLIs' -serve inertness tests
 # (TestServeAndProgressInert, TestServeStdoutInert) run a live HTTP server
 # beside the run loop, vschedsim's TestWatchStdoutInert prints its -watch
-# tables at the same run-loop safepoints, and experiments' TestHeartbeat
-# reads the harness's progress bus while trials publish to it.
+# tables at the same run-loop safepoints, and the TestHeartbeat tests of
+# internal/harness and experiments read the harness's progress bus while
+# trials publish to it.
 # shellcheck disable=SC2086 # word splitting of the package list is intended
 go test -race -short $race_pkgs
 
@@ -85,10 +86,11 @@ go test -race -short $race_pkgs
 echo "== progress bus concurrency (-race -count=20)"
 go test -race -count=20 -run TestConcurrentPublishers ./internal/progress/
 
-# experiments -progress is a second reader of that bus, racing the trial
-# publishers, so its test runs twenty times under the race detector too.
+# The heartbeat (experiments -progress) is a second reader of that bus,
+# racing the trial publishers, so its tests run twenty times under the race
+# detector too.
 echo "== progress heartbeat (-race -count=20)"
-go test -race -count=20 -run TestHeartbeat ./cmd/experiments/
+go test -race -count=20 -run TestHeartbeat ./internal/harness/ ./cmd/experiments/
 
 # The parallelism budget's recruit/release counter is shared by every
 # par.Map in the process, nested ones included; a race in it would be just

@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	stopHeartbeat := func() {}
 	if *showProg {
-		stopHeartbeat = startHeartbeat(hcfg.Obs.Bus, stderr)
+		stopHeartbeat = harness.Heartbeat(hcfg.Obs.Bus, stderr)
 	}
 	res := harness.Run(hcfg)
 	stopHeartbeat()

@@ -1,4 +1,4 @@
-package main
+package harness
 
 import (
 	"fmt"
@@ -11,12 +11,13 @@ import (
 // heartbeatEvery rate-limits heartbeat lines.
 const heartbeatEvery = 2 * time.Second
 
-// startHeartbeat is -progress: a reader of the harness's progress bus that
-// writes one plain-text line to w every heartbeatEvery (trials done/total,
-// failures, mean trial wall time, ETA), and the final line once run_done
-// arrives. Call the returned stop after harness.Run has returned: it reads
-// the bus to its end, so the final line is written before stop returns.
-func startHeartbeat(bus *progress.Bus, w io.Writer) (stop func()) {
+// Heartbeat is a reader of the progress bus that Run publishes to (the
+// experiments CLI's -progress): it writes one plain-text line to w every
+// heartbeatEvery (trials done/total, failures, mean trial wall time, ETA),
+// and the final line once run_done arrives. Run itself writes nothing. Call
+// the returned stop after Run has returned: it reads the bus to its end, so
+// the final line is written before stop returns.
+func Heartbeat(bus *progress.Bus, w io.Writer) (stop func()) {
 	r := bus.NewReader(true)
 	quit := make(chan struct{})
 	exited := make(chan struct{})

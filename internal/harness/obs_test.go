@@ -122,3 +122,39 @@ func TestObsInert(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeat checks the heartbeat read off the run's progress bus ends
+// with the final tally, prefixes every line, and stays plain text.
+func TestHeartbeat(t *testing.T) {
+	var buf strings.Builder
+	pub := progress.NewPublisher(0)
+	stop := Heartbeat(pub.Bus, &buf)
+	Run(Config{
+		Runners:  fakeRunners()[:1],
+		BaseSeed: 1,
+		Reps:     2,
+		Obs:      pub,
+	})
+	stop()
+	out := buf.String()
+	if !strings.Contains(out, "harness: 2/2 trials") {
+		t.Fatalf("final heartbeat missing:\n%s", out)
+	}
+	if strings.ContainsAny(out, "{}") {
+		t.Fatalf("heartbeat is not plain text:\n%s", out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "harness: ") {
+			t.Fatalf("unexpected heartbeat line %q", line)
+		}
+	}
+}
+
+// TestHeartbeatOffByDefault: no publisher, no reader, no output machinery —
+// Run simply works.
+func TestHeartbeatOffByDefault(t *testing.T) {
+	res := Run(Config{Runners: fakeRunners()[:1], BaseSeed: 1, Reps: 1})
+	if res.Failed() != 0 {
+		t.Fatalf("failed = %d", res.Failed())
+	}
+}
