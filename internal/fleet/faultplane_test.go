@@ -314,14 +314,15 @@ func TestMicroFaultOutcomesPinned(t *testing.T) {
 
 // censusPinned is the digest of the sim.* series (the engine's event-queue
 // census: pending, wheel residency per level, occupied slots, overflow,
-// ready and free-pool depths) of the rig below, recorded before the engine
-// moved to an index arena. The census is part of the fleet experiment's telemetry bytes,
-// so any queue rewrite must leave every sample of it unchanged.
-const censusPinned = "ec1a000e93badc12623487664a5034ccb2dda2485567cb61cc0ad07dc4ae6b2a"
+// ready and free-pool depths) of the rig below: each series' summary stats
+// and every sample's time and value bits. The census is part of the fleet
+// experiment's telemetry bytes, so any queue rewrite, and any change to how
+// the recorder stores samples, must leave every sample of it unchanged.
+const censusPinned = "a53b5f59424915a54c11c493d11bcaeaa1d9264959c05dd76ca474e883e59b76"
 
 // TestEngineCensusPinned runs a small vSched micro fleet through crashes,
 // a brownout and a stall with recovery and telemetry on, and compares a
-// sha256 of every sim.* series in the deterministic snapshot, raw samples
+// sha256 of every sim.* series in the deterministic snapshot, every sample
 // included, with the pinned value.
 func TestEngineCensusPinned(t *testing.T) {
 	at := func(ms int) sim.Time { return sim.Time(0).Add(sim.Duration(ms) * sim.Millisecond) }
@@ -343,9 +344,19 @@ func TestEngineCensusPinned(t *testing.T) {
 			continue
 		}
 		n++
-		fmt.Fprintf(h, "%s count=%d min=%x max=%x mean=%x last=%x raw_n=%d raw=%x\n",
+		fmt.Fprintf(h, "%s count=%d min=%x max=%x mean=%x last=%x\n",
 			s.Name, s.Count, math.Float64bits(s.Min), math.Float64bits(s.Max),
-			math.Float64bits(s.Mean), math.Float64bits(s.Last), s.RawN, s.Raw)
+			math.Float64bits(s.Mean), math.Float64bits(s.Last))
+		pts, err := s.Points()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if uint64(len(pts)) != s.Count {
+			t.Fatalf("%s: window holds %d of %d samples", s.Name, len(pts), s.Count)
+		}
+		for _, p := range pts {
+			fmt.Fprintf(h, "%d %x\n", p.T, math.Float64bits(p.V))
+		}
 	}
 	if n != 10 {
 		t.Fatalf("snapshot holds %d sim.* series, want 10", n)
