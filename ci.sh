@@ -112,10 +112,13 @@ go test -race -count=20 -run Budget ./internal/par/
 # faults.Generate reseeds one Rand, so neither call's allocation count grows
 # with the trace or the fleet; and the macro tier keeps a 16-byte macroVM,
 # 32-byte service and 48-byte batch host records and a capped number of
-# bytes allocated per trace VM over a 24 h, 1024-host RunMacro.
+# bytes allocated per trace VM over a 24 h, 1024-host RunMacro; and a warm
+# flight recorder's sample pass stays under half an allocation
+# (internal/telemetry's TestRecorderAllocBudget).
 echo "== engine differential suite + alloc budgets (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/ ./internal/guest/ ./internal/workload/ \
-	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/ ./internal/fleet/
+	./internal/vtrace/ ./internal/latprof/ ./internal/cloudgen/ ./internal/faults/ ./internal/fleet/ \
+	./internal/telemetry/
 
 # Cell-parallel experiments under the race detector: a cell shares no
 # mutable state with its siblings, child Stats merge in cell order, and a
@@ -163,13 +166,14 @@ done
 # (BenchmarkEmitFleetSubjects, internal/vtrace), the attribution host fold's per-event cost
 # as profilers pile up (internal/latprof), the guest's mask-driven wakeup
 # selection at 16 and 64 vCPUs (internal/guest), the host's core-level
-# busy change with and without a turbo flip (internal/host) and the 96 h,
+# busy change with and without a turbo flip (internal/host), the 96 h,
 # 1024-host region trace and fault schedule (internal/cloudgen,
-# internal/faults). One iteration measures nothing; it only checks that
-# every benchmark still runs.
+# internal/faults) and a flight recorder's sample pass (internal/telemetry).
+# One iteration measures nothing; it only checks that every benchmark still
+# runs.
 echo "== go benchmarks (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/ \
-	./internal/cloudgen/ ./internal/faults/
+	./internal/cloudgen/ ./internal/faults/ ./internal/telemetry/
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48

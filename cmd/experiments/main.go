@@ -115,6 +115,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// Open the artifact before the run, so a bad -out path fails in
+	// milliseconds rather than after every trial has run.
+	var artifact *os.File
+	if *out != "" {
+		if artifact, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer artifact.Close()
+	}
+
 	hcfg := harness.Config{
 		Runners:  runners,
 		BaseSeed: *seed,
@@ -146,16 +157,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := harness.Run(hcfg)
 	stopHeartbeat()
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := res.WriteArtifact(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
+	if artifact != nil {
+		err := res.WriteArtifact(artifact)
+		if err == nil {
+			err = artifact.Close()
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, err)

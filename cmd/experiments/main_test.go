@@ -198,3 +198,17 @@ func TestServeBadAddrFails(t *testing.T) {
 		t.Fatalf("bad -serve addr exited %d, want 1 (stderr: %s)", code, errb.String())
 	}
 }
+
+// TestBadOutFailsBeforeRun: an -out path that cannot be created is a startup
+// error. The command exits 1 before any trial runs, so stderr holds the
+// create error and no "(N trials ...)" summary line.
+func TestBadOutFailsBeforeRun(t *testing.T) {
+	var out, errb strings.Builder
+	bad := filepath.Join(t.TempDir(), "missing", "x.jsonl")
+	if code := run([]string{"-run", "table2", "-out", bad}, &out, &errb); code != 1 {
+		t.Fatalf("bad -out exited %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if strings.Contains(errb.String(), "trials over") || out.Len() != 0 {
+		t.Fatalf("bad -out ran the trials first:\nstdout: %s\nstderr: %s", out.String(), errb.String())
+	}
+}

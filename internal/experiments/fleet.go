@@ -64,11 +64,8 @@ func fleetScale(o Options) ([]*fleet.Result, *Report) {
 	// A deliberately small recorder config: the memory check uses the
 	// provable bound, so it should be tight enough to mean something.
 	tcfg := telemetry.Config{
-		Interval:       o.scaled(25 * sim.Millisecond),
-		RawChunkPoints: 256,
-		RawChunks:      2,
-		Tier1Cap:       128,
-		Tier2Cap:       256,
+		Interval: o.scaled(25 * sim.Millisecond),
+		Buckets:  64,
 	}
 
 	policies := []fleet.Policy{fleet.FirstFit{}, fleet.LeastLoaded{}, fleet.StealAware{}}

@@ -347,15 +347,13 @@ func TestEngineCensusPinned(t *testing.T) {
 		fmt.Fprintf(h, "%s count=%d min=%x max=%x mean=%x last=%x\n",
 			s.Name, s.Count, math.Float64bits(s.Min), math.Float64bits(s.Max),
 			math.Float64bits(s.Mean), math.Float64bits(s.Last))
-		pts, err := s.Points()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
+		// Every sample must still be its own bucket: 500 samples fit the
+		// default store.
+		if uint64(len(s.Buckets)) != s.Count {
+			t.Fatalf("%s: window holds %d buckets for %d samples", s.Name, len(s.Buckets), s.Count)
 		}
-		if uint64(len(pts)) != s.Count {
-			t.Fatalf("%s: window holds %d of %d samples", s.Name, len(pts), s.Count)
-		}
-		for _, p := range pts {
-			fmt.Fprintf(h, "%d %x\n", p.T, math.Float64bits(p.V))
+		for _, b := range s.Buckets {
+			fmt.Fprintf(h, "%d %x\n", b.T0, math.Float64bits(b.Sum))
 		}
 	}
 	if n != 10 {

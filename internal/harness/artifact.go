@@ -51,8 +51,11 @@ func (r *Result) Text() string {
 // drops "attribution": each latency-attribution profile's summary is a
 // tracked registry, so its "<profile-label>.<metric>" keys sit in "metrics"
 // beside the VM keys (ReadArtifact merges a v3–v6 trial's attribution map
-// into its Metrics).
-const ArtifactSchemaVersion = 7
+// into its Metrics); 8 drops each telemetry series' "raw_n" and "raw"
+// (the Gorilla raw window): a series is one store of buckets, one sample
+// per bucket until it fills, so its "buckets" alone carry the history
+// (ReadArtifact ignores the raw fields of a v4–v7 series).
+const ArtifactSchemaVersion = 8
 
 // Artifact line types. A run artifact is JSON lines: one "run" header with
 // the full configuration and seed set, one "trial" line per trial (with its
@@ -178,8 +181,9 @@ type Artifact struct {
 // SchemaVersion 1; a version 3–6 trial's attribution map is merged into its
 // Metrics (attribution labels are never VM labels, so no key collides);
 // version 3 lacks the telemetry map (left nil); version 5's per-trial
-// retries count is ignored; unknown line types are skipped, so newer minor
-// additions stay readable too.
+// retries count and a v4–v7 telemetry series' raw window are ignored;
+// unknown line types are skipped, so newer minor additions stay readable
+// too.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
 	a := &Artifact{}
 	sc := bufio.NewScanner(r)

@@ -114,6 +114,14 @@ const v6Artifact = `{"type":"run","schema_version":6,"base_seed":42,"reps":1,"wo
 {"type":"summary","wall_ms":6.9,"events":800,"trials":1,"failed":0}
 `
 
+// v7Artifact is a canned schema-7 artifact, byte-for-byte in the shape
+// WriteArtifact produced before the v8 bump: a telemetry series carrying the
+// Gorilla raw window ("raw_n", "raw") that schema 8 no longer writes.
+const v7Artifact = `{"type":"run","schema_version":7,"base_seed":42,"reps":1,"workers":2,"scale":1,"experiments":["fleet"],"seeds":[42]}
+{"type":"trial","experiment":"fleet","replicate":0,"seed":42,"wall_ms":5.5,"events":600,"engines":1,"metrics":{"vm.sched.steals":6},"telemetry":{"fleet/rec":{"interval_ns":10000000,"samples":3,"series":[{"name":"fleet.host0.steal_ema","count":3,"min":0.25,"max":0.5,"mean":0.375,"last":0.5,"raw_n":3,"raw":"Ax0AAAAAAJiWgD/QAAAAAAAA8AAAAAAJiWgNgFqC4A==","buckets":[{"t0":10000000,"t1":30000000,"min":0.25,"max":0.5,"sum":1.125,"count":3}]}]}},"report":{"ID":"fleet","Title":"t","Header":["a"],"Rows":[["1"]]}}
+{"type":"summary","wall_ms":5.9,"events":600,"trials":1,"failed":0}
+`
+
 // v1Artifact predates the schema_version field entirely.
 const v1Artifact = `{"type":"run","base_seed":1,"reps":1,"workers":1,"scale":1,"experiments":["fig3"],"seeds":[1]}
 {"type":"trial","experiment":"fig3","replicate":0,"seed":1,"wall_ms":1,"events":10,"engines":1}
@@ -185,6 +193,23 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 	want := map[string]float64{"vm.sched.steals": 5, "attrib/p/c.spans": 7, "attrib/p/c.steal_wait_share": 0.125}
 	if tr := a.Trials[0]; !reflect.DeepEqual(tr.Metrics, want) || tr.Engines != 9 || tr.Report == nil {
 		t.Fatalf("v6 metrics and attribution must merge into Metrics: %+v", tr)
+	}
+
+	a, err = ReadArtifact(strings.NewReader(v7Artifact))
+	if err != nil {
+		t.Fatalf("v7 artifact must stay readable: %v", err)
+	}
+	if a.Run.SchemaVersion != 7 {
+		t.Fatalf("v7 schema read as %d", a.Run.SchemaVersion)
+	}
+	wantSeries := telemetry.SeriesSnapshot{
+		Name: "fleet.host0.steal_ema", Count: 3, Min: 0.25, Max: 0.5, Mean: 0.375, Last: 0.5,
+		Buckets: []telemetry.Bucket{{T0: 10_000_000, T1: 30_000_000, Min: 0.25, Max: 0.5, Sum: 1.125, Count: 3}},
+	}
+	if tr := a.Trials[0]; tr.Metrics["vm.sched.steals"] != 6 || tr.Report == nil ||
+		tr.Telemetry["fleet/rec"] == nil || tr.Telemetry["fleet/rec"].Samples != 3 ||
+		!reflect.DeepEqual(tr.Telemetry["fleet/rec"].Series, []telemetry.SeriesSnapshot{wantSeries}) {
+		t.Fatalf("v7 trial telemetry lost: %+v", tr)
 	}
 
 	a, err = ReadArtifact(strings.NewReader(v1Artifact))
@@ -266,8 +291,8 @@ func telemetryRunner(id string) experiments.Runner {
 	return r
 }
 
-// TestArtifactTelemetryRoundTrip: the schema-4 telemetry map must survive a
-// write/read cycle with raw points decodable from the embedded snapshot.
+// TestArtifactTelemetryRoundTrip: the telemetry map must survive a
+// write/read cycle with every sample in the embedded snapshot's buckets.
 func TestArtifactTelemetryRoundTrip(t *testing.T) {
 	res := Run(Config{
 		Runners:  []experiments.Runner{telemetryRunner("synT"), synthetic("synB")},
@@ -300,13 +325,12 @@ func TestArtifactTelemetryRoundTrip(t *testing.T) {
 			if ticks == nil || ticks.Count == 0 {
 				t.Fatalf("synT.ticks series missing from artifact snapshot")
 			}
-			pts, err := ticks.Points()
-			if err != nil {
-				t.Fatalf("embedded raw chunk undecodable: %v", err)
+			bs := ticks.Buckets
+			if len(bs) == 0 {
+				t.Fatalf("embedded snapshot holds no buckets")
 			}
-			if len(pts) == 0 || pts[len(pts)-1].V != float64(ticks.Count) {
-				t.Fatalf("decoded points inconsistent: %d pts, last %+v, count %d",
-					len(pts), pts[len(pts)-1], ticks.Count)
+			if last := bs[len(bs)-1]; last.Count != 1 || last.Sum != float64(ticks.Count) {
+				t.Fatalf("last bucket %+v inconsistent with count %d", last, ticks.Count)
 			}
 		case "synB":
 			if tr.Telemetry != nil {

@@ -5,7 +5,7 @@ import "vsched/internal/metrics"
 // UpdateCensus publishes the recorder's own occupancy into reg as
 // first-class gauges, making the flight recorder's memory story
 // scrape-visible next to the metrics it records: how many series exist, how
-// many sample passes ran, the compressed footprint, and where that sits
+// many sample passes ran, the bucket footprint, and where that sits
 // against the provable MaxSeriesBytes bound. Call it from a simulation
 // safepoint (epoch boundary, per-second hook); the values are pure
 // functions of simulation state, so sampling them is deterministic.

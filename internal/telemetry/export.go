@@ -4,16 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"vsched/internal/sim"
 	"vsched/internal/vtrace"
 )
 
-// SeriesSnapshot is one series' portable form: lifetime summary stats, the
-// Gorilla-compressed raw window (a chunk stream decodable with DecodeRaw),
-// and the rollup buckets covering the whole history. It is what gets
-// embedded in harness artifacts and dumped by the CLIs.
+// SeriesSnapshot is one series' portable form: lifetime summary stats and
+// the buckets covering the whole history. It is what gets embedded in
+// harness artifacts and dumped by the CLIs.
 type SeriesSnapshot struct {
 	Name     string  `json:"name"`
 	Volatile bool    `json:"volatile,omitempty"`
@@ -22,22 +22,15 @@ type SeriesSnapshot struct {
 	Max      float64 `json:"max"`
 	Mean     float64 `json:"mean"`
 	Last     float64 `json:"last"`
-	// RawN is the number of points in Raw (the newest samples; older ones
-	// survive only as Buckets).
-	RawN int `json:"raw_n"`
-	// Raw is the compressed raw window; encoding/json base64s it.
-	Raw []byte `json:"raw,omitempty"`
-	// Buckets is the rollup history (Merged): every sample ever appended is
-	// in exactly one bucket.
+	// Buckets is the history, oldest first: every sample ever appended is in
+	// exactly one bucket, and while Count fits the store each bucket is one
+	// sample.
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Quantile estimates the q-quantile of the series' full history from its
-// rollup buckets (bucket means weighted by count).
+// Quantile returns the q-quantile of the series' full history from its
+// buckets (bucket means weighted by count).
 func (s *SeriesSnapshot) Quantile(q float64) float64 { return quantileOf(s.Buckets, q) }
-
-// Points decodes the snapshot's raw window.
-func (s *SeriesSnapshot) Points() ([]Point, error) { return DecodeRaw(s.Raw) }
 
 // Snapshot is a whole recorder's exported state, series sorted by name.
 type Snapshot struct {
@@ -48,10 +41,6 @@ type Snapshot struct {
 
 // Snapshot exports one series.
 func (s *Series) Snapshot() SeriesSnapshot {
-	rawN := s.enc.n
-	for _, c := range s.chunks {
-		rawN += c.n
-	}
 	return SeriesSnapshot{
 		Name:     s.Name,
 		Volatile: s.Volatile,
@@ -60,9 +49,7 @@ func (s *Series) Snapshot() SeriesSnapshot {
 		Max:      s.Max(),
 		Mean:     s.Mean(),
 		Last:     s.lastV,
-		RawN:     rawN,
-		Raw:      s.encodeChunks(),
-		Buckets:  s.Merged(),
+		Buckets:  s.Buckets(),
 	}
 }
 
@@ -93,24 +80,21 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// CounterTracks converts the recorder's raw windows into vtrace counter
-// tracks, so a Perfetto export shows the sampled series as counter lanes
-// alongside the event-derived tracks. Series are in name order and points in
-// time order, so the export stays byte-deterministic.
+// CounterTracks converts the recorder's series into vtrace counter tracks,
+// one point per bucket at (T0, mean), so a Perfetto export shows the sampled
+// series as counter lanes alongside the event-derived tracks. A series that
+// has not filled its store contributes every sample as it was recorded.
+// Series are in name order and points in time order, so the export stays
+// byte-deterministic.
 func (r *Recorder) CounterTracks(includeVolatile bool) []vtrace.CounterTrack {
-	series := r.Series(includeVolatile)
-	if len(series) == 0 {
-		return nil
-	}
 	t := vtrace.CounterTrack{Process: "telemetry"}
-	for _, s := range series {
-		pts := s.RawPoints()
-		if len(pts) == 0 {
+	for _, s := range r.Series(includeVolatile) {
+		if len(s.buckets) == 0 {
 			continue
 		}
-		cs := vtrace.CounterSeries{Name: s.Name, Points: make([]vtrace.CounterPoint, len(pts))}
-		for i, p := range pts {
-			cs.Points[i] = vtrace.CounterPoint{At: sim.Time(p.T), Value: p.V}
+		cs := vtrace.CounterSeries{Name: s.Name, Points: make([]vtrace.CounterPoint, len(s.buckets))}
+		for i, b := range s.buckets {
+			cs.Points[i] = vtrace.CounterPoint{At: sim.Time(b.T0), Value: b.Mean()}
 		}
 		t.Series = append(t.Series, cs)
 	}
@@ -123,54 +107,36 @@ func (r *Recorder) CounterTracks(includeVolatile bool) []vtrace.CounterTrack {
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // sparkline renders bucket means as width cells of block glyphs, scaled to
-// the series' own min..max. Buckets map to cells proportionally by index.
+// the series' own min..max. Cell c shows the mean of the buckets whose index
+// range [c*n/width, (c+1)*n/width) it covers, or, with fewer buckets than
+// cells, the one bucket it falls in.
 func sparkline(bs []Bucket, width int) string {
-	cells := make([]float64, width)
-	counts := make([]int, width)
-	n := 0
+	var means []float64
 	for _, b := range bs {
 		if b.Count > 0 {
-			n++
+			means = append(means, b.Mean())
 		}
 	}
+	n := len(means)
 	if n == 0 {
 		return strings.Repeat(" ", width)
 	}
-	i := 0
-	for _, b := range bs {
-		if b.Count == 0 {
-			continue
+	cells := make([]float64, width)
+	for c := range cells {
+		lo, hi := c*n/width, (c+1)*n/width
+		hi = max(hi, lo+1)
+		sum := 0.0
+		for _, m := range means[lo:hi] {
+			sum += m
 		}
-		cell := i * width / n
-		cells[cell] += b.Mean()
-		counts[cell]++
-		i++
+		cells[c] = sum / float64(hi-lo)
 	}
-	lo, hi := 0.0, 0.0
-	first := true
-	for c, k := range counts {
-		if k == 0 {
-			continue
-		}
-		v := cells[c] / float64(k)
-		cells[c] = v
-		if first || v < lo {
-			lo = v
-		}
-		if first || v > hi {
-			hi = v
-		}
-		first = false
-	}
+	lo, hi := slices.Min(cells), slices.Max(cells)
 	var b strings.Builder
-	for c, k := range counts {
-		if k == 0 {
-			b.WriteByte(' ')
-			continue
-		}
+	for _, v := range cells {
 		level := 0
-		if hi > lo {
-			level = int((cells[c] - lo) / (hi - lo) * float64(len(sparkRunes)-1))
+		if f := (v - lo) / (hi - lo); f > 0 { // false for NaN and a flat series
+			level = int(f * float64(len(sparkRunes)-1))
 		}
 		b.WriteRune(sparkRunes[level])
 	}

@@ -11,8 +11,8 @@ import (
 // aggregates each epoch (see fleet.macroAgg.emit). The exports below are what
 // harness artifacts embed and the live /metrics mirror tails, so their round-trip
 // behaviour is pinned here against realistic shapes: step counters, spiky
-// gauges, an all-zero quiet run, and histories long enough to cross both
-// rollup-tier boundaries.
+// gauges, an all-zero quiet run, and histories long enough to fill the store
+// many times over.
 var fleetFaultSeries = []string{
 	"fleet.macro.hosts_down",
 	"fleet.macro.hosts_degraded",
@@ -24,17 +24,13 @@ var fleetFaultSeries = []string{
 	"fleet.macro.killed_total",
 }
 
-// tinyTierConfig shrinks the rollup tiers to their minimum legal sizes so a
-// few thousand samples exercise every boundary: raw chunk close and recycle,
-// tier-1 overflow folding into tier 2, and tier-2 overflow doubling its
-// stride.
-func tinyTierConfig() Config {
+// tinyStoreConfig shrinks the store so a few thousand samples exercise every
+// boundary: the store filling, pairs merging, the stride doubling again and
+// again, and (5 being odd) an unpaired bucket carried through each halving.
+func tinyStoreConfig() Config {
 	return Config{
-		Interval:       50 * 1e6, // 50ms in ns; only recorded, not exercised here
-		RawChunkPoints: 32,
-		RawChunks:      2,
-		Tier1Cap:       2 * rollupFactor,
-		Tier2Cap:       2,
+		Interval: 50 * 1e6, // 50ms in ns; only recorded, not exercised here
+		Buckets:  5,
 	}
 }
 
@@ -42,7 +38,7 @@ func tinyTierConfig() Config {
 // (except killed_total, left deliberately empty) and assembles the Snapshot
 // the way Recorder.Snapshot does.
 func buildFleetSnapshot(n int) (*Snapshot, []*Series) {
-	cfg := tinyTierConfig().withDefaults()
+	cfg := tinyStoreConfig().withDefaults()
 	snap := &Snapshot{IntervalNS: int64(cfg.Interval), Samples: uint64(n)}
 	var series []*Series
 	for si, name := range fleetFaultSeries {
@@ -68,11 +64,10 @@ func buildFleetSnapshot(n int) (*Snapshot, []*Series) {
 }
 
 // TestFleetFaultSeriesJSONRoundTrip: WriteJSON → ReadSnapshot → WriteJSON
-// must be a fixed point, the decoded structure must match exactly, and the
-// raw windows must decode to the same points.
+// must be a fixed point, and the decoded structure must match exactly,
+// buckets included.
 func TestFleetFaultSeriesJSONRoundTrip(t *testing.T) {
-	// 700 samples with Tier1Cap=20, Tier2Cap=2: tier 1 folds 68 times, tier 2
-	// overflows and doubles its stride repeatedly.
+	// 700 samples through a 5-bucket store: the stride doubles seven times.
 	snap, series := buildFleetSnapshot(700)
 	var first bytes.Buffer
 	if err := snap.WriteJSON(&first); err != nil {
@@ -98,24 +93,20 @@ func TestFleetFaultSeriesJSONRoundTrip(t *testing.T) {
 		if sr.Name != fleetFaultSeries[i] {
 			t.Fatalf("series %d = %q, want %q (name-sorted contract)", i, sr.Name, fleetFaultSeries[i])
 		}
-		wantPts := series[i].RawPoints()
-		gotPts, err := sr.Points()
-		if err != nil {
-			t.Fatalf("%s: decode raw window: %v", sr.Name, err)
+		want := series[i].Buckets()
+		if len(sr.Buckets) != len(want) {
+			t.Fatalf("%s: %d buckets, want %d", sr.Name, len(sr.Buckets), len(want))
 		}
-		if len(gotPts) != len(wantPts) || sr.RawN != len(wantPts) {
-			t.Fatalf("%s: raw window %d points (RawN %d), want %d", sr.Name, len(gotPts), sr.RawN, len(wantPts))
-		}
-		for j := range gotPts {
-			if gotPts[j] != wantPts[j] {
-				t.Fatalf("%s: raw point %d = %+v, want %+v", sr.Name, j, gotPts[j], wantPts[j])
+		for j := range want {
+			if sr.Buckets[j] != want[j] {
+				t.Fatalf("%s: bucket %d = %+v, want %+v", sr.Name, j, sr.Buckets[j], want[j])
 			}
 		}
 	}
 }
 
-// TestFleetFaultSeriesRollupConservation: after tier folding and stride
-// doubling, the exported buckets of every series still cover each sample
+// TestFleetFaultSeriesRollupConservation: after repeated stride doubling,
+// the exported buckets of every series still cover each sample
 // exactly once, in time order, with non-overlapping [T0, T1] spans — the
 // invariant that makes the exported rollup a faithful full-history record.
 func TestFleetFaultSeriesRollupConservation(t *testing.T) {
@@ -143,11 +134,11 @@ func TestFleetFaultSeriesRollupConservation(t *testing.T) {
 
 // TestEmptyFleetSeriesExports: a quiet run (killed_total above, or a whole
 // recorder before its first sample) must still export cleanly — zero counts,
-// no buckets, no raw bytes, no CSV rows — and survive the JSON round trip.
+// no buckets — and survive the JSON round trip.
 func TestEmptyFleetSeriesExports(t *testing.T) {
 	snap, _ := buildFleetSnapshot(0)
 	for _, sr := range snap.Series {
-		if sr.Count != 0 || sr.RawN != 0 || len(sr.Buckets) != 0 || len(sr.Raw) != 0 {
+		if sr.Count != 0 || len(sr.Buckets) != 0 {
 			t.Fatalf("%s: empty series exported non-empty: %+v", sr.Name, sr)
 		}
 		// The zero-sample summary stats must be JSON-encodable (no Inf from
@@ -174,11 +165,11 @@ func TestEmptyFleetSeriesExports(t *testing.T) {
 }
 
 // TestNaNPayloadExports pins the contract for NaN samples in a fault series:
-// the Gorilla raw window preserves the exact NaN bit pattern, and WriteJSON —
-// which cannot represent NaN in its summary fields — fails loudly rather
-// than writing a corrupt document.
+// a one-sample bucket preserves the exact NaN bit pattern, and WriteJSON —
+// which cannot represent NaN — fails loudly rather than writing a corrupt
+// document.
 func TestNaNPayloadExports(t *testing.T) {
-	cfg := tinyTierConfig().withDefaults()
+	cfg := tinyStoreConfig().withDefaults()
 	payloadNaN := math.Float64frombits(0x7ff8000000001234)
 	s := newSeries("fleet.macro.pending_retry", false, &cfg)
 	s.Append(0, 3)
@@ -186,16 +177,18 @@ func TestNaNPayloadExports(t *testing.T) {
 	s.Append(200, 5)
 	sr := s.Snapshot()
 
-	pts, err := sr.Points()
-	if err != nil {
-		t.Fatalf("decode raw window: %v", err)
+	if len(sr.Buckets) != 3 {
+		t.Fatalf("3 samples in a 5-bucket store gave %d buckets", len(sr.Buckets))
 	}
-	if len(pts) != 3 || math.Float64bits(pts[1].V) != math.Float64bits(payloadNaN) {
-		t.Fatalf("NaN payload not preserved bit-exactly: %+v", pts)
+	b := sr.Buckets[1]
+	for _, v := range []float64{b.Min, b.Max, b.Sum, b.Mean()} {
+		if math.Float64bits(v) != math.Float64bits(payloadNaN) {
+			t.Fatalf("NaN payload not preserved bit-exactly: %+v", b)
+		}
 	}
 
 	snap := &Snapshot{IntervalNS: int64(cfg.Interval), Samples: 3, Series: []SeriesSnapshot{sr}}
 	if err := snap.WriteJSON(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteJSON silently accepted NaN summary fields; artifacts embedding this would be corrupt")
+		t.Fatal("WriteJSON silently accepted NaN; artifacts embedding this would be corrupt")
 	}
 }

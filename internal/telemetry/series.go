@@ -1,14 +1,21 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Bucket is one rollup aggregate: min/max/sum/count over a contiguous run of
-// raw samples spanning [T0, T1] virtual nanoseconds.
+// Point is one sample: virtual-time nanoseconds and a value.
+type Point struct {
+	T int64
+	V float64
+}
+
+// Bucket is one aggregate: min/max/sum/count over a contiguous run of
+// samples spanning [T0, T1] virtual nanoseconds. A one-sample bucket holds
+// its sample bit for bit (Sum and Mean are the value itself).
 type Bucket struct {
 	T0    int64   `json:"t0"`
 	T1    int64   `json:"t1"`
@@ -28,59 +35,38 @@ func (b Bucket) Mean() float64 {
 
 func (b *Bucket) add(t int64, v float64) {
 	if b.Count == 0 {
-		b.T0, b.Min, b.Max = t, v, v
-	} else {
-		if v < b.Min {
-			b.Min = v
-		}
-		if v > b.Max {
-			b.Max = v
-		}
+		*b = Bucket{T0: t, T1: t, Min: v, Max: v, Sum: v, Count: 1}
+		return
+	}
+	if v < b.Min {
+		b.Min = v
+	}
+	if v > b.Max {
+		b.Max = v
 	}
 	b.T1 = t
 	b.Sum += v
 	b.Count++
 }
 
-func mergeBuckets(bs []Bucket) Bucket {
-	out := bs[0]
-	for _, b := range bs[1:] {
-		if b.Count == 0 {
-			continue
-		}
-		if out.Count == 0 {
-			out = b
-			continue
-		}
-		if b.Min < out.Min {
-			out.Min = b.Min
-		}
-		if b.Max > out.Max {
-			out.Max = b.Max
-		}
-		out.Sum += b.Sum
-		out.Count += b.Count
-		out.T1 = b.T1
+// merge folds next, the bucket that follows b in time, into b.
+func (b *Bucket) merge(next Bucket) {
+	if next.Min < b.Min {
+		b.Min = next.Min
 	}
-	return out
+	if next.Max > b.Max {
+		b.Max = next.Max
+	}
+	b.T1 = next.T1
+	b.Sum += next.Sum
+	b.Count += next.Count
 }
 
-// chunk is one closed, immutable compressed block of raw points.
-type chunk struct {
-	data []byte
-	n    int
-}
-
-// Series is one named time series under a Recorder: a short Gorilla-
-// compressed raw window for recent detail, plus two rollup tiers that keep
-// the whole history at 10x and 100x downsampling. Memory is bounded for any
-// run length (see MaxSeriesBytes); once every tier is full, appending a
-// sample can only recycle space, never grow it.
-//
-// Coverage: tier 2 holds the oldest history, tier 1 the mid history, and the
-// open tier-1 bucket the newest ≤ rollupFactor samples — together they cover
-// every sample exactly once (Merged). The raw window overlaps the newest
-// samples with full per-point detail.
+// Series is one named time series under a Recorder: at most Config.Buckets
+// buckets of stride samples each, oldest first. The stride starts at 1, so
+// the series holds every sample exactly until it fills; then adjacent pairs
+// merge and the stride doubles. Memory is bounded for any run length (see
+// MaxSeriesBytes), and the buckets always cover every sample exactly once.
 type Series struct {
 	Name string
 	// Volatile marks a series whose values depend on wall-clock or allocator
@@ -90,16 +76,10 @@ type Series struct {
 
 	cfg *Config
 
-	enc    gorillaEnc
-	chunks []chunk
-	// folded counts raw points that have aged out of the raw window; they
-	// remain represented in the rollup tiers.
-	folded uint64
-
-	cur      Bucket // open tier-1 bucket accumulating the newest samples
-	t1       []Bucket
-	t2       []Bucket
-	t2Stride int // raw samples per tier-2 bucket; doubles when tier 2 is full
+	// buckets holds the whole history; every bucket but the last holds
+	// exactly stride samples.
+	buckets []Bucket
+	stride  uint64
 
 	count    uint64
 	lastT    int64
@@ -108,16 +88,12 @@ type Series struct {
 	sum      float64
 }
 
-// rollupFactor is the downsampling step between tiers: rollupFactor raw
-// samples per tier-1 bucket, rollupFactor tier-1 buckets per tier-2 bucket.
-const rollupFactor = 10
-
 func newSeries(name string, volatile bool, cfg *Config) *Series {
 	return &Series{
 		Name:     name,
 		Volatile: volatile,
 		cfg:      cfg,
-		t2Stride: rollupFactor * rollupFactor,
+		stride:   1,
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 	}
@@ -125,7 +101,7 @@ func newSeries(name string, volatile bool, cfg *Config) *Series {
 
 // Append records one sample. Timestamps must be non-decreasing (the sampler
 // walks the sim clock forward); a regressing timestamp panics, because it
-// would silently corrupt the compressed stream.
+// would silently break the buckets' time order.
 func (s *Series) Append(t int64, v float64) {
 	if s.count > 0 && t < s.lastT {
 		panic(fmt.Sprintf("telemetry: series %s: timestamp %d before %d", s.Name, t, s.lastT))
@@ -140,59 +116,42 @@ func (s *Series) Append(t int64, v float64) {
 		s.max = v
 	}
 
-	// Raw tier: append to the open chunk; close it at the chunk size and
-	// recycle the oldest closed chunk past the window cap. The dropped
-	// points are already represented in the rollup tiers.
-	s.enc.append(t, v)
-	if s.enc.n >= s.cfg.RawChunkPoints {
-		s.chunks = append(s.chunks, chunk{data: s.enc.bytes(), n: s.enc.n})
-		s.enc.reset()
-		if len(s.chunks) > s.cfg.RawChunks {
-			s.folded += uint64(s.chunks[0].n)
-			copy(s.chunks, s.chunks[1:])
-			s.chunks = s.chunks[:len(s.chunks)-1]
-		}
+	n := len(s.buckets)
+	if n == s.cfg.Buckets && uint64(s.buckets[n-1].Count) == s.stride {
+		s.halve()
+		n = len(s.buckets)
 	}
+	if n > 0 && uint64(s.buckets[n-1].Count) < s.stride {
+		s.buckets[n-1].add(t, v)
+		return
+	}
+	if n == cap(s.buckets) {
+		// Grow by doubling, clipped at the configured size, so the held
+		// capacity never exceeds Buckets (MaxSeriesBytes relies on it).
+		grown := make([]Bucket, n, min(max(2*n, 8), s.cfg.Buckets))
+		copy(grown, s.buckets)
+		s.buckets = grown
+	}
+	s.buckets = append(s.buckets, Bucket{})
+	s.buckets[n].add(t, v)
+}
 
-	// Rollup tiers: every sample streams into the open tier-1 bucket.
-	s.cur.add(t, v)
-	if int(s.cur.Count) >= rollupFactor {
-		s.t1 = append(s.t1, s.cur)
-		s.cur = Bucket{}
-		if len(s.t1) >= s.cfg.Tier1Cap {
-			// Fold the oldest rollupFactor tier-1 buckets toward tier 2,
-			// shifting t1 in place so the backing array is reused. The fold
-			// lands in the last tier-2 bucket until that bucket holds
-			// t2Stride samples, so after a pair-merge doubles the stride,
-			// tier-2 capacity (in samples) has genuinely doubled too.
-			in := mergeBuckets(s.t1[:rollupFactor])
-			if n := len(s.t2); n > 0 && int(s.t2[n-1].Count) < s.t2Stride {
-				s.t2[n-1] = mergeBuckets([]Bucket{s.t2[n-1], in})
-			} else {
-				s.t2 = append(s.t2, in)
-			}
-			copy(s.t1, s.t1[rollupFactor:])
-			s.t1 = s.t1[:len(s.t1)-rollupFactor]
-			if len(s.t2) >= s.cfg.Tier2Cap {
-				// Tier 2 full: merge adjacent pairs, doubling the stride.
-				// This is what makes memory bounded for ANY horizon — the
-				// whole history always fits Tier2Cap buckets, at whatever
-				// resolution that requires.
-				half := s.t2[:0]
-				for i := 0; i+1 < len(s.t2); i += 2 {
-					half = append(half, mergeBuckets(s.t2[i:i+2]))
-				}
-				if len(s.t2)%2 == 1 {
-					half = append(half, s.t2[len(s.t2)-1])
-				}
-				for i := len(half); i < len(s.t2); i++ {
-					s.t2[i] = Bucket{}
-				}
-				s.t2 = half
-				s.t2Stride *= 2
-			}
+// halve merges adjacent bucket pairs in place and doubles the stride. This
+// is what bounds memory for ANY horizon: the whole history always fits
+// Buckets buckets, at whatever resolution that requires.
+func (s *Series) halve() {
+	bs := s.buckets
+	half := bs[:0]
+	for i := 0; i < len(bs); i += 2 {
+		b := bs[i]
+		if i+1 < len(bs) {
+			b.merge(bs[i+1])
 		}
+		half = append(half, b)
 	}
+	clear(bs[len(half):])
+	s.buckets = half
+	s.stride *= 2
 }
 
 // Count returns the number of samples ever appended.
@@ -201,8 +160,7 @@ func (s *Series) Count() uint64 { return s.count }
 // Last returns the most recent sample.
 func (s *Series) Last() Point { return Point{T: s.lastT, V: s.lastV} }
 
-// Min, Max and Mean summarize every sample ever appended (not just the
-// surviving raw window).
+// Min, Max and Mean summarize every sample ever appended.
 func (s *Series) Min() float64 {
 	if s.count == 0 {
 		return 0
@@ -224,60 +182,29 @@ func (s *Series) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// RawPoints decodes the surviving raw window in chronological order. The
-// window covers the newest samples; older ones live only in the rollups.
-func (s *Series) RawPoints() []Point {
-	var out []Point
-	var err error
-	for _, c := range s.chunks {
-		out, err = decodeGorilla(out, c.data, c.n)
-		if err != nil {
-			panic("telemetry: corrupt raw chunk: " + err.Error())
-		}
-	}
-	out, err = decodeGorilla(out, s.enc.bytes(), s.enc.n)
-	if err != nil {
-		panic("telemetry: corrupt open chunk: " + err.Error())
-	}
-	return out
-}
+// Buckets returns a copy of the full history, oldest first. Bucket counts
+// sum to Count exactly; while Count <= Config.Buckets each bucket is one
+// sample.
+func (s *Series) Buckets() []Bucket { return slices.Clone(s.buckets) }
 
-// Merged returns the full history as buckets without double counting: the
-// tier-2 prefix, then tier 1, then the open tier-1 bucket. Bucket counts sum
-// to Count exactly.
-func (s *Series) Merged() []Bucket {
-	out := make([]Bucket, 0, len(s.t2)+len(s.t1)+1)
-	out = append(out, s.t2...)
-	out = append(out, s.t1...)
-	if s.cur.Count > 0 {
-		out = append(out, s.cur)
-	}
-	return out
-}
-
-// Bytes returns the series' current memory footprint: compressed chunks, the
-// open encoder buffer, and the rollup arrays (by capacity, since that is
-// what the process actually holds).
+// Bytes returns the series' current memory footprint: the bucket array by
+// capacity, since that is what the process actually holds, plus the name
+// and fixed overhead.
 func (s *Series) Bytes() int {
-	n := len(s.Name) + seriesFixedBytes
-	for _, c := range s.chunks {
-		n += cap(c.data)
-	}
-	n += cap(s.enc.w.buf)
-	n += (cap(s.t1) + cap(s.t2)) * bucketBytes
-	return n
+	return len(s.Name) + seriesFixedBytes + cap(s.buckets)*bucketBytes
 }
 
 const (
 	// bucketBytes is sizeof(Bucket): 2 int64 + 3 float64 + uint32, padded.
 	bucketBytes = 48
-	// seriesFixedBytes approximates the struct header and slice headers.
+	// seriesFixedBytes approximates the struct header and slice header.
 	seriesFixedBytes = 256
 )
 
 // quantileOf returns the q-quantile of bucket means, weighted by bucket
-// count — the bounded-memory estimate of the q-quantile of the underlying
-// samples. Deterministic: ties sort by value.
+// count. While every bucket is one sample it is the exact quantile of the
+// samples; after the store has merged it is a bounded-memory estimate.
+// Deterministic: ties sort by value.
 func quantileOf(bs []Bucket, q float64) float64 {
 	type wv struct {
 		v float64
@@ -310,54 +237,6 @@ func quantileOf(bs []Bucket, q float64) float64 {
 	return items[len(items)-1].v
 }
 
-// Quantile estimates the q-quantile of every sample ever appended, from the
-// rollup buckets (each bucket contributes its mean, weighted by its count).
-func (s *Series) Quantile(q float64) float64 { return quantileOf(s.Merged(), q) }
-
-// encodeChunks serializes the raw window as a self-delimiting stream:
-// uvarint point count, uvarint byte length, then the chunk bytes, for each
-// chunk oldest first (the open chunk last).
-func (s *Series) encodeChunks() []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(data []byte, n int) {
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(n))]...)
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(data)))]...)
-		out = append(out, data...)
-	}
-	for _, c := range s.chunks {
-		put(c.data, c.n)
-	}
-	if s.enc.n > 0 {
-		put(s.enc.bytes(), s.enc.n)
-	}
-	return out
-}
-
-// DecodeRaw decodes a chunk stream produced by encodeChunks (the Raw field
-// of a SeriesSnapshot) back into points.
-func DecodeRaw(raw []byte) ([]Point, error) {
-	var out []Point
-	for len(raw) > 0 {
-		n, w := binary.Uvarint(raw)
-		if w <= 0 {
-			return nil, fmt.Errorf("telemetry: bad chunk header")
-		}
-		raw = raw[w:]
-		bl, w := binary.Uvarint(raw)
-		if w <= 0 {
-			return nil, fmt.Errorf("telemetry: bad chunk length")
-		}
-		raw = raw[w:]
-		if uint64(len(raw)) < bl {
-			return nil, fmt.Errorf("telemetry: chunk stream truncated")
-		}
-		var err error
-		out, err = decodeGorilla(out, raw[:bl], int(n))
-		if err != nil {
-			return nil, err
-		}
-		raw = raw[bl:]
-	}
-	return out, nil
-}
+// Quantile returns the q-quantile of every sample ever appended, from the
+// buckets (each bucket contributes its mean, weighted by its count).
+func (s *Series) Quantile(q float64) float64 { return quantileOf(s.buckets, q) }

@@ -1,6 +1,6 @@
 // Package telemetry is the simulator's flight recorder: a deterministic
 // sampling scheduler driven by the sim clock that periodically snapshots
-// metric sources into compressed, bounded-memory time series.
+// metric sources into bounded-memory time series.
 //
 // The vtrace layer records *events* — every state transition, at full
 // fidelity, into a ring whose window shrinks as event rate grows. That is
@@ -8,17 +8,18 @@
 // long-horizon fleet run (thousands of hosts, days of virtual time) fires
 // billions of events; no ring survives that. Telemetry takes the other
 // trade: fixed-period samples of aggregate signals (steal rates, queue
-// depths, utilization, the simulator's own throughput), Gorilla-compressed
-// with tiered downsampling so memory stays provably bounded no matter how
-// long the run is, while the paper's continuously-observable signals stay
-// continuously observable.
+// depths, utilization, the simulator's own throughput). Each series keeps
+// one store of at most Config.Buckets buckets. It holds every sample exactly
+// until it fills; from then on adjacent buckets merge pairwise, so memory
+// stays provably bounded no matter how long the run is, while the paper's
+// continuously-observable signals stay continuously observable.
 //
 // Determinism: sampling is scheduled on the sim clock, sources read only
-// simulation state, and the compressed encoding is a pure function of the
-// samples — so a recorder's snapshot is byte-identical between serial and
-// parallel runs of the same scenario. The one exception is explicitly
-// volatile sources (wall-clock throughput, allocator counters), whose series
-// are flagged and excluded from deterministic snapshots.
+// simulation state, and the buckets are a pure function of the samples — so
+// a recorder's snapshot is byte-identical between serial and parallel runs
+// of the same scenario. The one exception is explicitly volatile sources
+// (wall-clock throughput, allocator counters), whose series are flagged and
+// excluded from deterministic snapshots.
 package telemetry
 
 import (
@@ -28,58 +29,34 @@ import (
 	"vsched/internal/sim"
 )
 
-// Config bounds a Recorder. The defaults keep a series' worst-case footprint
-// around 60 KB while covering any horizon (see MaxSeriesBytes).
+// Config bounds a Recorder. The defaults keep a series under ~25 KB while
+// covering any horizon (see MaxSeriesBytes).
 type Config struct {
 	// Interval is the sampling period in virtual time (default 100ms).
 	Interval sim.Duration
-	// RawChunkPoints is the number of points per compressed raw chunk
-	// (default 512).
-	RawChunkPoints int
-	// RawChunks is how many closed chunks the raw window keeps before the
-	// oldest is recycled (default 4). The open chunk is extra.
-	RawChunks int
-	// Tier1Cap bounds the 10x rollup tier (default 512 buckets); overflow
-	// folds into tier 2.
-	Tier1Cap int
-	// Tier2Cap bounds the 100x rollup tier (default 1024 buckets); overflow
-	// merges adjacent buckets, doubling the tier-2 stride.
-	Tier2Cap int
+	// Buckets bounds each series' store (default 512). A series holds every
+	// sample exactly until it has Buckets of them; then adjacent buckets
+	// merge pairwise and each bucket covers twice as many samples.
+	Buckets int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 100 * sim.Millisecond
 	}
-	if c.RawChunkPoints <= 0 {
-		c.RawChunkPoints = 512
-	}
-	if c.RawChunks <= 0 {
-		c.RawChunks = 4
-	}
-	if c.Tier1Cap < 2*rollupFactor {
-		c.Tier1Cap = 512
-	}
-	if c.Tier2Cap < 2 {
-		c.Tier2Cap = 1024
+	if c.Buckets <= 0 {
+		c.Buckets = 512
 	}
 	return c
 }
 
 // MaxSeriesBytes is the provable per-series memory bound for a config: no
-// matter how many samples are appended, Series.Bytes() stays under it.
-//
-// Raw: RawChunks closed chunks plus the open one, each at most
-// RawChunkPoints * 19 bytes (worst case ~146 bits/point: 4+64 timestamp bits
-// and 2+5+6+64 value bits, rounded up). Rollups: append can at most double a
-// slice's capacity beyond its cap before the fold trims it, hence the factor
-// 2. Everything else is fixed overhead.
+// matter how many samples are appended, Series.Bytes() stays under it. The
+// bucket array never grows past Buckets entries; everything else is fixed
+// overhead plus a 64-byte allowance for the name.
 func MaxSeriesBytes(c Config) int {
 	c = c.withDefaults()
-	const worstPointBytes = 19
-	raw := (c.RawChunks + 1) * (c.RawChunkPoints*worstPointBytes + 16)
-	rollups := 2 * (c.Tier1Cap + c.Tier2Cap) * bucketBytes
-	return raw + rollups + seriesFixedBytes + 64
+	return c.Buckets*bucketBytes + seriesFixedBytes + 64
 }
 
 // Source produces named samples when collected. Implementations must read

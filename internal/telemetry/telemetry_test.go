@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,97 +15,8 @@ import (
 	"vsched/internal/vtrace"
 )
 
-// roundTrip encodes points through one gorillaEnc and decodes them back.
-func roundTrip(t *testing.T, pts []Point) {
-	t.Helper()
-	var e gorillaEnc
-	for _, p := range pts {
-		e.append(p.T, p.V)
-	}
-	got, err := decodeGorilla(nil, e.bytes(), e.n)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got) != len(pts) {
-		t.Fatalf("decoded %d points, want %d", len(got), len(pts))
-	}
-	for i := range pts {
-		if got[i].T != pts[i].T {
-			t.Fatalf("point %d: t=%d want %d", i, got[i].T, pts[i].T)
-		}
-		if math.Float64bits(got[i].V) != math.Float64bits(pts[i].V) {
-			t.Fatalf("point %d: v=%x want %x (%v vs %v)",
-				i, math.Float64bits(got[i].V), math.Float64bits(pts[i].V), got[i].V, pts[i].V)
-		}
-	}
-}
-
-func TestGorillaRoundTrip(t *testing.T) {
-	nan := math.NaN()
-	payloadNaN := math.Float64frombits(0x7ff8000000001234) // NaN with payload
-	cases := map[string][]Point{
-		"single":    {{T: 0, V: 1}},
-		"constant":  {{0, 5}, {100, 5}, {200, 5}, {300, 5}, {400, 5}},
-		"monotonic": {{0, 0}, {100, 1}, {200, 2}, {300, 3}, {400, 4}},
-		"jitter":    {{0, 1}, {103, 2}, {197, 1.5}, {305, 2.5}, {401, 1.25}},
-		"specials": {
-			{0, nan}, {1, math.Inf(1)}, {2, math.Inf(-1)}, {3, 0.0},
-			{4, math.Copysign(0, -1)}, {5, payloadNaN}, {6, math.MaxFloat64},
-			{7, math.SmallestNonzeroFloat64}, {8, -math.MaxFloat64},
-		},
-		"same-timestamp": {{50, 1}, {50, 2}, {50, 3}},
-		"big-dod": {
-			{0, 1}, {1, 2}, {1 << 40, 3}, {1<<40 + 5, 4}, {1 << 50, 5},
-		},
-	}
-	for name, pts := range cases {
-		t.Run(name, func(t *testing.T) { roundTrip(t, pts) })
-	}
-}
-
-func TestGorillaRoundTripRandomWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var pts []Point
-	tm, v := int64(0), 100.0
-	for i := 0; i < 5000; i++ {
-		tm += 100_000_000 + rng.Int63n(2001) - 1000
-		v += rng.NormFloat64()
-		pts = append(pts, Point{tm, v})
-	}
-	roundTrip(t, pts)
-}
-
-func TestGorillaCompression(t *testing.T) {
-	// A fixed-period constant series must compress to well under 2 bytes per
-	// point (the package's headline claim).
-	var e gorillaEnc
-	const n = 4096
-	for i := 0; i < n; i++ {
-		e.append(int64(i)*100_000_000, 42)
-	}
-	if bpp := float64(e.size()) / n; bpp > 2 {
-		t.Fatalf("constant series: %.2f bytes/point, want <= 2", bpp)
-	}
-}
-
-func TestGorillaTruncated(t *testing.T) {
-	var e gorillaEnc
-	for i := 0; i < 100; i++ {
-		e.append(int64(i)*100, float64(i)*1.5)
-	}
-	data := e.bytes()
-	if _, err := decodeGorilla(nil, data[:len(data)/2], e.n); err == nil {
-		t.Fatal("decoding a truncated stream should error, got nil")
-	}
-	// Claiming more points than encoded must error, not fabricate data.
-	if _, err := decodeGorilla(nil, data, e.n+50); err == nil {
-		t.Fatal("decoding with inflated count should error, got nil")
-	}
-}
-
 func TestSeriesRollupInvariants(t *testing.T) {
-	cfg := Config{RawChunkPoints: 64, RawChunks: 2, Tier1Cap: 40, Tier2Cap: 16}
-	cfg = cfg.withDefaults()
+	cfg := Config{Buckets: 40}.withDefaults()
 	s := newSeries("x", false, &cfg)
 	rng := rand.New(rand.NewSource(1))
 	const n = 200_000
@@ -120,17 +33,25 @@ func TestSeriesRollupInvariants(t *testing.T) {
 	if s.Count() != n {
 		t.Fatalf("Count=%d want %d", s.Count(), n)
 	}
-	// Every sample is in exactly one merged bucket.
+	// Every sample is in exactly one bucket, and every bucket but the last
+	// holds exactly one stride of samples.
+	bs := s.Buckets()
+	if len(bs) > cfg.Buckets {
+		t.Fatalf("%d buckets, cap %d", len(bs), cfg.Buckets)
+	}
 	var bucketN uint64
 	var bucketSum float64
 	prevT1 := int64(-1)
-	for _, b := range s.Merged() {
+	for i, b := range bs {
 		bucketN += uint64(b.Count)
 		bucketSum += b.Sum
 		if b.T0 <= prevT1 {
 			t.Fatalf("bucket [%d,%d] overlaps previous end %d", b.T0, b.T1, prevT1)
 		}
 		prevT1 = b.T1
+		if i < len(bs)-1 && uint64(b.Count) != s.stride {
+			t.Fatalf("bucket %d holds %d samples, stride %d", i, b.Count, s.stride)
+		}
 	}
 	if bucketN != n {
 		t.Fatalf("bucket counts sum to %d, want %d", bucketN, n)
@@ -138,16 +59,10 @@ func TestSeriesRollupInvariants(t *testing.T) {
 	if math.Abs(bucketSum-sum) > 1e-6*sum {
 		t.Fatalf("bucket sums %v, want %v", bucketSum, sum)
 	}
-	// The raw window is bounded and holds the newest points.
-	raw := s.RawPoints()
-	maxRaw := (cfg.RawChunks + 1) * cfg.RawChunkPoints
-	if len(raw) > maxRaw {
-		t.Fatalf("raw window %d points, cap %d", len(raw), maxRaw)
+	if last := bs[len(bs)-1]; last.T1 != s.Last().T {
+		t.Fatalf("last bucket ends at %d, want %d", last.T1, s.Last().T)
 	}
-	if last := raw[len(raw)-1]; last.T != s.Last().T || last.V != s.Last().V {
-		t.Fatalf("raw window tail %+v, want %+v", last, s.Last())
-	}
-	// Lifetime stats survive the rollups.
+	// Lifetime stats survive the merges.
 	if s.Min() < 0 || s.Max() > 100 || math.Abs(s.Mean()-50) > 1 {
 		t.Fatalf("stats min=%v max=%v mean=%v", s.Min(), s.Max(), s.Mean())
 	}
@@ -156,27 +71,76 @@ func TestSeriesRollupInvariants(t *testing.T) {
 	}
 }
 
-func TestSeriesMemoryBoundedForever(t *testing.T) {
-	// The tier-2 pair-merge must bound memory for ANY horizon: push enough
-	// samples through a tiny config to force several stride doublings.
-	cfg := Config{RawChunkPoints: 32, RawChunks: 1, Tier1Cap: 20, Tier2Cap: 8}
-	cfg = cfg.withDefaults()
+// TestSeriesExactUntilFull: up to Buckets samples the store is the samples
+// themselves, one per bucket, bit for bit, and quantiles are exact; the
+// next sample halves the store.
+func TestSeriesExactUntilFull(t *testing.T) {
+	cfg := Config{Buckets: 64}.withDefaults()
 	s := newSeries("x", false, &cfg)
-	for i := 0; i < 1_000_000; i++ {
-		s.Append(int64(i), float64(i%7))
+	rng := rand.New(rand.NewSource(3))
+	var want []Point
+	for i := 0; i < cfg.Buckets; i++ {
+		p := Point{int64(i) * 1000, rng.NormFloat64()}
+		if i == 5 {
+			p.V = math.Copysign(0, -1)
+		}
+		want = append(want, p)
+		s.Append(p.T, p.V)
 	}
-	if s.t2Stride <= rollupFactor*rollupFactor {
-		t.Fatalf("expected stride doubling, still %d", s.t2Stride)
+	bs := s.Buckets()
+	if len(bs) != len(want) {
+		t.Fatalf("%d buckets for %d samples", len(bs), len(want))
 	}
-	if got, max := s.Bytes(), MaxSeriesBytes(cfg); got > max {
-		t.Fatalf("Bytes=%d exceeds bound %d", got, max)
+	vals := make([]float64, len(want))
+	for i, b := range bs {
+		if b.Count != 1 || b.T0 != want[i].T || b.T1 != want[i].T ||
+			math.Float64bits(b.Sum) != math.Float64bits(want[i].V) ||
+			math.Float64bits(b.Mean()) != math.Float64bits(want[i].V) {
+			t.Fatalf("bucket %d = %+v, want sample %+v", i, b, want[i])
+		}
+		vals[i] = want[i].V
 	}
-	var n uint64
-	for _, b := range s.Merged() {
-		n += uint64(b.Count)
+	// Exact p95: the sample of rank ceil(0.95 n).
+	sort.Float64s(vals)
+	if got, exact := s.Quantile(0.95), vals[int(math.Ceil(0.95*float64(len(vals))))-1]; got != exact {
+		t.Fatalf("p95 %v, exact %v", got, exact)
 	}
-	if n != 1_000_000 {
-		t.Fatalf("bucket counts sum to %d after stride doubling, want 1000000", n)
+	s.Append(int64(cfg.Buckets)*1000, 1)
+	if n := len(s.Buckets()); n != cfg.Buckets/2+1 || s.stride != 2 {
+		t.Fatalf("after the store filled: %d buckets, stride %d; want %d, 2", n, s.stride, cfg.Buckets/2+1)
+	}
+}
+
+func TestSeriesMemoryBoundedForever(t *testing.T) {
+	// The pair-merge must bound memory for ANY horizon: push enough samples
+	// through small stores to force many stride doublings. 100 and 7 are
+	// not powers of two, so slice growth must be clipped at Buckets.
+	for _, buckets := range []int{8, 100, 7, 1} {
+		cfg := Config{Buckets: buckets}.withDefaults()
+		s := newSeries("x", false, &cfg)
+		for i := 0; i < 1_000_000; i++ {
+			s.Append(int64(i), float64(i%7))
+			if i%1000 == 0 && s.Bytes() > MaxSeriesBytes(cfg) {
+				t.Fatalf("buckets=%d: after %d samples Bytes=%d exceeds bound %d",
+					buckets, i+1, s.Bytes(), MaxSeriesBytes(cfg))
+			}
+		}
+		if s.stride < 1_000_000/uint64(buckets) {
+			t.Fatalf("buckets=%d: expected stride doubling, stride %d", buckets, s.stride)
+		}
+		if got, max := s.Bytes(), MaxSeriesBytes(cfg); got > max {
+			t.Fatalf("buckets=%d: Bytes=%d exceeds bound %d", buckets, got, max)
+		}
+		if got := cap(s.buckets); got > buckets {
+			t.Fatalf("buckets=%d: store capacity %d", buckets, got)
+		}
+		var n uint64
+		for _, b := range s.Buckets() {
+			n += uint64(b.Count)
+		}
+		if n != 1_000_000 {
+			t.Fatalf("buckets=%d: bucket counts sum to %d after stride doubling, want 1000000", buckets, n)
+		}
 	}
 }
 
@@ -190,33 +154,6 @@ func TestSeriesRegressingTimestampPanics(t *testing.T) {
 		}
 	}()
 	s.Append(99, 2)
-}
-
-func TestEncodeChunksDecodeRaw(t *testing.T) {
-	cfg := Config{RawChunkPoints: 16, RawChunks: 100, Tier1Cap: 512, Tier2Cap: 512}
-	cfg = cfg.withDefaults()
-	s := newSeries("x", false, &cfg)
-	var want []Point
-	for i := 0; i < 100; i++ { // 6 full chunks + open remainder
-		p := Point{int64(i) * 1000, float64(i) * 0.5}
-		want = append(want, p)
-		s.Append(p.T, p.V)
-	}
-	got, err := DecodeRaw(s.encodeChunks())
-	if err != nil {
-		t.Fatalf("DecodeRaw: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d points, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("point %d: %+v want %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := DecodeRaw([]byte{0xff}); err == nil {
-		t.Fatal("corrupt chunk stream should error")
-	}
 }
 
 // buildRecorder runs a small simulation with a registry source and returns
@@ -345,12 +282,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(back.Series) != len(snap.Series) {
 		t.Fatalf("round trip lost series: %d vs %d", len(back.Series), len(snap.Series))
 	}
-	pts, err := back.Series[0].Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != back.Series[0].RawN {
-		t.Fatalf("decoded %d raw points, header says %d", len(pts), back.Series[0].RawN)
+	for i, sr := range back.Series {
+		if !reflect.DeepEqual(sr, snap.Series[i]) {
+			t.Fatalf("series %s changed in the round trip", sr.Name)
+		}
 	}
 	sum := snap.Summary()
 	if !strings.Contains(sum, "app.work.done") {
@@ -419,14 +354,29 @@ func TestSparkline(t *testing.T) {
 	if runes[0] != sparkRunes[0] || runes[15] != sparkRunes[len(sparkRunes)-1] {
 		t.Fatalf("ramp should span min..max glyphs: %q", sl)
 	}
+	// Fewer buckets than cells: every cell shows the bucket it falls in, so
+	// a 30-sample run fills all 32 cells with a rising ramp.
+	sl = sparkline(bs[:30], 32)
+	runes = []rune(sl)
+	if len(runes) != 32 || strings.ContainsRune(sl, ' ') {
+		t.Fatalf("30 buckets over 32 cells left blanks: %q", sl)
+	}
+	if runes[0] != sparkRunes[0] || runes[31] != sparkRunes[len(sparkRunes)-1] {
+		t.Fatalf("ramp should span min..max glyphs: %q", sl)
+	}
+	for i := 1; i < len(runes); i++ {
+		if runes[i] < runes[i-1] {
+			t.Fatalf("ramp falls at cell %d: %q", i, sl)
+		}
+	}
 	if got := sparkline(nil, 8); got != strings.Repeat(" ", 8) {
 		t.Fatalf("empty sparkline = %q", got)
 	}
 }
 
 // Steady-state sampling cost: one full pass over a warm recorder must stay
-// within an amortized allocation budget (chunk closes and slice growth are
-// amortized; everything per-sample is allocation-free).
+// within an amortized allocation budget (bucket arrays stop growing once a
+// store is full; everything per-sample is allocation-free).
 func TestRecorderAllocBudget(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := metrics.NewRegistry()
@@ -439,8 +389,8 @@ func TestRecorderAllocBudget(t *testing.T) {
 		rec.SampleNow()
 	}
 	avg := testing.AllocsPerRun(2000, func() { rec.SampleNow() })
-	// 8 series × ~19 bytes/point worst case, amortized over chunk lifetime:
-	// the average must be well under one allocation per pass.
+	// The warm-up filled every store, so the average must be well under one
+	// allocation per pass.
 	if avg > 0.5 {
 		t.Fatalf("steady-state sample pass: %.3f allocs/op, want < 0.5", avg)
 	}
