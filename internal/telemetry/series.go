@@ -149,7 +149,6 @@ func (s *Series) halve() {
 		}
 		half = append(half, b)
 	}
-	clear(bs[len(half):])
 	s.buckets = half
 	s.stride *= 2
 }
