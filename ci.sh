@@ -110,8 +110,10 @@ go test -race -count=20 -run Budget ./internal/par/
 # (TestFlushIndexAllocBudget) are all pinned at zero allocations; cloudgen.Generate
 # reserves its trace once from the arrival-rate integral and
 # faults.Generate reseeds one Rand, so neither call's allocation count grows
-# with the trace or the fleet; and the macro tier keeps a 16-byte macroVM,
-# 32-byte service and 48-byte batch host records and a capped number of
+# with the trace or the fleet (that reseed is O(1): the Rand draws from
+# faults' lazySource, which this stage also checks against math/rand's own
+# source seed by seed and draw by draw); and the macro tier keeps a 16-byte
+# macroVM, 32-byte service and 48-byte batch host records and a capped number of
 # bytes allocated per trace VM over a 24 h, 1024-host RunMacro; and a warm
 # flight recorder's sample pass stays under half an allocation
 # (internal/telemetry's TestRecorderAllocBudget).

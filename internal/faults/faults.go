@@ -29,7 +29,12 @@
 // Everything is a pure function of (seed, Config): Generate draws each
 // host's fault process from its own FNV-derived sub-stream, so schedules are
 // stable under fleet-size changes and identical across runs, tiers, and
-// shard counts.
+// shard counts. Those sub-streams are many and short: a 1024-host schedule
+// seeds 3,072 of them, and most stop after one draw because the host sees
+// no event of that kind. math/rand's default source spends 1,841 MINSTD
+// steps on every Seed, so Generate draws from lazySource instead, which
+// returns the same values for every seed but seeds in O(1) and builds only
+// the register words its draws read (source.go).
 package faults
 
 import (
@@ -176,6 +181,9 @@ func fnv1a(words ...uint64) uint64 {
 // events of existing ones. One Rand is reseeded per sub-stream rather than
 // allocated per sub-stream: Float64 and ExpFloat64 keep no state outside
 // the source, so each reseed reproduces the sub-stream a fresh Rand would.
+// Its source is a lazySource, the same stream as rand.NewSource: a
+// sub-stream draws one to three values, which math/rand's Seed (a
+// 1,841-step MINSTD chain and 607 stores) dwarfed; lazySource's Seed is O(1).
 func Generate(seed int64, hosts int, horizon sim.Duration, cfg Config) Schedule {
 	cfg = cfg.withDefaults()
 	cfg.validate()
@@ -193,7 +201,7 @@ func Generate(seed int64, hosts int, horizon sim.Duration, cfg Config) Schedule 
 		{Brownout, cfg.BrownoutMTBF, cfg.BrownoutMean},
 		{Stall, cfg.StallMTBF, cfg.StallMean},
 	}
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(new(lazySource))
 	for h := 0; h < hosts; h++ {
 		for _, p := range procs {
 			if p.mtbf == 0 {

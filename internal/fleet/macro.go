@@ -1028,12 +1028,25 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 	m.reg.Counter("fleet.macro.epochs").Inc()
 }
 
+// stepStealEMA is one epoch of a host's steal EMA, smoothed as the micro
+// fleet's is. Once contention ends the EMA decays into the subnormals and
+// sticks at the smallest one (bits 0x1): 0.6*2^-1074 rounds back up to
+// 2^-1074. Arithmetic on a subnormal costs tens of times what it costs on a
+// normal float, so that fixed point is returned as it stands, which is
+// exactly what the formula gives.
+func stepStealEMA(ema, target float64) float64 {
+	const alpha = 0.4
+	if target == 0 && math.Float64bits(ema) == 1 {
+		return ema
+	}
+	return float64(alpha*target) + float64((1-alpha)*ema)
+}
+
 // advance runs host h's contention step over [t0, t1), dt seconds long. A
 // batch VM whose budget drains lifts its analytic completion instant into
 // the makespan and is filed in the calendar under t1, the boundary that ends
 // this epoch.
 func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
-	const alpha = 0.4 // same smoothing the micro fleet's steal EMA uses
 	// Effective compute for this epoch: zero while crashed or stalled (stall
 	// = all demand steals, nothing progresses), degradeFactor x threads
 	// while browned out.
@@ -1065,7 +1078,7 @@ func (m *macroSim) advance(h *macroHost, t0, t1 sim.Time, dt float64) {
 	if demand > 0 {
 		target = 1 - rho
 	}
-	h.stealEMA = float64(alpha*target) + float64((1-alpha)*h.stealEMA)
+	h.stealEMA = stepStealEMA(h.stealEMA, target)
 	miss := 1 - rho
 	// Service sweep: no class branch, no division. Uncontended (rho == 1, so
 	// miss == 0), served gains req*1 == req, and steal gains req*0 == +0,

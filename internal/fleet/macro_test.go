@@ -149,6 +149,32 @@ func TestMacroContentionModel(t *testing.T) {
 	}
 }
 
+// TestStealEMAStuckSubnormal: an idle host's steal EMA decays from 0.3 into
+// the smallest subnormal and stays there. stepStealEMA's shortcut for that
+// fixed point must give the full formula's bits at every epoch on the way
+// down, for 100 epochs after it, and when contention returns.
+func TestStealEMAStuckSubnormal(t *testing.T) {
+	full := func(ema, target float64) float64 { return float64(0.4*target) + float64(0.6*ema) }
+	ema, stuck := 0.3, -1
+	for epoch := 0; stuck < 0 || epoch < stuck+100; epoch++ {
+		if epoch > 5000 {
+			t.Fatalf("EMA still at %#x after %d epochs, never reached bits 0x1", math.Float64bits(ema), epoch)
+		}
+		got, want := stepStealEMA(ema, 0), full(ema, 0)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("epoch %d from %#x: stepStealEMA %#x, formula %#x",
+				epoch, math.Float64bits(ema), math.Float64bits(got), math.Float64bits(want))
+		}
+		ema = got
+		if stuck < 0 && math.Float64bits(ema) == 1 {
+			stuck = epoch
+		}
+	}
+	if got, want := stepStealEMA(ema, 0.5), full(ema, 0.5); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("contention after the fixed point: stepStealEMA %v, formula %v", got, want)
+	}
+}
+
 // TestMacroRejection: a VM larger than every host's admission bound must be
 // rejected without disturbing anything else.
 func TestMacroRejection(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a log-bucketed histogram of non-negative int64 samples
@@ -172,28 +171,4 @@ func (h *Histogram) Merge(o *Histogram) {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.0f p50=%d p95=%d p99=%d max=%d",
 		h.total, h.Mean(), h.P50(), h.P95(), h.P99(), h.Max())
-}
-
-// ExactQuantile computes the exact quantile of a small sample slice; used by
-// tests to validate Histogram and by experiments with few samples.
-func ExactQuantile(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
 }

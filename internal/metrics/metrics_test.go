@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +239,30 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("reset failed")
 	}
+}
+
+// ExactQuantile computes the exact quantile of a small sample slice, the
+// oracle the Histogram tests check its quantiles against.
+func ExactQuantile(samples []int64, q float64) int64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]int64(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	rank := int(math.Ceil(q*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(s) {
+		rank = len(s) - 1
+	}
+	return s[rank]
 }
 
 func TestExactQuantile(t *testing.T) {
