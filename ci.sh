@@ -46,18 +46,18 @@ go build ./...
 
 # Fused-free gate: on arm64 (and ppc64le, s390x, riscv64, loong64) Go may
 # fuse x*y + z into one multiply-add that rounds once, so the same seed would
-# give other bytes there; amd64 never fuses. internal/fleet rounds each such
-# product with an explicit float64(...), and an arm64 build of
-# cmd/experiments must hold no fused instruction in any of its functions.
-# Cross-compiling and disassembling work offline.
-echo "== internal/fleet fuses no multiply-add (GOARCH=arm64 objdump)"
+# give other bytes there; amd64 never fuses. internal/fleet, internal/cloudgen
+# and internal/faults round each such product with an explicit float64(...),
+# and an arm64 build of cmd/experiments must hold no fused instruction in any
+# of their functions. Cross-compiling and disassembling work offline.
+echo "== internal/{fleet,cloudgen,faults} fuse no multiply-add (GOARCH=arm64 objdump)"
 GOARCH=arm64 go build -o "$tmp"/vexp_arm64 ./cmd/experiments
-go tool objdump -s '^vsched/internal/fleet\.' "$tmp"/vexp_arm64 > "$tmp"/fleet_arm64.s
+go tool objdump -s '^vsched/internal/(fleet|cloudgen|faults)\.' "$tmp"/vexp_arm64 > "$tmp"/fleet_arm64.s
 fused=$(awk '
     /^TEXT / { fn = $2; sub(/\(SB\)$/, "", fn); next }
     $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp"/fleet_arm64.s)
 if [ -n "$fused" ]; then
-    echo "fused multiply-adds in internal/fleet; round each product with float64(...):" >&2
+    echo "fused multiply-adds in internal/{fleet,cloudgen,faults}; round each product with float64(...):" >&2
     echo "$fused" >&2
     exit 1
 fi
@@ -102,14 +102,19 @@ go test -race -count=20 -run Budget ./internal/par/
 # -short: the timing-wheel engine must match the retained heap engine
 # (internal/sim/heapengine) event for event on randomized scripts. This is
 # the gate that lets the engine be optimized without re-recording goldens.
+# cloudgen's two shortcuts face the same kind of gate: the size guard table
+# and the thinning buckets must decide exactly as math.Pow and math.Sin do
+# (TestSizeThresholdsDifferential, TestThinningDifferential; -race and
+# -short shrink their sweeps, so the full sweeps run in the full go test stage).
 # The allocation budgets ride along: the engine's schedule→fire path, the
 # guest's steady-state window, the request servers' steady-state window, a
 # vtrace ring emit of a known subject and a warm cycle over a fleet's 2,000
 # subjects (TestRingEmitAllocBudget), a latprof span's wakeup→on→off cycle
 # and open spans moving between vCPUs and vCPUs between threads
 # (TestFlushIndexAllocBudget) are all pinned at zero allocations; cloudgen.Generate
-# reserves its trace once from the arrival-rate integral and
-# faults.Generate reseeds one Rand, so neither call's allocation count grows
+# reserves its trace once from the arrival-rate integral, builds its size
+# guard table in one slice and keeps its thinning buckets in a fixed-size
+# array, and faults.Generate reseeds one Rand, so neither call's allocation count grows
 # with the trace or the fleet (that reseed is O(1): the Rand draws from
 # faults' lazySource, which this stage also checks against math/rand's own
 # source seed by seed and draw by draw); and the macro tier keeps a 16-byte

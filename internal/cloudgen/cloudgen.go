@@ -253,6 +253,25 @@ func (c Config) withDefaults() Config {
 // validate panics on configurations that cannot be sampled deterministically
 // and meaningfully; these are programming errors, not data.
 func (c Config) validate() {
+	// A NaN passes every range check below, and an infinite rate stalls the
+	// arrival clock: reject both before any of them.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"BaseRate", c.BaseRate},
+		{"DiurnalAmplitude", c.DiurnalAmplitude},
+		{"DiurnalPhase", c.DiurnalPhase},
+		{"Size.Alpha", c.Size.Alpha},
+		{"Size.Mu", c.Size.Mu},
+		{"Size.Sigma", c.Size.Sigma},
+		{"Lifetime.EphemeralSigma", c.Lifetime.EphemeralSigma},
+		{"Lifetime.LongSigma", c.Lifetime.LongSigma},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			panic(fmt.Sprintf("cloudgen: %s %v is not finite", f.name, f.v))
+		}
+	}
 	if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
 		panic(fmt.Sprintf("cloudgen: diurnal amplitude %v outside [0,1)", c.DiurnalAmplitude))
 	}
@@ -309,9 +328,9 @@ const maxPresize = 1 << 20
 // under 1.5% from 100k VMs up.
 func (c Config) expectedVMs() int {
 	h, p := float64(c.Horizon), float64(c.DiurnalPeriod)
-	mean := c.BaseRate / float64(Hour) * (h + c.DiurnalAmplitude*p/(2*math.Pi)*
-		(math.Cos(c.DiurnalPhase)-math.Cos(2*math.Pi*h/p+c.DiurnalPhase)))
-	n := mean + 4*math.Sqrt(mean) + 1
+	mean := float64(c.BaseRate / float64(Hour) * (h + float64(c.DiurnalAmplitude*p/(2*math.Pi)*
+		(math.Cos(c.DiurnalPhase)-math.Cos(2*math.Pi*h/p+c.DiurnalPhase)))))
+	n := mean + float64(4*math.Sqrt(mean)) + 1
 	if c.MaxVMs > 0 && n > float64(c.MaxVMs) {
 		n = float64(c.MaxVMs)
 	}
@@ -322,11 +341,31 @@ func (c Config) expectedVMs() int {
 }
 
 // Generate produces the trace for (seed, cfg). Deterministic: one private
-// rand stream, consumed in a fixed order per arrival. Two things keep it
-// cheap without moving a draw: tr.VMs is sized once from the integral of the
-// arrival rate (expectedVMs), and the bounded-Pareto constants are computed
-// once per trace instead of once per VM.
+// rand stream, consumed in a fixed order per arrival. Nothing that keeps it
+// cheap moves a draw or changes a decision:
+//   - tr.VMs is sized once from the integral of the arrival rate
+//     (expectedVMs);
+//   - the thinning test compares each proposal with bounds on the diurnal
+//     rate over its slice of the period and evaluates the sine only for a
+//     draw that falls between them (thinner);
+//   - a bounded-Pareto size is read off per-size thresholds on the inverse
+//     CDF's argument, with math.Pow called only for an argument that falls
+//     between a threshold pair (sizeSampler).
 func Generate(seed int64, cfg Config) Trace {
+	tr, _ := generate(seed, cfg)
+	return tr
+}
+
+// drawCounts counts, for one generate call, the thinning proposals, how
+// many of them evaluated the sine, and how many bounded-Pareto size draws
+// called math.Pow.
+type drawCounts struct {
+	proposals, sines, pows int
+}
+
+// generate is Generate, also reporting how often its shortcuts fell back to
+// the full expression.
+func generate(seed int64, cfg Config) (Trace, drawCounts) {
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	rng := rand.New(rand.NewSource(seed))
@@ -362,12 +401,13 @@ func Generate(seed int64, cfg Config) Trace {
 		size.MaxVCPUs = maxThreads
 	}
 	sizer := newSizeSampler(size)
+	thin := newThinner(cfg)
 	tr.VMs = make([]VM, 0, cfg.expectedVMs())
-	rateMax := cfg.BaseRate * (1 + cfg.DiurnalAmplitude) / float64(Hour) // per ns
+	var st drawCounts
 	var at sim.Time
 	id := 0
 	for {
-		at = at.Add(sim.Duration(rng.ExpFloat64() / rateMax))
+		at = at.Add(sim.Duration(rng.ExpFloat64() / thin.rateMax))
 		if at >= sim.Time(cfg.Horizon) {
 			break
 		}
@@ -376,10 +416,8 @@ func Generate(seed int64, cfg Config) Trace {
 		}
 		// Thinning draw happens for every proposal, accepted or not, so the
 		// stream stays aligned whatever the modulation does.
-		u := rng.Float64()
-		rate := cfg.BaseRate * (1 + cfg.DiurnalAmplitude*
-			math.Sin(2*math.Pi*float64(at)/float64(cfg.DiurnalPeriod)+cfg.DiurnalPhase)) / float64(Hour)
-		if u*rateMax > rate {
+		st.proposals++
+		if !thin.accept(at, rng.Float64()*thin.rateMax) {
 			continue
 		}
 		vm := VM{ID: id, At: at, VCPUs: sizer.sample(rng)}
@@ -399,57 +437,223 @@ func Generate(seed int64, cfg Config) Trace {
 		s := faults.Generate(seed, len(tr.Hosts), cfg.Horizon, *cfg.Faults)
 		tr.Faults = &s
 	}
-	return tr
+	st.sines, st.pows = thin.sines, sizer.pows
+	return tr, st
 }
 
+// thinBuckets is the number of equal slices of one diurnal period for which
+// thinner keeps rate bounds.
+const thinBuckets = 1024
+
+// thinner decides which arrival proposals survive thinning. bounds[i] holds
+// a lower and an upper bound on the rate over the i-th slice of the period,
+// so a proposal whose draw falls outside them is decided without the sine;
+// one between them evaluates the rate itself and gets the same answer.
+type thinner struct {
+	base, amp, phase float64
+	period, width    sim.Duration
+	// rateMax is the proposal rate, the peak of the rate, in VMs per ns.
+	rateMax float64
+	bounds  [thinBuckets]struct{ lo, hi float64 }
+	sines   int // proposals that evaluated the sine
+}
+
+func newThinner(cfg Config) thinner {
+	th := thinner{
+		base:    cfg.BaseRate,
+		amp:     cfg.DiurnalAmplitude,
+		phase:   cfg.DiurnalPhase,
+		period:  cfg.DiurnalPeriod,
+		width:   (cfg.DiurnalPeriod-1)/thinBuckets + 1,
+		rateMax: cfg.BaseRate * (1 + cfg.DiurnalAmplitude) / float64(Hour),
+	}
+	// accept rounds its angle, and so drifts from the exact sine by a few ulps
+	// of the largest angle before the horizon, plus the sine's own rounding.
+	// The edge sines below carry the same error. pad covers both with a
+	// margin of several hundred.
+	thetaMax := 2*math.Pi*float64(cfg.Horizon)/float64(th.period) + math.Abs(th.phase)
+	pad := float64((thetaMax + 1) * 0x1p-40)
+	edge := func(i int) (theta, sin float64) {
+		t := th.period
+		if sim.Duration(i) <= th.period/th.width {
+			t = sim.Duration(i) * th.width
+		}
+		theta = th.angle(sim.Time(t))
+		return theta, math.Sin(theta)
+	}
+	theta0, s0 := edge(0)
+	for i := range th.bounds {
+		theta1, s1 := edge(i + 1)
+		lo, hi := min(s0, s1), max(s0, s1)
+		if crosses(theta0, theta1, math.Pi/2) {
+			hi = 1
+		}
+		if crosses(theta0, theta1, -math.Pi/2) {
+			lo = -1
+		}
+		// rateAt is monotone in the sine, rounding included.
+		th.bounds[i].lo, th.bounds[i].hi = th.rateAt(lo-pad), th.rateAt(hi+pad)
+		theta0, s0 = theta1, s1
+	}
+	return th
+}
+
+// crosses reports whether [a, b] holds c + 2πn for some integer n. Rounding
+// can miss a point within a few ulps of a or b, where the sine at that end
+// is within pad of the extremum anyway.
+func crosses(a, b, c float64) bool {
+	return math.Floor((b-c)/(2*math.Pi)) > math.Floor((a-c)/(2*math.Pi))
+}
+
+// angle is the phase of the diurnal sine at time t.
+func (th *thinner) angle(t sim.Time) float64 {
+	return 2*math.Pi*float64(t)/float64(th.period) + th.phase
+}
+
+// rateAt is the arrival rate, in VMs per ns, where the diurnal sine is sin:
+// BaseRate * (1 + A*sin) per hour.
+func (th *thinner) rateAt(sin float64) float64 {
+	return th.base * (1 + float64(th.amp*sin)) / float64(Hour)
+}
+
+// accept reports whether a proposal at time at survives thinning, given
+// p = u*rateMax for its uniform draw u: whether p <= rateAt(Sin(angle(at))).
+func (th *thinner) accept(at sim.Time, p float64) bool {
+	b := &th.bounds[sim.Duration(at)%th.period/th.width]
+	if p <= b.lo {
+		return true
+	}
+	if p > b.hi {
+		return false
+	}
+	th.sines++
+	return p <= th.rateAt(math.Sin(th.angle(at)))
+}
+
+// maxSizeGuards caps the sizes that get a sizeGuard, so that a fleet of very
+// large hosts does not spend its set-up bisecting for sizes a heavy-tailed
+// draw seldom reaches. A draw past the last guard calls math.Pow.
+const maxSizeGuards = 64
+
+// sizeGuard brackets the inverse-CDF argument x at which a bounded-Pareto
+// draw reaches size k: Pow(x, -1/Alpha) >= k for every x <= hi, and < k for
+// every x >= lo.
+type sizeGuard struct{ hi, lo float64 }
+
 // sizeSampler draws vCPU counts from one SizeDist. For SizePareto it holds
-// MinVCPUs^Alpha, MaxVCPUs^Alpha and -1/Alpha, which every draw needs.
+// MinVCPUs^Alpha, MaxVCPUs^Alpha, their product and -1/Alpha, which every
+// draw needs, and the guards of the sizes above MinVCPUs.
 type sizeSampler struct {
-	d                   SizeDist
-	la, ha, negInvAlpha float64
+	d                         SizeDist
+	la, ha, hala, negInvAlpha float64
+	// guards[i] is the sizeGuard of size MinVCPUs+1+i.
+	guards []sizeGuard
+	// top is the least x for which Pow(x, -1/Alpha) is surely below 2^62,
+	// so that its floor converts to int exactly. It is +Inf when guards stop
+	// short of MaxVCPUs, so that a draw past the last guard calls math.Pow.
+	top  float64
+	pows int // Pareto draws that called math.Pow
 }
 
 func newSizeSampler(d SizeDist) sizeSampler {
 	s := sizeSampler{d: d}
-	if d.Kind == SizePareto {
-		s.la, s.ha = math.Pow(float64(d.MinVCPUs), d.Alpha), math.Pow(float64(d.MaxVCPUs), d.Alpha)
-		s.negInvAlpha = -1 / d.Alpha
+	if d.Kind != SizePareto {
+		return s
+	}
+	s.la, s.ha = math.Pow(float64(d.MinVCPUs), d.Alpha), math.Pow(float64(d.MaxVCPUs), d.Alpha)
+	s.hala = s.ha * s.la
+	s.negInvAlpha = -1 / d.Alpha
+	// The 1e-9 margins dwarf the few ulps by which math.Pow strays from
+	// monotone, so one bisection per bound holds for every x beyond it.
+	n := min(d.MaxVCPUs-d.MinVCPUs, maxSizeGuards)
+	s.guards = make([]sizeGuard, n)
+	for i := range s.guards {
+		k := float64(d.MinVCPUs + 1 + i)
+		s.guards[i] = sizeGuard{
+			hi: math.Nextafter(firstBelow(s.negInvAlpha, k*(1+1e-9)), 0),
+			lo: firstBelow(s.negInvAlpha, k*(1-1e-9)),
+		}
+	}
+	s.top = math.Inf(1)
+	if n == d.MaxVCPUs-d.MinVCPUs {
+		s.top = firstBelow(s.negInvAlpha, 1<<62)
 	}
 	return s
 }
 
-// sample draws one vCPU count.
-func (s *sizeSampler) sample(rng *rand.Rand) int {
-	d := s.d
-	var v float64
-	switch d.Kind {
-	case SizePareto:
-		v = paretoBounded(rng, s.la, s.ha, s.negInvAlpha)
-	case SizeLognormal:
-		v = math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
-	default:
-		panic(fmt.Sprintf("cloudgen: unknown size kind %d", d.Kind))
+// firstBelow returns the least non-negative float64 x with Pow(x, e) < t
+// for e < 0 and a finite t, or +Inf when no float64 has it. It bisects over
+// the bit patterns of non-negative floats, which order as the floats do.
+func firstBelow(e, t float64) float64 {
+	below := func(b uint64) bool { return math.Pow(math.Float64frombits(b), e) < t }
+	lo, hi := uint64(0), math.Float64bits(math.MaxFloat64) // Pow(0, e) is +Inf
+	if !below(hi) {
+		return math.Inf(1)
 	}
-	n := int(math.Floor(v))
-	if n < d.MinVCPUs {
-		n = d.MinVCPUs
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; below(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
 	}
-	if n > d.MaxVCPUs {
-		n = d.MaxVCPUs
-	}
-	return n
+	return math.Float64frombits(hi)
 }
 
-// paretoBounded inverts the bounded-Pareto CDF on [lo, hi] with tail
-// exponent alpha, given la = lo^alpha, ha = hi^alpha and negInvAlpha =
-// -1/alpha: both truncation points are respected exactly, unlike capping an
-// unbounded draw, so the sampled mass integrates to one.
-func paretoBounded(rng *rand.Rand, la, ha, negInvAlpha float64) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
+// sample draws one vCPU count.
+func (s *sizeSampler) sample(rng *rand.Rand) int {
+	switch s.d.Kind {
+	case SizePareto:
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		return s.pareto(-(float64(u*s.ha) - float64(u*s.la) - s.ha) / s.hala)
+	case SizeLognormal:
+		return s.clamp(math.Exp(s.d.Mu + float64(s.d.Sigma*rng.NormFloat64())))
 	}
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), negInvAlpha)
+	panic(fmt.Sprintf("cloudgen: unknown size kind %d", s.d.Kind))
+}
+
+// pareto is the size of a bounded-Pareto draw whose inverse-CDF argument is
+// x: Pow(x, -1/Alpha), floored and clamped. sample builds x from u in (0, 1)
+// so that the draw lies on [MinVCPUs, MaxVCPUs] with both truncation points
+// respected exactly, unlike capping an unbounded draw, so the sampled mass
+// integrates to one.
+func (s *sizeSampler) pareto(x float64) int {
+	n := s.d.MinVCPUs
+	for _, g := range s.guards {
+		if x <= g.hi {
+			n++
+			continue
+		}
+		if x >= g.lo {
+			return n
+		}
+		return s.pow(x)
+	}
+	if x >= s.top {
+		return n
+	}
+	return s.pow(x)
+}
+
+// pow is pareto by the full expression.
+func (s *sizeSampler) pow(x float64) int {
+	s.pows++
+	return s.clamp(math.Pow(x, s.negInvAlpha))
+}
+
+// clamp floors a drawn size into [MinVCPUs, MaxVCPUs].
+func (s *sizeSampler) clamp(v float64) int {
+	n := int(math.Floor(v))
+	if n < s.d.MinVCPUs {
+		n = s.d.MinVCPUs
+	}
+	if n > s.d.MaxVCPUs {
+		n = s.d.MaxVCPUs
+	}
+	return n
 }
 
 // lognormalDur draws a lognormal duration with the given median and

@@ -384,6 +384,21 @@ func TestValidatePanics(t *testing.T) {
 		{func(c *Config) { c.ServiceDemand = 1.5 }, "ServiceDemand"},
 		// smallConfig's largest host has 16 threads.
 		{func(c *Config) { c.Size.MinVCPUs = 20 }, "Size.MinVCPUs"},
+		// Non-finite parameters. MaxVMs bounds the trace, so a generator
+		// that lets one through returns instead of proposing forever.
+		{func(c *Config) { c.MaxVMs, c.BaseRate = 1000, math.Inf(1) }, "BaseRate"},
+		{func(c *Config) { c.MaxVMs, c.BaseRate = 1000, math.NaN() }, "BaseRate"},
+		{func(c *Config) { c.MaxVMs, c.DiurnalAmplitude = 1000, math.NaN() }, "DiurnalAmplitude"},
+		{func(c *Config) { c.MaxVMs, c.DiurnalPhase = 1000, math.Inf(-1) }, "DiurnalPhase"},
+		{func(c *Config) { c.MaxVMs, c.Size.Alpha = 1000, math.NaN() }, "Size.Alpha"},
+		{func(c *Config) {
+			c.MaxVMs, c.Size = 1000, SizeDist{Kind: SizeLognormal, MinVCPUs: 1, MaxVCPUs: 16, Mu: math.NaN(), Sigma: 0.8}
+		}, "Size.Mu"},
+		{func(c *Config) {
+			c.MaxVMs, c.Size = 1000, SizeDist{Kind: SizeLognormal, MinVCPUs: 1, MaxVCPUs: 16, Mu: 1, Sigma: math.Inf(1)}
+		}, "Size.Sigma"},
+		{func(c *Config) { c.MaxVMs, c.Lifetime.EphemeralSigma = 1000, math.NaN() }, "Lifetime.EphemeralSigma"},
+		{func(c *Config) { c.MaxVMs, c.Lifetime.LongSigma = 1000, math.Inf(1) }, "Lifetime.LongSigma"},
 	}
 	for i, tc := range cases {
 		cfg := smallConfig()

@@ -214,13 +214,15 @@ func Generate(seed int64, hosts int, horizon sim.Duration, cfg Config) Schedule 
 				if t >= sim.Time(horizon) {
 					break
 				}
-				dur := sim.Duration((0.5 + rng.Float64()) * float64(p.mean))
+				// Float64 inlines to a product (an Int63 times 2^-63); the
+				// conversion keeps it from fusing with the add.
+				dur := sim.Duration((0.5 + float64(rng.Float64())) * float64(p.mean))
 				if dur < sim.Second {
 					dur = sim.Second
 				}
 				ev := Event{At: t, Host: h, Kind: p.kind, Duration: dur}
 				if p.kind == Brownout {
-					ev.Factor = cfg.FactorLo + rng.Float64()*(cfg.FactorHi-cfg.FactorLo)
+					ev.Factor = cfg.FactorLo + float64(rng.Float64()*(cfg.FactorHi-cfg.FactorLo))
 				}
 				s.Events = append(s.Events, ev)
 				t = t.Add(dur) // renewal from the end: same-kind faults never overlap
