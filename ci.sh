@@ -46,18 +46,18 @@ go build ./...
 
 # Fused-free gate: on arm64 (and ppc64le, s390x, riscv64, loong64) Go may
 # fuse x*y + z into one multiply-add that rounds once, so the same seed would
-# give other bytes there; amd64 never fuses. internal/fleet, internal/cloudgen
-# and internal/faults round each such product with an explicit float64(...),
-# and an arm64 build of cmd/experiments must hold no fused instruction in any
-# of their functions. Cross-compiling and disassembling work offline.
-echo "== internal/{fleet,cloudgen,faults} fuse no multiply-add (GOARCH=arm64 objdump)"
+# give other bytes there; amd64 never fuses. Every package of the module
+# rounds each such product with an explicit float64(...), and an arm64 build
+# of cmd/experiments must hold no fused instruction in any vsched function.
+# Cross-compiling and disassembling work offline.
+echo "== vsched/... fuses no multiply-add (GOARCH=arm64 objdump)"
 GOARCH=arm64 go build -o "$tmp"/vexp_arm64 ./cmd/experiments
-go tool objdump -s '^vsched/internal/(fleet|cloudgen|faults)\.' "$tmp"/vexp_arm64 > "$tmp"/fleet_arm64.s
+go tool objdump -s '^vsched/' "$tmp"/vexp_arm64 > "$tmp"/vexp_arm64.s
 fused=$(awk '
     /^TEXT / { fn = $2; sub(/\(SB\)$/, "", fn); next }
-    $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp"/fleet_arm64.s)
+    $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp"/vexp_arm64.s)
 if [ -n "$fused" ]; then
-    echo "fused multiply-adds in internal/{fleet,cloudgen,faults}; round each product with float64(...):" >&2
+    echo "fused multiply-adds in vsched/...; round each product with float64(...):" >&2
     echo "$fused" >&2
     exit 1
 fi

@@ -381,10 +381,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *attrib {
 		prof = latprof.New(latprof.Config{VM: "vm", NominalSpeed: cl.Host().Config().BaseSpeed})
 		vtrace.AttachHost(vtrace.NewObserver(prof.Observe), cl.Host())
-		vm.SetTracer(vtrace.NewObserver(func(ev vtrace.Event) {
-			prof.Observe(ev)
-			ring.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
-		}))
+		vm.SetTracer(vtrace.Tee(ring, prof.Observe))
 	}
 	var srv *vsched.Server
 	if s, ok := inst.(*vsched.Server); ok {

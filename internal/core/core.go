@@ -161,6 +161,18 @@ func New(vm *guest.VM, features Features, params Params, model cachemodel.Model)
 	return s
 }
 
+// Attach creates and starts vSched on vm with the default tunables and
+// cache model, calibrated the way the guest sees its hardware: NominalSpeed
+// is the host's BaseSpeed, the nominal frequency every vcap capacity is
+// normalised against.
+func Attach(vm *guest.VM, features Features) *VSched {
+	p := DefaultParams()
+	p.NominalSpeed = vm.Host().Config().BaseSpeed
+	s := New(vm, features, p, cachemodel.Default())
+	s.Start()
+	return s
+}
+
 // VM returns the managed VM.
 func (s *VSched) VM() *guest.VM { return s.vm }
 

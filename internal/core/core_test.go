@@ -35,11 +35,23 @@ func newRig(t *testing.T, sockets, cores, threadsPer, nvcpu int, feats Features)
 	}
 	vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	p.NominalSpeed = 1.0
-	s := New(vm, feats, p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, feats)
 	return &rig{eng: eng, h: h, vm: vm, s: s}
+}
+
+// TestAttachCalibratesAndStarts: Attach reads the guest's nominal speed off
+// the host's BaseSpeed (1 in newRig), keeps the other defaults and starts
+// vSched. TestVcapMeasuresShareAndSpeed checks the capacities that follow.
+func TestAttachCalibratesAndStarts(t *testing.T) {
+	r := newRig(t, 1, 2, 1, 2, Features{Vcap: true, Vact: true})
+	want := DefaultParams()
+	want.NominalSpeed = 1
+	if got := r.s.Params(); got != want {
+		t.Fatalf("params %+v, want %+v", got, want)
+	}
+	if !r.s.started {
+		t.Fatal("Attach returned an unstarted vSched")
+	}
 }
 
 func TestVcapMeasuresShareAndSpeed(t *testing.T) {
@@ -129,10 +141,7 @@ func buildMixedTopo(t *testing.T, feats Features) *rig {
 	}
 	vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	p.NominalSpeed = 1.0
-	s := New(vm, feats, p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, feats)
 	return &rig{eng: eng, h: h, vm: vm, s: s}
 }
 
@@ -278,10 +287,7 @@ func TestIVHHarvestsUnusedVCPUs(t *testing.T) {
 		}
 		vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 		vm.Start()
-		p := DefaultParams()
-		p.NominalSpeed = 1.0
-		s := New(vm, feats, p, cachemodel.Default())
-		s.Start()
+		s := Attach(vm, feats)
 		for i := 0; i < 4; i++ {
 			host.NewPatternContender(h, "p", h.Thread(i), 5*sim.Millisecond, 5*sim.Millisecond,
 				sim.Duration(i)*2500*sim.Microsecond)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"vsched/internal/cachemodel"
 	"vsched/internal/guest"
 	"vsched/internal/host"
 	"vsched/internal/sim"
@@ -52,10 +51,7 @@ func TestVSchedFullyStackedVM(t *testing.T) {
 	// Both vCPUs on thread 0; thread 1 stays empty.
 	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(0)}, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	p.NominalSpeed = 1.0
-	s := New(vm, AllFeatures(), p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, AllFeatures())
 
 	var done int
 	vm.Spawn("w", func(now sim.Time) guest.Segment {

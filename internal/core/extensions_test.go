@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"vsched/internal/cachemodel"
 	"vsched/internal/guest"
 	"vsched/internal/host"
 	"vsched/internal/sim"
@@ -20,10 +19,7 @@ func TestAutoTuneGrowsSamplingForLongCycles(t *testing.T) {
 	host.NewPatternContender(h, "p", h.Thread(0), 80*sim.Millisecond, 40*sim.Millisecond, 0)
 	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(1)}, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	p.NominalSpeed = 1
-	s := New(vm, Features{Vcap: true, Vact: true}, p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, Features{Vcap: true, Vact: true})
 	eng.RunFor(10 * sim.Second)
 
 	tuned := s.AutoTune()
@@ -51,8 +47,7 @@ func TestAutoTuneKeepsDefaultsOnQuietHost(t *testing.T) {
 	h := host.New(eng, cfg)
 	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(1)}, guest.DefaultParams())
 	vm.Start()
-	s := New(vm, Features{Vcap: true, Vact: true}, DefaultParams(), cachemodel.Default())
-	s.Start()
+	s := Attach(vm, Features{Vcap: true, Vact: true})
 	eng.RunFor(6 * sim.Second)
 	tuned := s.AutoTune()
 	if tuned.SamplePeriod != 100*sim.Millisecond {
@@ -75,10 +70,7 @@ func TestVllcMeasuresCachePressure(t *testing.T) {
 	}
 	vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	p.NominalSpeed = 1
-	s := New(vm, Features{Vcap: true, Vact: true, Vtop: true, Vllc: true}, p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, Features{Vcap: true, Vact: true, Vtop: true, Vllc: true})
 	// Cache-heavy residents pinned on socket 0 (threads 0..3).
 	for i := 0; i < 3; i++ {
 		vm.Spawn("mem", func(sim.Time) guest.Segment { return guest.ComputeForever() },
@@ -106,8 +98,7 @@ func TestCacheShareDefaultsToOne(t *testing.T) {
 	h := host.New(eng, cfg)
 	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(1)}, guest.DefaultParams())
 	vm.Start()
-	s := New(vm, Features{Vcap: true}, DefaultParams(), cachemodel.Default())
-	s.Start()
+	s := Attach(vm, Features{Vcap: true})
 	if s.CacheShare(0) != 1.0 {
 		t.Fatal("unmeasured share must default to 1.0")
 	}

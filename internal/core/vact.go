@@ -51,9 +51,9 @@ func (a *vact) onSample(v *guest.VCPU, stealD, period sim.Duration) {
 
 	f := a.s.params.emaFactor()
 	if pv.have {
-		pv.latencyEMA = pv.latencyEMA*f + inactive*(1-f)
-		pv.inactiveEMA = pv.inactiveEMA*f + inactive*(1-f)
-		pv.activeEMA = pv.activeEMA*f + active*(1-f)
+		pv.latencyEMA = float64(pv.latencyEMA*f) + float64(inactive*(1-f))
+		pv.inactiveEMA = float64(pv.inactiveEMA*f) + float64(inactive*(1-f))
+		pv.activeEMA = float64(pv.activeEMA*f) + float64(active*(1-f))
 	} else {
 		pv.latencyEMA, pv.inactiveEMA, pv.activeEMA = inactive, inactive, active
 		pv.have = true

@@ -162,7 +162,7 @@ func (c *vcap) endWindow() {
 		}
 		sample := pv.coreSpeedScale * share
 		if pv.haveEMA {
-			pv.ema = pv.ema*f + sample*(1-f)
+			pv.ema = float64(pv.ema*f) + float64(sample*(1-f))
 		} else {
 			pv.ema = sample
 			pv.haveEMA = true

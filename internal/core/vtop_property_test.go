@@ -34,10 +34,7 @@ func TestVtopDiscoversRandomTopologies(t *testing.T) {
 			}
 			vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 			vm.Start()
-			p := DefaultParams()
-			p.NominalSpeed = cfg.BaseSpeed
-			s := New(vm, Features{Vtop: true}, p, cachemodel.Default())
-			s.Start()
+			s := Attach(vm, Features{Vtop: true})
 			eng.RunFor(10 * sim.Second)
 
 			b := s.Vtop().Belief()
@@ -92,10 +89,7 @@ func TestVcapTracksArbitraryShares(t *testing.T) {
 		}
 		vm := guest.NewVM(h, "vm", threads, guest.DefaultParams())
 		vm.Start()
-		p := DefaultParams()
-		p.NominalSpeed = 1.0
-		s := New(vm, Features{Vcap: true, Vact: true}, p, cachemodel.Default())
-		s.Start()
+		Attach(vm, Features{Vcap: true, Vact: true})
 		eng.RunFor(15 * sim.Second)
 		for i := 0; i < 4; i++ {
 			want := 1024 * shares[i]
@@ -117,9 +111,7 @@ func TestQueryStateConsistency(t *testing.T) {
 	h := host.New(eng, cfg)
 	vm := guest.NewVM(h, "vm", []*host.Thread{h.Thread(0), h.Thread(1)}, guest.DefaultParams())
 	vm.Start()
-	p := DefaultParams()
-	s := New(vm, Features{Vcap: true, Vact: true}, p, cachemodel.Default())
-	s.Start()
+	s := Attach(vm, Features{Vcap: true, Vact: true})
 	vm.Spawn("hog", func(sim.Time) guest.Segment { return guest.ComputeForever() },
 		guest.WithAffinity(0))
 	host.NewPatternContender(h, "p", h.Thread(0), 7*sim.Millisecond, 7*sim.Millisecond, 0)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"vsched/internal/cachemodel"
 	"vsched/internal/core"
 	"vsched/internal/guest"
 	"vsched/internal/host"
@@ -182,8 +181,9 @@ func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
 }
 
 // MetricsSnapshot flattens every tracked registry into one label-prefixed
-// map (nil when nothing was tracked). Only call after the run has returned:
-// the instruments themselves are not synchronised.
+// map, histograms expanded as VisitNumeric expands them (nil when no tracked
+// registry holds an instrument). Only call after the run has returned: the
+// instruments themselves are not synchronised.
 func (s *Stats) MetricsSnapshot() map[string]float64 {
 	if s == nil {
 		return nil
@@ -192,13 +192,12 @@ func (s *Stats) MetricsSnapshot() map[string]float64 {
 	defer s.mu.Unlock()
 	var out map[string]float64
 	for i, label := range uniqueLabels(s.regs) {
-		flat := s.regs[i].v.Snapshot().Flatten()
-		if len(flat) > 0 && out == nil {
-			out = make(map[string]float64, len(flat)*len(s.regs))
-		}
-		for k, v := range flat {
+		s.regs[i].v.VisitNumeric(func(k string, v float64) {
+			if out == nil {
+				out = make(map[string]float64)
+			}
 			out[label+"."+k] = v
-		}
+		})
 	}
 	return out
 }
@@ -402,15 +401,8 @@ func newFlatCluster(o Options, sockets, cores, threadsPer int) *cluster {
 func buildCluster(o Options, sockets, cores, threadsPer int, flat bool) *cluster {
 	eng := sim.NewEngine(o.Seed)
 	o.Stats.Track(eng)
-	cfg := host.DefaultConfig()
-	cfg.Sockets = sockets
-	cfg.CoresPerSocket = cores
-	cfg.ThreadsPerCore = threadsPer
-	if flat {
-		cfg.SMTFactor = 1.0
-		cfg.TurboFactor = 1.0
-	}
-	return &cluster{eng: eng, h: host.New(eng, cfg), stats: o.Stats}
+	h := host.New(eng, host.TopologyConfig(sockets, cores, threadsPer, flat))
+	return &cluster{eng: eng, h: h, stats: o.Stats}
 }
 
 func (c *cluster) threads(idx ...int) []*host.Thread {
@@ -454,12 +446,9 @@ func deployFeatures(c *cluster, name string, threads []*host.Thread, feats core.
 	vm := guest.NewVM(c.h, name, threads, guest.DefaultParams())
 	c.stats.TrackRegistry(name, vm.Metrics())
 	vm.Start()
-	p := core.DefaultParams()
-	p.NominalSpeed = c.h.Config().BaseSpeed
 	d := &deployment{vm: vm}
 	if feats != (core.Features{}) {
-		d.vs = core.New(vm, feats, p, cachemodel.Default())
-		d.vs.Start()
+		d.vs = core.Attach(vm, feats)
 	}
 	return d
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vsched/internal/guest"
+	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/vtrace"
 )
@@ -59,6 +60,14 @@ func TestStatsObservationIsInert(t *testing.T) {
 	}
 	if len(stats.MetricsSnapshot()) == 0 {
 		t.Fatal("stats captured no VM metrics")
+	}
+
+	// A tracked registry without instruments leaves the map nil, so a trial
+	// that published nothing carries no metrics in the artifact.
+	empty := &Stats{}
+	empty.TrackRegistry("vm", metrics.NewRegistry())
+	if m := empty.MetricsSnapshot(); m != nil {
+		t.Fatalf("empty registry snapshot %v, want nil", m)
 	}
 }
 

@@ -88,7 +88,7 @@ func Fig16(opt Options) *Report {
 
 	cfs, vs := series[0], series[1]
 	for i, name := range phaseNames {
-		t0 := float64(i) * phase.Seconds()
+		t0 := float64(float64(i) * phase.Seconds())
 		t1 := t0 + phase.Seconds()
 		// Skip the first fifth of each phase (transition).
 		t0 += phase.Seconds() / 5
@@ -199,7 +199,7 @@ func Fig17(opt Options) *Report {
 	sort.Strings(nbNames)
 	phaseNames := []string{"intermittent", "consistent", "transient"}
 	for i, name := range phaseNames {
-		t0 := float64(i)*phase.Seconds() + warmFrac*phase.Seconds()
+		t0 := float64(float64(i)*phase.Seconds()) + float64(warmFrac*phase.Seconds())
 		t1 := float64(i+1) * phase.Seconds()
 		a, b := meanRate(cfsRates, bucket, t0, t1), meanRate(vsRates, bucket, t0, t1)
 		// Neighbour degradation: how much less the co-located workloads got

@@ -32,15 +32,12 @@ func FleetScale(o Options) *Report {
 // fleetScale runs the fleet cells and the telemetry checks, and returns the
 // typed results in policy x guest order with the report rendered from them.
 func fleetScale(o Options) ([]*fleet.Result, *Report) {
-	hostCfg := host.DefaultConfig()
-	hostCfg.Sockets = 1
-	hostCfg.CoresPerSocket = 4
-	hostCfg.ThreadsPerCore = 2
+	hostCfg := host.TopologyConfig(1, 4, 2, false)
 
 	const hosts = 32
 	arrivals := 128
 	if o.Scale > 0 && o.Scale < 1 {
-		if n := int(128*o.Scale + 0.5); n < arrivals {
+		if n := int(float64(128*o.Scale) + 0.5); n < arrivals {
 			arrivals = n
 		}
 		if arrivals < 16 {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vsched/internal/cachemodel"
 	"vsched/internal/core"
 	"vsched/internal/faults"
 	"vsched/internal/guest"
@@ -74,9 +73,9 @@ type Config struct {
 	// Telemetry, when non-nil, attaches a flight recorder (see
 	// internal/telemetry) sampling the cell registry, per-host steal and
 	// utilization, per-VM-class population, and the simulator itself into
-	// compressed bounded-memory time series; Result.Telemetry carries the
-	// recorder after Run. Observation only, like Attribution: the simulation
-	// is byte-identical with it on or off.
+	// bounded-memory time series; Result.Telemetry carries the recorder
+	// after Run. Observation only, like Attribution: the simulation is
+	// byte-identical with it on or off.
 	Telemetry *telemetry.Config
 	// Faults, when non-nil, injects the host fault schedule (see
 	// internal/faults and faultplane.go): crashes kill resident VMs and take
@@ -255,19 +254,13 @@ func New(cfg Config) *Fleet {
 		if cfg.Attribution {
 			// Fold the host's events once for the profilers of the VMs
 			// created here (see the fold routing note). One tap derives the
-			// host's events once and tees each to the shared tracer, then to
-			// the fold, so the ring sees what a tracer-only tap would emit.
+			// host's events once and tees each to the fold, then to the
+			// shared tracer, so the ring sees what a tracer-only tap would
+			// emit.
 			// The tap carries only host-kind events; each VM's guest events
 			// reach its profiler solely through its own tracer tee in spawn().
-			fold := latprof.NewHostFold()
-			hs.fold = fold
-			tap = vtrace.NewObserver(fold.Observe)
-			if tr := cfg.Tracer; tr != nil {
-				tap = vtrace.NewObserver(func(ev vtrace.Event) {
-					tr.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
-					fold.Observe(ev)
-				})
-			}
+			hs.fold = latprof.NewHostFold()
+			tap = vtrace.Tee(cfg.Tracer, hs.fold.Observe)
 		}
 		vtrace.AttachHost(tap, h)
 		f.hosts = append(f.hosts, hs)
@@ -443,20 +436,14 @@ func (f *Fleet) spawn(a Arrival, hi int, name string) *fleetVM {
 		prof := hs.fold.Attach(latprof.Config{VM: name, NominalSpeed: hs.h.Config().BaseSpeed})
 		vm.prof = prof
 		// Tee the VM's guest events into its profiler while preserving the
-		// shared tracer stream (Emit is nil-safe when no tracer is set).
-		gvm.SetTracer(vtrace.NewObserver(func(ev vtrace.Event) {
-			prof.Observe(ev)
-			cfg.Tracer.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
-		}))
+		// shared tracer stream.
+		gvm.SetTracer(vtrace.Tee(cfg.Tracer, prof.Observe))
 	} else {
 		gvm.SetTracer(cfg.Tracer)
 	}
 	gvm.Start()
 	if cfg.VSched {
-		p := core.DefaultParams()
-		p.NominalSpeed = hs.h.Config().BaseSpeed
-		vm.vs = core.New(gvm, core.AllFeatures(), p, cachemodel.Default())
-		vm.vs.Start()
+		vm.vs = core.Attach(gvm, core.AllFeatures())
 	}
 	vm.inst = a.Type.instantiate(vm)
 	vm.inst.Start()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -281,7 +282,9 @@ func TestFleetAttribution(t *testing.T) {
 	summary := func(p *latprof.Profile) map[string]float64 {
 		reg := metrics.NewRegistry()
 		p.Publish(reg)
-		return reg.Snapshot().Flatten()
+		m := map[string]float64{}
+		reg.VisitNumeric(func(name string, v float64) { m[name] = v })
+		return m
 	}
 	if len(res2.Attribution) != len(res.Attribution) {
 		t.Fatalf("rerun profile count diverged: %d vs %d", len(res2.Attribution), len(res.Attribution))
@@ -353,11 +356,11 @@ func TestTelemetryObservationInert(t *testing.T) {
 	}
 
 	snap := func(r *Result) string {
-		var b strings.Builder
-		if err := r.Telemetry.Snapshot(false).WriteJSON(&b); err != nil {
+		b, err := json.Marshal(r.Telemetry.Snapshot(false))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.String()
+		return string(b)
 	}
 	if a, b := snap(on), snap(withTelem()); a != b {
 		t.Fatalf("telemetry snapshot not reproducible across reruns (%d vs %d bytes)", len(a), len(b))

@@ -229,7 +229,7 @@ func (vm *VM) balanceAcross() {
 			lo = i
 		}
 	}
-	if hi == lo || loadOf(sockets[hi]) <= loadOf(sockets[lo])*imbalancePct+0.5 {
+	if hi == lo || loadOf(sockets[hi]) <= float64(loadOf(sockets[lo])*imbalancePct)+0.5 {
 		return
 	}
 	var busiest *VCPU

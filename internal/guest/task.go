@@ -323,6 +323,6 @@ func (t *Task) updatePELT(now sim.Time, ranDelta sim.Duration) {
 	if frac > 1 {
 		frac = 1
 	}
-	t.util = t.util*d + 1024*(1-d)*frac
+	t.util = float64(t.util*d) + float64(1024*(1-d)*frac)
 	t.lastPELT = now
 }

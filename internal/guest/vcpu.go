@@ -282,7 +282,7 @@ func (v *VCPU) emitSpeed(now sim.Time, speed float64) {
 	if v.vm.tr == nil {
 		return
 	}
-	micro := int64(speed*1e6 + 0.5)
+	micro := int64(float64(speed*1e6) + 0.5)
 	if micro == v.lastSpeedMicro {
 		return
 	}
@@ -326,8 +326,9 @@ func (v *VCPU) syncExec() {
 		if elapsed > 0 {
 			t := v.curr
 			rate := v.speed * v.llcFactor()
-			v.cyclesExec += float64(elapsed) * rate
-			t.remaining -= float64(elapsed) * rate
+			cycles := float64(float64(elapsed) * rate)
+			v.cyclesExec += cycles
+			t.remaining -= cycles
 			t.totalRun += elapsed
 			t.vruntime += int64(elapsed) * WeightNormal / t.weight
 			t.updatePELT(now, elapsed)
@@ -418,7 +419,7 @@ func (v *VCPU) tick() {
 				frac = 0
 			}
 			d := v.vm.decay.factor(window)
-			v.cfsCapacity = v.cfsCapacity*d + 1024*frac*(1-d)
+			v.cfsCapacity = float64(v.cfsCapacity*d) + float64(1024*frac*(1-d))
 		}
 	}
 

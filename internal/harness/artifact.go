@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"strings"
 
 	"vsched/internal/experiments"
@@ -50,8 +49,7 @@ func (r *Result) Text() string {
 // records the parallelism budget, GOMAXPROCS at run start, as "workers"; 7
 // drops "attribution": each latency-attribution profile's summary is a
 // tracked registry, so its "<profile-label>.<metric>" keys sit in "metrics"
-// beside the VM keys (ReadArtifact merges a v3–v6 trial's attribution map
-// into its Metrics); 8 drops each telemetry series' "raw_n" and "raw"
+// beside the VM keys; 8 drops each telemetry series' "raw_n" and "raw"
 // (the Gorilla raw window): a series is one store of buckets, one sample
 // per bucket until it fills, so its "buckets" alone carry the history
 // (ReadArtifact ignores the raw fields of a v4–v7 series).
@@ -176,14 +174,9 @@ type Artifact struct {
 	Summary    *SummaryRecord
 }
 
-// ReadArtifact decodes a JSONL artifact produced by any schema version so
-// far. Version 1 predates the schema_version field and decodes with
-// SchemaVersion 1; a version 3–6 trial's attribution map is merged into its
-// Metrics (attribution labels are never VM labels, so no key collides);
-// version 3 lacks the telemetry map (left nil); version 5's per-trial
-// retries count and a v4–v7 telemetry series' raw window are ignored;
-// unknown line types are skipped, so newer minor additions stay readable
-// too.
+// ReadArtifact decodes a JSONL artifact written by WriteArtifact. Fields the
+// current schema does not have are ignored and unknown line types are
+// skipped, so newer minor additions stay readable too.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
 	a := &Artifact{}
 	sc := bufio.NewScanner(r)
@@ -204,21 +197,11 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 		switch head.Type {
 		case "run":
 			err = json.Unmarshal(line, &a.Run)
-			if a.Run.SchemaVersion == 0 {
-				a.Run.SchemaVersion = 1 // v1 had no schema_version field
-			}
 			sawRun = true
 		case "trial":
-			var t struct {
-				TrialRecord
-				Attribution map[string]float64 `json:"attribution"`
-			}
+			var t TrialRecord
 			if err = json.Unmarshal(line, &t); err == nil {
-				if len(t.Attribution) > 0 && t.Metrics == nil {
-					t.Metrics = make(map[string]float64, len(t.Attribution))
-				}
-				maps.Copy(t.Metrics, t.Attribution)
-				a.Trials = append(a.Trials, t.TrialRecord)
+				a.Trials = append(a.Trials, t)
 			}
 		case "aggregate":
 			var ag AggregateRecord

@@ -77,18 +77,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 // v2Artifact is a canned schema-2 artifact (pre-attribution), byte-for-byte
-// in the shape WriteArtifact produced before the bump. The reader must stay
-// able to decode it forever.
+// in the shape WriteArtifact produced before the bump. Its fields are all
+// still in the current schema, so they must decode.
 const v2Artifact = `{"type":"run","schema_version":2,"base_seed":42,"reps":1,"workers":4,"scale":1,"experiments":["fig3"],"seeds":[42]}
 {"type":"trial","experiment":"fig3","replicate":0,"seed":42,"wall_ms":12.5,"events":1000,"engines":1,"metrics":{"vm.sched.steals":3},"report":{"ID":"fig3","Title":"t","Header":["a"],"Rows":[["1"]]}}
 {"type":"summary","wall_ms":13.1,"events":1000,"trials":1,"failed":0}
-`
-
-// v3Artifact is a canned schema-3 artifact (attribution but no telemetry),
-// byte-for-byte in the shape WriteArtifact produced before the v4 bump.
-const v3Artifact = `{"type":"run","schema_version":3,"base_seed":42,"reps":1,"workers":4,"scale":1,"experiments":["attrib"],"seeds":[42]}
-{"type":"trial","experiment":"attrib","replicate":0,"seed":42,"wall_ms":9.1,"events":500,"engines":1,"attribution":{"p.steal_wait_share":0.5},"report":{"ID":"attrib","Title":"t","Header":["a"],"Rows":[["1"]]}}
-{"type":"summary","wall_ms":9.9,"events":500,"trials":1,"failed":0}
 `
 
 // v4Artifact is a canned schema-4 artifact (telemetry but no retries),
@@ -106,14 +99,6 @@ const v5Artifact = `{"type":"run","schema_version":5,"base_seed":42,"reps":1,"wo
 {"type":"summary","wall_ms":8.9,"events":900,"trials":1,"failed":0}
 `
 
-// v6Artifact is a canned schema-6 artifact, byte-for-byte in the shape
-// WriteArtifact produced before the v7 bump: a trial carrying both the VM
-// metrics and the separate attribution map that schema 7 folds into them.
-const v6Artifact = `{"type":"run","schema_version":6,"base_seed":42,"reps":1,"workers":2,"scale":1,"experiments":["attrib"],"seeds":[42]}
-{"type":"trial","experiment":"attrib","replicate":0,"seed":42,"wall_ms":6.3,"events":800,"engines":9,"metrics":{"vm.sched.steals":5},"attribution":{"attrib/p/c.spans":7,"attrib/p/c.steal_wait_share":0.125},"report":{"ID":"attrib","Title":"t","Header":["a"],"Rows":[["1"]]}}
-{"type":"summary","wall_ms":6.9,"events":800,"trials":1,"failed":0}
-`
-
 // v7Artifact is a canned schema-7 artifact, byte-for-byte in the shape
 // WriteArtifact produced before the v8 bump: a telemetry series carrying the
 // Gorilla raw window ("raw_n", "raw") that schema 8 no longer writes.
@@ -122,12 +107,9 @@ const v7Artifact = `{"type":"run","schema_version":7,"base_seed":42,"reps":1,"wo
 {"type":"summary","wall_ms":5.9,"events":600,"trials":1,"failed":0}
 `
 
-// v1Artifact predates the schema_version field entirely.
-const v1Artifact = `{"type":"run","base_seed":1,"reps":1,"workers":1,"scale":1,"experiments":["fig3"],"seeds":[1]}
-{"type":"trial","experiment":"fig3","replicate":0,"seed":1,"wall_ms":1,"events":10,"engines":1}
-{"type":"summary","wall_ms":1,"events":10,"trials":1,"failed":1}
-`
-
+// TestReadArtifactBackwardCompat: an older artifact whose schema only lacked
+// fields, or held fields since dropped, decodes every field the current
+// schema still has.
 func TestReadArtifactBackwardCompat(t *testing.T) {
 	a, err := ReadArtifact(strings.NewReader(v2Artifact))
 	if err != nil {
@@ -145,19 +127,6 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 	}
 	if a.Summary == nil || a.Summary.Trials != 1 {
 		t.Fatalf("v2 summary %+v", a.Summary)
-	}
-
-	a, err = ReadArtifact(strings.NewReader(v3Artifact))
-	if err != nil {
-		t.Fatalf("v3 artifact must stay readable: %v", err)
-	}
-	if a.Run.SchemaVersion != 3 {
-		t.Fatalf("v3 schema read as %d", a.Run.SchemaVersion)
-	}
-	if tr := a.Trials[0]; tr.Telemetry != nil {
-		t.Fatalf("v3 trial must decode with nil telemetry, got %v", tr.Telemetry)
-	} else if len(tr.Metrics) != 1 || tr.Metrics["p.steal_wait_share"] != 0.5 {
-		t.Fatalf("v3 attribution must land in Metrics: %+v", tr)
 	}
 
 	a, err = ReadArtifact(strings.NewReader(v4Artifact))
@@ -183,18 +152,6 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 		t.Fatalf("v5 trial fields lost: %+v", tr)
 	}
 
-	a, err = ReadArtifact(strings.NewReader(v6Artifact))
-	if err != nil {
-		t.Fatalf("v6 artifact must stay readable: %v", err)
-	}
-	if a.Run.SchemaVersion != 6 {
-		t.Fatalf("v6 schema read as %d", a.Run.SchemaVersion)
-	}
-	want := map[string]float64{"vm.sched.steals": 5, "attrib/p/c.spans": 7, "attrib/p/c.steal_wait_share": 0.125}
-	if tr := a.Trials[0]; !reflect.DeepEqual(tr.Metrics, want) || tr.Engines != 9 || tr.Report == nil {
-		t.Fatalf("v6 metrics and attribution must merge into Metrics: %+v", tr)
-	}
-
 	a, err = ReadArtifact(strings.NewReader(v7Artifact))
 	if err != nil {
 		t.Fatalf("v7 artifact must stay readable: %v", err)
@@ -210,14 +167,6 @@ func TestReadArtifactBackwardCompat(t *testing.T) {
 		tr.Telemetry["fleet/rec"] == nil || tr.Telemetry["fleet/rec"].Samples != 3 ||
 		!reflect.DeepEqual(tr.Telemetry["fleet/rec"].Series, []telemetry.SeriesSnapshot{wantSeries}) {
 		t.Fatalf("v7 trial telemetry lost: %+v", tr)
-	}
-
-	a, err = ReadArtifact(strings.NewReader(v1Artifact))
-	if err != nil {
-		t.Fatalf("v1 artifact must stay readable: %v", err)
-	}
-	if a.Run.SchemaVersion != 1 {
-		t.Fatalf("v1 must normalise to schema 1, got %d", a.Run.SchemaVersion)
 	}
 }
 

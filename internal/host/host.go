@@ -67,6 +67,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// TopologyConfig is DefaultConfig with the given topology. A flat host has
+// SMTFactor and TurboFactor 1, so every thread runs at exactly BaseSpeed.
+func TopologyConfig(sockets, cores, threadsPerCore int, flat bool) Config {
+	cfg := DefaultConfig()
+	cfg.Sockets, cfg.CoresPerSocket, cfg.ThreadsPerCore = sockets, cores, threadsPerCore
+	if flat {
+		cfg.SMTFactor, cfg.TurboFactor = 1, 1
+	}
+	return cfg
+}
+
 // ThreadID identifies a hardware thread within a Host.
 type ThreadID int
 

@@ -8,6 +8,24 @@ import (
 	"vsched/internal/sim"
 )
 
+// TestTopologyConfig: TopologyConfig is DefaultConfig with the topology
+// replaced and, for a flat host, unit SMT and turbo factors.
+func TestTopologyConfig(t *testing.T) {
+	for _, flat := range []bool{false, true} {
+		want := DefaultConfig()
+		want.Sockets, want.CoresPerSocket, want.ThreadsPerCore = 2, 3, 1
+		if flat {
+			want.SMTFactor, want.TurboFactor = 1, 1
+		}
+		if got := TopologyConfig(2, 3, 1, flat); got != want {
+			t.Fatalf("flat=%v: %+v, want %+v", flat, got, want)
+		}
+	}
+	if c := DefaultConfig(); c.SMTFactor == 1 || c.TurboFactor == 1 {
+		t.Fatal("DefaultConfig is already flat; the flat case above proves nothing")
+	}
+}
+
 // recClient records activity callbacks and integrates executed cycles, the
 // way the guest layer will.
 type recClient struct {

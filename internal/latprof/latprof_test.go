@@ -295,7 +295,9 @@ func TestTruncatedSpansExcluded(t *testing.T) {
 func published(p *Profile) map[string]float64 {
 	reg := metrics.NewRegistry()
 	p.Publish(reg)
-	return reg.Snapshot().Flatten()
+	m := map[string]float64{}
+	reg.VisitNumeric(func(name string, v float64) { m[name] = v })
+	return m
 }
 
 // TestPublish: the registry carries every cause and the span totals, all as
@@ -323,7 +325,7 @@ func TestPublish(t *testing.T) {
 			t.Fatalf("%s published as a %s, want a gauge", e.Name, e.Kind)
 		}
 	}
-	flat := snap.Flatten()
+	flat := published(prof)
 	for _, c := range Causes() {
 		for _, suffix := range []string{"_ns", "_share", "_p95_ns"} {
 			if _, ok := flat[c.Key()+suffix]; !ok {

@@ -150,14 +150,14 @@ type histKeySet struct {
 }
 
 // VisitNumeric calls fn once per numeric reading of every instrument:
-// counters and gauges under their own names, histograms expanded into the
-// same name.count/mean/p50/p95/p99/max sub-keys as Flatten. Visit order is
-// unspecified (map order); callers needing stable order should use Snapshot.
+// counters and gauges under their own names, histograms expanded into
+// name.count/mean/p50/p95/p99/max sub-keys. Visit order is unspecified (map
+// order); callers needing stable order should use Snapshot.
 //
-// This is the sampling fast path: unlike Snapshot/Flatten it builds no
-// slices or maps, and the histogram sub-key strings are cached after the
-// first visit, so a steady-state visit performs zero allocations — the
-// property the telemetry recorder's per-sample cost rests on.
+// This is the sampling fast path: unlike Snapshot it builds no slices or
+// maps, and the histogram sub-key strings are cached after the first visit,
+// so a steady-state visit performs zero allocations — the property the
+// telemetry recorder's per-sample cost rests on.
 func (r *Registry) VisitNumeric(fn func(name string, v float64)) {
 	for name, c := range r.counters {
 		fn(name, float64(c.Value()))
@@ -188,27 +188,4 @@ func (r *Registry) VisitNumeric(fn func(name string, v float64)) {
 		fn(k.p99, float64(h.P99()))
 		fn(k.max, float64(h.Max()))
 	}
-}
-
-// Flatten converts the snapshot to a flat name->value map, expanding
-// histograms into name.count/mean/p50/p95/p99/max keys. encoding/json sorts
-// map keys, so the map embeds deterministically in JSON artifacts.
-func (s Snapshot) Flatten() map[string]float64 {
-	if len(s) == 0 {
-		return nil
-	}
-	m := make(map[string]float64, len(s))
-	for _, e := range s {
-		if e.Kind != "histogram" {
-			m[e.Name] = e.Value
-			continue
-		}
-		m[e.Name+".count"] = float64(e.Count)
-		m[e.Name+".mean"] = e.Mean
-		m[e.Name+".p50"] = float64(e.P50)
-		m[e.Name+".p95"] = float64(e.P95)
-		m[e.Name+".p99"] = float64(e.P99)
-		m[e.Name+".max"] = float64(e.Max)
-	}
-	return m
 }

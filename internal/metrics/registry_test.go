@@ -74,17 +74,24 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	}
 }
 
+// flat collects every VisitNumeric reading of r into a map.
+func flat(r *Registry) map[string]float64 {
+	m := map[string]float64{}
+	r.VisitNumeric(func(name string, v float64) { m[name] = v })
+	return m
+}
+
 func TestSnapshotFlatten(t *testing.T) {
 	r := NewRegistry()
-	if r.Snapshot().Flatten() != nil {
-		t.Fatal("empty snapshot must flatten to nil for omitempty JSON embedding")
+	if m := flat(r); len(m) != 0 {
+		t.Fatalf("empty registry visited %v", m)
 	}
 	r.Counter("c").Add(7)
 	h := r.Histogram("lat")
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(i)
 	}
-	m := r.Snapshot().Flatten()
+	m := flat(r)
 	if m["c"] != 7 {
 		t.Fatalf("c=%v", m["c"])
 	}
@@ -115,7 +122,10 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestVisitNumericMatchesFlatten(t *testing.T) {
+// TestVisitNumericMatchesSnapshot: every Snapshot entry reaches VisitNumeric,
+// scalars under their own name and histograms as their six summary fields,
+// and nothing else does.
+func TestVisitNumericMatchesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
 	r.Gauge("g").Set(2.5)
@@ -123,15 +133,26 @@ func TestVisitNumericMatchesFlatten(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
-	want := r.Snapshot().Flatten()
-	got := map[string]float64{}
-	r.VisitNumeric(func(name string, v float64) { got[name] = v })
-	if len(got) != len(want) {
-		t.Fatalf("visit saw %d readings, flatten has %d", len(got), len(want))
+	want := map[string]float64{}
+	for _, e := range r.Snapshot() {
+		if e.Kind != "histogram" {
+			want[e.Name] = e.Value
+			continue
+		}
+		want[e.Name+".count"] = float64(e.Count)
+		want[e.Name+".mean"] = e.Mean
+		want[e.Name+".p50"] = float64(e.P50)
+		want[e.Name+".p95"] = float64(e.P95)
+		want[e.Name+".p99"] = float64(e.P99)
+		want[e.Name+".max"] = float64(e.Max)
+	}
+	got := flat(r)
+	if len(got) != len(want) || len(want) != 2+6 {
+		t.Fatalf("visit saw %d readings, snapshot has %d (want 8)", len(got), len(want))
 	}
 	for k, wv := range want {
 		if got[k] != wv {
-			t.Fatalf("%s: visit=%v flatten=%v", k, got[k], wv)
+			t.Fatalf("%s: visit=%v snapshot=%v", k, got[k], wv)
 		}
 	}
 }

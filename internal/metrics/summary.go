@@ -30,7 +30,7 @@ func (s *Summary) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // N returns the number of observations.

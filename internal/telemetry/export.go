@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 
@@ -63,21 +61,6 @@ func (r *Recorder) Snapshot(includeVolatile bool) *Snapshot {
 		out.Series = append(out.Series, s.Snapshot())
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as one deterministic JSON document.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
-// ReadSnapshot decodes a snapshot written by WriteJSON.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // CounterTracks converts the recorder's series into vtrace counter tracks,

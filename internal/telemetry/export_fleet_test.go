@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -63,29 +64,36 @@ func buildFleetSnapshot(n int) (*Snapshot, []*Series) {
 	return snap, series
 }
 
-// TestFleetFaultSeriesJSONRoundTrip: WriteJSON → ReadSnapshot → WriteJSON
-// must be a fixed point, and the decoded structure must match exactly,
-// buckets included.
+// jsonRoundTrip encodes snap the way harness artifacts embed it
+// (encoding/json), decodes it back and re-encodes the result.
+func jsonRoundTrip(t *testing.T, snap *Snapshot) (first []byte, got *Snapshot, second []byte) {
+	t.Helper()
+	first, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got = &Snapshot{}
+	if err := json.Unmarshal(first, got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if second, err = json.Marshal(got); err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	return first, got, second
+}
+
+// TestFleetFaultSeriesJSONRoundTrip: encode → decode → encode must be a
+// fixed point, and the decoded structure must match exactly, buckets
+// included.
 func TestFleetFaultSeriesJSONRoundTrip(t *testing.T) {
 	// 700 samples through a 5-bucket store: the stride doubles seven times.
 	snap, series := buildFleetSnapshot(700)
-	var first bytes.Buffer
-	if err := snap.WriteJSON(&first); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
+	first, got, second := jsonRoundTrip(t, snap)
 	if got.IntervalNS != snap.IntervalNS || got.Samples != snap.Samples ||
 		len(got.Series) != len(snap.Series) {
 		t.Fatalf("decoded snapshot header differs: %+v vs %+v", got, snap)
 	}
-	var second bytes.Buffer
-	if err := got.WriteJSON(&second); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if !bytes.Equal(first, second) {
 		t.Fatal("JSON round trip is not a fixed point")
 	}
 
@@ -147,27 +155,15 @@ func TestEmptyFleetSeriesExports(t *testing.T) {
 			t.Fatalf("%s: empty series leaks seed min/max: %+v", sr.Name, sr)
 		}
 	}
-	var js bytes.Buffer
-	if err := snap.WriteJSON(&js); err != nil {
-		t.Fatalf("WriteJSON of empty series: %v", err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(js.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	var again bytes.Buffer
-	if err := got.WriteJSON(&again); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(js.Bytes(), again.Bytes()) {
+	if first, _, second := jsonRoundTrip(t, snap); !bytes.Equal(first, second) {
 		t.Fatal("empty snapshot did not round-trip")
 	}
 }
 
 // TestNaNPayloadExports pins the contract for NaN samples in a fault series:
-// a one-sample bucket preserves the exact NaN bit pattern, and WriteJSON —
-// which cannot represent NaN — fails loudly rather than writing a corrupt
-// document.
+// a one-sample bucket preserves the exact NaN bit pattern, and encoding/json
+// — which cannot represent NaN, and which artifacts are written with — fails
+// loudly rather than writing a corrupt document.
 func TestNaNPayloadExports(t *testing.T) {
 	cfg := tinyStoreConfig().withDefaults()
 	payloadNaN := math.Float64frombits(0x7ff8000000001234)
@@ -188,7 +184,7 @@ func TestNaNPayloadExports(t *testing.T) {
 	}
 
 	snap := &Snapshot{IntervalNS: int64(cfg.Interval), Samples: 3, Series: []SeriesSnapshot{sr}}
-	if err := snap.WriteJSON(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteJSON silently accepted NaN; artifacts embedding this would be corrupt")
+	if _, err := json.Marshal(snap); err == nil {
+		t.Fatal("encoding silently accepted NaN; artifacts embedding this would be corrupt")
 	}
 }

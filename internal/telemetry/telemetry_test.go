@@ -232,11 +232,11 @@ func TestSelfSourceTracerCensus(t *testing.T) {
 
 func TestRecorderDeterminism(t *testing.T) {
 	snap := func() []byte {
-		var b bytes.Buffer
-		if err := buildRecorder(42).Snapshot(false).WriteJSON(&b); err != nil {
+		b, err := json.Marshal(buildRecorder(42).Snapshot(false))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.Bytes()
+		return b
 	}
 	a, b := snap(), snap()
 	if !bytes.Equal(a, b) {
@@ -271,12 +271,12 @@ func TestVolatileExcluded(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	rec := buildRecorder(7)
 	snap := rec.Snapshot(true)
-	var b bytes.Buffer
-	if err := snap.WriteJSON(&b); err != nil {
+	b, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshot(&b)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Series) != len(snap.Series) {

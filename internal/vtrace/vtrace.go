@@ -284,6 +284,16 @@ func NewObserver(fn func(Event)) *Tracer {
 	return &Tracer{obs: fn}
 }
 
+// Tee returns an observer tracer that hands every event to fn and then
+// re-emits it on tr, so tr records what it would have recorded as the
+// emitter's own tracer. tr may be nil, leaving fn the only consumer.
+func Tee(tr *Tracer, fn func(Event)) *Tracer {
+	return NewObserver(func(ev Event) {
+		fn(ev)
+		tr.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
+	})
+}
+
 // SetObserver attaches fn as a streaming tap: every subsequent Emit calls fn
 // with the event after (possibly) recording it in the ring. Pass nil to
 // detach. The callback runs synchronously on the emit path, so it must be

@@ -29,6 +29,30 @@ func contendedEntity(t *testing.T, attach func(h *host.Host, e *host.Entity)) {
 // Satellite regression: before observers became a list, attaching a second
 // consumer silently replaced the first. Every observer must see every
 // transition.
+// TestTee: a tee hands each event to fn first and then records it on the
+// ring, exactly as emitting on the ring would; with a nil ring only fn sees it.
+func TestTee(t *testing.T) {
+	ev := Event{At: 5, Kind: KindTaskOn, Subject: "t", A0: 1, A1: 2, A2: 3}
+	var seen []Event
+	Tee(nil, func(e Event) { seen = append(seen, e) }).Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
+	if len(seen) != 1 || seen[0] != ev {
+		t.Fatalf("Tee(nil, fn) delivered %v, want [%v]", seen, ev)
+	}
+
+	ring := New(8)
+	seen = nil
+	tee := Tee(ring, func(e Event) {
+		if len(ring.Events()) != 0 {
+			t.Error("ring recorded the event before fn ran")
+		}
+		seen = append(seen, e)
+	})
+	tee.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
+	if got := ring.Events(); len(seen) != 1 || seen[0] != ev || len(got) != 1 || got[0] != ev {
+		t.Fatalf("Tee(ring, fn): fn saw %v, ring holds %v, want [%v] in both", seen, got, ev)
+	}
+}
+
 func TestObserversStack(t *testing.T) {
 	var first, second, third int
 	contendedEntity(t, func(h *host.Host, e *host.Entity) {

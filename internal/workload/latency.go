@@ -276,7 +276,7 @@ func (s *Server) drawService() sim.Duration {
 		return sim.Pareto(s.rng, 1.6, s.serviceMean*2/5, 6*s.serviceMean)
 	}
 	if s.serviceJit > 0 {
-		jit := 1 + s.serviceJit*(2*s.rng.Float64()-1)
+		jit := 1 + float64(s.serviceJit*(2*float64(s.rng.Float64())-1))
 		return sim.Duration(float64(s.serviceMean) * jit)
 	}
 	return s.serviceMean

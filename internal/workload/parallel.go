@@ -154,7 +154,7 @@ func (p *Parallel) threadBehavior(idx int) guest.Behavior {
 			iter++
 			jit := 1.0
 			if s.Imbalance > 0 {
-				jit = 1 + s.Imbalance*(2*eng.Rand().Float64()-1)
+				jit = 1 + float64(s.Imbalance*(2*float64(eng.Rand().Float64())-1))
 			}
 			work = p.env.cycles(sim.Duration(float64(s.IterWork) * jit))
 		}
@@ -201,7 +201,7 @@ func (p *Parallel) threadBehavior(idx int) guest.Behavior {
 				iter++
 				jit := 1.0
 				if s.Imbalance > 0 {
-					jit = 1 + s.Imbalance*(2*eng.Rand().Float64()-1)
+					jit = 1 + float64(s.Imbalance*(2*float64(eng.Rand().Float64())-1))
 				}
 				work = p.env.cycles(sim.Duration(float64(s.IterWork) * jit))
 				phase = 1
@@ -209,7 +209,7 @@ func (p *Parallel) threadBehavior(idx int) guest.Behavior {
 			}
 
 		case SyncLock, SyncSpinLock:
-			crit := work * s.CritFrac
+			crit := float64(work * s.CritFrac)
 			par := work - crit
 			switch phase {
 			case 0:

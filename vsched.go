@@ -187,14 +187,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	hc := host.DefaultConfig()
-	hc.Sockets = cfg.Sockets
-	hc.CoresPerSocket = cfg.CoresPerSocket
-	hc.ThreadsPerCore = cfg.ThreadsPerCore
-	if !cfg.SMT {
-		hc.SMTFactor = 1.0
-		hc.TurboFactor = 1.0
-	}
+	hc := host.TopologyConfig(cfg.Sockets, cfg.CoresPerSocket, cfg.ThreadsPerCore, !cfg.SMT)
 	return &Cluster{eng: eng, h: host.New(eng, hc)}, nil
 }
 
@@ -219,9 +212,15 @@ func (c *Cluster) NewVM(name string, threadIDs []int) (*VM, error) {
 
 // NewVMWithParams creates and starts a VM with explicit guest scheduler
 // parameters (e.g. Policy: PolicyEEVDF). Thread ids are checked as in NewVM.
+// Parameters the guest cannot run with are an error: a TickPeriod that is
+// not > 0, a Policy other than PolicyCFS or PolicyEEVDF, or a
+// CommPenaltySocket, CommPenaltyCross or LLCSizeMB that is not finite.
 func (c *Cluster) NewVMWithParams(name string, threadIDs []int, p GuestParams) (*VM, error) {
 	if len(threadIDs) == 0 {
 		return nil, fmt.Errorf("vsched: VM %q needs at least one vCPU", name)
+	}
+	if err := checkGuestParams(p); err != nil {
+		return nil, err
 	}
 	threads := make([]*host.Thread, len(threadIDs))
 	for i, id := range threadIDs {
@@ -246,11 +245,7 @@ func (c *Cluster) thread(id int) (*host.Thread, error) {
 
 // EnableVSched attaches and starts vSched on a VM with default tunables.
 func (c *Cluster) EnableVSched(vm *VM, feats Features) *VSched {
-	p := core.DefaultParams()
-	p.NominalSpeed = c.h.Config().BaseSpeed
-	s := core.New(vm, feats, p, cachemodel.Default())
-	s.Start()
-	return s
+	return core.Attach(vm, feats)
 }
 
 // EnableVSchedWithParams attaches and starts vSched with explicit tunables
@@ -374,6 +369,29 @@ func checkServerConfig(cfg ServerConfig) error {
 		return bad("Think", cfg.Think, "a duration >= 0")
 	case !(cfg.FootprintMB >= 0) || math.IsInf(cfg.FootprintMB, 1):
 		return bad("FootprintMB", cfg.FootprintMB, "a finite size >= 0")
+	}
+	return nil
+}
+
+// checkGuestParams rejects the guest parameters that would otherwise hang or
+// panic inside the simulation, or silently run CFS in place of an unknown
+// policy.
+func checkGuestParams(p GuestParams) error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("vsched: bad guest param %s %v (want %s)", field, v, want)
+	}
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	switch {
+	case p.TickPeriod <= 0:
+		return bad("TickPeriod", p.TickPeriod, "a duration > 0")
+	case p.Policy != PolicyCFS && p.Policy != PolicyEEVDF:
+		return bad("Policy", int(p.Policy), "PolicyCFS or PolicyEEVDF")
+	case nonFinite(p.CommPenaltySocket):
+		return bad("CommPenaltySocket", p.CommPenaltySocket, "a finite cost")
+	case nonFinite(p.CommPenaltyCross):
+		return bad("CommPenaltyCross", p.CommPenaltyCross, "a finite cost")
+	case nonFinite(p.LLCSizeMB):
+		return bad("LLCSizeMB", p.LLCSizeMB, "a finite size")
 	}
 	return nil
 }

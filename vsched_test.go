@@ -219,9 +219,9 @@ func TestFacadeBadArguments(t *testing.T) {
 	}
 }
 
-// TestFacadeBadParams: vSched tunables it cannot run with, and a negative
-// workload thread count, are errors naming the field, not a hang, an engine
-// panic or a silent default.
+// TestFacadeBadParams: vSched tunables it cannot run with, guest parameters
+// the guest cannot run with, and a negative workload thread count, are
+// errors naming the field, not a hang, an engine panic or a silent default.
 func TestFacadeBadParams(t *testing.T) {
 	cl := mustCluster(t, vsched.ClusterConfig{CoresPerSocket: 4})
 	vm := mustVM(t, cl, "vm", []int{0, 1})
@@ -231,6 +231,16 @@ func TestFacadeBadParams(t *testing.T) {
 			edit(&p)
 			s, err := cl.EnableVSchedWithParams(vm, vsched.AllFeatures(), p)
 			return s != nil, err
+		}
+	}
+	// Guest params go to NewVMWithParams, which must reject them before the
+	// VM starts: TickPeriod 0 would hang the first run, a negative one panic.
+	guest := func(edit func(*vsched.GuestParams)) func() (bool, error) {
+		return func() (bool, error) {
+			p := vsched.DefaultGuestParams()
+			edit(&p)
+			g, err := cl.NewVMWithParams("bad", []int{2, 3}, p)
+			return g != nil, err
 		}
 	}
 	cases := []struct {
@@ -250,6 +260,13 @@ func TestFacadeBadParams(t *testing.T) {
 		{"VtopTimeoutAttempts", params(func(p *vsched.Params) { p.VtopTimeoutAttempts = -1 })},
 		{"StragglerFactor", params(func(p *vsched.Params) { p.StragglerFactor = 0 })},
 		{"threads -3", func() (bool, error) { w, err := cl.Workload(vm, nil, "nginx", -3); return w != nil, err }},
+		{"TickPeriod", guest(func(p *vsched.GuestParams) { p.TickPeriod = 0 })},
+		{"TickPeriod", guest(func(p *vsched.GuestParams) { p.TickPeriod = -vsched.Millisecond })},
+		{"Policy", guest(func(p *vsched.GuestParams) { p.Policy = 7 })},
+		{"CommPenaltySocket", guest(func(p *vsched.GuestParams) { p.CommPenaltySocket = math.NaN() })},
+		{"CommPenaltyCross", guest(func(p *vsched.GuestParams) { p.CommPenaltyCross = math.Inf(1) })},
+		{"LLCSizeMB", guest(func(p *vsched.GuestParams) { p.LLCSizeMB = math.NaN() })},
+		{"LLCSizeMB", guest(func(p *vsched.GuestParams) { p.LLCSizeMB = math.Inf(-1) })},
 	}
 	for _, tc := range cases {
 		built, err := tc.call()
