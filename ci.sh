@@ -47,20 +47,23 @@ go build ./...
 # Fused-free gate: on arm64 (and ppc64le, s390x, riscv64, loong64) Go may
 # fuse x*y + z into one multiply-add that rounds once, so the same seed would
 # give other bytes there; amd64 never fuses. Every package of the module
-# rounds each such product with an explicit float64(...), and an arm64 build
-# of cmd/experiments must hold no fused instruction in any vsched function.
-# Cross-compiling and disassembling work offline.
-echo "== vsched/... fuses no multiply-add (GOARCH=arm64 objdump)"
-GOARCH=arm64 go build -o "$tmp"/vexp_arm64 ./cmd/experiments
-go tool objdump -s '^vsched/' "$tmp"/vexp_arm64 > "$tmp"/vexp_arm64.s
-fused=$(awk '
-    /^TEXT / { fn = $2; sub(/\(SB\)$/, "", fn); next }
-    $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp"/vexp_arm64.s)
-if [ -n "$fused" ]; then
-    echo "fused multiply-adds in vsched/...; round each product with float64(...):" >&2
-    echo "$fused" >&2
-    exit 1
-fi
+# rounds each such product with an explicit float64(...), and arm64 builds
+# of both commands must hold no fused instruction in any vsched function
+# (the root vsched facade and every vsched/ package) or in either main
+# package. Cross-compiling and disassembling work offline.
+echo "== vsched and main fuse no multiply-add (GOARCH=arm64 objdump)"
+for cmd in experiments vschedsim; do
+    GOARCH=arm64 go build -o "$tmp/${cmd}_arm64" "./cmd/$cmd"
+    go tool objdump -s '^(vsched[./]|main\.)' "$tmp/${cmd}_arm64" > "$tmp/${cmd}_arm64.s"
+    fused=$(awk '
+        /^TEXT / { fn = $2; sub(/\(SB\)$/, "", fn); next }
+        $4 ~ /^(FMADDD|FMSUBD|FNMADDD|FNMSUBD)$/ { print fn " at " $1 ": " $4 }' "$tmp/${cmd}_arm64.s")
+    if [ -n "$fused" ]; then
+        echo "fused multiply-adds in cmd/$cmd; round each product with float64(...):" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
 
 echo "== go test $short ./..."
 go test $short ./...
@@ -69,12 +72,14 @@ race_pkgs=$(go list ./internal/... ./cmd/... | grep -vx 'vsched/internal/experim
 echo "== go test -race -short $race_pkgs"
 # This includes the live ops plane end to end: internal/obshttp's
 # TestEventStreamNDJSON and TestLiveStreamWhilePublishing stream a run's
-# events over real TCP, the second while a publisher is still writing, and
+# events over real TCP, the second while a publisher is still writing,
+# TestServeAndStop drives Serve and Stop on a real listener, and
 # internal/harness' TestObsTrialLifecycle drains the trial lifecycle the
 # harness publishes. Both CLIs' -serve inertness tests
 # (TestServeAndProgressInert, TestServeStdoutInert) run a live HTTP server
-# beside the run loop, vschedsim's TestWatchStdoutInert prints its -watch
-# tables at the same run-loop safepoints, and the TestHeartbeat tests of
+# beside the run loop, vschedsim's TestServeStreamsRun reads its whole run
+# off /runs/vschedsim/events, TestWatchStdoutInert prints its -watch tables
+# at the same run-loop safepoints, and the TestHeartbeat tests of
 # internal/harness and experiments read the harness's progress bus while
 # trials publish to it.
 # shellcheck disable=SC2086 # word splitting of the package list is intended

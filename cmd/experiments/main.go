@@ -12,7 +12,7 @@
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
 //	experiments -run fleet -telemetry       # append flight-recorder sparklines
 //	experiments -run all -progress          # rate-limited done/total + ETA heartbeat on stderr
-//	experiments -run all -serve :9137       # live /metrics + /runs/experiments/events while running
+//	experiments -run all -serve :9137       # this run's live /metrics + /runs/experiments/events
 //
 // Trials and each experiment's independent simulations (its cells) share one
 // parallelism budget of GOMAXPROCS goroutines. Reports go to stdout; timing
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		telem    = fs.Bool("telemetry", false, "print flight-recorder sparkline summaries for experiments that record telemetry")
-		serve    = fs.String("serve", "", "serve live observability on this address for the duration of the run: Prometheus /metrics, /runs, /runs/experiments/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
+		serve    = fs.String("serve", "", "serve this run's live observability on this address while it runs: Prometheus /metrics, /runs/experiments/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
 		showProg = fs.Bool("progress", false, "print a rate-limited progress heartbeat (done/total trials, mean trial time, ETA) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -140,19 +140,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// either cannot change stdout: reports stay a pure function of (-run,
 	// -seed, -reps, -scale).
 	if *serve != "" {
-		obsRun, stop, err := obshttp.Serve(*serve, "experiments", stderr)
+		srv, err := obshttp.Serve(*serve, "experiments", stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer stop()
-		hcfg.Obs = obsRun.Publisher()
+		defer srv.Stop()
+		hcfg.Obs = srv.Bus()
 	} else if *showProg {
-		hcfg.Obs = progress.NewPublisher(0)
+		hcfg.Obs = progress.NewBus()
 	}
 	stopHeartbeat := func() {}
 	if *showProg {
-		stopHeartbeat = harness.Heartbeat(hcfg.Obs.Bus, stderr)
+		stopHeartbeat = harness.Heartbeat(hcfg.Obs, stderr)
 	}
 	res := harness.Run(hcfg)
 	stopHeartbeat()

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stallAt      = fs.Duration("stallat", 0, "virtual-time offset of the injected stall (0 = midway through the measurement window)")
 		cpuProf      = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf      = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		serveAddr    = fs.String("serve", "", "serve live observability on this address while the scenario runs: Prometheus /metrics, /runs/vschedsim/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
+		serveAddr    = fs.String("serve", "", "serve this scenario's live observability on this address while it runs: Prometheus /metrics, /runs/vschedsim/events, pprof (e.g. 127.0.0.1:9137, or :0 for an ephemeral port)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -136,6 +136,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *stallAt < 0 {
 		fmt.Fprintf(stderr, "bad -stallat %v (want >= 0; 0 = midway)\n", *stallAt)
+		return 1
+	}
+	// An offset the run never reaches, or with no stall to place, would
+	// arm nothing and exit 0.
+	if end := *warmup + *duration; *stallAt >= end {
+		fmt.Fprintf(stderr, "bad -stallat %v (want < -warmup + -duration = %v)\n", *stallAt, end)
+		return 1
+	}
+	if *stallAt > 0 && *stallDur == 0 {
+		fmt.Fprintf(stderr, "bad -stallat %v (want it with a -stall > 0)\n", *stallAt)
 		return 1
 	}
 
@@ -277,31 +287,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var obsPublish func()
 	obsFinish := func() {}
 	if *serveAddr != "" {
-		obsRun, stopServe, err := obshttp.Serve(*serveAddr, "vschedsim", stderr)
+		srv, err := obshttp.Serve(*serveAddr, "vschedsim", stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		pub := obsRun.Publisher()
+		bus := srv.Bus()
 		label := *workloadName
 		eng := cl.Engine()
 		total := warm + window
 		obsReg := metrics.NewRegistry()
 		self := &telemetry.SelfSource{Eng: eng, Tracer: tracer}
 		mirror := func() {
-			pub.PublishMirror(func(emit func(string, float64)) {
+			srv.Mirror().Publish(func(emit func(string, float64)) {
 				vm.Metrics().VisitNumeric(emit)
 				rec.UpdateCensus(obsReg)
 				obsReg.VisitNumeric(emit)
 				self.Collect(eng.Now(), emit)
 			})
 		}
-		pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: label, Total: int64(total)})
+		bus.Publish(progress.Event{Kind: progress.KindRunStart, Label: label, Total: int64(total)})
 		mirror()
 		var epoch int64
 		obsPublish = func() {
 			epoch++
-			pub.Publish(progress.Event{
+			bus.Publish(progress.Event{
 				Kind: progress.KindEpoch, Label: label,
 				At: int64(eng.Now()), Epoch: epoch,
 				Done: int64(inst.Ops()), Total: int64(total),
@@ -309,12 +319,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			mirror()
 		}
 		obsFinish = func() {
-			pub.Publish(progress.Event{
+			bus.Publish(progress.Event{
 				Kind: progress.KindRunDone, Label: label,
 				At: int64(eng.Now()), Epoch: epoch, Done: int64(inst.Ops()), Total: int64(total),
 			})
 			mirror()
-			stopServe()
+			srv.Stop()
 		}
 	}
 	defer obsFinish()

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,6 +238,8 @@ func TestBadInputFails(t *testing.T) {
 		{[]string{"-latency", "-5ms"}, "bad -latency -5ms"},
 		{[]string{"-stall", "-1s"}, "bad -stall -1s"},
 		{[]string{"-stallat", "-1s"}, "bad -stallat -1s"},
+		{[]string{"-stall", "1ms", "-stallat", "1ms"}, "bad -stallat 1ms"},
+		{[]string{"-stallat", "300us"}, "bad -stallat 300µs"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -368,6 +373,73 @@ func TestServeStdoutInert(t *testing.T) {
 	}
 	if !strings.Contains(obsErr.String(), "observability: http://") {
 		t.Fatalf("bound address missing from stderr: %s", obsErr.String())
+	}
+}
+
+// TestServeStreamsRun consumes a served scenario's progress stream over
+// TCP. Stderr is a pipe, so the run blocks on its first write after the
+// announcement until the stream is attached: the stream must carry the
+// whole run, run_start, one epoch per virtual second, run_done, then a
+// stream_end that accounts for every event.
+func TestServeStreamsRun(t *testing.T) {
+	pr, pw := io.Pipe()
+	var stdout bytes.Buffer
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run(append(append([]string{}, goldenArgs...), "-serve", "127.0.0.1:0"), &stdout, pw)
+		pw.Close()
+	}()
+	stderr := bufio.NewReader(pr)
+	line, err := stderr.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, ok := strings.CutPrefix(line, "observability: http://")
+	addr, _, _ := strings.Cut(rest, "/")
+	if !ok {
+		t.Fatalf("first stderr line %q is not the announcement", line)
+	}
+	resp, err := http.Get("http://" + addr + "/runs/vschedsim/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	go io.Copy(io.Discard, stderr)
+
+	type record struct {
+		Kind     string `json:"kind"`
+		Epoch    int64  `json:"epoch"`
+		At       int64  `json:"at_ns"`
+		Received uint64 `json:"received"`
+		Dropped  uint64 `json:"dropped"`
+	}
+	var recs []record
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var r record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, r)
+	}
+	if code := <-exited; code != 0 {
+		t.Fatalf("served run exited %d", code)
+	}
+	// The 1s warmup and 2s window advance in three one-second chunks.
+	const n = 3
+	if len(recs) != n+3 || recs[0].Kind != "run_start" {
+		t.Fatalf("stream = %+v, want run_start, %d epochs, run_done, stream_end", recs, n)
+	}
+	for i, r := range recs[1 : n+1] {
+		if r.Kind != "epoch" || r.Epoch != int64(i+1) || r.At <= recs[i].At {
+			t.Fatalf("record %d = %+v after %+v, want epoch %d later in virtual time", i+1, r, recs[i], i+1)
+		}
+	}
+	if done := recs[n+1]; done.Kind != "run_done" || done.Epoch != n {
+		t.Fatalf("record %d = %+v, want run_done at epoch %d", n+1, done, n)
+	}
+	if end := recs[n+2]; end.Kind != "stream_end" || end.Received != n+2 || end.Dropped != 0 {
+		t.Fatalf("stream_end = %+v, want %d received and 0 dropped", end, n+2)
 	}
 }
 

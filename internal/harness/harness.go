@@ -48,12 +48,12 @@ type Config struct {
 	// Obs, when non-nil, receives the trial lifecycle (run start/done,
 	// trial start/done with run-level tallies, the trial's wall time and
 	// truncated errors). It is the harness's one observation output: the
-	// live HTTP stream and the stderr progress line are both readers of its
-	// bus. Publishing goes through the bounded bus and reads nothing back,
-	// so attaching it cannot perturb results. The harness publishes no
-	// metric mirror, so a served run's /metrics carries only obshttp's own
-	// vsched_obs_* counters (events published, scrapes served).
-	Obs *progress.Publisher
+	// live HTTP stream and the stderr progress line are both readers of
+	// this bus. Publishing goes through the bounded bus and reads nothing
+	// back, so attaching it cannot perturb results. The harness publishes
+	// no metric mirror, so a served run's /metrics carries only obshttp's
+	// own vsched_obs_* counters (events published, scrapes served).
+	Obs *progress.Bus
 }
 
 func (c Config) normalized() Config {
@@ -245,7 +245,7 @@ func Run(cfg Config) *Result {
 // runTracker publishes the trial lifecycle onto the bounded bus
 // (multi-producer safe) with run-level tallies.
 type runTracker struct {
-	obs   *progress.Publisher
+	obs   *progress.Bus
 	total int64
 
 	done   atomic.Int64

@@ -18,7 +18,7 @@ const heartbeatEvery = 2 * time.Second
 // the returned stop after Run has returned: it reads the bus to its end, so
 // the final line is written before stop returns.
 func Heartbeat(bus *progress.Bus, w io.Writer) (stop func()) {
-	r := bus.NewReader(true)
+	r := bus.NewReader()
 	quit := make(chan struct{})
 	exited := make(chan struct{})
 	go func() {

@@ -29,18 +29,18 @@ func fakeRunners() []experiments.Runner {
 // lifecycle: run_start, per-trial start/done pairs with exact done/total
 // accounting, failure details, and the terminal run_done.
 func TestObsTrialLifecycle(t *testing.T) {
-	pub := progress.NewPublisher(256)
+	bus := progress.NewBus()
 	res := Run(Config{
 		Runners:  fakeRunners(),
 		BaseSeed: 42,
 		Reps:     3,
-		Obs:      pub,
+		Obs:      bus,
 	})
 	if res.Trials() != 6 || res.Failed() != 3 {
 		t.Fatalf("trials=%d failed=%d", res.Trials(), res.Failed())
 	}
 
-	reader := pub.Bus.NewReader(true)
+	reader := bus.NewReader()
 	buf := make([]progress.Event, 64)
 	var evs []progress.Event
 	for {
@@ -102,12 +102,12 @@ func TestObsTrialLifecycle(t *testing.T) {
 	}
 }
 
-// TestObsInert proves attaching the publisher changes nothing about the
+// TestObsInert proves attaching the bus changes nothing about the
 // result: trial reports, metrics, and aggregates are deeply equal.
 func TestObsInert(t *testing.T) {
 	cfg := Config{Runners: fakeRunners()[:1], BaseSeed: 7, Reps: 2}
 	detached := Run(cfg)
-	cfg.Obs = progress.NewPublisher(64)
+	cfg.Obs = progress.NewBus()
 	attached := Run(cfg)
 	for i := range detached.Experiments {
 		d, a := detached.Experiments[i], attached.Experiments[i]
@@ -127,13 +127,13 @@ func TestObsInert(t *testing.T) {
 // with the final tally, prefixes every line, and stays plain text.
 func TestHeartbeat(t *testing.T) {
 	var buf strings.Builder
-	pub := progress.NewPublisher(0)
-	stop := Heartbeat(pub.Bus, &buf)
+	bus := progress.NewBus()
+	stop := Heartbeat(bus, &buf)
 	Run(Config{
 		Runners:  fakeRunners()[:1],
 		BaseSeed: 1,
 		Reps:     2,
-		Obs:      pub,
+		Obs:      bus,
 	})
 	stop()
 	out := buf.String()
@@ -150,7 +150,7 @@ func TestHeartbeat(t *testing.T) {
 	}
 }
 
-// TestHeartbeatOffByDefault: no publisher, no reader, no output machinery —
+// TestHeartbeatOffByDefault: no bus, no reader, no output machinery —
 // Run simply works.
 func TestHeartbeatOffByDefault(t *testing.T) {
 	res := Run(Config{Runners: fakeRunners()[:1], BaseSeed: 1, Reps: 1})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,71 +14,25 @@ import (
 	"vsched/internal/progress"
 )
 
-func testServer(t *testing.T) *Server {
-	t.Helper()
-	return New(Options{PollInterval: time.Millisecond})
-}
-
 func TestHealthz(t *testing.T) {
-	s := testServer(t)
+	s := newServer("demo")
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	s.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 || rec.Body.String() != "ok\n" {
 		t.Fatalf("healthz: %d %q", rec.Code, rec.Body.String())
 	}
 }
 
-func TestRegisterDuplicateIDs(t *testing.T) {
-	s := testServer(t)
-	a := s.Register("fleet")
-	b := s.Register("fleet")
-	c := s.Register("fleet")
-	if a.ID != "fleet" || b.ID != "fleet-2" || c.ID != "fleet-3" {
-		t.Fatalf("ids: %q %q %q", a.ID, b.ID, c.ID)
-	}
-	if s.Lookup("fleet-2") != b || s.Lookup("nope") != nil {
-		t.Fatalf("lookup broken")
-	}
-}
-
-func TestRunsListing(t *testing.T) {
-	s := testServer(t)
-	r1 := s.Register("alpha")
-	s.Register("beta")
-	r1.Publisher().Publish(progress.Event{Kind: progress.KindRunStart})
-	r1.Publisher().PublishMirror(func(emit func(string, float64)) {
-		emit("x", 1)
-	})
-	r1.Finish()
-
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/runs", nil))
-	var infos []runInfo
-	if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil {
-		t.Fatalf("bad /runs JSON: %v\n%s", err, rec.Body.String())
-	}
-	if len(infos) != 2 || infos[0].ID != "alpha" || infos[1].ID != "beta" {
-		t.Fatalf("listing: %+v", infos)
-	}
-	if infos[0].EventsPublished != 1 || !infos[0].Done || infos[0].MirrorPublishes != 1 {
-		t.Fatalf("alpha info: %+v", infos[0])
-	}
-	if infos[1].Done {
-		t.Fatalf("beta should not be done")
-	}
-}
-
 func TestMetricsEndpoint(t *testing.T) {
-	s := testServer(t)
-	r := s.Register("obsplane")
-	r.Publisher().PublishMirror(func(emit func(string, float64)) {
+	s := newServer("obsplane")
+	s.Mirror().Publish(func(emit func(string, float64)) {
 		emit("fleet.macro.placed", 115000)
 		emit("sim.wheel.resident", 7)
 	})
-	r.Publisher().Publish(progress.Event{Kind: progress.KindEpoch})
+	s.Bus().Publish(progress.Event{Kind: progress.KindEpoch})
 
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	s.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q", ct)
@@ -99,15 +54,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("sample outside vsched_metric: %q", line)
 		}
 	}
-	if s.Scrapes() != 1 {
-		t.Fatalf("scrapes = %d", s.Scrapes())
-	}
 }
 
 func TestPprofMounted(t *testing.T) {
-	s := testServer(t)
+	s := newServer("demo")
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	s.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Fatalf("pprof index: %d", rec.Code)
 	}
@@ -117,22 +69,18 @@ func TestPprofMounted(t *testing.T) {
 // worth of events, and checks the stream delivers them in order and closes
 // with an exact stream_end summary.
 func TestEventStreamNDJSON(t *testing.T) {
-	s := testServer(t)
-	addr, err := s.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	run := s.Register("demo")
-	pub := run.Publisher()
-	pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: "demo", Total: 3})
+	s := newServer("demo")
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	bus := s.Bus()
+	bus.Publish(progress.Event{Kind: progress.KindRunStart, Label: "demo", Total: 3})
 	for i := 1; i <= 3; i++ {
-		pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i), Done: int64(i), Total: 3})
+		bus.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i), Done: int64(i), Total: 3})
 	}
-	pub.Publish(progress.Event{Kind: progress.KindRunDone, Done: 3, Total: 3})
-	run.Finish()
+	bus.Publish(progress.Event{Kind: progress.KindRunDone, Done: 3, Total: 3})
+	bus.MarkDone()
 
-	resp, err := http.Get("http://" + addr + "/runs/demo/events")
+	resp, err := http.Get(ts.URL + "/runs/demo/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +112,14 @@ func TestEventStreamNDJSON(t *testing.T) {
 }
 
 func TestEventStreamSSE(t *testing.T) {
-	s := testServer(t)
-	run := s.Register("demo")
-	run.Publisher().Publish(progress.Event{Kind: progress.KindRunDone})
-	run.Finish()
+	s := newServer("demo")
+	s.Bus().Publish(progress.Event{Kind: progress.KindRunDone})
+	s.Bus().MarkDone()
 
 	req := httptest.NewRequest("GET", "/runs/demo/events", nil)
 	req.Header.Set("Accept", "text/event-stream")
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	s.mux.ServeHTTP(rec, req)
 	body := rec.Body.String()
 	if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
@@ -186,27 +133,26 @@ func TestEventStreamSSE(t *testing.T) {
 }
 
 func TestEventStreamUnknownRun(t *testing.T) {
-	s := testServer(t)
+	s := newServer("demo")
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/runs/nope/events", nil))
+	s.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/runs/nope/events", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("code = %d", rec.Code)
 	}
 }
 
-// TestEventStreamDropNotice overflows a tiny ring before the consumer
-// attaches and checks the stream reports the exact drop count.
+// TestEventStreamDropNotice overflows the ring by 12 events before the
+// consumer attaches and checks the stream reports the exact drop count.
 func TestEventStreamDropNotice(t *testing.T) {
-	s := New(Options{PollInterval: time.Millisecond, BusSize: 8})
-	run := s.Register("lossy")
-	pub := run.Publisher()
-	for i := 0; i < 20; i++ {
-		pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i)})
+	s := newServer("lossy")
+	const ring = 4096 // progress.NewBus's capacity
+	for i := 0; i < ring+12; i++ {
+		s.Bus().Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i)})
 	}
-	run.Finish()
+	s.Bus().MarkDone()
 
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/runs/lossy/events", nil))
+	s.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/runs/lossy/events", nil))
 	var dropNotice, end streamRecord
 	var events int
 	sc := bufio.NewScanner(strings.NewReader(rec.Body.String()))
@@ -225,8 +171,8 @@ func TestEventStreamDropNotice(t *testing.T) {
 	if dropNotice.Dropped != 12 {
 		t.Fatalf("drop notice = %+v, want 12 dropped", dropNotice)
 	}
-	if events != 8 || end.Received != 8 || end.Dropped != 12 {
-		t.Fatalf("events=%d end=%+v; want 8 received + 12 dropped = 20 published", events, end)
+	if events != ring || end.Received != ring || end.Dropped != 12 {
+		t.Fatalf("events=%d end=%+v; want %d received + 12 dropped", events, end, ring)
 	}
 }
 
@@ -234,16 +180,12 @@ func TestEventStreamDropNotice(t *testing.T) {
 // publishes from another goroutine — the streaming path, not the drain-
 // after-done path.
 func TestLiveStreamWhilePublishing(t *testing.T) {
-	s := testServer(t)
-	addr, err := s.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	run := s.Register("live")
-	pub := run.Publisher()
+	s := newServer("live")
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	bus := s.Bus()
 
-	resp, err := http.Get("http://" + addr + "/runs/live/events")
+	resp, err := http.Get(ts.URL + "/runs/live/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +193,11 @@ func TestLiveStreamWhilePublishing(t *testing.T) {
 
 	go func() {
 		for i := 0; i < 50; i++ {
-			pub.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i)})
+			bus.Publish(progress.Event{Kind: progress.KindEpoch, Epoch: int64(i)})
 			time.Sleep(100 * time.Microsecond)
 		}
-		pub.Publish(progress.Event{Kind: progress.KindRunDone, Done: 50})
-		run.Finish()
+		bus.Publish(progress.Event{Kind: progress.KindRunDone, Done: 50})
+		bus.MarkDone()
 	}()
 
 	var got, dropped int
@@ -279,5 +221,70 @@ func TestLiveStreamWhilePublishing(t *testing.T) {
 	}
 	if got+dropped != 51 {
 		t.Fatalf("received %d + dropped %d != 51 published", got, dropped)
+	}
+}
+
+// TestServeAndStop drives the production path: Serve binds an ephemeral
+// port and announces it, the announced address serves the run, and Stop
+// ends a connected event stream with its stream_end record before the
+// listener goes away.
+func TestServeAndStop(t *testing.T) {
+	var announce strings.Builder
+	s, err := Serve("127.0.0.1:0", "demo", &announce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, ok := strings.CutPrefix(announce.String(), "observability: http://")
+	addr, _, _ := strings.Cut(rest, "/")
+	if !ok || !strings.HasSuffix(rest, "/metrics, /runs/demo/events\n") {
+		t.Fatalf("announcement %q", announce.String())
+	}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/healthz"); code != 200 || body != "ok\n" {
+		t.Fatalf("healthz: %d %q", code, body)
+	}
+	s.Mirror().Publish(func(emit func(string, float64)) { emit("sim.fired", 12) })
+	if _, body := get("/metrics"); !strings.Contains(body, `vsched_metric{run="demo",name="sim.fired"} 12`+"\n") {
+		t.Fatalf("mirrored sample missing from /metrics:\n%s", body)
+	}
+	if code, _ := get("/runs"); code != http.StatusNotFound {
+		t.Fatalf("GET /runs = %d, want 404", code)
+	}
+
+	s.Bus().Publish(progress.Event{Kind: progress.KindRunStart})
+	resp, err := http.Get("http://" + addr + "/runs/demo/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stopped := make(chan struct{})
+	go func() {
+		s.Stop()
+		close(stopped)
+	}()
+	var last string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		last = sc.Text()
+	}
+	if last != `{"kind":"stream_end","dropped":0,"received":1}` {
+		t.Fatalf("stream ended with %q, want its stream_end record", last)
+	}
+	<-stopped
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatal("listener still accepts connections after Stop")
 	}
 }

@@ -29,30 +29,21 @@ const expoFamilies = `# HELP vsched_obs_events_published_total Progress events p
 # TYPE vsched_metric gauge
 `
 
-// runExpo is one run's scrape-time state: the immutable mirror snapshot
-// plus bus counters.
-type runExpo struct {
-	id        string
-	published uint64
-	samples   []progress.Sample
-}
-
-// appendExposition renders the full /metrics payload into buf.
-func appendExposition(buf []byte, scrapes uint64, runs []runExpo) []byte {
+// appendExposition renders the full /metrics payload into buf: the run's
+// id, how many events its bus has published, and its mirror snapshot.
+func appendExposition(buf []byte, scrapes uint64, id string, published uint64, samples []progress.Sample) []byte {
 	buf = append(buf, expoHeader...)
 	buf = append(buf, "vsched_obs_scrapes_total "...)
 	buf = strconv.AppendUint(buf, scrapes, 10)
 	buf = append(buf, '\n')
 	buf = append(buf, expoFamilies...)
-	for _, r := range runs {
-		buf = append(buf, "vsched_obs_events_published_total{run=\""...)
-		buf = appendEscaped(buf, r.id)
-		buf = append(buf, "\"} "...)
-		buf = strconv.AppendUint(buf, r.published, 10)
-		buf = append(buf, '\n')
-		for _, sm := range r.samples {
-			buf = appendSample(buf, r.id, sm)
-		}
+	buf = append(buf, "vsched_obs_events_published_total{run=\""...)
+	buf = appendEscaped(buf, id)
+	buf = append(buf, "\"} "...)
+	buf = strconv.AppendUint(buf, published, 10)
+	buf = append(buf, '\n')
+	for _, sm := range samples {
+		buf = appendSample(buf, id, sm)
 	}
 	return buf
 }

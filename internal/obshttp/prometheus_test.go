@@ -12,26 +12,19 @@ import (
 // hostile label values (quotes, backslashes, newlines, UTF-8) and the
 // special float spellings.
 func TestExpositionGolden(t *testing.T) {
-	runs := []runExpo{
-		{
-			id:        "obsplane",
-			published: 42,
-			samples: []progress.Sample{
-				{Name: "fleet.macro.placed", Value: 115000},
-				{Name: `weird"name`, Value: 1.5},
-				{Name: "back\\slash", Value: -2},
-				{Name: "new\nline", Value: 0.1},
-				{Name: "unicode.héllo", Value: 3},
-				{Name: "fleet.macro.util_mean", Value: 0.625},
-				{Name: "nan.series", Value: math.NaN()},
-				{Name: "sim.wheel.resident", Value: 1024},
-				{Name: "inf.up", Value: math.Inf(1)},
-				{Name: "inf.down", Value: math.Inf(-1)},
-			},
-		},
-		{id: `run"2`, published: 0, samples: nil},
+	samples := []progress.Sample{
+		{Name: "fleet.macro.placed", Value: 115000},
+		{Name: `weird"name`, Value: 1.5},
+		{Name: "back\\slash", Value: -2},
+		{Name: "new\nline", Value: 0.1},
+		{Name: "unicode.héllo", Value: 3},
+		{Name: "fleet.macro.util_mean", Value: 0.625},
+		{Name: "nan.series", Value: math.NaN()},
+		{Name: "sim.wheel.resident", Value: 1024},
+		{Name: "inf.up", Value: math.Inf(1)},
+		{Name: "inf.down", Value: math.Inf(-1)},
 	}
-	got := string(appendExposition(nil, 7, runs))
+	got := string(appendExposition(nil, 7, "obsplane", 42, samples))
 	want := `# HELP vsched_up Whether the observability server is serving.
 # TYPE vsched_up gauge
 vsched_up 1
@@ -53,7 +46,6 @@ vsched_metric{run="obsplane",name="nan.series"} NaN
 vsched_metric{run="obsplane",name="sim.wheel.resident"} 1024
 vsched_metric{run="obsplane",name="inf.up"} +Inf
 vsched_metric{run="obsplane",name="inf.down"} -Inf
-vsched_obs_events_published_total{run="run\"2"} 0
 `
 	if got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -64,14 +56,8 @@ vsched_obs_events_published_total{run="run\"2"} 0
 // non-comment line: name{labels} value, balanced quotes, no raw newlines
 // inside label values.
 func TestExpositionValidTextFormat(t *testing.T) {
-	runs := []runExpo{{
-		id:        "r\n1",
-		published: 1,
-		samples: []progress.Sample{
-			{Name: "a\nb\"c\\d", Value: math.NaN()},
-		},
-	}}
-	out := string(appendExposition(nil, 1, runs))
+	samples := []progress.Sample{{Name: "a\nb\"c\\d", Value: math.NaN()}}
+	out := string(appendExposition(nil, 1, "r\n1", 1, samples))
 	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
@@ -103,10 +89,10 @@ func TestAppendSampleAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("appendSample allocates %.1f per value, want 0", allocs)
 	}
-	runs := []runExpo{{id: "r", published: 9, samples: []progress.Sample{sm, sm, sm}}}
+	samples := []progress.Sample{sm, sm, sm}
 	big := make([]byte, 0, 1<<16)
 	allocs = testing.AllocsPerRun(1000, func() {
-		big = appendExposition(big[:0], 3, runs)
+		big = appendExposition(big[:0], 3, "r", 9, samples)
 	})
 	if allocs != 0 {
 		t.Fatalf("appendExposition allocates %.1f per scrape, want 0", allocs)

@@ -19,8 +19,7 @@ type Sample struct {
 // Load, so a scrape can never observe a half-written snapshot and can never
 // slow the publisher down.
 type Mirror struct {
-	cur       atomic.Pointer[[]Sample]
-	published atomic.Uint64
+	cur atomic.Pointer[[]Sample]
 	// scratch is reused across Publish calls by the single publisher; it is
 	// never the slice scrapers see.
 	scratch []Sample
@@ -46,7 +45,6 @@ func (m *Mirror) Publish(fill func(emit func(name string, v float64))) {
 	copy(out, buf)
 	m.scratch = buf
 	m.cur.Store(&out)
-	m.published.Add(1)
 }
 
 // Load returns the current snapshot, or nil if nothing has been published.
@@ -60,47 +58,4 @@ func (m *Mirror) Load() []Sample {
 		return nil
 	}
 	return *p
-}
-
-// Published returns how many snapshots have been swapped in.
-func (m *Mirror) Published() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.published.Load()
-}
-
-// Publisher bundles the two handoff surfaces a simulation publishes into.
-// All methods are nil-safe so call sites stay unconditional: a detached run
-// simply passes a nil Publisher and every publish is a no-op.
-type Publisher struct {
-	Bus    *Bus
-	Mirror *Mirror
-}
-
-// NewPublisher returns a publisher with a fresh bus (capacity busSize,
-// DefaultBusSize if <= 0) and mirror.
-func NewPublisher(busSize int) *Publisher {
-	return &Publisher{Bus: NewBus(busSize), Mirror: &Mirror{}}
-}
-
-// Publish forwards to the bus; no-op on a nil publisher or nil bus.
-func (p *Publisher) Publish(ev Event) {
-	if p != nil && p.Bus != nil {
-		p.Bus.Publish(ev)
-	}
-}
-
-// PublishMirror forwards to the mirror; no-op on a nil publisher.
-func (p *Publisher) PublishMirror(fill func(emit func(name string, v float64))) {
-	if p != nil {
-		p.Mirror.Publish(fill)
-	}
-}
-
-// MarkDone flags the bus as finished; no-op on a nil publisher.
-func (p *Publisher) MarkDone() {
-	if p != nil && p.Bus != nil {
-		p.Bus.MarkDone()
-	}
 }

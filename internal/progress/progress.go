@@ -95,29 +95,20 @@ type Event struct {
 type Bus struct {
 	mu   sync.Mutex
 	ring []Event
-	mask uint64
 	next uint64 // events published so far; guarded by mu
 	done atomic.Bool
 }
 
-// DefaultBusSize is the ring capacity when NewBus is given <= 0.
-const DefaultBusSize = 4096
+// busSize is the ring capacity of every bus NewBus returns. A harness run
+// publishes two events per trial and vschedsim one per virtual second, so a
+// reader attaching late still sees the whole of most runs.
+const busSize = 4096
 
-// NewBus returns a bus with capacity rounded up to a power of two (minimum
-// 8).
-func NewBus(size int) *Bus {
-	if size <= 0 {
-		size = DefaultBusSize
-	}
-	n := 8
-	for n < size {
-		n <<= 1
-	}
-	return &Bus{ring: make([]Event, n), mask: uint64(n - 1)}
-}
+// NewBus returns an empty bus.
+func NewBus() *Bus { return newBus(busSize) }
 
-// Cap returns the ring capacity.
-func (b *Bus) Cap() int { return len(b.ring) }
+// newBus returns an empty bus of n events; tests use small rings to lap.
+func newBus(n int) *Bus { return &Bus{ring: make([]Event, n)} }
 
 // Seq returns how many events have been published so far.
 func (b *Bus) Seq() uint64 {
@@ -140,16 +131,18 @@ func (b *Bus) MarkDone() {
 // Done reports whether the run has been marked finished.
 func (b *Bus) Done() bool { return b != nil && b.done.Load() }
 
-// Publish writes one event to the ring and returns its sequence number,
-// which it also stores in the event's Seq. It allocates nothing, and
-// multiple publishers may call it concurrently.
-func (b *Bus) Publish(ev Event) uint64 {
+// Publish writes one event to the ring, numbering it in its Seq. It
+// allocates nothing, multiple publishers may call it concurrently, and it is
+// a no-op on a nil bus, so a detached run publishes unconditionally.
+func (b *Bus) Publish(ev Event) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ev.Seq = b.next
-	b.ring[b.next&b.mask] = ev
+	b.ring[b.next%uint64(len(b.ring))] = ev
 	b.next++
-	return ev.Seq
 }
 
 // oldest is the sequence number of the oldest event still in the ring.
@@ -169,20 +162,15 @@ type Reader struct {
 	dropped uint64
 }
 
-// NewReader returns a reader positioned at sequence 0 (fromStart) or at the
-// current head, seeing only future events. A fromStart reader attaching
-// after the ring has already lapped starts at the oldest retained event
-// with the unretrievable prefix counted in Dropped(), so received + dropped
-// always equals the number published.
-func (b *Bus) NewReader(fromStart bool) *Reader {
+// NewReader returns a reader positioned at the oldest retained event. A
+// reader attaching after the ring has already lapped counts the
+// unretrievable prefix in Dropped(), so received + dropped always equals the
+// number published.
+func (b *Bus) NewReader() *Reader {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r := &Reader{b: b, cursor: b.next}
-	if fromStart {
-		r.cursor = b.oldest()
-		r.dropped = r.cursor
-	}
-	return r
+	oldest := b.oldest()
+	return &Reader{b: b, cursor: oldest, dropped: oldest}
 }
 
 // Dropped returns how many events this reader has lost to ring overwrite.
@@ -217,7 +205,7 @@ func (r *Reader) copyNext(ev *Event) bool {
 	if r.cursor >= b.next {
 		return false
 	}
-	*ev = b.ring[r.cursor&b.mask]
+	*ev = b.ring[r.cursor%uint64(len(b.ring))]
 	r.cursor++
 	return true
 }
