@@ -195,12 +195,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Tracing taps every layer: the host observer sees entity state changes,
 	// and the VM tracer carries guest context switches plus vSched decisions.
 	// -timeline draws its strips from the same ring. Only a -trace ring feeds
-	// the self-census, so -timeline adds no telemetry series.
+	// the self-census, so -timeline adds no telemetry series. The host is
+	// tapped once: the tap feeds the ring and, from the measurement window
+	// on, the -attrib profiler.
 	var ring, tracer *vtrace.Tracer
+	var prof *latprof.Profiler
 	if *tracePath != "" || *timeline {
 		ring = vtrace.New(0)
-		vtrace.AttachHost(ring, cl.Host())
 		vm.SetTracer(ring)
+	}
+	if ring != nil || *attrib {
+		vtrace.AttachHost(vtrace.Tee(ring, func(ev vtrace.Event) {
+			if prof != nil {
+				prof.Observe(ev)
+			}
+		}), cl.Host())
 	}
 	if *tracePath != "" {
 		tracer = ring
@@ -384,13 +393,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	advance(warm)
 
 	// Latency attribution taps the event stream for the measurement window
-	// only, so warmup does not dilute the breakdown. The host gets an extra
-	// observer (host observers stack) and the VM tracer becomes a tee that
-	// keeps feeding the ring, so the recorded trace and strips are unchanged.
-	var prof *latprof.Profiler
+	// only, so warmup does not dilute the breakdown. The host tap starts
+	// feeding the profiler and the VM tracer becomes a tee that keeps
+	// feeding the ring, so the recorded trace and strips are unchanged.
 	if *attrib {
 		prof = latprof.New(latprof.Config{VM: "vm", NominalSpeed: cl.Host().Config().BaseSpeed})
-		vtrace.AttachHost(vtrace.NewObserver(prof.Observe), cl.Host())
 		vm.SetTracer(vtrace.Tee(ring, prof.Observe))
 	}
 	var srv *vsched.Server

@@ -41,9 +41,8 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Fatalf("stdout diverged from %s:\n--- got ---\n%s\n--- want ---\n%s",
-			golden, stdout.String(), want)
+	if d := firstDiff(stdout.Bytes(), want); d != "" {
+		t.Fatalf("stdout diverged from %s: %s", golden, d)
 	}
 	if !strings.Contains(stdout.String(), "guest.context_switches") {
 		t.Fatal("metrics snapshot missing guest counters")
@@ -72,9 +71,8 @@ func TestTimelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Fatalf("stdout diverged from %s:\n--- got ---\n%s\n--- want ---\n%s",
-			golden, stdout.String(), want)
+	if d := firstDiff(stdout.Bytes(), want); d != "" {
+		t.Fatalf("stdout diverged from %s: %s", golden, d)
 	}
 	if !strings.Contains(stdout.String(), "vCPU activity, final 80ms:") {
 		t.Fatal("no timeline strips on stdout")
@@ -117,8 +115,28 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace export diverged from %s (%d vs %d bytes) — the event engine is firing in a different order", golden, len(got), len(want))
+	if d := firstDiff(got, want); d != "" {
+		t.Fatalf("trace export diverged from %s (%d vs %d bytes): %s", golden, len(got), len(want), d)
+	}
+}
+
+// firstDiff names the first line where got and want differ and quotes both,
+// or returns "" when they are equal.
+func firstDiff(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; ; i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			line := func(ls []string) string {
+				if i < len(ls) {
+					return fmt.Sprintf("%q", ls[i])
+				}
+				return "(end of output)"
+			}
+			return fmt.Sprintf("line %d\n got: %s\nwant: %s", i+1, line(g), line(w))
+		}
 	}
 }
 

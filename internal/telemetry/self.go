@@ -52,6 +52,9 @@ func (s *SelfSource) Collect(now sim.Time, emit func(string, float64)) {
 	}
 }
 
+// minWallDelta is the minimum wall time between WallSource samples.
+const minWallDelta = 5 * time.Millisecond
+
 // WallSource samples the simulator's wall-clock throughput — the volatile
 // part of self-observability, registered via AddVolatileSource because its
 // values depend on the machine, not the scenario. The throughput metrics a
@@ -70,9 +73,6 @@ func (s *SelfSource) Collect(now sim.Time, emit func(string, float64)) {
 // simulation does not drown in ReadMemStats calls.
 type WallSource struct {
 	Eng *sim.Engine
-	// MinWallDelta is the minimum wall time between emitted samples
-	// (default 5ms).
-	MinWallDelta time.Duration
 
 	lastWall    time.Time
 	lastFired   uint64
@@ -82,10 +82,6 @@ type WallSource struct {
 
 // Collect implements Source.
 func (s *WallSource) Collect(now sim.Time, emit func(string, float64)) {
-	minDelta := s.MinWallDelta
-	if minDelta <= 0 {
-		minDelta = 5 * time.Millisecond
-	}
 	wall := time.Now()
 	if s.lastWall.IsZero() {
 		// Arm the baselines on the first pass; emit from the second on.
@@ -95,7 +91,7 @@ func (s *WallSource) Collect(now sim.Time, emit func(string, float64)) {
 		return
 	}
 	dt := wall.Sub(s.lastWall)
-	if dt < minDelta {
+	if dt < minWallDelta {
 		return
 	}
 	var ms runtime.MemStats

@@ -20,7 +20,8 @@ import (
 //
 //	pid 1 "host"   — one track per entity; complete ("X") slices for
 //	                 running/runnable/throttled intervals, instants for
-//	                 preemptions and throttle edges.
+//	                 preemptions, throttle edges and steal-stretch ends,
+//	                 all derived from the entity-state records.
 //	pid 2 "guest"  — one track per vCPU index; "X" slices span task
 //	                 install->uninstall (slice name = task name), instants
 //	                 for wakeups, migrations, balance passes, policy moves.
@@ -105,11 +106,13 @@ type exporter struct {
 	n    int // events written, for comma placement
 	last sim.Time
 
-	// host entity tracks: name -> tid, plus open state interval.
-	entTID   map[string]int
-	entOrder []string
-	entState map[string]host.EntityState
-	entSince map[string]sim.Time
+	// host entity tracks: name -> tid, plus open state interval and the
+	// start of the open steal stretch.
+	entTID     map[string]int
+	entOrder   []string
+	entState   map[string]host.EntityState
+	entSince   map[string]sim.Time
+	stealSince map[string]sim.Time
 
 	// guest vCPU tracks: open task slice per vCPU index.
 	guestTIDs map[int]bool
@@ -130,13 +133,14 @@ type openSlice struct {
 // totals so a consumer can tell whether ring wrap-around lost events.
 func (tr *Tracer) WriteChrome(w io.Writer, spans []SpanTrack, counters []CounterTrack) error {
 	e := &exporter{
-		w:         bufio.NewWriter(w),
-		tr:        tr,
-		entTID:    map[string]int{},
-		entState:  map[string]host.EntityState{},
-		entSince:  map[string]sim.Time{},
-		guestTIDs: map[int]bool{},
-		openTask:  map[int]openSlice{},
+		w:          bufio.NewWriter(w),
+		tr:         tr,
+		entTID:     map[string]int{},
+		entState:   map[string]host.EntityState{},
+		entSince:   map[string]sim.Time{},
+		stealSince: map[string]sim.Time{},
+		guestTIDs:  map[int]bool{},
+		openTask:   map[int]openSlice{},
 	}
 	return e.run(spans, counters)
 }
@@ -191,9 +195,9 @@ func (e *exporter) spanTrack(pid int, t *SpanTrack) {
 				if j > 0 {
 					args.WriteByte(',')
 				}
-				fmt.Fprintf(&args, "%q:%d", a.Key, a.Value)
+				fmt.Fprintf(&args, "%s:%d", jsonString(a.Key), a.Value)
 			}
-			e.sliceArgs(pid, tid, s.From, s.To, s.Name, t.Process, args.String())
+			e.slice(pid, tid, s.From, s.To, s.Name, t.Process, args.String())
 		}
 	}
 }
@@ -219,36 +223,30 @@ func (e *exporter) meta(pid, tid int, key, name string) {
 	if tid >= 0 {
 		t = fmt.Sprintf(",\"tid\":%d", tid)
 	}
-	e.raw(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d%s,\"name\":%q,\"args\":{\"name\":%q}}", pid, t, key, name))
+	e.raw(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d%s,\"name\":%s,\"args\":{\"name\":%s}}",
+		pid, t, jsonString(key), jsonString(name)))
 }
 
 func (e *exporter) instant(pid, tid int, at sim.Time, name, cat, args string) {
-	a := ""
-	if args != "" {
-		a = ",\"args\":{" + args + "}"
-	}
-	e.raw(fmt.Sprintf("{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"name\":%q,\"cat\":%q,\"s\":\"t\"%s}",
-		pid, tid, ts(at), name, cat, a))
+	e.raw(fmt.Sprintf("{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"name\":%s,\"cat\":%s,\"s\":\"t\"%s}",
+		pid, tid, ts(at), jsonString(name), jsonString(cat), argsField(args)))
 }
 
-func (e *exporter) slice(pid, tid int, from, to sim.Time, name, cat string) {
+func (e *exporter) slice(pid, tid int, from, to sim.Time, name, cat, args string) {
 	if to < from {
 		to = from
 	}
-	e.raw(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%q,\"cat\":%q}",
-		pid, tid, ts(from), ts(sim.Time(to.Sub(from))), name, cat))
+	e.raw(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,\"cat\":%s%s}",
+		pid, tid, ts(from), ts(sim.Time(to.Sub(from))), jsonString(name), jsonString(cat), argsField(args)))
 }
 
-func (e *exporter) sliceArgs(pid, tid int, from, to sim.Time, name, cat, args string) {
+// argsField renders pre-rendered JSON members as an event's args field, or
+// nothing when there are none.
+func argsField(args string) string {
 	if args == "" {
-		e.slice(pid, tid, from, to, name, cat)
-		return
+		return ""
 	}
-	if to < from {
-		to = from
-	}
-	e.raw(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%q,\"cat\":%q,\"args\":{%s}}",
-		pid, tid, ts(from), ts(sim.Time(to.Sub(from))), name, cat, args))
+	return ",\"args\":{" + args + "}"
 }
 
 // counterRaw is the one place a "C" event is formatted; name and value must
@@ -260,16 +258,13 @@ func (e *exporter) counterRaw(pid int, at sim.Time, name, value string) {
 }
 
 func (e *exporter) counter(at sim.Time, name string, value int64) {
-	e.counterRaw(pidVSched, at, strconv.Quote(name), strconv.FormatInt(value, 10))
+	e.counterRaw(pidVSched, at, jsonString(name), strconv.FormatInt(value, 10))
 }
 
 // counterTrack emits one caller-supplied counter process: its metadata, then
-// every series' points in caller order. Caller-supplied names are untrusted,
-// so they go through the real JSON encoder (fmt's %q is Go syntax, which
-// escapes control bytes as \x00 — invalid JSON).
+// every series' points in caller order.
 func (e *exporter) counterTrack(pid int, t *CounterTrack) {
-	e.raw(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-		pid, jsonString(t.Process)))
+	e.meta(pid, -1, "process_name", t.Process)
 	for i := range t.Series {
 		s := &t.Series[i]
 		name := jsonString(s.Name)
@@ -280,6 +275,8 @@ func (e *exporter) counterTrack(pid int, t *CounterTrack) {
 }
 
 // jsonString renders s as a JSON string literal, escaping anything hostile.
+// Every name in the export goes through it: fmt's %q is Go syntax, which
+// escapes control bytes and invalid UTF-8 as \x01 — invalid JSON.
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
@@ -330,6 +327,10 @@ func stateSliceName(s host.EntityState) string {
 	return ""
 }
 
+// inSteal reports whether an entity in state s wants the CPU without
+// running on it.
+func inSteal(s host.EntityState) bool { return s == host.Runnable || s == host.Throttled }
+
 func (e *exporter) event(ev *Event) {
 	if ev.At > e.last {
 		e.last = ev.At
@@ -342,32 +343,46 @@ func (e *exporter) event(ev *Event) {
 		// in-progress interval opened at its first appearance.
 		if prev, ok := e.entState[ev.Subject]; !ok || prev == from {
 			if name := stateSliceName(from); name != "" {
-				e.slice(pidHost, tid, e.entSince[ev.Subject], ev.At, name, "host")
+				e.slice(pidHost, tid, e.entSince[ev.Subject], ev.At, name, "host", "")
 			}
 		}
 		e.entState[ev.Subject] = to
 		e.entSince[ev.Subject] = ev.At
-	case KindPreempt:
-		e.instant(pidHost, e.hostTID(ev.Subject, ev.At), ev.At, "preempt", "host", "")
-	case KindThrottle:
-		e.instant(pidHost, e.hostTID(ev.Subject, ev.At), ev.At, "throttle", "host", "")
-	case KindUnthrottle:
-		e.instant(pidHost, e.hostTID(ev.Subject, ev.At), ev.At, "unthrottle", "host", "")
-	case KindSteal:
-		e.instant(pidHost, e.hostTID(ev.Subject, ev.At), ev.At, "steal-end", "host",
-			fmt.Sprintf("\"steal_ns\":%d", ev.A0))
+		if from == host.Running && inSteal(to) {
+			e.instant(pidHost, tid, ev.At, "preempt", "host", "")
+		}
+		if to == host.Throttled {
+			e.instant(pidHost, tid, ev.At, "throttle", "host", "")
+		}
+		if from == host.Throttled && to == host.Runnable {
+			// The quota-refill path re-admits the entity to its runqueue.
+			e.instant(pidHost, tid, ev.At, "unthrottle", "host", "")
+		}
+		// A steal stretch runs from a non-steal state into Runnable/Throttled
+		// and back out. One whose start the ring overwrote renders no
+		// steal-end, like a TaskOff whose TaskOn was overwritten.
+		switch fromSteal, toSteal := inSteal(from), inSteal(to); {
+		case toSteal && !fromSteal:
+			e.stealSince[ev.Subject] = ev.At
+		case fromSteal && !toSteal:
+			if since, ok := e.stealSince[ev.Subject]; ok {
+				e.instant(pidHost, tid, ev.At, "steal-end", "host",
+					fmt.Sprintf("\"steal_ns\":%d", ev.At.Sub(since)))
+				delete(e.stealSince, ev.Subject)
+			}
+		}
 
 	case KindTaskOn:
 		tid := e.guestTID(int(ev.A0))
 		if open, ok := e.openTask[tid]; ok {
 			// Ring wrap lost the matching TaskOff; close at the new edge.
-			e.slice(pidGuest, tid, open.since, ev.At, open.name, "guest")
+			e.slice(pidGuest, tid, open.since, ev.At, open.name, "guest", "")
 		}
 		e.openTask[tid] = openSlice{name: ev.Subject, since: ev.At}
 	case KindTaskOff:
 		tid := e.guestTID(int(ev.A0))
 		if open, ok := e.openTask[tid]; ok {
-			e.slice(pidGuest, tid, open.since, ev.At, open.name, "guest")
+			e.slice(pidGuest, tid, open.since, ev.At, open.name, "guest", "")
 			delete(e.openTask, tid)
 		}
 		// A TaskOff whose TaskOn was overwritten by the ring is dropped.
@@ -455,12 +470,12 @@ func (e *exporter) event(ev *Event) {
 func (e *exporter) flushOpen() {
 	for _, name := range e.entOrder {
 		if s := stateSliceName(e.entState[name]); s != "" {
-			e.slice(pidHost, e.entTID[name], e.entSince[name], e.last, s, "host")
+			e.slice(pidHost, e.entTID[name], e.entSince[name], e.last, s, "host", "")
 		}
 	}
 	for _, vcpu := range e.vcpuOrder {
 		if open, ok := e.openTask[vcpu]; ok {
-			e.slice(pidGuest, vcpu, open.since, e.last, open.name, "guest")
+			e.slice(pidGuest, vcpu, open.since, e.last, open.name, "guest", "")
 		}
 	}
 }

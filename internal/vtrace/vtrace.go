@@ -1,11 +1,12 @@
 // Package vtrace is the structured, deterministic event-tracing layer of the
 // simulator. A ring-buffered Tracer records typed events from all four
-// layers — host scheduler (entity state transitions, preemptions,
-// throttling, steal intervals), guest scheduler (wakeups, context switches,
-// migrations, balance passes, SCHED_IDLE policy moves), vSched
-// (vCap/vAct probe samples, bvs placements, ivh interventions, vtop
-// updates), and the fleet layer (VM arrivals, placement decisions, live
-// migrations, departures) — each stamped with virtual time.
+// layers — host scheduler (entity state transitions, one record each;
+// preemptions, throttle edges and steal intervals are derived from them at
+// export), guest scheduler (wakeups, context switches, migrations, balance
+// passes, SCHED_IDLE policy moves), vSched (vCap/vAct probe samples, bvs
+// placements, ivh interventions, vtop updates), and the fleet layer (VM
+// arrivals, placement decisions, live migrations, departures) — each
+// stamped with virtual time.
 //
 // Everything is built for two properties:
 //
@@ -38,17 +39,10 @@ type Kind uint8
 const (
 	// KindEntityState: host entity changed scheduling state.
 	// A0=from, A1=to (host.EntityState), A2=hardware thread id the entity is
-	// homed on at the transition.
+	// homed on at the transition. It is the host tap's only record:
+	// preemptions, throttle edges and steal stretches are functions of this
+	// stream, derived by the Chrome export.
 	KindEntityState Kind = iota
-	// KindPreempt: involuntary Running->Runnable/Throttled descheduling.
-	// A0=to state.
-	KindPreempt
-	// KindThrottle / KindUnthrottle: CPU bandwidth quota exhausted/refilled.
-	KindThrottle
-	KindUnthrottle
-	// KindSteal: an entity left a steal state (Runnable/Throttled) after A0
-	// nanoseconds wanting the CPU without running.
-	KindSteal
 	// KindTaskWakeup: guest task became runnable. A0=task id, A1=target
 	// vCPU, A2=id of the task that issued the wakeup (-1 when external:
 	// spawn, timer, remote completion).
@@ -127,14 +121,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindEntityState:
 		return "entity-state"
-	case KindPreempt:
-		return "preempt"
-	case KindThrottle:
-		return "throttle"
-	case KindUnthrottle:
-		return "unthrottle"
-	case KindSteal:
-		return "steal"
 	case KindTaskWakeup:
 		return "task-wakeup"
 	case KindTaskOn:
@@ -187,7 +173,7 @@ func (k Kind) String() string {
 // "guest", "vsched" or "fleet".
 func (k Kind) Category() string {
 	switch k {
-	case KindEntityState, KindPreempt, KindThrottle, KindUnthrottle, KindSteal:
+	case KindEntityState:
 		return "host"
 	case KindTaskWakeup, KindTaskOn, KindTaskOff, KindTaskMigrate, KindBalance, KindIdlePolicy,
 		KindVCPUSpeed, KindMigCost:
@@ -395,55 +381,15 @@ func (tr *Tracer) Events() []Event {
 }
 
 // AttachHost taps every entity of h — including entities created after the
-// call — emitting state-transition, preemption, throttle and steal-interval
-// events. It appends to the host-wide observer hook, so several tracers may
-// tap one host; to feed several consumers the same derived events once, tap
-// with one tracer whose observer tees them.
+// call — emitting one KindEntityState event per state transition. It
+// appends to the host-wide observer hook, so several tracers may tap one
+// host; to feed several consumers, tap with one tracer whose observer tees
+// the events.
 func AttachHost(tr *Tracer, h *host.Host) {
 	if tr == nil {
 		return
 	}
-	// stealSince[e.Seq()] tracks when entity e last entered a steal state
-	// (Runnable/Throttled), to size the KindSteal interval on exit; open is
-	// false outside a stretch that began after the tap attached. Seq numbers
-	// a host's entities densely, so the slice grows only when the host
-	// creates one and the steady-state observer path allocates nothing.
-	var stealSince []stealMark
 	h.AddObserver(func(e *host.Entity, now sim.Time, from, to host.EntityState) {
-		name := e.Name()
-		tr.Emit(now, KindEntityState, name, int64(from), int64(to), int64(e.Thread().ID()))
-		if from == host.Running && (to == host.Runnable || to == host.Throttled) {
-			tr.Emit(now, KindPreempt, name, int64(to), 0, 0)
-		}
-		if to == host.Throttled {
-			tr.Emit(now, KindThrottle, name, 0, 0, 0)
-		}
-		if from == host.Throttled && to == host.Runnable {
-			// The quota-refill path re-admits the entity to its runqueue.
-			tr.Emit(now, KindUnthrottle, name, 0, 0, 0)
-		}
-		fromSteal := from == host.Runnable || from == host.Throttled
-		toSteal := to == host.Runnable || to == host.Throttled
-		if fromSteal == toSteal {
-			return
-		}
-		i := e.Seq()
-		for uint64(len(stealSince)) <= i {
-			stealSince = append(stealSince, stealMark{})
-		}
-		m := &stealSince[i]
-		switch {
-		case toSteal:
-			*m = stealMark{since: now, open: true}
-		case m.open:
-			tr.Emit(now, KindSteal, name, int64(now.Sub(m.since)), 0, 0)
-			m.open = false
-		}
+		tr.Emit(now, KindEntityState, e.Name(), int64(from), int64(to), int64(e.Thread().ID()))
 	})
-}
-
-// stealMark is one entity's steal stretch in AttachHost.
-type stealMark struct {
-	since sim.Time
-	open  bool
 }

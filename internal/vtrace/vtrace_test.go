@@ -90,57 +90,6 @@ func TestHostObserverAndEntityObserversCoexist(t *testing.T) {
 	}
 }
 
-func TestAttachHostEventKinds(t *testing.T) {
-	tr := New(0)
-	contendedEntity(t, func(h *host.Host, e *host.Entity) { AttachHost(tr, h) })
-
-	counts := map[Kind]int{}
-	var stealTotal int64
-	for _, ev := range tr.Events() {
-		counts[ev.Kind]++
-		if ev.Kind == KindSteal && ev.Subject == "v" {
-			stealTotal += ev.A0
-		}
-	}
-	if counts[KindEntityState] == 0 {
-		t.Fatal("no entity-state events")
-	}
-	if counts[KindPreempt] == 0 {
-		t.Fatal("no preemptions traced despite a contender on the same thread")
-	}
-	// Time-shared 50/50 for 100ms: the entity stole ~50ms waiting.
-	if stealTotal < int64(30*sim.Millisecond) || stealTotal > int64(70*sim.Millisecond) {
-		t.Fatalf("steal intervals sum to %d ns, want ~50ms", stealTotal)
-	}
-}
-
-func TestThrottleEventsTraced(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := host.DefaultConfig()
-	cfg.Sockets, cfg.CoresPerSocket, cfg.ThreadsPerCore = 1, 1, 1
-	h := host.New(eng, cfg)
-	tr := New(0)
-	AttachHost(tr, h)
-	e := h.NewEntity("q", h.Thread(0), host.DefaultWeight, host.NopClient{})
-	// Small quota per host bandwidth period => repeated throttling.
-	e.SetBandwidth(20 * sim.Millisecond)
-	e.Wake()
-	eng.RunFor(500 * sim.Millisecond)
-
-	counts := map[Kind]int{}
-	for _, ev := range tr.Events() {
-		counts[ev.Kind]++
-	}
-	if counts[KindThrottle] == 0 || counts[KindUnthrottle] == 0 {
-		t.Fatalf("throttle=%d unthrottle=%d, want both > 0",
-			counts[KindThrottle], counts[KindUnthrottle])
-	}
-	if counts[KindUnthrottle] > counts[KindThrottle] {
-		t.Fatalf("more unthrottles (%d) than throttles (%d)",
-			counts[KindUnthrottle], counts[KindThrottle])
-	}
-}
-
 func TestRingOverwritesOldest(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {

@@ -1,6 +1,8 @@
 package vsched_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"vsched"
 	"vsched/internal/experiments"
+	"vsched/internal/vtrace"
 )
 
 // mustWorkload instantiates a catalogued benchmark, failing tb on a bad name.
@@ -128,6 +131,47 @@ func TestFacadeEndToEnd(t *testing.T) {
 	c := vm.VCPU(0).Capacity()
 	if c < 380 || c > 650 {
 		t.Fatalf("probed capacity %d, want ~512", c)
+	}
+}
+
+// TestChromeExportHostileNames traces a VM and a task whose names hold
+// control bytes and invalid UTF-8. The export must be valid JSON, with each
+// name decoding to itself (invalid bytes as U+FFFD).
+func TestChromeExportHostileNames(t *testing.T) {
+	cl := mustCluster(t, vsched.ClusterConfig{Seed: 1, CoresPerSocket: 1})
+	tr := vtrace.New(0)
+	vtrace.AttachHost(tr, cl.Host())
+	vm := mustVM(t, cl, "vm\x01\xff", []int{0})
+	vm.SetTracer(tr)
+	mustStressor(t, cl, 0)
+	vm.Spawn("t\x00ask", func(vsched.Time) vsched.Segment { return vsched.ComputeForever() })
+	cl.RunFor(50 * vsched.Millisecond)
+
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string
+			Name string
+			Args struct{ Name string }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	names := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		names[ev.Name] = true
+		if ev.Ph == "M" {
+			names[ev.Args.Name] = true
+		}
+	}
+	for _, want := range []string{"vm\x01\ufffd/vcpu0", "t\x00ask", "wakeup:t\x00ask"} {
+		if !names[want] {
+			t.Errorf("export lost the name %q", want)
+		}
 	}
 }
 
