@@ -180,11 +180,13 @@ done
 # selection at 16 and 64 vCPUs (internal/guest), the host's core-level
 # busy change with and without a turbo flip (internal/host), the 96 h,
 # 1024-host region trace and fault schedule (internal/cloudgen,
-# internal/faults) and a flight recorder's sample pass (internal/telemetry).
+# internal/faults), a flight recorder's sample pass (internal/telemetry), and
+# the root package's vSched ablations and experiment registry
+# (bench_test.go; DESIGN §4 cites the ablations).
 # One iteration measures nothing; it only checks that every benchmark still
 # runs.
 echo "== go benchmarks (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/ \
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/ \
 	./internal/cloudgen/ ./internal/faults/ ./internal/telemetry/
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024

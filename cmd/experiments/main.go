@@ -91,12 +91,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if strings.EqualFold(*runIDs, "all") {
 		runners = experiments.Registry()
 	} else {
+		seen := map[string]bool{}
 		for _, id := range strings.Split(*runIDs, ",") {
-			r, ok := experiments.ByID(strings.TrimSpace(id))
+			id = strings.TrimSpace(id)
+			r, ok := experiments.ByID(id)
 			if !ok {
 				fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
 				return 1
 			}
+			if seen[id] {
+				fmt.Fprintf(stderr, "bad -run: experiment %q listed twice\n", id)
+				return 1
+			}
+			seen[id] = true
 			runners = append(runners, r)
 		}
 	}

@@ -55,13 +55,14 @@ func TestUnknownExperimentFails(t *testing.T) {
 	}
 }
 
-// TestBadInputFails: a bad numeric flag exits 1 with a one-line diagnostic
-// and runs nothing.
+// TestBadInputFails: a bad numeric flag, or an experiment id listed twice,
+// exits 1 with a one-line diagnostic and runs nothing.
 func TestBadInputFails(t *testing.T) {
 	for _, bad := range [][2]string{
 		{"scale", "NaN"}, {"scale", "0"}, {"scale", "-1"}, {"scale", "+Inf"},
 		{"reps", "0"}, {"reps", "-2"},
 		{"timeout", "-1s"},
+		{"run", "fig3,fig3"}, {"run", "fig3, fig11,fig3"},
 	} {
 		flag, val := bad[0], bad[1]
 		var out, errb strings.Builder

@@ -5,8 +5,8 @@
 // characterization (arXiv:2510.23911):
 //
 //   - VM sizes are heavy-tailed — most VMs are small, a fat tail of large
-//     ones carries much of the capacity. Sampled from a bounded Pareto or a
-//     lognormal, rounded to whole vCPUs.
+//     ones carries much of the capacity. Sampled from a bounded Pareto,
+//     rounded down to whole vCPUs.
 //   - Arrival rates are diurnal — a sinusoidally modulated Poisson process
 //     over a multi-day horizon (non-homogeneous Poisson via thinning).
 //   - Lifetimes are bimodal — a large population of ephemeral batch VMs
@@ -32,37 +32,14 @@ import (
 	"vsched/internal/sim"
 )
 
-// SizeKind selects the VM vCPU-count distribution family.
-type SizeKind int
-
-const (
-	// SizePareto draws sizes from a bounded Pareto: P(X > x) ~ x^-Alpha on
-	// [MinVCPUs, MaxVCPUs]. Alpha in 1..2 gives the production-like shape
-	// where the mean is dominated by the tail.
-	SizePareto SizeKind = iota
-	// SizeLognormal draws exp(N(Mu, Sigma)) clamped to [MinVCPUs, MaxVCPUs].
-	SizeLognormal
-)
-
-func (k SizeKind) String() string {
-	switch k {
-	case SizePareto:
-		return "pareto"
-	case SizeLognormal:
-		return "lognormal"
-	}
-	return "?"
-}
-
-// SizeDist parameterises the VM size (vCPU count) distribution.
+// SizeDist parameterises the VM size (vCPU count) distribution, a bounded
+// Pareto: P(X > x) ~ x^-Alpha on [MinVCPUs, MaxVCPUs]. Alpha in 1..2 gives
+// the production-like shape where the mean is dominated by the tail.
 type SizeDist struct {
-	Kind     SizeKind
 	MinVCPUs int
 	MaxVCPUs int
-	// Alpha is the Pareto tail exponent (SizePareto).
+	// Alpha is the Pareto tail exponent.
 	Alpha float64
-	// Mu, Sigma are the log-space parameters (SizeLognormal).
-	Mu, Sigma float64
 }
 
 // LifetimeDist parameterises the bimodal lifetime mix.
@@ -139,7 +116,6 @@ func DefaultConfig() Config {
 		DiurnalPhase:     0,
 		ServiceDemand:    0.5,
 		Size: SizeDist{
-			Kind:     SizePareto,
 			MinVCPUs: 1,
 			MaxVCPUs: 32,
 			Alpha:    1.4,
@@ -263,8 +239,6 @@ func (c Config) validate() {
 		{"DiurnalAmplitude", c.DiurnalAmplitude},
 		{"DiurnalPhase", c.DiurnalPhase},
 		{"Size.Alpha", c.Size.Alpha},
-		{"Size.Mu", c.Size.Mu},
-		{"Size.Sigma", c.Size.Sigma},
 		{"Lifetime.EphemeralSigma", c.Lifetime.EphemeralSigma},
 		{"Lifetime.LongSigma", c.Lifetime.LongSigma},
 	} {
@@ -281,11 +255,8 @@ func (c Config) validate() {
 	if !(c.ServiceDemand > 0 && c.ServiceDemand <= 1) {
 		panic(fmt.Sprintf("cloudgen: ServiceDemand %v outside (0,1]", c.ServiceDemand))
 	}
-	if c.Size.Kind == SizePareto && c.Size.Alpha <= 0 {
+	if c.Size.Alpha <= 0 {
 		panic(fmt.Sprintf("cloudgen: pareto alpha %v must be positive", c.Size.Alpha))
-	}
-	if c.Size.Kind == SizeLognormal && c.Size.Sigma <= 0 {
-		panic(fmt.Sprintf("cloudgen: lognormal sigma %v must be positive", c.Size.Sigma))
 	}
 	lf := c.Lifetime
 	if lf.EphemeralFrac < 0 || lf.EphemeralFrac > 1 {
@@ -540,9 +511,9 @@ const maxSizeGuards = 64
 // every x >= lo.
 type sizeGuard struct{ hi, lo float64 }
 
-// sizeSampler draws vCPU counts from one SizeDist. For SizePareto it holds
-// MinVCPUs^Alpha, MaxVCPUs^Alpha, their product and -1/Alpha, which every
-// draw needs, and the guards of the sizes above MinVCPUs.
+// sizeSampler draws vCPU counts from one SizeDist. It holds MinVCPUs^Alpha,
+// MaxVCPUs^Alpha, their product and -1/Alpha, which every draw needs, and the
+// guards of the sizes above MinVCPUs.
 type sizeSampler struct {
 	d                         SizeDist
 	la, ha, hala, negInvAlpha float64
@@ -557,9 +528,6 @@ type sizeSampler struct {
 
 func newSizeSampler(d SizeDist) sizeSampler {
 	s := sizeSampler{d: d}
-	if d.Kind != SizePareto {
-		return s
-	}
 	s.la, s.ha = math.Pow(float64(d.MinVCPUs), d.Alpha), math.Pow(float64(d.MaxVCPUs), d.Alpha)
 	s.hala = s.ha * s.la
 	s.negInvAlpha = -1 / d.Alpha
@@ -602,17 +570,11 @@ func firstBelow(e, t float64) float64 {
 
 // sample draws one vCPU count.
 func (s *sizeSampler) sample(rng *rand.Rand) int {
-	switch s.d.Kind {
-	case SizePareto:
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return s.pareto(-(float64(u*s.ha) - float64(u*s.la) - s.ha) / s.hala)
-	case SizeLognormal:
-		return s.clamp(math.Exp(s.d.Mu + float64(s.d.Sigma*rng.NormFloat64())))
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
 	}
-	panic(fmt.Sprintf("cloudgen: unknown size kind %d", s.d.Kind))
+	return s.pareto(-(float64(u*s.ha) - float64(u*s.la) - s.ha) / s.hala)
 }
 
 // pareto is the size of a bounded-Pareto draw whose inverse-CDF argument is
@@ -638,15 +600,10 @@ func (s *sizeSampler) pareto(x float64) int {
 	return s.pow(x)
 }
 
-// pow is pareto by the full expression.
+// pow is pareto by the full expression, floored into [MinVCPUs, MaxVCPUs].
 func (s *sizeSampler) pow(x float64) int {
 	s.pows++
-	return s.clamp(math.Pow(x, s.negInvAlpha))
-}
-
-// clamp floors a drawn size into [MinVCPUs, MaxVCPUs].
-func (s *sizeSampler) clamp(v float64) int {
-	n := int(math.Floor(v))
+	n := int(math.Floor(math.Pow(x, s.negInvAlpha)))
 	if n < s.d.MinVCPUs {
 		n = s.d.MinVCPUs
 	}

@@ -335,27 +335,6 @@ func TestDiurnalModulation(t *testing.T) {
 	}
 }
 
-// TestLognormalSizes covers the alternative size family end to end.
-func TestLognormalSizes(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Size = SizeDist{Kind: SizeLognormal, MinVCPUs: 1, MaxVCPUs: 16, Mu: 1.0, Sigma: 0.8}
-	tr := Generate(9, cfg)
-	seen := map[int]int{}
-	for _, vm := range tr.VMs {
-		if vm.VCPUs < 1 || vm.VCPUs > 16 {
-			t.Fatalf("lognormal size %d out of bounds", vm.VCPUs)
-		}
-		seen[vm.VCPUs]++
-	}
-	// exp(mu)=e~2.7: mass must straddle the median, not pile on a clamp.
-	if seen[1] == 0 || seen[2] == 0 || seen[4] == 0 {
-		t.Fatalf("lognormal sizes degenerate: %v", seen)
-	}
-	if seen[16] > len(tr.VMs)/4 {
-		t.Fatalf("lognormal sizes piled on the upper clamp: %v", seen)
-	}
-}
-
 func TestSizeClampToLargestHost(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Hosts = []HostClass{{Name: "tiny", Count: 4, Cores: 2, SMT: 2, SpeedFactor: 1.0}}
@@ -391,12 +370,6 @@ func TestValidatePanics(t *testing.T) {
 		{func(c *Config) { c.MaxVMs, c.DiurnalAmplitude = 1000, math.NaN() }, "DiurnalAmplitude"},
 		{func(c *Config) { c.MaxVMs, c.DiurnalPhase = 1000, math.Inf(-1) }, "DiurnalPhase"},
 		{func(c *Config) { c.MaxVMs, c.Size.Alpha = 1000, math.NaN() }, "Size.Alpha"},
-		{func(c *Config) {
-			c.MaxVMs, c.Size = 1000, SizeDist{Kind: SizeLognormal, MinVCPUs: 1, MaxVCPUs: 16, Mu: math.NaN(), Sigma: 0.8}
-		}, "Size.Mu"},
-		{func(c *Config) {
-			c.MaxVMs, c.Size = 1000, SizeDist{Kind: SizeLognormal, MinVCPUs: 1, MaxVCPUs: 16, Mu: 1, Sigma: math.Inf(1)}
-		}, "Size.Sigma"},
 		{func(c *Config) { c.MaxVMs, c.Lifetime.EphemeralSigma = 1000, math.NaN() }, "Lifetime.EphemeralSigma"},
 		{func(c *Config) { c.MaxVMs, c.Lifetime.LongSigma = 1000, math.Inf(1) }, "Lifetime.LongSigma"},
 	}

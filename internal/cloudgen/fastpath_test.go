@@ -37,7 +37,7 @@ func TestSizeThresholdsDifferential(t *testing.T) {
 
 func sizeDifferential(t *testing.T, rng *rand.Rand, alpha float64, draws int, ulps int64) {
 	for _, b := range [][2]int{{1, 1}, {1, 32}, {2, 8}, {1, 256}} {
-		s := newSizeSampler(SizeDist{Kind: SizePareto, MinVCPUs: b[0], MaxVCPUs: b[1], Alpha: alpha})
+		s := newSizeSampler(SizeDist{MinVCPUs: b[0], MaxVCPUs: b[1], Alpha: alpha})
 		la, ha := math.Pow(float64(b[0]), alpha), math.Pow(float64(b[1]), alpha)
 		check := func(x float64) {
 			want := min(max(int(math.Floor(math.Pow(x, -1/alpha))), b[0]), b[1])

@@ -110,7 +110,7 @@ func Table3(opt Options) *Report {
 		if s.withBE {
 			spawnBestEffort(d)
 		}
-		srv := workload.NewTailbench(d.env(0), "masstree", 350*sim.Microsecond)
+		srv := workload.NewTailbench(d.env(0), "masstree", 350*sim.Microsecond, false)
 		srv.Start()
 		c.eng.RunFor(warm)
 		srv.ResetStats()

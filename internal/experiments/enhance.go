@@ -55,7 +55,7 @@ func Fig11(opt Options) *Report {
 			off := sim.Duration(float64(on) * share / (1 - share))
 			dutyContender(c, c.h.Thread(i), on, off, sim.Duration(i)*1100*sim.Microsecond)
 		}
-		sb := workload.NewSysbench(d.env(4), 4, 0)
+		sb := workload.NewSysbench(d.env(4), 4)
 		sb.Start()
 		c.eng.RunFor(warm)
 		opsBefore := sb.Ops()
@@ -131,7 +131,7 @@ func Fig12(opt Options) *Report {
 		d := deployFeatures(c, "vm", c.firstThreads(32), feats)
 		// Let vtop publish the topology before placement decisions matter.
 		c.eng.RunFor(warm)
-		sb := workload.NewSysbench(d.env(16), 16, 0)
+		sb := workload.NewSysbench(d.env(16), 16)
 		sb.Start()
 		c.eng.RunFor(warm / 2)
 		var sum, n int
@@ -162,7 +162,7 @@ func Fig12(opt Options) *Report {
 		}
 		d := deployFeatures(c, "vm", c.firstThreads(32), feats)
 		c.eng.RunFor(warm)
-		mm := workload.NewMatmul(d.env(16), 16, 0)
+		mm := workload.NewMatmul(d.env(16), 16)
 		spec, _ := workload.ByName(other)
 		oth := spec.New(d.env(16))
 		mm.Start()

@@ -74,10 +74,8 @@ func overall(opt Options, id, title string, build func(Options, Config) (*cluste
 	return rep
 }
 
+// mean is the arithmetic mean of a non-empty slice.
 func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
 	var s float64
 	for _, x := range xs {
 		s += x
@@ -147,10 +145,7 @@ func Fig20(opt Options) *Report {
 		} else {
 			// Fixed iteration budget per thread.
 			threads := d.vm.NumVCPUs()
-			var spec workload.ParallelSpec
-			for _, ps := range parallelSpecFor(bench) {
-				spec = ps
-			}
+			spec := parallelSpecFor(bench)
 			spec.Iterations = tputIters / 4
 			p := workload.NewParallel(d.env(threads), spec)
 			p.Start()
@@ -189,21 +184,10 @@ func Fig20(opt Options) *Report {
 		}
 	}
 	rep.Notef("throughput workloads: cycles %+.1f%%, CPS %+.1f%% (paper: +5.5%% cycles, +38%% CPS)",
-		100*meanDelta(tCyc), 100*meanDelta(tCPS))
+		100*mean(tCyc), 100*mean(tCPS))
 	rep.Notef("latency workloads: cycles %+.1f%%, CPS %+.1f%% (paper: +50.5%% cycles, +81.4%% CPS)",
-		100*meanDelta(lCyc), 100*meanDelta(lCPS))
+		100*mean(lCyc), 100*mean(lCPS))
 	return rep
-}
-
-func meanDelta(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Fig21 reproduces the overhead analysis (§5.9): a dedicated symmetric VM
@@ -249,20 +233,22 @@ func Fig21(opt Options) *Report {
 		degs = append(degs, deg)
 		rep.Add(bench, "p95", msStr(c.p95), msStr(v.p95), fmt.Sprintf("%+.1f%%", 100*deg))
 	}
-	rep.Notef("average degradation %.1f%% (paper: 0.7%%)", 100*meanDelta(degs))
+	rep.Notef("average degradation %.1f%% (paper: 0.7%%)", 100*mean(degs))
 	return rep
 }
 
-// parallelSpecFor returns the catalogue spec of a parallel kernel as a
-// one-element slice (empty if the name is not a Parallel workload).
-func parallelSpecFor(name string) []workload.ParallelSpec {
+// parallelSpecFor returns the spec fig20 runs for one of its parallel
+// kernels. It is the catalog's spec without the serial fraction: fig20 runs
+// these kernels without their serial phases on purpose, so its fixed
+// iteration budget is parallel work alone.
+func parallelSpecFor(name string) workload.ParallelSpec {
 	switch name {
 	case "bodytrack":
-		return []workload.ParallelSpec{{Name: name, IterWork: 2 * sim.Millisecond, Imbalance: 0.30, Sync: workload.SyncBarrier}}
+		return workload.ParallelSpec{Name: name, IterWork: 2 * sim.Millisecond, Imbalance: 0.30, Sync: workload.SyncBarrier}
 	case "swaptions":
-		return []workload.ParallelSpec{{Name: name, IterWork: 8 * sim.Millisecond, Imbalance: 0.05, Sync: workload.SyncNone}}
+		return workload.ParallelSpec{Name: name, IterWork: 8 * sim.Millisecond, Imbalance: 0.05, Sync: workload.SyncNone}
 	case "lu_cb":
-		return []workload.ParallelSpec{{Name: name, IterWork: 2 * sim.Millisecond, Imbalance: 0.20, Sync: workload.SyncBarrier}}
+		return workload.ParallelSpec{Name: name, IterWork: 2 * sim.Millisecond, Imbalance: 0.20, Sync: workload.SyncBarrier}
 	}
-	return nil
+	panic("fig20: no parallel spec for " + name)
 }

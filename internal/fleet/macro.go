@@ -48,8 +48,6 @@ type MacroConfig struct {
 	// Policy places arriving VMs through the HostIndex (O(log hosts) per
 	// placement for the built-in policies); nil means FirstFit.
 	Policy Policy
-	// Overcommit scales threads into the admission bound (default 2.0).
-	Overcommit float64
 	// Epoch is the integration step (default 60s of virtual time).
 	Epoch sim.Duration
 	// Shards is no longer used: the epoch integration always runs serially.
@@ -59,8 +57,6 @@ type MacroConfig struct {
 	//
 	// Deprecated: ignored. It stays so callers that set it still compile.
 	Shards int
-	// Horizon overrides Trace.Horizon when > 0.
-	Horizon sim.Duration
 	// Telemetry, when non-nil, attaches a flight recorder sampling the
 	// fleet-wide aggregates (fleet.macro.*) and the cell registry.
 	Telemetry *telemetry.Config
@@ -122,6 +118,9 @@ type MacroResult struct {
 	Registry  *metrics.Registry
 	Telemetry *telemetry.Recorder
 }
+
+// macroOvercommit scales a host's threads into its admission bound.
+const macroOvercommit = 2.0
 
 // VM lifecycle states for the conservation ledger: every trace VM that
 // arrived is in exactly one, and result() panics if the counts don't add up.
@@ -352,14 +351,8 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 			panic(fmt.Sprintf("fleet: macro trace VM %d has class %d, want service or batch", tv.ID, tv.Class))
 		}
 	}
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 2.0
-	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 60 * sim.Second
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = cfg.Trace.Horizon
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = FirstFit{}
@@ -369,7 +362,7 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 		cfg:     cfg,
 		eng:     sim.NewEngine(cfg.Trace.Seed),
 		reg:     reg,
-		horizon: sim.Time(0).Add(cfg.Horizon),
+		horizon: sim.Time(0).Add(cfg.Trace.Horizon),
 		sched:   cfg.Faults,
 		ledger:  recoveryLedger{reg: reg, prefix: "fleet.macro."},
 	}
@@ -382,7 +375,7 @@ func newMacroSim(cfg MacroConfig) *macroSim {
 	m.dirty = make([]int32, len(m.hosts))
 	m.open = make([]int32, 0, len(m.hosts))
 	for i, hs := range cfg.Trace.Hosts {
-		c := int(cfg.Overcommit * float64(hs.Threads))
+		c := int(macroOvercommit * float64(hs.Threads))
 		m.hosts[i] = macroHost{
 			threads:  int32(hs.Threads),
 			capacity: int32(c),

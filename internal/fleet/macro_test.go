@@ -133,7 +133,7 @@ func TestMacroContentionModel(t *testing.T) {
 			{ID: 1, At: 0, VCPUs: 4, Class: cloudgen.Batch, Demand: 1.0, Work: 100 * sim.Second},
 		},
 	}
-	res := RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}, Overcommit: 2.0})
+	res := RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
 	if res.Placed != 2 || res.Rejected != 0 {
 		t.Fatalf("placed %d rejected %d, want 2/0", res.Placed, res.Rejected)
 	}
@@ -187,7 +187,7 @@ func TestMacroRejection(t *testing.T) {
 			{ID: 1, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.3, Lifetime: 60 * sim.Second},
 		},
 	}
-	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}, Overcommit: 2.0})
+	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}})
 	if res.Rejected != 1 || res.Placed != 1 {
 		t.Fatalf("placed %d rejected %d, want 1/1", res.Placed, res.Rejected)
 	}
@@ -559,8 +559,10 @@ func TestMacroDigestsPinned(t *testing.T) {
 		for _, mode := range modes {
 			for _, h := range []sim.Duration{trace.Horizon, odd} {
 				key := fmt.Sprintf("%s/%s/%s", pol.Name(), mode.name, time.Duration(h))
+				tr := trace
+				tr.Horizon = h
 				check(t, key, RunMacro(MacroConfig{
-					Trace: trace, Policy: pol, Horizon: h,
+					Trace: tr, Policy: pol,
 					Faults: mode.faults, Recovery: mode.rcv,
 				}))
 			}

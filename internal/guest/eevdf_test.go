@@ -60,6 +60,7 @@ func TestEEVDFShortSliceWinsDispatchNotBandwidth(t *testing.T) {
 			vm.Spawn(fmt.Sprintf("hog%d", i), func(sim.Time) Segment { return ComputeForever() })
 		}
 		var waits []sim.Duration
+		recordWaits(vm, "lat", &waits)
 		step := 0
 		lat := vm.Spawn("lat", func(now sim.Time) Segment {
 			step++
@@ -70,9 +71,6 @@ func TestEEVDFShortSliceWinsDispatchNotBandwidth(t *testing.T) {
 		})
 		if slice > 0 {
 			lat.RequestSlice(slice)
-		}
-		lat.OnScheduled = func(now sim.Time, queued sim.Duration) {
-			waits = append(waits, queued)
 		}
 		eng.RunFor(2 * sim.Second)
 		var max sim.Duration

@@ -6,6 +6,7 @@ import (
 
 	"vsched/internal/host"
 	"vsched/internal/sim"
+	"vsched/internal/vtrace"
 )
 
 // testSetup builds a host with the given core layout (single-thread cores by
@@ -27,6 +28,24 @@ func testSetup(t *testing.T, sockets, cores, threadsPer int, nvcpu int) (*sim.En
 	vm := NewVM(h, "vm", threads, DefaultParams())
 	vm.Start()
 	return eng, h, vm
+}
+
+// recordWaits sets an observer tracer on vm that appends each wait of the
+// task named name to waits: from a wakeup, or from a TaskOff that left the
+// task runnable, to the task's next TaskOn.
+func recordWaits(vm *VM, name string, waits *[]sim.Duration) {
+	var since sim.Time
+	vm.SetTracer(vtrace.NewObserver(func(ev vtrace.Event) {
+		if ev.Subject != name {
+			return
+		}
+		switch {
+		case ev.Kind == vtrace.KindTaskWakeup, ev.Kind == vtrace.KindTaskOff && ev.A2 == 1:
+			since = ev.At
+		case ev.Kind == vtrace.KindTaskOn:
+			*waits = append(*waits, ev.At.Sub(since))
+		}
+	}))
 }
 
 // loopCompute returns a behavior that computes `work` cycles `iters` times,
@@ -285,8 +304,9 @@ func TestExtendedRunqueueLatency(t *testing.T) {
 	// 8ms bursts every 16ms.
 	host.NewPatternContender(h, "noisy", h.Thread(0), 8*sim.Millisecond, 8*sim.Millisecond, 0)
 	var lat []sim.Duration
+	recordWaits(vm, "ls", &lat)
 	step := 0
-	tk := vm.Spawn("ls", func(now sim.Time) Segment {
+	vm.Spawn("ls", func(now sim.Time) Segment {
 		step++
 		if step > 40 {
 			return Exit()
@@ -298,7 +318,6 @@ func TestExtendedRunqueueLatency(t *testing.T) {
 		}
 		return Compute(1e5) // 100us of work
 	})
-	tk.OnScheduled = func(now sim.Time, queued sim.Duration) { lat = append(lat, queued) }
 	eng.RunFor(600 * sim.Millisecond)
 	var max sim.Duration
 	for _, l := range lat {

@@ -176,22 +176,10 @@ type Task struct {
 
 	exited bool
 	OnExit func(now sim.Time)
-	// OnScheduled, if set, observes every runnable->running transition with
-	// the queue latency the task just experienced (Tailbench-style queue
-	// time measurement).
-	OnScheduled func(now sim.Time, queued sim.Duration)
 }
 
 // Name returns the task name.
 func (t *Task) Name() string { return t.name }
-
-// SetWeight changes the task's CFS weight at runtime (renice).
-func (t *Task) SetWeight(w int64) {
-	if w <= 0 {
-		panic("guest: non-positive task weight")
-	}
-	t.weight = w
-}
 
 // SetIdlePolicy moves the task into or out of SCHED_IDLE at runtime
 // (sched_setscheduler). vcap's probers switch between best-effort (light

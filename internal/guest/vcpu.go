@@ -534,11 +534,7 @@ func (v *VCPU) contextSwitchTo(next *Task) {
 // install makes t the running task of the vCPU.
 func (v *VCPU) install(t *Task) {
 	now := v.vm.eng.Now()
-	queued := now.Sub(t.enqueuedAt)
-	t.totalQueueLat += queued
-	if t.OnScheduled != nil {
-		t.OnScheduled(now, queued)
-	}
+	t.totalQueueLat += now.Sub(t.enqueuedAt)
 	t.state = TaskRunning
 	t.cpu = v
 	t.runStart = now

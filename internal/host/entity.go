@@ -257,17 +257,6 @@ func (e *Entity) unthrottle() {
 	e.thread.enqueue(e, true)
 }
 
-// SetWeight changes the CFS weight (nice level). Takes effect immediately.
-func (e *Entity) SetWeight(w int64) {
-	if w <= 0 {
-		panic("host: non-positive weight")
-	}
-	if e.state == Running {
-		e.thread.syncCurrent()
-	}
-	e.weight = w
-}
-
 // Wake makes a Blocked entity runnable on its home thread. Waking an entity
 // that is not Blocked is a harmless no-op (concurrent kicks are normal).
 func (e *Entity) Wake() {

@@ -64,8 +64,8 @@ func checkHostInvariants(t *testing.T, h *Host) {
 }
 
 // TestHostSchedulerStateFuzz drives the host scheduler with random
-// operation sequences (wake, block, migrate, reweight, bandwidth and speed
-// factor changes) and validates invariants continuously.
+// operation sequences (wake, block, migrate, bandwidth and speed factor
+// changes) and validates invariants continuously.
 func TestHostSchedulerStateFuzz(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -91,7 +91,7 @@ func TestHostSchedulerStateFuzz(t *testing.T) {
 
 			for step := 0; step < 400; step++ {
 				e := ents[rng.Intn(len(ents))]
-				switch rng.Intn(7) {
+				switch rng.Intn(6) {
 				case 0:
 					e.Wake()
 				case 1:
@@ -99,14 +99,10 @@ func TestHostSchedulerStateFuzz(t *testing.T) {
 				case 2:
 					e.Migrate(h.Thread(rng.Intn(n)))
 				case 3:
-					if !e.IsRT() {
-						e.SetWeight(128 + rng.Int63n(4096))
-					}
-				case 4:
 					e.SetBandwidth(sim.Duration(rng.Intn(80)) * sim.Millisecond)
-				case 5:
+				case 4:
 					eng.RunFor(sim.Duration(rng.Intn(10)) * sim.Millisecond)
-				case 6:
+				case 5:
 					h.Thread(rng.Intn(n)).SetSpeedFactor(0.5 + rng.Float64())
 				}
 				checkHostInvariants(t, h)

@@ -71,7 +71,8 @@ var tailSpecs = []struct {
 // NewTailbench builds the named Tailbench-like service with a sensible
 // open-loop arrival rate (the paper reduces arrival rates so queueing behind
 // other requests is minimal and extended runqueue latency dominates).
-func NewTailbench(env Env, name string, svc sim.Duration) *Server {
+// heavyTail selects ServerConfig.HeavyTail's service-time profile.
+func NewTailbench(env Env, name string, svc sim.Duration, heavyTail bool) *Server {
 	workers := env.VM.NumVCPUs()
 	if env.Threads > 0 {
 		workers = env.Threads
@@ -91,6 +92,7 @@ func NewTailbench(env Env, name string, svc sim.Duration) *Server {
 		ServiceJit:   0.3,
 		Interarrival: inter,
 		LatencyMark:  true,
+		HeavyTail:    heavyTail,
 	})
 }
 
@@ -133,24 +135,22 @@ func Catalog() []Spec {
 	for _, ts := range tailSpecs {
 		ts := ts
 		specs = append(specs, Spec{Name: ts.name, Kind: Latency, New: func(env Env) Instance {
-			srv := NewTailbench(env, ts.name, ts.svc)
-			srv.heavyTail = ts.heavy
-			return srv
+			return NewTailbench(env, ts.name, ts.svc, ts.heavy)
 		}})
 	}
 	specs = append(specs,
 		Spec{Name: "nginx", Kind: Throughput, New: func(env Env) Instance { return NewNginx(env) }},
 		Spec{Name: "sysbench", Kind: Throughput, New: func(env Env) Instance {
-			return NewSysbench(env, env.VM.NumVCPUs(), 0)
+			return NewSysbench(env, env.VM.NumVCPUs())
 		}},
 		Spec{Name: "hackbench", Kind: Throughput, New: func(env Env) Instance {
 			return NewHackbench(env, 4, 4, 200)
 		}},
 		Spec{Name: "fio", Kind: Throughput, New: func(env Env) Instance {
-			return NewFio(env, env.VM.NumVCPUs(), 0, 0)
+			return NewFio(env, env.VM.NumVCPUs())
 		}},
 		Spec{Name: "matmul", Kind: Throughput, New: func(env Env) Instance {
-			return NewMatmul(env, env.VM.NumVCPUs(), 0)
+			return NewMatmul(env, env.VM.NumVCPUs())
 		}},
 	)
 	return specs

@@ -69,3 +69,18 @@ func TestPipelineAndTailSpecInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestCatalogHeavyTails pins which catalogued services draw heavy-tailed
+// service times: the search and speech services do, OLTP ones do not.
+func TestCatalogHeavyTails(t *testing.T) {
+	_, vm := testVM(t, 2)
+	for name, heavy := range map[string]bool{"sphinx": true, "xapian": true, "silo": false} {
+		spec, ok := ByName(name)
+		if !ok {
+			t.Fatalf("%s not catalogued", name)
+		}
+		if got := spec.New(env(vm, 0)).(*Server).heavyTail; got != heavy {
+			t.Errorf("%s: heavyTail %v, want %v", name, got, heavy)
+		}
+	}
+}

@@ -32,8 +32,6 @@ type Server struct {
 	markLS    bool
 	footprint float64
 	heavyTail bool
-	// BestEffort spawns the workers SCHED_IDLE (a background server).
-	bestEffort bool
 
 	// rng is the server's private random stream: arrival gaps and service
 	// demands must not depend on how other components (probers, contenders)
@@ -73,7 +71,6 @@ type ServerConfig struct {
 	Connections  int          // closed loop concurrency
 	Think        sim.Duration
 	LatencyMark  bool
-	BestEffort   bool
 	FootprintMB  float64 // per-worker cache working set
 	// HeavyTail draws service times from a bounded Pareto (shape 1.6, cap
 	// 6x mean) instead of uniform jitter — the tail profile of search and
@@ -163,7 +160,6 @@ func NewServer(env Env, cfg ServerConfig) *Server {
 		connections:  cfg.Connections,
 		think:        cfg.Think,
 		markLS:       cfg.LatencyMark,
-		bestEffort:   cfg.BestEffort,
 		footprint:    cfg.FootprintMB,
 		heavyTail:    cfg.HeavyTail,
 		sticky:       cfg.Sticky,
@@ -225,12 +221,6 @@ func (s *Server) Start() {
 		}
 		if s.markLS {
 			opts = append(opts, guest.WithLatencySensitive())
-		}
-		if s.bestEffort {
-			opts = append(opts, guest.WithIdlePolicy())
-			if s.env.BEGroup != nil {
-				opts = append(opts, guest.WithGroup(s.env.BEGroup))
-			}
 		}
 		s.env.VM.Spawn(fmt.Sprintf("%s/w%d", s.name, i), s.workerBehavior(i), opts...)
 	}

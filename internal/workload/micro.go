@@ -7,30 +7,34 @@ import (
 	"vsched/internal/sim"
 )
 
-// Sysbench is the CPU-bound micro-benchmark: N threads computing fixed-size
-// events back to back; throughput is events per second.
+// Sysbench is the CPU-bound micro-benchmark: N threads computing 1ms events
+// back to back; throughput is events per second.
 type Sysbench struct {
-	env       Env
-	threads   int
-	eventWork sim.Duration
-	ops       uint64
-	tasks     []*guest.Task
-	started   bool
-	stopped   bool
+	env     Env
+	threads int
+	ops     uint64
+	tasks   []*guest.Task
+	started bool
+	stopped bool
 }
 
-// NewSysbench builds a sysbench-cpu workload. eventWork defaults to 1ms.
-func NewSysbench(env Env, threads int, eventWork sim.Duration) *Sysbench {
+// The fixed per-operation costs of the micro-benchmarks.
+const (
+	sysbenchEvent = 1 * sim.Millisecond  // one sysbench event
+	fioIOLat      = 64 * sim.Microsecond // one fio IO
+	fioCPU        = 5 * sim.Microsecond  // one fio completion burst
+	matmulChunk   = 5 * sim.Millisecond  // one matmul block
+)
+
+// NewSysbench builds a sysbench-cpu workload.
+func NewSysbench(env Env, threads int) *Sysbench {
 	if env.Threads > 0 {
 		threads = env.Threads
 	}
 	if threads <= 0 {
 		threads = 1
 	}
-	if eventWork <= 0 {
-		eventWork = 1 * sim.Millisecond
-	}
-	return &Sysbench{env: env, threads: threads, eventWork: eventWork}
+	return &Sysbench{env: env, threads: threads}
 }
 
 // Name implements Instance.
@@ -66,7 +70,7 @@ func (s *Sysbench) Start() {
 				return guest.Exit()
 			}
 			counted = true
-			return guest.Compute(s.env.cycles(s.eventWork))
+			return guest.Compute(s.env.cycles(sysbenchEvent))
 		}, s.env.groupOpt()...)
 		s.tasks = append(s.tasks, tk)
 	}
@@ -196,28 +200,20 @@ func (h *Hackbench) Start() {
 type Fio struct {
 	env     Env
 	threads int
-	ioLat   sim.Duration
-	cpu     sim.Duration
 	ops     uint64
 	started bool
 	stopped bool
 }
 
-// NewFio builds a fio-like workload (default 64us IO latency, 5us CPU).
-func NewFio(env Env, threads int, ioLat, cpu sim.Duration) *Fio {
+// NewFio builds a fio-like workload (64us IO latency, 5us CPU).
+func NewFio(env Env, threads int) *Fio {
 	if env.Threads > 0 {
 		threads = env.Threads
 	}
 	if threads <= 0 {
 		threads = 1
 	}
-	if ioLat <= 0 {
-		ioLat = 64 * sim.Microsecond
-	}
-	if cpu <= 0 {
-		cpu = 5 * sim.Microsecond
-	}
-	return &Fio{env: env, threads: threads, ioLat: ioLat, cpu: cpu}
+	return &Fio{env: env, threads: threads}
 }
 
 // Name implements Instance.
@@ -247,11 +243,11 @@ func (f *Fio) Start() {
 			switch phase {
 			case 0:
 				phase = 1
-				return guest.Sleep(f.ioLat)
+				return guest.Sleep(fioIOLat)
 			default:
 				phase = 0
 				f.ops++
-				return guest.Compute(f.env.cycles(f.cpu))
+				return guest.Compute(f.env.cycles(fioCPU))
 			}
 		}, f.env.groupOpt()...)
 	}
@@ -260,27 +256,22 @@ func (f *Fio) Start() {
 // Matmul is pure dense compute split into chunks across threads (the
 // CPU-intensive half of Fig. 12's mixed workloads).
 type Matmul struct {
-	env       Env
-	threads   int
-	chunkWork sim.Duration
-	ops       uint64
-	started   bool
-	stopped   bool
+	env     Env
+	threads int
+	ops     uint64
+	started bool
+	stopped bool
 }
 
-// NewMatmul builds a matmul-like workload; chunkWork defaults to 5ms per
-// block.
-func NewMatmul(env Env, threads int, chunkWork sim.Duration) *Matmul {
+// NewMatmul builds a matmul-like workload of 5ms blocks.
+func NewMatmul(env Env, threads int) *Matmul {
 	if env.Threads > 0 {
 		threads = env.Threads
 	}
 	if threads <= 0 {
 		threads = 1
 	}
-	if chunkWork <= 0 {
-		chunkWork = 5 * sim.Millisecond
-	}
-	return &Matmul{env: env, threads: threads, chunkWork: chunkWork}
+	return &Matmul{env: env, threads: threads}
 }
 
 // Name implements Instance.
@@ -311,7 +302,7 @@ func (m *Matmul) Start() {
 				return guest.Exit()
 			}
 			counted = true
-			return guest.Compute(m.env.cycles(m.chunkWork))
+			return guest.Compute(m.env.cycles(matmulChunk))
 		}, m.env.groupOpt()...)
 	}
 }

@@ -244,7 +244,6 @@ type PipelineSpec struct {
 	WorkCPU        sim.Duration // per-item worker compute
 	WriteCPU       sim.Duration
 	WriteIO        sim.Duration
-	Items          int // 0 = endless
 	QueueCap       int // backpressure bound on in-flight items
 	// FootprintMB is each worker's cache working set.
 	FootprintMB float64
@@ -260,12 +259,9 @@ type Pipeline struct {
 	writeSem *guest.Semaphore // items ready for the writer
 	capSem   *guest.Semaphore // backpressure tokens
 
-	produced uint64
-	ops      uint64 // items written
-	started  bool
-	stopped  bool
-
-	FinishedAt sim.Time
+	ops     uint64 // items written
+	started bool
+	stopped bool
 }
 
 // NewPipeline builds a pipeline workload.
@@ -302,9 +298,7 @@ func (p *Pipeline) Name() string { return p.spec.Name }
 func (p *Pipeline) Ops() uint64 { return p.ops }
 
 // Done implements Instance.
-func (p *Pipeline) Done() bool {
-	return p.spec.Items > 0 && p.ops >= uint64(p.spec.Items)
-}
+func (p *Pipeline) Done() bool { return false }
 
 // Stop halts the reader; in-flight items drain.
 func (p *Pipeline) Stop() { p.stopped = true }
@@ -323,7 +317,7 @@ func (p *Pipeline) Start() {
 	vm.Spawn(p.spec.Name+"/read", func(now sim.Time) guest.Segment {
 		switch readPhase {
 		case 0:
-			if p.stopped || (p.spec.Items > 0 && p.produced >= uint64(p.spec.Items)) {
+			if p.stopped {
 				return guest.Exit()
 			}
 			readPhase = 1
@@ -336,7 +330,6 @@ func (p *Pipeline) Start() {
 			return guest.Compute(p.env.cycles(p.spec.ReadCPU))
 		default:
 			readPhase = 0
-			p.produced++
 			return guest.SemPost(p.workSem)
 		}
 	}, opts...)
@@ -382,9 +375,6 @@ func (p *Pipeline) Start() {
 		default:
 			wrPhase = 0
 			p.ops++
-			if p.Done() {
-				p.FinishedAt = now
-			}
 			return guest.SemPost(p.capSem)
 		}
 	}, opts...)

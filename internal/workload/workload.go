@@ -17,8 +17,9 @@ import (
 // Env is everything a workload needs to instantiate inside a VM.
 type Env struct {
 	VM *guest.VM
-	// Group receives the workload's normal-policy tasks; BEGroup its
-	// best-effort tasks. Either may be nil, meaning the VM root group.
+	// Group receives the workload's tasks; nil means the VM root group.
+	// BEGroup is the VM's best-effort group. No catalogued workload spawns
+	// best-effort tasks, so nothing reads it.
 	Group   *guest.CGroup
 	BEGroup *guest.CGroup
 	// Threads overrides the benchmark's default thread count when > 0.
