@@ -139,7 +139,7 @@ func Attrib(opt Options) *Report {
 				blame = tb[0].Entity
 			}
 			tailSteal := prof.TailShare(latprof.StealWait, 0.95)
-			rep.Add(pat.name, cfg.name, fmt.Sprintf("%d", len(prof.Spans)),
+			rep.Add(pat.name, cfg.name, fmt.Sprintf("%d", prof.Len()),
 				share(tot.Share(latprof.Run)),
 				share(tot.Share(latprof.RunnableWait)),
 				share(tot.Share(latprof.StealWait)),

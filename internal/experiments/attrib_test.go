@@ -23,8 +23,8 @@ func attribAggregate(t *testing.T, seeds []int64, scale float64, feats core.Feat
 			if err := prof.CheckConservation(); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, pat.name, err)
 			}
-			if len(prof.Spans) < 100 {
-				t.Fatalf("seed %d %s: only %d spans", seed, pat.name, len(prof.Spans))
+			if prof.Len() < 100 {
+				t.Fatalf("seed %d %s: only %d spans", seed, pat.name, prof.Len())
 			}
 			b := prof.Totals()
 			tot.Add(&b)

@@ -271,7 +271,7 @@ func TestFleetAttribution(t *testing.T) {
 		if err := p.CheckConservation(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spans += len(p.Spans)
+		spans += p.Len()
 	}
 	if spans == 0 {
 		t.Fatal("no spans reconstructed fleet-wide")
@@ -413,15 +413,15 @@ func TestFleetAttributionPinned(t *testing.T) {
 		for _, name := range names {
 			p := r.Attribution[name]
 			fmt.Fprintf(h, "vm %s open=%d truncated=%d dropped=%d\n", p.VM, p.Open, p.Truncated, p.DroppedEvents)
-			for i := range p.Spans {
-				s := &p.Spans[i]
+			for i := range p.Len() {
+				s := p.Span(i)
 				fmt.Fprintf(h, "%s %d %d %d %v %d %d", s.Task, s.TaskID, s.Start, s.End, s.NS, s.WakerID, s.Migrations)
 				for _, b := range s.StealBy {
 					fmt.Fprintf(h, " %s=%d", b.Entity, b.Wait)
 				}
 				fmt.Fprintln(h)
 			}
-			spans += len(p.Spans)
+			spans += p.Len()
 		}
 		got := hex.EncodeToString(h.Sum(nil))[:16]
 		want, ok := attributionPinned[key]

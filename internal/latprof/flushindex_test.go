@@ -98,10 +98,10 @@ func indexExact(f *HostFold) error {
 
 // foldShared folds s through one shared HostFold, attaching VM i's profiler
 // just before event attach[i] and settling every profiler each settleEvery
-// events, and returns each VM's profile at the end. A non-nil scan replaces
+// events, and returns a view of each VM's profile at the end. A non-nil scan replaces
 // the fold's open-span index; a nil one has the index checked after every
 // event.
-func foldShared(t *testing.T, s *stream, attach []int, nominal float64, scan flusher) []*Profile {
+func foldShared(t *testing.T, s *stream, attach []int, nominal float64, scan flusher) []profileView {
 	t.Helper()
 	fold := NewHostFold()
 	fold.scan = scan
@@ -131,9 +131,9 @@ func foldShared(t *testing.T, s *stream, attach []int, nominal float64, scan flu
 		}
 	}
 	end := s.evs[len(s.evs)-1].ev.At
-	out := make([]*Profile, len(ps))
+	out := make([]profileView, len(ps))
 	for i, p := range ps {
-		out[i] = p.Finish(end)
+		out[i] = viewOf(p.Finish(end))
 	}
 	return out
 }
@@ -298,7 +298,7 @@ func TestFlushIndexAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
 		t.Fatalf("span moves allocate %v times per cycle, want 0", n)
 	}
-	if got := len(p.Finish(now).Spans); got != 2*1002 {
+	if got := p.Finish(now).Len(); got != 2*1002 {
 		t.Fatalf("spans = %d, want %d", got, 2*1002)
 	}
 }

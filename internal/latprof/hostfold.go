@@ -39,6 +39,10 @@ type HostFold struct {
 	// entity's own name string, so its events skip the map's hash.
 	recent [entCache]entEntry
 	all    []*hostEntity // creation order
+	// names interns the blamed entities' names for closed spans' steal
+	// blame: unknownEnt and hostEnt, then every other entity's in creation
+	// order. Profiles share it; it only grows.
+	names []string
 	// threads indexes the view's threads by id; ids outside
 	// [0, maxThreadID) live in far.
 	threads []*hwThread
@@ -74,9 +78,18 @@ type entEntry struct {
 // stream cannot size it.
 const maxThreadID = 1 << 16
 
+// Steal blame that names no entity of the view goes to one of two fixed
+// names, entries 0 and 1 of HostFold.names.
+const (
+	unknownEnt uint32 = iota // the holder was not visible in the stream
+	hostEnt                  // an installed task on a halted vCPU
+)
+
 // hostEntity is the view of one host entity, keyed by name.
 type hostEntity struct {
 	name string
+	// ent indexes name in HostFold.names.
+	ent uint32
 	// thread is the home thread at the entity's last event, written by
 	// event seq; nil before its first event.
 	thread *hwThread
@@ -107,7 +120,7 @@ type stakeholder struct {
 
 // NewHostFold returns an empty host view.
 func NewHostFold() *HostFold {
-	return &HostFold{ents: map[string]*hostEntity{}}
+	return &HostFold{ents: map[string]*hostEntity{}, names: []string{"(unknown)", "(host)"}}
 }
 
 // Attach returns a profiler for one VM that reads this fold's view. The
@@ -146,7 +159,7 @@ func (f *HostFold) entity(name string) *hostEntity {
 	}
 	e := f.ents[name]
 	if e == nil {
-		e = &hostEntity{name: name}
+		e = &hostEntity{name: name, ent: f.nameEnt(name)}
 		f.ents[name] = e
 		f.all = append(f.all, e)
 		for _, p := range f.profs {
@@ -155,6 +168,18 @@ func (f *HostFold) entity(name string) *hostEntity {
 	}
 	*c = entEntry{ptr: ptr, n: len(name), e: e}
 	return e
+}
+
+// nameEnt interns a new entity's name; an entity named like one of the
+// fixed names shares its entry, so blame stays keyed by name.
+func (f *HostFold) nameEnt(name string) uint32 {
+	for k, n := range f.names[:hostEnt+1] {
+		if n == name {
+			return uint32(k)
+		}
+	}
+	f.names = append(f.names, name)
+	return uint32(len(f.names) - 1)
 }
 
 func (f *HostFold) thread(id int64) *hwThread {

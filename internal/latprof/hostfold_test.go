@@ -75,9 +75,9 @@ func shareAndCompare(t *testing.T, s *stream, attach []int, nominal float64) []*
 			}
 		}
 		got, want := shared[i].Finish(end), priv.Finish(end)
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(viewOf(got), viewOf(want)) {
 			t.Fatalf("VM %d (%s) attached at %d: shared fold profile differs from private\nshared:  %+v\nprivate: %+v",
-				i, s.vms[i], attach[i], got, want)
+				i, s.vms[i], attach[i], viewOf(got), viewOf(want))
 		}
 		out[i] = got
 	}
@@ -88,7 +88,7 @@ const settleEvery = 37
 
 func blamed(p *Profile, entity string) sim.Duration {
 	var d sim.Duration
-	for _, s := range p.Spans {
+	for _, s := range spansOf(p) {
 		for _, b := range s.StealBy {
 			if b.Entity == entity {
 				d += b.Wait
@@ -137,8 +137,8 @@ func TestHostFoldMatchesPrivate(t *testing.T) {
 		s.ent(1000001, "vm/vcpu1", host.Runnable, host.Running, 3)
 		s.guest(1, vtrace.Event{At: 2000002, Kind: vtrace.KindTaskOff, Subject: "b", A0: 0, A1: 1})
 		p := shareAndCompare(t, s, []int{0, 1}, 2.0)[1]
-		if len(p.Spans) != 1 || p.Spans[0].NS[SMTSlowdown] != 1333335 {
-			t.Fatalf("spans %+v, want one span with 1333335ns smt-slowdown (unsplit)", p.Spans)
+		if p.Len() != 1 || p.Span(0).NS[SMTSlowdown] != 1333335 {
+			t.Fatalf("spans %+v, want one span with 1333335ns smt-slowdown (unsplit)", spansOf(p))
 		}
 	})
 
@@ -190,9 +190,9 @@ func TestHostFoldMatchesPrivate(t *testing.T) {
 		s.guest(2, vtrace.Event{At: at(9), Kind: vtrace.KindTaskOn, Subject: "z", A0: 0, A1: 1})
 		s.guest(2, vtrace.Event{At: at(12), Kind: vtrace.KindTaskOff, Subject: "z", A0: 0, A1: 1})
 		ps := shareAndCompare(t, s, []int{0, r1, r2}, 2.0)
-		if ps[0].Open != 1 || ps[1].Open != 1 || len(ps[2].Spans) != 1 {
+		if ps[0].Open != 1 || ps[1].Open != 1 || ps[2].Len() != 1 {
 			t.Fatalf("open %d/%d spans %d, want the two dead incarnations open and one closed span",
-				ps[0].Open, ps[1].Open, len(ps[2].Spans))
+				ps[0].Open, ps[1].Open, ps[2].Len())
 		}
 	})
 
@@ -302,8 +302,8 @@ func TestHostFoldSteadyStateAllocs(t *testing.T) {
 	}
 	var got sim.Duration
 	for _, b := range ps[0].tasks[1].stealBy {
-		if b.Entity == "tenant" {
-			got += b.Wait
+		if fold.names[b.ent] == "tenant" {
+			got += b.wait
 		}
 	}
 	if got != 102*ms {

@@ -45,15 +45,19 @@
 // explicit (task id, name, or span order), never map order.
 //
 // Memory: a warm span allocates nothing from wakeup to close. Open-span
-// state is recycled, steal blame accumulates in a small slice, and each
-// closed span's sorted StealBy is carved from a per-profiler arena. Finish
-// does not copy: Profile.Spans (and every span's StealBy) shares storage
-// with the profiler and is read-only. Spans closed after a Finish never
-// show up in, or change, a profile it returned.
+// state is recycled and steal blame accumulates in a small slice. A closed
+// span is stored as one fixed-size, pointer-free record, its sorted steal
+// blame as pointer-free entries beside it; task and entity names are
+// interned, once per task and once per host entity. Both stores grow in
+// chunks that are never copied. Finish does not copy either: a profile
+// shares the profiler's stores, Profile.Len counts its spans and
+// Profile.Span(i) rebuilds span i. Spans closed after a Finish never show
+// up in, or change, a profile it returned.
 package latprof
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 
@@ -194,11 +198,14 @@ type taskState struct {
 	vcpu    int
 	running bool
 	since   sim.Time
-	span    Span
+	task    string
+	// rec is the span's record; its end, task and blame fields are set at
+	// close.
+	rec spanRec
 	// stealBy accumulates the span's steal-wait per blamed entity, in
 	// first-blame order. A span blames a handful of entities at most, so a
 	// linear scan beats a map, and the slice is reused across spans.
-	stealBy []Blame
+	stealBy []blameRec
 	// migDebt is traced migration cost (ns at nominal speed) not yet
 	// carved out of subsequent run time.
 	migDebt sim.Duration
@@ -241,16 +248,22 @@ type Profiler struct {
 	open  []*taskState
 	vcpus []vcpuState
 
-	spans     []Span
+	// spans holds the closed spans in close order, blame their sorted
+	// steal blame.
+	spans     chunked[spanRec]
+	blame     chunked[blameRec]
 	truncated int
 	lastAt    sim.Time
 
-	// free holds closed taskStates for reuse. blameArena is the current
-	// chunk closed spans' StealBy slices are carved from; blameChunk is
-	// the capacity of the next chunk.
-	free       []*taskState
-	blameArena []Blame
-	blameChunk int
+	// names interns the closed spans' task names, nameIdx by name. named
+	// caches, per task id in [0, maxTaskID), 1 + the index of the name its
+	// last span closed under, so a task's spans hash its name once.
+	names   []string
+	nameIdx map[string]uint32
+	named   []uint32
+
+	// free holds closed taskStates for reuse.
+	free []*taskState
 }
 
 // New returns a profiler for one VM with a private host view: every host
@@ -373,7 +386,8 @@ func (p *Profiler) wakeup(ev vtrace.Event) {
 	ts.id = id
 	ts.vcpu = int(ev.A1)
 	ts.since = ev.At
-	ts.span = Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: ev.A2}
+	ts.task = ev.Subject
+	ts.rec = spanRec{taskID: id, start: ev.At, wakerID: ev.A2}
 	p.add(ts)
 }
 
@@ -508,7 +522,8 @@ func (p *Profiler) taskOn(ev vtrace.Event) {
 		ts = p.alloc()
 		ts.id = id
 		ts.since = ev.At
-		ts.span = Span{Task: ev.Subject, TaskID: id, Start: ev.At, WakerID: -1}
+		ts.task = ev.Subject
+		ts.rec = spanRec{taskID: id, start: ev.At, wakerID: -1}
 		ts.truncated = true
 		p.add(ts)
 	}
@@ -539,7 +554,9 @@ func (p *Profiler) migrate(ev vtrace.Event) {
 	}
 	p.flushTask(ts, ev.At)
 	p.move(ts, int(ev.A2))
-	ts.span.Migrations++
+	if ts.rec.migrations < math.MaxUint32 {
+		ts.rec.migrations++
+	}
 }
 
 func (p *Profiler) migCost(ev vtrace.Event) {
@@ -555,49 +572,58 @@ func (p *Profiler) closeSpan(ts *taskState, at sim.Time) {
 	if ts.truncated {
 		p.truncated++
 	} else {
-		ts.span.End = at
-		ts.span.StealBy = p.sortedBlame(ts.stealBy)
-		p.spans = append(p.spans, ts.span)
+		r := &ts.rec
+		r.end = at
+		r.task = p.taskName(ts.id, ts.task)
+		r.blame, r.nblame = uint32(p.blame.n), uint32(len(ts.stealBy))
+		sortBlame(ts.stealBy, p.fold.names)
+		for _, b := range ts.stealBy {
+			p.blame.push(b)
+		}
+		p.spans.push(*r)
 	}
 	p.release(ts)
 }
 
-// Blame arena chunks start small, so the many profilers of a fleet with
-// little steal stay small, and double up to a cap.
-const (
-	minBlameChunk = 16
-	maxBlameChunk = 4096
-)
-
-// sortedBlame copies acc into a slice carved from the profiler's blame
-// arena, sorted by wait (largest first), then entity name. The result's
-// capacity is its length, so nothing appended to it can reach the arena.
-func (p *Profiler) sortedBlame(acc []Blame) []Blame {
-	n := len(acc)
-	if n == 0 {
-		return nil
-	}
-	if cap(p.blameArena)-len(p.blameArena) < n {
-		if p.blameChunk < minBlameChunk {
-			p.blameChunk = minBlameChunk
+// taskName interns the name of task id's closing span. A task's spans
+// carry its name each time, so the last index per task id is cached and
+// the name hashed only when the cache misses.
+func (p *Profiler) taskName(id int64, name string) uint32 {
+	dense := id >= 0 && id < maxTaskID
+	if dense && id < int64(len(p.named)) {
+		if k := p.named[id]; k > 0 && p.names[k-1] == name {
+			return k - 1
 		}
-		p.blameArena = make([]Blame, 0, max(p.blameChunk, n))
-		p.blameChunk = min(2*p.blameChunk, maxBlameChunk)
 	}
-	lo := len(p.blameArena)
-	p.blameArena = append(p.blameArena, acc...)
-	out := p.blameArena[lo : lo+n : lo+n]
-	sortBlame(out)
-	return out
+	k, ok := p.nameIdx[name]
+	if !ok {
+		if p.nameIdx == nil {
+			p.nameIdx = map[string]uint32{}
+		}
+		k = uint32(len(p.names))
+		p.names = append(p.names, name)
+		p.nameIdx[name] = k
+	}
+	if dense {
+		for int64(len(p.named)) <= id {
+			p.named = append(p.named, 0)
+		}
+		p.named[id] = k + 1
+	}
+	return k
 }
 
-// sortBlame orders blame by wait (largest first), then entity name.
-func sortBlame(b []Blame) {
-	slices.SortFunc(b, func(x, y Blame) int {
-		if x.Wait != y.Wait {
-			return cmp.Compare(y.Wait, x.Wait)
+// sortBlame orders blame by wait (largest first), then entity name, as
+// StealBy and TopBlame list it; names are the names b's indexes name.
+func sortBlame(b []blameRec, names []string) {
+	if len(b) < 2 {
+		return
+	}
+	slices.SortFunc(b, func(x, y blameRec) int {
+		if x.wait != y.wait {
+			return cmp.Compare(y.wait, x.wait)
 		}
-		return strings.Compare(x.Entity, y.Entity)
+		return strings.Compare(names[x.ent], names[y.ent])
 	})
 }
 
@@ -669,19 +695,19 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 				take = run
 			}
 			ts.migDebt -= take
-			ts.span.NS[Migration] += take
-			ts.span.NS[Run] += run - take
-			ts.span.NS[SMTSlowdown] += slow
+			ts.rec.NS[Migration] += take
+			ts.rec.NS[Run] += run - take
+			ts.rec.NS[SMTSlowdown] += slow
 		case host.Runnable:
-			ts.span.NS[StealWait] += el
-			p.blame(ts, vs.thread, el)
+			ts.rec.NS[StealWait] += el
+			p.blameRunner(ts, vs.thread, el)
 		case host.Throttled:
-			ts.span.NS[ThrottleWait] += el
+			ts.rec.NS[ThrottleWait] += el
 		case host.Blocked:
 			// Defensive: an installed task on a halted vCPU should not
 			// happen; count it as steal against the host.
-			ts.span.NS[StealWait] += el
-			p.blameName(ts, "(host)", el)
+			ts.rec.NS[StealWait] += el
+			p.blameEntity(ts, hostEnt, el)
 		}
 		return
 	}
@@ -689,36 +715,39 @@ func (p *Profiler) flushTask(ts *taskState, at sim.Time) {
 	case host.Runnable:
 		// Queued behind a descheduled vCPU: the host, not the guest
 		// scheduler, is withholding progress.
-		ts.span.NS[StealWait] += el
-		p.blame(ts, vs.thread, el)
+		ts.rec.NS[StealWait] += el
+		p.blameRunner(ts, vs.thread, el)
 	case host.Throttled:
-		ts.span.NS[ThrottleWait] += el
+		ts.rec.NS[ThrottleWait] += el
 	default:
 		// Running (queued behind the current task) or Blocked (waiting
 		// for the idle vCPU's wake-kick to land): guest-side queueing.
-		ts.span.NS[RunnableWait] += el
+		ts.rec.NS[RunnableWait] += el
 	}
 }
 
-// blame charges el of steal-wait to the entity Running on thread t, as far
-// as this profiler has seen: a runner that last took the thread before the
-// profiler attached is "(unknown)", as is any runner of an unknown thread.
-func (p *Profiler) blame(ts *taskState, t *hwThread, el sim.Duration) {
-	name := "(unknown)"
+// blameRunner charges el of steal-wait to the entity Running on thread t, as
+// far as this profiler has seen: a runner that last took the thread before
+// the profiler attached is "(unknown)", as is any runner of an unknown
+// thread.
+func (p *Profiler) blameRunner(ts *taskState, t *hwThread, el sim.Duration) {
+	ent := unknownEnt
 	if t != nil && t.runner != nil && t.runnerSeq > p.attachSeq {
-		name = t.runner.name
+		ent = t.runner.ent
 	}
-	p.blameName(ts, name, el)
+	p.blameEntity(ts, ent, el)
 }
 
-func (p *Profiler) blameName(ts *taskState, name string, el sim.Duration) {
+// blameEntity charges el of steal-wait to the entity whose name index in
+// the fold is ent.
+func (p *Profiler) blameEntity(ts *taskState, ent uint32, el sim.Duration) {
 	for i := range ts.stealBy {
-		if ts.stealBy[i].Entity == name {
-			ts.stealBy[i].Wait += el
+		if ts.stealBy[i].ent == ent {
+			ts.stealBy[i].wait += el
 			return
 		}
 	}
-	ts.stealBy = append(ts.stealBy, Blame{Entity: name, Wait: el})
+	ts.stealBy = append(ts.stealBy, blameRec{ent: ent, wait: el})
 }
 
 // Finish settles every open span at time now and returns the profile.
@@ -737,15 +766,17 @@ func (p *Profiler) Finish(now sim.Time) *Profile {
 	for _, ts := range p.open {
 		p.flushTask(ts, now)
 	}
-	// The profile shares the closed spans with the profiler. Closed spans
-	// never change, and the profile's capacity stops at its length, so the
-	// spans closed later are invisible to it.
-	n := len(p.spans)
+	// The profile shares the stores and name tables with the profiler.
+	// Closed spans never change, and the views stop at today's lengths, so
+	// the spans closed later are invisible to it.
 	return &Profile{
 		VM:        p.cfg.VM,
-		Spans:     p.spans[:n:n],
 		Open:      len(p.open),
 		Truncated: p.truncated,
+		spans:     p.spans.view(),
+		blame:     p.blame.view(),
+		tasks:     p.names[:len(p.names):len(p.names)],
+		ents:      p.fold.names[:len(p.fold.names):len(p.fold.names)],
 	}
 }
 

@@ -1,7 +1,7 @@
 package latprof
 
 import (
-	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -59,6 +59,28 @@ const ms = sim.Millisecond
 
 func at(n int) sim.Time { return sim.Time(n) * sim.Time(ms) }
 
+// spansOf rebuilds every span of p, in close order.
+func spansOf(p *Profile) []Span {
+	out := make([]Span, p.Len())
+	for i := range out {
+		out[i] = p.Span(i)
+	}
+	return out
+}
+
+// profileView is everything a profile reports. Two profiles can number
+// their task and entity names differently, so tests compare views.
+type profileView struct {
+	VM              string
+	Open, Truncated int
+	DroppedEvents   uint64
+	Spans           []Span
+}
+
+func viewOf(p *Profile) profileView {
+	return profileView{VM: p.VM, Open: p.Open, Truncated: p.Truncated, DroppedEvents: p.DroppedEvents, Spans: spansOf(p)}
+}
+
 func wantNS(t *testing.T, s *Span, c Cause, want sim.Duration) {
 	t.Helper()
 	if got := s.NS[c]; got != want {
@@ -85,15 +107,15 @@ func TestRunAndStealClassification(t *testing.T) {
 	if err := prof.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(prof.Spans))
+	if prof.Len() != 1 {
+		t.Fatalf("spans = %d, want 1", prof.Len())
 	}
-	s := &prof.Spans[0]
+	s := prof.Span(0)
 	if s.Wall() != 20*ms {
 		t.Fatalf("wall = %v, want 20ms", s.Wall())
 	}
-	wantNS(t, s, Run, 15*ms)
-	wantNS(t, s, StealWait, 5*ms)
+	wantNS(t, &s, Run, 15*ms)
+	wantNS(t, &s, StealWait, 5*ms)
 	if len(s.StealBy) != 1 || s.StealBy[0].Entity != "tenant" || s.StealBy[0].Wait != 5*ms {
 		t.Fatalf("StealBy = %+v, want tenant 5ms", s.StealBy)
 	}
@@ -114,12 +136,12 @@ func TestStealBlameFollowsRunnerMove(t *testing.T) {
 	f.off(at(12), "a", 1, 0, 0)
 
 	prof := f.p.Finish(at(12))
-	if len(prof.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(prof.Spans))
+	if prof.Len() != 1 {
+		t.Fatalf("spans = %d, want 1", prof.Len())
 	}
-	s := &prof.Spans[0]
-	wantNS(t, s, StealWait, 10*ms)
-	wantNS(t, s, Run, 2*ms)
+	s := prof.Span(0)
+	wantNS(t, &s, StealWait, 10*ms)
+	wantNS(t, &s, Run, 2*ms)
 	want := []Blame{{Entity: "(unknown)", Wait: 5 * ms}, {Entity: "tenant", Wait: 5 * ms}}
 	if !reflect.DeepEqual(s.StealBy, want) {
 		t.Fatalf("StealBy = %+v, want %+v", s.StealBy, want)
@@ -147,16 +169,16 @@ func TestRunnableWaitVsStealWait(t *testing.T) {
 	if err := prof.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(prof.Spans))
+	if prof.Len() != 2 {
+		t.Fatalf("spans = %d, want 2", prof.Len())
 	}
-	b := &prof.Spans[1]
+	b := prof.Span(1)
 	if b.Task != "b" {
 		t.Fatalf("second span = %s, want b", b.Task)
 	}
-	wantNS(t, b, RunnableWait, 15*ms) // 0-10 queued + 15-20 queued
-	wantNS(t, b, StealWait, 5*ms)     // 10-15 vCPU descheduled
-	wantNS(t, b, Run, 5*ms)           // 20-25
+	wantNS(t, &b, RunnableWait, 15*ms) // 0-10 queued + 15-20 queued
+	wantNS(t, &b, StealWait, 5*ms)     // 10-15 vCPU descheduled
+	wantNS(t, &b, Run, 5*ms)           // 20-25
 }
 
 // TestSMTSlowdownSplit: run time at half the nominal speed splits evenly
@@ -174,9 +196,9 @@ func TestSMTSlowdownSplit(t *testing.T) {
 	if err := prof.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	s := &prof.Spans[0]
-	wantNS(t, s, Run, 15*ms)
-	wantNS(t, s, SMTSlowdown, 5*ms)
+	s := prof.Span(0)
+	wantNS(t, &s, Run, 15*ms)
+	wantNS(t, &s, SMTSlowdown, 5*ms)
 }
 
 // TestTurboNeverNegative: speed above nominal must not produce a negative
@@ -190,9 +212,9 @@ func TestTurboNeverNegative(t *testing.T) {
 	f.off(at(10), "a", 1, 0, 0)
 
 	prof := f.p.Finish(at(10))
-	s := &prof.Spans[0]
-	wantNS(t, s, Run, 10*ms)
-	wantNS(t, s, SMTSlowdown, 0)
+	s := prof.Span(0)
+	wantNS(t, &s, Run, 10*ms)
+	wantNS(t, &s, SMTSlowdown, 0)
 }
 
 // TestThrottleWait: a Throttled vCPU accrues throttle-wait whether the task
@@ -212,9 +234,9 @@ func TestThrottleWait(t *testing.T) {
 	if err := prof.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	s := &prof.Spans[0]
-	wantNS(t, s, Run, 15*ms)
-	wantNS(t, s, ThrottleWait, 20*ms)
+	s := prof.Span(0)
+	wantNS(t, &s, Run, 15*ms)
+	wantNS(t, &s, ThrottleWait, 20*ms)
 }
 
 // TestMigrationCarve: traced migration cost converts to nanoseconds at
@@ -237,9 +259,9 @@ func TestMigrationCarve(t *testing.T) {
 	if err := prof.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	s := &prof.Spans[0]
-	wantNS(t, s, Migration, 1*ms)
-	wantNS(t, s, Run, 19*ms)
+	s := prof.Span(0)
+	wantNS(t, &s, Migration, 1*ms)
+	wantNS(t, &s, Run, 19*ms)
 	if s.Migrations != 1 {
 		t.Fatalf("Migrations = %d, want 1", s.Migrations)
 	}
@@ -258,15 +280,15 @@ func TestPreemptionKeepsSpanOpen(t *testing.T) {
 	f.off(at(12), "a", 1, 0, 0)
 
 	prof := f.p.Finish(at(12))
-	if len(prof.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1 (preemption split the span)", len(prof.Spans))
+	if prof.Len() != 1 {
+		t.Fatalf("spans = %d, want 1 (preemption split the span)", prof.Len())
 	}
-	s := &prof.Spans[0]
+	s := prof.Span(0)
 	if s.Wall() != 12*ms {
 		t.Fatalf("wall = %v, want 12ms", s.Wall())
 	}
-	wantNS(t, s, Run, 9*ms)
-	wantNS(t, s, RunnableWait, 3*ms)
+	wantNS(t, &s, Run, 9*ms)
+	wantNS(t, &s, RunnableWait, 3*ms)
 }
 
 // TestTruncatedSpansExcluded: a task first seen mid-run is reconstructed but
@@ -280,14 +302,58 @@ func TestTruncatedSpansExcluded(t *testing.T) {
 	f.on(at(10), "open", 10, 0)
 
 	prof := f.p.Finish(at(20))
-	if len(prof.Spans) != 0 {
-		t.Fatalf("spans = %d, want 0", len(prof.Spans))
+	if prof.Len() != 0 {
+		t.Fatalf("spans = %d, want 0", prof.Len())
 	}
 	if prof.Truncated != 1 {
 		t.Fatalf("truncated = %d, want 1", prof.Truncated)
 	}
 	if prof.Open != 1 {
 		t.Fatalf("open = %d, want 1", prof.Open)
+	}
+}
+
+// TestTailShare: the tail holds the longest spans, ties broken by span
+// order, and between one span and all of them whatever q is: a q outside
+// [0, 1], infinite or NaN still returns a share.
+func TestTailShare(t *testing.T) {
+	if got := newFeed(2.0).p.Finish(0).TailShare(StealWait, 0.95); got != 0 {
+		t.Fatalf("empty profile: TailShare = %v, want 0", got)
+	}
+	f := newFeed(2.0)
+	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
+	// a: 4ms, 1ms of it steal-wait; b: 2ms; c: 4ms, ties with a.
+	f.wakeup(0, "a", 1, 0, -1)
+	f.on(0, "a", 1, 0)
+	f.ent(at(1), "vm/vcpu0", host.Running, host.Runnable, 0)
+	f.ent(at(1), "tenant", host.Runnable, host.Running, 0)
+	f.ent(at(2), "tenant", host.Running, host.Runnable, 0)
+	f.ent(at(2), "vm/vcpu0", host.Runnable, host.Running, 0)
+	f.off(at(4), "a", 1, 0, 0)
+	f.wakeup(at(4), "b", 2, 0, -1)
+	f.on(at(4), "b", 2, 0)
+	f.off(at(6), "b", 2, 0, 0)
+	f.wakeup(at(6), "c", 3, 0, -1)
+	f.on(at(6), "c", 3, 0)
+	f.off(at(10), "c", 3, 0, 0)
+	prof := f.p.Finish(at(10))
+	for _, c := range []struct {
+		q, want float64
+	}{
+		{0.95, 0.25}, // one span: a, the first of the two longest
+		{0.5, 0.25},
+		{0.2, 0.125}, // a and c
+		{0, 0.1},     // all three
+		{1, 0.25},
+		{-0.5, 0.1}, // more than all: all
+		{math.Inf(-1), 0.1},
+		{1.5, 0.25}, // fewer than one: one
+		{math.Inf(1), 0.25},
+		{math.NaN(), 0.25},
+	} {
+		if got := prof.TailShare(StealWait, c.q); got != c.want {
+			t.Errorf("TailShare(steal-wait, %v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 
@@ -370,24 +436,27 @@ func TestProfileSharesSpans(t *testing.T) {
 	}
 	f.wakeup(now, "b", 2, 0, 1) // left open across both Finish calls
 	first := f.p.Finish(now)
-	before := fmt.Sprintf("%+v", *first)
-	for i := 0; i < 40; i++ { // enough to outgrow the first blame chunk
+	if &first.spans.chunks[0][0] != &f.p.spans.chunks[0][0] || &first.blame.chunks[0][0] != &f.p.blame.chunks[0][0] {
+		t.Fatal("Finish copied the span or blame store")
+	}
+	before := viewOf(first)
+	for i := 0; i < 40; i++ { // enough to outgrow the first span and blame chunks
 		f.stealCycle(&now)
 	}
 	second := f.p.Finish(now)
-	if after := fmt.Sprintf("%+v", *first); after != before {
-		t.Fatalf("earlier profile changed:\nbefore %s\n after %s", before, after)
+	if after := viewOf(first); !reflect.DeepEqual(after, before) {
+		t.Fatalf("earlier profile changed:\nbefore %+v\n after %+v", before, after)
 	}
-	if len(first.Spans) != 3 || len(second.Spans) != 43 {
-		t.Fatalf("spans = %d then %d, want 3 then 43", len(first.Spans), len(second.Spans))
+	if first.Len() != 3 || second.Len() != 43 {
+		t.Fatalf("spans = %d then %d, want 3 then 43", first.Len(), second.Len())
 	}
-	if !reflect.DeepEqual(second.Spans[:3], first.Spans) {
+	if !reflect.DeepEqual(spansOf(second)[:3], before.Spans) {
 		t.Fatal("second profile does not extend the first")
 	}
-	for i := range second.Spans {
+	for i := range second.Len() {
 		want := []Blame{{Entity: "tenant", Wait: ms}}
-		if s := &second.Spans[i]; !reflect.DeepEqual(s.StealBy, want) || cap(s.StealBy) != 1 {
-			t.Fatalf("span %d StealBy = %+v (cap %d), want %+v (cap 1)", i, s.StealBy, cap(s.StealBy), want)
+		if s := second.Span(i); !reflect.DeepEqual(s.StealBy, want) {
+			t.Fatalf("span %d StealBy = %+v, want %+v", i, s.StealBy, want)
 		}
 	}
 	if first.Open != 1 || second.Open != 1 {
@@ -396,8 +465,8 @@ func TestProfileSharesSpans(t *testing.T) {
 }
 
 // TestSpanAllocBudget: a warm wakeup→on→off cycle, steal blame included,
-// allocates nothing per cycle. The span list and the blame arena grow
-// geometrically, so their occasional growth amortizes to zero.
+// allocates nothing per cycle. The span and blame stores grow in chunks, so
+// their occasional growth amortizes to zero.
 func TestSpanAllocBudget(t *testing.T) {
 	f := newFeed(2.0)
 	f.ent(0, "vm/vcpu0", host.Blocked, host.Running, 0)
@@ -406,7 +475,7 @@ func TestSpanAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { f.stealCycle(&now) }); n != 0 {
 		t.Fatalf("span cycle allocates %v times, want 0", n)
 	}
-	if got := len(f.p.Finish(now).Spans); got != 1002 {
+	if got := f.p.Finish(now).Len(); got != 1002 {
 		t.Fatalf("spans = %d, want 1002", got)
 	}
 }
@@ -437,10 +506,11 @@ func TestTaskIDsOutsideDenseTable(t *testing.T) {
 		if p.Open != 1 {
 			t.Fatalf("id %d: open = %d, want 1", id, p.Open)
 		}
-		for i := range p.Spans {
-			p.Spans[i].TaskID = 0
+		out := spansOf(p)
+		for i := range out {
+			out[i].TaskID = 0
 		}
-		return p.Spans
+		return out
 	}
 	want := spans(1)
 	if len(want) != 3 || want[0].Migrations != 1 || want[0].NS[StealWait] != ms {

@@ -76,8 +76,8 @@ func TestConservationPropertyAcrossSeeds(t *testing.T) {
 		if err := prof.CheckConservation(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(prof.Spans) < 50 {
-			t.Fatalf("seed %d: only %d spans reconstructed", seed, len(prof.Spans))
+		if prof.Len() < 50 {
+			t.Fatalf("seed %d: only %d spans reconstructed", seed, prof.Len())
 		}
 		tot := prof.Totals()
 		for _, c := range []Cause{Run, RunnableWait, StealWait, ThrottleWait, Migration, SMTSlowdown} {
@@ -99,8 +99,8 @@ func TestLivePostHocEquivalence(t *testing.T) {
 		t.Fatalf("ring dropped %d events; rig must fit the default ring", tr.Dropped())
 	}
 	post := FromTracer(tr, Config{VM: "vm", NominalSpeed: 2.0})
-	if len(live.Spans) != len(post.Spans) {
-		t.Fatalf("live %d spans vs post-hoc %d", len(live.Spans), len(post.Spans))
+	if live.Len() != post.Len() {
+		t.Fatalf("live %d spans vs post-hoc %d", live.Len(), post.Len())
 	}
 	if lp, pp := published(live), published(post); !reflect.DeepEqual(lp, pp) {
 		t.Fatalf("live vs post-hoc summary mismatch:\n%v\n%v", lp, pp)
@@ -117,7 +117,7 @@ func TestProfileDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("reports differ across identical runs:\n%s\nvs\n%s", a.String(), b.String())
 	}
-	if !reflect.DeepEqual(a.Spans, b.Spans) {
+	if !reflect.DeepEqual(spansOf(a), spansOf(b)) {
 		t.Fatal("span slices differ across identical runs")
 	}
 }
