@@ -1,6 +1,15 @@
 package workload
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"vsched/internal/host"
+	"vsched/internal/sim"
+)
 
 // The catalog's structural invariants, asserted rather than only stated in
 // the spec-table comments.
@@ -82,5 +91,33 @@ func TestCatalogHeavyTails(t *testing.T) {
 		if got := spec.New(env(vm, 0)).(*Server).heavyTail; got != heavy {
 			t.Errorf("%s: heavyTail %v, want %v", name, got, heavy)
 		}
+	}
+}
+
+// catalogPinned is the digest of every catalogued workload's ops and guest
+// counters after 300 ms on a fixed-seed, four-vCPU VM. The generators are
+// pure functions of the engine's seed, so any change to what a workload
+// spawns, blocks on or counts moves it.
+const catalogPinned = "c8010562dee5ae9a"
+
+// TestCatalogPinned pins each catalogued workload's behaviour, not just its
+// progress: a refactor of the generators must leave the digest unchanged.
+func TestCatalogPinned(t *testing.T) {
+	h := sha256.New()
+	var lines []string
+	for _, spec := range Catalog() {
+		eng, vm := testVM(t, 4)
+		for i := 0; i < 2; i++ {
+			host.NewPatternContender(vm.Host(), "p", vm.Host().Thread(i), 5*sim.Millisecond, 5*sim.Millisecond, 0)
+		}
+		inst := spec.New(Env{VM: vm, Nominal: 1.0})
+		inst.Start()
+		eng.RunFor(300 * sim.Millisecond)
+		line := fmt.Sprintf("%s ops=%d %+v cycles=%v", spec.Name, inst.Ops(), vm.Stats(), vm.TotalCycles())
+		lines = append(lines, line)
+		fmt.Fprintln(h, line)
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != catalogPinned {
+		t.Errorf("catalog digest %s, pinned %s; per-workload lines:\n%s", got, catalogPinned, strings.Join(lines, "\n"))
 	}
 }
