@@ -175,9 +175,10 @@ for d in examples/*/; do
     go run "./$d" > /dev/null
 done
 
-# Go benchmarks, one iteration each, so they cannot rot: wheel vs heap
-# engine (internal/sim), placement index vs linear scan and the macro tier's
-# epoch integration (internal/fleet: BenchmarkMacroEpoch reports
+# Go benchmarks, one iteration each, so they cannot rot. The stage runs
+# every package of the module (./...), so a new benchmark is covered without
+# editing this file. Among them: wheel vs heap engine (internal/sim),
+# placement index vs linear scan and the macro tier's epoch integration (internal/fleet: BenchmarkMacroEpoch reports
 # ns/host-epoch and ns/resident-epoch, the cost per live VM record of the
 # class sweeps), the tracer's disabled/enabled
 # emit cost and its emit over a fleet's 2,000 subjects
@@ -186,14 +187,14 @@ done
 # selection at 16 and 64 vCPUs (internal/guest), the host's core-level
 # busy change with and without a turbo flip (internal/host), the 96 h,
 # 1024-host region trace and fault schedule (internal/cloudgen,
-# internal/faults), a flight recorder's sample pass (internal/telemetry), and
-# the root package's vSched ablations and experiment registry
-# (bench_test.go; DESIGN §4 cites the ablations).
+# internal/faults), a flight recorder's sample pass (internal/telemetry), the
+# metrics registry's VisitNumeric pass, its only export path
+# (internal/metrics), and the root package's vSched ablations and experiment
+# registry (bench_test.go; DESIGN §4 cites the ablations).
 # One iteration measures nothing; it only checks that every benchmark still
 # runs.
 echo "== go benchmarks (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/fleet/ ./internal/vtrace/ ./internal/latprof/ ./internal/guest/ ./internal/host/ \
-	./internal/cloudgen/ ./internal/faults/ ./internal/telemetry/
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
 # heterogeneous hosts, ~115k VM arrivals (>=100k completed lifetimes), 48

@@ -9,7 +9,7 @@
 //	vschedsim -workload masstree -vcpus 16 -share 0.5 -latency 8ms -features vcap,vact,vtop,bvs
 //	vschedsim -workload canneal -threads 4 -vcpus 16 -share 0.5 -features vcap,vact,ivh -duration 30s
 //	vschedsim -workload nginx -vcpus 4 -share 0.5 -vsched -trace out.json   # open in Perfetto
-//	vschedsim -workload nginx -vcpus 4 -vsched -metrics                     # registry snapshot
+//	vschedsim -workload nginx -vcpus 4 -vsched -metrics                     # registry readings
 //	vschedsim -workload nginx -vcpus 4 -vsched -serve 127.0.0.1:9137        # live /metrics + progress stream
 package main
 
@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -50,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cloudVM      = fs.Bool("cloudvm", false, "draw the VM shape (vCPU count, tenant class) from the cloudgen cloud-trace distributions with -seed; overrides -vcpus")
 		list         = fs.Bool("list", false, "list workloads and exit")
 		vcpus        = fs.Int("vcpus", 8, "vCPU count (pinned 1:1 on threads)")
-		threads      = fs.Int("threads", 0, "workload threads (0 = default)")
+		threads      = fs.Int("threads", 0, "workload threads (0 = default; hackbench takes only 0)")
 		sockets      = fs.Int("sockets", 1, "host sockets")
 		cores        = fs.Int("cores", 0, "cores per socket (0 = vcpus)")
 		smt          = fs.Bool("smt", false, "enable SMT/turbo speed effects")
@@ -65,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		watch        = fs.Bool("watch", false, "print a per-second top-style vCPU table during the run")
 		timeline     = fs.Bool("timeline", false, "print KernelShark-style per-vCPU activity strips of the final 80ms, read from the trace ring")
 		tracePath    = fs.String("trace", "", "write a Chrome/Perfetto trace of the whole run to this file")
-		metricsOut   = fs.Bool("metrics", false, "print the VM metrics registry snapshot at the end")
+		metricsOut   = fs.Bool("metrics", false, "print every reading of the VM metrics registry at the end")
 		attrib       = fs.Bool("attrib", false, "print a per-cause latency attribution of the measurement window (adds an attribution track to -trace)")
 		telem        = fs.Bool("telemetry", false, "sample a flight recorder over the run: sparkline summary at the end, counter tracks in -trace")
 		stallDur     = fs.Duration("stall", 0, "inject a transient host stall of this length (freezes every vCPU; shows up as steal and in -trace)")
@@ -442,7 +444,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *metricsOut {
 		fmt.Fprintln(stdout, "metrics:")
-		fmt.Fprint(stdout, vm.Metrics().Snapshot().String())
+		writeMetrics(stdout, vm.Metrics())
 	}
 	if rec != nil {
 		rec.Stop()
@@ -497,6 +499,26 @@ func writeTrace(path string, tr *vtrace.Tracer, extra []vtrace.SpanTrack, counte
 		return err
 	}
 	return f.Close()
+}
+
+// writeMetrics prints every numeric reading of reg as aligned "name value"
+// lines, sorted by name. Values print in plain decimal, never with an
+// exponent, so a counter prints as an integer.
+func writeMetrics(w io.Writer, reg *metrics.Registry) {
+	type reading struct {
+		name string
+		v    float64
+	}
+	var rs []reading
+	width := 0
+	reg.VisitNumeric(func(name string, v float64) {
+		rs = append(rs, reading{name, v})
+		width = max(width, len(name))
+	})
+	sort.Slice(rs, func(i, j int) bool { return rs[i].name < rs[j].name })
+	for _, r := range rs {
+		fmt.Fprintf(w, "%-*s  %s\n", width, r.name, strconv.FormatFloat(r.v, 'f', -1, 64))
+	}
 }
 
 // watchTable prints a snapshot of every vCPU: probed capacity and latency

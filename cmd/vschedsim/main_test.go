@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vsched/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -49,6 +51,31 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "vsched.bvs.calls") {
 		t.Fatal("metrics snapshot missing vsched counters")
+	}
+}
+
+// TestWriteMetrics: -metrics lines are sorted by name, aligned, and print
+// values in plain decimal, so a large counter is an integer and not
+// 1.2345678e+07; histograms print their six summary readings.
+func TestWriteMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("guest.ticks").Add(12345678)
+	reg.Gauge("a.share").Set(0.25)
+	reg.Histogram("lat").Observe(100)
+	var b bytes.Buffer
+	writeMetrics(&b, reg)
+	want := strings.Join([]string{
+		"a.share      0.25",
+		"guest.ticks  12345678",
+		"lat.count    1",
+		"lat.max      100",
+		"lat.mean     100",
+		"lat.p50      100",
+		"lat.p95      100",
+		"lat.p99      100",
+	}, "\n") + "\n"
+	if b.String() != want {
+		t.Fatalf("writeMetrics printed\n%s\nwant\n%s", b.String(), want)
 	}
 }
 
@@ -244,6 +271,7 @@ func TestBadInputFails(t *testing.T) {
 		want string
 	}{
 		{[]string{"-workload", "nope"}, `unknown workload "nope"`},
+		{[]string{"-workload", "hackbench", "-vcpus", "4", "-threads", "8"}, `workload "hackbench": threads 8`},
 		{[]string{"-share", "0"}, "bad -share 0"},
 		{[]string{"-share", "1.5"}, "bad -share 1.5"},
 		{[]string{"-vcpus", "0"}, "bad -vcpus 0"},

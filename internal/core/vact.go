@@ -18,10 +18,9 @@ type vact struct {
 }
 
 type vactVCPU struct {
-	latencyEMA  float64 // average inactive period, ns
-	activeEMA   float64 // average active period, ns
-	inactiveEMA float64
-	have        bool
+	latencyEMA float64 // average inactive period, ns
+	activeEMA  float64 // average active period, ns
+	have       bool
 }
 
 func newVact(s *VSched) *vact {
@@ -52,17 +51,12 @@ func (a *vact) onSample(v *guest.VCPU, stealD, period sim.Duration) {
 	f := a.s.params.emaFactor()
 	if pv.have {
 		pv.latencyEMA = float64(pv.latencyEMA*f) + float64(inactive*(1-f))
-		pv.inactiveEMA = float64(pv.inactiveEMA*f) + float64(inactive*(1-f))
 		pv.activeEMA = float64(pv.activeEMA*f) + float64(active*(1-f))
 	} else {
-		pv.latencyEMA, pv.inactiveEMA, pv.activeEMA = inactive, inactive, active
+		pv.latencyEMA, pv.activeEMA = inactive, active
 		pv.have = true
 	}
-	v.PublishActivity(
-		sim.Duration(pv.latencyEMA),
-		sim.Duration(pv.activeEMA),
-		sim.Duration(pv.inactiveEMA),
-	)
+	v.PublishActivity(sim.Duration(pv.latencyEMA), sim.Duration(pv.activeEMA))
 	a.s.tracer().Emit(a.s.eng.Now(), vtrace.KindActSample, "vact",
 		int64(v.ID()), int64(pv.latencyEMA), int64(pv.activeEMA))
 }

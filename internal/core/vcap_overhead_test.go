@@ -86,7 +86,7 @@ func TestLowLatencyThresholdLadder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 1, len(tc.lats), 1, len(tc.lats), Features{})
 			for i, l := range tc.lats {
-				r.vm.VCPU(i).PublishActivity(l, 10*sim.Millisecond, l)
+				r.vm.VCPU(i).PublishActivity(l, 10*sim.Millisecond)
 			}
 			thresh := r.s.lowLatencyThreshold()
 			for i, l := range tc.lats {

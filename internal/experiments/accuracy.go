@@ -41,7 +41,10 @@ type accSampler struct {
 
 func newAccSampler(v *guest.VCPU) *accSampler {
 	s := &accSampler{v: v, ent: v.Entity()}
-	s.ent.AddObserver(func(now sim.Time, from, to host.EntityState) {
+	v.VM().Host().AddObserver(func(e *host.Entity, now sim.Time, from, to host.EntityState) {
+		if e != s.ent {
+			return
+		}
 		fromSteal := from == host.Runnable || from == host.Throttled
 		toSteal := to == host.Runnable || to == host.Throttled
 		switch {

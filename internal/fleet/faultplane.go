@@ -197,7 +197,6 @@ func (f *Fleet) restart(e *microRetry, hi int, now sim.Time) {
 	name := fmt.Sprintf("vm%03d-%s-r%d", e.id, e.typ.Name, e.attempt)
 	vm := f.spawn(a, hi, name)
 	vm.deadline = e.deadline
-	vm.restarts = e.attempt
 	if e.deadline != 0 {
 		f.eng.At(e.deadline, func() { f.depart(vm) })
 	}

@@ -188,8 +188,6 @@ type fleetVM struct {
 	// deadline is the VM's scheduled departure instant (zero = pinned to the
 	// horizon); restarts after a crash keep the original deadline.
 	deadline sim.Time
-	// restarts is which crash-restart incarnation this is (0 = original).
-	restarts int
 	// stealSeen is the telemetry baseline: total steal across the VM's
 	// vCPUs at the last sample, attributed to whichever host it sat on.
 	stealSeen sim.Duration

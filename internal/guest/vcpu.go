@@ -36,7 +36,6 @@ type VCPU struct {
 	needResched bool
 
 	// --- tick machinery ---
-	tickEv      sim.Event
 	pendingTick bool
 
 	// --- guest-visible kernel counters (vact's kernel instrumentation) ---
@@ -49,10 +48,9 @@ type VCPU struct {
 	cfsCapacity float64
 
 	// --- values published by vSched's kernel module (0 = unset) ---
-	pubCapacity    int64
-	pubLatency     sim.Duration
-	pubAvgActive   sim.Duration
-	pubAvgInactive sim.Duration
+	pubCapacity  int64
+	pubLatency   sim.Duration
+	pubAvgActive sim.Duration
 
 	// pendingIRQ holds interrupt work (timer expiries, external arrivals)
 	// that must wait until the vCPU is next really running. spareIRQ is the
@@ -213,10 +211,9 @@ func (v *VCPU) PublishCapacity(c int64) {
 
 // PublishActivity installs probed activity metrics (vact -> kernel module):
 // the average inactive period (vCPU latency) and average active period.
-func (v *VCPU) PublishActivity(latency, avgActive, avgInactive sim.Duration) {
+func (v *VCPU) PublishActivity(latency, avgActive sim.Duration) {
 	v.pubLatency = latency
 	v.pubAvgActive = avgActive
-	v.pubAvgInactive = avgInactive
 }
 
 // Latency returns the published vCPU latency (average inactive period);
@@ -376,11 +373,10 @@ func (v *VCPU) onComplete() {
 // --- ticks ---
 
 func (v *VCPU) startTicking(offset sim.Duration) {
-	v.tickEv = v.vm.eng.After(offset, v.tickFn)
+	v.vm.eng.After(offset, v.tickFn)
 }
 
 func (v *VCPU) tickFire() {
-	v.tickEv = sim.Event{}
 	if !v.hostActive {
 		// The timer interrupt pends; it is delivered the moment the vCPU
 		// next runs (onResumeWork), exactly like a hardware timer raised
@@ -456,7 +452,7 @@ func (v *VCPU) tick() {
 		v.vm.periodicBalance()
 	}
 
-	v.tickEv = v.vm.eng.After(v.vm.params.TickPeriod, v.tickFn)
+	v.vm.eng.After(v.vm.params.TickPeriod, v.tickFn)
 }
 
 // tickShouldPreempt decides at tick time whether best should replace curr.

@@ -95,19 +95,6 @@ type Entity struct {
 	runNS       sim.Duration // total time spent Running
 	stealNS     sim.Duration // total time Runnable or Throttled
 	preemptions uint64       // involuntary Running -> Runnable/Throttled
-
-	// observers are called after every state transition, in attach order.
-	// Tracers tap the host-wide hook instead (Host.AddObserver); these are
-	// for consumers of one entity, such as probeacc's steal-interval sampler.
-	observers []func(now sim.Time, from, to EntityState)
-}
-
-// AddObserver registers a state-transition callback. Multiple observers may
-// attach to one entity; each sees every transition, in attach order.
-// Observers must not synchronously change schedulability (same contract as
-// Client callbacks).
-func (e *Entity) AddObserver(fn func(now sim.Time, from, to EntityState)) {
-	e.observers = append(e.observers, fn)
 }
 
 // NewEntity registers a new schedulable entity homed on thread t. It starts
@@ -201,9 +188,6 @@ func (e *Entity) setState(to EntityState) {
 	e.lastChange = now
 	if from == Running && (to == Runnable || to == Throttled) {
 		e.preemptions++
-	}
-	for _, fn := range e.observers {
-		fn(now, from, to)
 	}
 	for _, fn := range e.host.observers {
 		fn(e, now, from, to)

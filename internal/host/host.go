@@ -92,9 +92,10 @@ type Host struct {
 	// running entity; maintained incrementally for the turbo model.
 	busyCoreCount []int
 	// observers see every state transition of every entity — including
-	// entities created after they were installed. The vtrace package taps
-	// the whole host through this hook; several tracers (or a tracer plus a
-	// latency-attribution profiler) may stack.
+	// entities created after they were installed. It is the host's one
+	// transition hook: the vtrace package taps the whole host through it,
+	// several tracers (or a tracer plus a latency-attribution profiler) may
+	// stack, and a consumer of one entity filters on it.
 	observers []func(e *Entity, now sim.Time, from, to EntityState)
 }
 
@@ -187,9 +188,8 @@ func (h *Host) Entities() []*Entity { return h.entities }
 
 // AddObserver appends a host-wide state-transition observer without
 // disturbing observers already installed. Host observers fire in the order
-// added, after any per-entity observers, for every entity — including ones
-// created later — and must not synchronously change schedulability (same
-// contract as Client callbacks).
+// added, for every entity — including ones created later — and must not
+// synchronously change schedulability (same contract as Client callbacks).
 func (h *Host) AddObserver(fn func(e *Entity, now sim.Time, from, to EntityState)) {
 	h.observers = append(h.observers, fn)
 }

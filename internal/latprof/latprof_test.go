@@ -382,14 +382,23 @@ func TestPublish(t *testing.T) {
 	prof := f.p.Finish(at(7))
 	reg := metrics.NewRegistry()
 	prof.Publish(reg)
-	snap := reg.Snapshot()
-	if want := 4 + 3*len(Causes()); len(snap) != want {
-		t.Fatalf("published %d instruments, want %d", len(snap), want)
+	readings := map[string]float64{}
+	reg.VisitNumeric(func(name string, v float64) { readings[name] = v })
+	want := 4 + 3*len(Causes())
+	if len(readings) != want {
+		t.Fatalf("published %d readings, want %d", len(readings), want)
 	}
-	for _, e := range snap {
-		if e.Kind != "gauge" {
-			t.Fatalf("%s published as a %s, want a gauge", e.Name, e.Kind)
+	// Each reading is a gauge: looking it up as one finds the published value
+	// (a counter would panic, a histogram sub-key would make a fresh gauge).
+	for name, v := range readings {
+		if g := reg.Gauge(name).Value(); g != v {
+			t.Fatalf("%s: gauge reads %v, published %v", name, g, v)
 		}
+	}
+	n := 0
+	reg.VisitNumeric(func(string, float64) { n++ })
+	if n != want {
+		t.Fatalf("%d readings after the gauge lookups, want %d: some were not gauges", n, want)
 	}
 	flat := published(prof)
 	for _, c := range Causes() {

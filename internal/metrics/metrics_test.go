@@ -235,10 +235,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter=%d", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 // ExactQuantile computes the exact quantile of a small sample slice, the

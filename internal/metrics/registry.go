@@ -1,15 +1,9 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // Registry is a named collection of Counters, Gauges and Histograms. It
 // replaces scattered ad-hoc counter fields with a uniform interface: callers
 // get-or-create instruments by name, keep the returned pointer for the hot
-// path, and consumers take a Snapshot with stable (sorted) ordering.
+// path, and consumers read every instrument through VisitNumeric.
 //
 // A Registry is not goroutine-safe; like the simulator itself, each engine's
 // components share one registry on one goroutine.
@@ -81,69 +75,6 @@ func (r *Registry) checkFresh(name, kind string) {
 	}
 }
 
-// SnapshotEntry is one instrument's state at snapshot time. Kind is
-// "counter", "gauge" or "histogram"; histogram entries carry the summary
-// fields, scalar entries only Value.
-type SnapshotEntry struct {
-	Name  string
-	Kind  string
-	Value float64
-	// Histogram summary (Kind == "histogram" only).
-	Count              uint64
-	Mean               float64
-	P50, P95, P99, Max int64
-}
-
-// Snapshot is the registry's full state in sorted-name order. Equal
-// registries always produce byte-identical snapshots, which is what lets
-// snapshots appear in determinism-checked output.
-type Snapshot []SnapshotEntry
-
-// Snapshot captures every instrument, sorted by name.
-func (r *Registry) Snapshot() Snapshot {
-	out := make(Snapshot, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, SnapshotEntry{Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, SnapshotEntry{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, SnapshotEntry{
-			Name: name, Kind: "histogram",
-			Value: float64(h.Count()),
-			Count: h.Count(), Mean: h.Mean(),
-			P50: h.P50(), P95: h.P95(), P99: h.P99(), Max: h.Max(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// String renders the snapshot as aligned "name value" lines, histograms with
-// their summary stats — the -metrics output of cmd/vschedsim.
-func (s Snapshot) String() string {
-	w := 0
-	for _, e := range s {
-		if len(e.Name) > w {
-			w = len(e.Name)
-		}
-	}
-	var b strings.Builder
-	for _, e := range s {
-		switch e.Kind {
-		case "histogram":
-			fmt.Fprintf(&b, "%-*s  n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d\n",
-				w, e.Name, e.Count, e.Mean, e.P50, e.P95, e.P99, e.Max)
-		case "gauge":
-			fmt.Fprintf(&b, "%-*s  %g\n", w, e.Name, e.Value)
-		default:
-			fmt.Fprintf(&b, "%-*s  %.0f\n", w, e.Name, e.Value)
-		}
-	}
-	return b.String()
-}
-
 // histKeySet is the cached flattened sub-key strings for one histogram.
 type histKeySet struct {
 	count, mean, p50, p95, p99, max string
@@ -152,12 +83,12 @@ type histKeySet struct {
 // VisitNumeric calls fn once per numeric reading of every instrument:
 // counters and gauges under their own names, histograms expanded into
 // name.count/mean/p50/p95/p99/max sub-keys. Visit order is unspecified (map
-// order); callers needing stable order should use Snapshot.
+// order); callers needing stable order sort the readings by name.
 //
-// This is the sampling fast path: unlike Snapshot it builds no slices or
-// maps, and the histogram sub-key strings are cached after the first visit,
-// so a steady-state visit performs zero allocations — the property the
-// telemetry recorder's per-sample cost rests on.
+// This is the sampling fast path: it builds no slices or maps, and the
+// histogram sub-key strings are cached after the first visit, so a
+// steady-state visit performs zero allocations — the property the telemetry
+// recorder's per-sample cost rests on.
 func (r *Registry) VisitNumeric(fn func(name string, v float64)) {
 	for name, c := range r.counters {
 		fn(name, float64(c.Value()))

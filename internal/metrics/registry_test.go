@@ -40,40 +40,6 @@ func TestRegistryKindCollisionPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
-func TestSnapshotSortedAndComplete(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.last").Add(3)
-	r.Gauge("m.middle").Set(-1)
-	h := r.Histogram("a.first")
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-
-	s := r.Snapshot()
-	if len(s) != 3 {
-		t.Fatalf("snapshot has %d entries, want 3", len(s))
-	}
-	if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Name < s[j].Name }) {
-		t.Fatalf("snapshot not sorted: %v", s)
-	}
-	if s[0].Kind != "histogram" || s[0].Count != 100 || s[0].P50 < 47 || s[0].P50 > 53 {
-		t.Fatalf("histogram entry wrong: %+v", s[0])
-	}
-	if s[1].Kind != "gauge" || s[1].Value != -1 {
-		t.Fatalf("gauge entry wrong: %+v", s[1])
-	}
-	if s[2].Kind != "counter" || s[2].Value != 3 {
-		t.Fatalf("counter entry wrong: %+v", s[2])
-	}
-
-	text := s.String()
-	for _, want := range []string{"z.last", "m.middle", "a.first", "n=100", "p95="} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("snapshot text missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // flat collects every VisitNumeric reading of r into a map.
 func flat(r *Registry) map[string]float64 {
 	m := map[string]float64{}
@@ -116,44 +82,73 @@ func TestGauge(t *testing.T) {
 		t.Fatal("zero gauge must read 0")
 	}
 	g.Set(4)
-	g.Add(-1.5)
+	g.Set(2.5)
 	if g.Value() != 2.5 {
 		t.Fatalf("gauge=%v want 2.5", g.Value())
 	}
 }
 
-// TestVisitNumericMatchesSnapshot: every Snapshot entry reaches VisitNumeric,
-// scalars under their own name and histograms as their six summary fields,
-// and nothing else does.
+// TestSnapshotSortedAndComplete: a snapshot of the registry taken through
+// VisitNumeric, sorted by name as -metrics prints it, holds every instrument
+// exactly once: counters and gauges under their own names and histograms as
+// their six summary fields, and nothing else.
+func TestSnapshotSortedAndComplete(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("z.last").Add(3)
+	r.Gauge("m.middle").Set(-1)
+	h := r.Histogram("a.first")
+	for i := int64(1); i <= 100; i++ {
+		h.Observe(i)
+	}
+	var names []string
+	r.VisitNumeric(func(name string, v float64) { names = append(names, name) })
+	sort.Strings(names)
+	want := []string{
+		"a.first.count", "a.first.max", "a.first.mean", "a.first.p50",
+		"a.first.p95", "a.first.p99", "m.middle", "z.last",
+	}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("snapshot names %v, want %v", names, want)
+	}
+}
+
+// TestVisitNumericMatchesSnapshot: every VisitNumeric reading equals the
+// value a snapshot of the instruments' own accessors gives, so the export
+// path reports the registry's state and not a copy that can drift from it.
 func TestVisitNumericMatchesSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(7)
-	r.Gauge("g").Set(2.5)
+	c := r.Counter("c")
+	c.Add(7)
+	g := r.Gauge("g")
+	g.Set(2.5)
 	h := r.Histogram("lat")
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
-	want := map[string]float64{}
-	for _, e := range r.Snapshot() {
-		if e.Kind != "histogram" {
-			want[e.Name] = e.Value
-			continue
-		}
-		want[e.Name+".count"] = float64(e.Count)
-		want[e.Name+".mean"] = e.Mean
-		want[e.Name+".p50"] = float64(e.P50)
-		want[e.Name+".p95"] = float64(e.P95)
-		want[e.Name+".p99"] = float64(e.P99)
-		want[e.Name+".max"] = float64(e.Max)
+	want := map[string]float64{
+		"c":         float64(c.Value()),
+		"g":         g.Value(),
+		"lat.count": float64(h.Count()),
+		"lat.mean":  h.Mean(),
+		"lat.p50":   float64(h.P50()),
+		"lat.p95":   float64(h.P95()),
+		"lat.p99":   float64(h.P99()),
+		"lat.max":   float64(h.Max()),
 	}
 	got := flat(r)
 	if len(got) != len(want) || len(want) != 2+6 {
 		t.Fatalf("visit saw %d readings, snapshot has %d (want 8)", len(got), len(want))
 	}
 	for k, wv := range want {
-		if got[k] != wv {
-			t.Fatalf("%s: visit=%v snapshot=%v", k, got[k], wv)
+		if v, ok := got[k]; !ok || v != wv {
+			t.Fatalf("%s: visit=%v (seen %v) snapshot=%v", k, v, ok, wv)
 		}
+	}
+	if got["c"] != 7 || got["g"] != 2.5 || got["lat.count"] != 100 || got["lat.max"] != 100 {
+		t.Fatalf("readings wrong: %v", got)
+	}
+	if p50 := got["lat.p50"]; p50 < 47 || p50 > 53 {
+		t.Fatalf("lat.p50=%v, want ~50", p50)
 	}
 }
 

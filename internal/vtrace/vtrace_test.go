@@ -26,9 +26,6 @@ func contendedEntity(t *testing.T, attach func(h *host.Host, e *host.Entity)) {
 	eng.RunFor(100 * sim.Millisecond)
 }
 
-// Satellite regression: before observers became a list, attaching a second
-// consumer silently replaced the first. Every observer must see every
-// transition.
 // TestTee: a tee hands each event to fn first and then records it on the
 // ring, exactly as emitting on the ring would; with a nil ring only fn sees it.
 func TestTee(t *testing.T) {
@@ -53,40 +50,30 @@ func TestTee(t *testing.T) {
 	}
 }
 
+// TestObserversStack: observers on the host's one transition hook stack.
+// Attaching a second consumer must not replace the first; every observer
+// sees every transition, of every entity.
 func TestObserversStack(t *testing.T) {
-	var first, second, third int
+	var seen [3]int
+	var ownV int
 	contendedEntity(t, func(h *host.Host, e *host.Entity) {
-		e.AddObserver(func(now sim.Time, from, to host.EntityState) { first++ })
-		e.AddObserver(func(now sim.Time, from, to host.EntityState) { second++ })
-		e.AddObserver(func(now sim.Time, from, to host.EntityState) { third++ })
-	})
-	if first == 0 {
-		t.Fatal("first observer saw nothing")
-	}
-	if second != first || third != first {
-		t.Fatalf("observers saw %d, %d, %d transitions — observers clobbered", first, second, third)
-	}
-}
-
-// The per-entity observers and the host-wide observer are independent taps.
-func TestHostObserverAndEntityObserversCoexist(t *testing.T) {
-	var seen int
-	tr := New(0)
-	contendedEntity(t, func(h *host.Host, e *host.Entity) {
-		e.AddObserver(func(now sim.Time, from, to host.EntityState) { seen++ })
-		AttachHost(tr, h)
-	})
-	if seen == 0 {
-		t.Fatal("entity observer saw nothing")
-	}
-	var stateEvents int
-	for _, ev := range tr.Events() {
-		if ev.Kind == KindEntityState && ev.Subject == "v" {
-			stateEvents++
+		for i := range seen {
+			h.AddObserver(func(x *host.Entity, now sim.Time, from, to host.EntityState) {
+				seen[i]++
+				if i == 0 && x == e {
+					ownV++
+				}
+			})
 		}
+	})
+	if ownV == 0 {
+		t.Fatal("no observer saw the observed entity")
 	}
-	if stateEvents != seen {
-		t.Fatalf("host tap saw %d transitions of v, entity observer saw %d", stateEvents, seen)
+	if seen[0] <= ownV {
+		t.Fatalf("observers saw %d transitions, %d of them v's: the contender's are missing", seen[0], ownV)
+	}
+	if seen[1] != seen[0] || seen[2] != seen[0] {
+		t.Fatalf("observers saw %v transitions — observers clobbered", seen)
 	}
 }
 

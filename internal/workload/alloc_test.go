@@ -64,7 +64,7 @@ func TestServerSteadyStateAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() { eng.RunFor(10 * sim.Millisecond) })
 	for i, s := range servers {
 		if n := s.Ops() - ops[i]; n < 500 {
-			t.Fatalf("server %s completed only %d requests in the measured windows", s.Name(), n)
+			t.Fatalf("server %s completed only %d requests in the measured windows", s.name, n)
 		}
 	}
 	if avg > serverSteadyStateAllocBudget {

@@ -122,34 +122,34 @@ func Catalog() []Spec {
 	var specs []Spec
 	for _, ps := range parallelSpecs {
 		ps := ps
-		specs = append(specs, Spec{Name: ps.Name, Kind: Throughput, New: func(env Env) Instance {
+		specs = append(specs, Spec{Name: ps.Name, New: func(env Env) Instance {
 			return NewParallel(env, ps)
 		}})
 	}
 	for _, pl := range pipelineSpecs {
 		pl := pl
-		specs = append(specs, Spec{Name: pl.Name, Kind: Throughput, New: func(env Env) Instance {
+		specs = append(specs, Spec{Name: pl.Name, New: func(env Env) Instance {
 			return NewPipeline(env, pl)
 		}})
 	}
 	for _, ts := range tailSpecs {
 		ts := ts
-		specs = append(specs, Spec{Name: ts.name, Kind: Latency, New: func(env Env) Instance {
+		specs = append(specs, Spec{Name: ts.name, New: func(env Env) Instance {
 			return NewTailbench(env, ts.name, ts.svc, ts.heavy)
 		}})
 	}
 	specs = append(specs,
-		Spec{Name: "nginx", Kind: Throughput, New: func(env Env) Instance { return NewNginx(env) }},
-		Spec{Name: "sysbench", Kind: Throughput, New: func(env Env) Instance {
+		Spec{Name: "nginx", New: func(env Env) Instance { return NewNginx(env) }},
+		Spec{Name: "sysbench", New: func(env Env) Instance {
 			return NewSysbench(env, env.VM.NumVCPUs())
 		}},
-		Spec{Name: "hackbench", Kind: Throughput, New: func(env Env) Instance {
+		Spec{Name: "hackbench", New: func(env Env) Instance {
 			return NewHackbench(env, 4, 4, 200)
 		}},
-		Spec{Name: "fio", Kind: Throughput, New: func(env Env) Instance {
+		Spec{Name: "fio", New: func(env Env) Instance {
 			return NewFio(env, env.VM.NumVCPUs())
 		}},
-		Spec{Name: "matmul", Kind: Throughput, New: func(env Env) Instance {
+		Spec{Name: "matmul", New: func(env Env) Instance {
 			return NewMatmul(env, env.VM.NumVCPUs())
 		}},
 	)

@@ -172,22 +172,16 @@ func NewServer(env Env, cfg ServerConfig) *Server {
 	return s
 }
 
-// Name implements Instance.
-func (s *Server) Name() string { return s.name }
-
 // Ops implements Instance.
 func (s *Server) Ops() uint64 { return s.ops }
 
-// Done implements Instance (servers are open-ended).
-func (s *Server) Done() bool { return false }
-
-// E2E implements LatencyInstance.
+// E2E returns the end-to-end latency histogram (nanosecond samples).
 func (s *Server) E2E() *metrics.Histogram { return s.e2e }
 
-// Queue implements LatencyInstance.
+// Queue returns the queueing-time histogram (nanosecond samples).
 func (s *Server) Queue() *metrics.Histogram { return s.queue }
 
-// Service implements LatencyInstance.
+// Service returns the service-time histogram (nanosecond samples).
 func (s *Server) Service() *metrics.Histogram { return s.service }
 
 // ResetStats clears histograms and counters (used after warmup).

@@ -7,15 +7,17 @@ import (
 	"vsched/internal/sim"
 )
 
-// Sysbench is the CPU-bound micro-benchmark: N threads computing 1ms events
-// back to back; throughput is events per second.
-type Sysbench struct {
+// Loop is a closed-loop micro-benchmark: each of its threads runs the same
+// steps back to back, forever, and an op is one completion of step 0.
+// sysbench, matmul and fio are loops that differ only in their steps.
+type Loop struct {
 	env     Env
+	name    string
+	steps   []guest.Segment
 	threads int
 	ops     uint64
 	tasks   []*guest.Task
 	started bool
-	stopped bool
 }
 
 // The fixed per-operation costs of the micro-benchmarks.
@@ -26,53 +28,58 @@ const (
 	matmulChunk   = 5 * sim.Millisecond  // one matmul block
 )
 
-// NewSysbench builds a sysbench-cpu workload.
-func NewSysbench(env Env, threads int) *Sysbench {
+func newLoop(env Env, name string, threads int, steps ...guest.Segment) *Loop {
 	if env.Threads > 0 {
 		threads = env.Threads
 	}
 	if threads <= 0 {
 		threads = 1
 	}
-	return &Sysbench{env: env, threads: threads}
+	return &Loop{env: env, name: name, steps: steps, threads: threads}
 }
 
-// Name implements Instance.
-func (s *Sysbench) Name() string { return "sysbench" }
+// NewSysbench builds sysbench-cpu: threads computing 1ms events back to
+// back; throughput is events per second.
+func NewSysbench(env Env, threads int) *Loop {
+	return newLoop(env, "sysbench", threads, guest.Compute(env.cycles(sysbenchEvent)))
+}
+
+// NewMatmul builds a matmul-like workload: pure dense compute in 5ms blocks
+// (the CPU-intensive half of Fig. 12's mixed workloads).
+func NewMatmul(env Env, threads int) *Loop {
+	return newLoop(env, "matmul", threads, guest.Compute(env.cycles(matmulChunk)))
+}
+
+// NewFio builds a fio-like workload: each thread issues a 64us IO (a sleep),
+// then a 5us completion burst. Throughput is IOPS.
+func NewFio(env Env, threads int) *Loop {
+	return newLoop(env, "fio", threads, guest.Sleep(fioIOLat), guest.Compute(env.cycles(fioCPU)))
+}
 
 // Ops implements Instance.
-func (s *Sysbench) Ops() uint64 { return s.ops }
-
-// Done implements Instance.
-func (s *Sysbench) Done() bool { return false }
-
-// Stop ends the threads at the next event boundary.
-func (s *Sysbench) Stop() { s.stopped = true }
+func (l *Loop) Ops() uint64 { return l.ops }
 
 // Tasks returns the spawned worker tasks (experiments inspect placement).
-func (s *Sysbench) Tasks() []*guest.Task { return s.tasks }
+func (l *Loop) Tasks() []*guest.Task { return l.tasks }
 
-var _ Instance = (*Sysbench)(nil)
+var _ Instance = (*Loop)(nil)
 
 // Start implements Instance.
-func (s *Sysbench) Start() {
-	if s.started {
+func (l *Loop) Start() {
+	if l.started {
 		return
 	}
-	s.started = true
-	for i := 0; i < s.threads; i++ {
-		counted := false
-		tk := s.env.VM.Spawn(fmt.Sprintf("sysbench/t%d", i), func(now sim.Time) guest.Segment {
-			if counted {
-				s.ops++
+	l.started = true
+	for i := 0; i < l.threads; i++ {
+		step := -1 // the step in progress
+		tk := l.env.VM.Spawn(fmt.Sprintf("%s/t%d", l.name, i), func(sim.Time) guest.Segment {
+			if step == 0 {
+				l.ops++
 			}
-			if s.stopped {
-				return guest.Exit()
-			}
-			counted = true
-			return guest.Compute(s.env.cycles(sysbenchEvent))
-		}, s.env.groupOpt()...)
-		s.tasks = append(s.tasks, tk)
+			step = (step + 1) % len(l.steps)
+			return l.steps[step]
+		}, l.env.groupOpt()...)
+		l.tasks = append(l.tasks, tk)
 	}
 }
 
@@ -86,8 +93,6 @@ type Hackbench struct {
 	ops      uint64
 	alive    int
 	started  bool
-
-	FinishedAt sim.Time
 }
 
 // NewHackbench builds a hackbench run: groups × (pairSize senders +
@@ -105,13 +110,10 @@ func NewHackbench(env Env, groups, pairSize, messages int) *Hackbench {
 	return &Hackbench{env: env, groups: groups, pairSize: pairSize, messages: messages}
 }
 
-// Name implements Instance.
-func (h *Hackbench) Name() string { return "hackbench" }
-
 // Ops implements Instance.
 func (h *Hackbench) Ops() uint64 { return h.ops }
 
-// Done implements Instance.
+// Done reports whether every sender and receiver has exited.
 func (h *Hackbench) Done() bool { return h.started && h.alive == 0 }
 
 // Start implements Instance.
@@ -132,12 +134,7 @@ func (h *Hackbench) Start() {
 			data[i] = guest.NewSemaphore(0)
 			space[i] = guest.NewSemaphore(2)
 		}
-		onExit := func(now sim.Time) {
-			h.alive--
-			if h.alive == 0 {
-				h.FinishedAt = now
-			}
-		}
+		onExit := func(sim.Time) { h.alive-- }
 		// Receivers: each drains its own channel.
 		for r := 0; r < h.pairSize; r++ {
 			r := r
@@ -192,117 +189,5 @@ func (h *Hackbench) Start() {
 			}, h.env.groupOpt()...)
 			tk.OnExit = onExit
 		}
-	}
-}
-
-// Fio is the I/O-heavy micro-benchmark: threads issue an IO (sleep), then a
-// tiny completion-processing burst. Throughput is IOPS.
-type Fio struct {
-	env     Env
-	threads int
-	ops     uint64
-	started bool
-	stopped bool
-}
-
-// NewFio builds a fio-like workload (64us IO latency, 5us CPU).
-func NewFio(env Env, threads int) *Fio {
-	if env.Threads > 0 {
-		threads = env.Threads
-	}
-	if threads <= 0 {
-		threads = 1
-	}
-	return &Fio{env: env, threads: threads}
-}
-
-// Name implements Instance.
-func (f *Fio) Name() string { return "fio" }
-
-// Ops implements Instance.
-func (f *Fio) Ops() uint64 { return f.ops }
-
-// Done implements Instance.
-func (f *Fio) Done() bool { return false }
-
-// Stop ends the threads.
-func (f *Fio) Stop() { f.stopped = true }
-
-// Start implements Instance.
-func (f *Fio) Start() {
-	if f.started {
-		return
-	}
-	f.started = true
-	for i := 0; i < f.threads; i++ {
-		phase := 0
-		f.env.VM.Spawn(fmt.Sprintf("fio/t%d", i), func(now sim.Time) guest.Segment {
-			if f.stopped {
-				return guest.Exit()
-			}
-			switch phase {
-			case 0:
-				phase = 1
-				return guest.Sleep(fioIOLat)
-			default:
-				phase = 0
-				f.ops++
-				return guest.Compute(f.env.cycles(fioCPU))
-			}
-		}, f.env.groupOpt()...)
-	}
-}
-
-// Matmul is pure dense compute split into chunks across threads (the
-// CPU-intensive half of Fig. 12's mixed workloads).
-type Matmul struct {
-	env     Env
-	threads int
-	ops     uint64
-	started bool
-	stopped bool
-}
-
-// NewMatmul builds a matmul-like workload of 5ms blocks.
-func NewMatmul(env Env, threads int) *Matmul {
-	if env.Threads > 0 {
-		threads = env.Threads
-	}
-	if threads <= 0 {
-		threads = 1
-	}
-	return &Matmul{env: env, threads: threads}
-}
-
-// Name implements Instance.
-func (m *Matmul) Name() string { return "matmul" }
-
-// Ops implements Instance.
-func (m *Matmul) Ops() uint64 { return m.ops }
-
-// Done implements Instance.
-func (m *Matmul) Done() bool { return false }
-
-// Stop ends the threads.
-func (m *Matmul) Stop() { m.stopped = true }
-
-// Start implements Instance.
-func (m *Matmul) Start() {
-	if m.started {
-		return
-	}
-	m.started = true
-	for i := 0; i < m.threads; i++ {
-		counted := false
-		m.env.VM.Spawn(fmt.Sprintf("matmul/t%d", i), func(now sim.Time) guest.Segment {
-			if counted {
-				m.ops++
-			}
-			if m.stopped {
-				return guest.Exit()
-			}
-			counted = true
-			return guest.Compute(m.env.cycles(matmulChunk))
-		}, m.env.groupOpt()...)
 	}
 }

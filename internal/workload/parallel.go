@@ -93,13 +93,11 @@ func NewParallel(env Env, spec ParallelSpec) *Parallel {
 	return p
 }
 
-// Name implements Instance.
-func (p *Parallel) Name() string { return p.spec.Name }
-
 // Ops implements Instance.
 func (p *Parallel) Ops() uint64 { return p.ops }
 
-// Done implements Instance.
+// Done reports whether every thread has exited (a fixed-size run finished,
+// or an open-ended one was stopped).
 func (p *Parallel) Done() bool { return p.started && p.alive == 0 }
 
 // Threads returns the actual thread count.
@@ -291,14 +289,8 @@ func NewPipeline(env Env, spec PipelineSpec) *Pipeline {
 	}
 }
 
-// Name implements Instance.
-func (p *Pipeline) Name() string { return p.spec.Name }
-
 // Ops implements Instance.
 func (p *Pipeline) Ops() uint64 { return p.ops }
-
-// Done implements Instance.
-func (p *Pipeline) Done() bool { return false }
 
 // Stop halts the reader; in-flight items drain.
 func (p *Pipeline) Stop() { p.stopped = true }

@@ -10,7 +10,6 @@ package workload
 
 import (
 	"vsched/internal/guest"
-	"vsched/internal/metrics"
 	"vsched/internal/sim"
 )
 
@@ -49,39 +48,12 @@ func (e Env) cycles(d sim.Duration) float64 {
 type Instance interface {
 	// Start launches the workload's tasks.
 	Start()
-	// Name returns the benchmark name.
-	Name() string
 	// Ops returns completed work units (requests, iterations, events).
 	Ops() uint64
-	// Done reports whether a fixed-size workload has finished (always false
-	// for open-ended ones).
-	Done() bool
 }
-
-// LatencyInstance is implemented by request/response workloads that measure
-// per-request latency.
-type LatencyInstance interface {
-	Instance
-	// E2E, Queue and Service return the end-to-end, queueing and service
-	// time histograms (nanosecond samples).
-	E2E() *metrics.Histogram
-	Queue() *metrics.Histogram
-	Service() *metrics.Histogram
-}
-
-// Kind classifies benchmarks for the harness.
-type Kind int
-
-const (
-	// Throughput workloads report ops completed.
-	Throughput Kind = iota
-	// Latency workloads additionally report tail latency.
-	Latency
-)
 
 // Spec describes one catalogued benchmark.
 type Spec struct {
 	Name string
-	Kind Kind
 	New  func(env Env) Instance
 }

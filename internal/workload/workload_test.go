@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"vsched/internal/guest"
@@ -188,9 +189,6 @@ func TestPipelineProcessesItems(t *testing.T) {
 	if n := p.Ops() - before; n < 3600 || n > 4000 {
 		t.Fatalf("pipeline wrote %d items in 1s, want 3600..4000", n)
 	}
-	if p.Done() {
-		t.Fatal("an open-ended pipeline reported done")
-	}
 	p.Stop()
 	eng.RunFor(100 * sim.Millisecond)
 	drained := p.Ops()
@@ -285,12 +283,14 @@ func TestCatalogInstancesRun(t *testing.T) {
 			if inst.Ops() == 0 {
 				t.Fatalf("%s made no progress", spec.Name)
 			}
-			if spec.Kind == Latency {
-				li, ok := inst.(LatencyInstance)
+			// The overall evaluation's latency workloads are request servers
+			// that record per-request latency.
+			if slices.Contains(Fig18LatencyNames(), spec.Name) {
+				srv, ok := inst.(*Server)
 				if !ok {
-					t.Fatalf("%s marked Latency but lacks histograms", spec.Name)
+					t.Fatalf("%s is a latency workload but not a request server", spec.Name)
 				}
-				if li.E2E().Count() == 0 {
+				if srv.E2E().Count() == 0 {
 					t.Fatalf("%s recorded no latencies", spec.Name)
 				}
 			}
@@ -308,9 +308,6 @@ func TestServerStickyMode(t *testing.T) {
 	eng.RunFor(2 * sim.Second)
 	if srv.Ops() < 1000 {
 		t.Fatalf("sticky server made little progress: %d", srv.Ops())
-	}
-	if srv.Name() != "sticky" || srv.Done() {
-		t.Fatal("server accessors")
 	}
 	srv.Stop()
 	eng.RunFor(100 * sim.Millisecond)
@@ -330,13 +327,10 @@ func TestInstanceAccessors(t *testing.T) {
 	m := NewMatmul(e, 2)
 	p := NewParallel(e, ParallelSpec{Name: "k", IterWork: sim.Millisecond, Sync: SyncNone})
 	pl := NewPipeline(e, PipelineSpec{Name: "pl", WorkCPU: sim.Millisecond})
+	if hb.Done() || p.Done() {
+		t.Fatal("fresh instance cannot be done")
+	}
 	for _, inst := range []Instance{hb, sb, f, m, p, pl} {
-		if inst.Name() == "" {
-			t.Fatal("name missing")
-		}
-		if inst.Done() {
-			t.Fatal("fresh instance cannot be done")
-		}
 		inst.Start()
 		inst.Start() // idempotent
 	}
@@ -344,19 +338,16 @@ func TestInstanceAccessors(t *testing.T) {
 	if p.Threads() != 4 || len(p.Tasks()) != 4 {
 		t.Fatalf("parallel should default to one thread per vCPU: %d", p.Threads())
 	}
-	if len(sb.Tasks()) != 2 {
-		t.Fatal("sysbench tasks")
+	for name, l := range map[string]*Loop{"sysbench": sb, "fio": f, "matmul": m} {
+		if len(l.Tasks()) != 2 || l.Tasks()[1].Name() != name+"/t1" {
+			t.Fatalf("%s tasks", name)
+		}
 	}
-	sb.Stop()
-	f.Stop()
-	m.Stop()
 	pl.Stop()
 	p.Stop()
 	eng.RunFor(200 * sim.Millisecond)
-	sOps, fOps, mOps := sb.Ops(), f.Ops(), m.Ops()
-	eng.RunFor(500 * sim.Millisecond)
-	if sb.Ops() != sOps || f.Ops() != fOps || m.Ops() != mOps {
-		t.Fatal("stopped instances kept counting")
+	if !p.Done() {
+		t.Fatal("stopped kernel did not finish")
 	}
 }
 

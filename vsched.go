@@ -314,7 +314,8 @@ func (c *Cluster) SetVCPULatency(threadID int, lat Duration) error {
 // Workload instantiates a catalogued benchmark (see WorkloadNames) on a VM.
 // sched may be nil (stock CFS); threads 0 uses the benchmark default. An
 // unknown name is an error, like an unknown ID in RunExperiment, and so is
-// threads < 0.
+// threads < 0, or a positive thread count for hackbench, whose layout is
+// fixed.
 func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) (WorkloadInstance, error) {
 	spec, ok := workload.ByName(name)
 	if !ok {
@@ -328,7 +329,12 @@ func (c *Cluster) Workload(vm *VM, sched *VSched, name string, threads int) (Wor
 		env.Group = sched.UserGroup()
 		env.BEGroup = sched.BEGroup()
 	}
-	return spec.New(env), nil
+	inst := spec.New(env)
+	if _, fixed := inst.(*workload.Hackbench); fixed && threads > 0 {
+		return nil, fmt.Errorf("vsched: workload %q: threads %d: its layout is fixed at 4 groups of 4 sender/receiver pairs; use threads 0",
+			name, threads)
+	}
+	return inst, nil
 }
 
 // NewServer builds a custom request/response workload on a VM (for loads

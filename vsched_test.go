@@ -304,6 +304,7 @@ func TestFacadeBadParams(t *testing.T) {
 		{"VtopTimeoutAttempts", params(func(p *vsched.Params) { p.VtopTimeoutAttempts = -1 })},
 		{"StragglerFactor", params(func(p *vsched.Params) { p.StragglerFactor = 0 })},
 		{"threads -3", func() (bool, error) { w, err := cl.Workload(vm, nil, "nginx", -3); return w != nil, err }},
+		{"threads 8", func() (bool, error) { w, err := cl.Workload(vm, nil, "hackbench", 8); return w != nil, err }},
 		{"TickPeriod", guest(func(p *vsched.GuestParams) { p.TickPeriod = 0 })},
 		{"TickPeriod", guest(func(p *vsched.GuestParams) { p.TickPeriod = -vsched.Millisecond })},
 		{"Policy", guest(func(p *vsched.GuestParams) { p.Policy = 7 })},
@@ -320,6 +321,11 @@ func TestFacadeBadParams(t *testing.T) {
 		if built {
 			t.Errorf("%s: returned a value along with the error", tc.want)
 		}
+	}
+
+	// hackbench at threads 0 keeps its fixed layout and builds.
+	if _, err := cl.Workload(vm, nil, "hackbench", 0); err != nil {
+		t.Fatalf("hackbench at threads 0: %v", err)
 	}
 
 	// The boundary LightEvery == SamplePeriod is valid, and vSched runs.
